@@ -30,7 +30,7 @@ fn smoke() -> bool {
 
 /// Writes a store shaped exactly like a crashed node's: `len` finalized
 /// blocks in the chain log, votes churning in the slot just past the tip,
-/// and a pending mempool snapshot.
+/// and a pending mempool (a freshly compacted journal).
 fn seed_store(dir: &Path, len: u64) -> (u64, u64) {
     let _ = std::fs::remove_dir_all(dir);
     let mut store = NodeStore::open(dir, FsyncPolicy::Never).expect("store opens");
@@ -49,7 +49,7 @@ fn seed_store(dir: &Path, len: u64) -> (u64, u64) {
     }
     store
         .save_mempool((0..8u32).map(|t| format!("pending-{t}").into_bytes()))
-        .expect("mempool snapshot");
+        .expect("mempool journal written");
     store.sync().expect("sync");
     (store.live_bytes(), store.chain_bytes())
 }

@@ -149,11 +149,16 @@ impl Params {
 
     /// Paces an *idle* multi-shot chain: a leader whose mempool is empty
     /// holds an otherwise-ready view-0 proposal back for `pause` time
-    /// units instead of free-running empty blocks at CPU speed. `0`
-    /// (the default) disables pacing. A submission arriving during the
-    /// pause is proposed without waiting it out, so pacing trades idle
-    /// burn for at most `pause` of extra commit latency on the first
-    /// transaction after a lull.
+    /// units instead of free-running empty blocks at CPU speed — but only
+    /// while no block between the one it extends and the finalized tip
+    /// carries a transaction. A block with transactions needs the three
+    /// slots after it to finalize, so those go out at network speed:
+    /// pacing adds nothing between a transaction's proposal and its
+    /// finalization. `0` (the default) disables pacing. A submission
+    /// arriving during the pause is proposed without waiting it out, so
+    /// what pacing costs is the wait for a turn on an idle chain: the
+    /// first transaction after a lull sits through the pause of each idle
+    /// slot ahead of its node's (up to `n − 1` of them).
     #[must_use]
     pub fn with_idle_pacing(mut self, pause: u64) -> Self {
         self.idle_pacing = pause;

@@ -118,6 +118,15 @@ pub struct Mempool {
     max_tx_bytes: usize,
     /// The application's structural-admission veto, if installed.
     admission: Option<TxCheck>,
+    /// What the queue's two ends gained and lost since the last
+    /// [`Mempool::seal`] — the change a durable node journals instead of
+    /// the whole queue ([`Mempool::unsealed`]): entries still at the front
+    /// that a requeue put there, entries still at the back that were
+    /// admitted, and how many of the entries between them (the queue as it
+    /// stood at the seal) have been drained.
+    requeued: usize,
+    admitted: usize,
+    drained: usize,
 }
 
 impl Mempool {
@@ -137,6 +146,9 @@ impl Mempool {
             capacity,
             max_tx_bytes,
             admission: None,
+            requeued: 0,
+            admitted: 0,
+            drained: 0,
         }
     }
 
@@ -191,6 +203,7 @@ impl Mempool {
         }
         *self.queued.entry(tx.id()).or_insert(0) += 1;
         self.queue.push_back(tx);
+        self.admitted += 1;
         Ok(())
     }
 
@@ -199,6 +212,14 @@ impl Mempool {
     /// canonical bytes alone; the envelope ends at the pool boundary.
     pub fn next_batch(&mut self, max_txs: usize) -> Vec<Vec<u8>> {
         let take = self.queue.len().min(max_txs);
+        // The drain eats the requeued front first, then the sealed middle,
+        // then the newly admitted back.
+        let sealed = self.queue.len() - self.requeued - self.admitted;
+        let from_front = take.min(self.requeued);
+        let from_sealed = (take - from_front).min(sealed);
+        self.requeued -= from_front;
+        self.drained += from_sealed;
+        self.admitted -= take - from_front - from_sealed;
         let mut batch = Vec::with_capacity(take);
         for _ in 0..take {
             let tx = self.queue.pop_front().expect("take <= len");
@@ -221,6 +242,7 @@ impl Mempool {
     /// already admitted once, and the transient overshoot is bounded by
     /// the in-flight window (`SLOT_WINDOW` batches).
     pub fn requeue_front(&mut self, txs: Vec<Vec<u8>>) {
+        self.requeued += txs.len();
         for bytes in txs.into_iter().rev() {
             let tx = Tx::raw(bytes);
             *self.queued.entry(tx.id()).or_insert(0) += 1;
@@ -238,9 +260,40 @@ impl Mempool {
     }
 
     /// Iterates the queued payloads in FIFO order — what a durable node
-    /// snapshots to disk so admitted transactions survive a crash.
+    /// compacts its mempool journal down to.
     pub fn iter(&self) -> impl Iterator<Item = &[u8]> {
         self.queue.iter().map(|tx| tx.bytes())
+    }
+
+    /// How the queue differs from what it was at the last
+    /// [`Mempool::seal`], as `(drained, requeued, admitted)`: that queue
+    /// with `drained` entries popped off its front, then `requeued` pushed
+    /// at the front (in this order) and `admitted` at the back, is this
+    /// queue. `None` if nothing changed. One such record per seal is what
+    /// a durable node appends to its journal so admitted transactions
+    /// survive a crash; transactions admitted *and* drained between two
+    /// seals appear in neither (they are in a proposal, not in the queue).
+    pub fn unsealed(
+        &self,
+    ) -> Option<(usize, impl ExactSizeIterator<Item = &[u8]>, impl ExactSizeIterator<Item = &[u8]>)>
+    {
+        if self.drained + self.requeued + self.admitted == 0 {
+            return None;
+        }
+        let back = self.queue.len() - self.admitted;
+        Some((
+            self.drained,
+            self.queue.range(..self.requeued).map(|tx| tx.bytes()),
+            self.queue.range(back..).map(|tx| tx.bytes()),
+        ))
+    }
+
+    /// Marks the queue as it stands now as sealed: [`Mempool::unsealed`]
+    /// reports changes from here on.
+    pub fn seal(&mut self) {
+        self.requeued = 0;
+        self.admitted = 0;
+        self.drained = 0;
     }
 
     /// Number of queued transactions.
@@ -365,6 +418,59 @@ mod tests {
         pool.submit(vec![97]).unwrap();
         pool.requeue_front(batch);
         assert_eq!(pool.len(), 6, "3 queued + 3 requeued");
+    }
+
+    #[test]
+    fn unsealed_change_replays_the_sealed_queue_into_the_live_one() {
+        let mut pool = Mempool::new(100_000, 64);
+        assert!(pool.unsealed().is_none());
+        // What a journal holds: the queue as of the last seal.
+        let mut sealed: VecDeque<Vec<u8>> = VecDeque::new();
+        let mut in_flight: Vec<Vec<Vec<u8>>> = Vec::new();
+        let (mut next, mut requeues) = (0u32, 0u32);
+        let mut rng = 0x2545_F491_4F6C_DD1Du64;
+        let mut draw = |below: u64| {
+            rng = rng.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            (rng >> 33) % below
+        };
+        // Every mix of admissions, drains and requeues between two seals,
+        // including drains that eat through the requeued front, the whole
+        // sealed middle and into what was admitted since.
+        for round in 0..5_000u32 {
+            for _ in 0..draw(6) {
+                match draw(4) {
+                    0 | 1 => {
+                        for _ in 0..draw(4) {
+                            next += 1;
+                            pool.submit(next.to_be_bytes().to_vec()).unwrap();
+                        }
+                    }
+                    2 => {
+                        let batch = pool.next_batch(draw(12) as usize);
+                        if !batch.is_empty() {
+                            in_flight.push(batch);
+                        }
+                    }
+                    _ => {
+                        if let Some(batch) = in_flight.pop() {
+                            pool.requeue_front(batch);
+                            requeues += 1;
+                        }
+                    }
+                }
+            }
+            if let Some((drained, requeued, admitted)) = pool.unsealed() {
+                sealed.drain(..drained);
+                for tx in requeued.collect::<Vec<_>>().into_iter().rev() {
+                    sealed.push_front(tx.to_vec());
+                }
+                sealed.extend(admitted.map(<[u8]>::to_vec));
+            }
+            pool.seal();
+            assert!(pool.iter().eq(sealed.iter().map(Vec::as_slice)), "round {round}");
+            assert!(pool.unsealed().is_none(), "a sealed queue has no change to report");
+        }
+        assert!(next > 1_000 && requeues > 100, "{next} admitted, {requeues} requeues");
     }
 
     #[test]

@@ -95,8 +95,6 @@ pub struct MultiShotNode {
     /// Live slots whose own vote book or view changed since the last
     /// [`Node::persist`] call.
     dirty_slots: BTreeSet<Slot>,
-    /// Whether the mempool changed since the last persisted snapshot.
-    mempool_dirty: bool,
     /// Catch-up candidates: next-block proposals received via
     /// [`MsMessage::Blocks`], keyed by `(slot, recomputed hash)` with the
     /// set of peers vouching for each. A candidate commits once its parent
@@ -139,7 +137,6 @@ impl MultiShotNode {
             durable: None,
             incarnation: 0,
             dirty_slots: BTreeSet::new(),
-            mempool_dirty: false,
             catchup: BTreeMap::new(),
             scratch_suggests: Vec::new(),
             scratch_proofs: Vec::new(),
@@ -193,11 +190,16 @@ impl MultiShotNode {
             inst.book = sv.book.clone();
             node.instances.insert(sv.slot, inst);
         }
-        // Admitted-but-unfinalized transactions survive the crash; rejects
-        // (duplicates of what finalized meanwhile) are harmless.
+        // Admitted-but-unfinalized transactions survive the crash. The
+        // mempool may refuse some (a duplicate, a capacity lowered since),
+        // and the journal's drain records are counts off the front of the
+        // queue: re-base it on what was actually restored, so disk and
+        // memory agree from the first seal on.
         for tx in store.restored_mempool() {
             let _ = node.mempool.submit(tx.clone());
         }
+        store.save_mempool(node.mempool.iter())?;
+        node.mempool.seal();
         node.durable = Some(store);
         Ok(node)
     }
@@ -213,8 +215,8 @@ impl MultiShotNode {
     /// subsequent submission (typed or raw) must pass `check` before it
     /// enters the mempool, refusing malformed payloads at the door with a
     /// typed [`SubmitError`]. Composes with [`MultiShotNode::durable`]:
-    /// transactions restored from the write-ahead snapshot were admitted
-    /// (and checked) before the crash.
+    /// transactions restored from the mempool journal were admitted (and
+    /// checked) before the crash.
     #[must_use]
     pub fn with_admission(mut self, check: TxCheck) -> Self {
         self.mempool.set_admission(check);
@@ -234,9 +236,7 @@ impl MultiShotNode {
     /// [`SubmitError::Full`] is the backpressure signal once
     /// [`Params::mempool_capacity`] transactions are queued.
     pub fn submit_tx(&mut self, tx: impl Into<Tx>) -> Result<(), SubmitError> {
-        self.mempool.submit(tx)?;
-        self.mempool_dirty = true;
-        Ok(())
+        self.mempool.submit(tx)
     }
 
     /// Number of transactions waiting in this node's mempool.
@@ -657,7 +657,7 @@ impl MultiShotNode {
         }
         let block = if view.is_zero() {
             let Some(parent) = self.parent_ready(slot) else { return false };
-            if self.pace(slot, ctx) {
+            if self.pace(slot, parent, ctx) {
                 return false;
             }
             self.build_block(slot, parent)
@@ -667,21 +667,29 @@ impl MultiShotNode {
             inst.regs.suggests_into(view, &mut suggests);
             let decision = leader_determine_safe(&self.cfg, &suggests, view, FRESH);
             self.scratch_suggests = suggests;
-            match decision {
+            // When any value is safe, a block already notarized here is
+            // still the one to propose: the slots above build on it
+            // (`parent_ready`'s recovery path), so a fresh block could
+            // never win, and would hold a batch of admitted transactions
+            // hostage until the slot commits.
+            let certified = match decision {
                 None => return false,
                 Some(v) if v == FRESH => {
+                    inst.notarized.filter(|h| self.store.slot_of(*h) == Some(slot))
+                }
+                Some(v) => Some(BlockHash::from_value(v)),
+            };
+            match certified {
+                None => {
                     let Some(parent) = self.parent_ready(slot) else { return false };
                     self.build_block(slot, parent)
                 }
-                Some(v) => {
-                    // Re-propose the certified block; without its content we
-                    // must wait (block dissemination is assumed, DESIGN.md §6).
-                    let hash = BlockHash::from_value(v);
-                    match self.store.get(hash) {
-                        Some(b) if b.slot == slot => b.clone(),
-                        _ => return false,
-                    }
-                }
+                // Re-propose the certified block; without its content we
+                // must wait (block dissemination is assumed, DESIGN.md §6).
+                Some(hash) => match self.store.get(hash) {
+                    Some(b) if b.slot == slot => b.clone(),
+                    _ => return false,
+                },
             }
         };
         self.store.insert(block.clone());
@@ -727,15 +735,22 @@ impl MultiShotNode {
     }
 
     /// Idle pacing gate for a view-0 proposal that is otherwise ready:
-    /// returns `true` to hold the proposal back. With pacing enabled and
-    /// an empty mempool, the first call arms [`PACE_TIMER`] and every
-    /// call until it fires defers; the firing releases exactly one empty
-    /// proposal. A submission arriving mid-pause makes the mempool
-    /// non-empty, so the next `drive` proposes immediately (and cancels
-    /// the now-moot timer). View-change paths (`view > 0`) never pace —
-    /// recovery liveness is not traded for idle CPU.
-    fn pace(&mut self, slot: Slot, ctx: &mut Ctx<'_>) -> bool {
-        if self.params.idle_pacing() == 0 || !self.mempool.is_empty() {
+    /// returns `true` to hold the proposal back. Only an *idle* chain is
+    /// paced: this node has nothing to propose and no block between
+    /// `parent` and the finalized tip carries a transaction. A block with
+    /// transactions needs the three slots after it to finalize, so while
+    /// one is pending even an empty slot goes out at network speed. When
+    /// idle, the first call arms [`PACE_TIMER`] and every call until it
+    /// fires defers; the firing releases exactly one empty proposal. A
+    /// submission arriving mid-pause makes the mempool non-empty, so the
+    /// next `drive` proposes immediately (and cancels the now-moot timer).
+    /// View-change paths (`view > 0`) never pace — recovery liveness is
+    /// not traded for idle CPU.
+    fn pace(&mut self, slot: Slot, parent: BlockHash, ctx: &mut Ctx<'_>) -> bool {
+        if self.params.idle_pacing() == 0
+            || !self.mempool.is_empty()
+            || self.carries_txs_above_finalized(parent)
+        {
             if self.pace_pending.take().is_some() {
                 ctx.cancel_timer(PACE_TIMER);
             }
@@ -754,10 +769,22 @@ impl MultiShotNode {
         true
     }
 
+    /// Whether any not-yet-finalized block on the chain ending in `tip`
+    /// carries transactions (at most [`SLOT_WINDOW`] links).
+    fn carries_txs_above_finalized(&self, tip: BlockHash) -> bool {
+        let mut cursor = tip;
+        while let Some(block) = self.store.get(cursor).filter(|b| b.slot > self.finalized) {
+            if !block.txs.is_empty() {
+                return true;
+            }
+            cursor = block.parent;
+        }
+        false
+    }
+
     fn build_block(&mut self, slot: Slot, parent: BlockHash) -> Block {
         let block = Block::new(slot, parent, self.mempool.next_batch(self.params.max_block_txs()));
         if !block.txs.is_empty() {
-            self.mempool_dirty = true;
             // A later fresh proposal for the same slot supersedes our
             // earlier one; rescue that batch before dropping its record.
             if let Some(old) = self.in_flight.insert(slot, block.hash()) {
@@ -774,7 +801,6 @@ impl MultiShotNode {
     fn requeue_batch(&mut self, ours: BlockHash) {
         if let Some(block) = self.store.get(ours) {
             self.mempool.requeue_front((*block.txs).clone());
-            self.mempool_dirty = true;
         }
     }
 
@@ -930,6 +956,15 @@ impl MultiShotNode {
         self.dirty_slots.remove(&slot);
         self.finalized = slot;
         self.finalized_hash = hash;
+        // Receiving a proposal starts the slot after it (Algorithm 3 line
+        // 4), unless that slot lay beyond the window: a proposal at the
+        // window's very edge, from a chain running ahead of this node's
+        // finalizations. The window just moved, so start it now — its
+        // leader may be this node, and nothing else would.
+        let top = self.instances.iter().next_back().map(|(s, inst)| (*s, inst.saw_proposal));
+        if let Some((top, true)) = top {
+            self.ensure_instance(top.next(), ctx);
+        }
     }
 }
 
@@ -998,10 +1033,11 @@ impl Node for MultiShotNode {
                     .expect("durable vote record failed");
             }
         }
-        if self.mempool_dirty {
-            self.mempool_dirty = false;
-            store.save_mempool(self.mempool.iter()).expect("durable mempool snapshot failed");
-        }
+        let Some((drained, requeued, admitted)) = self.mempool.unsealed() else { return };
+        store
+            .journal_mempool(drained, requeued, admitted, self.mempool.iter())
+            .expect("durable mempool journal failed");
+        self.mempool.seal();
     }
 
     fn incarnation(&self) -> u64 {
@@ -1021,6 +1057,7 @@ impl Submitter for MultiShotNode {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::VecDeque;
     use tetrabft_sim::{LinkPolicy, SimBuilder, Time};
 
     fn cfg(n: usize) -> Config {
@@ -1197,6 +1234,237 @@ mod tests {
         assert!(blocks.len() > 8);
         assert!(blocks.iter().all(|b| b.txs.len() <= 3), "no block may exceed max_block_txs");
         assert!(blocks.iter().any(|b| b.txs.len() == 3), "leaders fill blocks to the cap");
+    }
+
+    /// Runs `node` on one input by hand; returns the messages it sent.
+    fn sent(node: &mut MultiShotNode, input: Input<MsMessage>) -> Vec<MsMessage> {
+        let mut actions = tetrabft_sim::ActionBuf::new();
+        let (me, n) = (node.me, node.cfg.n());
+        node.handle(input, &mut Context::buffered(me, n, Time(0), &mut actions));
+        actions
+            .into_iter()
+            .filter_map(|action| match action {
+                tetrabft_sim::Action::Send { msg, .. } => Some(msg),
+                _ => None,
+            })
+            .collect()
+    }
+
+    #[test]
+    fn fresh_verdict_re_proposes_a_notarized_block_and_spares_the_mempool() {
+        let peers = [NodeId(0), NodeId(1), NodeId(3)];
+        for notarized in [true, false] {
+            // Node 2 leads slot 1 in view 1 (and slot 2 in view 0).
+            let mut node = MultiShotNode::new(cfg(4), Params::new(100), NodeId(2));
+            sent(&mut node, Input::Start);
+            let theirs = Block::new(Slot(1), GENESIS_HASH, vec![b"theirs".to_vec()]);
+            let msg = MsMessage::Proposal { view: View::ZERO, block: theirs.clone() };
+            sent(&mut node, Input::Deliver { from: NodeId(1), msg });
+            // Our slot-2 proposal is out: what we admit now stays queued.
+            node.submit_tx(b"ours".to_vec()).unwrap();
+            if notarized {
+                for from in peers {
+                    let msg =
+                        MsMessage::Vote { slot: Slot(1), view: View::ZERO, hash: theirs.hash() };
+                    sent(&mut node, Input::Deliver { from, msg });
+                }
+            }
+            for from in peers {
+                let msg = MsMessage::ViewChange { slot: Slot(1), view: View(1) };
+                sent(&mut node, Input::Deliver { from, msg });
+            }
+            // No peer ever cast a vote-3 for slot 1: Rule 1 says FRESH.
+            let mut proposals = Vec::new();
+            for from in peers {
+                let msg = MsMessage::Suggest {
+                    slot: Slot(1),
+                    view: View(1),
+                    data: SuggestData::default(),
+                };
+                proposals.extend(
+                    sent(&mut node, Input::Deliver { from, msg }).into_iter().filter_map(|msg| {
+                        match msg {
+                            MsMessage::Proposal { view, block } => Some((view, block)),
+                            _ => None,
+                        }
+                    }),
+                );
+            }
+            assert_eq!(proposals.len(), 1, "one proposal for (slot 1, view 1)");
+            let (view, block) = &proposals[0];
+            assert_eq!((*view, block.slot), (View(1), Slot(1)));
+            if notarized {
+                assert_eq!(block.hash(), theirs.hash(), "the notarized block is re-proposed");
+                assert_eq!(node.mempool_len(), 1, "and no batch is drained into a doomed rival");
+            } else {
+                assert_eq!(*block.txs, vec![b"ours".to_vec()], "nothing notarized: a fresh block");
+                assert_eq!(node.mempool_len(), 0);
+            }
+        }
+    }
+
+    #[test]
+    fn proposal_at_the_window_edge_starts_the_next_slot_once_the_window_moves() {
+        // Node 1 leads slot 9. The chain runs ahead of its finalizations:
+        // it sees the proposal for slot 8 = finalized + SLOT_WINDOW before
+        // the votes that finalize slot 1.
+        let mut node = MultiShotNode::new(cfg(4), Params::new(100), NodeId(1));
+        sent(&mut node, Input::Start);
+        let mut parent = GENESIS_HASH;
+        for slot in 1..=4u64 {
+            let block = Block::new(Slot(slot), parent, Vec::new());
+            parent = block.hash();
+            let from = MultiShotNode::leader_of(&cfg(4), Slot(slot), View::ZERO);
+            let msg = MsMessage::Proposal { view: View::ZERO, block };
+            sent(&mut node, Input::Deliver { from, msg });
+        }
+        let edge = Block::new(Slot(SLOT_WINDOW), BlockHash(7), Vec::new());
+        let msg = MsMessage::Proposal { view: View::ZERO, block: edge };
+        sent(&mut node, Input::Deliver { from: NodeId(0), msg });
+        assert!(!node.instances.contains_key(&Slot(9)), "slot 9 is beyond the window");
+        for from in [NodeId(0), NodeId(2), NodeId(3)] {
+            let msg = MsMessage::Vote { slot: Slot(4), view: View::ZERO, hash: parent };
+            sent(&mut node, Input::Deliver { from, msg });
+        }
+        assert_eq!(node.finalized_slot(), Slot(1));
+        assert!(node.instances.contains_key(&Slot(9)), "the window moved: slot 9 must start");
+    }
+
+    fn journal_dir(tag: &str) -> std::path::PathBuf {
+        static NEXT: std::sync::atomic::AtomicUsize = std::sync::atomic::AtomicUsize::new(0);
+        let case = NEXT.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+        let dir = std::env::temp_dir()
+            .join(format!("tetrabft-journal-{}-{tag}-{case}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        dir
+    }
+
+    fn queue_of(node: &MultiShotNode) -> Vec<Vec<u8>> {
+        node.mempool.iter().map(<[u8]>::to_vec).collect()
+    }
+
+    #[test]
+    fn restart_re_bases_the_journal_on_what_the_mempool_took_back() {
+        let dir = journal_dir("rebase");
+        let params = Params::new(100)
+            .with_mempool_capacity(4)
+            .with_max_block_txs(3)
+            .with_fsync(tetrabft_types::FsyncPolicy::Never);
+        let open = || MultiShotNode::durable(cfg(4), params, NodeId(0), &dir).unwrap();
+        let mut node = open();
+        for k in 1..=4u8 {
+            node.submit_tx(vec![k]).unwrap();
+        }
+        let lost = node.build_block(Slot(1), GENESIS_HASH);
+        node.store.insert(lost.clone());
+        for k in 5..=7u8 {
+            node.submit_tx(vec![k]).unwrap();
+        }
+        // A requeue may overshoot the capacity; a restart may not.
+        node.requeue_batch(lost.hash());
+        assert_eq!(node.mempool_len(), 7);
+        node.persist();
+        drop(node);
+        let mut node = open();
+        assert_eq!(queue_of(&node), [[1], [2], [3], [4]], "the first `capacity` survive");
+        // Drain counts now mean the same on disk as in memory.
+        node.build_block(Slot(1), GENESIS_HASH);
+        node.persist();
+        drop(node);
+        assert_eq!(queue_of(&open()), [[4]]);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[derive(Debug, Clone)]
+    enum QueueOp {
+        Submit(usize),
+        Build,
+        Requeue(usize),
+        Seal,
+        Reopen,
+    }
+
+    fn queue_ops() -> impl proptest::prelude::Strategy<Value = Vec<QueueOp>> {
+        use proptest::prelude::*;
+        proptest::collection::vec(
+            prop_oneof![
+                (1usize..6).prop_map(QueueOp::Submit),
+                (1usize..6).prop_map(QueueOp::Submit),
+                Just(QueueOp::Build),
+                Just(QueueOp::Build),
+                (0usize..4).prop_map(QueueOp::Requeue),
+                Just(QueueOp::Seal),
+                Just(QueueOp::Seal),
+                Just(QueueOp::Reopen),
+            ],
+            1..60,
+        )
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(32))]
+
+        /// Whatever mix of admissions, block builds and requeues the seals
+        /// fall between, a restart finds the queue exactly as the last
+        /// seal left it — order, front-requeues and all.
+        #[test]
+        fn journal_restores_the_queue_as_of_the_last_seal(ops in queue_ops()) {
+            use proptest::prelude::*;
+            let dir = journal_dir("model");
+            let params = Params::new(100)
+                .with_max_block_txs(4)
+                .with_fsync(tetrabft_types::FsyncPolicy::Never);
+            let open = || MultiShotNode::durable(cfg(4), params, NodeId(0), &dir).unwrap();
+            let mut node = open();
+            // The model: a plain FIFO, the batches drained out of it, and
+            // a copy of it as of the last seal.
+            let mut model: VecDeque<Vec<u8>> = VecDeque::new();
+            let mut in_flight: Vec<Block> = Vec::new();
+            let mut sealed = model.clone();
+            let (mut next_tx, mut next_slot) = (0u32, 0u64);
+            for op in ops.into_iter().chain([QueueOp::Seal, QueueOp::Reopen]) {
+                match op {
+                    QueueOp::Submit(count) => {
+                        for _ in 0..count {
+                            next_tx += 1;
+                            node.submit_tx(next_tx.to_be_bytes().to_vec()).unwrap();
+                            model.push_back(next_tx.to_be_bytes().to_vec());
+                        }
+                    }
+                    QueueOp::Build => {
+                        next_slot += 1;
+                        let block = node.build_block(Slot(next_slot), GENESIS_HASH);
+                        let batch: Vec<Vec<u8>> = model.drain(..model.len().min(4)).collect();
+                        prop_assert_eq!(&*block.txs, &batch);
+                        if !batch.is_empty() {
+                            node.store.insert(block.clone());
+                            in_flight.push(block);
+                        }
+                    }
+                    QueueOp::Requeue(pick) => {
+                        if !in_flight.is_empty() {
+                            let block = in_flight.remove(pick % in_flight.len());
+                            node.requeue_batch(block.hash());
+                            for tx in block.txs.iter().rev() {
+                                model.push_front(tx.clone());
+                            }
+                        }
+                    }
+                    QueueOp::Seal => {
+                        node.persist();
+                        sealed = model.clone();
+                    }
+                    QueueOp::Reopen => {
+                        drop(node);
+                        node = open();
+                        model = sealed.clone();
+                        in_flight.clear();
+                    }
+                }
+                prop_assert_eq!(queue_of(&node), Vec::from(model.clone()));
+            }
+            std::fs::remove_dir_all(&dir).unwrap();
+        }
     }
 
     #[test]

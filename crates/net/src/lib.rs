@@ -4,10 +4,11 @@
 //! evaluation needs.
 //!
 //! The same sans-I/O [`tetrabft_engine::Node`] state machines the
-//! simulator drives run here over real sockets (std networking, one
-//! thread per connection — no async runtime dependency), through the very
-//! same [`tetrabft_engine::Engine`] loop — this crate only provides the
-//! threaded TCP [`tetrabft_engine::Transport`]:
+//! simulator drives run here over real sockets (non-blocking std
+//! networking on one readiness-polled reactor thread per node, beside its
+//! engine thread — no async runtime dependency), through the very same
+//! [`tetrabft_engine::Engine`] loop — this crate only provides the TCP
+//! [`tetrabft_engine::Transport`]:
 //!
 //! * every node listens on a [`Topology`]-declared TCP address (ephemeral
 //!   OS-assigned localhost ports by default, arbitrary `SocketAddr`s for

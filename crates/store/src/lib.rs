@@ -13,8 +13,12 @@
 //!   bytes per finalized block — linear in the chain, never rewritten,
 //!   indexed at open so restarted peers can be served catch-up ranges
 //!   straight from disk;
-//! * a **mempool snapshot**, so admitted transactions survive the crash
-//!   of the node that admitted them;
+//! * an **append-only mempool journal** — one record per seal: what it
+//!   admitted, drained off the front and put back at the front — replayed
+//!   into the same FIFO order at open and compacted once it holds
+//!   [`MEMPOOL_COMPACT_SLACK`] drained entries beside the live queue, so
+//!   admitted transactions survive the crash of the node that admitted
+//!   them;
 //! * an **incarnation counter**, bumped per open and exchanged in the TCP
 //!   handshake, letting peers drop frames buffered for a dead incarnation.
 //!
@@ -63,7 +67,7 @@ pub mod record;
 mod wal;
 
 pub use crc::crc32;
-pub use node_store::{NodeStore, SlotVotes, COMPACT_SLACK};
+pub use node_store::{NodeStore, SlotVotes, COMPACT_SLACK, MEMPOOL_COMPACT_SLACK};
 pub use wal::Wal;
 
 /// Why a store operation failed.

@@ -1,7 +1,7 @@
-//! The per-node durable store: vote WAL + chain log + mempool snapshot +
+//! The per-node durable store: vote WAL + chain log + mempool journal +
 //! incarnation counter, under one directory.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, VecDeque};
 use std::fs;
 use std::path::{Path, PathBuf};
 
@@ -9,6 +9,7 @@ use tetrabft_types::{FsyncPolicy, Slot, View, VoteBook, VoteInfo};
 use tetrabft_wire::{Reader, Writer};
 
 use crate::crc::crc32;
+use crate::record::MAX_RECORD_BYTES;
 use crate::wal::Wal;
 use crate::StoreError;
 
@@ -18,9 +19,16 @@ use crate::StoreError;
 /// `live slots + COMPACT_SLACK` records ever exist on disk.
 pub const COMPACT_SLACK: u64 = 64;
 
+/// Compaction slack for the mempool journal, in transactions: the file is
+/// rewritten down to the live queue once this many of the entries it holds
+/// have been drained, so at most `live + MEMPOOL_COMPACT_SLACK` entries
+/// ever exist on disk and a rewrite is paid once per that many drains.
+pub const MEMPOOL_COMPACT_SLACK: u64 = 8192;
+
 const META_MAGIC: &[u8; 8] = b"TBFTMETA";
 const VOTE_VERSION: u8 = 1;
 const CHAIN_VERSION: u8 = 1;
+const MEMPOOL_VERSION: u8 = 1;
 
 /// One restored live-slot record: the slot's current view and this node's
 /// [`VoteBook`] for it — exactly the paper's constant persistent state,
@@ -49,8 +57,11 @@ struct ChainEntry {
 /// * `chain.wal` — the append-only finalized-chain log (slot, hash, raw
 ///   block bytes), never rewritten, growing linearly with the chain; an
 ///   in-memory slot index built at open serves peer catch-up reads;
-/// * `mempool.log` — snapshot of admitted-but-unfinalized transactions,
-///   re-seeded into the mempool on restart;
+/// * `mempool.wal` — append-only journal of the mempool queue: one record
+///   per seal (what that seal admitted, drained off the front and put back
+///   at the front), replayed into the same FIFO order on restart and
+///   compacted to the live queue once it outgrows it by
+///   [`MEMPOOL_COMPACT_SLACK`] entries;
 /// * `meta` — the incarnation counter, incremented on every open, which
 ///   the TCP handshake exchanges so peers drop frames buffered for a
 ///   previous incarnation.
@@ -71,9 +82,14 @@ pub struct NodeStore {
     /// slots, so both this buffer and the `latest_votes` entries reuse
     /// their capacity instead of allocating per record).
     vote_scratch: Writer,
+    /// Retained mempool-record encode buffer, same pattern.
+    mempool_scratch: Writer,
+    /// Transaction entries in the journal that later records drained: what
+    /// a compaction would shed.
+    mempool_dead: u64,
     /// Vote state restored at open, for the consumer to take once.
     restored: BTreeMap<u64, SlotVotes>,
-    /// Mempool snapshot restored at open.
+    /// Mempool queue replayed from the journal at open.
     restored_mempool: Vec<Vec<u8>>,
     chain_index: BTreeMap<u64, ChainEntry>,
     last_finalized: u64,
@@ -116,7 +132,19 @@ impl NodeStore {
         debug_assert_eq!(offset, chain.len_bytes());
         chain.sync()?;
 
-        let (mempool, restored_mempool) = Wal::open(dir.join("mempool.log"), policy)?;
+        // Builds before the journal kept a whole-queue snapshot under this
+        // name. It is a different format: dropped, never parsed.
+        match fs::remove_file(dir.join("mempool.log")) {
+            Err(e) if e.kind() != std::io::ErrorKind::NotFound => return Err(e.into()),
+            _ => {}
+        }
+        let (mempool, seals) = Wal::open(dir.join("mempool.wal"), policy)?;
+        let mut queue = VecDeque::new();
+        let mut mempool_dead = 0;
+        for seal in &seals {
+            mempool_dead += replay_seal(seal, &mut queue)?;
+        }
+        let restored_mempool = Vec::from(queue);
 
         let last_finalized = chain_index.keys().next_back().copied().unwrap_or(0);
         // Live state restored from disk never includes finalized slots.
@@ -131,6 +159,8 @@ impl NodeStore {
             mempool,
             latest_votes,
             vote_scratch: Writer::new(),
+            mempool_scratch: Writer::new(),
+            mempool_dead,
             restored,
             restored_mempool,
             chain_index,
@@ -263,25 +293,75 @@ impl NodeStore {
         Ok(Some((hash, payload[body_start..].to_vec())))
     }
 
-    // ---- mempool snapshot ------------------------------------------------
+    // ---- mempool journal -------------------------------------------------
 
-    /// Atomically replaces the on-disk mempool snapshot. Bounded by the
-    /// mempool's own admission capacity, so the file cannot grow without
-    /// bound either.
+    /// Appends one seal's change to the mempool queue, in the form a
+    /// restart replays: drop `drained` transactions off the front, put
+    /// `requeued` back at the front (keeping their order), add `admitted`
+    /// at the back. The record goes through the journal's [`Wal::append`],
+    /// so it is synced as the [`FsyncPolicy`] says, like a vote record.
+    ///
+    /// `live` is the whole queue as it stands after the change. It is read
+    /// only when the journal is compacted ([`NodeStore::save_mempool`]):
+    /// once [`MEMPOOL_COMPACT_SLACK`] of the file's entries are drained
+    /// ones, or when this one record would not fit a frame.
+    pub fn journal_mempool<'a, R, A, L>(
+        &mut self,
+        drained: usize,
+        requeued: R,
+        admitted: A,
+        live: L,
+    ) -> Result<(), StoreError>
+    where
+        R: IntoIterator<Item = &'a [u8]>,
+        R::IntoIter: ExactSizeIterator,
+        A: IntoIterator<Item = &'a [u8]>,
+        A::IntoIter: ExactSizeIterator,
+        L: IntoIterator<Item = &'a [u8]>,
+    {
+        self.mempool_scratch.clear();
+        encode_seal(
+            &mut self.mempool_scratch,
+            drained as u64,
+            requeued.into_iter(),
+            admitted.into_iter(),
+        );
+        if self.mempool_scratch.len() as u64 > MAX_RECORD_BYTES {
+            return self.save_mempool(live);
+        }
+        self.mempool.append(self.mempool_scratch.as_bytes())?;
+        self.mempool_dead += drained as u64;
+        if self.mempool_dead > MEMPOOL_COMPACT_SLACK {
+            self.save_mempool(live)?;
+        }
+        Ok(())
+    }
+
+    /// Atomically replaces the journal with `txs`, the live queue in FIFO
+    /// order — the journal's compaction, and how a restarted node re-bases
+    /// it on what it actually restored. One record per transaction, so no
+    /// record outgrows a frame however long the queue; bounded by the
+    /// mempool's own admission capacity.
     pub fn save_mempool<I, B>(&mut self, txs: I) -> Result<(), StoreError>
     where
         I: IntoIterator<Item = B>,
         B: AsRef<[u8]>,
     {
-        self.mempool.rewrite(txs)
+        self.mempool.rewrite(txs.into_iter().map(|tx| {
+            let mut w = Writer::with_capacity(tx.as_ref().len() + 8);
+            encode_seal(&mut w, 0, std::iter::empty(), std::iter::once(tx.as_ref()));
+            w.into_bytes()
+        }))?;
+        self.mempool_dead = 0;
+        Ok(())
     }
 
-    /// The mempool snapshot restored at open, in submission order.
+    /// The mempool queue restored at open, in FIFO order.
     pub fn restored_mempool(&self) -> &[Vec<u8>] {
         &self.restored_mempool
     }
 
-    /// Bytes occupied by the mempool snapshot.
+    /// Bytes occupied by the mempool journal.
     pub fn mempool_bytes(&self) -> u64 {
         self.mempool.len_bytes()
     }
@@ -373,6 +453,61 @@ fn decode_votes(payload: &[u8]) -> Result<(SlotVotes, Slot), StoreError> {
         return Err(StoreError::Corrupt("trailing bytes in vote record"));
     }
     Ok((SlotVotes { slot, view, book: VoteBook::from_registers(regs) }, finalized))
+}
+
+/// One mempool journal record: `[version][drained][n][tx]*n [m][tx]*m`,
+/// the requeued transactions first, each `tx` length-prefixed.
+fn encode_seal<'a>(
+    w: &mut Writer,
+    drained: u64,
+    requeued: impl ExactSizeIterator<Item = &'a [u8]>,
+    admitted: impl ExactSizeIterator<Item = &'a [u8]>,
+) {
+    fn put_txs<'a>(w: &mut Writer, txs: impl ExactSizeIterator<Item = &'a [u8]>) {
+        w.put_varint(txs.len() as u64);
+        for tx in txs {
+            w.put_varint(tx.len() as u64);
+            w.put_slice(tx);
+        }
+    }
+    w.put_u8(MEMPOOL_VERSION);
+    w.put_varint(drained);
+    put_txs(w, requeued);
+    put_txs(w, admitted);
+}
+
+/// Applies one journal record to `queue`; returns how many transactions
+/// it drained.
+fn replay_seal(payload: &[u8], queue: &mut VecDeque<Vec<u8>>) -> Result<u64, StoreError> {
+    fn get_txs(r: &mut Reader<'_>) -> Result<Vec<Vec<u8>>, StoreError> {
+        let count = r.get_varint_u64()?;
+        let mut txs = Vec::new();
+        for _ in 0..count {
+            let len = usize::try_from(r.get_varint_u64()?)
+                .map_err(|_| StoreError::Corrupt("mempool transaction length out of bounds"))?;
+            txs.push(r.get_slice(len)?.to_vec());
+        }
+        Ok(txs)
+    }
+    let mut r = Reader::new(payload);
+    if r.get_u8()? != MEMPOOL_VERSION {
+        return Err(StoreError::Corrupt("unknown mempool record version"));
+    }
+    let drained = r.get_varint_u64()?;
+    if drained > queue.len() as u64 {
+        return Err(StoreError::Corrupt("mempool journal drains more than it holds"));
+    }
+    let requeued = get_txs(&mut r)?;
+    let admitted = get_txs(&mut r)?;
+    if r.remaining() != 0 {
+        return Err(StoreError::Corrupt("trailing bytes in mempool record"));
+    }
+    queue.drain(..drained as usize);
+    for tx in requeued.into_iter().rev() {
+        queue.push_front(tx);
+    }
+    queue.extend(admitted);
+    Ok(drained)
 }
 
 fn decode_chain_header(payload: &[u8]) -> Result<(u64, u64), StoreError> {
@@ -525,6 +660,126 @@ mod tests {
         }
         let store = NodeStore::open(&dir, FsyncPolicy::Never).unwrap();
         assert_eq!(store.restored_mempool(), &[b"tx-b".to_vec(), b"tx-c".to_vec()]);
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// Journals one seal from owned parts (`live` is only read to compact).
+    fn seal(store: &mut NodeStore, drained: usize, requeued: &[&[u8]], admitted: &[&[u8]]) {
+        let live: [&[u8]; 0] = [];
+        store
+            .journal_mempool(drained, requeued.iter().copied(), admitted.iter().copied(), live)
+            .unwrap();
+    }
+
+    #[test]
+    fn mempool_journal_replays_seals_in_fifo_order() {
+        let dir = temp_dir("journal");
+        {
+            let mut store = NodeStore::open(&dir, FsyncPolicy::Never).unwrap();
+            seal(&mut store, 0, &[], &[b"a", b"b", b"c"]);
+            seal(&mut store, 2, &[], &[b"d"]);
+            // A defeated batch returns to the head in its own order.
+            seal(&mut store, 1, &[b"a", b"b"], &[b"e"]);
+        }
+        let store = NodeStore::open(&dir, FsyncPolicy::Never).unwrap();
+        let want: [&[u8]; 4] = [b"a", b"b", b"d", b"e"];
+        assert_eq!(store.restored_mempool(), want);
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn a_leftover_snapshot_from_an_older_build_is_removed_unread() {
+        let dir = temp_dir("legacy-snapshot");
+        fs::create_dir_all(&dir).unwrap();
+        // The old format framed one bare transaction per record.
+        fs::write(dir.join("mempool.log"), crate::record::frame(b"stale")).unwrap();
+        let store = NodeStore::open(&dir, FsyncPolicy::Never).unwrap();
+        assert!(store.restored_mempool().is_empty());
+        assert!(!dir.join("mempool.log").exists());
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn mempool_journal_stays_bounded_and_replays_over_100k_seals() {
+        let dir = temp_dir("journal-bound");
+        let mut store = NodeStore::open(&dir, FsyncPolicy::Never).unwrap();
+        let mut model: VecDeque<Vec<u8>> = VecDeque::new();
+        let mut in_flight: Vec<Vec<u8>> = Vec::new();
+        let (mut high_water, mut max_live) = (0u64, 0u64);
+        let mut rng = 0x9E37_79B9_7F4A_7C15u64;
+        let mut draw = |below: u64| {
+            rng = rng.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            (rng >> 33) % below
+        };
+        for i in 0..100_000u64 {
+            let drained = (draw(4) as usize).min(model.len());
+            let lost: Vec<Vec<u8>> = model.drain(..drained).collect();
+            // Now and then the batch drained a few seals ago comes back.
+            let requeued = if draw(16) == 0 { std::mem::take(&mut in_flight) } else { Vec::new() };
+            for tx in requeued.iter().rev() {
+                model.push_front(tx.clone());
+            }
+            if !lost.is_empty() {
+                in_flight = lost;
+            }
+            let admitted: Vec<Vec<u8>> =
+                (0..draw(4)).map(|k| (i * 4 + k).to_be_bytes().to_vec()).collect();
+            model.extend(admitted.iter().cloned());
+            store
+                .journal_mempool(
+                    drained,
+                    requeued.iter().map(Vec::as_slice),
+                    admitted.iter().map(Vec::as_slice),
+                    model.iter().map(Vec::as_slice),
+                )
+                .unwrap();
+            high_water = high_water.max(store.mempool_bytes());
+            max_live = max_live.max(model.len() as u64);
+        }
+        // After a seal at most slack drained entries are on disk beside
+        // the live ones, each 8 payload bytes behind a length byte; an
+        // entry is admitted by one record and drained by at most one other,
+        // and a record's framing, version, drain count, two entry counts
+        // and CRC take 10 bytes.
+        let bound = (max_live + MEMPOOL_COMPACT_SLACK) * (9 + 2 * 10);
+        assert!(high_water <= bound, "journal high water {high_water} > bound {bound}");
+        assert!(high_water > store.mempool_bytes(), "the journal was compacted on the way");
+        drop(store);
+        let store = NodeStore::open(&dir, FsyncPolicy::Never).unwrap();
+        assert_eq!(store.restored_mempool(), Vec::from(model));
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn mempool_seals_sync_only_as_the_policy_says() {
+        let dir = temp_dir("journal-fsync");
+        let mut store = NodeStore::open(&dir, FsyncPolicy::Never).unwrap();
+        for i in 1..=100 {
+            seal(&mut store, 0, &[], &[b"tx"]);
+            assert_eq!(store.mempool.unsynced(), i, "`Never` syncs no seal");
+        }
+        drop(store);
+        fs::remove_dir_all(&dir).unwrap();
+        let mut store = NodeStore::open(&dir, FsyncPolicy::Batch(32)).unwrap();
+        for i in 1..=100 {
+            seal(&mut store, 0, &[], &[b"tx"]);
+            assert_eq!(store.mempool.unsynced(), i % 32, "`Batch(32)` syncs every 32nd seal");
+        }
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn a_seal_too_large_to_frame_is_persisted_by_compaction() {
+        let dir = temp_dir("journal-oversize");
+        let big = vec![7u8; MAX_RECORD_BYTES as usize / 2 + 1];
+        {
+            let mut store = NodeStore::open(&dir, FsyncPolicy::Never).unwrap();
+            seal(&mut store, 0, &[], &[b"old"]);
+            let live: [&[u8]; 2] = [&big, &big];
+            store.journal_mempool(1, std::iter::empty(), live, live).unwrap();
+        }
+        let store = NodeStore::open(&dir, FsyncPolicy::Never).unwrap();
+        assert_eq!(store.restored_mempool(), [big.clone(), big]);
         fs::remove_dir_all(&dir).unwrap();
     }
 

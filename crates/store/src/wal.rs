@@ -1,7 +1,8 @@
 //! A single append-only CRC-framed log file.
 
 use std::fs::{File, OpenOptions};
-use std::io::{Read, Seek, SeekFrom, Write};
+use std::io::{Read, Write};
+use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
 
 use tetrabft_types::FsyncPolicy;
@@ -89,13 +90,14 @@ impl Wal {
         debug_assert!((payload.len() as u64) <= MAX_RECORD_BYTES);
         self.scratch.clear();
         frame_into_writer(&mut self.scratch, payload);
-        // Seek explicitly: open-time truncation (and reads) move the cursor.
-        self.file.seek(SeekFrom::Start(self.len))?;
-        self.file.write_all(self.scratch.as_bytes())?;
+        // Positional write at the tracked end of the valid prefix: one
+        // syscall per record, and nothing (the open-time scan, a catch-up
+        // read) can leave a cursor pointing elsewhere.
         let offset = self.len;
+        self.file.write_all_at(self.scratch.as_bytes(), offset)?;
         self.len += self.scratch.len() as u64;
         self.records += 1;
-        self.pending += 1;
+        self.pending = self.pending.saturating_add(1);
         if self.policy.sync_due(self.pending) {
             self.sync()?;
         }
@@ -114,24 +116,23 @@ impl Wal {
 
     /// Reads back the record whose frame starts at `offset` (as returned
     /// by [`Wal::append`]), re-verifying its CRC.
-    pub fn read_at(&mut self, offset: u64) -> Result<Vec<u8>, StoreError> {
+    pub fn read_at(&self, offset: u64) -> Result<Vec<u8>, StoreError> {
         if offset >= self.len {
             return Err(StoreError::Corrupt("record offset beyond valid prefix"));
         }
-        self.file.seek(SeekFrom::Start(offset))?;
-        // Frame header is at most 10 varint bytes; probe those, then
-        // re-seek past the header and read payload + CRC exactly.
+        // Frame header is at most 10 varint bytes; probe those (or what
+        // the valid prefix holds), then read payload + CRC exactly.
         let mut head = [0u8; 10];
-        let got = read_up_to(&mut self.file, &mut head)?;
-        let mut r = Reader::new(&head[..got]);
+        let probe = (self.len - offset).min(head.len() as u64) as usize;
+        self.file.read_exact_at(&mut head[..probe], offset)?;
+        let mut r = Reader::new(&head[..probe]);
         let len = r.get_varint_u64().map_err(|_| StoreError::Corrupt("torn record header"))?;
         if len > MAX_RECORD_BYTES {
             return Err(StoreError::Corrupt("record length out of bounds"));
         }
-        let header = got - r.remaining();
-        self.file.seek(SeekFrom::Start(offset + header as u64))?;
+        let header = probe - r.remaining();
         let mut body = vec![0u8; len as usize + 4];
-        self.file.read_exact(&mut body)?;
+        self.file.read_exact_at(&mut body, offset + header as u64)?;
         let crc_bytes: [u8; 4] = body[len as usize..].try_into().expect("4 trailing bytes");
         body.truncate(len as usize);
         if u32::from_be_bytes(crc_bytes) != crc32(&body) {
@@ -181,25 +182,19 @@ impl Wal {
         self.records
     }
 
+    /// Records appended since the last sync: what a power loss could
+    /// still take. Bounded by the [`FsyncPolicy`]'s batch size; under
+    /// `Never` it only grows.
+    #[inline]
+    pub fn unsynced(&self) -> u32 {
+        self.pending
+    }
+
     /// The log's path.
     #[inline]
     pub fn path(&self) -> &Path {
         &self.path
     }
-}
-
-/// Reads up to `buf.len()` bytes, tolerating EOF (returns bytes read).
-fn read_up_to(file: &mut File, buf: &mut [u8]) -> Result<usize, StoreError> {
-    let mut filled = 0;
-    while filled < buf.len() {
-        match file.read(&mut buf[filled..]) {
-            Ok(0) => break,
-            Ok(n) => filled += n,
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-            Err(e) => return Err(e.into()),
-        }
-    }
-    Ok(filled)
 }
 
 #[cfg(test)]
@@ -240,8 +235,8 @@ mod tests {
         for i in 0..5u64 {
             offsets.push(wal.append(&i.to_be_bytes()).unwrap());
         }
-        // Interleave reads and appends: the shared cursor must not corrupt
-        // either direction.
+        // Interleave reads and appends: neither direction may disturb
+        // where the other lands.
         for (i, off) in offsets.iter().enumerate() {
             assert_eq!(wal.read_at(*off).unwrap(), (i as u64).to_be_bytes());
             wal.append(b"interleaved").unwrap();

@@ -1,7 +1,8 @@
 //! Torn-write recovery coverage (crash mid-append): truncate and corrupt
-//! the WAL tail at **every byte offset of the final record** and assert
-//! recovery truncates back to the last valid record — never mis-decodes,
-//! never refuses to open, and rejoins with exactly the surviving state.
+//! the WAL tail at **every byte offset of the final record** (of every
+//! record, for the mempool journal) and assert recovery truncates back to
+//! the last valid record — never mis-decodes, never refuses to open, and
+//! rejoins with exactly the surviving state.
 
 use std::fs;
 use std::path::PathBuf;
@@ -154,6 +155,78 @@ fn torn_meta_file_restarts_the_incarnation_counter_cleanly() {
         // untouched by the meta file.
         assert_eq!(store.incarnation(), 1, "cut at {cut}");
         assert_eq!(store.chain_tip(), Some((Slot(2), 22)), "cut at {cut}");
+    }
+}
+
+/// Builds a store whose mempool journal holds three seals; returns its
+/// directory and the queue as it stood after 0, 1, 2 and 3 of them.
+fn journaled_store(tag: &str) -> (PathBuf, [Vec<&'static [u8]>; 4]) {
+    let dir = temp_dir(tag);
+    let mut store = NodeStore::open(&dir, FsyncPolicy::Always).unwrap();
+    let none: [&[u8]; 0] = [];
+    let mut seal = |drained, requeued: &[&'static [u8]], admitted: &[&'static [u8]]| {
+        store
+            .journal_mempool(drained, requeued.iter().copied(), admitted.iter().copied(), none)
+            .unwrap();
+    };
+    seal(0, &[], &[b"tx-a", b"tx-b", b"tx-c"]);
+    seal(1, &[], &[b"tx-d"]);
+    seal(2, &[b"tx-a", b"tx-b"], &[b"tx-e"]);
+    let states = [
+        vec![],
+        vec![b"tx-a".as_slice(), b"tx-b", b"tx-c"],
+        vec![b"tx-b".as_slice(), b"tx-c", b"tx-d"],
+        vec![b"tx-a".as_slice(), b"tx-b", b"tx-d", b"tx-e"],
+    ];
+    (dir, states)
+}
+
+/// End offset of each of the journal's records.
+fn record_ends(file: &[u8]) -> Vec<usize> {
+    let (records, valid) = tetrabft_store::record::scan(file);
+    assert_eq!(valid, file.len());
+    records
+        .iter()
+        .scan(0, |end, r| {
+            *end += frame_len(r.len());
+            Some(*end)
+        })
+        .collect()
+}
+
+#[test]
+fn mempool_journal_truncated_at_every_offset_loses_whole_seals_only() {
+    let (dir, states) = journaled_store("journal-trunc");
+    let wal = dir.join("mempool.wal");
+    let full = fs::read(&wal).unwrap();
+    let ends = record_ends(&full);
+    assert_eq!(ends.len(), 3);
+    for cut in 0..=full.len() {
+        fs::write(&wal, &full[..cut]).unwrap();
+        let store = NodeStore::open(&dir, FsyncPolicy::Always).unwrap();
+        // Exactly the seals that fit below the cut, in FIFO order.
+        let whole = ends.iter().filter(|end| **end <= cut).count();
+        assert_eq!(store.restored_mempool(), states[whole], "cut at {cut}");
+        let kept = if whole == 0 { 0 } else { ends[whole - 1] };
+        assert_eq!(fs::metadata(&wal).unwrap().len(), kept as u64, "cut at {cut}");
+    }
+}
+
+#[test]
+fn mempool_journal_corrupted_at_every_offset_never_misdecodes() {
+    let (dir, states) = journaled_store("journal-corrupt");
+    let wal = dir.join("mempool.wal");
+    let full = fs::read(&wal).unwrap();
+    let ends = record_ends(&full);
+    for i in 0..full.len() {
+        let mut bent = full.clone();
+        bent[i] ^= 0x5A;
+        fs::write(&wal, &bent).unwrap();
+        let store = NodeStore::open(&dir, FsyncPolicy::Always).unwrap();
+        // The seal holding the bent byte vanishes with all that follow
+        // it; what precedes it is restored exactly, never a third state.
+        let whole = ends.iter().filter(|end| **end <= i).count();
+        assert_eq!(store.restored_mempool(), states[whole], "flip at {i}");
     }
 }
 
