@@ -1,23 +1,30 @@
 //! **Ledger execution** — pricing the application layer the chain carries:
-//! applied transfers/s through the deterministic state machine, the
-//! per-block state-root cost of the persistent account trie against a
-//! rescan-the-world baseline, the invalid-transaction rejection path, and
-//! the end-to-end consensus→execution pipeline on the sharded sim.
+//! applied transfers/s through the deterministic state machine at the two
+//! id distributions that bound the trie's depth, with and without a live
+//! snapshot; the allocations that execution performs (a hard gate: none on
+//! an unshared ledger); the per-block state-root cost of the account trie
+//! against a rescan-the-world baseline; the invalid-transaction rejection
+//! path; and the end-to-end consensus→execution pipeline on the sharded
+//! sim.
 //!
-//! Set `TETRABFT_BENCH_SMOKE=1` for a tiny CI smoke run (all correctness
-//! assertions stay armed; the perf-ratio gate needs the full run).
+//! Set `TETRABFT_BENCH_SMOKE=1` for a tiny CI smoke run. Every correctness
+//! assertion and the allocation gate stay armed; only the timing gate
+//! (trie beats rescan) needs the full run.
 
 use std::collections::HashMap;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use tetrabft::Params;
-use tetrabft_bench::print_table;
+use tetrabft_bench::{print_table, CountingAlloc};
 use tetrabft_ledger::{
-    shard_of_account, transfer_admission, AccountId, Ledger, LedgerReplica, Transfer,
+    shard_of_account, transfer_admission, AccountId, AccountMap, Ledger, LedgerReplica, Transfer,
 };
 use tetrabft_multishot::{MultiShotNode, ShardSpec, ShardedSim, Transaction};
 use tetrabft_sim::{LinkPolicy, Time};
 use tetrabft_types::{Config, NodeId};
+
+#[global_allocator]
+static ALLOC: CountingAlloc = CountingAlloc::new();
 
 fn smoke() -> bool {
     std::env::var_os("TETRABFT_BENCH_SMOKE").is_some()
@@ -26,8 +33,10 @@ fn smoke() -> bool {
 /// The retained baseline: account state in a plain `HashMap`, with the
 /// per-block commitment recomputed by rescanning every account in sorted
 /// order — what a ledger without a persistent hashed structure must do.
-/// The trie ledger's per-node cached digests amortize the same commitment
-/// into the inserts themselves.
+/// The trie ledger keeps a digest in every node instead: a block's writes
+/// go in place (or, under a live snapshot, into a copy of each shared node
+/// on their paths, made once), and when the block ends each branch they
+/// touched is rehashed once, children first.
 struct RescanLedger {
     accounts: HashMap<u64, (u64, u64)>, // id -> (balance, nonce)
     root: u64,
@@ -79,45 +88,135 @@ impl RescanLedger {
     }
 }
 
-/// Pre-built valid traffic: `blocks` blocks of `per_block` transfers
-/// round-robining over `accounts` payers, nonces sequenced per account.
-fn valid_blocks(accounts: u64, blocks: usize, per_block: usize) -> Vec<Vec<Vec<u8>>> {
+/// How the `k`-th account is named, and whom it pays. The id distribution
+/// sets the trie's depth, and with it what one write costs.
+#[derive(Clone, Copy)]
+struct Ids {
+    label: &'static str,
+    of: fn(u64) -> u64,
+    /// Account `k` of `n` pays `k + n/2` instead of `k + 1`.
+    pays_across: bool,
+}
+
+/// Sequential ids `1..=n`: one 13-nibble shared prefix, so every leaf sits
+/// at the trie's full depth of 16 — the worst case for a path walk. Each
+/// account pays its neighbour: the stream this bench's roots were first
+/// recorded with.
+const DENSE: Ids = Ids { label: "dense ids 1..=n (depth 16)", of: |k| k + 1, pays_across: false };
+/// The repo benchmark's ids (`benchmark/src/schedule.rs`): a bijection that
+/// spreads them over the key space as ids derived from public keys would
+/// be, so the trie is balanced — depth ≈ log16(n), 5 at 262,144 accounts.
+/// Paying across the set makes a block of 400 transfers write 800 distinct
+/// leaves, as the benchmark's uniformly drawn payers and receivers do.
+const HASHED: Ids = Ids {
+    label: "hashed ids (depth ≈ log16 n)",
+    of: |k| k.wrapping_mul(0x9E37_79B9_7F4A_7C15),
+    pays_across: true,
+};
+
+fn genesis(ids: Ids, accounts: u64) -> impl Iterator<Item = (AccountId, u64)> {
+    (0..accounts).map(move |k| (AccountId((ids.of)(k)), 1_000_000))
+}
+
+/// Pre-built valid traffic: `blocks` blocks of `per_block` transfers, the
+/// first `accounts` accounts paying round-robin, nonces sequenced per
+/// account.
+fn valid_blocks(ids: Ids, accounts: u64, blocks: usize, per_block: usize) -> Vec<Vec<Vec<u8>>> {
     let mut nonces = vec![0u64; accounts as usize];
+    let hop = if ids.pays_across { accounts / 2 } else { 1 };
     (0..blocks)
         .map(|b| {
             (0..per_block)
                 .map(|i| {
-                    let from = ((b * per_block + i) as u64 % accounts) + 1;
-                    let to = (from % accounts) + 1;
-                    let nonce = nonces[(from - 1) as usize];
-                    nonces[(from - 1) as usize] += 1;
-                    Transfer { from: AccountId(from), to: AccountId(to), amount: 1, nonce }
-                        .canonical_bytes()
+                    let k = (b * per_block + i) as u64 % accounts;
+                    let nonce = nonces[k as usize];
+                    nonces[k as usize] += 1;
+                    Transfer {
+                        from: AccountId((ids.of)(k)),
+                        to: AccountId((ids.of)((k + hop) % accounts)),
+                        amount: 1,
+                        nonce,
+                    }
+                    .canonical_bytes()
                 })
                 .collect()
         })
         .collect()
 }
 
+/// Executes `blocks` as slots `first_slot..`, asserting every transfer
+/// applies, and returns the time and the allocation events it took. With
+/// `snapshot_each_block` a clone of the ledger taken just before each block
+/// is alive while the block executes — what a state-sync server or a
+/// checkpoint holds — so each block copies every path it writes.
+fn execute(
+    ledger: &mut Ledger,
+    first_slot: u64,
+    blocks: &[Vec<Vec<u8>>],
+    snapshot_each_block: bool,
+) -> (Duration, u64) {
+    let before = ALLOC.snapshot();
+    let t0 = Instant::now();
+    let mut applied = 0;
+    let mut snapshot = None;
+    for (b, txs) in blocks.iter().enumerate() {
+        if snapshot_each_block {
+            snapshot = Some(ledger.clone());
+        }
+        applied += ledger.apply_block(first_slot + b as u64, txs).applied;
+    }
+    let time = t0.elapsed();
+    let allocs = before.allocs_since(&ALLOC.snapshot());
+    drop(snapshot);
+    let offered: usize = blocks.iter().map(Vec::len).sum();
+    assert_eq!(applied, offered, "all pre-sequenced transfers must apply");
+    (time, allocs)
+}
+
 fn main() {
     let (accounts, blocks, per_block) =
         if smoke() { (128u64, 40usize, 64usize) } else { (4_096u64, 1_500usize, 256usize) };
-    let genesis: Vec<(AccountId, u64)> =
-        (1..=accounts).map(|id| (AccountId(id), 1_000_000)).collect();
+    // The repo benchmark's shape: its account count and its block size.
+    let (hashed_accounts, hashed_blocks, hashed_per_block) =
+        if smoke() { (4_096u64, 40usize, 64usize) } else { (262_144u64, 1_000usize, 400usize) };
     let supply = accounts as u128 * 1_000_000;
-    let traffic = valid_blocks(accounts, blocks, per_block);
-    let total_txs = (blocks * per_block) as u64;
+    let traffic = valid_blocks(DENSE, accounts, blocks, per_block);
 
-    // ---- applied transfers/s, trie ledger vs rescan baseline ------------
-    let mut ledger = Ledger::new(genesis.clone());
-    let t0 = Instant::now();
-    let mut applied = 0usize;
-    for (b, txs) in traffic.iter().enumerate() {
-        applied += ledger.apply_block(b as u64 + 1, txs).applied;
+    // ---- applied transfers/s by id distribution, unshared and shared ----
+    let mut rows = Vec::new();
+    let shapes = [
+        (DENSE, accounts, blocks, per_block),
+        (HASHED, hashed_accounts, hashed_blocks, hashed_per_block),
+    ];
+    for (ids, accounts, blocks, per_block) in shapes {
+        let traffic = valid_blocks(ids, accounts, blocks, per_block);
+        let txs = (blocks * per_block) as f64;
+        let mut roots = Vec::new();
+        for snapshot_each_block in [false, true] {
+            let mut ledger = Ledger::new(genesis(ids, accounts));
+            let (time, allocs) = execute(&mut ledger, 1, &traffic, snapshot_each_block);
+            assert_eq!(ledger.accounts().total_balance(), accounts as u128 * 1_000_000);
+            if !snapshot_each_block {
+                // THE GATE. Valid transfers between existing accounts on a
+                // ledger nobody else shares write leaves in place and
+                // rehash branches in place: not one allocation, from the
+                // first block on.
+                assert_eq!(allocs, 0, "{}: unshared execution must not allocate", ids.label);
+            }
+            roots.push(ledger.root());
+            rows.push(vec![
+                format!("trie, {}", ids.label),
+                format!("{accounts} × {blocks} × {per_block}"),
+                if snapshot_each_block { "fresh, every block" } else { "none" }.to_string(),
+                format!("{:.0}", txs / time.as_secs_f64()),
+                format!("{:.0}", time.as_secs_f64() * 1e9 / txs),
+                format!("{:.2}", allocs as f64 / txs),
+                format!("{}", ledger.root()),
+            ]);
+        }
+        // Same stream, sharing or not ⇒ bit-identical chained roots.
+        assert_eq!(roots[0], roots[1], "execution is deterministic, snapshots or none");
     }
-    let trie_time = t0.elapsed();
-    assert_eq!(applied as u64, total_txs, "all pre-sequenced transfers must apply");
-    assert_eq!(ledger.accounts().total_balance(), supply, "conservation");
 
     let mut rescan = RescanLedger::new((1..=accounts).map(|id| (id, 1_000_000)));
     let t0 = Instant::now();
@@ -126,48 +225,106 @@ fn main() {
         rescan_applied += rescan.apply_block(b as u64 + 1, txs);
     }
     let rescan_time = t0.elapsed();
-    assert_eq!(rescan_applied, applied, "both executors apply the same transfers");
-
-    // Determinism: a second trie run lands on bit-identical roots.
-    let mut ledger2 = Ledger::new(genesis.clone());
-    for (b, txs) in traffic.iter().enumerate() {
-        ledger2.apply_block(b as u64 + 1, txs);
-    }
-    assert_eq!(ledger2.root(), ledger.root(), "execution is deterministic");
-
-    let per_block_us = |t: std::time::Duration, b: usize| t.as_secs_f64() * 1e6 / b as f64;
-    let rows = vec![
-        vec![
-            "trie (persistent, cached digests)".to_string(),
-            format!("{:.0}", applied as f64 / trie_time.as_secs_f64()),
-            format!("{:.1}", per_block_us(trie_time, blocks)),
-            format!("{}", ledger.root()),
-        ],
-        vec![
-            "rescan baseline (HashMap + full rehash)".to_string(),
-            format!("{:.0}", rescan_applied as f64 / rescan_time.as_secs_f64()),
-            format!("{:.1}", per_block_us(rescan_time, blocks)),
-            format!("root:{:016x}", rescan.root),
-        ],
-    ];
+    assert_eq!(rescan_applied, blocks * per_block, "both executors apply the same transfers");
+    rows.push(vec![
+        "rescan baseline (HashMap + full rehash), dense ids".to_string(),
+        format!("{accounts} × {blocks} × {per_block}"),
+        "—".to_string(),
+        format!("{:.0}", rescan_applied as f64 / rescan_time.as_secs_f64()),
+        format!("{:.0}", rescan_time.as_secs_f64() * 1e9 / rescan_applied as f64),
+        "—".to_string(),
+        format!("root:{:016x}", rescan.root),
+    ]);
     print_table(
-        &format!("Ledger execution — {accounts} accounts, {blocks} blocks × {per_block} transfers"),
-        &["executor", "applied tx/s", "µs/block (incl. root)", "final root"],
+        "Ledger execution — applied transfers through the account trie",
+        &[
+            "executor, ids",
+            "accounts × blocks × transfers",
+            "snapshot held",
+            "applied tx/s",
+            "ns/transfer (incl. root)",
+            "allocs/transfer",
+            "final root",
+        ],
+        &rows,
+    );
+
+    // ---- copy-on-write pays once per shared node -------------------------
+    // One snapshot, held from the second pass on. Each pass has the same
+    // window of accounts pay each other, so every pass walks the same
+    // paths: the first pass after the snapshot copies each node on them,
+    // once; the next finds them unshared and allocates nothing, like the
+    // pass before the snapshot existed.
+    let mut rows = Vec::new();
+    for (ids, accounts, _, per_block) in shapes {
+        let blocks_per_pass = (accounts as usize / per_block).min(4);
+        let window = (blocks_per_pass * per_block) as u64;
+        let passes = valid_blocks(ids, window, 3 * blocks_per_pass, per_block);
+        let mut passes = passes.chunks(blocks_per_pass).zip((1u64..).step_by(blocks_per_pass));
+        let mut pass = |ledger: &mut Ledger| {
+            let (blocks, first_slot) = passes.next().expect("three passes");
+            execute(ledger, first_slot, blocks, false).1
+        };
+        let mut ledger = Ledger::new(genesis(ids, accounts));
+        let unshared = pass(&mut ledger);
+        let snapshot = ledger.clone();
+        let (snapshot_root, snapshot_digest) = (snapshot.root(), snapshot.accounts().root_hash());
+        let copying = pass(&mut ledger);
+        let settled = pass(&mut ledger);
+        assert_eq!(unshared, 0, "{}: nothing to copy before the snapshot", ids.label);
+        assert!(copying > 0, "{}: nodes the snapshot shares must be copied", ids.label);
+        assert_eq!(settled, 0, "{}: each shared node is copied once, not per write", ids.label);
+        assert_eq!(snapshot.root(), snapshot_root);
+        assert_eq!(snapshot.accounts().root_hash(), snapshot_digest, "the snapshot never moves");
+        // No allocation is only worth having with the digest still right:
+        // the written-in-place trie hashes like one built from its entries.
+        let mut rebuilt = AccountMap::new();
+        for (id, account) in ledger.accounts().entries() {
+            rebuilt.insert(id, account);
+        }
+        assert_eq!(
+            ledger.accounts().root_hash(),
+            rebuilt.root_hash(),
+            "{}: stale digest",
+            ids.label
+        );
+        rows.push(vec![
+            ids.label.to_string(),
+            accounts.to_string(),
+            window.to_string(),
+            unshared.to_string(),
+            copying.to_string(),
+            format!("{:.2}", copying as f64 / window as f64),
+            settled.to_string(),
+        ]);
+    }
+    print_table(
+        "Allocations per pass over one window of accounts, one snapshot held from pass 2 on",
+        &[
+            "ids",
+            "accounts",
+            "window (= transfers/pass)",
+            "pass 1 (unshared)",
+            "pass 2 (snapshot taken)",
+            "copies/transfer",
+            "pass 3 (same paths)",
+        ],
         &rows,
     );
 
     // ---- per-block root cost vs account-set size -------------------------
-    // The trie's commitment upkeep is O(writes · depth) per block; the
-    // rescan baseline is O(accounts). Growing the account set shows the
-    // crossover: per-block cost stays near-flat for the trie and grows
-    // linearly for the rescan.
+    // The trie's commitment upkeep is O(branches the block touched); the
+    // rescan baseline is O(accounts). Growing the account set shows it:
+    // per-block cost stays near-flat for the trie and grows linearly for
+    // the rescan. Dense ids — the trie's worst case, every path 16 deep.
+    let per_block_us = |t: Duration, b: usize| t.as_secs_f64() * 1e6 / b as f64;
     let root_blocks = if smoke() { 20 } else { 100 };
     let sizes: &[u64] = if smoke() { &[128, 2_048] } else { &[4_096, 65_536] };
     let mut rows = Vec::new();
     let mut costs = Vec::new();
     for &size in sizes {
-        let traffic = valid_blocks(size, root_blocks, per_block);
-        let mut trie = Ledger::new((1..=size).map(|id| (AccountId(id), 1_000_000)));
+        let traffic = valid_blocks(DENSE, size, root_blocks, per_block);
+        let mut trie = Ledger::new(genesis(DENSE, size));
         let t0 = Instant::now();
         for (b, txs) in traffic.iter().enumerate() {
             trie.apply_block(b as u64 + 1, txs);
@@ -193,14 +350,16 @@ fn main() {
         &rows,
     );
     if !smoke() {
-        // At the largest size the account set dwarfs the write set: the
-        // incremental trie commitment must beat the full rescan outright.
-        let (trie_t, rescan_t) = costs[costs.len() - 1];
-        assert!(
-            trie_t < rescan_t,
-            "trie root upkeep must beat the full rescan at {} accounts ({trie_t:?} vs {rescan_t:?})",
-            sizes[sizes.len() - 1]
-        );
+        // In-place writes and one rehash per touched branch per block:
+        // the trie's commitment beats the full rescan outright at both
+        // sizes, not only where the account set dwarfs the write set.
+        for (&size, (trie_t, rescan_t)) in sizes.iter().zip(&costs) {
+            assert!(
+                trie_t < rescan_t,
+                "trie root upkeep must beat the full rescan at {size} accounts \
+                 ({trie_t:?} vs {rescan_t:?})"
+            );
+        }
     }
 
     // ---- invalid-transaction rejection path ------------------------------
@@ -250,7 +409,7 @@ fn main() {
         }
         mixed.push(txs);
     }
-    let mut dirty = Ledger::new(genesis.clone());
+    let mut dirty = Ledger::new(genesis(DENSE, accounts));
     let t0 = Instant::now();
     let (mut ok, mut bad) = (0usize, 0usize);
     for (b, txs) in mixed.iter().enumerate() {
@@ -264,7 +423,7 @@ fn main() {
     assert_eq!(dirty.accounts().total_balance(), supply, "rejects never move funds");
     // Identical mixed stream twice ⇒ identical root: rejection is part of
     // the deterministic state machine.
-    let mut dirty2 = Ledger::new(genesis.clone());
+    let mut dirty2 = Ledger::new(genesis(DENSE, accounts));
     for (b, txs) in mixed.iter().enumerate() {
         dirty2.apply_block(b as u64 + 1, txs);
     }
@@ -352,9 +511,10 @@ fn main() {
     );
 
     println!(
-        "\nExecution is deterministic (same stream ⇒ bit-identical chained roots), \
-         invalid transactions reject without touching state, and the persistent \
-         trie keeps per-block commitments incremental instead of rescanning \
-         every account."
+        "\nExecution is deterministic (same stream ⇒ bit-identical chained roots, \
+         snapshots held or not), allocates nothing on an unshared ledger and \
+         copies a shared node once, invalid transactions reject without \
+         touching state, and the account trie rehashes each branch a block \
+         touched once instead of rescanning every account."
     );
 }

@@ -5,7 +5,7 @@ use std::fmt;
 use tetrabft_wire::Wire;
 
 use crate::account::{Account, AccountId};
-use crate::state::{AccountMap, StateRoot};
+use crate::state::{AccountBatch, AccountMap, StateRoot};
 use crate::txn::Transfer;
 
 /// Why a transaction in a finalized block did not execute.
@@ -113,15 +113,20 @@ impl Ledger {
     /// Later entries for a repeated account id replace earlier ones.
     pub fn new(genesis: impl IntoIterator<Item = (AccountId, u64)>) -> Self {
         let mut accounts = AccountMap::new();
+        let mut batch = accounts.batch();
         for (id, balance) in genesis {
-            accounts.insert(id, Account::with_balance(balance));
+            batch.insert(id, Account::with_balance(balance));
         }
+        drop(batch);
         let root = StateRoot::genesis(&accounts);
         Ledger { accounts, height: 0, root }
     }
 
     /// Executes the block at `slot` — `height + 1`, finalized streams are
     /// gapless — applying each transaction in order and chaining the root.
+    /// The whole block is one [`AccountMap::batch`]: transactions read the
+    /// writes of those before them, and the account digest is brought up
+    /// to date once, after the last.
     ///
     /// # Panics
     ///
@@ -136,12 +141,14 @@ impl Ledger {
         );
         let mut applied = 0;
         let mut rejected = Vec::new();
+        let mut batch = self.accounts.batch();
         for (i, bytes) in txs.iter().enumerate() {
-            match self.apply_tx(bytes) {
+            match Self::apply_tx(&mut batch, bytes) {
                 Ok(()) => applied += 1,
                 Err(e) => rejected.push((i, e)),
             }
         }
+        drop(batch);
         self.height = slot;
         self.root = StateRoot::chain(self.root, slot, self.accounts.root_hash());
         BlockReceipt { slot, applied, rejected, root: self.root }
@@ -149,7 +156,7 @@ impl Ledger {
 
     /// One transaction: all checks first, then the mutation — a rejected
     /// transaction leaves the accounts bit-identical.
-    fn apply_tx(&mut self, bytes: &[u8]) -> Result<(), ExecError> {
+    fn apply_tx(accounts: &mut AccountBatch<'_>, bytes: &[u8]) -> Result<(), ExecError> {
         let t = Transfer::from_bytes(bytes).map_err(|_| ExecError::Malformed)?;
         if t.amount == 0 {
             return Err(ExecError::ZeroAmount);
@@ -157,20 +164,20 @@ impl Ledger {
         if t.from == t.to {
             return Err(ExecError::SelfTransfer);
         }
-        let mut from = self.accounts.get(t.from).unwrap_or_default();
+        let mut from = accounts.get(t.from).unwrap_or_default();
         if t.nonce != from.nonce {
             return Err(ExecError::BadNonce { expected: from.nonce, got: t.nonce });
         }
         if from.balance < t.amount {
             return Err(ExecError::Overdraft { balance: from.balance, amount: t.amount });
         }
-        let mut to = self.accounts.get(t.to).unwrap_or_default();
+        let mut to = accounts.get(t.to).unwrap_or_default();
         let credited = to.balance.checked_add(t.amount).ok_or(ExecError::Overflow)?;
         from.balance -= t.amount;
         from.nonce += 1;
         to.balance = credited;
-        self.accounts.insert(t.from, from);
-        self.accounts.insert(t.to, to);
+        accounts.insert(t.from, from);
+        accounts.insert(t.to, to);
         Ok(())
     }
 
@@ -245,6 +252,42 @@ mod tests {
             ]
         );
         assert_eq!(ledger.accounts().root_hash(), account_digest, "rejects never touch accounts");
+    }
+
+    #[test]
+    fn a_block_of_rejects_leaves_the_account_digest_bit_identical() {
+        // A trie several levels deep that the previous block wrote in
+        // place and nobody else shares, and rejects that fail late — after
+        // both accounts were read.
+        let warmed = || {
+            let genesis = (1..=300u64).map(|id| (AccountId(id), 1_000));
+            let mut ledger = Ledger::new(genesis.chain([(AccountId(400), u64::MAX)]));
+            let warm: Vec<Vec<u8>> = (1..=200u64).map(|id| bytes(id, id + 50, 5, 0)).collect();
+            assert_eq!(ledger.apply_block(1, &warm).applied, 200);
+            ledger
+        };
+        let mut ledger = warmed();
+        let (digest, entries) = (ledger.accounts().root_hash(), ledger.accounts().entries());
+        let receipt = ledger.apply_block(
+            2,
+            &[
+                bytes(7, 8, 5, 0),     // BadNonce (replay)
+                bytes(7, 8, 5_000, 1), // Overdraft
+                bytes(7, 400, 1, 1),   // Overflow
+                bytes(999, 7, 1, 0),   // Overdraft from an account that is not there
+                bytes(7, 7, 1, 1),     // SelfTransfer
+                b"junk".to_vec(),      // Malformed
+            ],
+        );
+        assert_eq!((receipt.applied, receipt.rejected.len()), (0, 6));
+        assert_eq!(ledger.accounts().root_hash(), digest);
+        assert_eq!(ledger.accounts().entries(), entries, "no account changed or materialized");
+        // Nothing was left owing a digest either: the next valid block
+        // lands on the root of a ledger whose slot 2 was empty.
+        let mut clean = warmed();
+        clean.apply_block(2, &[]);
+        let next = [bytes(7, 8, 5, 1)];
+        assert_eq!(ledger.apply_block(3, &next).root, clean.apply_block(3, &next).root);
     }
 
     #[test]

@@ -15,8 +15,13 @@
 //! passing silently.
 //!
 //! The account map is persistent (imhamt-style copy-on-write trie,
-//! [`AccountMap`]): snapshots are O(1) clones and the root digest is
-//! cached per node, so per-block commitments cost O(txs · depth), not
+//! [`AccountMap`]): snapshots are O(1) clones, and a write copies only the
+//! nodes a live snapshot still shares — where the map is a node's sole
+//! owner, as a replica's is between snapshots, it is written in place.
+//! Every node carries its subtree digest; a block executes as one
+//! [`AccountBatch`], whose end recomputes the digest of each branch the
+//! block touched once, children first. A per-block commitment therefore
+//! costs O(distinct branches touched), not O(txs · depth) and never
 //! O(accounts).
 //!
 //! # Examples
@@ -54,5 +59,5 @@ mod txn;
 pub use account::{Account, AccountId};
 pub use ledger::{BlockReceipt, ExecError, Ledger};
 pub use replica::{LedgerReplica, StateRootMismatch};
-pub use state::{AccountMap, StateRoot};
+pub use state::{AccountBatch, AccountMap, StateRoot};
 pub use txn::{shard_of_account, transfer_admission, Transfer};

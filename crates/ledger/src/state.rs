@@ -3,13 +3,18 @@
 //!
 //! [`AccountMap`] is a 16-ary radix trie over the account id's nibbles
 //! (most-significant first), in the imhamt/HAMT copy-on-write style: every
-//! node is immutable behind an [`Arc`], an insert path-copies the O(16)
-//! nodes from root to leaf and shares everything else, and a snapshot is a
-//! `Clone` — one atomic refcount bump, however many accounts exist. Each
-//! node carries its subtree digest computed once at construction, so the
-//! map's [`AccountMap::root_hash`] is O(1) to read and — because the trie's
-//! shape is a pure function of the key set — canonical: two maps holding
-//! the same accounts hash identically regardless of insertion order.
+//! node sits behind an [`Arc`], and a snapshot is a `Clone` — one atomic
+//! refcount bump, however many accounts exist. What a write copies depends
+//! on who else holds the node: it descends with [`Arc::make_mut`], so a
+//! node only this map owns is written in place, and a node a live snapshot
+//! still shares is copied first — once; the copy is unshared from then on.
+//! Each node carries its subtree digest. A write leaves the branches on its
+//! path owing theirs, and the end of the batch of writes
+//! ([`AccountMap::batch`]) pays the debt once per touched branch, children
+//! first — so between batches [`AccountMap::root_hash`] is O(1) to read
+//! and, because the trie's shape is a pure function of the key set,
+//! canonical: two maps holding the same accounts hash identically
+//! regardless of insertion order or batching.
 
 use std::fmt;
 use std::sync::Arc;
@@ -46,46 +51,119 @@ fn nibble(key: u64, depth: usize) -> usize {
     ((key >> (60 - 4 * depth)) & 0xF) as usize
 }
 
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 enum TrieNode {
     /// A key whose path is unique from this depth down sits in a leaf
     /// immediately — the trie's depth tracks key-prefix density, not key
     /// width.
-    Leaf {
-        key: u64,
-        account: Account,
-        hash: u64,
-    },
+    Leaf { key: u64, account: Account, hash: u64 },
     Branch {
         children: [Option<Arc<TrieNode>>; 16],
         hash: u64,
+        /// A write passed through since `hash` was computed. Only ever set
+        /// while an [`AccountBatch`] holds the map.
+        stale: bool,
     },
 }
 
+fn leaf_hash(key: u64, account: Account) -> u64 {
+    let mut h = fnv(FNV_OFFSET, TAG_LEAF);
+    h = fnv_u64(h, key);
+    h = fnv_u64(h, account.balance);
+    fnv_u64(h, account.nonce)
+}
+
 impl TrieNode {
-    fn hash(&self) -> u64 {
-        match self {
-            TrieNode::Leaf { hash, .. } | TrieNode::Branch { hash, .. } => *hash,
-        }
-    }
-
     fn leaf(key: u64, account: Account) -> Arc<TrieNode> {
-        let mut h = fnv(FNV_OFFSET, TAG_LEAF);
-        h = fnv_u64(h, key);
-        h = fnv_u64(h, account.balance);
-        h = fnv_u64(h, account.nonce);
-        Arc::new(TrieNode::Leaf { key, account, hash: h })
+        Arc::new(TrieNode::Leaf { key, account, hash: leaf_hash(key, account) })
     }
 
-    fn branch(children: [Option<Arc<TrieNode>>; 16]) -> Arc<TrieNode> {
-        let mut h = fnv(FNV_OFFSET, TAG_BRANCH);
-        for (i, child) in children.iter().enumerate() {
-            if let Some(c) = child {
-                h = fnv(h, i as u8);
-                h = fnv_u64(h, c.hash());
+    /// A branch that owes its digest: [`TrieNode::rehash`] settles it.
+    fn stale_branch(children: [Option<Arc<TrieNode>>; 16]) -> Arc<TrieNode> {
+        Arc::new(TrieNode::Branch { children, hash: 0, stale: true })
+    }
+
+    /// The subtree that replaces `leaf` (holding `existing`, at `depth`)
+    /// when a distinct `key` lands on it: branches grown until the two
+    /// keys' nibbles diverge — they differ, so they must within MAX_DEPTH
+    /// — all owing their digest. The old leaf moves down as it is, shared
+    /// with a snapshot or not.
+    fn split(
+        leaf: Arc<TrieNode>,
+        existing: u64,
+        key: u64,
+        account: Account,
+        depth: usize,
+    ) -> Arc<TrieNode> {
+        let mut d = depth;
+        while nibble(existing, d) == nibble(key, d) {
+            d += 1;
+            debug_assert!(d < MAX_DEPTH, "distinct keys share all nibbles");
+        }
+        let mut children: [Option<Arc<TrieNode>>; 16] = Default::default();
+        children[nibble(existing, d)] = Some(leaf);
+        children[nibble(key, d)] = Some(TrieNode::leaf(key, account));
+        let mut grown = TrieNode::stale_branch(children);
+        // Wrap back up to the leaf's depth.
+        for up in (depth..d).rev() {
+            let mut children: [Option<Arc<TrieNode>>; 16] = Default::default();
+            children[nibble(key, up)] = Some(grown);
+            grown = TrieNode::stale_branch(children);
+        }
+        grown
+    }
+
+    /// Writes `key` at or below `slot` (a node at `depth`), copying `slot`
+    /// first if a snapshot shares it and marking every branch on the way
+    /// down stale. Returns whether the key is new.
+    fn insert_at(slot: &mut Arc<TrieNode>, key: u64, account: Account, depth: usize) -> bool {
+        match **slot {
+            TrieNode::Leaf { key: existing, .. } if existing != key => {
+                *slot = Self::split(slot.clone(), existing, key, account, depth);
+                return true;
+            }
+            _ => {}
+        }
+        match Arc::make_mut(slot) {
+            TrieNode::Leaf { account: old, hash, .. } => {
+                *old = account;
+                *hash = leaf_hash(key, account);
+                false
+            }
+            TrieNode::Branch { children, stale, .. } => {
+                *stale = true;
+                match &mut children[nibble(key, depth)] {
+                    Some(child) => Self::insert_at(child, key, account, depth + 1),
+                    empty => {
+                        *empty = Some(TrieNode::leaf(key, account));
+                        true
+                    }
+                }
             }
         }
-        Arc::new(TrieNode::Branch { children, hash: h })
+    }
+
+    /// The digest of the subtree at `slot`, recomputing — children first,
+    /// each once — exactly the branches a write went through.
+    fn rehash(slot: &mut Arc<TrieNode>) -> u64 {
+        if let TrieNode::Leaf { hash, .. } | TrieNode::Branch { hash, stale: false, .. } = **slot {
+            return hash;
+        }
+        // Stale means a write came through here, so the node is already
+        // unshared and this `make_mut` copies nothing.
+        let TrieNode::Branch { children, hash, stale } = Arc::make_mut(slot) else {
+            unreachable!("anything but a stale branch returned above")
+        };
+        let mut h = fnv(FNV_OFFSET, TAG_BRANCH);
+        for (i, child) in children.iter_mut().enumerate() {
+            if let Some(c) = child {
+                h = fnv(h, i as u8);
+                h = fnv_u64(h, Self::rehash(c));
+            }
+        }
+        *hash = h;
+        *stale = false;
+        h
     }
 }
 
@@ -149,69 +227,34 @@ impl AccountMap {
         None
     }
 
-    /// Inserts or replaces one account, path-copying O(depth) nodes; every
-    /// untouched subtree is shared with previous snapshots.
+    /// Inserts or replaces one account: a [batch](AccountMap::batch) of
+    /// one, so the digest is current again when this returns. Untouched
+    /// subtrees stay shared with every snapshot.
     pub fn insert(&mut self, id: AccountId, account: Account) {
-        let (root, added) = match self.root.take() {
-            None => (TrieNode::leaf(id.0, account), true),
-            Some(node) => Self::insert_at(&node, id.0, account, 0),
-        };
-        self.root = Some(root);
-        if added {
-            self.len += 1;
-        }
+        self.batch().insert(id, account);
     }
 
-    fn insert_at(
-        node: &Arc<TrieNode>,
-        key: u64,
-        account: Account,
-        depth: usize,
-    ) -> (Arc<TrieNode>, bool) {
-        match node.as_ref() {
-            TrieNode::Leaf { key: existing, account: old, .. } => {
-                if *existing == key {
-                    return (TrieNode::leaf(key, account), false);
-                }
-                // Two distinct keys collided at this depth: grow branches
-                // until their nibbles diverge (keys differ, so they must
-                // diverge within MAX_DEPTH).
-                let mut d = depth;
-                while nibble(*existing, d) == nibble(key, d) {
-                    d += 1;
-                    debug_assert!(d < MAX_DEPTH, "distinct keys share all nibbles");
-                }
-                let mut children: [Option<Arc<TrieNode>>; 16] = Default::default();
-                children[nibble(*existing, d)] = Some(TrieNode::leaf(*existing, *old));
-                children[nibble(key, d)] = Some(TrieNode::leaf(key, account));
-                let mut grown = TrieNode::branch(children);
-                // Wrap back up to this node's depth.
-                for up in (depth..d).rev() {
-                    let mut children: [Option<Arc<TrieNode>>; 16] = Default::default();
-                    children[nibble(key, up)] = Some(grown);
-                    grown = TrieNode::branch(children);
-                }
-                (grown, true)
-            }
-            TrieNode::Branch { children, .. } => {
-                let idx = nibble(key, depth);
-                let (child, added) = match &children[idx] {
-                    Some(child) => Self::insert_at(child, key, account, depth + 1),
-                    None => (TrieNode::leaf(key, account), true),
-                };
-                let mut children = children.clone();
-                children[idx] = Some(child);
-                (TrieNode::branch(children), added)
-            }
-        }
+    /// Opens a batch of writes: the exclusive borrow through which a whole
+    /// block's writes (and the reads between them) go, so that each branch
+    /// they touch is rehashed once when the batch ends, not once per write.
+    ///
+    /// While the handle lives the map cannot be read, hashed or cloned —
+    /// the borrow checker, not a runtime flag, keeps a half-hashed trie
+    /// unobservable.
+    pub fn batch(&mut self) -> AccountBatch<'_> {
+        AccountBatch { map: self }
     }
 
     /// The canonical digest of the whole account state — O(1): every node
-    /// hashed itself at construction.
+    /// carries its subtree's digest, brought up to date when the batch
+    /// that wrote below it ended.
     pub fn root_hash(&self) -> u64 {
         // The empty map hashes to the bare offset basis, distinct from any
         // tagged node digest.
-        self.root.as_ref().map_or(FNV_OFFSET, |n| n.hash())
+        match self.root.as_deref() {
+            None => FNV_OFFSET,
+            Some(TrieNode::Leaf { hash, .. } | TrieNode::Branch { hash, .. }) => *hash,
+        }
     }
 
     /// Sum of every balance, wide enough that it cannot overflow
@@ -253,6 +296,79 @@ impl AccountMap {
             walk(root, &mut out);
         }
         out
+    }
+}
+
+/// A batch of writes to an [`AccountMap`], from [`AccountMap::batch`].
+///
+/// Each [`insert`](AccountBatch::insert) writes the trie in place where
+/// this map is a node's only owner and copies exactly the nodes a live
+/// snapshot still shares; it leaves the branches above the written leaf
+/// owing a digest. [`get`](AccountBatch::get) sees the batch's own writes.
+/// Dropping the handle ends the batch: the stale branches are rehashed,
+/// children first, each once — so a block that writes 800 leaves under the
+/// same root hashes that root once, not 800 times.
+///
+/// (Leaking the handle with [`std::mem::forget`] skips that rehash and
+/// leaves [`AccountMap::root_hash`] stale until the map's next batch ends;
+/// nothing else depends on it.)
+///
+/// # Examples
+///
+/// ```
+/// use tetrabft_ledger::{Account, AccountId, AccountMap};
+///
+/// let mut live = AccountMap::new();
+/// live.insert(AccountId(1), Account::with_balance(100));
+/// let snapshot = live.clone();
+///
+/// let mut batch = live.batch();
+/// let mut payer = batch.get(AccountId(1)).unwrap();
+/// payer.balance -= 30;
+/// batch.insert(AccountId(1), payer);
+/// batch.insert(AccountId(2), Account::with_balance(30));
+/// assert_eq!(batch.get(AccountId(2)), Some(Account::with_balance(30)), "reads its own writes");
+/// drop(batch); // digests settle here
+///
+/// // The snapshot kept the nodes it shared; the live map hashes exactly
+/// // like the same accounts inserted one at a time.
+/// assert_eq!(snapshot.get(AccountId(1)), Some(Account::with_balance(100)));
+/// let mut one_by_one = AccountMap::new();
+/// one_by_one.insert(AccountId(2), Account::with_balance(30));
+/// one_by_one.insert(AccountId(1), Account::with_balance(70));
+/// assert_eq!(live.root_hash(), one_by_one.root_hash());
+/// ```
+#[derive(Debug)]
+pub struct AccountBatch<'a> {
+    map: &'a mut AccountMap,
+}
+
+impl AccountBatch<'_> {
+    /// Looks up one account, this batch's writes included.
+    pub fn get(&self, id: AccountId) -> Option<Account> {
+        self.map.get(id)
+    }
+
+    /// Inserts or replaces one account.
+    pub fn insert(&mut self, id: AccountId, account: Account) {
+        let added = match &mut self.map.root {
+            Some(root) => TrieNode::insert_at(root, id.0, account, 0),
+            empty => {
+                *empty = Some(TrieNode::leaf(id.0, account));
+                true
+            }
+        };
+        if added {
+            self.map.len += 1;
+        }
+    }
+}
+
+impl Drop for AccountBatch<'_> {
+    fn drop(&mut self) {
+        if let Some(root) = &mut self.map.root {
+            TrieNode::rehash(root);
+        }
     }
 }
 
@@ -328,6 +444,47 @@ mod tests {
         assert_eq!(map.get(AccountId(b)), Some(acct(2, 0)));
         assert_eq!(map.get(AccountId(a + 1)), None);
         assert_eq!(map.len(), 2);
+    }
+
+    #[test]
+    fn batched_deep_split_hashes_like_one_at_a_time() {
+        // `deep_collisions_split_correctly`'s keys: the second write splits
+        // the first's leaf 15 nibbles down, growing a chain of fifteen
+        // single-child branches — all of it inside one batch, hashed once
+        // at its end, with a repeated key and a read on the way.
+        let a = 0xAAAA_AAAA_AAAA_AAA0;
+        let b = 0xAAAA_AAAA_AAAA_AAA7;
+        let mut one_by_one = AccountMap::new();
+        one_by_one.insert(AccountId(a), acct(1, 0));
+        one_by_one.insert(AccountId(b), acct(2, 0));
+        one_by_one.insert(AccountId(3), acct(3, 0));
+
+        let mut batched = AccountMap::new();
+        let mut batch = batched.batch();
+        batch.insert(AccountId(a), acct(9, 9));
+        batch.insert(AccountId(b), acct(2, 0));
+        assert_eq!(batch.get(AccountId(a)), Some(acct(9, 9)), "a batch reads its own writes");
+        batch.insert(AccountId(3), acct(3, 0));
+        batch.insert(AccountId(a), acct(1, 0));
+        drop(batch);
+        assert_eq!(batched.len(), 3);
+        assert_eq!(batched.entries(), one_by_one.entries());
+        assert_eq!(batched.root_hash(), one_by_one.root_hash());
+
+        // The same split under a live snapshot: the leaf it shares moves
+        // down uncopied, and the snapshot does not notice.
+        let mut live = AccountMap::new();
+        live.insert(AccountId(a), acct(1, 0));
+        let snapshot = live.clone();
+        let mut batch = live.batch();
+        batch.insert(AccountId(b), acct(2, 0));
+        batch.insert(AccountId(3), acct(3, 0));
+        drop(batch);
+        assert_eq!(live.root_hash(), one_by_one.root_hash());
+        assert_eq!(snapshot.entries(), vec![(AccountId(a), acct(1, 0))]);
+        let mut alone = AccountMap::new();
+        alone.insert(AccountId(a), acct(1, 0));
+        assert_eq!(snapshot.root_hash(), alone.root_hash());
     }
 
     #[test]

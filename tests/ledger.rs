@@ -1,10 +1,14 @@
 //! The ledger on consensus, end to end: conservation and rejection
-//! invariants under arbitrary traffic (proptests), byte-identical state
+//! invariants under arbitrary traffic (proptests), the account trie's
+//! in-place writes against a `BTreeMap` model, byte-identical state
 //! roots across independently-executing replicas in every runtime (sim
 //! n=4, sharded sim k=2, TCP cluster), and forged divergence surfacing as
 //! a typed `StateRootMismatch` naming the offending block.
 
+use std::collections::BTreeMap;
+
 use proptest::prelude::*;
+use tetrabft_suite::ledger::AccountMap;
 use tetrabft_suite::prelude::*;
 
 /// Canonical bytes of one transfer.
@@ -27,8 +31,119 @@ fn intent_strategy() -> impl Strategy<Value = (u64, u64, u64, u64)> {
     (1u64..=5, 1u64..=5, 0u64..=400, 0u64..=2)
 }
 
+/// One step of the account-trie model test.
+#[derive(Debug, Clone)]
+enum MapOp {
+    /// `AccountMap::insert`: a batch of one.
+    Insert(u64, Account),
+    /// One `AccountMap::batch`: each entry reads a key, then writes one.
+    Batch(Vec<(u64, u64, Account)>),
+    /// `clone()` the live map and keep the snapshot.
+    Snapshot,
+    /// Drop the held snapshot at this index (modulo how many are held),
+    /// handing the nodes only it shared back to sole ownership.
+    Release(usize),
+}
+
+/// Keys from three families that collide at every depth: dense small ids
+/// (one 13-nibble shared prefix), the benchmark's hashed ids (spread over
+/// the root's children), and ids that differ only in the last nibble or two.
+fn key_strategy() -> impl Strategy<Value = u64> {
+    (0u8..3, 0u64..40).prop_map(|(family, k)| match family {
+        0 => k,
+        1 => k.wrapping_mul(0x9E37_79B9_7F4A_7C15),
+        _ => 0xAAAA_AAAA_AAAA_AA00 | k,
+    })
+}
+
+fn account_strategy() -> impl Strategy<Value = Account> {
+    (0u64..1_000, 0u64..4).prop_map(|(balance, nonce)| Account { balance, nonce })
+}
+
+fn map_op_strategy() -> impl Strategy<Value = MapOp> {
+    prop_oneof![
+        (key_strategy(), account_strategy()).prop_map(|(k, a)| MapOp::Insert(k, a)),
+        proptest::collection::vec((key_strategy(), key_strategy(), account_strategy()), 0..24)
+            .prop_map(MapOp::Batch),
+        Just(MapOp::Snapshot),
+        (0usize..8).prop_map(MapOp::Release),
+    ]
+}
+
+/// What a map reports, and what the model alone says it must: the entries,
+/// and the digest of a fresh map holding exactly them.
+#[derive(Debug, PartialEq)]
+struct Reported {
+    len: usize,
+    entries: Vec<(AccountId, Account)>,
+    root_hash: u64,
+}
+
+impl Reported {
+    fn by(map: &AccountMap) -> Self {
+        Reported { len: map.len(), entries: map.entries(), root_hash: map.root_hash() }
+    }
+
+    fn expected_of(model: &BTreeMap<u64, Account>) -> Self {
+        let entries: Vec<_> = model.iter().map(|(k, a)| (AccountId(*k), *a)).collect();
+        let mut rebuilt = AccountMap::new();
+        for (id, account) in &entries {
+            rebuilt.insert(*id, *account);
+        }
+        Reported { len: model.len(), entries, root_hash: rebuilt.root_hash() }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// What writing the trie in place could break: a snapshot that shares
+    /// nodes with the live map must never see a later write (the write has
+    /// to copy what is shared), a digest must never be left stale (every
+    /// touched branch rehashes when its batch ends), and a batch must read
+    /// its own writes. Random interleavings of single inserts, multi-write
+    /// batches with repeated keys, snapshots and snapshot drops, checked
+    /// against a `BTreeMap`.
+    #[test]
+    fn in_place_writes_match_a_btreemap_model(
+        ops in proptest::collection::vec(map_op_strategy(), 1..40),
+    ) {
+        let mut live = AccountMap::new();
+        let mut model: BTreeMap<u64, Account> = BTreeMap::new();
+        // Each held snapshot with what it reported when taken.
+        let mut held: Vec<(AccountMap, Reported)> = Vec::new();
+        for op in ops {
+            match op {
+                MapOp::Insert(key, account) => {
+                    live.insert(AccountId(key), account);
+                    model.insert(key, account);
+                }
+                MapOp::Batch(writes) => {
+                    let mut batch = live.batch();
+                    for (read, key, account) in writes {
+                        prop_assert_eq!(batch.get(AccountId(read)), model.get(&read).copied());
+                        batch.insert(AccountId(key), account);
+                        model.insert(key, account);
+                        prop_assert_eq!(batch.get(AccountId(key)), Some(account));
+                    }
+                }
+                MapOp::Snapshot => held.push((live.clone(), Reported::expected_of(&model))),
+                MapOp::Release(i) => {
+                    if !held.is_empty() {
+                        held.swap_remove(i % held.len());
+                    }
+                }
+            }
+            // After every step the live map is the model, hashed as a map
+            // built from the model alone would be (a stale digest shows
+            // here), and every snapshot is still what it was when taken (a
+            // write that did not copy a shared node shows here).
+            prop_assert_eq!(Reported::by(&live), Reported::expected_of(&model));
+            for (snapshot, taken) in &held {
+                prop_assert_eq!(&Reported::by(snapshot), taken);
+            }
+        }
+    }
 
     /// Total balance is conserved under arbitrary traffic — applied
     /// transfers move funds, rejected ones change nothing — and two
