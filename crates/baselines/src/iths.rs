@@ -10,7 +10,7 @@
 //! implementation keeps that structure: echoes are unconditional, locks
 //! gate key-1.
 
-use tetrabft_sim::{Context, Input, Node, TimerId, WireSize};
+use tetrabft_engine::{Context, Input, Node, TimerId, WireSize};
 use tetrabft_types::{Config, NodeId, Value, View, VoteInfo};
 use tetrabft_wire::{Reader, Wire, WireError, Writer};
 

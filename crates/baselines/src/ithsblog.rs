@@ -6,7 +6,7 @@
 //! its recovery latency tracks the conservative bound Δ, not the actual
 //! network delay δ.
 
-use tetrabft_sim::{Context, Input, Node, TimerId, WireSize};
+use tetrabft_engine::{Context, Input, Node, TimerId, WireSize};
 use tetrabft_types::{Config, NodeId, Value, View, VoteInfo};
 use tetrabft_wire::{Reader, Wire, WireError, Writer};
 

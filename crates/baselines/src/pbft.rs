@@ -11,7 +11,7 @@
 //! rather than before it as in Castro's thesis; the hop count — four extra
 //! messages — is identical, which is what Table 1 records.)
 
-use tetrabft_sim::{Context, Input, Node, TimerId, WireSize};
+use tetrabft_engine::{Context, Input, Node, TimerId, WireSize};
 use tetrabft_types::{Config, NodeId, Value, View, VoteInfo};
 use tetrabft_wire::{Reader, Wire, WireError, Writer};
 

@@ -10,7 +10,7 @@
 //! (a faster peer's traffic must not be lost on the instance boundary).
 
 use tetrabft::{Message as CoreMessage, Params, TetraNode};
-use tetrabft_sim::{Action, ActionBuf, Context, Dest, Input, Node, WireSize};
+use tetrabft_engine::{Action, ActionBuf, Context, Dest, Input, Node, WireSize};
 use tetrabft_types::{Config, NodeId, Value};
 use tetrabft_wire::{Reader, Wire, WireError, Writer};
 

@@ -1,35 +1,26 @@
 //! **Zero-alloc consensus hot path** — the perf harness gating the scratch
 //! buffer, tally-table, inline-vec, and batched-stepping work.
 //!
-//! Two pipelines run the identical good-case multi-shot scenario with
-//! *durable* nodes — the deployed shape, where every persist seal writes
-//! the dirtied vote books to the write-ahead log:
+//! The good-case multi-shot scenario runs with *durable* nodes — the
+//! deployed shape, where every persist seal writes the dirtied vote books
+//! to the write-ahead log — under a counting global allocator that prices
+//! the window: engine steps per wall second, blocks finalized per second,
+//! and allocations/bytes per step.
 //!
-//! * **baseline** — `Params::with_hotpath_baseline(true)` routes quorum
-//!   checks through the retained pre-tally-table allocating scans, and the
-//!   simulator steps unbatched: one persist/flush seal (one WAL write per
-//!   dirtied slot) per event — the shape of the code before this
-//!   optimization pass;
-//! * **hot path** — tally-table quorum checks, scratch-buffer reuse,
-//!   inline action buffers, and batched stepping (one seal per coalesced
-//!   batch of same-instant events), all on.
-//!
-//! Decisions are identical either way (asserted); only the cost differs.
-//! A counting global allocator prices every window: engine steps per wall
-//! second, blocks finalized per second, and allocations/bytes per step.
-//!
-//! A third measurement isolates where seal coalescing acts in deployment:
+//! A second measurement isolates where seal coalescing acts in deployment:
 //! the **mailbox drain** replays one node's recorded good-case traffic
-//! into a durable engine — per-event sealing versus [`Engine::step_batch`]
-//! over 64-event chunks, the TCP runtime's drain bound. (The simulator's
-//! global queue interleaves targets, so consecutive same-node events are
-//! rare there; a per-node mailbox is where batching pays.)
+//! into a durable engine through the calls `tetrabft-net`'s runner makes
+//! ([`Engine::on_deliver_buffered`], then [`Engine::finish_batch`]),
+//! sealing after every event versus after every 64, the TCP runtime's
+//! drain bound. (The simulator's global queue interleaves targets, so
+//! consecutive same-node events are rare there; a per-node mailbox is
+//! where batching pays.)
 //!
 //! Asserted gates (smoke mode included):
-//! * mailbox-drain steps/s ≥ 2× the per-event-seal baseline, on the
-//!   identical finalized chain;
-//! * good-case steady-state allocations per step stay bounded (and below
-//!   baseline), and the end-to-end pipeline beats the baseline;
+//! * mailbox-drain steps/s with one seal per 64 events ≥ 2× one seal per
+//!   event, on the identical finalized chain;
+//! * good-case steady-state allocations per durable-pipeline step stay
+//!   below 6;
 //! * a warmed engine fed duplicate votes allocates **exactly zero** — the
 //!   strict steady-state target, checked at the dispatch level where no
 //!   sim bookkeeping (event queue, outputs, metrics) can blur it.
@@ -41,9 +32,7 @@ use std::time::Instant;
 use tetrabft::Params;
 use tetrabft_bench::{print_table, CountingAlloc};
 use tetrabft_multishot::{BlockHash, Finalized, MsMessage, MultiShotNode};
-use tetrabft_sim::{
-    Dest, Engine, EngineEvent, LinkPolicy, SimBuilder, Time, TimerId, TraceEvent, Transport,
-};
+use tetrabft_sim::{Dest, Engine, LinkPolicy, SimBuilder, Time, TimerId, TraceEvent, Transport};
 use tetrabft_types::{Config, FsyncPolicy, NodeId, Slot, View};
 
 #[global_allocator]
@@ -60,32 +49,24 @@ struct Sample {
     blocks_per_s: f64,
     allocs_per_step: f64,
     bytes_per_step: f64,
-    /// Chain tip of node 0 at the end of the window (decision equality).
-    tip: u64,
 }
 
 /// Runs n *durable* nodes of the good case (no faults, synchronous unit
 /// delays, timers effectively off) over a warmup then a measured window.
 /// Durable nodes pay the write-ahead persist on every seal, so the seal
-/// cadence — per event unbatched, per batch on the hot path — is priced
-/// the way the deployed runtime pays it. `FsyncPolicy::Never` keeps disk
-/// sync jitter out of the measurement; the WAL writes themselves stay.
-fn run_pipeline(n: usize, baseline: bool, horizon: u64) -> Sample {
+/// is priced the way the deployed runtime pays it. `FsyncPolicy::Never`
+/// keeps disk sync jitter out of the measurement; the WAL writes
+/// themselves stay.
+fn run_pipeline(n: usize, horizon: u64) -> Sample {
     let cfg = Config::new(n).expect("valid n");
-    let params =
-        Params::new(1_000_000).with_fsync(FsyncPolicy::Never).with_hotpath_baseline(baseline);
-    let root = std::env::temp_dir().join(format!(
-        "tetrabft-hotpath-{}-n{n}-b{}",
-        std::process::id(),
-        u8::from(baseline)
-    ));
+    let params = Params::new(1_000_000).with_fsync(FsyncPolicy::Never);
+    let root = std::env::temp_dir().join(format!("tetrabft-hotpath-{}-n{n}", std::process::id()));
     let _ = std::fs::remove_dir_all(&root);
     let stores = root.clone();
-    let mut sim =
-        SimBuilder::new(n).policy(LinkPolicy::synchronous(1)).batched(!baseline).build(move |id| {
-            MultiShotNode::durable(cfg, params, id, stores.join(format!("node{}", id.0)))
-                .expect("fresh durable store")
-        });
+    let mut sim = SimBuilder::new(n).policy(LinkPolicy::synchronous(1)).build(move |id| {
+        MultiShotNode::durable(cfg, params, id, stores.join(format!("node{}", id.0)))
+            .expect("fresh durable store")
+    });
 
     // Warmup: every per-node container (registers, scratch buffers, event
     // queue, outbox) reaches its steady-state footprint.
@@ -102,13 +83,6 @@ fn run_pipeline(n: usize, baseline: bool, horizon: u64) -> Sample {
 
     let steps = sim.metrics().events_processed - steps0;
     let blocks = (sim.outputs().len() - blocks0) as f64;
-    let tip = sim
-        .outputs()
-        .iter()
-        .filter(|o| o.node == NodeId(0))
-        .map(|o| o.output.slot.0)
-        .max()
-        .unwrap_or(0);
     assert!(steps > 0, "the measured window must process events (n={n})");
     drop(sim);
     let _ = std::fs::remove_dir_all(&root);
@@ -117,7 +91,6 @@ fn run_pipeline(n: usize, baseline: bool, horizon: u64) -> Sample {
         blocks_per_s: blocks / elapsed,
         allocs_per_step: alloc0.allocs_since(&alloc1) as f64 / steps as f64,
         bytes_per_step: alloc0.bytes_since(&alloc1) as f64 / steps as f64,
-        tip,
     }
 }
 
@@ -148,7 +121,7 @@ impl Transport<MsMessage, Finalized> for SinkTransport {
     }
 }
 
-/// Batch bound for the hot mailbox drain — the same bound the TCP runtime
+/// Batch bound for the mailbox drain — the same bound the TCP runtime
 /// uses when draining a node's event queue per wakeup.
 const MAILBOX_BATCH: usize = 64;
 
@@ -184,23 +157,16 @@ struct DrainSample {
 }
 
 /// Replays node 0's recorded traffic into a fresh *durable* engine — the
-/// deployed runtime shape, one node draining its mailbox.
-///
-/// * **baseline** — one `on_deliver` per event: every event pays a full
-///   persist/flush seal (a WAL write per dirtied slot), the pre-batching
-///   cadence;
-/// * **hot path** — [`Engine::step_batch`] over [`MAILBOX_BATCH`]-event
-///   chunks: the same dispatches, one seal per chunk, so re-dirtied slots
-///   collapse to a single WAL record per batch.
-fn drain_mailbox(n: usize, events: &[(Time, NodeId, MsMessage)], baseline: bool) -> DrainSample {
+/// deployed runtime shape, one node draining its mailbox — sealing once
+/// per `batch` events. At `batch` = 1 every event pays a full persist/flush
+/// seal (a WAL write per dirtied slot); at [`MAILBOX_BATCH`] the same
+/// dispatches share one seal per chunk, so re-dirtied slots collapse to a
+/// single WAL record per batch.
+fn drain_mailbox(n: usize, events: &[(Time, NodeId, MsMessage)], batch: usize) -> DrainSample {
     let cfg = Config::new(n).expect("valid n");
-    let params =
-        Params::new(1_000_000).with_fsync(FsyncPolicy::Never).with_hotpath_baseline(baseline);
-    let root = std::env::temp_dir().join(format!(
-        "tetrabft-mailbox-{}-n{n}-b{}",
-        std::process::id(),
-        u8::from(baseline)
-    ));
+    let params = Params::new(1_000_000).with_fsync(FsyncPolicy::Never);
+    let root =
+        std::env::temp_dir().join(format!("tetrabft-mailbox-{}-n{n}-b{batch}", std::process::id()));
     let _ = std::fs::remove_dir_all(&root);
     let node = MultiShotNode::durable(cfg, params, NodeId(0), &root).expect("fresh durable store");
     let mut engine = Engine::new(node, NodeId(0), n);
@@ -209,21 +175,12 @@ fn drain_mailbox(n: usize, events: &[(Time, NodeId, MsMessage)], baseline: bool)
 
     let alloc0 = ALLOC.snapshot();
     let wall = Instant::now();
-    if baseline {
-        for (at, from, msg) in events {
-            engine.on_deliver(*from, msg.clone(), *at, &mut transport);
+    for chunk in events.chunks(batch) {
+        let now = chunk.last().expect("chunks are non-empty").0;
+        for (_, from, msg) in chunk {
+            engine.on_deliver_buffered(*from, msg.clone(), now, &mut transport);
         }
-    } else {
-        for chunk in events.chunks(MAILBOX_BATCH) {
-            let now = chunk.last().expect("chunks are non-empty").0;
-            engine.step_batch(
-                chunk
-                    .iter()
-                    .map(|(_, from, msg)| EngineEvent::Deliver { from: *from, msg: msg.clone() }),
-                now,
-                &mut transport,
-            );
-        }
+        engine.finish_batch(&mut transport);
     }
     let elapsed = wall.elapsed().as_secs_f64();
     let alloc1 = ALLOC.snapshot();
@@ -263,14 +220,16 @@ fn assert_steady_state_is_alloc_free() {
     // second confirms the shapes have settled before the counted window.
     for round in 1..=2u64 {
         for (from, msg) in &votes {
-            engine.on_deliver(*from, msg.clone(), Time(round), &mut transport);
+            engine.on_deliver_buffered(*from, msg.clone(), Time(round), &mut transport);
+            engine.finish_batch(&mut transport);
         }
     }
 
     let before = ALLOC.snapshot();
     for round in 0..100u64 {
         for (from, msg) in &votes {
-            engine.on_deliver(*from, msg.clone(), Time(3 + round), &mut transport);
+            engine.on_deliver_buffered(*from, msg.clone(), Time(3 + round), &mut transport);
+            engine.finish_batch(&mut transport);
         }
     }
     let after = ALLOC.snapshot();
@@ -288,48 +247,38 @@ fn assert_steady_state_is_alloc_free() {
     );
 }
 
-/// The asserted ≥ 2× gate: drain the recorded mailbox both ways and
-/// compare engine steps (drained events) per second.
-fn run_mailbox_gate(json_sections: &mut Vec<String>) {
+/// The asserted ≥ 2× gate: drain the recorded mailbox at both seal
+/// cadences and compare engine steps (drained events) per second.
+fn run_mailbox_gate() {
     let n = 4;
     let horizon: u64 = if smoke() { 800 } else { 3_000 };
     let events = recorded_mailbox(n, horizon);
     assert!(events.len() > 1_000, "the recorded run must produce real traffic");
 
-    let base = drain_mailbox(n, &events, true);
-    let fast = drain_mailbox(n, &events, false);
+    let per_event = drain_mailbox(n, &events, 1);
+    let batched = drain_mailbox(n, &events, MAILBOX_BATCH);
     assert_eq!(
-        (base.outputs, base.tip),
-        (fast.outputs, fast.tip),
+        (per_event.outputs, per_event.tip),
+        (batched.outputs, batched.tip),
         "both seal cadences must finalize the identical chain"
     );
-    assert!(fast.tip > 0, "the drained mailbox must actually finalize blocks");
+    assert!(batched.tip > 0, "the drained mailbox must actually finalize blocks");
 
-    let speedup = fast.events_per_s / base.events_per_s;
+    let speedup = batched.events_per_s / per_event.events_per_s;
     println!(
-        "mailbox drain (n={n}, {} events, durable): baseline {:.0}k steps/s \
-         ({:.2} allocs/step) → batched {:.0}k steps/s ({:.2} allocs/step), {speedup:.2}x",
+        "mailbox drain (n={n}, {} events, durable): seal per event {:.0}k steps/s \
+         ({:.2} allocs/step) → seal per {MAILBOX_BATCH} {:.0}k steps/s ({:.2} allocs/step), \
+         {speedup:.2}x",
         events.len(),
-        base.events_per_s / 1e3,
-        base.allocs_per_event,
-        fast.events_per_s / 1e3,
-        fast.allocs_per_event,
+        per_event.events_per_s / 1e3,
+        per_event.allocs_per_event,
+        batched.events_per_s / 1e3,
+        batched.allocs_per_event,
     );
-    json_sections.push(format!(
-        "  \"mailbox_drain\": {{\"n\": {n}, \"events\": {}, \"steps_per_s\": {:.0}, \
-         \"baseline_steps_per_s\": {:.0}, \"speedup\": {speedup:.2}, \
-         \"allocs_per_step\": {:.3}, \"baseline_allocs_per_step\": {:.3}}}",
-        events.len(),
-        fast.events_per_s,
-        base.events_per_s,
-        fast.allocs_per_event,
-        base.allocs_per_event,
-    ));
-
     assert!(
         speedup >= 2.0,
-        "batched stepping must drain the mailbox ≥ 2x as fast as per-event \
-         sealing (got {speedup:.2}x)"
+        "one seal per {MAILBOX_BATCH} events must drain the mailbox ≥ 2x as fast as one \
+         per event (got {speedup:.2}x)"
     );
     println!("mailbox-drain speedup: {speedup:.2}x (required ≥ 2x)");
 }
@@ -339,89 +288,31 @@ fn main() {
     let horizon: u64 = if smoke() { 150 } else { 400 };
 
     assert_steady_state_is_alloc_free();
-
-    let mut json_sections: Vec<String> = Vec::new();
-    run_mailbox_gate(&mut json_sections);
+    run_mailbox_gate();
 
     let mut rows: Vec<Vec<String>> = Vec::new();
-    let mut best_speedup = 0.0f64;
-    let mut json_entries: Vec<String> = Vec::new();
     for &n in sizes {
-        let base = run_pipeline(n, true, horizon);
-        let fast = run_pipeline(n, false, horizon);
-        assert_eq!(
-            base.tip, fast.tip,
-            "baseline and hot path must finalize the same chain (n={n})"
-        );
-        let speedup = fast.steps_per_s / base.steps_per_s;
-        best_speedup = best_speedup.max(speedup);
+        let sample = run_pipeline(n, horizon);
         rows.push(vec![
             n.to_string(),
-            format!("{:.0}k", base.steps_per_s / 1e3),
-            format!("{:.0}k", fast.steps_per_s / 1e3),
-            format!("{speedup:.2}x"),
-            format!("{:.2}", base.allocs_per_step),
-            format!("{:.2}", fast.allocs_per_step),
-            format!("{:.0}", fast.bytes_per_step),
-            format!("{:.0}k", fast.blocks_per_s / 1e3),
+            format!("{:.0}k", sample.steps_per_s / 1e3),
+            format!("{:.2}", sample.allocs_per_step),
+            format!("{:.0}", sample.bytes_per_step),
+            format!("{:.0}k", sample.blocks_per_s / 1e3),
         ]);
-        json_entries.push(format!(
-            "    {{\"n\": {n}, \"steps_per_s\": {:.0}, \"baseline_steps_per_s\": {:.0}, \
-             \"speedup\": {speedup:.2}, \"allocs_per_step\": {:.3}, \
-             \"baseline_allocs_per_step\": {:.3}, \"bytes_per_step\": {:.1}, \
-             \"blocks_per_s\": {:.0}}}",
-            fast.steps_per_s,
-            base.steps_per_s,
-            fast.allocs_per_step,
-            base.allocs_per_step,
-            fast.bytes_per_step,
-            fast.blocks_per_s,
-        ));
-
         // Sim-level steady-state allocation bound: the full harness (event
         // queue, slot turnover, outputs) plus the durable store add
         // bookkeeping on top of the zero-alloc dispatch, but the good
-        // case must stay bounded — and below baseline.
+        // case must stay bounded.
         assert!(
-            fast.allocs_per_step < 6.0,
+            sample.allocs_per_step < 6.0,
             "good-case allocations per step must stay below 6.0, got {:.3} at n={n}",
-            fast.allocs_per_step
-        );
-        assert!(
-            fast.allocs_per_step < base.allocs_per_step,
-            "hot path must allocate less than baseline at n={n} ({:.3} vs {:.3})",
-            fast.allocs_per_step,
-            base.allocs_per_step
+            sample.allocs_per_step
         );
     }
-
     print_table(
-        "Good-case pipeline hot path (baseline = allocating scans, unbatched)",
-        &[
-            "n",
-            "base steps/s",
-            "hot steps/s",
-            "speedup",
-            "base allocs/step",
-            "hot allocs/step",
-            "hot B/step",
-            "blocks/s",
-        ],
+        "Good-case durable pipeline",
+        &["n", "steps/s", "allocs/step", "B/step", "blocks/s"],
         &rows,
     );
-
-    json_sections.push(format!("  \"pipeline_hotpath\": [\n{}\n  ]", json_entries.join(",\n")));
-    println!("\n{{\n{}\n}}", json_sections.join(",\n"));
-
-    // The end-to-end pipeline must not regress either — the big asserted
-    // win (≥ 2×) is the mailbox drain above, where seal coalescing acts.
-    // Smoke windows are too short for a stable wall-clock comparison, so
-    // this gate (unlike the mailbox and allocation gates) is full-run only.
-    if !smoke() {
-        assert!(
-            best_speedup > 1.0,
-            "the hot path must beat the baseline end-to-end (best {best_speedup:.2}x)"
-        );
-    }
-    println!("\nend-to-end pipeline speedup: {best_speedup:.2}x");
 }

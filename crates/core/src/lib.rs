@@ -23,7 +23,7 @@
 //! is where the 5-delay good case comes from: proposal + four vote phases.
 //!
 //! The implementation is sans-I/O: [`TetraNode`] is a deterministic state
-//! machine implementing [`tetrabft_sim::Node`], equally at home under the
+//! machine implementing [`tetrabft_engine::Node`], equally at home under the
 //! discrete-event simulator, the TCP transport of `tetrabft-net`, or a
 //! model checker.
 //!
@@ -57,7 +57,6 @@ mod records;
 pub mod rules;
 pub mod strategies;
 
-pub use msg::v1 as wire_v1;
 pub use msg::{Message, ProofData, SuggestData};
 pub use node::{TetraNode, VIEW_TIMER};
 pub use params::Params;

@@ -1,6 +1,6 @@
 //! Message types of Basic TetraBFT (Section 3.1).
 
-use tetrabft_sim::WireSize;
+use tetrabft_engine::WireSize;
 use tetrabft_types::{AuditClaim, Phase, Value, View, VoteInfo};
 use tetrabft_wire::{Reader, Wire, WireError, Writer};
 
@@ -278,81 +278,6 @@ impl WireSize for Message {
     }
 }
 
-/// Wire format **v1** — the retired fixed-width layout, kept as an encoder
-/// only so the `wire_bytes` bench (and anyone auditing the v2 claim) can
-/// measure both formats on identical traffic.
-///
-/// Layout: 1-byte tag; `View` as big-endian `u64`; `Phase` as one byte;
-/// `Value` as 8 raw bytes; each `Option<VoteInfo>` as a 0/1 tag byte
-/// followed, when present, by an absolute 8-byte view and the value.
-pub mod v1 {
-    use super::{Message, ProofData, SuggestData, VoteInfo};
-    use tetrabft_wire::Writer;
-
-    fn put_opt_vote(vote: &Option<VoteInfo>, w: &mut Writer) {
-        match vote {
-            None => w.put_u8(0),
-            Some(v) => {
-                w.put_u8(1);
-                w.put_u64(v.view.0);
-                w.put_slice(v.value.as_bytes());
-            }
-        }
-    }
-
-    /// v1 layout of [`SuggestData`] (no delta compression, no bitmap).
-    pub fn encode_suggest_data(data: &SuggestData, w: &mut Writer) {
-        put_opt_vote(&data.vote2, w);
-        put_opt_vote(&data.prev_vote2, w);
-        put_opt_vote(&data.vote3, w);
-    }
-
-    /// v1 layout of [`ProofData`].
-    pub fn encode_proof_data(data: &ProofData, w: &mut Writer) {
-        put_opt_vote(&data.vote1, w);
-        put_opt_vote(&data.prev_vote1, w);
-        put_opt_vote(&data.vote4, w);
-    }
-
-    /// Appends the v1 encoding of `msg` to `w`.
-    pub fn encode(msg: &Message, w: &mut Writer) {
-        match msg {
-            Message::Proposal { view, value } => {
-                w.put_u8(super::TAG_PROPOSAL);
-                w.put_u64(view.0);
-                w.put_slice(value.as_bytes());
-            }
-            Message::Vote { phase, view, value } => {
-                w.put_u8(super::TAG_VOTE);
-                w.put_u8(phase.as_u8());
-                w.put_u64(view.0);
-                w.put_slice(value.as_bytes());
-            }
-            Message::Suggest { view, data } => {
-                w.put_u8(super::TAG_SUGGEST);
-                w.put_u64(view.0);
-                encode_suggest_data(data, w);
-            }
-            Message::Proof { view, data } => {
-                w.put_u8(super::TAG_PROOF);
-                w.put_u64(view.0);
-                encode_proof_data(data, w);
-            }
-            Message::ViewChange { view } => {
-                w.put_u8(super::TAG_VIEW_CHANGE);
-                w.put_u64(view.0);
-            }
-        }
-    }
-
-    /// Number of bytes `msg` occupied under wire format v1.
-    pub fn wire_len(msg: &Message) -> usize {
-        let mut w = Writer::new();
-        encode(msg, &mut w);
-        w.len()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -454,39 +379,5 @@ mod tests {
             Message::from_bytes(w.as_bytes()),
             Err(WireError::InvalidTag { what: "SuggestData bitmap", tag: 0b1000 })
         );
-    }
-
-    #[test]
-    fn v1_layout_is_the_historical_fixed_width_one() {
-        // The retained v1 encoder must keep producing the exact pre-varint
-        // sizes the v2 savings are measured against.
-        assert_eq!(v1::wire_len(&Message::ViewChange { view: View(1) }), 9);
-        assert_eq!(
-            v1::wire_len(&Message::Proposal { view: View(1), value: Value::from_u64(2) }),
-            17
-        );
-        assert_eq!(
-            v1::wire_len(&Message::Vote {
-                phase: Phase::VOTE1,
-                view: View(1),
-                value: Value::from_u64(2)
-            }),
-            18
-        );
-        assert_eq!(
-            v1::wire_len(&Message::Suggest { view: View(1), data: SuggestData::default() }),
-            12
-        );
-        let full = Message::Suggest {
-            view: View(5),
-            data: SuggestData {
-                vote2: Some(vi(4, 1)),
-                prev_vote2: Some(vi(2, 2)),
-                vote3: Some(vi(4, 1)),
-            },
-        };
-        assert_eq!(v1::wire_len(&full), 60);
-        // v2 beats v1 on every realistic message above.
-        assert!(full.wire_len() < v1::wire_len(&full));
     }
 }

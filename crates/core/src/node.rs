@@ -1,6 +1,6 @@
 //! The Basic TetraBFT node state machine (Section 3.2).
 
-use tetrabft_sim::{Context, Input, Node, TimerId};
+use tetrabft_engine::{Context, Input, Node, TimerId};
 use tetrabft_types::{Config, NodeId, Phase, Value, View, VoteBook};
 
 use crate::msg::Message;
@@ -13,7 +13,7 @@ pub const VIEW_TIMER: TimerId = TimerId(0);
 
 /// A well-behaved Basic TetraBFT node.
 ///
-/// The node is a deterministic state machine ([`tetrabft_sim::Node`]); its
+/// The node is a deterministic state machine ([`tetrabft_engine::Node`]); its
 /// complete persistent state is the [`VoteBook`] (six registers — the
 /// constant-storage claim of Table 1), and its volatile state is the
 /// per-peer [`Registers`] snapshot (O(1) per peer).
@@ -41,9 +41,8 @@ pub struct TetraNode {
     vc_sent: Option<View>,
     decided: Option<Value>,
     /// Reusable scratch for view-change suggest collection: filled by
-    /// `Registers::suggests_into` each re-evaluation, so the per-step
-    /// allocation the old `suggests_at` collect paid happens at most once
-    /// (capacity is retained across steps).
+    /// `Registers::suggests_into` each re-evaluation, so collecting
+    /// allocates at most once (capacity is retained across steps).
     scratch_suggests: Vec<crate::msg::SuggestData>,
     /// Reusable scratch for proof collection, same pattern.
     scratch_proofs: Vec<crate::msg::ProofData>,
@@ -244,20 +243,10 @@ impl TetraNode {
     }
 
     /// The value holding a quorum of latest `phase` votes at the current
-    /// view, if any. The default path is an allocation-free lookup in the
-    /// registers' incremental tally tables; [`Params::with_hotpath_baseline`]
-    /// reroutes it through the allocating `vote_tallies` scan so
-    /// `pipeline_hotpath` can measure old-vs-new on the same traffic.
+    /// view, if any: an allocation-free lookup in the registers'
+    /// incremental tally tables.
     fn quorum_at_current_view(&self, phase: Phase) -> Option<Value> {
-        if self.params.hotpath_baseline() {
-            self.regs
-                .vote_tallies(phase, self.view)
-                .into_iter()
-                .find(|(_, count)| self.cfg.is_quorum(*count))
-                .map(|(value, _)| value)
-        } else {
-            self.regs.quorum_value(phase, self.view, self.cfg.quorum())
-        }
+        self.regs.quorum_value(phase, self.view, self.cfg.quorum())
     }
 
     fn cast(&mut self, phase: Phase, value: Value, ctx: &mut Context<'_, Message, Value>) {

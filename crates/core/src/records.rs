@@ -135,8 +135,8 @@ pub struct Registers {
     /// quorum-threshold tables the model checker's `mc/model.rs` proved out
     /// (its packed-count pass turned minutes into seconds). They make
     /// [`Registers::quorum_value`] / [`Registers::quorum_value_any`] O(distinct
-    /// values) lookups with zero allocation, replacing the O(n) re-scan per
-    /// engine step of [`Registers::vote_tallies`].
+    /// values) lookups with zero allocation instead of an O(n) peer scan per
+    /// engine step.
     tallies: [TallyTable; 4],
     /// Equivocation evidence harvested by [`Registers::record`]: a peer that
     /// re-claims a same-view register with a *different* value convicts
@@ -275,8 +275,7 @@ impl Registers {
     }
 
     /// The value whose latest-vote count in `phase` across *all* views
-    /// reaches `threshold`, if any (the table-backed, allocation-free
-    /// equivalent of scanning [`Registers::vote_value_tallies`]; see
+    /// reaches `threshold`, if any (table-backed and allocation-free; see
     /// [`Registers::count_votes_value`] for why multi-shot counts quorums
     /// view-agnostically). Uniqueness for majority thresholds holds by the
     /// same argument as [`Registers::quorum_value`].
@@ -301,74 +300,14 @@ impl Registers {
         None
     }
 
-    /// Distinct values voted for in `phase` in *any* view, with counts
-    /// (the view-agnostic companion of [`Registers::vote_tallies`]; see
-    /// [`Registers::count_votes_value`] for why multi-shot needs this).
-    ///
-    /// Allocates its result; the hot path uses
-    /// [`Registers::quorum_value_any`] instead. Retained as the
-    /// pre-tally-table baseline that `pipeline_hotpath` measures against.
-    pub fn vote_value_tallies(&self, phase: Phase) -> Vec<(Value, usize)> {
-        let mut tallies: Vec<(Value, usize)> = Vec::new();
-        for p in &self.peers {
-            if let Some(v) = p.vote(phase) {
-                match tallies.iter_mut().find(|(val, _)| *val == v.value) {
-                    Some((_, c)) => *c += 1,
-                    None => tallies.push((v.value, 1)),
-                }
-            }
-        }
-        tallies
-    }
-
-    /// Distinct values voted for in `phase` at `view`, with counts.
-    ///
-    /// Allocates its result and re-scans all peers; the hot path uses
-    /// [`Registers::quorum_value`] instead. Retained as the pre-tally-table
-    /// baseline that `pipeline_hotpath` measures against.
-    pub fn vote_tallies(&self, phase: Phase, view: View) -> Vec<(Value, usize)> {
-        let mut tallies: Vec<(Value, usize)> = Vec::new();
-        for p in &self.peers {
-            if let Some(v) = p.vote(phase) {
-                if v.view == view {
-                    match tallies.iter_mut().find(|(val, _)| *val == v.value) {
-                        Some((_, c)) => *c += 1,
-                        None => tallies.push((v.value, 1)),
-                    }
-                }
-            }
-        }
-        tallies
-    }
-
     /// The proposal the leader of `view` made in `view`, if received.
     pub fn proposal_of(&self, leader: NodeId, view: View) -> Option<Value> {
         self.peers[leader.index()].proposal.filter(|p| p.view == view).map(|p| p.value)
     }
 
-    /// All suggest payloads sent for exactly `view`.
-    pub fn suggests_at(&self, view: View) -> Vec<SuggestData> {
-        self.peers
-            .iter()
-            .filter_map(|p| p.suggest)
-            .filter(|(v, _)| *v == view)
-            .map(|(_, d)| d)
-            .collect()
-    }
-
-    /// All proof payloads sent for exactly `view`.
-    pub fn proofs_at(&self, view: View) -> Vec<ProofData> {
-        self.peers
-            .iter()
-            .filter_map(|p| p.proof)
-            .filter(|(v, _)| *v == view)
-            .map(|(_, d)| d)
-            .collect()
-    }
-
     /// Writes the suggest payloads for exactly `view` into the caller's
-    /// scratch buffer (cleared first) — the allocation-free form of
-    /// [`Registers::suggests_at`] for callers that re-evaluate every step.
+    /// scratch buffer (cleared first), so callers that re-evaluate every
+    /// step allocate at most once.
     pub fn suggests_into(&self, view: View, out: &mut Vec<SuggestData>) {
         out.clear();
         out.extend(
@@ -377,8 +316,7 @@ impl Registers {
     }
 
     /// Writes the proof payloads for exactly `view` into the caller's
-    /// scratch buffer (cleared first) — the allocation-free form of
-    /// [`Registers::proofs_at`].
+    /// scratch buffer (cleared first).
     pub fn proofs_into(&self, view: View, out: &mut Vec<ProofData>) {
         out.clear();
         out.extend(
@@ -468,10 +406,9 @@ mod tests {
         regs.record(NodeId(3), &vote(Phase::VOTE1, 0, 6));
         assert_eq!(regs.count_votes(Phase::VOTE1, View(0), Value::from_u64(5)), 3);
         assert_eq!(regs.count_votes(Phase::VOTE1, View(0), Value::from_u64(6)), 1);
-        let mut tallies = regs.vote_tallies(Phase::VOTE1, View(0));
-        tallies.sort_by_key(|(_, c)| *c);
-        assert_eq!(tallies.len(), 2);
-        assert_eq!(tallies[1], (Value::from_u64(5), 3));
+        assert_eq!(regs.count_votes_value(Phase::VOTE1, Value::from_u64(5)), 3);
+        assert_eq!(regs.count_votes(Phase::VOTE1, View(1), Value::from_u64(5)), 0, "wrong view");
+        assert_eq!(regs.count_votes(Phase::VOTE2, View(0), Value::from_u64(5)), 0, "wrong phase");
     }
 
     #[test]
@@ -495,9 +432,17 @@ mod tests {
         regs.record(NodeId(0), &Message::Suggest { view: View(2), data });
         regs.record(NodeId(1), &Message::Suggest { view: View(2), data });
         regs.record(NodeId(2), &Message::Suggest { view: View(3), data });
-        assert_eq!(regs.suggests_at(View(2)).len(), 2);
-        assert_eq!(regs.suggests_at(View(3)).len(), 1);
-        assert_eq!(regs.proofs_at(View(2)).len(), 0);
+        regs.record(NodeId(2), &Message::Proof { view: View(2), data: ProofData::default() });
+        let mut suggests = vec![SuggestData::default(); 7]; // stale junk: must be cleared
+        regs.suggests_into(View(2), &mut suggests);
+        assert_eq!(suggests, vec![data; 2]);
+        regs.suggests_into(View(3), &mut suggests);
+        assert_eq!(suggests.len(), 1);
+        let mut proofs = Vec::new();
+        regs.proofs_into(View(2), &mut proofs);
+        assert_eq!(proofs, vec![ProofData::default()]);
+        regs.proofs_into(View(9), &mut proofs);
+        assert!(proofs.is_empty());
     }
 
     #[test]
@@ -531,22 +476,17 @@ mod tests {
             }
         }
         let q = cfg.quorum();
+        // Every value that appeared (99 only ever arrives stale). At most
+        // one value can reach a quorum, so the first scan hit is the answer.
+        let values = || [0, 1, 2, 3, 99].into_iter().map(Value::from_u64);
         for phase in Phase::ALL {
-            // View-agnostic: table lookup agrees with the scan-based tally.
-            let by_scan = regs
-                .vote_value_tallies(phase)
-                .into_iter()
-                .find(|(_, c)| *c >= q)
-                .map(|(value, _)| value);
+            // View-agnostic: table lookup agrees with the peer scan.
+            let by_scan = values().find(|v| regs.count_votes_value(phase, *v) >= q);
             assert_eq!(regs.quorum_value_any(phase, q), by_scan, "{phase:?} any-view");
             // Per-view, over every view that appeared.
-            for view in 0..8u64 {
-                let by_scan = regs
-                    .vote_tallies(phase, View(view))
-                    .into_iter()
-                    .find(|(_, c)| *c >= q)
-                    .map(|(value, _)| value);
-                assert_eq!(regs.quorum_value(phase, View(view), q), by_scan, "{phase:?} v{view}");
+            for view in (0..8).map(View) {
+                let by_scan = values().find(|v| regs.count_votes(phase, view, *v) >= q);
+                assert_eq!(regs.quorum_value(phase, view, q), by_scan, "{phase:?} {view:?}");
             }
         }
     }
@@ -574,23 +514,6 @@ mod tests {
         regs.record(NodeId(2), &vote(Phase::VOTE4, 3, 7));
         assert_eq!(regs.quorum_value_any(Phase::VOTE4, 3), Some(Value::from_u64(7)));
         assert_eq!(regs.quorum_value(Phase::VOTE4, View(1), 3), None, "no single view has 3");
-    }
-
-    #[test]
-    fn scratch_filling_suggest_and_proof_queries_match_allocating_ones() {
-        let mut regs = Registers::new(&cfg());
-        let data = SuggestData::default();
-        regs.record(NodeId(0), &Message::Suggest { view: View(2), data });
-        regs.record(NodeId(1), &Message::Suggest { view: View(2), data });
-        regs.record(NodeId(2), &Message::Proof { view: View(2), data: ProofData::default() });
-        let mut scratch_s = vec![SuggestData::default(); 7]; // stale junk: must be cleared
-        regs.suggests_into(View(2), &mut scratch_s);
-        assert_eq!(scratch_s, regs.suggests_at(View(2)));
-        let mut scratch_p = Vec::new();
-        regs.proofs_into(View(2), &mut scratch_p);
-        assert_eq!(scratch_p, regs.proofs_at(View(2)));
-        regs.proofs_into(View(9), &mut scratch_p);
-        assert!(scratch_p.is_empty());
     }
 
     #[test]

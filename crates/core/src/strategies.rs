@@ -1,12 +1,12 @@
 //! Byzantine strategies for Basic TetraBFT, used by the safety test suite,
 //! the Byzantine-lab example and the benchmarks.
 //!
-//! Each strategy is a [`tetrabft_sim::Node`] speaking the TetraBFT
+//! Each strategy is a [`tetrabft_engine::Node`] speaking the TetraBFT
 //! [`Message`] type but deviating from the protocol. Safety tests assert
 //! that **agreement holds regardless** of what these actors do, as long as
 //! at most `f` of them are placed in the system.
 
-use tetrabft_sim::{Context, Input, Node};
+use tetrabft_engine::{Context, Input, Node};
 use tetrabft_types::{Config, Phase, Value, View, VoteInfo};
 
 use crate::msg::{Message, ProofData, SuggestData};

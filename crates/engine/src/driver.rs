@@ -3,8 +3,8 @@
 //! Both the deterministic simulator (`tetrabft-sim`) and the TCP runtime
 //! (`tetrabft-net`) used to hand-roll the same three pieces of machinery:
 //! timer generations (a re-armed timer must orphan its queued firing),
-//! [`Action`] dispatch, and the event mux that turns raw runtime events
-//! into [`Node`] inputs. [`Engine`] owns all three once; runtimes shrink
+//! [`Action`] dispatch, and the persist-then-flush seal that closes a batch
+//! of [`Node`] inputs. [`Engine`] owns all three once; runtimes shrink
 //! to [`Transport`] implementations that only know how to move bytes,
 //! schedule wakeups, and surface outputs.
 
@@ -27,53 +27,24 @@ pub trait Transport<M, O> {
 
     /// Schedule timer `id` to fire `after` ticks from now, tagged with
     /// `generation`. The runtime must echo the tag back through
-    /// [`Engine::on_timer`]; it never interprets it.
+    /// [`Engine::on_timer_buffered`]; it never interprets it.
     fn arm_timer(&mut self, id: TimerId, generation: u64, after: u64);
 
     /// Surface a protocol output to the application.
     fn deliver_output(&mut self, out: O);
 
-    /// Called exactly once after every action of one engine input has been
-    /// dispatched — or once per *batch* of inputs when the runtime steps
-    /// through [`Engine::step_batch`] / the `*_buffered` entry points.
+    /// Called exactly once per sealed batch of inputs — by
+    /// [`Engine::finish_batch`], and by [`Engine::start`] for the boot
+    /// input — after every action of the batch has been dispatched.
     /// Buffering transports hand their staged sends to the network here —
-    /// one handoff per input (or batch) rather than one per message — so a
-    /// broadcast plus its follow-ups leave as a single batch. The default
-    /// is a no-op for transports that ship eagerly.
+    /// one handoff per batch rather than one per message — so a broadcast
+    /// plus its follow-ups leave together. The default is a no-op for
+    /// transports that ship eagerly.
     fn flush(&mut self) {}
 }
 
-/// A multiplexed engine input: everything that can wake a node.
-///
-/// Runtimes funnel their raw event sources (sockets, wakeup heaps, client
-/// queues, a virtual-time event queue) into this one enum and hand it to
-/// [`Engine::on_event`]; the engine routes each case, so no runtime
-/// re-implements the mux.
-#[derive(Debug)]
-pub enum EngineEvent<M, R = std::convert::Infallible> {
-    /// The node boots (exactly once).
-    Start,
-    /// A peer message arrived over the transport.
-    Deliver {
-        /// Authenticated sender.
-        from: NodeId,
-        /// The message.
-        msg: M,
-    },
-    /// A scheduled timer came due; `generation` is the tag the engine
-    /// attached when arming. Stale generations are dropped here.
-    Timer {
-        /// Which timer.
-        id: TimerId,
-        /// Arming tag; only the newest arming per id is live.
-        generation: u64,
-    },
-    /// A client submitted a request (e.g. a transaction for the mempool).
-    Submit(R),
-}
-
-/// A node that accepts client-submitted requests through the engine's
-/// input mux — the third input class next to deliveries and timers.
+/// A node that accepts client-submitted requests ([`Engine::submit`]) —
+/// the third input class next to deliveries and timers.
 ///
 /// Admission is synchronous and may be refused (backpressure): a bounded
 /// mempool returns its typed rejection here rather than growing without
@@ -108,10 +79,12 @@ pub trait FrameRequest: Sized {
 ///
 /// The engine owns the node, its timer-generation table, and the
 /// translation of node [`Action`]s into [`Transport`] calls. A runtime
-/// feeds it events ([`Engine::start`], [`Engine::on_deliver`],
-/// [`Engine::on_timer`], [`Engine::submit`] — or the combined
-/// [`Engine::on_event`] mux) together with the current time and a
-/// transport to act through.
+/// boots it once ([`Engine::start`]), then drains whatever its sources
+/// have queued through [`Engine::on_deliver_buffered`] and
+/// [`Engine::on_timer_buffered`] — with the current time and a transport
+/// to act through — and closes every such batch, of one input or many,
+/// with [`Engine::finish_batch`]; client requests enter beside them
+/// through [`Engine::submit`].
 ///
 /// # Timer generations
 ///
@@ -205,7 +178,7 @@ impl<N: Node> Engine<N> {
     }
 
     /// Mutable access to the wrapped node (test inspection, submissions
-    /// outside the mux).
+    /// made on the node directly).
     #[inline]
     pub fn node_mut(&mut self) -> &mut N {
         &mut self.node
@@ -216,43 +189,17 @@ impl<N: Node> Engine<N> {
         self.node
     }
 
-    /// Boots the node (deliver exactly once, before any other event).
+    /// Boots the node (deliver exactly once, before any other event) and
+    /// seals: the boot input is a batch of its own.
     pub fn start<T: Transport<N::Msg, N::Output>>(&mut self, now: Time, transport: &mut T) {
         self.dispatch(Input::Start, now, transport);
+        self.finish_batch(transport);
     }
 
-    /// Feeds one peer message to the node.
-    pub fn on_deliver<T: Transport<N::Msg, N::Output>>(
-        &mut self,
-        from: NodeId,
-        msg: N::Msg,
-        now: Time,
-        transport: &mut T,
-    ) {
-        self.dispatch(Input::Deliver { from, msg }, now, transport);
-    }
-
-    /// Feeds one timer firing to the node, unless its generation is stale
-    /// (the timer was replaced or cancelled after this firing was queued).
-    /// Returns whether the node ran.
-    pub fn on_timer<T: Transport<N::Msg, N::Output>>(
-        &mut self,
-        id: TimerId,
-        generation: u64,
-        now: Time,
-        transport: &mut T,
-    ) -> bool {
-        if !self.consume_timer(id, generation) {
-            return false;
-        }
-        self.dispatch(Input::Timer { id }, now, transport);
-        true
-    }
-
-    /// Batched variant of [`Engine::on_deliver`]: runs the node but defers
-    /// the persist/flush seal to [`Engine::finish_batch`]. Callers that
-    /// drain several queued inputs in one go pay one storage sync and one
-    /// network handoff per *batch* instead of per input.
+    /// Feeds one peer message to the node, deferring the persist/flush
+    /// seal to [`Engine::finish_batch`]: a caller that drains several
+    /// queued inputs in one go pays one storage sync and one network
+    /// handoff per *batch* instead of per input.
     ///
     /// Every sequence of `*_buffered` calls **must** be closed with
     /// [`Engine::finish_batch`] before the runtime goes back to waiting —
@@ -264,12 +211,14 @@ impl<N: Node> Engine<N> {
         now: Time,
         transport: &mut T,
     ) {
-        self.dispatch_buffered(Input::Deliver { from, msg }, now, transport);
+        self.dispatch(Input::Deliver { from, msg }, now, transport);
     }
 
-    /// Batched variant of [`Engine::on_timer`]: same staleness filtering,
-    /// but the persist/flush seal is deferred to [`Engine::finish_batch`].
-    /// Returns whether the node ran.
+    /// Feeds one timer firing to the node, unless its generation is stale
+    /// (the timer was replaced or cancelled after this firing was queued);
+    /// the persist/flush seal is deferred to [`Engine::finish_batch`].
+    /// Returns whether the node ran — a batch in which nothing ran needs
+    /// no seal.
     pub fn on_timer_buffered<T: Transport<N::Msg, N::Output>>(
         &mut self,
         id: TimerId,
@@ -277,10 +226,14 @@ impl<N: Node> Engine<N> {
         now: Time,
         transport: &mut T,
     ) -> bool {
-        if !self.consume_timer(id, generation) {
+        // Consume the arming: the handler may re-arm with a fresh,
+        // never-reused generation, so removal cannot resurrect any queued
+        // firing.
+        if self.generations.get(&id) != Some(&generation) {
             return false;
         }
-        self.dispatch_buffered(Input::Timer { id }, now, transport);
+        self.generations.remove(&id);
+        self.dispatch(Input::Timer { id }, now, transport);
         true
     }
 
@@ -293,30 +246,9 @@ impl<N: Node> Engine<N> {
         transport.flush();
     }
 
-    /// `true` iff `generation` is the live arming of `id`; consumes the
-    /// arming (the handler may re-arm with a fresh, never-reused
-    /// generation, so removal cannot resurrect any queued firing).
-    fn consume_timer(&mut self, id: TimerId, generation: u64) -> bool {
-        if self.generations.get(&id) != Some(&generation) {
-            return false;
-        }
-        self.generations.remove(&id);
-        true
-    }
-
-    fn dispatch<T: Transport<N::Msg, N::Output>>(
-        &mut self,
-        input: Input<N::Msg>,
-        now: Time,
-        transport: &mut T,
-    ) {
-        self.dispatch_buffered(input, now, transport);
-        self.finish_batch(transport);
-    }
-
     /// Runs the node on one input and interprets its actions, without the
-    /// trailing persist/flush seal (a batch seals once, at the end).
-    fn dispatch_buffered<T: Transport<N::Msg, N::Output>>(
+    /// persist/flush seal (a batch seals once, at the end).
+    fn dispatch<T: Transport<N::Msg, N::Output>>(
         &mut self,
         input: Input<N::Msg>,
         now: Time,
@@ -354,81 +286,6 @@ impl<N: Submitter> Engine<N> {
     /// typed error is the backpressure signal.
     pub fn submit(&mut self, req: N::Request) -> Result<(), N::SubmitError> {
         self.node.accept(req)
-    }
-
-    /// The full input mux: routes a runtime event to the node. Returns
-    /// whether the node ran (`false` for stale timers and refused
-    /// submissions).
-    pub fn on_event<T: Transport<N::Msg, N::Output>>(
-        &mut self,
-        event: EngineEvent<N::Msg, N::Request>,
-        now: Time,
-        transport: &mut T,
-    ) -> bool {
-        match event {
-            EngineEvent::Start => {
-                self.start(now, transport);
-                true
-            }
-            EngineEvent::Deliver { from, msg } => {
-                self.on_deliver(from, msg, now, transport);
-                true
-            }
-            EngineEvent::Timer { id, generation } => self.on_timer(id, generation, now, transport),
-            EngineEvent::Submit(req) => self.submit(req).is_ok(),
-        }
-    }
-
-    /// Drains a whole batch of runtime events through the node with **one**
-    /// persist/flush seal at the end, instead of one per event.
-    ///
-    /// This is the hot-path entry point for runtimes that pull events off a
-    /// queue or channel: dispatch overhead (storage sync, staged-send
-    /// handoff, lock round-trips in the caller) is amortized over the
-    /// batch. Semantics are otherwise identical to feeding each event
-    /// through [`Engine::on_event`] — same ordering, same staleness
-    /// filtering, same backpressure for submissions — and the write-ahead
-    /// guarantee still holds batch-wide: the single persist covers every
-    /// input before the single flush releases any of their messages.
-    ///
-    /// Returns how many events ran the node (stale timer firings and
-    /// refused submissions do not). The seal runs only if at least one
-    /// event dispatched, so an all-stale batch is free.
-    pub fn step_batch<T, I>(&mut self, events: I, now: Time, transport: &mut T) -> usize
-    where
-        T: Transport<N::Msg, N::Output>,
-        I: IntoIterator<Item = EngineEvent<N::Msg, N::Request>>,
-    {
-        let mut ran = 0;
-        let mut dispatched = false;
-        for event in events {
-            match event {
-                EngineEvent::Start => {
-                    self.dispatch_buffered(Input::Start, now, transport);
-                    dispatched = true;
-                    ran += 1;
-                }
-                EngineEvent::Deliver { from, msg } => {
-                    self.dispatch_buffered(Input::Deliver { from, msg }, now, transport);
-                    dispatched = true;
-                    ran += 1;
-                }
-                EngineEvent::Timer { id, generation } => {
-                    if self.consume_timer(id, generation) {
-                        self.dispatch_buffered(Input::Timer { id }, now, transport);
-                        dispatched = true;
-                        ran += 1;
-                    }
-                }
-                // Admission never dispatches the node, so it does not by
-                // itself force a seal.
-                EngineEvent::Submit(req) => ran += usize::from(self.submit(req).is_ok()),
-            }
-        }
-        if dispatched {
-            self.finish_batch(transport);
-        }
-        ran
     }
 }
 
@@ -496,13 +353,14 @@ mod tests {
         // (gen 3, then cancelled — its entry is dropped, not bumped).
         assert_eq!(t.armed, vec![(TimerId(1), 1, 10), (TimerId(1), 2, 3), (TimerId(2), 3, 5)]);
         // The replaced arming is stale; the replacement fires.
-        assert!(!engine.on_timer(TimerId(1), 1, Time(10), &mut t));
-        assert!(engine.on_timer(TimerId(1), 2, Time(3), &mut t));
+        assert!(!engine.on_timer_buffered(TimerId(1), 1, Time(10), &mut t));
+        assert!(engine.on_timer_buffered(TimerId(1), 2, Time(3), &mut t));
         // The cancelled timer's queued firing is stale too.
-        assert!(!engine.on_timer(TimerId(2), 3, Time(5), &mut t));
+        assert!(!engine.on_timer_buffered(TimerId(2), 3, Time(5), &mut t));
         assert_eq!(t.outputs, vec![1]);
         // A consumed firing cannot replay.
-        assert!(!engine.on_timer(TimerId(1), 2, Time(3), &mut t));
+        assert!(!engine.on_timer_buffered(TimerId(1), 2, Time(3), &mut t));
+        engine.finish_batch(&mut t);
     }
 
     #[test]
@@ -526,13 +384,15 @@ mod tests {
         let mut engine = Engine::new(Churn, NodeId(0), 1);
         let mut t = Recorder::default();
         for k in 0..10_000 {
-            engine.on_deliver(NodeId(0), Msg(k), Time(k), &mut t);
+            engine.on_deliver_buffered(NodeId(0), Msg(k), Time(k), &mut t);
+            engine.finish_batch(&mut t);
         }
         assert!(engine.armed_timers() <= 2, "got {}", engine.armed_timers());
         // And firing the survivors empties the table entirely.
         for (id, generation, _) in t.armed.clone().iter().rev().take(2) {
-            engine.on_timer(*id, *generation, Time(10_000), &mut t);
+            engine.on_timer_buffered(*id, *generation, Time(10_000), &mut t);
         }
+        engine.finish_batch(&mut t);
         assert_eq!(engine.armed_timers(), 0);
     }
 
@@ -540,24 +400,9 @@ mod tests {
     fn deliveries_reach_the_node_and_outputs_the_transport() {
         let mut engine = Engine::new(TimerNode, NodeId(0), 1);
         let mut t = Recorder::default();
-        engine.on_deliver(NodeId(0), Msg(42), Time(1), &mut t);
+        engine.on_deliver_buffered(NodeId(0), Msg(42), Time(1), &mut t);
+        engine.finish_batch(&mut t);
         assert_eq!(t.outputs, vec![42]);
-    }
-
-    #[test]
-    fn flush_runs_exactly_once_per_dispatched_input() {
-        // Batching transports coalesce everything one input produced into a
-        // single network handoff; the engine guarantees the once-per-input
-        // cadence (stale timer firings never reach dispatch, so no flush).
-        let mut engine = Engine::new(TimerNode, NodeId(0), 1);
-        let mut t = Recorder::default();
-        engine.start(Time(0), &mut t);
-        engine.on_deliver(NodeId(0), Msg(1), Time(1), &mut t);
-        assert_eq!(t.flushes, 2);
-        assert!(!engine.on_timer(TimerId(1), 1, Time(10), &mut t), "stale");
-        assert_eq!(t.flushes, 2, "a filtered firing dispatches nothing");
-        assert!(engine.on_timer(TimerId(1), 2, Time(10), &mut t));
-        assert_eq!(t.flushes, 3);
     }
 
     /// A submitter whose pool holds one request.
@@ -614,46 +459,12 @@ mod tests {
     }
 
     #[test]
-    fn step_batch_drains_events_with_one_seal() {
-        let mut engine = Engine::new(OneSlot { held: None }, NodeId(0), 1);
-        let mut t = Recorder::default();
-        let ran = engine.step_batch(
-            vec![
-                EngineEvent::Submit(7),
-                EngineEvent::Submit(8), // refused: pool is full
-                EngineEvent::Start,
-                EngineEvent::Deliver { from: NodeId(0), msg: Msg(5) },
-                EngineEvent::Timer { id: TimerId(9), generation: 99 }, // stale
-            ],
-            Time(0),
-            &mut t,
-        );
-        assert_eq!(ran, 3, "one admitted submit, start, one delivery");
-        assert_eq!(t.outputs, vec![7], "the admitted request drained on start");
-        assert_eq!(t.flushes, 1, "the whole batch sealed exactly once");
-    }
-
-    #[test]
-    fn step_batch_of_stale_events_never_seals() {
-        let mut engine = Engine::new(OneSlot { held: None }, NodeId(0), 1);
-        let mut t = Recorder::default();
-        let ran = engine.step_batch(
-            vec![EngineEvent::Timer { id: TimerId(1), generation: 1 }],
-            Time(0),
-            &mut t,
-        );
-        assert_eq!(ran, 0);
-        assert_eq!(t.flushes, 0, "no dispatch, no seal");
-    }
-
-    #[test]
     fn submit_mux_applies_backpressure() {
         let mut engine = Engine::new(OneSlot { held: None }, NodeId(0), 1);
         let mut t = Recorder::default();
-        assert!(engine.on_event(EngineEvent::Submit(7), Time(0), &mut t));
-        assert!(!engine.on_event(EngineEvent::Submit(8), Time(0), &mut t), "pool is full");
-        assert_eq!(engine.submit(9), Err("full"));
-        engine.on_event(EngineEvent::Start, Time(0), &mut t);
+        assert_eq!(engine.submit(7), Ok(()));
+        assert_eq!(engine.submit(8), Err("full"), "pool is full");
+        engine.start(Time(0), &mut t);
         assert_eq!(t.outputs, vec![7], "the admitted request drains on start");
     }
 }

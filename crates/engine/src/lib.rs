@@ -6,9 +6,10 @@
 //!
 //! * the node abstraction itself — [`Node`], [`Input`], [`Action`],
 //!   [`Context`], [`TimerId`], [`WireSize`], virtual [`Time`];
-//! * the [`Engine`] loop — the input mux (deliver / timer / client-submit
-//!   via [`Submitter`]), timer-generation bookkeeping, and the dispatch of
-//!   node [`Action`]s into a runtime-provided [`Transport`].
+//! * the [`Engine`] loop — buffered entry points for deliveries and timer
+//!   firings sealed (persist, then flush) once per batch, client
+//!   submissions via [`Submitter`], timer-generation bookkeeping, and the
+//!   dispatch of node [`Action`]s into a runtime-provided [`Transport`].
 //!
 //! `tetrabft-sim` plugs a deterministic virtual-time transport underneath
 //! (an event queue plus link policies), `tetrabft-net` a threaded TCP
@@ -27,6 +28,6 @@ mod driver;
 mod node;
 mod time;
 
-pub use driver::{Engine, EngineEvent, FrameRequest, Submitter, Transport};
+pub use driver::{Engine, FrameRequest, Submitter, Transport};
 pub use node::{Action, ActionBuf, Context, Dest, Input, Node, TimerId, WireSize};
 pub use time::{Time, NEVER};

@@ -110,7 +110,7 @@ pub struct Mempool {
     queue: VecDeque<Tx>,
     // Multiset of queued TxIds. For *typed* transactions the id is the
     // identity — a hit refuses immediately, no byte re-compare. For
-    // RawBytes submissions a hit is confirmed byte-exactly against the
+    // raw (opaque) submissions a hit is confirmed byte-exactly against the
     // queue (a pure digest collision must not refuse an honest opaque
     // payload); the count keeps colliding digests correct through drains.
     queued: HashMap<TxId, u32>,
@@ -169,8 +169,8 @@ impl Mempool {
 
     /// Validates and admits one transaction, FIFO position at the tail.
     /// Accepts anything convertible to the [`Tx`] envelope: a typed
-    /// [`crate::Transaction`] by reference, or a legacy `Vec<u8>` through
-    /// the [`crate::RawBytes`] path.
+    /// [`crate::Transaction`] by reference, or an opaque `Vec<u8>`
+    /// ([`Tx::raw`]).
     ///
     /// # Errors
     ///
@@ -191,9 +191,9 @@ impl Mempool {
             check(&tx)?;
         }
         if self.queued.get(&tx.id()).is_some_and(|c| *c > 0) {
-            // Typed ids are identity; only an opaque RawBytes payload needs
-            // the byte-exact confirmation (a colliding digest must not
-            // refuse it).
+            // Typed ids are identity; only an opaque raw payload needs the
+            // byte-exact confirmation (a colliding digest must not refuse
+            // it).
             if !tx.is_raw() || self.queue.iter().any(|q| q.bytes() == tx.bytes()) {
                 return Err(SubmitError::Duplicate);
             }
@@ -320,7 +320,7 @@ impl Mempool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::txn::RawBytes;
+    use crate::txn::tests::Memo;
 
     #[test]
     fn fifo_across_batches() {
@@ -365,15 +365,12 @@ mod tests {
     #[test]
     fn typed_and_raw_submissions_share_one_identity() {
         let mut pool = Mempool::new(10, 64);
-        pool.submit(Tx::typed(&RawBytes(b"pay".to_vec()))).unwrap();
+        pool.submit(Tx::typed(&Memo(b"pay"))).unwrap();
         // The same canonical bytes, raw this time: same TxId, refused.
         assert_eq!(pool.submit(b"pay".to_vec()), Err(SubmitError::Duplicate));
         // And the mirror image: raw first, typed second.
         pool.submit(b"other".to_vec()).unwrap();
-        assert_eq!(
-            pool.submit(Tx::typed(&RawBytes(b"other".to_vec()))),
-            Err(SubmitError::Duplicate)
-        );
+        assert_eq!(pool.submit(Tx::typed(&Memo(b"other"))), Err(SubmitError::Duplicate));
     }
 
     #[test]

@@ -222,79 +222,6 @@ impl WireSize for MsMessage {
     }
 }
 
-/// Wire format **v1** for multi-shot messages — encoder only, retained so
-/// the `wire_bytes` bench can price both formats on identical traffic.
-/// Fixed-width layout: `Slot`/`View`/`BlockHash` as big-endian `u64`s,
-/// block transaction counts and lengths as `u32`s, suggest/proof payloads
-/// via [`tetrabft::wire_v1`].
-pub mod v1 {
-    use super::{Block, MsMessage};
-    use tetrabft::wire_v1;
-    use tetrabft_wire::Writer;
-
-    fn encode_block(block: &Block, w: &mut Writer) {
-        w.put_u64(block.slot.0);
-        w.put_u64(block.parent.0);
-        w.put_u32(block.txs.len() as u32);
-        for tx in block.txs.iter() {
-            w.put_u32(tx.len() as u32);
-            w.put_slice(tx);
-        }
-    }
-
-    /// Appends the v1 encoding of `msg` to `w`.
-    pub fn encode(msg: &MsMessage, w: &mut Writer) {
-        match msg {
-            MsMessage::Proposal { view, block } => {
-                w.put_u8(super::TAG_PROPOSAL);
-                w.put_u64(view.0);
-                encode_block(block, w);
-            }
-            MsMessage::Vote { slot, view, hash } => {
-                w.put_u8(super::TAG_VOTE);
-                w.put_u64(slot.0);
-                w.put_u64(view.0);
-                w.put_u64(hash.0);
-            }
-            MsMessage::Suggest { slot, view, data } => {
-                w.put_u8(super::TAG_SUGGEST);
-                w.put_u64(slot.0);
-                w.put_u64(view.0);
-                wire_v1::encode_suggest_data(data, w);
-            }
-            MsMessage::Proof { slot, view, data } => {
-                w.put_u8(super::TAG_PROOF);
-                w.put_u64(slot.0);
-                w.put_u64(view.0);
-                wire_v1::encode_proof_data(data, w);
-            }
-            MsMessage::ViewChange { slot, view } => {
-                w.put_u8(super::TAG_VIEW_CHANGE);
-                w.put_u64(slot.0);
-                w.put_u64(view.0);
-            }
-            MsMessage::CatchUp { from_slot } => {
-                w.put_u8(super::TAG_CATCH_UP);
-                w.put_u64(from_slot.0);
-            }
-            MsMessage::Blocks { blocks } => {
-                w.put_u8(super::TAG_BLOCKS);
-                w.put_u32(blocks.len() as u32);
-                for b in blocks {
-                    encode_block(b, w);
-                }
-            }
-        }
-    }
-
-    /// Number of bytes `msg` occupied under wire format v1.
-    pub fn wire_len(msg: &MsMessage) -> usize {
-        let mut w = Writer::new();
-        encode(msg, &mut w);
-        w.len()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -361,11 +288,10 @@ mod tests {
 
     #[test]
     fn votes_are_tiny() {
-        // Good-case traffic is votes; they must be O(1) and small. Under
-        // v2 a realistic vote is tag + slot + view + 8-byte hash = 11 B.
+        // Good-case traffic is votes; they must be O(1) and small: a
+        // realistic vote is tag + slot + view + 8-byte hash = 11 B.
         let v = MsMessage::Vote { slot: Slot(9), view: View(0), hash: BlockHash(1) };
         assert_eq!(v.wire_len(), 11);
-        assert_eq!(v1::wire_len(&v), 25);
     }
 
     #[test]
@@ -382,30 +308,5 @@ mod tests {
             view: View(1),
             data: ProofData { vote1: vote(0), prev_vote1: vote(1), vote4: None },
         });
-    }
-
-    #[test]
-    fn v2_never_loses_to_v1_on_protocol_traffic() {
-        use tetrabft_types::{Value, VoteInfo};
-        let msgs = [
-            MsMessage::Proposal {
-                view: View(1),
-                block: Block::new(Slot(3), GENESIS_HASH, vec![b"tx".to_vec(); 4]),
-            },
-            MsMessage::Vote { slot: Slot(100), view: View(2), hash: BlockHash(u64::MAX) },
-            MsMessage::Suggest {
-                slot: Slot(9),
-                view: View(4),
-                data: SuggestData {
-                    vote2: Some(VoteInfo::new(View(3), Value::from_u64(5))),
-                    prev_vote2: None,
-                    vote3: None,
-                },
-            },
-            MsMessage::ViewChange { slot: Slot(9), view: View(4) },
-        ];
-        for m in msgs {
-            assert!(m.wire_len() < v1::wire_len(&m), "{}: v2 must shrink {m:?}", m.kind());
-        }
     }
 }

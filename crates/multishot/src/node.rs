@@ -226,8 +226,8 @@ impl MultiShotNode {
     /// Queues a transaction; it will be included the next time this node
     /// leads a slot (liveness: if every node queues it, it eventually lands
     /// in the finalized chain). Accepts anything convertible to the typed
-    /// [`Tx`] envelope — a [`crate::Transaction`] by reference, or a legacy
-    /// `Vec<u8>` through the [`crate::RawBytes`] path.
+    /// [`Tx`] envelope — a [`crate::Transaction`] by reference, or an
+    /// opaque `Vec<u8>` ([`Tx::raw`]).
     ///
     /// # Errors
     ///
@@ -522,19 +522,11 @@ impl MultiShotNode {
             // Snapshot the live slots before stepping them (steps insert
             // and retire instances). Live instances are bounded by
             // SLOT_WINDOW, so the inline capacity always suffices and the
-            // snapshot never allocates; the baseline branch retains the
-            // historical per-iteration `Vec` collect for `pipeline_hotpath`.
-            if self.params.hotpath_baseline() {
-                let slots: Vec<Slot> = self.instances.keys().copied().collect();
-                for slot in slots {
-                    dirty |= self.step_slot(slot, ctx);
-                }
-            } else {
-                let slots: InlineVec<Slot, { SLOT_WINDOW as usize }> =
-                    self.instances.keys().copied().collect();
-                for slot in slots {
-                    dirty |= self.step_slot(slot, ctx);
-                }
+            // snapshot never allocates.
+            let slots: InlineVec<Slot, { SLOT_WINDOW as usize }> =
+                self.instances.keys().copied().collect();
+            for slot in slots {
+                dirty |= self.step_slot(slot, ctx);
             }
             dirty |= self.step_finalize(ctx);
             if !dirty {
@@ -625,23 +617,11 @@ impl MultiShotNode {
     /// Fig. 3 counts view-0 votes at slot 4 toward view-1 blocks' finality.
     fn step_notarize(&mut self, slot: Slot) -> bool {
         let quorum = self.cfg.quorum();
-        let baseline = self.params.hotpath_baseline();
         let inst = self.instances.get_mut(&slot).expect("caller checked");
         if inst.notarized.is_some() {
             return false;
         }
-        // Table lookup on the hot path; the allocating tally scan is the
-        // retained baseline `pipeline_hotpath` measures against.
-        let value = if baseline {
-            inst.regs
-                .vote_value_tallies(Phase::VOTE1)
-                .into_iter()
-                .find(|(_, count)| *count >= quorum)
-                .map(|(value, _)| value)
-        } else {
-            inst.regs.quorum_value_any(Phase::VOTE1, quorum)
-        };
-        let Some(value) = value else { return false };
+        let Some(value) = inst.regs.quorum_value_any(Phase::VOTE1, quorum) else { return false };
         inst.notarized = Some(BlockHash::from_value(value));
         true
     }
@@ -868,19 +848,9 @@ impl MultiShotNode {
         // Highest slot with a phase-4 quorum whose chain back to the
         // finalized tip is fully known.
         let quorum = self.cfg.quorum();
-        let baseline = self.params.hotpath_baseline();
         let mut best: Option<(Slot, BlockHash)> = None;
         for (slot, inst) in &self.instances {
-            let value = if baseline {
-                inst.regs
-                    .vote_value_tallies(Phase::VOTE4)
-                    .into_iter()
-                    .find(|(_, count)| *count >= quorum)
-                    .map(|(value, _)| value)
-            } else {
-                inst.regs.quorum_value_any(Phase::VOTE4, quorum)
-            };
-            if let Some(value) = value {
+            if let Some(value) = inst.regs.quorum_value_any(Phase::VOTE4, quorum) {
                 best = Some((*slot, BlockHash::from_value(value)));
             }
         }

@@ -8,8 +8,9 @@
 //! deduplicates on identity instead of re-hashing and byte-comparing
 //! payloads, and an application (e.g. `tetrabft-ledger`) can veto
 //! structurally-invalid transactions at the door via an admission hook.
-//! Legacy callers keep working through the [`RawBytes`] adapter (or the
-//! `From<Vec<u8>>` conversion, which is the same thing).
+//! An opaque payload enters as [`Tx::raw`] (or the `From<Vec<u8>>`
+//! conversion, which is the same thing): the bytes are their own canonical
+//! encoding — what every TCP client frame is.
 
 use std::fmt;
 
@@ -67,24 +68,6 @@ pub trait Transaction {
     }
 }
 
-/// The legacy adapter: an opaque byte payload *is* its own canonical
-/// encoding. Callers that predate the typed surface wrap (or `.into()`)
-/// their `Vec<u8>` and keep working; the mempool falls back to byte-exact
-/// confirmation for these, since arbitrary bytes carry no structure to
-/// trust a digest over.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct RawBytes(pub Vec<u8>);
-
-impl Transaction for RawBytes {
-    fn encode_canonical(&self, w: &mut Writer) {
-        w.put_slice(&self.0);
-    }
-
-    fn canonical_bytes(&self) -> Vec<u8> {
-        self.0.clone()
-    }
-}
-
 /// The admission envelope: canonical bytes plus the [`TxId`] computed once
 /// at the submission boundary.
 ///
@@ -99,9 +82,16 @@ impl Transaction for RawBytes {
 /// # Examples
 ///
 /// ```
-/// use tetrabft_multishot::{RawBytes, Transaction, Tx};
+/// use tetrabft_multishot::{Transaction, Tx};
 ///
-/// let typed = Tx::typed(&RawBytes(b"pay".to_vec()));
+/// struct Memo(&'static str);
+/// impl Transaction for Memo {
+///     fn encode_canonical(&self, w: &mut tetrabft_wire::Writer) {
+///         w.put_slice(self.0.as_bytes());
+///     }
+/// }
+///
+/// let typed = Tx::typed(&Memo("pay"));
 /// let raw = Tx::from(b"pay".to_vec());
 /// assert_eq!(typed.id(), raw.id(), "same canonical bytes, same identity");
 /// assert!(raw.is_raw() && !typed.is_raw());
@@ -121,7 +111,7 @@ impl Tx {
         Tx { id, bytes, raw: false }
     }
 
-    /// Wraps an opaque legacy payload (the [`RawBytes`] path).
+    /// Wraps an opaque payload: the bytes are their own canonical encoding.
     pub fn raw(bytes: Vec<u8>) -> Self {
         let id = TxId::of(&bytes);
         Tx { id, bytes, raw: true }
@@ -156,7 +146,7 @@ impl Tx {
         self.bytes.is_empty()
     }
 
-    /// `true` if this envelope came from the [`RawBytes`] adapter rather
+    /// `true` if this envelope wraps opaque bytes ([`Tx::raw`]) rather
     /// than a typed [`Transaction`] — dedup then confirms digest hits
     /// byte-exactly instead of trusting the id.
     #[inline]
@@ -199,13 +189,22 @@ impl<T: Transaction> From<&T> for Tx {
 pub type TxCheck = fn(&Tx) -> Result<(), crate::SubmitError>;
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+
+    /// A typed transaction whose canonical encoding is its payload.
+    pub(crate) struct Memo(pub &'static [u8]);
+
+    impl Transaction for Memo {
+        fn encode_canonical(&self, w: &mut Writer) {
+            w.put_slice(self.0);
+        }
+    }
 
     #[test]
     fn raw_and_typed_agree_on_identity() {
         let bytes = b"transfer 7".to_vec();
-        let typed = Tx::typed(&RawBytes(bytes.clone()));
+        let typed = Tx::typed(&Memo(b"transfer 7"));
         let raw = Tx::raw(bytes.clone());
         assert_eq!(typed.id(), raw.id());
         assert_eq!(typed.bytes(), raw.bytes());
@@ -222,8 +221,7 @@ mod tests {
     fn conversions_cover_legacy_and_typed_callers() {
         let from_vec: Tx = b"legacy".to_vec().into();
         assert!(from_vec.is_raw());
-        let adapter = RawBytes(b"legacy".to_vec());
-        let from_typed: Tx = (&adapter).into();
+        let from_typed: Tx = (&Memo(b"legacy")).into();
         assert!(!from_typed.is_raw());
         assert_eq!(from_vec.id(), from_typed.id());
     }

@@ -84,7 +84,7 @@ pub use runner::{OutputRecord, Sim, SimBuilder};
 // The node abstraction and the engine loop live in `tetrabft-engine`; the
 // simulator re-exports them so protocol crates keep a single import path.
 pub use tetrabft_engine::{
-    Action, ActionBuf, Context, Dest, Engine, EngineEvent, FrameRequest, Input, Node, Submitter,
-    Time, TimerId, Transport, WireSize, NEVER,
+    Action, ActionBuf, Context, Dest, Engine, FrameRequest, Input, Node, Submitter, Time, TimerId,
+    Transport, WireSize, NEVER,
 };
 pub use trace::TraceEvent;

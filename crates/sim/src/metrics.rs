@@ -37,7 +37,7 @@ pub struct Metrics {
     per_node: Vec<NodeMetrics>,
     /// Bytes and message counts bucketed by the message's
     /// [`wire_kind`](tetrabft_engine::WireSize::wire_kind) — the per-phase
-    /// view the `wire_bytes` bench reports (loopback excluded).
+    /// view of the traffic (loopback excluded).
     by_kind: BTreeMap<&'static str, KindMetrics>,
     /// Messages dropped by the link policy (pre-GST loss).
     pub msgs_dropped: u64,

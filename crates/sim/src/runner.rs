@@ -1,8 +1,8 @@
 //! The simulation engine: a deterministic virtual-time [`Transport`]
 //! underneath the shared [`tetrabft_engine::Engine`] loop.
 //!
-//! The simulator no longer owns any protocol-driving logic — timer
-//! generations, action dispatch, and the input mux live in
+//! The simulator owns no protocol-driving logic — timer generations,
+//! action dispatch, and the persist/flush seal live in
 //! `tetrabft-engine`. What remains here is purely the *environment*: a
 //! global virtual-time event queue, seeded link policies, metrics, and
 //! traces.
@@ -40,7 +40,6 @@ pub struct SimBuilder {
     seed: u64,
     policy: LinkPolicy,
     record_trace: bool,
-    batched: bool,
 }
 
 impl SimBuilder {
@@ -51,13 +50,7 @@ impl SimBuilder {
     /// Panics if `n == 0`.
     pub fn new(n: usize) -> Self {
         assert!(n > 0, "simulation needs at least one node");
-        SimBuilder {
-            n,
-            seed: 0,
-            policy: LinkPolicy::synchronous(1),
-            record_trace: false,
-            batched: false,
-        }
+        SimBuilder { n, seed: 0, policy: LinkPolicy::synchronous(1), record_trace: false }
     }
 
     /// Seeds the deterministic RNG (default 0).
@@ -85,18 +78,11 @@ impl SimBuilder {
         self
     }
 
-    /// Enables batched stepping (off by default): one [`Sim::step`] drains
-    /// every consecutively queued event that targets the same node at the
-    /// same virtual time through the engine's `*_buffered` entry points,
-    /// sealing (persist + flush) once per batch instead of once per event.
-    ///
-    /// Event processing order, metrics, traces, and outputs are *identical*
-    /// to unbatched runs — a batch only ever coalesces events that would
-    /// have been popped back-to-back anyway — so runs stay byte-for-byte
-    /// deterministic across the two modes; only the dispatch overhead
-    /// changes. See `tests/batched_stepping.rs` for the pinned equivalence.
-    pub fn batched(mut self, on: bool) -> Self {
-        self.batched = on;
+    /// Does nothing: every simulation steps in batches (see [`Sim::step`]),
+    /// so there is no mode left to select and `_on` is ignored. Kept only
+    /// because the frozen `benchmark/src/replay.rs` still calls it; the
+    /// first PR after a `benchmark` PR drops that call removes it.
+    pub fn batched(self, _on: bool) -> Self {
         self
     }
 
@@ -137,7 +123,6 @@ impl SimBuilder {
             metrics: Metrics::new(n),
             trace: self.record_trace.then(Vec::new),
             started: false,
-            batched: self.batched,
         };
         sim.start();
         sim
@@ -238,7 +223,6 @@ pub struct Sim<M, O> {
     metrics: Metrics,
     trace: Option<Vec<TraceEvent<M>>>,
     started: bool,
-    batched: bool,
 }
 
 /// Splits a `Sim`'s fields into the dispatching node's engine plus a
@@ -316,54 +300,17 @@ impl<M: WireSize + Clone, O> Sim<M, O> {
         &mut **self.engines[id.index()].node_mut()
     }
 
-    /// Processes one queued event — or, in batched mode
-    /// ([`SimBuilder::batched`]), one *batch*: the popped event plus every
-    /// consecutively queued event for the same node at the same time.
-    /// Returns `false` when the queue is empty.
+    /// Processes one *batch* of queued events: the earliest event plus
+    /// every consecutively queued event for the same node at the same
+    /// virtual time, driven through the engine's `*_buffered` entry points
+    /// and sealed (persist + flush) once at the end. Returns `false` when
+    /// the queue is empty.
+    ///
+    /// A batch only ever takes the event that would be popped next anyway,
+    /// so events are processed in exactly queue order — the batch decides
+    /// only where the seals fall. `tests/batched_stepping.rs` pins whole
+    /// runs against recordings made with a seal after every event.
     pub fn step(&mut self) -> bool {
-        if self.batched {
-            self.step_batched()
-        } else {
-            self.step_single()
-        }
-    }
-
-    fn step_single(&mut self) -> bool {
-        let Some(event) = self.queue.pop() else { return false };
-        debug_assert!(event.at >= self.now, "time must be monotone");
-        self.now = event.at;
-        match event.kind {
-            EventKind::Deliver { to, from, msg } => {
-                if from != to {
-                    self.metrics.on_deliver(to, msg.wire_size());
-                }
-                if let Some(trace) = &mut self.trace {
-                    trace.push(TraceEvent::Delivered { at: self.now, from, to, msg: msg.clone() });
-                }
-                self.metrics.events_processed += 1;
-                let (engine, mut transport) = engine_and_transport!(self, to);
-                engine.on_deliver(from, msg, self.now, &mut transport);
-            }
-            EventKind::Timer { node, id, generation } => {
-                // The engine filters stale generations; at most one queued
-                // event can carry the current one, so no removal is needed.
-                let (engine, mut transport) = engine_and_transport!(self, node);
-                if engine.on_timer(id, generation, self.now, &mut transport) {
-                    self.metrics.events_processed += 1;
-                }
-            }
-        }
-        true
-    }
-
-    /// Batched stepping: the engine and transport are materialized once,
-    /// then every consecutively queued event for the same `(time, node)`
-    /// key is driven through the engine's `*_buffered` entry points with a
-    /// single persist/flush seal at the end. Coalescing only ever takes the
-    /// event the unbatched loop would pop next, so per-event bookkeeping,
-    /// dispatch order, and therefore entire runs are identical to
-    /// [`Sim::step_single`] — the batch saves only the per-event seal.
-    fn step_batched(&mut self) -> bool {
         let Some(event) = self.queue.pop() else { return false };
         debug_assert!(event.at >= self.now, "time must be monotone");
         self.now = event.at;
@@ -381,8 +328,8 @@ impl<M: WireSize + Clone, O> Sim<M, O> {
                 // An event dispatched above may have pushed follow-ups (a
                 // loopback delivery lands at `at` for `target`); peeking
                 // after each dispatch keeps the pop order exactly the
-                // unbatched one, extending the batch only while the
-                // globally next event stays on this node at this instant.
+                // queue's, extending the batch only while the globally
+                // next event stays on this node at this instant.
                 None => match transport.queue.peek_target() {
                     Some((t, node)) if t == at && node == target => {
                         transport.queue.pop().expect("peeked event must pop")
@@ -403,6 +350,9 @@ impl<M: WireSize + Clone, O> Sim<M, O> {
                     dispatched = true;
                 }
                 EventKind::Timer { id, generation, .. } => {
+                    // The engine filters stale generations; at most one
+                    // queued event can carry the current one, so no
+                    // removal is needed.
                     if engine.on_timer_buffered(id, generation, at, &mut transport) {
                         transport.metrics.events_processed += 1;
                         dispatched = true;
@@ -426,29 +376,31 @@ impl<M: WireSize + Clone, O> Sim<M, O> {
         }
     }
 
-    /// Runs until the event queue drains, with a hard cap of `max_events`
-    /// processed events (protection against livelock in protocol bugs).
-    /// Returns `true` if the queue drained.
-    pub fn run_until_quiet(&mut self, max_events: u64) -> bool {
-        let mut processed = 0;
-        while processed < max_events {
+    /// Runs until the event queue drains, with a hard cap of `max_steps`
+    /// [`Sim::step`] calls — batches, each one or more events (protection
+    /// against livelock in protocol bugs). Returns `true` if the queue
+    /// drained.
+    pub fn run_until_quiet(&mut self, max_steps: u64) -> bool {
+        let mut steps = 0;
+        while steps < max_steps {
             if !self.step() {
                 return true;
             }
-            processed += 1;
+            steps += 1;
         }
         self.queue.peek_time().is_none()
     }
 
     /// Runs until at least `count` outputs exist or the queue drains or
-    /// `max_events` is hit. Returns `true` if the output target was reached.
-    pub fn run_until_outputs(&mut self, count: usize, max_events: u64) -> bool {
-        let mut processed = 0;
-        while self.outputs.len() < count && processed < max_events {
+    /// `max_steps` [`Sim::step`] calls were made. Returns `true` if the
+    /// output target was reached.
+    pub fn run_until_outputs(&mut self, count: usize, max_steps: u64) -> bool {
+        let mut steps = 0;
+        while self.outputs.len() < count && steps < max_steps {
             if !self.step() {
                 break;
             }
-            processed += 1;
+            steps += 1;
         }
         self.outputs.len() >= count
     }

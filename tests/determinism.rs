@@ -3,10 +3,13 @@
 //! bit-identical decision ticks, outputs, metrics, and event trace;
 //! different seeds ⇒ different schedules that nevertheless all decide.
 
+use std::collections::BTreeMap;
+
 use tetrabft::{Message, Params, TetraNode};
-use tetrabft_sim::{LinkPolicy, OutputRecord, SimBuilder, TraceEvent};
+use tetrabft_sim::{KindMetrics, LinkPolicy, OutputRecord, SimBuilder, TraceEvent};
 use tetrabft_suite::prelude::*;
 use tetrabft_types::NodeId;
+use tetrabft_wire::Wire;
 
 /// Everything observable about one finished run.
 #[derive(Debug, Clone, PartialEq)]
@@ -29,6 +32,21 @@ fn run_single_shot(seed: u64, jitter_max: u64) -> RunRecord {
             TetraNode::new(cfg, Params::new(25 + jitter_max), id, Value::from_u64(u64::from(id.0)))
         });
     assert!(sim.run_until_outputs(4, 20_000_000), "seed {seed} must decide");
+    // The trace and the counters are two accounts of one run's traffic:
+    // per kind and in total, what the non-loopback sends in the trace
+    // encode to is what the metrics report.
+    let mut sent: BTreeMap<&'static str, KindMetrics> = BTreeMap::new();
+    for event in sim.trace().unwrap() {
+        if let TraceEvent::Sent { from, to, msg, .. } = event {
+            if from != to {
+                let kind = sent.entry(msg.kind()).or_default();
+                kind.msgs += 1;
+                kind.bytes += msg.wire_len() as u64;
+            }
+        }
+    }
+    assert_eq!(sent, sim.metrics().by_kind().collect(), "seed {seed}: trace vs metrics");
+    assert_eq!(sent.values().map(|k| k.bytes).sum::<u64>(), sim.metrics().total_bytes_sent());
     RunRecord {
         outputs: sim.outputs().to_vec(),
         trace: sim.trace().unwrap().to_vec(),
