@@ -33,6 +33,9 @@ fn main() {
                 // healthy good-case run sends none of it anyway.
                 MsMessage::CatchUp { from_slot } => from_slot.0,
                 MsMessage::Blocks { .. } => continue,
+                // The hand-off moves queued transactions; this run submits
+                // none, so none is lent.
+                MsMessage::Relay { .. } => continue,
             };
             *timeline.entry((at.0, slot, msg.kind())).or_default() += 1;
         }

@@ -87,6 +87,9 @@ fn main() {
                 // Resync traffic has no view and cannot appear in a
                 // non-durable view-change run.
                 MsMessage::CatchUp { .. } | MsMessage::Blocks { .. } => continue,
+                // The hand-off moves queued transactions; this run submits
+                // none, so none is lent.
+                MsMessage::Relay { .. } => continue,
             };
             first.entry((slot, view, msg.kind())).or_insert(at.0);
         }

@@ -133,18 +133,22 @@ impl Params {
         self
     }
 
-    /// Paces an *idle* multi-shot chain: a leader whose mempool is empty
-    /// holds an otherwise-ready view-0 proposal back for `pause` time
-    /// units instead of free-running empty blocks at CPU speed — but only
-    /// while no block between the one it extends and the finalized tip
-    /// carries a transaction. A block with transactions needs the three
-    /// slots after it to finalize, so those go out at network speed:
-    /// pacing adds nothing between a transaction's proposal and its
-    /// finalization. `0` (the default) disables pacing. A submission
-    /// arriving during the pause is proposed without waiting it out, so
-    /// what pacing costs is the wait for a turn on an idle chain: the
-    /// first transaction after a lull sits through the pause of each idle
-    /// slot ahead of its node's (up to `n − 1` of them).
+    /// Paces an *idle* multi-shot chain. Every ready view-0 proposal waits
+    /// behind one timer: for 0 time units when there is work — the leader
+    /// holds transactions (its own or lent to it), or a block between the
+    /// one it extends and the finalized tip carries some and needs the
+    /// three slots after it to finalize — and for `pause` time units when
+    /// there is none, instead of free-running empty blocks at CPU speed.
+    /// Zero is still a timer: the proposer first reads what has already
+    /// arrived, so transactions handed to it with the vote that made its
+    /// slot ready are in the block. Pacing therefore adds nothing between
+    /// a transaction's proposal and its finalization. `0` (the default)
+    /// makes the idle wait zero as well. A submission or a loan arriving
+    /// during the pause re-arms the timer at zero as soon as the node
+    /// runs, so what pacing costs is felt on an idle chain only: the first
+    /// transaction after a lull waits for its node's next vote, then for
+    /// the paused slot ahead of the leader it is lent to (or of its own
+    /// node, if that leads first) — up to two pauses.
     #[must_use]
     pub fn with_idle_pacing(mut self, pause: u64) -> Self {
         self.idle_pacing = pause;

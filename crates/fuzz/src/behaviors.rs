@@ -6,10 +6,12 @@
 //! [`MsMessage`]; the scenario builder picks the right family from
 //! [`Mode`](crate::Mode).
 
-use tetrabft::Message;
-use tetrabft_multishot::{BlockHash, MsMessage};
+use std::sync::Arc;
+
+use tetrabft::{Message, Params};
+use tetrabft_multishot::{BlockHash, MsMessage, MultiShotNode};
 use tetrabft_sim::{Behavior, BehaviorEnv, Dest, FnBehavior, Input};
-use tetrabft_types::{Phase, Slot, Value, View};
+use tetrabft_types::{Config, NodeId, Phase, Slot, Value, View};
 
 /// Ensures the equivocation offset actually flips at least one bit.
 fn nonzero(flip: u64) -> u64 {
@@ -180,4 +182,133 @@ pub fn ms_value_spammer() -> impl Behavior<MsMessage> {
             }
         },
     )
+}
+
+/// How many proposal payloads the relay spammer keeps to send back, and how
+/// many proposed blocks it remembers the hash of.
+const RELAY_MEMORY: usize = 32;
+
+/// Chain-mode hand-off abuse: on every input, one [`MsMessage::Relay`] to
+/// each peer, aimed at the live window (the highest slot heard of so far)
+/// and rotating through six shapes so that every peer sees each of them:
+///
+/// 0. well-formed — a few fresh payloads for the next slot the peer leads;
+/// 1. empty, for that slot;
+/// 2. oversize — more payloads than a block may carry, the first of them
+///    longer than a transaction may be;
+/// 3. for a slot the peer does not lead;
+/// 4. for a slot the peer leads and has already proposed;
+/// 5. copies of payloads seen in proposals, for the next slot it leads —
+///    transactions that are, or are about to be, on the chain already.
+///
+/// A borrower takes a loan only beside the lender's view-0 vote for the
+/// block two slots down, so wherever the spammer has heard that block
+/// proposed it sends the vote first: its loans are as good as an honest
+/// lender's, and the ones that must be refused are refused on their own
+/// account. An honest borrower buffers what passes its checks for a slot it
+/// leads and has not proposed, puts at most one block's worth behind its
+/// own batch, and keeps nothing; no shape may cost safety, liveness, or a
+/// block past `max_block_txs` (the chain oracle checks the last).
+pub fn ms_relay_spammer() -> impl Behavior<MsMessage> {
+    let (mut step, mut tip) = (0u64, 0u64);
+    let mut seen: Vec<Vec<u8>> = Vec::new();
+    let mut proposed: Vec<(u64, BlockHash)> = Vec::new();
+    FnBehavior::new(
+        move |input: &Input<MsMessage>, env: &BehaviorEnv, out: &mut Vec<(Dest, MsMessage)>| {
+            match input {
+                Input::Deliver { msg: MsMessage::Proposal { view, block }, .. } => {
+                    tip = tip.max(block.slot.0);
+                    seen.extend(block.txs.iter().take(RELAY_MEMORY - seen.len()).cloned());
+                    if view.is_zero() {
+                        proposed.truncate(RELAY_MEMORY - 1);
+                        proposed.insert(0, (block.slot.0, block.hash()));
+                    }
+                }
+                Input::Deliver { msg: MsMessage::Vote { slot, .. }, .. } => tip = tip.max(slot.0),
+                _ => {}
+            }
+            step += 1;
+            let cfg = Config::new(env.n).expect("a running system has nodes");
+            let forged = |count: u64| -> Vec<Vec<u8>> {
+                let tx = |i| [step, u64::from(env.me.0), i].map(u64::to_be_bytes).concat();
+                (0..count).map(tx).collect()
+            };
+            for peer in (0..env.n as u16).filter(|peer| *peer != env.me.0) {
+                let leads = |slot: &u64| {
+                    MultiShotNode::leader_of(&cfg, Slot(*slot), View::ZERO) == NodeId(peer)
+                };
+                let next_led = (tip + 1..).find(leads).expect("every node leads one slot in n");
+                let (slot, txs) = match (step + u64::from(peer)) % 6 {
+                    0 => (next_led, forged(3)),
+                    1 => (next_led, Vec::new()),
+                    2 => {
+                        let mut txs = forged(Params::DEFAULT_MAX_BLOCK_TXS as u64 + 8);
+                        txs[0] = vec![0xf0; Params::DEFAULT_MAX_TX_BYTES + 1];
+                        (next_led, txs)
+                    }
+                    3 => (next_led + 1, forged(2)),
+                    4 => ((1..=tip).rev().find(leads).unwrap_or(0), forged(2)),
+                    _ => (next_led, seen.clone()),
+                };
+                let dest = Dest::Node(NodeId(peer));
+                if let Some((below, hash)) = proposed.iter().find(|(s, _)| s + 2 == slot) {
+                    out.push((
+                        dest,
+                        MsMessage::Vote { slot: Slot(*below), view: View::ZERO, hash: *hash },
+                    ));
+                }
+                out.push((dest, MsMessage::Relay { slot: Slot(slot), txs: Arc::new(txs) }));
+            }
+        },
+    )
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use tetrabft_multishot::{Block, GENESIS_HASH};
+    use tetrabft_sim::Time;
+
+    #[test]
+    fn relay_spammer_shows_every_peer_every_shape() {
+        let mut spammer = ms_relay_spammer();
+        let env = BehaviorEnv { me: NodeId(3), n: 4, now: Time(0) };
+        let cfg = Config::new(4).unwrap();
+        let onchain = b"already on the chain".to_vec();
+        let block = Block::new(Slot(9), GENESIS_HASH, vec![onchain.clone()]);
+        let vote = MsMessage::Vote { slot: Slot(9), view: View::ZERO, hash: block.hash() };
+        let heard = Input::Deliver {
+            from: NodeId(1),
+            msg: MsMessage::Proposal { view: View::ZERO, block },
+        };
+        // (empty, oversize count, oversize payload, not led, led and past,
+        // led and ahead with fresh payloads, with a copied one) per peer.
+        let mut shapes = [[false; 7]; 3];
+        for _ in 0..6 {
+            let mut out = Vec::new();
+            spammer.react(&heard, &env, &mut out);
+            let mut last = None;
+            for (dest, msg) in out {
+                let (Dest::Node(peer), MsMessage::Relay { slot, txs }) = (dest, &msg) else {
+                    last = Some((dest, msg));
+                    continue;
+                };
+                assert_ne!(peer, env.me);
+                // Slot 9's block is the only one heard proposed: a loan for
+                // slot 11 comes right behind the vote that binds it.
+                let bound = last.take().is_some_and(|(to, msg)| to == dest && msg == vote);
+                assert_eq!(bound, *slot == Slot(11), "{peer}, {slot:?}");
+                let led = MultiShotNode::leader_of(&cfg, *slot, View::ZERO) == peer;
+                let seen = &mut shapes[peer.index()];
+                seen[0] |= txs.is_empty();
+                seen[1] |= txs.len() > Params::DEFAULT_MAX_BLOCK_TXS;
+                seen[2] |= txs.iter().any(|tx| tx.len() > Params::DEFAULT_MAX_TX_BYTES);
+                seen[3] |= !led;
+                seen[4] |= led && *slot <= Slot(9);
+                seen[5] |= led && *slot > Slot(9) && txs.len() == 3;
+                seen[6] |= txs.contains(&onchain);
+            }
+        }
+        assert_eq!(shapes, [[true; 7]; 3], "each peer sees each shape once in six steps");
+    }
 }

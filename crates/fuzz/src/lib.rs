@@ -4,7 +4,8 @@
 //!
 //! * a **Byzantine strategy composition** per faulty node — equivocation,
 //!   selective silence toward a sampled subset, view-skewed vote replay,
-//!   value spam, or random compositions thereof, assembled from the
+//!   value spam, in chain mode relay spam (unasked-for loans of every
+//!   shape), or random compositions thereof, assembled from the
 //!   composable [`Behavior`](tetrabft_sim::Behavior)s in `tetrabft-sim`;
 //! * a **random [`LinkPlan`](tetrabft_sim::LinkPlan)** — delay/jitter/loss
 //!   matrices plus scripted partition windows;

@@ -38,6 +38,12 @@ pub enum Attack {
         /// Milliseconds between spam bursts.
         period_ms: u64,
     },
+    /// Chain mode only: on every input, lend every peer transactions it
+    /// did not ask for — well-formed, empty, oversize, for slots it does
+    /// not lead or has already proposed, copies of what is on the chain
+    /// (`behaviors::ms_relay_spammer`). Single-shot consensus has no
+    /// hand-off; there the attack does nothing.
+    RelaySpam,
 }
 
 impl Attack {
@@ -56,6 +62,7 @@ impl Attack {
             Attack::ValueSpam { period_ms } => {
                 format!("Attack::ValueSpam {{ period_ms: {period_ms} }}")
             }
+            Attack::RelaySpam => "Attack::RelaySpam".into(),
         }
     }
 }
@@ -284,7 +291,7 @@ impl Scenario {
                 Attack::Equivocate => {
                     actor = actor.with_behavior(behaviors::equivocator(self.seed));
                 }
-                Attack::SilenceToward(_) => {}
+                Attack::SilenceToward(_) | Attack::RelaySpam => {}
                 Attack::SkewedReplay { view_offset } => {
                     actor = actor.with_behavior(behaviors::skewed_replayer(*view_offset));
                 }
@@ -334,6 +341,9 @@ impl Scenario {
                     let p = (*period_ms).max(1);
                     tick = Some(tick.map_or(p, |t| t.min(p)));
                     actor = actor.with_behavior(behaviors::ms_value_spammer());
+                }
+                Attack::RelaySpam => {
+                    actor = actor.with_behavior(behaviors::ms_relay_spammer());
                 }
             }
         }
@@ -405,15 +415,24 @@ impl Scenario {
         let honest = self.honest_ids();
         let mut chains: Vec<(NodeId, Vec<(u64, u64)>)> =
             honest.iter().map(|id| (*id, Vec::new())).collect();
+        let mut verdict = Verdict::Ok;
         for rec in sim.outputs() {
-            if let Some((_, chain)) = chains.iter_mut().find(|(id, _)| *id == rec.node) {
+            if let Some((node, chain)) = chains.iter_mut().find(|(id, _)| *id == rec.node) {
                 chain.push((rec.output.slot.0, rec.output.hash.0));
+                // Whatever a block's leader was lent, a block has a size.
+                let (txs, cap) = (rec.output.block.txs.len(), params.max_block_txs());
+                if txs > cap {
+                    verdict = Verdict::Safety(format!(
+                        "oversize block: node {node} finalized slot {} with {txs} transactions, \
+                         max_block_txs is {cap}",
+                        rec.output.slot.0
+                    ));
+                }
             }
         }
         let evidence = sim.metrics().evidence().to_vec();
         let equivocations = sim.metrics().equivocations();
 
-        let mut verdict = Verdict::Ok;
         'outer: for (i, (node_a, chain_a)) in chains.iter().enumerate() {
             for (node_b, chain_b) in &chains[i + 1..] {
                 let common = chain_a.len().min(chain_b.len());
@@ -674,6 +693,25 @@ mod tests {
         let report = scn.run();
         assert_eq!(report.verdict, Verdict::Ok, "{}", report.verdict);
         assert!(report.finalized.iter().all(|(_, count)| *count > 0));
+    }
+
+    #[test]
+    fn relay_spam_within_budget_costs_nothing() {
+        for node in 0..4 {
+            let scn = Scenario {
+                n: 4,
+                delta_ms: 3,
+                seed: 19,
+                horizon_ms: 1_500,
+                mode: Mode::Chain,
+                faults: vec![FaultSpec { node: NodeId(node), attacks: vec![Attack::RelaySpam] }],
+                plan: quiet_plan(),
+            };
+            assert!(scn.liveness_armed());
+            let report = scn.run();
+            assert_eq!(report.verdict, Verdict::Ok, "spammer {node}: {}", report.verdict);
+            assert!(report.finalized.iter().all(|(_, count)| *count > 0));
+        }
     }
 
     #[test]

@@ -117,34 +117,48 @@ impl Wire for BlockHash {
     }
 }
 
+/// Most transactions one block's decode will accept.
+pub(crate) const MAX_TXS: usize = 1 << 16;
+
+/// Writes a transaction list: count, then each payload length-prefixed.
+pub(crate) fn encode_txs(txs: &[Vec<u8>], w: &mut Writer) {
+    w.put_varint(txs.len() as u64);
+    for tx in txs {
+        w.put_varint(tx.len() as u64);
+        w.put_slice(tx);
+    }
+}
+
+/// Reads a transaction list of at most `limit` entries. A hostile count or
+/// length is refused before anything is allocated for it: the count
+/// against `limit` and the bytes actually present, each length against the
+/// bytes left.
+pub(crate) fn decode_txs(r: &mut Reader<'_>, limit: usize) -> Result<Arc<Vec<Vec<u8>>>, WireError> {
+    // Compare before narrowing so 32-bit targets reject the same hostile
+    // counts 64-bit ones do.
+    let declared = r.get_varint_u64()?;
+    if declared > limit as u64 {
+        let declared = usize::try_from(declared).unwrap_or(usize::MAX);
+        return Err(WireError::LengthOverflow { declared, limit });
+    }
+    let count = declared as usize;
+    let mut txs = Vec::with_capacity(count.min(r.remaining()));
+    for _ in 0..count {
+        let len = r.get_varint_u32()? as usize;
+        txs.push(r.get_slice(len)?.to_vec());
+    }
+    Ok(Arc::new(txs))
+}
+
 impl Wire for Block {
     fn encode(&self, w: &mut Writer) {
         self.slot.encode(w);
         self.parent.encode(w);
-        w.put_varint(self.txs.len() as u64);
-        for tx in self.txs.iter() {
-            w.put_varint(tx.len() as u64);
-            w.put_slice(tx);
-        }
+        encode_txs(&self.txs, w);
     }
     fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        let slot = Slot::decode(r)?;
-        let parent = BlockHash::decode(r)?;
-        // Compare before narrowing so 32-bit targets reject the same
-        // hostile counts 64-bit ones do.
-        let declared = r.get_varint_u64()?;
-        const MAX_TXS: usize = 1 << 16;
-        if declared > MAX_TXS as u64 {
-            let declared = usize::try_from(declared).unwrap_or(usize::MAX);
-            return Err(WireError::LengthOverflow { declared, limit: MAX_TXS });
-        }
-        let count = declared as usize;
-        let mut txs = Vec::with_capacity(count.min(r.remaining()));
-        for _ in 0..count {
-            let len = r.get_varint_u32()? as usize;
-            txs.push(r.get_slice(len)?.to_vec());
-        }
-        Ok(Block { slot, parent, txs: Arc::new(txs) })
+        let (slot, parent) = (Slot::decode(r)?, BlockHash::decode(r)?);
+        Ok(Block { slot, parent, txs: decode_txs(r, MAX_TXS)? })
     }
 }
 

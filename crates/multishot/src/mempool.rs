@@ -5,9 +5,18 @@
 //! the application's [`TxCheck`] hook when one is installed), deduplicates
 //! on the typed [`TxId`] digest against everything still queued, and
 //! refuses submissions past a fixed capacity — the typed [`SubmitError`]
-//! is the backpressure signal clients react to. Drain order is strictly
-//! FIFO, so a submitted transaction's position in the chain is a function
-//! of its submission order alone.
+//! is the backpressure signal clients react to.
+//!
+//! Drain order is strictly FIFO by *admission sequence*: every admitted
+//! transaction is numbered, a drained batch carries its numbers with it,
+//! and a batch that comes back ([`Mempool::requeue`]: its block lost a view
+//! change, or the leader it was lent to did not propose it) is merged back
+//! by number, wherever the queue has moved to meanwhile. A transaction does
+//! not wait in here for its own node's turn to lead: the node drains the
+//! queue into its own block when it leads, and otherwise lends it to the
+//! leader who proposes one hop from now (the hand-off: README "From a
+//! client to a block", DESIGN.md §3) — in both cases front first, so per
+//! admitting node the order of finalization is the order of admission.
 
 use std::collections::{HashMap, VecDeque};
 use std::fmt;
@@ -99,15 +108,22 @@ impl std::error::Error for SubmitError {}
 /// for k in 0..5u8 {
 ///     pool.submit(vec![k + 1]).unwrap();
 /// }
-/// let batch = pool.next_batch(3);
+/// let (seqs, batch) = pool.next_batch(3);
 /// assert_eq!(batch, vec![vec![1], vec![2], vec![3]], "drain order is FIFO");
+/// assert_eq!(seqs, vec![0, 1, 2], "each with its admission sequence");
 /// assert_eq!(pool.len(), 2);
+/// // A returned batch goes back where its sequence says, not to the tail.
+/// pool.requeue(seqs.into_iter().zip(batch));
+/// assert_eq!(pool.next_batch(1).1, vec![vec![1]]);
 /// // A drained transaction may be resubmitted (it is no longer queued).
 /// pool.submit(vec![1]).unwrap();
 /// ```
 #[derive(Debug, Clone)]
 pub struct Mempool {
-    queue: VecDeque<Tx>,
+    /// Ascending in `seq` at all times: admissions append the next number,
+    /// returns are merged by theirs.
+    queue: VecDeque<Queued>,
+    next_seq: u64,
     // Multiset of queued TxIds. For *typed* transactions the id is the
     // identity — a hit refuses immediately, no byte re-compare. For
     // raw (opaque) submissions a hit is confirmed byte-exactly against the
@@ -127,6 +143,16 @@ pub struct Mempool {
     requeued: usize,
     admitted: usize,
     drained: usize,
+    /// A return since the last seal landed behind the queue's front: the
+    /// three counters cannot describe that change ([`Mempool::reordered`]).
+    reordered: bool,
+}
+
+/// One queued transaction and the admission sequence it was given.
+#[derive(Debug, Clone)]
+struct Queued {
+    seq: u64,
+    tx: Tx,
 }
 
 impl Mempool {
@@ -142,6 +168,7 @@ impl Mempool {
         assert!(max_tx_bytes > 0, "tx size cap must be positive");
         Mempool {
             queue: VecDeque::new(),
+            next_seq: 0,
             queued: HashMap::new(),
             capacity,
             max_tx_bytes,
@@ -149,6 +176,7 @@ impl Mempool {
             requeued: 0,
             admitted: 0,
             drained: 0,
+            reordered: false,
         }
     }
 
@@ -181,20 +209,12 @@ impl Mempool {
     /// [`SubmitError::Full`] is the backpressure signal at capacity.
     pub fn submit(&mut self, tx: impl Into<Tx>) -> Result<(), SubmitError> {
         let tx = tx.into();
-        if tx.is_empty() {
-            return Err(SubmitError::Empty);
-        }
-        if tx.len() > self.max_tx_bytes {
-            return Err(SubmitError::TooLarge { size: tx.len(), max: self.max_tx_bytes });
-        }
-        if let Some(check) = self.admission {
-            check(&tx)?;
-        }
+        self.vet(&tx)?;
         if self.queued.get(&tx.id()).is_some_and(|c| *c > 0) {
             // Typed ids are identity; only an opaque raw payload needs the
             // byte-exact confirmation (a colliding digest must not refuse
             // it).
-            if !tx.is_raw() || self.queue.iter().any(|q| q.bytes() == tx.bytes()) {
+            if !tx.is_raw() || self.queue.iter().any(|q| q.tx.bytes() == tx.bytes()) {
                 return Err(SubmitError::Duplicate);
             }
         }
@@ -202,15 +222,38 @@ impl Mempool {
             return Err(SubmitError::Full { capacity: self.capacity });
         }
         *self.queued.entry(tx.id()).or_insert(0) += 1;
-        self.queue.push_back(tx);
+        self.queue.push_back(Queued { seq: self.next_seq, tx });
+        self.next_seq += 1;
         self.admitted += 1;
         Ok(())
     }
 
-    /// Drains up to `max_txs` transactions in FIFO order — the leader's
-    /// batch assembly step when it mints a block. Blocks carry the
-    /// canonical bytes alone; the envelope ends at the pool boundary.
-    pub fn next_batch(&mut self, max_txs: usize) -> Vec<Vec<u8>> {
+    /// The checks of [`Mempool::submit`] that look at the transaction
+    /// alone — not empty, under the size cap, past the admission hook —
+    /// for payloads that reach a block without being queued here (what a
+    /// peer lends this node for a slot it leads).
+    ///
+    /// # Errors
+    ///
+    /// [`SubmitError::Empty`], [`SubmitError::TooLarge`], or the hook's
+    /// [`SubmitError::Malformed`] / [`SubmitError::Rejected`].
+    pub fn vet(&self, tx: &Tx) -> Result<(), SubmitError> {
+        if tx.is_empty() {
+            return Err(SubmitError::Empty);
+        }
+        if tx.len() > self.max_tx_bytes {
+            return Err(SubmitError::TooLarge { size: tx.len(), max: self.max_tx_bytes });
+        }
+        self.admission.map_or(Ok(()), |check| check(tx))
+    }
+
+    /// Drains up to `max_txs` transactions in FIFO order — batch assembly,
+    /// for this node's own block or for a loan. Returns the payloads and,
+    /// beside them, the admission sequence of each: blocks and messages
+    /// carry the canonical bytes alone (the envelope ends at the pool
+    /// boundary), the sequences stay with whoever may have to hand the
+    /// batch back ([`Mempool::requeue`]).
+    pub fn next_batch(&mut self, max_txs: usize) -> (Vec<u64>, Vec<Vec<u8>>) {
         let take = self.queue.len().min(max_txs);
         // The drain eats the requeued front first, then the sealed middle,
         // then the newly admitted back.
@@ -220,33 +263,54 @@ impl Mempool {
         self.requeued -= from_front;
         self.drained += from_sealed;
         self.admitted -= take - from_front - from_sealed;
+        let mut seqs = Vec::with_capacity(take);
         let mut batch = Vec::with_capacity(take);
         for _ in 0..take {
-            let tx = self.queue.pop_front().expect("take <= len");
+            let Queued { seq, tx } = self.queue.pop_front().expect("take <= len");
             self.forget(tx.id());
+            seqs.push(seq);
             batch.push(tx.into_bytes());
         }
-        batch
+        (seqs, batch)
     }
 
-    /// Returns a previously drained batch to the *front* of the queue, in
-    /// its original order — used when the proposal it was packed into lost
-    /// a view change, so the transactions keep their FIFO position for the
-    /// node's next block instead of being silently dropped.
+    /// Returns previously drained transactions to the queue, each where
+    /// its admission sequence puts it — used when the block they were
+    /// packed into lost a view change, or the leader they were lent to
+    /// proposed without them, so they keep their FIFO position instead of
+    /// being silently dropped. `txs` is `(sequence, payload)` in ascending
+    /// sequence, as [`Mempool::next_batch`] handed them out. Batches may
+    /// come back in any order: one returned later never ends up in front
+    /// of an older one returned earlier.
     ///
-    /// The payloads come back from the defeated block, so they re-enter as
-    /// raw envelopes; the [`TxId`] is recomputed from the canonical bytes
-    /// and therefore identical to the one they were first admitted under.
+    /// The payloads re-enter as raw envelopes; the [`TxId`] is recomputed
+    /// from the canonical bytes and therefore identical to the one they
+    /// were first admitted under.
     ///
     /// The capacity check is deliberately skipped: these transactions were
     /// already admitted once, and the transient overshoot is bounded by
-    /// the in-flight window (`SLOT_WINDOW` batches).
-    pub fn requeue_front(&mut self, txs: Vec<Vec<u8>>) {
-        self.requeued += txs.len();
-        for bytes in txs.into_iter().rev() {
+    /// what is out at a time (`SLOT_WINDOW` batches).
+    pub fn requeue(&mut self, txs: impl IntoIterator<Item = (u64, Vec<u8>)>) {
+        let back = self.queue.len();
+        for (seq, bytes) in txs {
+            debug_assert!(back == self.queue.len() || self.queue[self.queue.len() - 1].seq < seq);
             let tx = Tx::raw(bytes);
             *self.queued.entry(tx.id()).or_insert(0) += 1;
-            self.queue.push_front(tx);
+            self.queue.push_back(Queued { seq, tx });
+        }
+        let returned = self.queue.len() - back;
+        if returned == 0 {
+            return;
+        }
+        if back == 0 || self.queue[self.queue.len() - 1].seq < self.queue[0].seq {
+            // All of it is older than everything queued: the plain push to
+            // the front the journal has a record for.
+            self.queue.rotate_right(returned);
+            self.requeued += returned;
+        } else {
+            // Two ascending runs: the stable sort merges them in one pass.
+            self.queue.make_contiguous().sort_by_key(|q| q.seq);
+            self.reordered = true;
         }
     }
 
@@ -262,7 +326,7 @@ impl Mempool {
     /// Iterates the queued payloads in FIFO order — what a durable node
     /// compacts its mempool journal down to.
     pub fn iter(&self) -> impl Iterator<Item = &[u8]> {
-        self.queue.iter().map(|tx| tx.bytes())
+        self.queue.iter().map(|q| q.tx.bytes())
     }
 
     /// How the queue differs from what it was at the last
@@ -273,6 +337,7 @@ impl Mempool {
     /// a durable node appends to its journal so admitted transactions
     /// survive a crash; transactions admitted *and* drained between two
     /// seals appear in neither (they are in a proposal, not in the queue).
+    /// Meaningless while [`Mempool::reordered`] holds.
     pub fn unsealed(
         &self,
     ) -> Option<(usize, impl ExactSizeIterator<Item = &[u8]>, impl ExactSizeIterator<Item = &[u8]>)>
@@ -283,9 +348,17 @@ impl Mempool {
         let back = self.queue.len() - self.admitted;
         Some((
             self.drained,
-            self.queue.range(..self.requeued).map(|tx| tx.bytes()),
-            self.queue.range(back..).map(|tx| tx.bytes()),
+            self.queue.range(..self.requeued).map(|q| q.tx.bytes()),
+            self.queue.range(back..).map(|q| q.tx.bytes()),
         ))
+    }
+
+    /// Whether a [`Mempool::requeue`] since the last [`Mempool::seal`] put
+    /// transactions behind the queue's front (an older batch had come back
+    /// before it): [`Mempool::unsealed`] cannot express that, so a durable
+    /// node's next seal rewrites its journal from [`Mempool::iter`].
+    pub fn reordered(&self) -> bool {
+        self.reordered
     }
 
     /// Marks the queue as it stands now as sealed: [`Mempool::unsealed`]
@@ -294,6 +367,7 @@ impl Mempool {
         self.requeued = 0;
         self.admitted = 0;
         self.drained = 0;
+        self.reordered = false;
     }
 
     /// Number of queued transactions.
@@ -328,9 +402,9 @@ mod tests {
         for k in 0..10u32 {
             pool.submit(k.to_be_bytes().to_vec()).unwrap();
         }
-        let first = pool.next_batch(4);
-        let second = pool.next_batch(4);
-        let third = pool.next_batch(4);
+        let (_, first) = pool.next_batch(4);
+        let (_, second) = pool.next_batch(4);
+        let (_, third) = pool.next_batch(4);
         let drained: Vec<u32> = first
             .iter()
             .chain(&second)
@@ -358,7 +432,7 @@ mod tests {
         let mut pool = Mempool::new(10, 64);
         pool.submit(b"tx".to_vec()).unwrap();
         assert_eq!(pool.submit(b"tx".to_vec()), Err(SubmitError::Duplicate));
-        assert_eq!(pool.next_batch(10).len(), 1);
+        assert_eq!(pool.next_batch(10).1.len(), 1);
         pool.submit(b"tx".to_vec()).expect("drained txs may be resubmitted");
     }
 
@@ -391,6 +465,11 @@ mod tests {
         assert_eq!(pool.len(), 1, "refused txs never enter the pool");
     }
 
+    /// A drained batch as `requeue` takes it back.
+    fn zip(batch: (Vec<u64>, Vec<Vec<u8>>)) -> impl Iterator<Item = (u64, Vec<u8>)> {
+        batch.0.into_iter().zip(batch.1)
+    }
+
     #[test]
     fn requeued_batch_regains_fifo_head_and_dedup() {
         let mut pool = Mempool::new(3, 64);
@@ -398,12 +477,16 @@ mod tests {
             pool.submit(vec![k + 1]).unwrap();
         }
         let batch = pool.next_batch(2); // [1], [2] in flight
-        pool.requeue_front(batch);
-        assert_eq!(pool.next_batch(3), vec![vec![1], vec![2], vec![3]], "original order restored");
+        pool.requeue(zip(batch));
+        assert_eq!(
+            pool.next_batch(3).1,
+            vec![vec![1], vec![2], vec![3]],
+            "original order restored"
+        );
         // Dedup follows the requeued entries.
         pool.submit(vec![9]).unwrap();
         let batch = pool.next_batch(1);
-        pool.requeue_front(batch);
+        pool.requeue(zip(batch));
         assert_eq!(pool.submit(vec![9]), Err(SubmitError::Duplicate));
         // Requeue may transiently exceed capacity (already-admitted txs).
         for k in 10..12u8 {
@@ -413,8 +496,41 @@ mod tests {
         pool.submit(vec![99]).unwrap();
         pool.submit(vec![98]).unwrap();
         pool.submit(vec![97]).unwrap();
-        pool.requeue_front(batch);
+        pool.requeue(zip(batch));
         assert_eq!(pool.len(), 6, "3 queued + 3 requeued");
+    }
+
+    #[test]
+    fn two_lost_batches_come_back_in_admission_order_whichever_returns_first() {
+        // One view change loses the blocks of slots m and m + 4; each batch
+        // returns when its slot commits, the older one first. A strict-nonce
+        // ledger rejects the older payer if the younger batch overtakes it.
+        for older_first in [true, false] {
+            let mut pool = Mempool::new(100, 64);
+            for k in 1..=7u8 {
+                pool.submit(vec![k]).unwrap();
+            }
+            let older = pool.next_batch(2); // [1], [2]
+            let younger = pool.next_batch(2); // [3], [4]
+            let (first, second) = if older_first { (older, younger) } else { (younger, older) };
+            pool.requeue(zip(first));
+            assert!(!pool.reordered(), "everything queued is younger: a front push");
+            pool.requeue(zip(second));
+            assert_eq!(pool.reordered(), older_first, "the younger batch lands behind the older");
+            let order: Vec<u8> = pool.iter().map(|tx| tx[0]).collect();
+            assert_eq!(order, [1, 2, 3, 4, 5, 6, 7], "older first: {older_first}");
+            // Part of a batch (the rest stayed in a block), between what is
+            // queued in front of it and behind it.
+            let (seqs, txs) = pool.next_batch(4);
+            pool.next_batch(1); // [5] is out for good
+            pool.requeue([(seqs[0], txs[0].clone())]);
+            pool.requeue([(seqs[2], txs[2].clone()), (seqs[3], txs[3].clone())]);
+            let order: Vec<u8> = pool.iter().map(|tx| tx[0]).collect();
+            assert_eq!(order, [1, 3, 4, 6, 7]);
+            assert_eq!(pool.submit(vec![3]), Err(SubmitError::Duplicate), "dedup follows");
+            pool.seal();
+            assert!(!pool.reordered() && pool.unsealed().is_none());
+        }
     }
 
     #[test]
@@ -423,8 +539,8 @@ mod tests {
         assert!(pool.unsealed().is_none());
         // What a journal holds: the queue as of the last seal.
         let mut sealed: VecDeque<Vec<u8>> = VecDeque::new();
-        let mut in_flight: Vec<Vec<Vec<u8>>> = Vec::new();
-        let (mut next, mut requeues) = (0u32, 0u32);
+        let mut in_flight: Vec<(Vec<u64>, Vec<Vec<u8>>)> = Vec::new();
+        let (mut next, mut requeues, mut rewrites) = (0u32, 0u32, 0u32);
         let mut rng = 0x2545_F491_4F6C_DD1Du64;
         let mut draw = |below: u64| {
             rng = rng.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
@@ -432,7 +548,8 @@ mod tests {
         };
         // Every mix of admissions, drains and requeues between two seals,
         // including drains that eat through the requeued front, the whole
-        // sealed middle and into what was admitted since.
+        // sealed middle and into what was admitted since, and batches that
+        // come back behind an older one (then the seal is a rewrite).
         for round in 0..5_000u32 {
             for _ in 0..draw(6) {
                 match draw(4) {
@@ -444,19 +561,23 @@ mod tests {
                     }
                     2 => {
                         let batch = pool.next_batch(draw(12) as usize);
-                        if !batch.is_empty() {
+                        if !batch.0.is_empty() {
                             in_flight.push(batch);
                         }
                     }
                     _ => {
-                        if let Some(batch) = in_flight.pop() {
-                            pool.requeue_front(batch);
+                        if !in_flight.is_empty() {
+                            let pick = draw(in_flight.len() as u64) as usize;
+                            pool.requeue(zip(in_flight.remove(pick)));
                             requeues += 1;
                         }
                     }
                 }
             }
-            if let Some((drained, requeued, admitted)) = pool.unsealed() {
+            if pool.reordered() {
+                sealed = pool.iter().map(<[u8]>::to_vec).collect();
+                rewrites += 1;
+            } else if let Some((drained, requeued, admitted)) = pool.unsealed() {
                 sealed.drain(..drained);
                 for tx in requeued.collect::<Vec<_>>().into_iter().rev() {
                     sealed.push_front(tx.to_vec());
@@ -466,8 +587,11 @@ mod tests {
             pool.seal();
             assert!(pool.iter().eq(sealed.iter().map(Vec::as_slice)), "round {round}");
             assert!(pool.unsealed().is_none(), "a sealed queue has no change to report");
+            let numbers = pool.iter().map(|tx| u32::from_be_bytes(tx.try_into().unwrap()));
+            assert!(numbers.is_sorted(), "round {round}: the queue left admission order");
         }
         assert!(next > 1_000 && requeues > 100, "{next} admitted, {requeues} requeues");
+        assert!(rewrites > 10 && rewrites < requeues / 2, "{rewrites} rewrites");
     }
 
     #[test]

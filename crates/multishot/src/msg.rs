@@ -1,16 +1,20 @@
 //! Message types of Multi-shot TetraBFT (Section 6).
 
+use std::sync::Arc;
+
 use tetrabft::{ProofData, SuggestData};
 use tetrabft_sim::WireSize;
 use tetrabft_types::{AuditClaim, Phase, Slot, Value, View};
 use tetrabft_wire::{Reader, Wire, WireError, Writer};
 
-use crate::block::{Block, BlockHash};
+use crate::block::{decode_txs, encode_txs, Block, BlockHash, MAX_TXS};
 
 /// A Multi-shot TetraBFT message.
 ///
-/// The good case uses only [`MsMessage::Proposal`] and [`MsMessage::Vote`];
-/// suggest/proof/view-change traffic appears only during recovery.
+/// The good case uses only [`MsMessage::Proposal`] and [`MsMessage::Vote`],
+/// plus a [`MsMessage::Relay`] where a node holds transactions and does not
+/// lead one of the next two slots; suggest/proof/view-change traffic
+/// appears only during recovery.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum MsMessage {
     /// A leader's block proposal for `(block.slot, view)`.
@@ -74,12 +78,34 @@ pub enum MsMessage {
         /// The blocks, in ascending slot order.
         blocks: Vec<Block>,
     },
+    /// The hand-off: queued transactions lent to the view-0 leader of
+    /// `slot`, sent beside the lender's view-0 vote for `slot − 2` so that
+    /// they arrive as that leader becomes ready to propose, and bound to
+    /// that vote: the borrower uses the loan only in a block whose chain
+    /// has, at `slot − 2`, the block the vote names. The lender keeps owing
+    /// the transactions until it sees what the slot's block carries; the
+    /// borrower checks each like a client submission, puts what fits
+    /// behind its own batch, and keeps nothing (DESIGN.md §3).
+    Relay {
+        /// The slot whose view-0 block should carry the transactions.
+        slot: Slot,
+        /// The payloads, in the lender's admission order. Shared, like
+        /// [`Block::txs`]: the lender holds the same buffer until the loan
+        /// is settled.
+        txs: Arc<Vec<Vec<u8>>>,
+    },
 }
 
 /// Most blocks one [`MsMessage::Blocks`] decode will accept; responders
 /// send at most half this (`CATCHUP_BATCH` in `node.rs`), so the headroom
 /// only rejects hostile encodings, never honest ones.
 pub const MAX_CATCHUP_BLOCKS: usize = 64;
+
+/// Most transactions one [`MsMessage::Relay`] decode will accept: what a
+/// block's decode accepts. An honest lender sends at most `max_block_txs`
+/// and a borrower buffers at most that many per slot, so, like
+/// [`MAX_CATCHUP_BLOCKS`], the bound only refuses hostile encodings.
+pub const MAX_RELAY_TXS: usize = MAX_TXS;
 
 impl MsMessage {
     /// Short human-readable kind, used by traces and the figure benches.
@@ -92,6 +118,7 @@ impl MsMessage {
             MsMessage::ViewChange { .. } => "view-change",
             MsMessage::CatchUp { .. } => "catch-up",
             MsMessage::Blocks { .. } => "blocks",
+            MsMessage::Relay { .. } => "relay",
         }
     }
 }
@@ -103,6 +130,7 @@ const TAG_PROOF: u8 = 4;
 const TAG_VIEW_CHANGE: u8 = 5;
 const TAG_CATCH_UP: u8 = 6;
 const TAG_BLOCKS: u8 = 7;
+const TAG_RELAY: u8 = 8;
 
 impl Wire for MsMessage {
     fn encode(&self, w: &mut Writer) {
@@ -146,6 +174,11 @@ impl Wire for MsMessage {
                     b.encode(w);
                 }
             }
+            MsMessage::Relay { slot, txs } => {
+                w.put_u8(TAG_RELAY);
+                slot.encode(w);
+                encode_txs(txs, w);
+            }
         }
     }
 
@@ -187,6 +220,9 @@ impl Wire for MsMessage {
                 }
                 Ok(MsMessage::Blocks { blocks })
             }
+            TAG_RELAY => {
+                Ok(MsMessage::Relay { slot: Slot::decode(r)?, txs: decode_txs(r, MAX_RELAY_TXS)? })
+            }
             tag => Err(WireError::InvalidTag { what: "MsMessage", tag }),
         }
     }
@@ -202,7 +238,7 @@ impl WireSize for MsMessage {
     /// Proposals and votes claim the write-once `(slot, view)` register, with
     /// the block hash standing in as the claimed value (hashes are the
     /// identity the chain agrees on). Recovery and catch-up traffic carries
-    /// history, not claims.
+    /// history, a relay carries payloads: neither claims anything.
     fn audit_claim(&self) -> Option<AuditClaim> {
         match self {
             MsMessage::Proposal { view, block } => Some(AuditClaim {
@@ -254,6 +290,47 @@ mod tests {
                 Block::new(Slot(2), BlockHash(77), vec![b"b".to_vec(), b"c".to_vec()]),
             ],
         });
+        roundtrip(MsMessage::Relay { slot: Slot(9), txs: Arc::new(vec![]) });
+        roundtrip(MsMessage::Relay {
+            slot: Slot(u64::MAX),
+            txs: Arc::new(vec![b"a".to_vec(), vec![], vec![7; 300]]),
+        });
+    }
+
+    #[test]
+    fn hostile_relay_count_and_length_rejected() {
+        // Like a block's list: a count past MAX_RELAY_TXS is refused before
+        // any allocation, with no payloads attached.
+        let relay_of = |fill: &dyn Fn(&mut Writer)| {
+            let mut w = Writer::new();
+            w.put_u8(8); // TAG_RELAY
+            Slot(3).encode(&mut w);
+            fill(&mut w);
+            MsMessage::from_bytes(w.as_bytes())
+        };
+        assert!(matches!(
+            relay_of(&|w| w.put_varint(MAX_RELAY_TXS as u64 + 1)),
+            Err(WireError::LengthOverflow { limit: MAX_RELAY_TXS, .. })
+        ));
+        assert!(matches!(
+            relay_of(&|w| w.put_varint(u64::MAX)),
+            Err(WireError::LengthOverflow { .. })
+        ));
+        // Exactly the limit passes as a *count* and fails on the missing
+        // payloads, having reserved no more than the bytes present.
+        assert!(matches!(
+            relay_of(&|w| w.put_varint(MAX_RELAY_TXS as u64)),
+            Err(e) if !matches!(e, WireError::LengthOverflow { .. })
+        ));
+        // One payload declaring 2^40 bytes, or 100 with 3 attached.
+        for declared in [1u64 << 40, 100] {
+            let verdict = relay_of(&|w| {
+                w.put_varint(1);
+                w.put_varint(declared);
+                w.put_slice(b"abc");
+            });
+            assert!(verdict.is_err(), "a {declared}-byte payload with 3 bytes present");
+        }
     }
 
     #[test]

@@ -1,7 +1,8 @@
 //! The Multi-shot TetraBFT node (Algorithms 2 and 3).
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::{BTreeMap, BTreeSet, HashSet};
 use std::path::Path;
+use std::sync::Arc;
 
 use tetrabft::rules::{leader_determine_safe, node_determine_safe};
 use tetrabft::{Message as CoreMessage, Params, ProofData, SuggestData};
@@ -28,8 +29,11 @@ pub const SLOT_WINDOW: u64 = 8;
 /// space can never collide with a reachable slot.
 const CATCHUP_TIMER: TimerId = TimerId(u64::MAX);
 
-/// Timer id reserved for idle proposal pacing ([`Params::idle_pacing`]).
-/// Slot timers use the slot number itself, so the two top ids are free.
+/// Timer id behind which every ready view-0 proposal waits: for 0 ms when
+/// there is something to propose — long enough to read what has already
+/// arrived, a loan above all ([`MsMessage::Relay`]) — and for
+/// [`Params::idle_pacing`] when the chain is idle. Slot timers use the slot
+/// number itself, so the two top ids are free.
 const PACE_TIMER: TimerId = TimerId(u64::MAX - 1);
 
 /// Most blocks a node serves per catch-up response — half the hostile-decode
@@ -80,14 +84,23 @@ pub struct MultiShotNode {
     vc_raw: Vec<Option<(Slot, View)>>,
     /// Highest view-change this node broadcast.
     vc_sent: Option<(Slot, View)>,
-    /// Transactions waiting to be packed into a block by this node when it
-    /// leads a slot: bounded, validated, FIFO-with-dedup.
+    /// Transactions waiting to be packed into a block — this node's own
+    /// when it leads a slot, else the block of the leader it lends them
+    /// to: bounded, validated, FIFO-with-dedup.
     mempool: Mempool,
-    /// Hash of the block each drained batch went into, per slot, until the
-    /// slot finalizes: if it finalizes with a *different* block (our
-    /// proposal lost a view change), the batch is re-queued rather than
-    /// silently lost. Bounded by the slot window.
-    in_flight: BTreeMap<Slot, BlockHash>,
+    /// Every batch drained from the mempool and not yet settled, by the
+    /// slot whose block is to carry it: this node's own block, or the
+    /// view-0 block of the leader the batch was lent to. What the slot's
+    /// finalized block turns out not to carry goes back to the mempool
+    /// ([`Self::settle`]) — admitted transactions survive lost view changes
+    /// and lost hand-offs alike. Bounded by the slot window.
+    owed: BTreeMap<Slot, Owed>,
+    /// What peers lent this node for the view-0 block of a slot it leads,
+    /// loan by loan with its lender: checked like client submissions, at
+    /// most `max_block_txs` per slot. Volatile on purpose: never journaled,
+    /// never requeued (only the lender returns a transaction to a queue),
+    /// dropped when the slot is proposed, leaves view 0 or commits.
+    borrowed: BTreeMap<Slot, Vec<Loan>>,
     /// Durable store, if this node persists its state ([`Self::durable`]).
     durable: Option<NodeStore>,
     /// Incarnation counter from the durable store (0 = not durable).
@@ -110,12 +123,36 @@ pub struct MultiShotNode {
     /// Reusable scratch for the finalization chain walk (good case: one
     /// entry per finalize).
     scratch_chain: Vec<(Slot, BlockHash, Block)>,
-    /// Idle pacing ([`Params::idle_pacing`]): the slot whose empty view-0
-    /// proposal is currently held back behind [`PACE_TIMER`].
-    pace_pending: Option<Slot>,
-    /// Set when the pace timer fires; the next paced proposal consumes it
-    /// and goes out (empty) instead of re-arming.
-    pace_ready: bool,
+    /// The slot whose ready view-0 proposal is held back behind
+    /// [`PACE_TIMER`], and the delay the timer was armed with.
+    pace_pending: Option<(Slot, u64)>,
+    /// The slot the pace timer has just released: set for the one `drive`
+    /// its firing runs, in which that slot's proposal goes out.
+    pace_released: Option<Slot>,
+}
+
+/// What one peer lent this node for one slot: the payloads that passed the
+/// borrower's checks, and who vouches for the chain they belong on.
+#[derive(Debug)]
+struct Loan {
+    lender: NodeId,
+    txs: Vec<Vec<u8>>,
+}
+
+/// A batch this node drained from its mempool, until the slot that is to
+/// carry it commits. Never empty.
+#[derive(Debug)]
+struct Owed {
+    /// Admission sequence of each owed transaction: `txs[i]` came out of
+    /// the mempool as number `seqs[i]` (an own batch is the front of its
+    /// block's list, which what the node borrowed follows).
+    seqs: Vec<u64>,
+    /// The payloads, shared with the block or relay that carries them.
+    txs: Arc<Vec<Vec<u8>>>,
+    /// The block at this slot known to carry the batch: this node's own
+    /// from the start, a borrower's once its proposal is seen. `None` is a
+    /// loan *in doubt*.
+    carried: Option<BlockHash>,
 }
 
 impl MultiShotNode {
@@ -133,7 +170,8 @@ impl MultiShotNode {
             vc_raw: vec![None; cfg.n()],
             vc_sent: None,
             mempool: Mempool::new(params.mempool_capacity(), params.max_tx_bytes()),
-            in_flight: BTreeMap::new(),
+            owed: BTreeMap::new(),
+            borrowed: BTreeMap::new(),
             durable: None,
             incarnation: 0,
             dirty_slots: BTreeSet::new(),
@@ -142,7 +180,7 @@ impl MultiShotNode {
             scratch_proofs: Vec::new(),
             scratch_chain: Vec::new(),
             pace_pending: None,
-            pace_ready: false,
+            pace_released: None,
         }
     }
 
@@ -223,10 +261,15 @@ impl MultiShotNode {
         self
     }
 
-    /// Queues a transaction; it will be included the next time this node
-    /// leads a slot (liveness: if every node queues it, it eventually lands
-    /// in the finalized chain). Accepts anything convertible to the typed
-    /// [`Tx`] envelope — a [`crate::Transaction`] by reference, or an
+    /// Queues a transaction. It leaves the queue, front first, the next
+    /// time this node casts a view-0 vote while leading neither of the two
+    /// slots that follow — then it is lent to the leader who proposes one
+    /// hop later ([`MsMessage::Relay`]) — or the next time this node leads
+    /// a slot itself, whichever comes first; a loan the borrower's block
+    /// does not carry is back in the queue one hop after that block, in
+    /// its old place. Liveness: if every node queues it, it eventually
+    /// lands in the finalized chain. Accepts anything convertible to the
+    /// typed [`Tx`] envelope — a [`crate::Transaction`] by reference, or an
     /// opaque `Vec<u8>` ([`Tx::raw`]).
     ///
     /// # Errors
@@ -324,6 +367,41 @@ impl MultiShotNode {
             MsMessage::ViewChange { slot, view } => self.on_view_change(from, slot, view),
             MsMessage::CatchUp { from_slot } => self.on_catchup(from, from_slot, ctx),
             MsMessage::Blocks { blocks } => self.on_blocks(from, blocks, ctx),
+            MsMessage::Relay { slot, txs } => self.on_relay(from, slot, txs),
+        }
+    }
+
+    /// Buffers what a peer lends this node for `slot`. The borrower trusts
+    /// nothing: the slot must be one it leads in view 0, inside the window
+    /// and not yet proposed; each payload passes the checks a client
+    /// submission passes; the buffer never outgrows one block.
+    fn on_relay(&mut self, from: NodeId, slot: Slot, txs: Arc<Vec<Vec<u8>>>) {
+        if from == self.me
+            || slot <= self.finalized
+            || slot.0 > self.finalized.0 + SLOT_WINDOW
+            || self.leader(slot, View::ZERO) != self.me
+            || self.instances.get(&slot).is_some_and(|inst| inst.proposed || !inst.view.is_zero())
+        {
+            return;
+        }
+        let held = self.borrowed.get(&slot).into_iter().flatten().map(|loan| loan.txs.len());
+        let room = self.params.max_block_txs().saturating_sub(held.sum());
+        if room == 0 {
+            return;
+        }
+        let mut loan = Vec::new();
+        // Shared only under `Sim`, where the lender holds the same buffer.
+        for bytes in Arc::unwrap_or_clone(txs) {
+            let tx = Tx::raw(bytes);
+            if self.mempool.vet(&tx).is_ok() {
+                loan.push(tx.into_bytes());
+                if loan.len() == room {
+                    break;
+                }
+            }
+        }
+        if !loan.is_empty() {
+            self.borrowed.entry(slot).or_default().push(Loan { lender: from, txs: loan });
         }
     }
 
@@ -419,6 +497,12 @@ impl MultiShotNode {
             return; // not the leader of (slot, view): ignore the imposter
         }
         let hash = self.store.insert(block);
+        // A borrower puts a loan in its view-0 block or nowhere: seeing
+        // that block ends the doubt, and what it left out can go to the
+        // next leader at once instead of waiting for the slot to commit.
+        if view.is_zero() && self.owed.get(&slot).is_some_and(|owed| owed.carried.is_none()) {
+            self.settle(slot, hash, false);
+        }
         self.ensure_instance(slot, ctx);
         // Receiving the proposal for slot s starts slot s+1 and its timer
         // (Algorithm 3 line 4).
@@ -594,6 +678,7 @@ impl MultiShotNode {
         inst.proposed = false;
         inst.timer_expired = false;
         self.dirty_slots.insert(slot);
+        self.borrowed.remove(&slot);
         ctx.set_timer(Self::timer_for(slot), params.view_timeout());
         let (vote2, prev_vote2, vote3) = inst.book.suggest_fields();
         ctx.send(
@@ -714,37 +799,31 @@ impl MultiShotNode {
         pinst.notarized.filter(|h| self.store.contains(*h))
     }
 
-    /// Idle pacing gate for a view-0 proposal that is otherwise ready:
-    /// returns `true` to hold the proposal back. Only an *idle* chain is
-    /// paced: this node has nothing to propose and no block between
-    /// `parent` and the finalized tip carries a transaction. A block with
-    /// transactions needs the three slots after it to finalize, so while
-    /// one is pending even an empty slot goes out at network speed. When
-    /// idle, the first call arms [`PACE_TIMER`] and every call until it
-    /// fires defers; the firing releases exactly one empty proposal. A
-    /// submission arriving mid-pause makes the mempool non-empty, so the
-    /// next `drive` proposes immediately (and cancels the now-moot timer).
-    /// View-change paths (`view > 0`) never pace — recovery liveness is
-    /// not traded for idle CPU.
+    /// The gate every otherwise-ready view-0 proposal passes: returns
+    /// `true` to hold it back until [`PACE_TIMER`] fires. With something to
+    /// propose — transactions queued here or borrowed for `slot`, or a
+    /// block between `parent` and the finalized tip that carries some (it
+    /// needs the three slots after it to finalize) — the timer is armed at
+    /// 0 ms: the proposal goes out at network speed, but after this node
+    /// has read what has already arrived (every message of the instant
+    /// under `Sim`, the current mailbox batch over TCP), so a loan sent
+    /// beside the vote that made the slot ready is in the block. Only an
+    /// *idle* chain waits out [`Params::idle_pacing`]. The first call arms
+    /// the timer and every call until it fires defers; a submission or a
+    /// loan arriving mid-pause re-arms it at 0 ms. View-change paths
+    /// (`view > 0`) never pass here — recovery liveness is not traded for
+    /// idle CPU.
     fn pace(&mut self, slot: Slot, parent: BlockHash, ctx: &mut Ctx<'_>) -> bool {
-        if self.params.idle_pacing() == 0
-            || !self.mempool.is_empty()
-            || self.carries_txs_above_finalized(parent)
-        {
-            if self.pace_pending.take().is_some() {
-                ctx.cancel_timer(PACE_TIMER);
-            }
-            self.pace_ready = false;
+        if self.pace_released == Some(slot) {
             return false;
         }
-        if self.pace_ready {
-            self.pace_ready = false;
-            self.pace_pending = None;
-            return false;
-        }
-        if self.pace_pending != Some(slot) {
-            self.pace_pending = Some(slot);
-            ctx.set_timer(PACE_TIMER, self.params.idle_pacing());
+        let idle = self.mempool.is_empty()
+            && !self.borrowed.contains_key(&slot)
+            && !self.carries_txs_above_finalized(parent);
+        let wait = if idle { self.params.idle_pacing() } else { 0 };
+        if self.pace_pending != Some((slot, wait)) {
+            self.pace_pending = Some((slot, wait));
+            ctx.set_timer(PACE_TIMER, wait);
         }
         true
     }
@@ -762,25 +841,106 @@ impl MultiShotNode {
         false
     }
 
+    /// Mints this node's block for `slot` on `parent`: its own batch, then
+    /// what it borrowed for the slot, never more than `max_block_txs` in
+    /// all. The own part is empty while a drain is not allowed
+    /// ([`Self::owed_settled`]).
+    ///
+    /// A loan is bound to the vote it was sent beside, the lender's view-0
+    /// vote for `slot − 2`: it enters the block only if that vote, as this
+    /// node recorded it, names the block this one has at `slot − 2`. The
+    /// lender drained its queue believing everything it owed to be on that
+    /// block's chain; on any other chain (a view change re-decided a slot
+    /// in between) the loan could finalize ahead of a batch that lost.
     fn build_block(&mut self, slot: Slot, parent: BlockHash) -> Block {
-        let block = Block::new(slot, parent, self.mempool.next_batch(self.params.max_block_txs()));
-        if !block.txs.is_empty() {
-            // A later fresh proposal for the same slot supersedes our
-            // earlier one; rescue that batch before dropping its record.
-            if let Some(old) = self.in_flight.insert(slot, block.hash()) {
-                self.requeue_batch(old);
+        let cap = self.params.max_block_txs();
+        let (seqs, mut txs) = match slot.prev() {
+            Some(prev) if self.owed_settled(parent, prev) => self.mempool.next_batch(cap),
+            _ => Default::default(),
+        };
+        if let Some(loans) = self.borrowed.remove(&slot) {
+            let anchor = self.store.ancestor(parent, 1).map(BlockHash::as_value);
+            let votes = slot.0.checked_sub(2).and_then(|k| self.instances.get(&Slot(k)));
+            for loan in loans {
+                let vote = votes.and_then(|inst| inst.regs.peer(loan.lender).vote(Phase::VOTE1));
+                let names = vote.filter(|v| v.view.is_zero()).map(|v| v.value);
+                if anchor.is_some() && names == anchor {
+                    txs.extend(loan.txs.into_iter().take(cap - txs.len()));
+                }
             }
+        }
+        let block = Block::new(slot, parent, txs);
+        if !seqs.is_empty() {
+            let owed = Owed { seqs, txs: Arc::clone(&block.txs), carried: Some(block.hash()) };
+            self.owed.insert(slot, owed);
         }
         block
     }
 
-    /// Puts the transactions of our superseded/defeated block for a slot
-    /// back at the front of the mempool (the block is still in the store:
-    /// pruning keeps everything above `finalized − 4`, and in-flight slots
-    /// are above `finalized`).
-    fn requeue_batch(&mut self, ours: BlockHash) {
-        if let Some(block) = self.store.get(ours) {
-            self.mempool.requeue_front((*block.txs).clone());
+    /// Whether the mempool may be drained into a block or loan that extends
+    /// the chain ending in `tip` (the block of `tip_slot`): only if nothing
+    /// owed is in doubt — every owed batch is known to sit in the block
+    /// that chain has at its slot. A batch drained past one that then
+    /// misses its block would finalize ahead of it; per admitting node,
+    /// finalization order is admission order.
+    fn owed_settled(&self, tip: BlockHash, tip_slot: Slot) -> bool {
+        self.owed.iter().all(|(slot, owed)| {
+            *slot <= tip_slot
+                && owed.carried.is_some()
+                && self.store.ancestor(tip, (tip_slot.0 - slot.0) as usize) == owed.carried
+        })
+    }
+
+    /// The hand-off. Called as this node casts its view-0 vote for `hash`
+    /// at slot `voted`: the leader of the next slot is proposing at this
+    /// instant and the one after it proposes one hop from now, so if this
+    /// node is neither, what it has queued (one block's worth, front first)
+    /// reaches a block sooner through that second leader than by waiting
+    /// for a turn. What is lent is owed: the batch is in doubt until the
+    /// borrower's proposal is seen.
+    fn lend(&mut self, voted: Slot, hash: BlockHash, ctx: &mut Ctx<'_>) {
+        let slot = voted.next().next();
+        let borrower = self.leader(slot, View::ZERO);
+        if self.mempool.is_empty()
+            || borrower == self.me
+            || self.leader(voted.next(), View::ZERO) == self.me
+            || self.instances.get(&slot).is_some_and(|inst| inst.saw_proposal)
+            || !self.owed_settled(hash, voted)
+        {
+            return;
+        }
+        let (seqs, txs) = self.mempool.next_batch(self.params.max_block_txs());
+        let txs = Arc::new(txs);
+        self.owed.insert(slot, Owed { seqs, txs: Arc::clone(&txs), carried: None });
+        ctx.send(borrower, MsMessage::Relay { slot, txs });
+    }
+
+    /// Squares what `slot` owes with the block `hash` (in the store) —
+    /// the borrower's proposal, or, when `finalized`, the block the slot
+    /// commits: what the block carries stays owed until the slot commits,
+    /// the rest goes back to the mempool, each transaction to the place its
+    /// admission sequence gives it.
+    fn settle(&mut self, slot: Slot, hash: BlockHash, finalized: bool) {
+        let Some(owed) = self.owed.get_mut(&slot) else { return };
+        if owed.carried != Some(hash) {
+            let block = self.store.get(hash).expect("the caller just stored the block");
+            let batch = &owed.txs[..owed.seqs.len()];
+            // A borrower appends a loan in one piece: found like that,
+            // nothing is hashed and nothing copied.
+            if !block.txs.windows(batch.len()).any(|run| run == batch) {
+                let carried: HashSet<&[u8]> = block.txs.iter().map(Vec::as_slice).collect();
+                let (kept, back): (Vec<_>, Vec<_>) = std::mem::take(&mut owed.seqs)
+                    .into_iter()
+                    .zip(batch.iter().cloned())
+                    .partition(|(_, tx)| carried.contains(tx.as_slice()));
+                self.mempool.requeue(back);
+                let (seqs, txs) = kept.into_iter().unzip();
+                (owed.seqs, owed.txs) = (seqs, Arc::new(txs));
+            }
+            owed.carried = Some(hash);
+        }
+        if finalized || owed.seqs.is_empty() {
+            self.owed.remove(&slot);
         }
     }
 
@@ -834,9 +994,16 @@ impl MultiShotNode {
                 self.dirty_slots.insert(target);
             }
         }
+        // The loan leaves ahead of the vote, in the same flush: on an
+        // ordered link the borrower reads it before the vote that may make
+        // its slot ready.
+        if view.is_zero() {
+            self.lend(slot, hash, ctx);
+        }
         // The write-ahead contract: [`Node::persist`] runs before the
-        // transport flushes this broadcast, so the book entries above reach
-        // disk before any peer can observe the vote.
+        // transport flushes this broadcast, so the book entries above (and
+        // the drain behind a loan) reach disk before any peer can observe
+        // the vote.
         ctx.broadcast(MsMessage::Vote { slot, view, hash });
         true
     }
@@ -900,19 +1067,14 @@ impl MultiShotNode {
         true
     }
 
-    /// Commits one finalized block — the shared tail of `step_finalize`
-    /// and the catch-up path: rescue a defeated in-flight batch, append to
-    /// the durable chain log *before* the output can be observed, emit the
-    /// [`Finalized`] event, and retire the slot's live state.
+    /// Commits one finalized block (already in the store) — the shared
+    /// tail of `step_finalize` and the catch-up path: take back what the
+    /// slot owed and the block does not carry, append to the durable chain
+    /// log *before* the output can be observed, emit the [`Finalized`]
+    /// event, and retire the slot's live state.
     fn commit_block(&mut self, slot: Slot, hash: BlockHash, block: Block, ctx: &mut Ctx<'_>) {
-        // If we drained a batch into a proposal for this slot and a
-        // different block won, the batch returns to the mempool's head —
-        // admitted transactions survive lost view changes.
-        if let Some(ours) = self.in_flight.remove(&slot) {
-            if ours != hash {
-                self.requeue_batch(ours);
-            }
-        }
+        self.settle(slot, hash, true);
+        self.borrowed.remove(&slot);
         if let Some(store) = self.durable.as_mut() {
             // Finalized state must never be claimed and then lost; a store
             // that cannot append is a node that must not keep running.
@@ -972,9 +1134,9 @@ impl Node for MultiShotNode {
                 ctx.set_timer(CATCHUP_TIMER, self.params.view_timeout());
             }
             Input::Timer { id } if id == PACE_TIMER => {
-                self.pace_ready = true;
-                self.pace_pending = None;
+                self.pace_released = self.pace_pending.take().map(|(slot, _)| slot);
                 self.drive(ctx);
+                self.pace_released = None;
             }
             Input::Timer { id } => {
                 self.on_timeout(Slot(id.0), ctx);
@@ -1003,10 +1165,15 @@ impl Node for MultiShotNode {
                     .expect("durable vote record failed");
             }
         }
-        let Some((drained, requeued, admitted)) = self.mempool.unsealed() else { return };
-        store
-            .journal_mempool(drained, requeued, admitted, self.mempool.iter())
-            .expect("durable mempool journal failed");
+        if self.mempool.reordered() {
+            // A batch came back behind an older one: not a change to the
+            // queue's two ends, so the journal is rewritten, not appended.
+            store.save_mempool(self.mempool.iter()).expect("durable mempool rewrite failed");
+        } else if let Some((drained, requeued, admitted)) = self.mempool.unsealed() {
+            store
+                .journal_mempool(drained, requeued, admitted, self.mempool.iter())
+                .expect("durable mempool journal failed");
+        }
         self.mempool.seal();
     }
 
@@ -1027,7 +1194,6 @@ impl Submitter for MultiShotNode {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::collections::VecDeque;
     use tetrabft_sim::{LinkPolicy, SimBuilder, Time};
 
     fn cfg(n: usize) -> Config {
@@ -1230,6 +1396,10 @@ mod tests {
             let theirs = Block::new(Slot(1), GENESIS_HASH, vec![b"theirs".to_vec()]);
             let msg = MsMessage::Proposal { view: View::ZERO, block: theirs.clone() };
             sent(&mut node, Input::Deliver { from: NodeId(1), msg });
+            let ours = sent(&mut node, Input::Timer { id: PACE_TIMER });
+            assert!(
+                matches!(&ours[..], [MsMessage::Proposal { block, .. }] if block.slot == Slot(2))
+            );
             // Our slot-2 proposal is out: what we admit now stays queued.
             node.submit_tx(b"ours".to_vec()).unwrap();
             if notarized {
@@ -1271,6 +1441,125 @@ mod tests {
                 assert_eq!(node.mempool_len(), 0);
             }
         }
+    }
+
+    fn relay(slot: u64, txs: &[&[u8]]) -> MsMessage {
+        let txs = Arc::new(txs.iter().map(|tx| tx.to_vec()).collect());
+        MsMessage::Relay { slot: Slot(slot), txs }
+    }
+
+    #[test]
+    fn what_is_lent_is_owed_and_nothing_drains_past_a_loan_in_doubt() {
+        // Node 0 leads slots 4 and 8. It holds three transactions as it
+        // votes for slot 1: nodes 2 and 3 lead the next two slots, so the
+        // queue (two to a block) goes to node 3, ahead of the vote.
+        let params = Params::new(100).with_max_block_txs(2);
+        let mut node = MultiShotNode::new(cfg(4), params, NodeId(0));
+        sent(&mut node, Input::Start);
+        for tx in [b"a", b"b", b"c"] {
+            node.submit_tx(tx.to_vec()).unwrap();
+        }
+        let b1 = Block::new(Slot(1), GENESIS_HASH, Vec::new());
+        let propose =
+            |block: &Block| MsMessage::Proposal { view: View::ZERO, block: block.clone() };
+        let out = sent(&mut node, Input::Deliver { from: NodeId(1), msg: propose(&b1) });
+        let vote = MsMessage::Vote { slot: Slot(1), view: View::ZERO, hash: b1.hash() };
+        assert_eq!(out, [relay(3, &[b"a", b"b"]), vote], "the loan, then the vote");
+        assert_eq!(queue_of(&node), [b"c"]);
+        assert_eq!(node.owed[&Slot(3)].carried, None, "in doubt until slot 3 is proposed");
+
+        // Slot 2: the earlier loan is in doubt, so nothing more is lent.
+        let notarize = |node: &mut MultiShotNode, block: &Block| {
+            for from in [NodeId(1), NodeId(2), NodeId(3)] {
+                let msg =
+                    MsMessage::Vote { slot: block.slot, view: View::ZERO, hash: block.hash() };
+                sent(node, Input::Deliver { from, msg });
+            }
+        };
+        notarize(&mut node, &b1);
+        let b2 = Block::new(Slot(2), b1.hash(), Vec::new());
+        let out = sent(&mut node, Input::Deliver { from: NodeId(2), msg: propose(&b2) });
+        assert!(matches!(&out[..], [MsMessage::Vote { slot: Slot(2), .. }]), "{out:?}");
+        assert_eq!(queue_of(&node), [b"c"]);
+
+        // The borrower's block carries half the loan: that half stays owed
+        // by slot 3, the other is back at the head of the queue at once.
+        let b3 = Block::new(Slot(3), b2.hash(), vec![b"theirs".to_vec(), b"b".to_vec()]);
+        sent(&mut node, Input::Deliver { from: NodeId(3), msg: propose(&b3) });
+        assert_eq!(queue_of(&node), [b"a", b"c"]);
+        let owed = &node.owed[&Slot(3)];
+        assert_eq!((&owed.txs[..], owed.carried), (&[b"b".to_vec()][..], Some(b3.hash())));
+
+        // Nothing is in doubt and slot 3's block is on the chain slot 4
+        // extends: this node's own block drains the queue again.
+        notarize(&mut node, &b2);
+        let ours = sent(&mut node, Input::Timer { id: PACE_TIMER });
+        let [MsMessage::Proposal { block, .. }] = &ours[..] else { panic!("{ours:?}") };
+        assert_eq!((block.slot, block.parent), (Slot(4), b3.hash()));
+        assert_eq!(*block.txs, [b"a".to_vec(), b"c".to_vec()]);
+        // On any other chain the batch owed by slot 3 is not known carried,
+        // and a block of this node's would carry nothing of its own.
+        node.submit_tx(b"d".to_vec()).unwrap();
+        let rival = node.store.insert(Block::new(Slot(7), BlockHash(9), Vec::new()));
+        assert!(node.build_block(Slot(8), rival).txs.is_empty());
+        assert_eq!(queue_of(&node), [b"d"]);
+    }
+
+    #[test]
+    fn a_borrower_trusts_nothing_and_keeps_nothing() {
+        // Node 2 leads slots 2, 6 and 10; the window is slots 1..=8.
+        let params = Params::new(100).with_max_block_txs(4).with_max_tx_bytes(4);
+        let mut node = MultiShotNode::new(cfg(4), params, NodeId(2));
+        sent(&mut node, Input::Start);
+        let offer = |node: &mut MultiShotNode, from: u16, msg: MsMessage| {
+            sent(node, Input::Deliver { from: NodeId(from), msg });
+            node.borrowed.values().flatten().map(|loan| loan.txs.len()).sum::<usize>()
+        };
+        assert_eq!(offer(&mut node, 2, relay(6, &[b"me"])), 0, "not from itself");
+        assert_eq!(offer(&mut node, 0, relay(5, &[b"x"])), 0, "not for a slot it does not lead");
+        assert_eq!(offer(&mut node, 0, relay(10, &[b"x"])), 0, "not beyond the window");
+        assert_eq!(offer(&mut node, 0, relay(0, &[b"x"])), 0, "not for a finalized slot");
+        // Each payload passes the checks a submission passes, or is left out.
+        assert_eq!(offer(&mut node, 0, relay(6, &[b"a", b"", b"toolong", b"b"])), 2);
+        // One block's worth per slot, whoever lends.
+        assert_eq!(offer(&mut node, 1, relay(6, &[b"c", b"d", b"e"])), 4);
+        assert_eq!(offer(&mut node, 3, relay(6, &[b"f"])), 4);
+
+        // The chain below slot 6, and who voted for what at slot 4: node 0
+        // for the block slot 6 will have there, node 1 for a rival.
+        let mut parent = GENESIS_HASH;
+        let mut chain = Vec::new();
+        for slot in 1..=5 {
+            parent = node.store.insert(Block::new(Slot(slot), parent, Vec::new()));
+            chain.push(parent);
+        }
+        let mut at_4 = SlotInstance::new(&cfg(4), Slot(4));
+        let vote = |hash: BlockHash| CoreMessage::Vote {
+            phase: Phase::VOTE1,
+            view: View::ZERO,
+            value: hash.as_value(),
+        };
+        at_4.regs.record(NodeId(0), &vote(chain[3]));
+        at_4.regs.record(NodeId(1), &vote(BlockHash(77)));
+        node.instances.insert(Slot(4), at_4);
+        node.submit_tx(b"mine".to_vec()).unwrap();
+        let block = node.build_block(Slot(6), chain[4]);
+        assert_eq!(
+            *block.txs,
+            [b"mine".to_vec(), b"a".to_vec(), b"b".to_vec()],
+            "own first, then the loan whose lender voted for this chain"
+        );
+        assert!(node.borrowed.is_empty(), "what did not make the block is not kept");
+
+        // A slot that is proposed, or has left view 0, borrows no more.
+        let mut done = SlotInstance::new(&cfg(4), Slot(2));
+        done.proposed = true;
+        node.instances.insert(Slot(2), done);
+        assert_eq!(offer(&mut node, 0, relay(2, &[b"x"])), 0);
+        let mut moved = SlotInstance::new(&cfg(4), Slot(6));
+        moved.view = View(1);
+        node.instances.insert(Slot(6), moved);
+        assert_eq!(offer(&mut node, 0, relay(6, &[b"x"])), 0);
     }
 
     #[test]
@@ -1326,12 +1615,14 @@ mod tests {
             node.submit_tx(vec![k]).unwrap();
         }
         let lost = node.build_block(Slot(1), GENESIS_HASH);
-        node.store.insert(lost.clone());
+        assert_eq!(lost.txs.len(), 3);
         for k in 5..=7u8 {
             node.submit_tx(vec![k]).unwrap();
         }
-        // A requeue may overshoot the capacity; a restart may not.
-        node.requeue_batch(lost.hash());
+        // The slot commits another block: the batch comes back, and may
+        // overshoot the capacity; a restart may not.
+        let won = node.store.insert(Block::new(Slot(1), GENESIS_HASH, Vec::new()));
+        node.settle(Slot(1), won, true);
         assert_eq!(node.mempool_len(), 7);
         node.persist();
         drop(node);
@@ -1349,7 +1640,7 @@ mod tests {
     enum QueueOp {
         Submit(usize),
         Build,
-        Requeue(usize),
+        Lose(usize),
         Seal,
         Reopen,
     }
@@ -1362,7 +1653,7 @@ mod tests {
                 (1usize..6).prop_map(QueueOp::Submit),
                 Just(QueueOp::Build),
                 Just(QueueOp::Build),
-                (0usize..4).prop_map(QueueOp::Requeue),
+                (0usize..4).prop_map(QueueOp::Lose),
                 Just(QueueOp::Seal),
                 Just(QueueOp::Seal),
                 Just(QueueOp::Reopen),
@@ -1374,9 +1665,10 @@ mod tests {
     proptest::proptest! {
         #![proptest_config(proptest::prelude::ProptestConfig::with_cases(32))]
 
-        /// Whatever mix of admissions, block builds and requeues the seals
-        /// fall between, a restart finds the queue exactly as the last
-        /// seal left it — order, front-requeues and all.
+        /// Whatever mix of admissions, block builds and lost blocks the
+        /// seals fall between, a restart finds the queue exactly as the
+        /// last seal left it — in admission order, however many batches
+        /// were out at once and in whatever order they came back.
         #[test]
         fn journal_restores_the_queue_as_of_the_last_seal(ops in queue_ops()) {
             use proptest::prelude::*;
@@ -1386,38 +1678,43 @@ mod tests {
                 .with_fsync(tetrabft_types::FsyncPolicy::Never);
             let open = || MultiShotNode::durable(cfg(4), params, NodeId(0), &dir).unwrap();
             let mut node = open();
-            // The model: a plain FIFO, the batches drained out of it, and
-            // a copy of it as of the last seal.
-            let mut model: VecDeque<Vec<u8>> = VecDeque::new();
-            let mut in_flight: Vec<Block> = Vec::new();
+            // The model: the queue is the admitted numbers not in a block,
+            // ascending; beside it the blocks that hold a batch, and a copy
+            // of the queue as of the last seal.
+            let mut model: BTreeSet<u32> = BTreeSet::new();
+            let mut out: Vec<Block> = Vec::new();
             let mut sealed = model.clone();
-            let (mut next_tx, mut next_slot) = (0u32, 0u64);
+            let (mut next_tx, mut tip) = (0u32, (Slot(0), GENESIS_HASH));
+            let number = |tx: &Vec<u8>| u32::from_be_bytes(tx[..].try_into().unwrap());
             for op in ops.into_iter().chain([QueueOp::Seal, QueueOp::Reopen]) {
                 match op {
                     QueueOp::Submit(count) => {
                         for _ in 0..count {
                             next_tx += 1;
                             node.submit_tx(next_tx.to_be_bytes().to_vec()).unwrap();
-                            model.push_back(next_tx.to_be_bytes().to_vec());
+                            model.insert(next_tx);
                         }
                     }
                     QueueOp::Build => {
-                        next_slot += 1;
-                        let block = node.build_block(Slot(next_slot), GENESIS_HASH);
-                        let batch: Vec<Vec<u8>> = model.drain(..model.len().min(4)).collect();
-                        prop_assert_eq!(&*block.txs, &batch);
+                        // Each block extends the last, so every batch still
+                        // out is on the chain and the drain is allowed.
+                        let block = node.build_block(tip.0.next(), tip.1);
+                        let batch: Vec<u32> = model.iter().copied().take(4).collect();
+                        prop_assert_eq!(block.txs.iter().map(number).collect::<Vec<_>>(), &batch[..]);
+                        model.retain(|k| !batch.contains(k));
+                        tip = (block.slot, node.store.insert(block.clone()));
                         if !batch.is_empty() {
-                            node.store.insert(block.clone());
-                            in_flight.push(block);
+                            out.push(block);
                         }
                     }
-                    QueueOp::Requeue(pick) => {
-                        if !in_flight.is_empty() {
-                            let block = in_flight.remove(pick % in_flight.len());
-                            node.requeue_batch(block.hash());
-                            for tx in block.txs.iter().rev() {
-                                model.push_front(tx.clone());
-                            }
+                    QueueOp::Lose(pick) => {
+                        // Any of the slots still out commits a rival block.
+                        if !out.is_empty() {
+                            let lost = out.remove(pick % out.len());
+                            let rival = Block::new(lost.slot, BlockHash(7), Vec::new());
+                            let rival = node.store.insert(rival);
+                            node.settle(lost.slot, rival, true);
+                            model.extend(lost.txs.iter().map(number));
                         }
                     }
                     QueueOp::Seal => {
@@ -1428,10 +1725,11 @@ mod tests {
                         drop(node);
                         node = open();
                         model = sealed.clone();
-                        in_flight.clear();
+                        out.clear();
                     }
                 }
-                prop_assert_eq!(queue_of(&node), Vec::from(model.clone()));
+                let queue: Vec<u32> = queue_of(&node).iter().map(number).collect();
+                prop_assert_eq!(queue, model.iter().copied().collect::<Vec<_>>());
             }
             std::fs::remove_dir_all(&dir).unwrap();
         }

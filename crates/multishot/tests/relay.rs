@@ -1,0 +1,371 @@
+//! The hand-off: a node that will not lead one of the next two slots lends
+//! its queue to the leader who proposes one hop from now. `Sim`, four
+//! nodes, δ = 10; clients feed nodes 0 and 2 one numbered transaction per
+//! tick — so the two lend to each other, and each is the other's borrower.
+//!
+//! Two oracles run on every scenario, as one equality per origin: read off
+//! an honest node's finalized chain, an origin's transactions are exactly
+//! the numbers it was fed, each once, in the order it admitted them.
+
+use std::collections::HashMap;
+use std::ops::Range;
+use std::path::PathBuf;
+
+use tetrabft::Params;
+use tetrabft_multishot::{Finalized, MsMessage, MultiShotNode};
+use tetrabft_sim::{
+    Context, Input, LinkPolicy, Node, SilentNode, Sim, SimBuilder, Time, TimerId, TraceEvent,
+};
+use tetrabft_types::{Config, FsyncPolicy, NodeId};
+
+/// Virtual ms per hop.
+const DELTA: u64 = 10;
+
+/// Slot timers use the slot number and the node reserves the top two ids.
+const FEED_TIMER: TimerId = TimerId(u64::MAX - 2);
+const REBOOT_TIMER: TimerId = TimerId(u64::MAX - 3);
+
+/// The observer whose chain the oracles read: honest in every scenario.
+const OBSERVER: NodeId = NodeId(1);
+
+/// A transaction that names its origin, its rank among the origin's
+/// admissions, and the tick it was admitted.
+fn tx(origin: NodeId, number: u64, tick: u64) -> Vec<u8> {
+    [u64::from(origin.0), number, tick].iter().flat_map(|v| v.to_be_bytes()).collect()
+}
+
+fn field(tx: &[u8], i: usize) -> u64 {
+    u64::from_be_bytes(tx[8 * i..8 * i + 8].try_into().unwrap())
+}
+
+/// A `MultiShotNode` with a client (one transaction every `every` ticks of
+/// `feed`; like a submission over TCP, feeding does not run the node),
+/// optionally
+/// deaf to every `Relay`, optionally killed at `outage.start` and brought
+/// back from its WAL at `outage.end`.
+struct Fed {
+    me: NodeId,
+    params: Params,
+    /// `None` while the node is down.
+    inner: Option<MultiShotNode>,
+    dir: Option<PathBuf>,
+    feed: Range<u64>,
+    /// Ticks between two transactions of `feed`.
+    every: u64,
+    backlog: u64,
+    fed: u64,
+    drops_relays: bool,
+    outage: Range<u64>,
+}
+
+impl Fed {
+    fn new(me: NodeId, params: Params, dir: Option<PathBuf>) -> Fed {
+        let mut node = Fed {
+            me,
+            params,
+            inner: None,
+            dir,
+            feed: 0..0,
+            every: 1,
+            backlog: 0,
+            fed: 0,
+            drops_relays: false,
+            outage: 0..0,
+        };
+        node.inner = Some(node.boot());
+        node
+    }
+
+    fn boot(&self) -> MultiShotNode {
+        let cfg = Config::new(4).unwrap();
+        match &self.dir {
+            Some(dir) => MultiShotNode::durable(cfg, self.params, self.me, dir).unwrap(),
+            None => MultiShotNode::new(cfg, self.params, self.me),
+        }
+    }
+
+    fn submit(&mut self, tick: u64) {
+        if let Some(inner) = self.inner.as_mut() {
+            inner.submit_tx(tx(self.me, self.fed, tick)).expect("the mempool has room");
+            self.fed += 1;
+        }
+    }
+}
+
+impl Node for Fed {
+    type Msg = MsMessage;
+    type Output = Finalized;
+
+    fn handle(&mut self, input: Input<MsMessage>, ctx: &mut Context<'_, MsMessage, Finalized>) {
+        let now = ctx.now().0;
+        if self.outage.contains(&now) {
+            self.inner = None; // the store closes with the node
+        }
+        match input {
+            Input::Timer { id } if id == FEED_TIMER => {
+                self.submit(now);
+                if now + self.every < self.feed.end {
+                    ctx.set_timer(FEED_TIMER, self.every);
+                }
+            }
+            Input::Timer { id } if id == REBOOT_TIMER => {
+                let mut inner = self.boot();
+                inner.handle(Input::Start, ctx);
+                self.inner = Some(inner);
+            }
+            Input::Deliver { msg: MsMessage::Relay { .. }, .. } if self.drops_relays => {}
+            input => {
+                if matches!(input, Input::Start) {
+                    for _ in 0..self.backlog {
+                        self.submit(now);
+                    }
+                    if !self.feed.is_empty() {
+                        ctx.set_timer(FEED_TIMER, self.feed.start - now);
+                    }
+                    if !self.outage.is_empty() {
+                        ctx.set_timer(REBOOT_TIMER, self.outage.end - now);
+                    }
+                }
+                if let Some(inner) = self.inner.as_mut() {
+                    inner.handle(input, ctx);
+                }
+            }
+        }
+    }
+
+    fn persist(&mut self) {
+        if let Some(inner) = self.inner.as_mut() {
+            inner.persist();
+        }
+    }
+}
+
+type ChainSim = Sim<MsMessage, Finalized>;
+
+fn scratch_dir(tag: &str, node: NodeId) -> PathBuf {
+    let dir =
+        std::env::temp_dir().join(format!("tetrabft-relay-{}-{tag}-{node}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    dir
+}
+
+/// Four nodes, the trace recorded: on δ-ms links and in memory unless the
+/// scenario says otherwise.
+struct World {
+    params: Params,
+    until: u64,
+    links: LinkPolicy,
+    /// Tag of the WAL directories, for a scenario whose nodes are durable.
+    durable: Option<&'static str>,
+    seed: u64,
+}
+
+impl World {
+    fn new(params: Params, until: u64) -> World {
+        World { params, until, links: LinkPolicy::synchronous(DELTA), durable: None, seed: 0 }
+    }
+
+    /// `shape` turns each plain node into what the scenario needs; `None`
+    /// replaces it by a silent one.
+    fn run(self, mut shape: impl FnMut(Fed) -> Option<Fed>) -> ChainSim {
+        let builder = SimBuilder::new(4).seed(self.seed).policy(self.links).record_trace(true);
+        let mut sim = builder.build_boxed(|id| {
+            let dir = self.durable.map(|tag| scratch_dir(tag, id));
+            match shape(Fed::new(id, self.params, dir)) {
+                Some(node) => Box::new(node),
+                None => Box::new(SilentNode::new()),
+            }
+        });
+        sim.run_until(Time(self.until));
+        sim
+    }
+}
+
+/// Nodes 0 and 2 get a client each.
+fn with_clients(feed: Range<u64>) -> impl FnMut(Fed) -> Option<Fed> {
+    move |mut node| {
+        if node.me.0 % 2 == 0 {
+            node.feed = feed.clone();
+        }
+        Some(node)
+    }
+}
+
+/// The observer's chain, flattened: every finalized transaction in order.
+fn finalized(sim: &ChainSim) -> Vec<&[u8]> {
+    sim.outputs()
+        .iter()
+        .filter(|o| o.node == OBSERVER)
+        .flat_map(|o| o.output.block.txs.iter().map(Vec::as_slice))
+        .collect()
+}
+
+/// Both oracles: each origin's finalized numbers are `0..fed`, in order.
+fn assert_once_each_in_admission_order(sim: &ChainSim, fed: &[(NodeId, u64)]) {
+    let mut numbers: HashMap<u64, Vec<u64>> = HashMap::new();
+    for tx in finalized(sim) {
+        numbers.entry(field(tx, 0)).or_default().push(field(tx, 1));
+    }
+    for (origin, count) in fed {
+        let got = numbers.remove(&u64::from(origin.0)).unwrap_or_default();
+        let first_off = got.iter().zip(0..).find(|(got, want)| *got != want);
+        assert_eq!(
+            (got.len() as u64, first_off),
+            (*count, None),
+            "{origin}: finalized numbers must be 0..{count}, each once, in order"
+        );
+    }
+    assert!(numbers.is_empty(), "transactions from an origin nobody fed");
+}
+
+/// Ticks from admission to first proposal, per transaction, sorted.
+fn admit_to_proposal(sim: &ChainSim) -> Vec<u64> {
+    let mut waits: HashMap<&[u8], u64> = HashMap::new();
+    for event in sim.trace().expect("the run records its trace") {
+        if let TraceEvent::Sent { at, msg: MsMessage::Proposal { block, .. }, .. } = event {
+            for tx in block.txs.iter() {
+                waits.entry(tx).or_insert(at.0 - field(tx, 2));
+            }
+        }
+    }
+    let mut waits: Vec<u64> = waits.into_values().collect();
+    waits.sort_unstable();
+    waits
+}
+
+fn relays_to(sim: &ChainSim, borrower: NodeId) -> usize {
+    let sent = |e: &&TraceEvent<MsMessage>| matches!(e, TraceEvent::Sent { to, msg: MsMessage::Relay { .. }, .. } if *to == borrower);
+    sim.trace().unwrap().iter().filter(sent).count()
+}
+
+#[test]
+fn good_case_a_transaction_reaches_the_next_proposer_in_one_hop() {
+    let sim = World::new(Params::new(100), 1_400).run(with_clients(100..1_100));
+    assert_once_each_in_admission_order(&sim, &[(NodeId(0), 1_000), (NodeId(2), 1_000)]);
+    let waits = admit_to_proposal(&sim);
+    assert_eq!(waits.len(), 2_000);
+    // Waiting for a turn is uniform over a round of four slots: median 2δ.
+    // Lent at one vote in four and proposed a hop later, it is 1.5δ.
+    let median = waits[waits.len() / 2];
+    assert!(median <= 16, "median admit -> proposal {median} ms, waiting for a turn costs 20");
+    let lent = (relays_to(&sim, NodeId(0)), relays_to(&sim, NodeId(2)));
+    assert!(lent.0 > 20 && lent.1 > 20, "once a round each way, got {lent:?}");
+    // Priced like any message: its own kind, at least its 25-byte payloads.
+    let relays = sim.metrics().kind("relay");
+    assert_eq!(relays.msgs as usize, lent.0 + lent.1);
+    assert!(relays.bytes > 25 * relays.msgs, "{relays:?}");
+    assert_eq!(sim.metrics().kind("view-change").msgs, 0, "a hand-off never costs a view change");
+}
+
+#[test]
+fn a_silent_borrower_costs_time_and_no_transaction() {
+    // Node 2 is down for good (its client has nobody to talk to): round
+    // after round node 0 lends to a leader who never proposes, and has the
+    // loan back when the slot commits under its view-1 leader.
+    let params = Params::new(30).with_max_block_txs(4_096);
+    let sim = World::new(params, 8_000).run(|mut node| {
+        if node.me == NodeId(0) {
+            node.feed = 100..1_100;
+        }
+        (node.me != NodeId(2)).then_some(node)
+    });
+    assert!(relays_to(&sim, NodeId(2)) >= 2, "the scenario must lend to the silent node");
+    assert_once_each_in_admission_order(&sim, &[(NodeId(0), 1_000)]);
+}
+
+#[test]
+fn a_borrower_that_drops_every_relay_costs_one_hop_and_no_transaction() {
+    // A lost frame, or a borrower that omits: the lender sees the
+    // borrower's block without its batch one hop after the proposal, and
+    // the batch is at the head of its queue again.
+    // Only the two borrowers of the good case are deaf: a loan that went
+    // anywhere else past a missed one would land, and overtake it.
+    let mut clients = with_clients(100..1_100);
+    let sim = World::new(Params::new(100), 1_400).run(|mut node| {
+        node.drops_relays = node.me.0 % 2 == 0;
+        clients(node)
+    });
+    assert!(relays_to(&sim, NodeId(0)) > 20 && relays_to(&sim, NodeId(2)) > 20);
+    assert_once_each_in_admission_order(&sim, &[(NodeId(0), 1_000), (NodeId(2), 1_000)]);
+    assert_eq!(sim.metrics().kind("view-change").msgs, 0);
+}
+
+#[test]
+fn a_borrower_restarted_from_its_wal_keeps_both_promises() {
+    // Node 2 — node 0's borrower, and a lender itself — is killed mid-run
+    // and comes back from its WAL 300 ms later. What it had borrowed dies
+    // with it and returns to node 0 when the slot commits; what it had
+    // lent or proposed is in blocks the others hold; what it had queued
+    // is in its journal. Its client submits nothing while it is down.
+    let params = Params::new(30).with_max_block_txs(4_096).with_fsync(FsyncPolicy::Never);
+    let (feed, outage) = (100..1_100, 600..900);
+    let mut clients = with_clients(feed.clone());
+    let world = World { durable: Some("restart"), ..World::new(params, 4_000) };
+    let sim = world.run(|mut node| {
+        if node.me == NodeId(2) {
+            node.outage = outage.clone();
+        }
+        clients(node)
+    });
+    assert!(sim.metrics().kind("view-change").msgs > 0, "the outage must be felt");
+    let fed_to_2 = (feed.end - feed.start) - (outage.end - outage.start);
+    assert_once_each_in_admission_order(&sim, &[(NodeId(0), 1_000), (NodeId(2), fed_to_2)]);
+    let rejoined = sim.outputs().iter().filter(|o| o.node == NodeId(2) && o.time.0 > outage.end);
+    assert!(rejoined.count() > 50, "the restarted node must get back in step");
+    for node in 0..4 {
+        let _ = std::fs::remove_dir_all(scratch_dir("restart", NodeId(node)));
+    }
+}
+
+#[test]
+fn a_backlog_drains_through_both_doors_in_order() {
+    // 40 queued at node 0 before the first slot, 8 to a block: its own
+    // blocks and node 2's take turns carrying them, and they still
+    // finalize 0..40.
+    let params = Params::new(100).with_max_block_txs(8);
+    let sim = World::new(params, 400).run(|mut node| {
+        if node.me == NodeId(0) {
+            node.backlog = 40;
+        }
+        Some(node)
+    });
+    assert_once_each_in_admission_order(&sim, &[(NodeId(0), 40)]);
+    assert!(relays_to(&sim, NodeId(2)) >= 2, "part of the backlog must travel as loans");
+    let sizes =
+        sim.outputs().iter().filter(|o| o.node == OBSERVER).map(|o| o.output.block.txs.len());
+    assert!(sizes.clone().all(|txs| txs <= 8), "no block may exceed max_block_txs");
+    assert_eq!(sizes.filter(|txs| *txs == 8).count(), 5, "40 at 8 per block fill exactly 5");
+}
+
+#[test]
+fn held_links_and_contended_borrowers_keep_both_promises() {
+    // Every node has a client and blocks are small, so lenders meet at one
+    // borrower and only part of a loan fits; links jitter between 0.5δ and
+    // 2.5δ, so loans arrive after the proposal they were meant for; and
+    // four times a node's outbound traffic is held back for longer than the
+    // view timeout, then released at once: its slots change view, blocks
+    // that carry loans lose, stale proposals and loans arrive late. Nothing
+    // is ever dropped on the wire (the chain has no block fetch), so in the
+    // end every transaction must be on the chain, once, in order.
+    use rand::Rng;
+    use tetrabft_sim::Route;
+    for seed in 0..12u64 {
+        let params = Params::new(30).with_max_block_txs(6);
+        let links = LinkPolicy::scripted(|env, rng| {
+            let arrives = env.now.0 + rng.random_range(5..=25u64);
+            // Node k is held during [400 + 500k, 750 + 500k).
+            let held = 400 + 500 * u64::from(env.from.0)..750 + 500 * u64::from(env.from.0);
+            Route::DeliverAt(Time(if held.contains(&env.now.0) { held.end } else { arrives }))
+        });
+        let world = World { links, seed, ..World::new(params, 12_000) };
+        let sim = world.run(|mut node| {
+            node.feed = 100..2_100;
+            node.every = 4;
+            Some(node)
+        });
+        assert!(sim.metrics().kind("view-change").msgs > 0, "seed {seed}: the holds must be felt");
+        assert!(sim.metrics().kind("relay").msgs > 50, "seed {seed}: loans must be made");
+        let fed: Vec<(NodeId, u64)> = (0..4).map(|node| (NodeId(node), 500)).collect();
+        assert_once_each_in_admission_order(&sim, &fed);
+    }
+}

@@ -3,14 +3,21 @@
 //! that must be invisible — the same outputs at the same virtual times, the
 //! same trace, the same communication metrics as sealing after every event.
 //!
-//! The reference is a recording, not a second code path: every literal
-//! below was captured at commit cac177d (the last one whose simulator
-//! could still seal after every event) *in that unbatched mode*, as the
-//! FNV-1a digest of the whole [`RunRecord`]'s `Debug` text, and that
-//! commit reproduces them in both of its modes. A mismatch is a
-//! dispatch-order bug (coalescing across nodes, a missed re-peek after a
-//! loopback send), not a tuning difference; a PR that changes the event
-//! order on purpose re-captures them and says why.
+//! The reference is a recording, not a second code path: each literal is
+//! the FNV-1a digest of a whole [`RunRecord`]'s `Debug` text. The
+//! single-shot literals were captured at commit cac177d (the last one whose
+//! simulator could still seal after every event) *in that unbatched mode*,
+//! and that commit reproduces them in both of its modes. The multishot
+//! literals no longer date from the unbatched simulator: ISSUE 20 put a
+//! 0-ms timer in front of every view-0 proposal (the proposer reads what
+//! has already arrived before it proposes, so a loan sent with a vote makes
+//! the block), which moves every multishot proposal behind the other events
+//! of its instant — a new event order in every multishot run, on purpose.
+//! They were re-captured at that commit and pin *its* order. A mismatch is
+//! a dispatch-order bug (coalescing across nodes, a missed re-peek after a
+//! loopback send) or an unintended change of cadence, not a tuning
+//! difference; a PR that changes the event order on purpose re-captures
+//! them and says why.
 
 use tetrabft_sim::{OutputRecord, TraceEvent};
 use tetrabft_suite::prelude::*;
@@ -92,15 +99,15 @@ fn single_shot_runs_are_identical_batched_or_not() {
 #[test]
 fn multishot_runs_are_identical_batched_or_not() {
     const PINNED: [(u64, u64); 3] = [
-        (7, 0x6f30_f6c6_ff42_bc9e),
-        (1234, 0xe388_84da_99dc_ecd0),
-        (0xFEED, 0x55ec_b62c_a4b5_98e5),
+        (7, 0x5a58_0af7_c267_dbf4),
+        (1234, 0xa67f_0bec_2d16_8eed),
+        (0xFEED, 0x5527_c24c_8913_8007),
     ];
-    for (seed, unbatched) in PINNED {
+    for (seed, pinned) in PINNED {
         let run = multishot_run(seed);
         let chain_len = run.outputs.iter().filter(|o| o.node == NodeId(0)).count();
         assert!(chain_len > 5, "the chain must actually grow (seed {seed})");
-        assert_eq!(digest(&run), unbatched, "seed {seed}: batched stepping changed the run");
+        assert_eq!(digest(&run), pinned, "seed {seed}: batched stepping changed the run");
     }
 }
 
@@ -118,5 +125,5 @@ fn batched_stepping_survives_faults_and_partitions() {
     sim.run_until(Time(600));
     let run = record(&sim);
     assert!(run.outputs.iter().any(|o| o.node == NodeId(0)), "the chain must recover after GST");
-    assert_eq!(digest(&run), 0xef29_8a0a_1624_439d, "batched stepping changed the run");
+    assert_eq!(digest(&run), 0x943b_1da5_4469_bfeb, "batched stepping changed the run");
 }

@@ -152,9 +152,10 @@ fn batching_liveness_lands_within_bounded_slots() {
 
 #[test]
 fn batch_drain_order_is_fifo_across_blocks() {
-    // Node 0 queues 40 txs with max_block_txs = 8: its leadership slots
-    // must drain them in submission order, 8 per block, across several of
-    // its blocks — no reordering at the batching boundary.
+    // Node 0 queues 40 txs with max_block_txs = 8: read off the whole
+    // chain they must come out in submission order, 8 per block — no
+    // reordering at the batching boundary, whichever leader's block a
+    // batch travels in (node 0's own, or the one it lent the batch to).
     let n = 4;
     let cfg = Config::new(n).unwrap();
     let params = Params::new(1_000).with_max_block_txs(8);
@@ -168,17 +169,14 @@ fn batch_drain_order_is_fifo_across_blocks() {
         node
     });
     sim.run_until(Time(80));
-    // Under synchrony every block stays in view 0, so slot s's proposer is
-    // leader_of(s, view 0); collect node 0's blocks in slot order.
     let drained: Vec<Vec<u8>> = sim
         .outputs()
         .iter()
         .filter(|o| o.node == NodeId(0))
-        .filter(|o| MultiShotNode::leader_of(&cfg, o.output.slot, View(0)) == NodeId(0))
         .flat_map(|o| o.output.block.txs.iter().cloned())
         .collect();
     let expected: Vec<Vec<u8>> = (0..40u32).map(|k| format!("fifo-{k:03}").into_bytes()).collect();
-    assert_eq!(drained, expected, "txs must finalize in submission order");
+    assert_eq!(drained, expected, "txs must finalize once each, in submission order");
     let full_blocks = sim
         .outputs()
         .iter()

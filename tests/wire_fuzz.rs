@@ -79,6 +79,11 @@ fn arb_ms_message() -> impl Strategy<Value = MsMessage> {
         ),
         (any::<u64>(), any::<u64>())
             .prop_map(|(s, v)| MsMessage::ViewChange { slot: Slot(s), view: View(v) }),
+        (
+            any::<u64>(),
+            proptest::collection::vec(proptest::collection::vec(any::<u8>(), 0..32), 0..8)
+        )
+            .prop_map(|(s, txs)| MsMessage::Relay { slot: Slot(s), txs: std::sync::Arc::new(txs) }),
     ]
 }
 
