@@ -263,11 +263,62 @@ pub fn ms_relay_spammer() -> impl Behavior<MsMessage> {
     )
 }
 
+/// Chain-mode *vote-then-skip* leader: votes for every proposal it hears,
+/// in the proposal's view, and never proposes. Honest nodes take a leader
+/// for dead — and its next slot to view 1 without waiting — only while it
+/// has not been heard voting since a slot of its timed out; this one is
+/// always heard, so each of its turns costs the full 9Δ timer, which is
+/// what a crashed leader cost per turn before it could be suspected, and
+/// the most any leader can cost.
+pub fn ms_vote_then_skip() -> impl Behavior<MsMessage> {
+    FnBehavior::new(
+        |input: &Input<MsMessage>, _env: &BehaviorEnv, out: &mut Vec<(Dest, MsMessage)>| {
+            if let Input::Deliver { msg: MsMessage::Proposal { view, block }, .. } = input {
+                let vote = MsMessage::Vote { slot: block.slot, view: *view, hash: block.hash() };
+                out.push((Dest::All, vote));
+            }
+        },
+    )
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tetrabft_multishot::{Block, GENESIS_HASH};
-    use tetrabft_sim::Time;
+    use tetrabft_multishot::{Block, Finalized, GENESIS_HASH};
+    use tetrabft_sim::{ByzantineActor, LinkPolicy, Node, SilentNode, SimBuilder, Time};
+
+    /// Δ = 30 on 10-ms links, node 3 replaced by `faulty`: the gaps of a
+    /// timer's length or more between node 0's consecutive finalizations
+    /// (the first counted from the start).
+    fn stalls(faulty: fn() -> Box<dyn Node<Msg = MsMessage, Output = Finalized>>) -> Vec<u64> {
+        let cfg = Config::new(4).unwrap();
+        let mut sim =
+            SimBuilder::new(4).policy(LinkPolicy::synchronous(10)).build_boxed(|id| match id {
+                NodeId(3) => faulty(),
+                _ => Box::new(MultiShotNode::new(cfg, Params::new(30), id)),
+            });
+        sim.run_until(Time(6_000));
+        let finalized = sim.outputs().iter().filter(|o| o.node == NodeId(0)).map(|o| o.time.0);
+        let at: Vec<u64> = std::iter::once(0).chain(finalized).collect();
+        at.windows(2).map(|pair| pair[1] - pair[0]).filter(|gap| *gap >= 9 * 30).collect()
+    }
+
+    #[test]
+    fn vote_then_skip_costs_one_timer_a_turn_and_a_crash_one_timer() {
+        // A crashed leader is silent: one stall — 9Δ + 2δ and, before a
+        // first finalization, four hops more — then its slots go to view 1
+        // as they start. (At 04ad5d4 every turn cost 9Δ + 2δ: in this world
+        // 18 stalls, the very list below.)
+        assert_eq!(stalls(|| Box::new(SilentNode::new())), [330]);
+        // One that votes is never silent when its turn comes: that stall
+        // every turn — the timer and never more, as before.
+        let skipper = || -> Box<dyn Node<Msg = MsMessage, Output = Finalized>> {
+            Box::new(ByzantineActor::new().with_behavior(ms_vote_then_skip()))
+        };
+        let mut every_turn = vec![290; 18];
+        every_turn[0] = 330;
+        assert_eq!(stalls(skipper), every_turn);
+    }
 
     #[test]
     fn relay_spammer_shows_every_peer_every_shape() {

@@ -44,6 +44,10 @@ pub enum Attack {
     /// (`behaviors::ms_relay_spammer`). Single-shot consensus has no
     /// hand-off; there the attack does nothing.
     RelaySpam,
+    /// Chain mode only: vote for every proposal, never propose
+    /// (`behaviors::ms_vote_then_skip`) — a leader honest nodes can never
+    /// take for dead. In single-shot mode the attack does nothing.
+    VoteThenSkip,
 }
 
 impl Attack {
@@ -63,6 +67,7 @@ impl Attack {
                 format!("Attack::ValueSpam {{ period_ms: {period_ms} }}")
             }
             Attack::RelaySpam => "Attack::RelaySpam".into(),
+            Attack::VoteThenSkip => "Attack::VoteThenSkip".into(),
         }
     }
 }
@@ -291,7 +296,7 @@ impl Scenario {
                 Attack::Equivocate => {
                     actor = actor.with_behavior(behaviors::equivocator(self.seed));
                 }
-                Attack::SilenceToward(_) | Attack::RelaySpam => {}
+                Attack::SilenceToward(_) | Attack::RelaySpam | Attack::VoteThenSkip => {}
                 Attack::SkewedReplay { view_offset } => {
                     actor = actor.with_behavior(behaviors::skewed_replayer(*view_offset));
                 }
@@ -344,6 +349,9 @@ impl Scenario {
                 }
                 Attack::RelaySpam => {
                     actor = actor.with_behavior(behaviors::ms_relay_spammer());
+                }
+                Attack::VoteThenSkip => {
+                    actor = actor.with_behavior(behaviors::ms_vote_then_skip());
                 }
             }
         }

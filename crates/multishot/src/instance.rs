@@ -39,6 +39,9 @@ pub struct SlotInstance {
     /// Per-peer view-change support for this slot: the highest view each
     /// peer has requested for a slot range covering this slot.
     pub vc_support: Vec<Option<View>>,
+    /// Whether this node asked for view 1 as the slot started, taking its
+    /// view-0 leader for dead.
+    pub suspected: bool,
 }
 
 impl SlotInstance {
@@ -54,6 +57,7 @@ impl SlotInstance {
             saw_proposal: false,
             timer_expired: false,
             vc_support: vec![None; cfg.n()],
+            suspected: false,
         }
     }
 

@@ -84,6 +84,18 @@ pub struct MultiShotNode {
     vc_raw: Vec<Option<(Slot, View)>>,
     /// Highest view-change this node broadcast.
     vc_sent: Option<(Slot, View)>,
+    /// Per-peer *silent* bit: a view-0 slot the peer leads timed out with
+    /// no proposal ever seen, and the peer has not been heard voting for a
+    /// known block (or proposing) since. A silent leader's next slot asks
+    /// for view 1 the moment it starts instead of 9Δ later, and nothing is
+    /// lent to it. Liveness only — safety never reads it.
+    silent: Vec<bool>,
+    /// Per-peer evidence that the chain has left this node behind: the
+    /// peer voted beyond this node's window since the last catch-up request.
+    ahead: Vec<bool>,
+    /// Highest slot a quorum was seen to finalize over a block this node
+    /// lacks ([`Self::step_finalize`] asks for it once).
+    hole: Slot,
     /// Transactions waiting to be packed into a block — this node's own
     /// when it leads a slot, else the block of the leader it lends them
     /// to: bounded, validated, FIFO-with-dedup.
@@ -169,6 +181,9 @@ impl MultiShotNode {
             pending: vec![None; cfg.n()],
             vc_raw: vec![None; cfg.n()],
             vc_sent: None,
+            silent: vec![false; cfg.n()],
+            ahead: vec![false; cfg.n()],
+            hole: Slot::GENESIS,
             mempool: Mempool::new(params.mempool_capacity(), params.max_tx_bytes()),
             owed: BTreeMap::new(),
             borrowed: BTreeMap::new(),
@@ -324,6 +339,11 @@ impl MultiShotNode {
         Self::leader_of(&self.cfg, slot, view)
     }
 
+    /// Whether `slot`'s view-0 leader is held silent.
+    fn leader_silent(&self, slot: Slot) -> bool {
+        self.silent[self.leader(slot, View::ZERO).index()]
+    }
+
     fn timer_for(slot: Slot) -> TimerId {
         // TimerId is as wide as Slot, so slots never alias (a u32 id
         // wrapped at slot 2^32, resurrecting foreign slots' timers).
@@ -343,7 +363,15 @@ impl MultiShotNode {
         // starting from view 0" (Fig. 3's slot 4). Seeding fresh slots from
         // old requests would hand them straight to a potentially-dead
         // rotated leader.
-        let inst = SlotInstance::new(&self.cfg, slot);
+        let mut inst = SlotInstance::new(&self.cfg, slot);
+        // A leader that let its last slot time out and has not voted since
+        // is taken for dead: ask for view 1 now — a request every node was
+        // always free to send — and keep the 9Δ timer as retransmission.
+        if self.leader_silent(slot) {
+            inst.suspected = true;
+            inst.support(self.me.index(), View(1));
+            ctx.broadcast(MsMessage::ViewChange { slot, view: View(1) });
+        }
         self.instances.insert(slot, inst);
         ctx.set_timer(Self::timer_for(slot), self.params.view_timeout());
     }
@@ -353,7 +381,7 @@ impl MultiShotNode {
     fn on_message(&mut self, from: NodeId, msg: MsMessage, ctx: &mut Ctx<'_>) {
         match msg {
             MsMessage::Proposal { view, block } => self.on_proposal(from, view, block, ctx),
-            MsMessage::Vote { slot, view, hash } => self.on_vote(from, slot, view, hash),
+            MsMessage::Vote { slot, view, hash } => self.on_vote(from, slot, view, hash, ctx),
             MsMessage::Suggest { slot, view, data } => {
                 if let Some(inst) = self.instances.get_mut(&slot) {
                     inst.regs.record(from, &CoreMessage::Suggest { view, data });
@@ -364,7 +392,7 @@ impl MultiShotNode {
                     inst.regs.record(from, &CoreMessage::Proof { view, data });
                 }
             }
-            MsMessage::ViewChange { slot, view } => self.on_view_change(from, slot, view),
+            MsMessage::ViewChange { slot, view } => self.on_view_change(from, slot, view, ctx),
             MsMessage::CatchUp { from_slot } => self.on_catchup(from, from_slot, ctx),
             MsMessage::Blocks { blocks } => self.on_blocks(from, blocks, ctx),
             MsMessage::Relay { slot, txs } => self.on_relay(from, slot, txs),
@@ -403,6 +431,13 @@ impl MultiShotNode {
         if !loan.is_empty() {
             self.borrowed.entry(slot).or_default().push(Loan { lender: from, txs: loan });
         }
+    }
+
+    /// Asks every peer for the finalized blocks above this node's tip. Any
+    /// request spends the evidence gathered so far.
+    fn ask_catchup(&mut self, ctx: &mut Ctx<'_>) {
+        self.ahead.fill(false);
+        ctx.broadcast(MsMessage::CatchUp { from_slot: self.finalized.next() });
     }
 
     /// Serves a peer's catch-up request from the durable chain log: up to
@@ -484,7 +519,7 @@ impl MultiShotNode {
             // for the next range — convergence in chain/BATCH round trips
             // instead of one periodic timer tick per batch.
             self.ensure_instance(self.finalized.next(), ctx);
-            ctx.broadcast(MsMessage::CatchUp { from_slot: self.finalized.next() });
+            self.ask_catchup(ctx);
         }
     }
 
@@ -496,6 +531,7 @@ impl MultiShotNode {
         if from != self.leader(slot, view) {
             return; // not the leader of (slot, view): ignore the imposter
         }
+        self.silent[from.index()] = false;
         let hash = self.store.insert(block);
         // A borrower puts a loan in its view-0 block or nowhere: seeing
         // that block ends the doubt, and what it left out can go to the
@@ -514,8 +550,26 @@ impl MultiShotNode {
         self.retry_pending();
     }
 
-    fn on_vote(&mut self, from: NodeId, slot: Slot, view: View, hash: BlockHash) {
-        if slot <= self.finalized || slot.0 > self.finalized.0 + SLOT_WINDOW {
+    fn on_vote(
+        &mut self,
+        from: NodeId,
+        slot: Slot,
+        view: View,
+        hash: BlockHash,
+        ctx: &mut Ctx<'_>,
+    ) {
+        if slot.0 > self.finalized.0 + SLOT_WINDOW {
+            // A blocking set voting beyond the window holds an honest node:
+            // the chain has moved on. Ask for it now, not at the next tick
+            // of the catch-up timer (which stays as the retransmission).
+            self.ahead[from.index()] = true;
+            let ahead = self.ahead.iter().filter(|seen| **seen).count();
+            if self.durable.is_some() && self.cfg.is_blocking(ahead) {
+                self.ask_catchup(ctx);
+            }
+            return;
+        }
+        if slot <= self.finalized {
             return;
         }
         if self.store.slot_of(hash) == Some(slot) {
@@ -530,6 +584,8 @@ impl MultiShotNode {
     /// Fans one multiplexed vote out to its four roles: `vote-k` for slot
     /// `slot − k + 1` endorsing the `(k−1)`-th ancestor of `hash`.
     fn apply_vote(&mut self, from: NodeId, slot: Slot, view: View, hash: BlockHash) {
+        // Voting for a block this node knows, at a live slot: in step.
+        self.silent[from.index()] = false;
         for k in 0u64..4 {
             let Some(target) = slot.0.checked_sub(k).map(Slot) else { break };
             if target <= self.finalized {
@@ -555,7 +611,15 @@ impl MultiShotNode {
         }
     }
 
-    fn on_view_change(&mut self, from: NodeId, slot: Slot, view: View) {
+    fn on_view_change(&mut self, from: NodeId, slot: Slot, view: View, ctx: &mut Ctx<'_>) {
+        // A peer that started a silent leader's slot a moment before this
+        // node would: start it too (and ask with it), or the request finds
+        // no instance to support and the slot waits out its timer.
+        if slot.prev().is_some_and(|prev| self.instances.contains_key(&prev))
+            && self.leader_silent(slot)
+        {
+            self.ensure_instance(slot, ctx);
+        }
         // Raw register (for echo): prefer higher view, then lower slot
         // (a lower slot covers strictly more of the chain).
         let raw = &mut self.vc_raw[from.index()];
@@ -580,6 +644,9 @@ impl MultiShotNode {
         let Some(inst) = self.instances.get_mut(&slot) else { return };
         inst.timer_expired = true;
         let target = inst.view.next();
+        if inst.view.is_zero() && !inst.saw_proposal {
+            self.silent[Self::leader_of(&self.cfg, slot, View::ZERO).index()] = true;
+        }
         // One view-change per stalled slot (Algorithm 3 lines 6–8); the
         // re-armed timer doubles as post-GST retransmission.
         self.note_vc_sent(slot, target);
@@ -660,15 +727,33 @@ impl MultiShotNode {
     fn step_enter_view(&mut self, slot: Slot, ctx: &mut Ctx<'_>) -> bool {
         let params = self.params;
         let (target, leader) = {
-            let inst = self.instances.get(&slot).expect("caller checked");
+            let me = self.me.index();
+            let silent = self.leader_silent(slot);
+            let inst = self.instances.get_mut(&slot).expect("caller checked");
+            // A request made on suspicion alone stands while the leader
+            // stays silent, or once a peer is seen in a later view of this
+            // slot. Heard from again before anyone moved, it is taken back:
+            // where only some nodes took the leader for dead, all move or
+            // none does.
+            let mut condemned = inst.timer_expired;
+            if inst.suspected && inst.view.is_zero() && !inst.timer_expired {
+                let mut peers = (0..self.cfg.n()).map(|peer| NodeId(peer as u16));
+                condemned = silent || peers.any(|peer| inst.regs.peer(peer).proof().is_some());
+                if !condemned {
+                    inst.vc_support[me] = None;
+                } else if inst.vc_support[me].is_none() {
+                    inst.support(me, View(1));
+                    ctx.broadcast(MsMessage::ViewChange { slot, view: View(1) });
+                }
+            }
             let Some(target) = inst.quorum_view(self.cfg.quorum()) else { return false };
             if target <= inst.view {
                 return false;
             }
             // Never-proposed slots stay in view 0 (Algorithm 3 line 10,
             // Fig. 3's slot 4) unless their own timer says the view-0
-            // leader is dead.
-            if !inst.saw_proposal && !inst.timer_expired {
+            // leader is dead, or its last slot's did and it is silent since.
+            if !inst.saw_proposal && !condemned {
                 return false;
             }
             (target, self.leader(slot, target))
@@ -903,6 +988,7 @@ impl MultiShotNode {
         let borrower = self.leader(slot, View::ZERO);
         if self.mempool.is_empty()
             || borrower == self.me
+            || self.silent[borrower.index()]
             || self.leader(voted.next(), View::ZERO) == self.me
             || self.instances.get(&slot).is_some_and(|inst| inst.saw_proposal)
             || !self.owed_settled(hash, voted)
@@ -1054,6 +1140,13 @@ impl MultiShotNode {
             // (impossible for well-behaved inputs — agreement): bail out.
             chain.clear();
             self.scratch_chain = chain;
+            // A quorum finalized `slot` on a chain with a block this node
+            // never saw proposed (it was out of the window, catching up):
+            // from this instant peers can serve it. Once per slot.
+            if !intact && self.durable.is_some() && slot > self.hole {
+                self.hole = slot;
+                self.ask_catchup(ctx);
+            }
             return false;
         }
         chain.reverse();
@@ -1120,7 +1213,7 @@ impl Node for MultiShotNode {
                     // Pull whatever finalized while we were down, and keep
                     // pulling periodically — the timer doubles as the
                     // retransmission for lost catch-up traffic.
-                    ctx.broadcast(MsMessage::CatchUp { from_slot: self.finalized.next() });
+                    self.ask_catchup(ctx);
                     ctx.set_timer(CATCHUP_TIMER, self.params.view_timeout());
                 }
                 self.drive(ctx);
@@ -1130,7 +1223,7 @@ impl Node for MultiShotNode {
                 self.drive(ctx);
             }
             Input::Timer { id } if id == CATCHUP_TIMER => {
-                ctx.broadcast(MsMessage::CatchUp { from_slot: self.finalized.next() });
+                self.ask_catchup(ctx);
                 ctx.set_timer(CATCHUP_TIMER, self.params.view_timeout());
             }
             Input::Timer { id } if id == PACE_TIMER => {

@@ -8,7 +8,7 @@
 //! the numbers it was fed, each once, in the order it admitted them.
 
 use std::collections::HashMap;
-use std::ops::Range;
+use std::ops::{Range, RangeInclusive};
 use std::path::PathBuf;
 
 use tetrabft::Params;
@@ -16,7 +16,7 @@ use tetrabft_multishot::{Finalized, MsMessage, MultiShotNode};
 use tetrabft_sim::{
     Context, Input, LinkPolicy, Node, SilentNode, Sim, SimBuilder, Time, TimerId, TraceEvent,
 };
-use tetrabft_types::{Config, FsyncPolicy, NodeId};
+use tetrabft_types::{Config, FsyncPolicy, NodeId, View};
 
 /// Virtual ms per hop.
 const DELTA: u64 = 10;
@@ -201,7 +201,8 @@ fn finalized(sim: &ChainSim) -> Vec<&[u8]> {
 }
 
 /// Both oracles: each origin's finalized numbers are `0..fed`, in order.
-fn assert_once_each_in_admission_order(sim: &ChainSim, fed: &[(NodeId, u64)]) {
+/// Returns the first origin for which they are not, and what it got.
+fn admission_order_violation(sim: &ChainSim, fed: &[(NodeId, u64)]) -> Option<String> {
     let mut numbers: HashMap<u64, Vec<u64>> = HashMap::new();
     for tx in finalized(sim) {
         numbers.entry(field(tx, 0)).or_default().push(field(tx, 1));
@@ -209,13 +210,19 @@ fn assert_once_each_in_admission_order(sim: &ChainSim, fed: &[(NodeId, u64)]) {
     for (origin, count) in fed {
         let got = numbers.remove(&u64::from(origin.0)).unwrap_or_default();
         let first_off = got.iter().zip(0..).find(|(got, want)| *got != want);
-        assert_eq!(
-            (got.len() as u64, first_off),
-            (*count, None),
-            "{origin}: finalized numbers must be 0..{count}, each once, in order"
-        );
+        if (got.len() as u64, first_off) != (*count, None) {
+            return Some(format!(
+                "{origin}: finalized numbers must be 0..{count}, each once, in order; \
+                 got {} of them, first off {first_off:?}",
+                got.len()
+            ));
+        }
     }
-    assert!(numbers.is_empty(), "transactions from an origin nobody fed");
+    (!numbers.is_empty()).then(|| "transactions from an origin nobody fed".to_string())
+}
+
+fn assert_once_each_in_admission_order(sim: &ChainSim, fed: &[(NodeId, u64)]) {
+    assert_eq!(admission_order_violation(sim, fed), None);
 }
 
 /// Ticks from admission to first proposal, per transaction, sorted.
@@ -259,9 +266,10 @@ fn good_case_a_transaction_reaches_the_next_proposer_in_one_hop() {
 
 #[test]
 fn a_silent_borrower_costs_time_and_no_transaction() {
-    // Node 2 is down for good (its client has nobody to talk to): round
-    // after round node 0 lends to a leader who never proposes, and has the
-    // loan back when the slot commits under its view-1 leader.
+    // Node 2 is down for good (its client has nobody to talk to). Its first
+    // slot times out and marks it silent: from then on node 0 lends it
+    // nothing and its slots ask for view 1 as they start, so the chain
+    // pays 9Δ once, not once a round.
     let params = Params::new(30).with_max_block_txs(4_096);
     let sim = World::new(params, 8_000).run(|mut node| {
         if node.me == NodeId(0) {
@@ -269,8 +277,89 @@ fn a_silent_borrower_costs_time_and_no_transaction() {
         }
         (node.me != NodeId(2)).then_some(node)
     });
-    assert!(relays_to(&sim, NodeId(2)) >= 2, "the scenario must lend to the silent node");
+    assert!(relays_to(&sim, NodeId(2)) <= 1, "a silent node is lent nothing more");
     assert_once_each_in_admission_order(&sim, &[(NodeId(0), 1_000)]);
+    // The last transaction is admitted at tick 1,099. Waiting out every
+    // slot of the dead node, with a loan in doubt meanwhile, took until
+    // tick 1,920 (at 04ad5d4).
+    let carries = |o: &&tetrabft_sim::OutputRecord<Finalized>| {
+        o.node == OBSERVER && !o.output.block.txs.is_empty()
+    };
+    let last = sim.outputs().iter().filter(carries).map(|o| o.time.0).max().unwrap();
+    assert_eq!(last, 1_210, "the last transaction's finalization");
+}
+
+#[test]
+fn a_dead_leader_costs_one_timeout() {
+    // Node 3 leads every fourth slot, in step and voting, until it is
+    // killed at tick 500: for good, then (durable) back from its WAL at
+    // tick 1,500. Δ = 30, so a timed-out slot costs 9Δ = 270 ticks.
+    const DEAD: NodeId = NodeId(3);
+    let cfg = Config::new(4).unwrap();
+    // A round is four slots, 40 ticks: the kill falls in each part of one.
+    let kills = (500..540).step_by(13);
+    for (back_at, kill) in kills.flat_map(|kill| [(None, kill), (Some(1_500), kill)]) {
+        let params = Params::new(30).with_fsync(FsyncPolicy::Never);
+        let away = kill..back_at.unwrap_or(u64::MAX / 2);
+        let world = World { durable: back_at.map(|_| "dead-leader"), ..World::new(params, 3_000) };
+        let sim = world.run(|mut node| {
+            if node.me == DEAD {
+                node.outage = away.clone();
+            }
+            Some(node)
+        });
+        let chain: Vec<_> = sim.outputs().iter().filter(|o| o.node == OBSERVER).collect();
+        // One stall of 9Δ, the paper's; after it a slot of the dead node
+        // costs a view change at network speed, not another timer.
+        let gaps = chain.windows(2).map(|pair| (pair[0].time.0, pair[1].time.0 - pair[0].time.0));
+        let stalls: Vec<_> = gaps.clone().filter(|(_, gap)| *gap >= 270).collect();
+        assert!(matches!(stalls[..], [(500..=600, 270..=330)]), "one 9Δ stall, got {stalls:?}");
+        let worst = gaps.filter(|(at, _)| *at > stalls[0].0 && *at < away.end).map(|g| g.1).max();
+        assert!(worst.unwrap() <= 8 * DELTA, "a later slot of the dead node cost {worst:?} ticks");
+        // Who proposed, and in which view, the block each slot committed.
+        let mut proposed = HashMap::new();
+        let mut view_changes = Vec::new();
+        let mut votes_again = None;
+        for event in sim.trace().unwrap() {
+            match event {
+                TraceEvent::Sent { at, from, msg: MsMessage::Proposal { view, block }, .. } => {
+                    proposed.entry(block.hash()).or_insert((at.0, (*from, *view)));
+                }
+                TraceEvent::Sent { at, msg: MsMessage::ViewChange { .. }, .. } => {
+                    view_changes.push(at.0);
+                }
+                TraceEvent::Sent { at, from, msg: MsMessage::Vote { .. }, .. }
+                    if *from == DEAD && at.0 >= away.end =>
+                {
+                    votes_again.get_or_insert(at.0);
+                }
+                _ => {}
+            }
+        }
+        let mut turns_back = 0;
+        for fin in &chain {
+            let slot = fin.output.slot;
+            if MultiShotNode::leader_of(&cfg, slot, View::ZERO) != DEAD {
+                continue;
+            }
+            let (at, by) = proposed[&fin.output.hash];
+            if votes_again.is_some_and(|again| at > again + 4 * DELTA) {
+                assert_eq!(by, (DEAD, View::ZERO), "{slot}: back in step, it leads its turn");
+                turns_back += 1;
+            } else if at > stalls[0].0 + 270 && at < away.end {
+                let heir = MultiShotNode::leader_of(&cfg, slot, View(1));
+                assert_eq!(by, (heir, View(1)), "{slot}: commits under its view-1 leader");
+            }
+        }
+        if let Some(at) = votes_again {
+            assert!(turns_back > 20, "the restarted node must lead again, led {turns_back}");
+            let late = view_changes.iter().filter(|sent| **sent > at + 4 * DELTA).count();
+            assert_eq!(late, 0, "a round after it votes again nobody asks for a view change");
+        }
+        for node in 0..4 {
+            let _ = std::fs::remove_dir_all(scratch_dir("dead-leader", NodeId(node)));
+        }
+    }
 }
 
 #[test]
@@ -337,35 +426,67 @@ fn a_backlog_drains_through_both_doors_in_order() {
     assert_eq!(sizes.filter(|txs| *txs == 8).count(), 5, "40 at 8 per block fill exactly 5");
 }
 
-#[test]
-fn held_links_and_contended_borrowers_keep_both_promises() {
-    // Every node has a client and blocks are small, so lenders meet at one
-    // borrower and only part of a loan fits; links jitter between 0.5δ and
-    // 2.5δ, so loans arrive after the proposal they were meant for; and
-    // four times a node's outbound traffic is held back for longer than the
-    // view timeout, then released at once: its slots change view, blocks
-    // that carry loans lose, stale proposals and loans arrive late. Nothing
-    // is ever dropped on the wire (the chain has no block fetch), so in the
-    // end every transaction must be on the chain, once, in order.
+/// Every node has a client (500 transactions each) and blocks are small,
+/// so lenders meet at one borrower and only part of a loan fits; each
+/// message takes a time drawn from `jitter`, so loans arrive after the
+/// proposal they were meant for; and node k's outbound traffic is held
+/// back from tick 400 + 500k for `hold` ticks, longer than the view
+/// timeout, then released at once: its slots change view, blocks that
+/// carry loans lose, stale proposals and loans arrive late. Nothing is ever
+/// dropped on the wire (the chain has no block fetch), so in the end every
+/// transaction must be on the chain, once, in order.
+fn held_links(seed: u64, jitter: RangeInclusive<u64>, hold: u64) -> ChainSim {
     use rand::Rng;
     use tetrabft_sim::Route;
+    let params = Params::new(30).with_max_block_txs(6);
+    let links = LinkPolicy::scripted(move |env, rng| {
+        let arrives = env.now.0 + rng.random_range(jitter.clone());
+        let from = 400 + 500 * u64::from(env.from.0);
+        let held = from..from + hold;
+        Route::DeliverAt(Time(if held.contains(&env.now.0) { held.end } else { arrives }))
+    });
+    let world = World { links, seed, ..World::new(params, 12_000) };
+    world.run(|mut node| {
+        node.feed = 100..2_100;
+        node.every = 4;
+        Some(node)
+    })
+}
+
+fn fed_500_each() -> Vec<(NodeId, u64)> {
+    (0..4).map(|node| (NodeId(node), 500)).collect()
+}
+
+#[test]
+fn held_links_and_contended_borrowers_keep_both_promises() {
+    // Links jitter between 0.5δ and 2.5δ; each hold lasts 350 ticks.
     for seed in 0..12u64 {
-        let params = Params::new(30).with_max_block_txs(6);
-        let links = LinkPolicy::scripted(|env, rng| {
-            let arrives = env.now.0 + rng.random_range(5..=25u64);
-            // Node k is held during [400 + 500k, 750 + 500k).
-            let held = 400 + 500 * u64::from(env.from.0)..750 + 500 * u64::from(env.from.0);
-            Route::DeliverAt(Time(if held.contains(&env.now.0) { held.end } else { arrives }))
-        });
-        let world = World { links, seed, ..World::new(params, 12_000) };
-        let sim = world.run(|mut node| {
-            node.feed = 100..2_100;
-            node.every = 4;
-            Some(node)
-        });
+        let sim = held_links(seed, 5..=25, 350);
         assert!(sim.metrics().kind("view-change").msgs > 0, "seed {seed}: the holds must be felt");
         assert!(sim.metrics().kind("relay").msgs > 50, "seed {seed}: loans must be made");
-        let fed: Vec<(NodeId, u64)> = (0..4).map(|node| (NodeId(node), 500)).collect();
-        assert_once_each_in_admission_order(&sim, &fed);
+        assert_once_each_in_admission_order(&sim, &fed_500_each());
     }
+}
+
+/// ROADMAP item 1's repro: the same scenario with jitter up to Δ and holds
+/// of 150 to 450 ticks wedges the chain — the live slots cycle through
+/// view after view and nothing finalizes again — on 36 of these 1,500
+/// seeds at 04ad5d4, and on those 36 and three more (761, 981, 1397) since
+/// a silent leader's slots ask for view 1 as they start (ISSUE 21): a held
+/// node that is released in the instant its slot starts gets a view change
+/// it did not need, and any view change can seed the cascade. In all three
+/// the first slot left stuck was entered by timers, later. Seeds 68, 76 and
+/// 123 wedge on both sides of that change and run first, so a fix can show
+/// this red, then green.
+#[test]
+#[ignore = "ROADMAP item 1"]
+fn held_links_sweep_never_wedges() {
+    let wedges = |seed: &u64| {
+        let sim = held_links(*seed, 1..=30, 150 + (37 * seed) % 300);
+        admission_order_violation(&sim, &fed_500_each()).is_some()
+    };
+    let named: Vec<u64> = [68, 76, 123].into_iter().filter(wedges).collect();
+    assert!(named.is_empty(), "seeds {named:?} wedge");
+    let wedged: Vec<u64> = (0..1_500).filter(wedges).collect();
+    assert!(wedged.is_empty(), "{} of 1,500 seeds wedge: {wedged:?}", wedged.len());
 }

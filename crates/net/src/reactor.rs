@@ -191,7 +191,17 @@ pub(crate) fn run_reactor<M, R>(
                 }
                 key => {
                     let Some(conn) = conns.get_mut(&key) else { continue };
+                    let greeting = matches!(conn.state, InState::Hello { .. });
                     let keep = advance_inbound(&cfg, conn, &mut read_buf, &events);
+                    // A peer that has just said hello is up: dial it back
+                    // now if this node's own link to it is waiting to.
+                    let greeted = match conn.state {
+                        InState::Ack { from, .. } | InState::Streaming { from } if greeting => from,
+                        _ => None,
+                    };
+                    if let Some(link) = greeted.and_then(|peer| links[peer.index()].as_mut()) {
+                        link.peer_dialed(now);
+                    }
                     if keep {
                         let interest = match conn.state {
                             InState::Hello { .. } | InState::Streaming { .. } => {

@@ -215,6 +215,19 @@ impl Link {
         }
     }
 
+    /// The peer has just completed a hello on this node's listener: it is
+    /// up, whatever the backoff learned while it was down. A link waiting
+    /// out a backoff dials on the next pass, so what this node owes the
+    /// peer (the answer to a restarted node's catch-up request, first of
+    /// all) is not queued behind a wait of up to 1.5 s, then fenced as
+    /// stale. The hello is a claim; a false one costs one refused dial.
+    pub(crate) fn peer_dialed(&mut self, now: Instant) {
+        if matches!(self.state, LinkState::Down) {
+            self.backoff = BACKOFF_MIN;
+            self.next_dial = now;
+        }
+    }
+
     /// Handles a readiness delivery for this link's socket.
     pub(crate) fn on_event(&mut self, ev: Event, now: Instant, poller: &Poller) {
         // Oneshot delivery disarmed the registration.

@@ -43,6 +43,58 @@ fn node_persistent_state_is_view_independent() {
     assert_eq!(after, baseline);
 }
 
+#[test]
+fn multishot_suspicion_and_evidence_registers_are_constant_per_peer() {
+    // One durable node driven by hand through what feeds its per-peer
+    // registers: votes far beyond its window (catch-up evidence: a flag a
+    // peer, spent on asking), view changes naming ever-higher slots, and
+    // the timer of a never-proposed slot, over and over (the silent bit of
+    // its leader). `Debug` prints every field, so the length of the
+    // rendering bounds the whole state: it must not grow with the rounds.
+    use tetrabft_suite::sim::{ActionBuf, Context, TimerId};
+    use tetrabft_suite::types::FsyncPolicy;
+    let dir = std::env::temp_dir().join(format!("tetrabft-peer-registers-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let cfg = Config::new(4).unwrap();
+    let params = Params::new(30).with_fsync(FsyncPolicy::Never);
+    let mut node = MultiShotNode::durable(cfg, params, NodeId(0), &dir).unwrap();
+    let mut asks = 0;
+    let mut feed = |node: &mut MultiShotNode, input: Input<MsMessage>| {
+        let mut actions = ActionBuf::new();
+        node.handle(input, &mut Context::buffered(NodeId(0), 4, Time(0), &mut actions));
+        let sends = actions.into_iter().filter(|action| {
+            matches!(
+                action,
+                tetrabft_suite::sim::Action::Send { msg: MsMessage::CatchUp { .. }, .. }
+            )
+        });
+        asks += sends.count();
+    };
+    feed(&mut node, Input::Start);
+    let mut rendered = Vec::new();
+    for round in 0..2_000u64 {
+        for from in [NodeId(1), NodeId(2), NodeId(3)] {
+            let far = Slot(1_000 + round);
+            let vote = MsMessage::Vote { slot: far, view: View::ZERO, hash: BlockHash(round + 1) };
+            feed(&mut node, Input::Deliver { from, msg: vote });
+            let request =
+                MsMessage::ViewChange { slot: Slot(2 + round), view: View(1 + round % 7) };
+            feed(&mut node, Input::Deliver { from, msg: request });
+        }
+        feed(&mut node, Input::Timer { id: TimerId(1) });
+        if round == 100 || round == 1_999 {
+            rendered.push(format!("{node:?}").len());
+        }
+    }
+    // f + 1 = 2 distinct peers spend their flags on one request: every
+    // round asks once with the first two votes, the third starts the next.
+    assert!((2_900..=3_100).contains(&asks), "evidence must keep asking, asked {asks} times");
+    assert!(node.active_slots() <= tetrabft_multishot::SLOT_WINDOW as usize);
+    // Numbers print wider as they grow; structures must not.
+    assert!(rendered[1] <= rendered[0] + 64, "state grew: {rendered:?} bytes of Debug");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 proptest! {
     /// The vote book's `prev` register always satisfies the paper's
     /// definition: highest different-valued vote below the highest vote.
