@@ -9,64 +9,25 @@
 //! 9Δ timeout.
 
 use tetrabft::Params;
-use tetrabft_baselines::{BlogNode, IthsNode};
-use tetrabft_bench::print_table;
-use tetrabft_sim::{LinkPolicy, SilentNode, SimBuilder};
-use tetrabft_types::{Config, NodeId, Value};
-
-fn recovery_after_timeout<F>(delta: u64, hop: u64, build: F) -> u64
-where
-    F: Fn(NodeId) -> Box<dyn tetrabft_sim::Node<Msg = tetrabft::Message, Output = Value>>,
-{
-    let mut sim = SimBuilder::new(4).policy(LinkPolicy::synchronous(hop)).build_boxed(build);
-    assert!(sim.run_until_outputs(3, 50_000_000));
-    sim.outputs()[0].time.0 - Params::new(delta).view_timeout()
-}
+use tetrabft_bench::{print_table, run_protocol, Protocol, Scenario};
 
 fn main() {
     let n = 4;
-    let cfg = Config::new(n).unwrap();
     let delta = 100u64;
     let deltas_actual = [1u64, 2, 5, 10, 20, 50];
+    let recovery_after_timeout = |protocol, hop| {
+        run_protocol(protocol, Scenario::ViewChange { delta }, n, hop).latency
+            - Params::new(delta).view_timeout()
+    };
 
     let mut rows = Vec::new();
     for &hop in &deltas_actual {
         // TetraBFT (responsive): expect ≈ 7δ.
-        let tetra = recovery_after_timeout(delta, hop, |id| {
-            if id == NodeId(0) {
-                Box::new(SilentNode::new())
-            } else {
-                Box::new(tetrabft::TetraNode::new(cfg, Params::new(delta), id, Value::from_u64(7)))
-            }
-        });
-
+        let tetra = recovery_after_timeout(Protocol::Tetra, hop);
         // IT-HS (responsive): expect ≈ 9δ.
-        let iths = {
-            let mut sim =
-                SimBuilder::new(n).policy(LinkPolicy::synchronous(hop)).build_boxed(|id| {
-                    if id == NodeId(0) {
-                        Box::new(SilentNode::new())
-                    } else {
-                        Box::new(IthsNode::new(cfg, Params::new(delta), id, Value::from_u64(7)))
-                    }
-                });
-            assert!(sim.run_until_outputs(3, 50_000_000));
-            sim.outputs()[0].time.0 - Params::new(delta).view_timeout()
-        };
-
+        let iths = recovery_after_timeout(Protocol::Iths, hop);
         // Blog IT-HS (non-responsive): expect ≈ Δ + 5δ, flat in δ.
-        let blog = {
-            let mut sim =
-                SimBuilder::new(n).policy(LinkPolicy::synchronous(hop)).build_boxed(|id| {
-                    if id == NodeId(0) {
-                        Box::new(SilentNode::new())
-                    } else {
-                        Box::new(BlogNode::new(cfg, Params::new(delta), id, Value::from_u64(7)))
-                    }
-                });
-            assert!(sim.run_until_outputs(3, 50_000_000));
-            sim.outputs()[0].time.0 - Params::new(delta).view_timeout()
-        };
+        let blog = recovery_after_timeout(Protocol::IthsBlog, hop);
 
         rows.push(vec![
             hop.to_string(),
@@ -77,6 +38,12 @@ fn main() {
 
         assert_eq!(tetra, 7 * hop, "TetraBFT recovery must be exactly 7δ after GST");
         assert!(blog >= delta, "non-responsive recovery always pays Δ");
+    }
+
+    // `cargo test` runs this `main` for the assertions above; cargo passes
+    // `--bench` only under `cargo bench`, which is when the table is wanted.
+    if !std::env::args().any(|arg| arg == "--bench") {
+        return;
     }
 
     print_table(

@@ -30,7 +30,9 @@ fn main() {
                     Box::new(TetraNode::new(cfg, params, id, Value::from_u64(id.0 as u64)))
                 }
             });
-        let decided = sim.run_until_outputs(n - 1, 5_000_000);
+        // 500,000 ticks: 12,500 expiries of the shortest timer, and the
+        // whole sweep still fits the tier-1 run that executes this `main`.
+        let decided = sim.run_until_outputs(n - 1, 500_000);
         let first = sim.outputs().first().map(|o| o.time.0);
         // Did anyone ask for view 2 before the first decision? That's a
         // spurious timeout: view 1's correct leader was going to finish.
@@ -49,6 +51,12 @@ fn main() {
                 "with the paper's margin, view 1 decides within timeout + 7Δ"
             );
         }
+    }
+
+    // `cargo test` runs this `main` for the assertions above; cargo passes
+    // `--bench` only under `cargo bench`, which is when the table is wanted.
+    if !std::env::args().any(|arg| arg == "--bench") {
+        return;
     }
 
     print_table(

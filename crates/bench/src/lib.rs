@@ -1,9 +1,10 @@
 //! Shared measurement harness for the table/figure reproduction benches.
 //!
-//! Every `benches/*.rs` target regenerates one artifact of the paper
-//! (Table 1, Fig. 2, Fig. 3, the Section 5 verification, or a quantitative
-//! claim from the text); this library holds the scenario runners they
-//! share. See `EXPERIMENTS.md` for the paper-vs-measured record.
+//! Every artefact target under `benches/` regenerates one artifact of the
+//! paper (Table 1, Fig. 2, Fig. 3, or a quantitative claim from the text)
+//! and asserts the paper's number beside the table it prints: `cargo test`
+//! runs the assertions, `cargo bench --bench <name>` also prints the
+//! table. This library holds the scenario runners they share.
 
 // `deny`, not `forbid`: the allocation-counting module implements
 // `GlobalAlloc`, which requires `unsafe` and carries a scoped allow.
@@ -16,7 +17,7 @@ pub use alloc_count::{AllocSnapshot, CountingAlloc};
 
 use tetrabft::{Params, TetraNode};
 use tetrabft_baselines::{BlogNode, IthsNode, PbftNode};
-use tetrabft_sim::{LinkPolicy, SilentNode, Sim, SimBuilder, Time, WireSize};
+use tetrabft_sim::{FilteredNode, LinkPolicy, Node, SilentNode, Sim, SimBuilder, WireSize};
 use tetrabft_types::{Config, NodeId, Value};
 
 /// Latency + communication measurements for one protocol scenario.
@@ -107,55 +108,38 @@ impl Protocol {
 /// Runs `protocol` under `scenario` with `n` nodes and per-hop delay
 /// `hop` ticks, measuring the first decision.
 pub fn run_protocol(protocol: Protocol, scenario: Scenario, n: usize, hop: u64) -> Measurement {
+    match protocol {
+        Protocol::Tetra => run_nodes(scenario, n, hop, TetraNode::new),
+        Protocol::Iths => run_nodes(scenario, n, hop, IthsNode::new),
+        Protocol::IthsBlog => run_nodes(scenario, n, hop, BlogNode::new),
+        Protocol::Pbft => run_nodes(scenario, n, hop, PbftNode::new),
+    }
+}
+
+/// [`run_protocol`] for one node type: node `i` proposes value `i + 1`, and
+/// node 0 — the view-0 leader — is silent in the view-change scenario.
+fn run_nodes<N>(
+    scenario: Scenario,
+    n: usize,
+    hop: u64,
+    make: impl Fn(Config, Params, NodeId, Value) -> N,
+) -> Measurement
+where
+    N: Node<Output = Value> + 'static,
+{
     let cfg = Config::new(n).expect("valid n");
     let (params, crash_leader) = match scenario {
         Scenario::GoodCase => (Params::new(1_000_000), false),
         Scenario::ViewChange { delta } => (Params::new(delta), true),
     };
-    let policy = LinkPolicy::synchronous(hop);
-    let outputs = if crash_leader { n - 1 } else { n };
-    match protocol {
-        Protocol::Tetra => {
-            let sim = SimBuilder::new(n).policy(policy).build_boxed(move |id| {
-                if crash_leader && id == NodeId(0) {
-                    Box::new(SilentNode::new())
-                } else {
-                    Box::new(TetraNode::new(cfg, params, id, Value::from_u64(id.0 as u64 + 1)))
-                }
-            });
-            measure(sim, outputs)
+    let sim = SimBuilder::new(n).policy(LinkPolicy::synchronous(hop)).build_boxed(|id| {
+        if crash_leader && id == NodeId(0) {
+            Box::new(SilentNode::new())
+        } else {
+            Box::new(make(cfg, params, id, Value::from_u64(u64::from(id.0) + 1)))
         }
-        Protocol::Iths => {
-            let sim = SimBuilder::new(n).policy(policy).build_boxed(move |id| {
-                if crash_leader && id == NodeId(0) {
-                    Box::new(SilentNode::new())
-                } else {
-                    Box::new(IthsNode::new(cfg, params, id, Value::from_u64(id.0 as u64 + 1)))
-                }
-            });
-            measure(sim, outputs)
-        }
-        Protocol::IthsBlog => {
-            let sim = SimBuilder::new(n).policy(policy).build_boxed(move |id| {
-                if crash_leader && id == NodeId(0) {
-                    Box::new(SilentNode::new())
-                } else {
-                    Box::new(BlogNode::new(cfg, params, id, Value::from_u64(id.0 as u64 + 1)))
-                }
-            });
-            measure(sim, outputs)
-        }
-        Protocol::Pbft => {
-            let sim = SimBuilder::new(n).policy(policy).build_boxed(move |id| {
-                if crash_leader && id == NodeId(0) {
-                    Box::new(SilentNode::new())
-                } else {
-                    Box::new(PbftNode::new(cfg, params, id, Value::from_u64(id.0 as u64 + 1)))
-                }
-            });
-            measure(sim, outputs)
-        }
-    }
+    });
+    measure(sim, if crash_leader { n - 1 } else { n })
 }
 
 /// View-change latency in message delays: decision time minus the `9Δ`
@@ -166,59 +150,23 @@ pub fn view_change_delays(protocol: Protocol, n: usize, delta: u64) -> u64 {
     m.latency.saturating_sub(timeout)
 }
 
-/// A PBFT node whose view-0 commits are swallowed: the view completes its
-/// prepare phase (so every node holds a full O(n) prepared certificate) but
-/// stalls before deciding, forcing the *worst-case* view change Table 1
-/// prices at O(n³) total bits — certificate-carrying view-changes from all
-/// nodes plus the O(n²) new-view bundle.
-struct StalledCommitPbft {
-    inner: PbftNode,
-}
-
-impl tetrabft_sim::Node for StalledCommitPbft {
-    type Msg = tetrabft_baselines::pbft::PbftMsg;
-    type Output = Value;
-
-    fn handle(
-        &mut self,
-        input: tetrabft_sim::Input<Self::Msg>,
-        ctx: &mut tetrabft_sim::Context<'_, Self::Msg, Value>,
-    ) {
-        use tetrabft_baselines::pbft::PbftMsg;
-        use tetrabft_sim::{Action, ActionBuf, Context, Dest};
-        let mut buf: ActionBuf<Self::Msg, Value> = ActionBuf::new();
-        {
-            let mut inner_ctx = Context::buffered(ctx.me(), ctx.n(), ctx.now(), &mut buf);
-            self.inner.handle(input, &mut inner_ctx);
-        }
-        for action in buf {
-            match action {
-                Action::Send { msg: PbftMsg::Commit { view, .. }, .. } if view.is_zero() => {
-                    // Swallowed: view 0 prepared but can never commit.
-                }
-                Action::Send { dest, msg } => match dest {
-                    Dest::All => ctx.broadcast(msg),
-                    Dest::Node(to) => ctx.send(to, msg),
-                },
-                Action::SetTimer { id, after } => ctx.set_timer(id, after),
-                Action::CancelTimer { id } => ctx.cancel_timer(id),
-                Action::Output(v) => ctx.output(v),
-            }
-        }
-    }
-}
-
-/// Runs PBFT through a *loaded* view change: view 0 reaches the prepared
-/// state everywhere, stalls, and recovers in view 1 with full certificates
-/// on the wire. Returns the communication measurement (the O(n³) scenario
-/// of experiment E6).
+/// Runs PBFT through a *loaded* view change: every node's view-0 commits
+/// are swallowed, so view 0 completes its prepare phase (every node holds a
+/// full O(n) prepared certificate) but stalls before deciding, forcing the
+/// *worst-case* view change Table 1 prices at O(n³) total bits —
+/// certificate-carrying view-changes from all nodes plus the O(n²) new-view
+/// bundle. Returns the communication measurement.
 pub fn pbft_loaded_view_change(n: usize, delta: u64) -> Measurement {
+    use tetrabft_baselines::pbft::PbftMsg;
     let cfg = Config::new(n).expect("valid n");
     let params = Params::new(delta);
-    let sim =
-        SimBuilder::new(n).policy(LinkPolicy::synchronous(1)).build(move |id| StalledCommitPbft {
-            inner: PbftNode::new(cfg, params, id, Value::from_u64(u64::from(id.0) + 1)),
-        });
+    let sim = SimBuilder::new(n).policy(LinkPolicy::synchronous(1)).build(move |id| {
+        let node = PbftNode::new(cfg, params, id, Value::from_u64(u64::from(id.0) + 1));
+        FilteredNode::sending(
+            node,
+            |msg| !matches!(msg, PbftMsg::Commit { view, .. } if view.is_zero()),
+        )
+    });
     measure(sim, n)
 }
 
@@ -247,11 +195,6 @@ pub fn print_table(title: &str, header: &[&str], rows: &[Vec<String>]) {
 /// exponent used by the communication experiments.
 pub fn scaling_exponent(x0: f64, y0: f64, x1: f64, y1: f64) -> f64 {
     ((y1 / y0).ln()) / ((x1 / x0).ln())
-}
-
-/// Time horizon helper for throughput runs.
-pub fn horizon(ticks: u64) -> Time {
-    Time(ticks)
 }
 
 #[cfg(test)]

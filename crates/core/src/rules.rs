@@ -10,9 +10,7 @@
 //!   leader's proposal from a quorum of proof messages (Rule 3).
 //!
 //! All three functions are pure; they see only message payloads, never node
-//! state, which makes them unit-testable, property-testable and directly
-//! benchmarkable (the `rules_scaling` bench confirms the paper's
-//! `O(v · m · n)` complexity claim).
+//! state, which makes them unit-testable and property-testable.
 //!
 //! One deliberate deviation from the pseudocode, recorded in DESIGN.md §6:
 //! Algorithm 4's skip heuristic (line 19) counts a suggest toward view `v'`

@@ -13,16 +13,14 @@
 //!
 //! Confirmations flow back out of band: the harness observes block
 //! finalizations on the cluster side and feeds the finalized [`TxId`]s
-//! to the fleet (in-process channel, or the stdin pipe of a
-//! [`spawn_remote`](crate::spawn_remote) child process). The frame
-//! payload *is* the raw transaction, and both sides digest it with the
-//! same FNV-1a [`TxId::of`], so submissions and finalizations pair up
-//! with no extra protocol.
+//! to the fleet over an in-process channel. The frame payload *is* the
+//! raw transaction, and both sides digest it with the same FNV-1a
+//! [`TxId::of`], so submissions and finalizations pair up with no extra
+//! protocol.
 
 use std::collections::{BinaryHeap, HashMap};
-use std::io::{self, BufRead, Read, Write};
+use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpStream};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{Receiver, Sender, TryRecvError};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -34,7 +32,7 @@ use tetrabft_wire::frame::encode_frame_into;
 
 use crate::CLIENT_HELLO_ID;
 
-/// Hard ceiling on concurrently in-flight dials, so a 10k-client ramp
+/// Hard ceiling on concurrently in-flight dials, so a large fleet's ramp
 /// never overruns a node listener's accept backlog.
 const DIAL_WAVE: usize = 512;
 
@@ -64,55 +62,6 @@ pub struct FleetSpec {
     pub payload_bytes: usize,
     /// Seed for the Poisson arrival process and payload tags.
     pub seed: u64,
-}
-
-impl FleetSpec {
-    /// One-line wire form for the child-process control pipe.
-    #[must_use]
-    pub fn to_line(&self) -> String {
-        let addrs: Vec<String> = self.addrs.iter().map(ToString::to_string).collect();
-        format!(
-            "addrs={} clients={} rate={} duration_ms={} payload={} seed={}",
-            addrs.join(","),
-            self.clients,
-            self.rate_tps,
-            self.duration.as_millis(),
-            self.payload_bytes,
-            self.seed
-        )
-    }
-
-    /// Parses [`FleetSpec::to_line`] output.
-    #[must_use]
-    pub fn from_line(line: &str) -> Option<FleetSpec> {
-        let mut addrs = Vec::new();
-        let (mut clients, mut rate, mut duration_ms, mut payload, mut seed) =
-            (None, None, None, None, None);
-        for field in line.split_whitespace() {
-            let (key, value) = field.split_once('=')?;
-            match key {
-                "addrs" => {
-                    for a in value.split(',') {
-                        addrs.push(a.parse().ok()?);
-                    }
-                }
-                "clients" => clients = value.parse().ok(),
-                "rate" => rate = value.parse().ok(),
-                "duration_ms" => duration_ms = value.parse().ok(),
-                "payload" => payload = value.parse().ok(),
-                "seed" => seed = value.parse().ok(),
-                _ => return None,
-            }
-        }
-        Some(FleetSpec {
-            addrs,
-            clients: clients?,
-            rate_tps: rate?,
-            duration: Duration::from_millis(duration_ms?),
-            payload_bytes: payload?,
-            seed: seed?,
-        })
-    }
 }
 
 /// What one fleet run measured.
@@ -146,7 +95,6 @@ pub enum FleetMsg {
 pub struct FleetLink {
     tx: Sender<FleetMsg>,
     poller: Arc<Poller>,
-    connected: Arc<AtomicU64>,
 }
 
 impl FleetLink {
@@ -155,12 +103,6 @@ impl FleetLink {
         if self.tx.send(msg).is_ok() {
             let _ = self.poller.notify();
         }
-    }
-
-    /// Clients currently connected (post-handshake), sampled live.
-    #[must_use]
-    pub fn connected_now(&self) -> u64 {
-        self.connected.load(Ordering::Relaxed)
     }
 }
 
@@ -181,12 +123,11 @@ pub fn spawn_fleet(
 ) -> io::Result<(FleetLink, std::thread::JoinHandle<FleetReport>)> {
     let poller = Arc::new(Poller::new()?);
     let (tx, rx) = std::sync::mpsc::channel();
-    let connected = Arc::new(AtomicU64::new(0));
-    let link = FleetLink { tx, poller: Arc::clone(&poller), connected: Arc::clone(&connected) };
+    let link = FleetLink { tx, poller: Arc::clone(&poller) };
     let (ready_tx, ready_rx) = std::sync::mpsc::channel();
     let handle = std::thread::Builder::new()
         .name("load-fleet".into())
-        .spawn(move || run_fleet(&spec, &poller, &rx, &connected, &ready_tx))?;
+        .spawn(move || run_fleet(&spec, &poller, &rx, &ready_tx))?;
     match ready_rx.recv() {
         Ok(()) => Ok((link, handle)),
         // The fleet thread died before signalling readiness.
@@ -395,7 +336,6 @@ fn run_fleet(
     spec: &FleetSpec,
     poller: &Poller,
     ctl: &Receiver<FleetMsg>,
-    connected: &AtomicU64,
     ready: &Sender<()>,
 ) -> FleetReport {
     let mut clients: Vec<Client> = (0..spec.clients).map(Client::new).collect();
@@ -435,12 +375,11 @@ fn run_fleet(
                 settled += 1;
                 in_flight -= 1;
                 if client.state == ClientState::Up {
-                    connected.fetch_add(1, Ordering::Relaxed);
+                    report.connected += 1;
                 }
             }
         }
     }
-    report.connected = connected.load(Ordering::Relaxed);
     let _ = ready.send(());
 
     // ---- wait for GO ---------------------------------------------------
@@ -485,12 +424,9 @@ fn run_fleet(
                 }
                 Ok(FleetMsg::Go) => {}
                 Err(TryRecvError::Empty) => break,
-                Err(TryRecvError::Disconnected) => {
-                    // `connected` now reports what was *sustained*: every
-                    // client that died mid-window has subtracted itself.
-                    report.connected = connected.load(Ordering::Relaxed);
-                    return report;
-                }
+                // `connected` reports what was *sustained*: every client
+                // that died mid-window has subtracted itself.
+                Err(TryRecvError::Disconnected) => return report,
             }
         }
 
@@ -522,13 +458,12 @@ fn run_fleet(
                 due.push(std::cmp::Reverse((at + exp_gap(&mut rng, per_client_rate), key)));
             } else {
                 client.retire(poller);
-                connected.fetch_sub(1, Ordering::Relaxed);
+                report.connected -= 1;
             }
         }
 
         // 3. Sleep until the next due submission (or a notify).
         if now >= deadline + LINGER_CAP {
-            report.connected = connected.load(Ordering::Relaxed);
             return report;
         }
         let wait = match due.peek() {
@@ -536,7 +471,6 @@ fn run_fleet(
             None => POLL,
         };
         if poller.wait(&mut events, Some(wait.max(Duration::from_millis(1)))).is_err() {
-            report.connected = connected.load(Ordering::Relaxed);
             return report;
         }
         for ev in events.iter() {
@@ -545,83 +479,11 @@ fn run_fleet(
             if client.state == ClientState::Up {
                 if ev.writable && !client.flush(poller) {
                     client.retire(poller);
-                    connected.fetch_sub(1, Ordering::Relaxed);
+                    report.connected -= 1;
                 }
             } else if client.state != ClientState::Dead {
                 client.advance_handshake(poller);
             }
         }
     }
-}
-
-/// Child-process entry: if `TETRABFT_LOAD_CHILD` is set, run a fleet
-/// bridged over stdio and exit; otherwise return immediately.
-///
-/// Call this first thing in a bench or test `main` that uses
-/// [`spawn_remote`](crate::spawn_remote): the parent re-executes its own
-/// binary with the variable set, giving the 10k-socket fleet a file
-/// descriptor table of its own.
-///
-/// Control protocol (parent → child stdin): one [`FleetSpec::to_line`]
-/// line, then a `GO` line, then raw 8-byte little-endian finalized
-/// [`TxId`]s until EOF. Child stdout: `READY <connected>` once dialing
-/// settles, then after EOF a `STATS` line, a `SAMPLES <count>` line,
-/// and `count` little-endian `u32` microsecond samples.
-pub fn maybe_run_child() {
-    if std::env::var_os("TETRABFT_LOAD_CHILD").is_none() {
-        return;
-    }
-    let code = match run_child() {
-        Ok(()) => 0,
-        Err(e) => {
-            eprintln!("load child failed: {e}");
-            1
-        }
-    };
-    std::process::exit(code);
-}
-
-fn run_child() -> io::Result<()> {
-    let stdin = io::stdin();
-    let mut input = stdin.lock();
-    let mut line = String::new();
-    input.read_line(&mut line)?;
-    let spec = FleetSpec::from_line(line.trim())
-        .ok_or_else(|| io::Error::new(io::ErrorKind::InvalidData, "bad fleet spec"))?;
-
-    let (link, handle) = spawn_fleet(spec)?;
-    {
-        let mut out = io::stdout().lock();
-        writeln!(out, "READY {}", link.connected_now())?;
-        out.flush()?;
-    }
-
-    line.clear();
-    input.read_line(&mut line)?;
-    if line.trim() != "GO" {
-        return Err(io::Error::new(io::ErrorKind::InvalidData, "expected GO"));
-    }
-    link.send(FleetMsg::Go);
-    let mut word = [0u8; 8];
-    loop {
-        match input.read_exact(&mut word) {
-            Ok(()) => link.send(FleetMsg::Finalized(TxId(u64::from_le_bytes(word)))),
-            Err(ref e) if e.kind() == io::ErrorKind::UnexpectedEof => break,
-            Err(e) => return Err(e),
-        }
-    }
-    drop(link); // close the channel: the fleet wraps up
-    let report = handle.join().map_err(|_| io::Error::other("fleet thread panicked"))?;
-
-    let mut out = io::BufWriter::new(io::stdout().lock());
-    writeln!(
-        out,
-        "STATS connected={} submitted={} confirmed={} inflight_hwm={}",
-        report.connected, report.submitted, report.confirmed, report.inflight_hwm
-    )?;
-    writeln!(out, "SAMPLES {}", report.samples_us.len())?;
-    for s in &report.samples_us {
-        out.write_all(&s.to_le_bytes())?;
-    }
-    out.flush()
 }

@@ -13,8 +13,7 @@ use tetrabft_multishot::{MultiShotNode, TxId};
 use tetrabft_net::ClusterBuilder;
 use tetrabft_types::Config;
 
-use crate::fleet::{spawn_fleet, FleetLink, FleetMsg, FleetReport, FleetSpec};
-use crate::remote::RemoteFleet;
+use crate::fleet::{spawn_fleet, FleetMsg, FleetSpec};
 use crate::report::{assemble, LoadReport};
 
 /// How long a drainer blocks per poll of its shard's output channel.
@@ -55,9 +54,6 @@ pub struct LoadOptions {
     pub delta_ms: u64,
     /// Seed for the fleet's arrival process.
     pub seed: u64,
-    /// Run the fleet in a re-executed child process (required for
-    /// 10k-scale fleets: the sockets need their own fd table).
-    pub remote_fleet: bool,
 }
 
 impl LoadOptions {
@@ -75,59 +71,6 @@ impl LoadOptions {
             // of a stall under CPU contention — well under a window.
             delta_ms: 100,
             seed: 7,
-            remote_fleet: false,
-        }
-    }
-}
-
-/// In-process or child-process fleet, same driving surface.
-enum Driver {
-    Local { link: FleetLink, handle: std::thread::JoinHandle<FleetReport> },
-    Remote(RemoteFleet),
-}
-
-impl Driver {
-    fn ready(&mut self) -> io::Result<u64> {
-        match self {
-            Driver::Local { link, .. } => Ok(link.connected_now()),
-            Driver::Remote(fleet) => fleet.wait_ready(),
-        }
-    }
-
-    fn go(&mut self) -> io::Result<()> {
-        match self {
-            Driver::Local { link, .. } => {
-                link.send(FleetMsg::Go);
-                Ok(())
-            }
-            Driver::Remote(fleet) => fleet.go(),
-        }
-    }
-
-    fn finalized(&mut self, id: TxId) -> io::Result<()> {
-        match self {
-            Driver::Local { link, .. } => {
-                link.send(FleetMsg::Finalized(id));
-                Ok(())
-            }
-            Driver::Remote(fleet) => fleet.finalized(id),
-        }
-    }
-
-    fn flush(&mut self) -> io::Result<()> {
-        match self {
-            Driver::Local { .. } => Ok(()),
-            Driver::Remote(fleet) => fleet.flush(),
-        }
-    }
-
-    fn finish(self) -> io::Result<FleetReport> {
-        match self {
-            Driver::Local { link, handle } => {
-                drop(link);
-                handle.join().map_err(|_| io::Error::other("fleet thread panicked"))
-            }
-            Driver::Remote(fleet) => fleet.finish(),
         }
     }
 }
@@ -143,7 +86,7 @@ impl Driver {
 /// # Errors
 ///
 /// Fails if the clusters or the fleet cannot be spawned, or the fleet
-/// control pipe breaks mid-run.
+/// thread panics.
 pub fn run_load(opts: &LoadOptions) -> io::Result<LoadReport> {
     let cfg = Config::new(opts.nodes_per_shard)
         .map_err(|e| io::Error::other(format!("bad shard size: {e}")))?;
@@ -229,16 +172,10 @@ pub fn run_load(opts: &LoadOptions) -> io::Result<LoadReport> {
         payload_bytes: opts.payload_bytes,
         seed: opts.seed,
     };
-    let mut driver = if opts.remote_fleet {
-        Driver::Remote(RemoteFleet::spawn(&spec)?)
-    } else {
-        let (link, handle) = spawn_fleet(spec)?;
-        Driver::Local { link, handle }
-    };
-
-    // The ready count is the dial-time census; the report's `connected`
-    // is the (possibly lower) count *sustained* to the end of the run.
-    driver.ready()?;
+    // `spawn_fleet` returns once every client has dialed; the report's
+    // `connected` is the (possibly lower) count *sustained* to the end of
+    // the run.
+    let (link, fleet) = spawn_fleet(spec)?;
 
     // Pre-GO health barrier. The dial ramp above is the most contended
     // stretch of the whole run — hundreds of simultaneous connects
@@ -257,7 +194,7 @@ pub fn run_load(opts: &LoadOptions) -> io::Result<LoadReport> {
     }
 
     counting.store(true, Ordering::Relaxed);
-    driver.go()?;
+    link.send(FleetMsg::Go);
     let started = Instant::now();
     let deadline = started + opts.duration;
 
@@ -274,9 +211,8 @@ pub fn run_load(opts: &LoadOptions) -> io::Result<LoadReport> {
             Ok((_, ids)) => {
                 last_tx_seen = Instant::now();
                 for id in ids {
-                    driver.finalized(TxId(id))?;
+                    link.send(FleetMsg::Finalized(TxId(id)));
                 }
-                driver.flush()?;
             }
             Err(RecvTimeoutError::Timeout) => {}
             Err(RecvTimeoutError::Disconnected) => break,
@@ -284,7 +220,9 @@ pub fn run_load(opts: &LoadOptions) -> io::Result<LoadReport> {
     }
     counting.store(false, Ordering::Relaxed);
 
-    let fleet_report = driver.finish()?;
+    // Closing the channel ends the fleet's run.
+    drop(link);
+    let fleet_report = fleet.join().map_err(|_| io::Error::other("fleet thread panicked"))?;
     stop.store(true, Ordering::Relaxed);
     for drainer in drainers {
         let _ = drainer.join();

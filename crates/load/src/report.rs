@@ -1,5 +1,5 @@
-//! Measurement results: latency percentiles, per-shard utilization, the
-//! saturation knee, and the printed latency/throughput matrix.
+//! Measurement results: latency percentiles, per-shard utilization and
+//! the saturation knee.
 
 use std::time::Duration;
 
@@ -73,62 +73,6 @@ pub fn knee_index(reports: &[LoadReport]) -> usize {
         .iter()
         .position(|r| r.achieved_tps < 0.9 * r.offered_tps as f64 || r.inflight_hwm > r.offered_tps)
         .unwrap_or(reports.len())
-}
-
-fn fmt_ms(us: u32) -> String {
-    format!("{:.1}", f64::from(us) / 1000.0)
-}
-
-/// Pretty-prints a sweep as a Markdown-ish latency/throughput matrix,
-/// one row per load point (the shape `wan_latency` prints its tables
-/// in).
-pub fn print_matrix(title: &str, reports: &[LoadReport]) {
-    let header = [
-        "offered tx/s",
-        "finalized tx/s",
-        "clients",
-        "p50 ms",
-        "p99 ms",
-        "p99.9 ms",
-        "inflight hwm",
-        "shard shares",
-    ];
-    let rows: Vec<Vec<String>> = reports
-        .iter()
-        .map(|r| {
-            let shares: Vec<String> =
-                r.per_shard.iter().map(|s| format!("{:.0}%", s.share * 100.0)).collect();
-            vec![
-                r.offered_tps.to_string(),
-                format!("{:.0}", r.achieved_tps),
-                r.connected.to_string(),
-                fmt_ms(r.p50_us),
-                fmt_ms(r.p99_us),
-                fmt_ms(r.p999_us),
-                r.inflight_hwm.to_string(),
-                shares.join("/"),
-            ]
-        })
-        .collect();
-
-    println!("\n## {title}\n");
-    let mut widths: Vec<usize> = header.iter().map(|h| h.len()).collect();
-    for row in &rows {
-        for (i, cell) in row.iter().enumerate() {
-            widths[i] = widths[i].max(cell.len());
-        }
-    }
-    let fmt_row = |cells: &[String]| {
-        let padded: Vec<String> =
-            cells.iter().zip(&widths).map(|(c, w)| format!("{c:<w$}")).collect();
-        format!("| {} |", padded.join(" | "))
-    };
-    let head: Vec<String> = header.iter().map(|s| (*s).to_string()).collect();
-    println!("{}", fmt_row(&head));
-    println!("|{}|", widths.iter().map(|w| "-".repeat(w + 2)).collect::<Vec<_>>().join("|"));
-    for row in &rows {
-        println!("{}", fmt_row(row));
-    }
 }
 
 /// Builds a [`LoadReport`] from a fleet report plus per-shard tallies.

@@ -4,7 +4,7 @@
 
 use std::time::Duration;
 
-use tetrabft_load::{knee_index, percentile_us, run_load, LoadOptions, LoadReport};
+use tetrabft_load::{knee_index, percentile_us, run_load, sweep, LoadOptions, LoadReport};
 
 fn point(offered_tps: u64, achieved_tps: f64, inflight_hwm: u64) -> LoadReport {
     LoadReport {
@@ -66,4 +66,38 @@ fn small_open_loop_run_confirms_submissions() {
 
     // An unsaturated single point has its knee past the end.
     assert_eq!(knee_index(&[report]), 1);
+}
+
+#[test]
+fn p99_is_flat_below_the_knee_and_the_fleet_is_sustained() {
+    // Two load points far below saturation, 200 clients over 2 shards × 4
+    // nodes: latency must be a property of the protocol, not of the queue.
+    let mut base = LoadOptions::new(200, 0, Duration::from_secs(3));
+    base.shards = 2;
+    let reports = sweep(&base, &[150, 300]).expect("saturation sweep runs");
+
+    for report in &reports {
+        assert_eq!(
+            report.connected, 200,
+            "every client must stay connected through the {} tx/s point",
+            report.offered_tps
+        );
+        assert!(report.submitted > 0, "open loop must submit");
+    }
+
+    let knee = knee_index(&reports);
+    assert!(knee >= 1, "the lowest offered rate must be below the saturation knee");
+    let below = &reports[..knee];
+    let p99_min = below.iter().map(|r| r.p99_us).min().expect("non-empty");
+    let p99_max = below.iter().map(|r| r.p99_us).max().expect("non-empty");
+    // Within 2× of the best point, plus one 9Δ view timeout: on a contended
+    // box the scheduler can stall a shard into a single view change, which
+    // parks a tail of that window's transactions and says nothing about
+    // queueing.
+    let stall_us = u32::try_from(9 * base.delta_ms * 1000).expect("small delta");
+    assert!(
+        p99_max <= p99_min.saturating_mul(2).saturating_add(stall_us),
+        "p99 must stay flat (within 2x + one view timeout) below the knee: \
+         min {p99_min}us max {p99_max}us"
+    );
 }

@@ -1,5 +1,5 @@
-//! The original clone-based breadth-first explorer, kept as the measured
-//! baseline for the packed engine (see `benches/mc_scale.rs`).
+//! The original clone-based breadth-first explorer, kept as the reference
+//! the packed engine is checked against (see `tests/scale.rs`).
 //!
 //! It stores full [`State`] clones in a single in-memory `HashSet` and
 //! canonicalizes by honest-node permutation only — exactly the design

@@ -20,8 +20,8 @@
 //!    instead of exhausting RAM, expansion parallelizes across threads
 //!    ([`Explorer::threads`]), and violations reconstruct a shortest
 //!    counterexample trace ([`Explorer::trace`]). The original clone-based
-//!    engine survives as [`LegacyExplorer`] for comparison —
-//!    `benches/mc_scale.rs` in `tetrabft-bench` measures the difference.
+//!    engine survives as [`LegacyExplorer`], the reference
+//!    `tests/scale.rs` checks the packed engine against.
 //! 2. **Inductive-invariant sampling** ([`invariants`]): the paper's
 //!    `ConsistencyInvariant` is implemented verbatim; property tests
 //!    generate random states, filter to those satisfying the invariant, and

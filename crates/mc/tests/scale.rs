@@ -64,15 +64,24 @@ fn truncated_runs_report_budget_accounting() {
 
 /// The packed explorer sweeps a paper-bounds frontier (3 values ×
 /// 5 rounds) through a deliberately tiny in-RAM frontier, exercising the
-/// disk spill path, with zero violations.
+/// disk spill path, with zero violations of agreement or of the paper's
+/// inductive invariant — at any thread count, and storing exactly its
+/// budget.
 #[test]
 fn paper_bounds_sweep_spills_to_disk_and_stays_safe() {
-    let (report, stats) = Explorer::new(ModelCfg::paper()).frontier_mem(64).run_with_stats(60_000);
-    assert_eq!(report.states, 60_000, "budget fills at paper bounds");
-    assert!(report.truncated);
-    assert!(stats.spilled_states > 0, "a 64-record frontier must spill at this scale");
-    assert_eq!(report.violations, 0);
-    assert_eq!(stats.frontier_record_bytes, 24, "paper bounds pack into three words");
+    for threads in [1, 2] {
+        let (report, stats) = Explorer::new(ModelCfg::paper())
+            .check_inductive(true)
+            .threads(threads)
+            .frontier_mem(64)
+            .run_with_stats(60_000);
+        assert_eq!(report.states, 60_000, "budget fills at paper bounds (threads={threads})");
+        assert!(report.truncated);
+        assert!(stats.spilled_states > 0, "a 64-record frontier must spill at this scale");
+        assert_eq!(report.violations, 0);
+        assert_eq!(report.invariant_violations, 0, "ConsistencyInvariant must hold");
+        assert_eq!(stats.frontier_record_bytes, 24, "paper bounds pack into three words");
+    }
 }
 
 /// End-to-end counterexample flow: a forged near-disagreement yields a
@@ -138,14 +147,36 @@ fn already_violating_initial_state_traces_immediately() {
     assert_eq!(trace.decided.len(), 2);
 }
 
-/// Two-round bounded sweep with the packed engine — the successor of the
-/// old slow `two_rounds_bounded_exploration_is_safe` test, now exhausting
-/// the space outright inside the test budget.
+/// Section 5's agreement check, exhaustive wherever that fits a test: no
+/// reachable state of 2 or 3 values × 1 round or of 2 values × 2 rounds
+/// violates agreement or the paper's inductive invariant. At two rounds all
+/// three engines exhaust the space, head to head: node symmetry alone
+/// reproduces the legacy orbit count, value symmetry shrinks it, and a
+/// packed state costs at least 8× less memory than a legacy clone. (Packed
+/// states per second are ≈ 6× the legacy engine's in a release build; a
+/// test does not assert wall-clock ratios.)
 #[test]
 fn two_rounds_exhausted_and_safe() {
+    let safe = |cfg: ModelCfg| {
+        let (report, stats) = Explorer::new(cfg).check_inductive(true).run_with_stats(5_000_000);
+        assert!(report.exhausted, "{cfg:?} must be exhaustible in-test");
+        assert_eq!(report.violations, 0, "{cfg:?}: agreement must hold");
+        assert_eq!(report.invariant_violations, 0, "{cfg:?}: ConsistencyInvariant must hold");
+        (report, stats)
+    };
+    safe(tiny());
+    safe(ModelCfg { nodes: 4, byzantine: 1, values: 3, rounds: 1 });
+
     let cfg = ModelCfg { nodes: 4, byzantine: 1, values: 2, rounds: 2 };
-    let report = Explorer::new(cfg).run(5_000_000);
-    assert!(report.exhausted, "2 values × 2 rounds must now be exhaustible in-test");
-    assert_eq!(report.violations, 0);
-    assert!(report.states > 100_000, "the space is six figures of canonical states");
+    let (packed, stats) = safe(cfg);
+    assert!(packed.states > 100_000, "the space is six figures of canonical states");
+    let v1 = LegacyExplorer::new(cfg).run(5_000_000);
+    let node_only = Explorer::new(cfg).value_symmetry(false).run(5_000_000);
+    assert!(v1.exhausted && node_only.exhausted);
+    assert_eq!(v1.violations + node_only.violations, 0);
+    assert_eq!(v1.states, node_only.states, "node symmetry alone must match the v1 orbit count");
+    assert!(packed.states < v1.states, "value symmetry must shrink the space");
+    let shrink = LegacyExplorer::approx_bytes_per_state(&cfg) as f64 * packed.states as f64
+        / stats.seen_bytes as f64;
+    assert!(shrink >= 8.0, "packed engine must be ≥8× smaller per state (got {shrink:.1}×)");
 }

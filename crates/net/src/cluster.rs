@@ -169,7 +169,8 @@ impl ClusterBuilder {
     /// framed client submissions over TCP**: every node also accepts
     /// client connections on its listen port (hello id `0xFFFF`), decodes
     /// each frame through [`FrameRequest`], and feeds it into the engine
-    /// mux — the 10k-client path of `tetrabft-load`, with no thread per
+    /// mux — the path `tetrabft-load`'s client fleet and the repo
+    /// benchmark's generator submit through, with no thread per
     /// connection. The in-process [`SubmitHandle`]s are returned too.
     ///
     /// # Errors

@@ -1,14 +1,53 @@
 //! Fault-injection tests for the supervised TCP layer: killed sockets
 //! must reconnect and flush their buffers, scripted partitions must heal,
 //! lossy links must be survivable, and explicit topologies must work —
-//! all without ever diverging from an unfaulted run.
+//! all without ever diverging from an unfaulted run. The two
+//! responsiveness tests run one declarative [`LinkPlan`] in both runtimes
+//! — the simulator (one tick = 1 ms) prices it exactly, the TCP cluster
+//! reproduces it in wall-clock time — and commit latency must follow the
+//! injected delay, never the `9Δ` view timeout.
 
 use std::time::{Duration, Instant};
 
 use tetrabft::{Params, TetraNode};
 use tetrabft_multishot::MultiShotNode;
 use tetrabft_net::{ClusterBuilder, EdgeSpec, LinkPlan, NetError, PartitionWindow, Topology};
+use tetrabft_sim::SimBuilder;
 use tetrabft_types::{Config, NodeId, Value};
+
+/// Δ for the TCP runs: a 27 s view timeout, far from any commit below.
+const TCP_DELTA_MS: u64 = 3_000;
+
+/// Δ for the simulator runs: a timeout-bound commit would read ≥ 900,000.
+const SIM_DELTA_MS: u64 = 100_000;
+
+/// First-decision time in virtual ms, and every node's decided value, of
+/// an `n`-node single-shot run under `plan` in the simulator.
+fn sim_commit(n: usize, plan: &LinkPlan) -> (u64, Vec<Value>) {
+    let cfg = Config::new(n).unwrap();
+    let mut sim = SimBuilder::new(n).plan(plan).build(|id| {
+        TetraNode::new(cfg, Params::new(SIM_DELTA_MS), id, Value::from_u64(u64::from(id.0) + 1))
+    });
+    assert!(sim.run_until_outputs(n, 50_000_000), "the scenario must decide");
+    (sim.outputs()[0].time.0, sim.outputs().iter().map(|o| o.output).collect())
+}
+
+/// Wall-clock time from before the spawn to the first decision, and every
+/// node's decided value, of an `n`-node TCP cluster under `plan`.
+fn tcp_commit(n: usize, plan: LinkPlan) -> (Duration, Vec<Value>) {
+    let cfg = Config::new(n).unwrap();
+    let started = Instant::now();
+    let (mut cluster, _net) = ClusterBuilder::new(n)
+        .plan(plan)
+        .spawn(|id| {
+            TetraNode::new(cfg, Params::new(TCP_DELTA_MS), id, Value::from_u64(u64::from(id.0) + 1))
+        })
+        .expect("cluster spawns");
+    let mut next = || cluster.next_output_timeout(Duration::from_secs(30)).expect("decide").1;
+    let first = next();
+    let elapsed = started.elapsed();
+    (elapsed, std::iter::once(first).chain((1..n).map(|_| next())).collect())
+}
 
 /// Runs a 4-node multishot cluster with deterministic preloaded traffic
 /// and returns node 0's finalized chain over the first `slots` slots.
@@ -71,43 +110,36 @@ fn killed_sockets_reconnect_and_the_chain_matches_an_unfaulted_run() {
 
 #[test]
 fn scripted_partition_heals_and_the_cluster_decides() {
-    let cfg = Config::new(4).unwrap();
     // Node 0 (the view-0 leader) is severed from everyone for the first
-    // 400 ms: no quorum can form, so no decision can exist before the
-    // heal. Δ = 3 s keeps the view timeout (27 s) far away — the decision
-    // arriving right after the heal is the responsiveness claim in
-    // miniature.
-    let plan = LinkPlan::uniform(EdgeSpec::delay(1)).partition(PartitionWindow::isolate(
+    // 600 ms: no quorum can form, so no decision can exist before the
+    // heal. Both runtimes must decide right after it — the responsiveness
+    // claim in miniature — and on the same value: leader 0's.
+    let (heal, hop) = (600, 5);
+    let plan = LinkPlan::uniform(EdgeSpec::delay(hop)).partition(PartitionWindow::isolate(
         0,
-        400,
+        heal,
         [NodeId(0)],
     ));
-    let started = Instant::now();
-    let (mut cluster, _net) = ClusterBuilder::new(4)
-        .plan(plan)
-        .spawn(|id| {
-            TetraNode::new(cfg, Params::new(3_000), id, Value::from_u64(u64::from(id.0) + 1))
-        })
-        .expect("cluster spawns");
 
-    let mut decisions = Vec::new();
-    for _ in 0..4 {
-        let (_, value) =
-            cluster.next_output_timeout(Duration::from_secs(30)).expect("decide within 30s");
-        decisions.push(value);
-    }
-    let elapsed = started.elapsed();
+    let (sim_ms, sim_values) = sim_commit(4, &plan);
     assert!(
-        elapsed >= Duration::from_millis(350),
-        "no quorum exists before the heal at 400 ms, yet decided after {elapsed:?}"
+        (heal..=heal + 10 * hop).contains(&sim_ms),
+        "the simulator decides right after the heal at {heal} ms, got {sim_ms}"
+    );
+    assert!(sim_values.iter().all(|v| *v == Value::from_u64(1)), "sim: {sim_values:?}");
+
+    let (elapsed, tcp_values) = tcp_commit(4, plan);
+    assert!(
+        elapsed >= Duration::from_millis(heal - 50),
+        "no quorum exists before the heal at {heal} ms, yet TCP decided after {elapsed:?}"
     );
     assert!(
-        elapsed < Duration::from_secs(20),
+        elapsed < Duration::from_millis(Params::new(TCP_DELTA_MS).view_timeout() / 2),
         "the decision must follow the heal, not the 27 s view timeout ({elapsed:?})"
     );
     assert!(
-        decisions.iter().all(|v| *v == Value::from_u64(1)),
-        "leader 0's value after the heal: {decisions:?}"
+        tcp_values.iter().all(|v| *v == Value::from_u64(1)),
+        "no divergence between runtimes, TCP decides the simulator's value: {tcp_values:?}"
     );
 }
 
@@ -139,30 +171,53 @@ fn lossy_links_drop_frames_without_blocking_agreement() {
 
 #[test]
 fn injected_wan_delay_governs_commit_latency() {
-    let cfg = Config::new(4).unwrap();
-    // 25 ms per hop and a 9Δ = 27 s timeout: the good case needs 5 message
-    // delays, so a decision before ~125 ms would mean the conditioning is
-    // not applied, and one near the timeout would mean responsiveness is
-    // lost.
-    let started = Instant::now();
-    let (mut cluster, _net) = ClusterBuilder::new(4)
-        .plan(LinkPlan::uniform(EdgeSpec::delay(25)))
-        .spawn(|id| {
-            TetraNode::new(cfg, Params::new(3_000), id, Value::from_u64(u64::from(id.0) + 1))
-        })
-        .expect("cluster spawns");
-    let (_, value) =
-        cluster.next_output_timeout(Duration::from_secs(30)).expect("decide within 30s");
-    let elapsed = started.elapsed();
-    assert_eq!(value, Value::from_u64(1));
+    let lan = LinkPlan::uniform(EdgeSpec::delay(1));
+    let wan = LinkPlan::uniform(EdgeSpec::delay(30));
+    // Three regions (ids round-robin over them): 5 ms inside a region,
+    // 40/70/80 ms one way between regions.
+    let geo = |n: usize| {
+        const REGION: [[u64; 3]; 3] = [[5, 40, 80], [40, 5, 70], [80, 70, 5]];
+        let matrix: Vec<Vec<u64>> = (0..n)
+            .map(|i| (0..n).map(|j| if i == j { 0 } else { REGION[i % 3][j % 3] }).collect())
+            .collect();
+        LinkPlan::from_matrix(&matrix)
+    };
+
+    // In the simulator the good case is five message delays, exactly,
+    // whatever the delay and the cluster size.
+    let sim_timeout = Params::new(SIM_DELTA_MS).view_timeout();
+    for n in [4, 7] {
+        let (lan_ms, _) = sim_commit(n, &lan);
+        let (wan_ms, _) = sim_commit(n, &wan);
+        let (geo_ms, _) = sim_commit(n, &geo(n));
+        assert_eq!(lan_ms, 5, "good case is 5 message delays at δ = 1 (n={n})");
+        assert_eq!(wan_ms, 5 * 30, "latency scales with the injected delay, not n (n={n})");
+        assert!(
+            (5 * 5..=5 * 80).contains(&geo_ms),
+            "geo latency is bounded by the slowest inter-region path (n={n}, got {geo_ms})"
+        );
+        assert!(
+            sim_timeout >= 100 * wan_ms.max(geo_ms),
+            "commit is two orders of magnitude below the 9Δ timeout (n={n})"
+        );
+    }
+
+    // Over TCP the same plans cost wall-clock time: a decision before 5δ
+    // would mean the conditioning is not applied, and one near the timeout
+    // would mean responsiveness is lost.
+    let tcp_timeout = Params::new(TCP_DELTA_MS).view_timeout();
+    let (lan_elapsed, _) = tcp_commit(4, lan);
+    let (wan_elapsed, values) = tcp_commit(4, wan);
+    assert!(values.iter().all(|v| *v == Value::from_u64(1)), "agreement over the WAN: {values:?}");
     assert!(
-        elapsed >= Duration::from_millis(100),
-        "5 conditioned hops cannot complete in {elapsed:?}"
+        wan_elapsed >= Duration::from_millis(5 * 30),
+        "five 30 ms hops cannot complete in {wan_elapsed:?}"
     );
     assert!(
-        elapsed < Duration::from_secs(10),
-        "commit must track the injected delay, not the view timeout ({elapsed:?})"
+        wan_elapsed < Duration::from_millis(tcp_timeout / 5),
+        "commit must track the injected delay, not the {tcp_timeout} ms timeout ({wan_elapsed:?})"
     );
+    assert!(wan_elapsed > lan_elapsed, "30× the delay must cost wall-clock time");
 }
 
 #[test]

@@ -298,26 +298,41 @@ impl<M: WireSize + Clone, O> Node for ByzantineActor<M, O> {
     }
 }
 
-/// Wraps an honest node, silently dropping its outbound traffic toward a
-/// set of targets — selective silence over an otherwise *correct* protocol
-/// participant (it looks crashed to the targets and honest to everyone
-/// else, the classic quorum-splitting adversary).
+/// Says which outbound messages a [`FilteredNode`] lets through.
+type SendFilter<M> = Box<dyn FnMut(&M) -> bool>;
+
+/// Wraps an honest node, silently dropping part of its outbound traffic —
+/// selective silence over an otherwise *correct* protocol participant.
+///
+/// Two filters, one per constructor: [`FilteredNode::new`] drops every
+/// send toward a set of targets (the node looks crashed to them and honest
+/// to everyone else, the classic quorum-splitting adversary);
+/// [`FilteredNode::sending`] drops whole messages by content (a leader that
+/// never proposes one slot, a voter that never votes).
 ///
 /// The inner node runs against a buffered [`Context`]; the wrapper replays
-/// every recorded action, filtering sends. `Dest::All` broadcasts are
-/// expanded per node so individual targets can be dropped; the node's own
-/// loopback delivery is always preserved (silencing must not corrupt the
-/// inner node's own state).
+/// every recorded action, filtering sends. A `Dest::All` broadcast is
+/// expanded per node only when a target is silenced, so individual targets
+/// can be dropped; the node's own loopback delivery survives silencing
+/// (which must not corrupt the inner node's own state) but not a message
+/// the predicate rejects, which reaches nobody.
 pub struct FilteredNode<N: Node> {
     inner: N,
     silenced: Vec<NodeId>,
+    keep: SendFilter<N::Msg>,
     buf: ActionBuf<N::Msg, N::Output>,
 }
 
 impl<N: Node> FilteredNode<N> {
     /// Wraps `inner`, dropping its sends toward `silenced`.
     pub fn new(inner: N, silenced: impl IntoIterator<Item = NodeId>) -> Self {
-        FilteredNode { inner, silenced: silenced.into_iter().collect(), buf: ActionBuf::new() }
+        FilteredNode { silenced: silenced.into_iter().collect(), ..Self::sending(inner, |_| true) }
+    }
+
+    /// Wraps `inner`, dropping every message `keep` rejects, whoever it is
+    /// addressed to.
+    pub fn sending(inner: N, keep: impl FnMut(&N::Msg) -> bool + 'static) -> Self {
+        FilteredNode { inner, silenced: Vec::new(), keep: Box::new(keep), buf: ActionBuf::new() }
     }
 
     /// The wrapped node.
@@ -336,6 +351,10 @@ impl<N: Node> Node for FilteredNode<N> {
         self.inner.handle(input, &mut inner_ctx);
         for action in std::mem::take(&mut self.buf) {
             match action {
+                Action::Send { msg, .. } if !(self.keep)(&msg) => {}
+                Action::Send { dest: Dest::All, msg } if self.silenced.is_empty() => {
+                    ctx.broadcast(msg);
+                }
                 Action::Send { dest: Dest::All, msg } => {
                     for i in 0..ctx.n() as u16 {
                         let to = NodeId(i);
@@ -437,20 +456,36 @@ mod tests {
     fn filtered_node_drops_only_silenced_targets() {
         // An inner node that broadcasts on Start, sends to 2 on Deliver,
         // and keeps a timer armed.
-        let inner = FnNode::<M, (), _>::new(|input, ctx| match input {
-            Input::Start => {
-                ctx.broadcast(M(1));
-                ctx.set_timer(TimerId(9), 10);
-            }
-            Input::Deliver { .. } => ctx.send(NodeId(2), M(2)),
-            _ => {}
-        });
-        let mut node = FilteredNode::new(inner, [NodeId(2)]);
+        let inner = || {
+            FnNode::<M, (), _>::new(|input, ctx| match input {
+                Input::Start => {
+                    ctx.broadcast(M(1));
+                    ctx.set_timer(TimerId(9), 10);
+                }
+                Input::Deliver { .. } => ctx.send(NodeId(2), M(2)),
+                _ => {}
+            })
+        };
+        let mut node = FilteredNode::new(inner(), [NodeId(2)]);
         let actions = drive(&mut node, Input::Start);
         // Broadcast expands to 0 (self, kept), 1, 3 — 2 is silenced.
         assert_eq!(sent_to(&actions), vec![0, 1, 3]);
         assert!(actions.iter().any(|a| matches!(a, Action::SetTimer { id: TimerId(9), .. })));
         let actions = drive(&mut node, Input::Deliver { from: NodeId(1), msg: M(0) });
         assert!(sent_to(&actions).is_empty(), "direct send to silenced target dropped");
+
+        // The predicate form drops a message for everyone, loopback
+        // included, and passes the rest through as the inner node sent it.
+        let mut node = FilteredNode::sending(inner(), |msg| *msg != M(1));
+        let actions = drive(&mut node, Input::Start);
+        assert!(matches!(actions[..], [Action::SetTimer { id: TimerId(9), .. }]));
+        let mut node = FilteredNode::sending(inner(), |msg| *msg != M(2));
+        let actions = drive(&mut node, Input::Start);
+        assert!(
+            matches!(actions[0], Action::Send { dest: Dest::All, msg: M(1) }),
+            "a kept broadcast stays one broadcast"
+        );
+        let actions = drive(&mut node, Input::Deliver { from: NodeId(1), msg: M(0) });
+        assert!(actions.is_empty());
     }
 }

@@ -17,7 +17,7 @@
 //!
 //! Protocols are plugged in as deterministic [`Node`] state machines, so a
 //! simulation run is a pure function of `(protocol, policy, seed)` — every
-//! experiment in `EXPERIMENTS.md` is exactly reproducible.
+//! table `crates/bench/benches/` prints is exactly reproducible.
 //!
 //! Latency accounting: under [`LinkPolicy::synchronous`]`(1)` every network
 //! hop costs one tick, so a decision at tick `k` means the protocol used `k`

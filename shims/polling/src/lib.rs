@@ -14,8 +14,8 @@
 //!   condition (readable socket nobody drained) can never spin the loop;
 //! * [`Poller::notify`] — a cross-thread waker (self-pipe) that makes
 //!   [`Poller::wait`] return without reporting an event;
-//! * [`os`] — the two syscall helpers `std` cannot express: a genuinely
-//!   non-blocking `connect` and an `RLIMIT_NOFILE` raise.
+//! * [`os`] — the syscall helper `std` cannot express: a genuinely
+//!   non-blocking `connect`.
 //!
 //! # Examples
 //!
@@ -47,10 +47,10 @@ use std::time::{Duration, Instant};
 
 mod sys;
 
-/// Syscall helpers that round out `std`'s socket API for readiness-based
-/// runtimes.
+/// The syscall helper that rounds out `std`'s socket API for
+/// readiness-based runtimes.
 pub mod os {
-    pub use crate::sys::{connect_stream, raise_nofile_limit};
+    pub use crate::sys::connect_stream;
 }
 
 /// The key reserved for the poller's internal notifier; user keys must be

@@ -1,6 +1,6 @@
-//! The raw syscall layer: `epoll_*`, `poll(2)`, `socket`/`connect`, and
-//! `getrlimit`/`setrlimit`, declared directly against the C library that
-//! `std` already links (no `libc` crate in the offline build environment).
+//! The raw syscall layer: `epoll_*`, `poll(2)` and `socket`/`connect`,
+//! declared directly against the C library that `std` already links (no
+//! `libc` crate in the offline build environment).
 //!
 //! Everything `unsafe` in the shim lives here; the wrappers exposed to the
 //! rest of the crate are safe and return `io::Error::last_os_error()` on
@@ -217,36 +217,4 @@ pub fn connect_stream(addr: &SocketAddr) -> io::Result<TcpStream> {
         }
     }
     Ok(stream)
-}
-
-// ---- rlimit ----------------------------------------------------------
-
-const RLIMIT_NOFILE: c_int = 7;
-
-#[repr(C)]
-struct RLimit {
-    cur: u64,
-    max: u64,
-}
-
-extern "C" {
-    fn getrlimit(resource: c_int, rlim: *mut RLimit) -> c_int;
-    fn setrlimit(resource: c_int, rlim: *const RLimit) -> c_int;
-}
-
-/// Raises the soft `RLIMIT_NOFILE` to the hard limit and returns the
-/// resulting soft limit. A 10k-connection harness outgrows the usual
-/// 1024-fd default; this is the standard server start-up move.
-pub fn raise_nofile_limit() -> io::Result<u64> {
-    let mut lim = RLimit { cur: 0, max: 0 };
-    if unsafe { getrlimit(RLIMIT_NOFILE, &mut lim) } < 0 {
-        return Err(io::Error::last_os_error());
-    }
-    if lim.cur < lim.max {
-        lim.cur = lim.max;
-        if unsafe { setrlimit(RLIMIT_NOFILE, &lim) } < 0 {
-            return Err(io::Error::last_os_error());
-        }
-    }
-    Ok(lim.cur)
 }

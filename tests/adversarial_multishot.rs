@@ -4,7 +4,9 @@
 
 use tetrabft::Params;
 use tetrabft_multishot::{Block, Finalized, MsMessage, MultiShotNode};
-use tetrabft_sim::{Context, Input, LinkPolicy, Node, Route, RouteEnv, Sim, SimBuilder, Time};
+use tetrabft_sim::{
+    Context, FilteredNode, Input, LinkPolicy, Node, Route, RouteEnv, Sim, SimBuilder, Time,
+};
 use tetrabft_types::{Config, NodeId, Slot, View};
 
 fn assert_no_fork(sim: &Sim<MsMessage, Finalized>, honest: &[u16]) {
@@ -87,47 +89,18 @@ fn equivocating_block_producer_cannot_fork_the_chain() {
     assert!(tip >= 10, "the chain must survive the split attempts, tip={tip}");
 }
 
-/// A node that participates but never votes — starves quorums by exactly
-/// one vote whenever another node is down. With only this withholder
-/// faulty, the chain must still grow (3 of 4 vote).
-struct VoteWithholder {
-    inner: MultiShotNode,
-}
-
-impl Node for VoteWithholder {
-    type Msg = MsMessage;
-    type Output = Finalized;
-
-    fn handle(&mut self, input: Input<MsMessage>, ctx: &mut Context<'_, MsMessage, Finalized>) {
-        use tetrabft_sim::{Action, ActionBuf, Dest};
-        let mut buf: ActionBuf<MsMessage, Finalized> = ActionBuf::new();
-        {
-            let mut inner_ctx = Context::buffered(ctx.me(), ctx.n(), ctx.now(), &mut buf);
-            self.inner.handle(input, &mut inner_ctx);
-        }
-        for action in buf {
-            match action {
-                Action::Send { msg: MsMessage::Vote { .. }, .. } => {} // withheld
-                Action::Send { dest, msg } => match dest {
-                    Dest::All => ctx.broadcast(msg),
-                    Dest::Node(to) => ctx.send(to, msg),
-                },
-                Action::SetTimer { id, after } => ctx.set_timer(id, after),
-                Action::CancelTimer { id } => ctx.cancel_timer(id),
-                Action::Output(out) => ctx.output(out),
-            }
-        }
-    }
-}
-
 #[test]
 fn vote_withholding_slows_but_does_not_stop_the_chain() {
     let cfg = Config::new(4).unwrap();
+    // Node 3 participates but never votes — it starves quorums by exactly
+    // one vote whenever another node is down. With only this withholder
+    // faulty, the chain must still grow (3 of 4 vote).
     let mut sim = SimBuilder::new(4).policy(LinkPolicy::synchronous(1)).build_boxed(|id| {
+        let node = MultiShotNode::new(cfg, Params::new(5), id);
         if id == NodeId(3) {
-            Box::new(VoteWithholder { inner: MultiShotNode::new(cfg, Params::new(5), id) })
+            Box::new(FilteredNode::sending(node, |msg| !matches!(msg, MsMessage::Vote { .. })))
         } else {
-            Box::new(MultiShotNode::new(cfg, Params::new(5), id))
+            Box::new(node)
         }
     });
     sim.run_until(Time(600));

@@ -108,7 +108,8 @@ proptest! {
     }
 
     /// Determinism: the same seed and configuration produce bit-identical
-    /// outcomes — the property every experiment in EXPERIMENTS.md rests on.
+    /// outcomes — the property every table and figure the benches print
+    /// (`crates/bench/benches/`) rests on.
     #[test]
     fn simulation_is_deterministic(seed in any::<u64>(), jitter_max in 1u64..6) {
         let run = || {

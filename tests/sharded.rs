@@ -60,6 +60,43 @@ fn txs_per_horizon_scale_with_k() {
 }
 
 #[test]
+fn backpressure_is_exact_in_every_pool() {
+    // Clients offer every node of every shard 1.5× its admission bound.
+    // The overflow must surface as typed errors, not unbounded memory: each
+    // of the k·n pools admits exactly its capacity and refuses the rest.
+    let (n, capacity) = (4, 512);
+    let offered = capacity + capacity / 2;
+    let cfg = Config::new(n).unwrap();
+    let params = Params::new(1_000_000)
+        .with_max_block_txs(64)
+        .with_mempool_capacity(capacity)
+        .with_max_tx_bytes(64);
+    for k in [1usize, 2, 4] {
+        let (mut admitted, mut rejected_full) = (0, 0);
+        ShardedSim::new(
+            k,
+            n,
+            0,
+            |_, _| LinkPolicy::synchronous(1),
+            |shard, id| {
+                let mut node = MultiShotNode::new(cfg, params, id);
+                for t in 0..offered {
+                    match node.submit_tx(format!("s{shard}-n{id}-t{t:06}").into_bytes()) {
+                        Ok(()) => admitted += 1,
+                        Err(SubmitError::Full { .. }) => rejected_full += 1,
+                        Err(e) => panic!("unexpected rejection: {e}"),
+                    }
+                }
+                assert_eq!(node.mempool_len(), capacity, "pool fills exactly to capacity");
+                node
+            },
+        );
+        assert_eq!(admitted, k * n * capacity, "each of the k·n pools admits its capacity");
+        assert_eq!(admitted + rejected_full, k * n * offered);
+    }
+}
+
+#[test]
 fn sharded_runs_are_a_pure_function_of_their_inputs() {
     let run = || {
         let mut sim = sharded(4, Params::new(1_000));
