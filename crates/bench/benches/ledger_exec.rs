@@ -19,8 +19,8 @@ use tetrabft_bench::{print_table, CountingAlloc};
 use tetrabft_ledger::{
     shard_of_account, transfer_admission, AccountId, AccountMap, Ledger, LedgerReplica, Transfer,
 };
-use tetrabft_multishot::{MultiShotNode, ShardSpec, ShardedSim, Transaction};
-use tetrabft_sim::{LinkPolicy, Time};
+use tetrabft_multishot::{MultiShotNode, ShardSpec, Transaction};
+use tetrabft_sim::{LinkPolicy, ShardedSim, Time};
 use tetrabft_types::{Config, NodeId};
 
 #[global_allocator]

@@ -184,11 +184,6 @@ impl<N: Node> Engine<N> {
         &mut self.node
     }
 
-    /// Unwraps the engine, returning the node.
-    pub fn into_node(self) -> N {
-        self.node
-    }
-
     /// Boots the node (deliver exactly once, before any other event) and
     /// seals: the boot input is a batch of its own.
     pub fn start<T: Transport<N::Msg, N::Output>>(&mut self, now: Time, transport: &mut T) {

@@ -1,7 +1,7 @@
 //! Per-slot protocol state.
 
 use tetrabft::Registers;
-use tetrabft_types::{Config, Slot, View, VoteBook};
+use tetrabft_types::{Config, View, VoteBook};
 
 use crate::block::BlockHash;
 
@@ -14,8 +14,6 @@ use crate::block::BlockHash;
 /// state stays O(window · n).
 #[derive(Debug, Clone)]
 pub struct SlotInstance {
-    /// The slot this instance decides.
-    pub slot: Slot,
     /// Current view of the slot (views are per-slot in multi-shot TetraBFT;
     /// fresh slots start at view 0 — Algorithm 3 line 10).
     pub view: View,
@@ -45,10 +43,9 @@ pub struct SlotInstance {
 }
 
 impl SlotInstance {
-    /// Creates the instance for `slot` at view 0.
-    pub fn new(cfg: &Config, slot: Slot) -> Self {
+    /// Creates a slot's instance at view 0.
+    pub fn new(cfg: &Config) -> Self {
         SlotInstance {
-            slot,
             view: View::ZERO,
             book: VoteBook::new(),
             regs: Registers::new(cfg),
@@ -88,7 +85,7 @@ mod tests {
     use super::*;
 
     fn inst() -> SlotInstance {
-        SlotInstance::new(&Config::new(4).unwrap(), Slot(3))
+        SlotInstance::new(&Config::new(4).unwrap())
     }
 
     #[test]

@@ -49,19 +49,21 @@
 #![warn(missing_docs)]
 
 mod block;
+mod catchup;
+mod handoff;
 mod instance;
 mod mempool;
 mod msg;
 mod node;
+mod pipeline;
 mod shard;
 mod store;
 mod txn;
 
 pub use block::{Block, BlockHash, GENESIS_HASH};
-pub use instance::SlotInstance;
 pub use mempool::{Mempool, SubmitError};
 pub use msg::MsMessage;
-pub use node::{Finalized, MultiShotNode, SLOT_WINDOW};
-pub use shard::{FinalizedMerge, GlobalFinalized, ShardSpec, ShardedSim};
-pub use store::BlockStore;
+pub use node::{Finalized, MultiShotNode};
+pub use pipeline::SLOT_WINDOW;
+pub use shard::{FinalizedMerge, GlobalFinalized, ShardSpec};
 pub use txn::{Transaction, Tx, TxCheck, TxId};

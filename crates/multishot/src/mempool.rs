@@ -379,16 +379,6 @@ impl Mempool {
     pub fn is_empty(&self) -> bool {
         self.queue.is_empty()
     }
-
-    /// The admission bound.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
-    /// The per-transaction size cap in bytes.
-    pub fn max_tx_bytes(&self) -> usize {
-        self.max_tx_bytes
-    }
 }
 
 #[cfg(test)]

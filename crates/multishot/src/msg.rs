@@ -3,7 +3,7 @@
 use std::sync::Arc;
 
 use tetrabft::{ProofData, SuggestData};
-use tetrabft_sim::WireSize;
+use tetrabft_engine::WireSize;
 use tetrabft_types::{AuditClaim, Phase, Slot, Value, View};
 use tetrabft_wire::{Reader, Wire, WireError, Writer};
 
@@ -97,7 +97,7 @@ pub enum MsMessage {
 }
 
 /// Most blocks one [`MsMessage::Blocks`] decode will accept; responders
-/// send at most half this (`CATCHUP_BATCH` in `node.rs`), so the headroom
+/// send at most half this (`CATCHUP_BATCH` in `catchup.rs`), so the headroom
 /// only rejects hostile encodings, never honest ones.
 pub const MAX_CATCHUP_BLOCKS: usize = 64;
 

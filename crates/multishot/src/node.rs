@@ -1,51 +1,37 @@
-//! The Multi-shot TetraBFT node (Algorithms 2 and 3).
+//! The Multi-shot TetraBFT node, as a composition root: Algorithms 2 and 3
+//! are [`crate::pipeline`]; here are durability and the five places where
+//! the pipeline meets the queue ([`crate::handoff`]), each in the order
+//! DESIGN.md §7 gives a reason for, plus catch-up ([`crate::catchup`]).
 
-use std::collections::{BTreeMap, BTreeSet, HashSet};
+use std::collections::BTreeSet;
 use std::path::Path;
-use std::sync::Arc;
 
-use tetrabft::rules::{leader_determine_safe, node_determine_safe};
-use tetrabft::{Message as CoreMessage, Params, ProofData, SuggestData};
-use tetrabft_sim::{Context, Input, Node, Submitter, TimerId};
+use tetrabft::{Message as CoreMessage, Params};
+use tetrabft_engine::{Input, Node, Submitter, TimerId};
 use tetrabft_store::{NodeStore, StoreError};
-use tetrabft_types::{Config, InlineVec, NodeId, Phase, Slot, Value, View};
+use tetrabft_types::{Config, NodeId, Slot, View};
 use tetrabft_wire::Wire;
 
-use crate::block::{Block, BlockHash, GENESIS_HASH};
+use crate::block::{Block, BlockHash};
+use crate::catchup::Catchup;
+use crate::handoff::{Handoff, Pace, Pacing};
 use crate::instance::SlotInstance;
-use crate::mempool::{Mempool, SubmitError};
+use crate::mempool::SubmitError;
 use crate::msg::MsMessage;
-use crate::store::BlockStore;
+use crate::pipeline::{Candidate, Ctx, Pipeline, FINALIZED_TAIL};
 use crate::txn::{Tx, TxCheck};
-
-/// How many slots may be in flight beyond the last finalized block.
-///
-/// The finality lag is 4 slots and at most 5 blocks can abort (Section 6.2),
-/// so 8 gives comfortable headroom while keeping protocol state O(window·n).
-pub const SLOT_WINDOW: u64 = 8;
 
 /// Timer id reserved for the periodic catch-up broadcast of durable nodes.
 /// Slot timers use the slot number itself as their id, so the top of the id
 /// space can never collide with a reachable slot.
 const CATCHUP_TIMER: TimerId = TimerId(u64::MAX);
 
-/// Timer id behind which every ready view-0 proposal waits: for 0 ms when
-/// there is something to propose — long enough to read what has already
-/// arrived, a loan above all ([`MsMessage::Relay`]) — and for
+/// Timer id behind which every ready view-0 proposal waits ([`Pacing`]):
+/// for 0 ms when there is something to propose — long enough to read what
+/// has already arrived, a loan above all ([`MsMessage::Relay`]) — and for
 /// [`Params::idle_pacing`] when the chain is idle. Slot timers use the slot
 /// number itself, so the two top ids are free.
 const PACE_TIMER: TimerId = TimerId(u64::MAX - 1);
-
-/// Most blocks a node serves per catch-up response — half the hostile-decode
-/// bound ([`crate::msg::MAX_CATCHUP_BLOCKS`]), so honest responses always
-/// decode. A lagging node re-requests as soon as a batch commits, so the cap
-/// bounds message size, not recovery depth.
-const CATCHUP_BATCH: usize = 32;
-
-/// The "fresh block" sentinel passed to Rule 1 as the leader's default
-/// value: block hashes are never 0 (see [`Block::hash`]), so when
-/// Algorithm 4 certifies this value the leader is free to mint a new block.
-const FRESH: Value = Value([0; 8]);
 
 /// A finalization event: `block` is now immutable at `slot` on every
 /// well-behaved node's chain.
@@ -70,49 +56,10 @@ pub struct Finalized {
 /// See the crate-level example for the pipelined good case.
 #[derive(Debug)]
 pub struct MultiShotNode {
-    cfg: Config,
-    params: Params,
-    me: NodeId,
-    store: BlockStore,
-    instances: BTreeMap<Slot, SlotInstance>,
-    /// Highest finalized slot (0 = genesis) and its block hash.
-    finalized: Slot,
-    finalized_hash: BlockHash,
-    /// Per-peer latest vote whose block is not yet known.
-    pending: Vec<Option<(Slot, View, BlockHash)>>,
-    /// Per-peer latest raw view-change pair (for echoing).
-    vc_raw: Vec<Option<(Slot, View)>>,
-    /// Highest view-change this node broadcast.
-    vc_sent: Option<(Slot, View)>,
-    /// Per-peer *silent* bit: a view-0 slot the peer leads timed out with
-    /// no proposal ever seen, and the peer has not been heard voting for a
-    /// known block (or proposing) since. A silent leader's next slot asks
-    /// for view 1 the moment it starts instead of 9Δ later, and nothing is
-    /// lent to it. Liveness only — safety never reads it.
-    silent: Vec<bool>,
-    /// Per-peer evidence that the chain has left this node behind: the
-    /// peer voted beyond this node's window since the last catch-up request.
-    ahead: Vec<bool>,
-    /// Highest slot a quorum was seen to finalize over a block this node
-    /// lacks ([`Self::step_finalize`] asks for it once).
-    hole: Slot,
-    /// Transactions waiting to be packed into a block — this node's own
-    /// when it leads a slot, else the block of the leader it lends them
-    /// to: bounded, validated, FIFO-with-dedup.
-    mempool: Mempool,
-    /// Every batch drained from the mempool and not yet settled, by the
-    /// slot whose block is to carry it: this node's own block, or the
-    /// view-0 block of the leader the batch was lent to. What the slot's
-    /// finalized block turns out not to carry goes back to the mempool
-    /// ([`Self::settle`]) — admitted transactions survive lost view changes
-    /// and lost hand-offs alike. Bounded by the slot window.
-    owed: BTreeMap<Slot, Owed>,
-    /// What peers lent this node for the view-0 block of a slot it leads,
-    /// loan by loan with its lender: checked like client submissions, at
-    /// most `max_block_txs` per slot. Volatile on purpose: never journaled,
-    /// never requeued (only the lender returns a transaction to a queue),
-    /// dropped when the slot is proposed, leaves view 0 or commits.
-    borrowed: BTreeMap<Slot, Vec<Loan>>,
+    pipeline: Pipeline,
+    handoff: Handoff,
+    pacing: Pacing,
+    catchup: Catchup,
     /// Durable store, if this node persists its state ([`Self::durable`]).
     durable: Option<NodeStore>,
     /// Incarnation counter from the durable store (0 = not durable).
@@ -120,82 +67,19 @@ pub struct MultiShotNode {
     /// Live slots whose own vote book or view changed since the last
     /// [`Node::persist`] call.
     dirty_slots: BTreeSet<Slot>,
-    /// Catch-up candidates: next-block proposals received via
-    /// [`MsMessage::Blocks`], keyed by `(slot, recomputed hash)` with the
-    /// set of peers vouching for each. A candidate commits once its parent
-    /// is our finalized tip and a blocking set (f+1, at least one honest
-    /// node) agrees on the hash.
-    catchup: BTreeMap<(Slot, BlockHash), (Block, BTreeSet<u16>)>,
-    /// Reusable scratch for view-change suggest collection (filled in
-    /// place each re-evaluation; capacity is retained across steps, so the
-    /// steady state allocates nothing).
-    scratch_suggests: Vec<SuggestData>,
-    /// Reusable scratch for proof collection, same pattern.
-    scratch_proofs: Vec<ProofData>,
-    /// Reusable scratch for the finalization chain walk (good case: one
-    /// entry per finalize).
-    scratch_chain: Vec<(Slot, BlockHash, Block)>,
-    /// The slot whose ready view-0 proposal is held back behind
-    /// [`PACE_TIMER`], and the delay the timer was armed with.
-    pace_pending: Option<(Slot, u64)>,
-    /// The slot the pace timer has just released: set for the one `drive`
-    /// its firing runs, in which that slot's proposal goes out.
-    pace_released: Option<Slot>,
-}
-
-/// What one peer lent this node for one slot: the payloads that passed the
-/// borrower's checks, and who vouches for the chain they belong on.
-#[derive(Debug)]
-struct Loan {
-    lender: NodeId,
-    txs: Vec<Vec<u8>>,
-}
-
-/// A batch this node drained from its mempool, until the slot that is to
-/// carry it commits. Never empty.
-#[derive(Debug)]
-struct Owed {
-    /// Admission sequence of each owed transaction: `txs[i]` came out of
-    /// the mempool as number `seqs[i]` (an own batch is the front of its
-    /// block's list, which what the node borrowed follows).
-    seqs: Vec<u64>,
-    /// The payloads, shared with the block or relay that carries them.
-    txs: Arc<Vec<Vec<u8>>>,
-    /// The block at this slot known to carry the batch: this node's own
-    /// from the start, a borrower's once its proposal is seen. `None` is a
-    /// loan *in doubt*.
-    carried: Option<BlockHash>,
 }
 
 impl MultiShotNode {
     /// Creates a node starting at the genesis block.
     pub fn new(cfg: Config, params: Params, me: NodeId) -> Self {
         MultiShotNode {
-            cfg,
-            params,
-            me,
-            store: BlockStore::new(),
-            instances: BTreeMap::new(),
-            finalized: Slot::GENESIS,
-            finalized_hash: GENESIS_HASH,
-            pending: vec![None; cfg.n()],
-            vc_raw: vec![None; cfg.n()],
-            vc_sent: None,
-            silent: vec![false; cfg.n()],
-            ahead: vec![false; cfg.n()],
-            hole: Slot::GENESIS,
-            mempool: Mempool::new(params.mempool_capacity(), params.max_tx_bytes()),
-            owed: BTreeMap::new(),
-            borrowed: BTreeMap::new(),
+            pipeline: Pipeline::new(cfg, params, me),
+            handoff: Handoff::new(&params),
+            pacing: Pacing::default(),
+            catchup: Catchup::new(&cfg),
             durable: None,
             incarnation: 0,
             dirty_slots: BTreeSet::new(),
-            catchup: BTreeMap::new(),
-            scratch_suggests: Vec::new(),
-            scratch_proofs: Vec::new(),
-            scratch_chain: Vec::new(),
-            pace_pending: None,
-            pace_released: None,
         }
     }
 
@@ -219,15 +103,13 @@ impl MultiShotNode {
         let mut node = MultiShotNode::new(cfg, params, me);
         node.incarnation = store.incarnation();
         if let Some((tip, hash)) = store.chain_tip() {
-            node.finalized = tip;
-            node.finalized_hash = BlockHash(hash);
+            (node.pipeline.finalized, node.pipeline.finalized_hash) = (tip, BlockHash(hash));
             // Reload the recent chain tail into the in-memory block store:
             // votes in flight at the crash may reference these blocks as
-            // ancestors (pruning keeps the same 4-slot margin).
-            let lo = tip.0.saturating_sub(4).max(1);
-            for s in lo..=tip.0 {
+            // ancestors (pruning keeps the same margin).
+            for s in tip.0.saturating_sub(FINALIZED_TAIL).max(1)..=tip.0 {
                 if let Some((_, bytes)) = store.block_record(Slot(s))? {
-                    node.store.insert(Block::from_bytes(&bytes)?);
+                    node.pipeline.store.insert(Block::from_bytes(&bytes)?);
                 }
             }
         }
@@ -235,13 +117,11 @@ impl MultiShotNode {
         // write-ahead record left it, so the node cannot contradict a vote
         // it already sent before the crash.
         for sv in store.restored_votes().values() {
-            if sv.slot <= node.finalized || sv.slot.0 > node.finalized.0 + SLOT_WINDOW {
-                continue;
+            if node.pipeline.in_window(sv.slot) {
+                let mut inst = SlotInstance::new(&cfg);
+                (inst.view, inst.book) = (sv.view, sv.book.clone());
+                node.pipeline.instances.insert(sv.slot, inst);
             }
-            let mut inst = SlotInstance::new(&node.cfg, sv.slot);
-            inst.view = sv.view;
-            inst.book = sv.book.clone();
-            node.instances.insert(sv.slot, inst);
         }
         // Admitted-but-unfinalized transactions survive the crash. The
         // mempool may refuse some (a duplicate, a capacity lowered since),
@@ -249,19 +129,12 @@ impl MultiShotNode {
         // queue: re-base it on what was actually restored, so disk and
         // memory agree from the first seal on.
         for tx in store.restored_mempool() {
-            let _ = node.mempool.submit(tx.clone());
+            let _ = node.handoff.mempool.submit(tx.clone());
         }
-        store.save_mempool(node.mempool.iter())?;
-        node.mempool.seal();
+        store.save_mempool(node.handoff.mempool.iter())?;
+        node.handoff.mempool.seal();
         node.durable = Some(store);
         Ok(node)
-    }
-
-    /// Durable-store size counters `(live_bytes, chain_bytes, chain_len)`,
-    /// if this node is durable — how tests assert the paper's constant
-    /// live-state claim while the chain log grows linearly.
-    pub fn durable_stats(&self) -> Option<(u64, u64, u64)> {
-        self.durable.as_ref().map(|s| (s.live_bytes(), s.chain_bytes(), s.chain_len()))
     }
 
     /// Installs the application's structural-admission hook: every
@@ -272,7 +145,7 @@ impl MultiShotNode {
     /// checked) before the crash.
     #[must_use]
     pub fn with_admission(mut self, check: TxCheck) -> Self {
-        self.mempool.set_admission(check);
+        self.handoff.mempool.set_admission(check);
         self
     }
 
@@ -294,38 +167,22 @@ impl MultiShotNode {
     /// [`SubmitError::Full`] is the backpressure signal once
     /// [`Params::mempool_capacity`] transactions are queued.
     pub fn submit_tx(&mut self, tx: impl Into<Tx>) -> Result<(), SubmitError> {
-        self.mempool.submit(tx)
+        self.handoff.mempool.submit(tx)
     }
 
     /// Number of transactions waiting in this node's mempool.
     pub fn mempool_len(&self) -> usize {
-        self.mempool.len()
+        self.handoff.mempool.len()
     }
 
     /// Highest finalized slot.
     pub fn finalized_slot(&self) -> Slot {
-        self.finalized
+        self.pipeline.finalized
     }
 
-    /// Number of live slot instances (bounded by [`SLOT_WINDOW`]).
+    /// Number of live slot instances (bounded by [`crate::SLOT_WINDOW`]).
     pub fn active_slots(&self) -> usize {
-        self.instances.len()
-    }
-
-    /// Equivocation evidence aggregated across live slot instances, each
-    /// record pinned to the slot whose registers detected it. Retired
-    /// instances drop their evidence with their registers; the simulator's
-    /// omniscient recorder keeps the full-run view.
-    pub fn evidence(&self) -> Vec<tetrabft_types::Evidence> {
-        self.instances
-            .iter()
-            .flat_map(|(slot, inst)| {
-                inst.regs
-                    .evidence()
-                    .iter()
-                    .map(|ev| tetrabft_types::Evidence { slot: Some(*slot), ..*ev })
-            })
-            .collect()
+        self.pipeline.instances.len()
     }
 
     /// Leader of `slot` at `view`: round-robin over `slot + view` so that
@@ -335,349 +192,102 @@ impl MultiShotNode {
         cfg.leader_of(View(slot.0.wrapping_add(view.0)))
     }
 
-    fn leader(&self, slot: Slot, view: View) -> NodeId {
-        Self::leader_of(&self.cfg, slot, view)
-    }
-
-    /// Whether `slot`'s view-0 leader is held silent.
-    fn leader_silent(&self, slot: Slot) -> bool {
-        self.silent[self.leader(slot, View::ZERO).index()]
-    }
-
-    fn timer_for(slot: Slot) -> TimerId {
-        // TimerId is as wide as Slot, so slots never alias (a u32 id
-        // wrapped at slot 2^32, resurrecting foreign slots' timers).
-        TimerId(slot.0)
-    }
-
-    fn ensure_instance(&mut self, slot: Slot, ctx: &mut Ctx<'_>) {
-        if slot <= self.finalized || slot.0 > self.finalized.0 + SLOT_WINDOW {
-            return;
-        }
-        if self.instances.contains_key(&slot) {
-            return;
-        }
-        // Fresh instances start with a clean view-change slate: a
-        // view-change applies to the slots that were active (aborted) when
-        // it circulated, not to slots that start later — those "default to
-        // starting from view 0" (Fig. 3's slot 4). Seeding fresh slots from
-        // old requests would hand them straight to a potentially-dead
-        // rotated leader.
-        let mut inst = SlotInstance::new(&self.cfg, slot);
-        // A leader that let its last slot time out and has not voted since
-        // is taken for dead: ask for view 1 now — a request every node was
-        // always free to send — and keep the 9Δ timer as retransmission.
-        if self.leader_silent(slot) {
-            inst.suspected = true;
-            inst.support(self.me.index(), View(1));
-            ctx.broadcast(MsMessage::ViewChange { slot, view: View(1) });
-        }
-        self.instances.insert(slot, inst);
-        ctx.set_timer(Self::timer_for(slot), self.params.view_timeout());
-    }
-
-    // ---- message intake --------------------------------------------------
-
     fn on_message(&mut self, from: NodeId, msg: MsMessage, ctx: &mut Ctx<'_>) {
         match msg {
-            MsMessage::Proposal { view, block } => self.on_proposal(from, view, block, ctx),
-            MsMessage::Vote { slot, view, hash } => self.on_vote(from, slot, view, hash, ctx),
-            MsMessage::Suggest { slot, view, data } => {
-                if let Some(inst) = self.instances.get_mut(&slot) {
-                    inst.regs.record(from, &CoreMessage::Suggest { view, data });
+            MsMessage::Proposal { view, block } => {
+                let slot = block.slot;
+                let seen = self.pipeline.on_proposal(from, view, block, ctx);
+                // A borrower puts a loan in its view-0 block or nowhere:
+                // seeing that block ends the doubt, and what it left out
+                // can go to the next leader at once instead of waiting for
+                // the slot to commit.
+                if let Some(hash) = seen.filter(|_| view.is_zero() && self.handoff.in_doubt(slot)) {
+                    self.handoff.settle(slot, &self.pipeline.store, hash, false);
                 }
+            }
+            MsMessage::Vote { slot, view, hash } => {
+                // A blocking set voting beyond the window holds an honest
+                // node: the chain has moved on. Ask for it now, not at the
+                // next tick of the catch-up timer (which stays as the
+                // retransmission).
+                let ahead = self.pipeline.on_vote(from, (slot, view, hash))
+                    && self.catchup.voted_ahead(from, &self.pipeline.cfg);
+                if ahead && self.durable.is_some() {
+                    self.ask_catchup(ctx);
+                }
+            }
+            MsMessage::Suggest { slot, view, data } => {
+                self.pipeline.record(from, slot, &CoreMessage::Suggest { view, data });
             }
             MsMessage::Proof { slot, view, data } => {
-                if let Some(inst) = self.instances.get_mut(&slot) {
-                    inst.regs.record(from, &CoreMessage::Proof { view, data });
+                self.pipeline.record(from, slot, &CoreMessage::Proof { view, data });
+            }
+            MsMessage::ViewChange { slot, view } => {
+                self.pipeline.on_view_change(from, slot, view, ctx);
+            }
+            MsMessage::CatchUp { from_slot } => {
+                // Nodes without a durable store (or with nothing the
+                // requester lacks) stay silent — catch-up quiesces by itself.
+                let log = self.durable.as_mut().filter(|_| from != self.pipeline.me);
+                let blocks = log.map_or(Vec::new(), |log| Catchup::serve(log, from_slot));
+                if !blocks.is_empty() {
+                    ctx.send(from, MsMessage::Blocks { blocks });
                 }
             }
-            MsMessage::ViewChange { slot, view } => self.on_view_change(from, slot, view, ctx),
-            MsMessage::CatchUp { from_slot } => self.on_catchup(from, from_slot, ctx),
             MsMessage::Blocks { blocks } => self.on_blocks(from, blocks, ctx),
-            MsMessage::Relay { slot, txs } => self.on_relay(from, slot, txs),
-        }
-    }
-
-    /// Buffers what a peer lends this node for `slot`. The borrower trusts
-    /// nothing: the slot must be one it leads in view 0, inside the window
-    /// and not yet proposed; each payload passes the checks a client
-    /// submission passes; the buffer never outgrows one block.
-    fn on_relay(&mut self, from: NodeId, slot: Slot, txs: Arc<Vec<Vec<u8>>>) {
-        if from == self.me
-            || slot <= self.finalized
-            || slot.0 > self.finalized.0 + SLOT_WINDOW
-            || self.leader(slot, View::ZERO) != self.me
-            || self.instances.get(&slot).is_some_and(|inst| inst.proposed || !inst.view.is_zero())
-        {
-            return;
-        }
-        let held = self.borrowed.get(&slot).into_iter().flatten().map(|loan| loan.txs.len());
-        let room = self.params.max_block_txs().saturating_sub(held.sum());
-        if room == 0 {
-            return;
-        }
-        let mut loan = Vec::new();
-        // Shared only under `Sim`, where the lender holds the same buffer.
-        for bytes in Arc::unwrap_or_clone(txs) {
-            let tx = Tx::raw(bytes);
-            if self.mempool.vet(&tx).is_ok() {
-                loan.push(tx.into_bytes());
-                if loan.len() == room {
-                    break;
+            MsMessage::Relay { slot, txs } => {
+                if from != self.pipeline.me && self.pipeline.may_borrow_for(slot) {
+                    self.handoff.borrow(from, slot, txs);
                 }
             }
         }
-        if !loan.is_empty() {
-            self.borrowed.entry(slot).or_default().push(Loan { lender: from, txs: loan });
-        }
     }
 
-    /// Asks every peer for the finalized blocks above this node's tip. Any
-    /// request spends the evidence gathered so far.
+    /// Asks every peer for the finalized blocks above this node's tip.
     fn ask_catchup(&mut self, ctx: &mut Ctx<'_>) {
-        self.ahead.fill(false);
-        ctx.broadcast(MsMessage::CatchUp { from_slot: self.finalized.next() });
+        ctx.broadcast(self.catchup.request(self.pipeline.finalized));
     }
 
-    /// Serves a peer's catch-up request from the durable chain log: up to
-    /// [`CATCHUP_BATCH`] consecutive finalized blocks starting at
-    /// `from_slot`. Nodes without a durable store (or with nothing the
-    /// requester lacks) stay silent — catch-up quiesces by itself.
-    fn on_catchup(&mut self, from: NodeId, from_slot: Slot, ctx: &mut Ctx<'_>) {
-        if from == self.me {
-            return;
-        }
-        let Some(store) = self.durable.as_mut() else { return };
-        let Some((tip, _)) = store.chain_tip() else { return };
-        let lo = from_slot.0.max(1);
-        if lo > tip.0 {
-            return;
-        }
-        let hi = tip.0.min(lo + CATCHUP_BATCH as u64 - 1);
-        let mut blocks = Vec::with_capacity((hi - lo + 1) as usize);
-        for s in lo..=hi {
-            // A read error here means our own log is damaged; serve the
-            // clean prefix rather than nothing (or a panic).
-            let Ok(Some((_, bytes))) = store.block_record(Slot(s)) else { break };
-            let Ok(block) = Block::from_bytes(&bytes) else { break };
-            blocks.push(block);
-        }
-        if !blocks.is_empty() {
-            ctx.send(from, MsMessage::Blocks { blocks });
-        }
-    }
-
-    /// Buffers catch-up blocks by `(slot, recomputed hash)` and the peers
-    /// vouching for each, then commits whatever chains onto our tip.
+    /// Buffers catch-up blocks with the peer vouching for them, then
+    /// commits whatever chains onto our tip.
     fn on_blocks(&mut self, from: NodeId, blocks: Vec<Block>, ctx: &mut Ctx<'_>) {
-        for block in blocks {
-            let slot = block.slot;
-            if slot <= self.finalized || slot.0 > self.finalized.0 + CATCHUP_BATCH as u64 {
-                continue;
-            }
-            // Recompute the hash: the sender names no digest, and could not
-            // be trusted if it did.
-            let hash = block.hash();
-            let entry =
-                self.catchup.entry((slot, hash)).or_insert_with(|| (block, BTreeSet::new()));
-            entry.1.insert(from.0);
-        }
-        self.try_catchup_commit(ctx);
-    }
-
-    /// Commits buffered catch-up blocks while the next one is present: its
-    /// parent must equal our finalized tip and a blocking set (f+1 peers,
-    /// hence at least one honest node) must vouch for the same hash — a
-    /// lone Byzantine responder can never graft a forged block.
-    fn try_catchup_commit(&mut self, ctx: &mut Ctx<'_>) {
+        self.catchup.vouch(from, blocks, self.pipeline.finalized);
         let mut progressed = false;
-        loop {
-            let next = self.finalized.next();
-            let parent = self.finalized_hash;
-            let found = self
-                .catchup
-                .iter()
-                .find(|((s, _), (b, peers))| {
-                    *s == next && b.parent == parent && self.cfg.is_blocking(peers.len())
-                })
-                .map(|(key, _)| *key);
-            let Some(key) = found else { break };
-            let (block, _) = self.catchup.remove(&key).expect("key was just found");
-            self.store.insert(block.clone());
-            self.commit_block(key.0, key.1, block, ctx);
+        while let Some((hash, block)) = self.catchup.next_block(
+            self.pipeline.finalized,
+            self.pipeline.finalized_hash,
+            &self.pipeline.cfg,
+        ) {
+            self.pipeline.store.insert(block.clone());
+            self.commit_block(block.slot, hash, block, ctx);
             progressed = true;
         }
-        // Drop candidates that can no longer matter (at or below the tip,
-        // or beyond the next request window).
-        let lo = self.finalized;
-        let hi = Slot(self.finalized.0 + CATCHUP_BATCH as u64);
-        self.catchup.retain(|(s, _), _| *s > lo && *s <= hi);
+        let tip = self.pipeline.finalized;
+        self.catchup.prune(tip);
         if progressed {
-            self.store.prune_below(Slot(self.finalized.0.saturating_sub(4)));
+            self.pipeline.prune();
             // Re-open the live window above the new tip and immediately ask
             // for the next range — convergence in chain/BATCH round trips
             // instead of one periodic timer tick per batch.
-            self.ensure_instance(self.finalized.next(), ctx);
+            self.pipeline.ensure_instance(tip.next(), ctx);
             self.ask_catchup(ctx);
         }
     }
 
-    fn on_proposal(&mut self, from: NodeId, view: View, block: Block, ctx: &mut Ctx<'_>) {
-        let slot = block.slot;
-        if slot <= self.finalized || slot.0 > self.finalized.0 + SLOT_WINDOW {
-            return;
-        }
-        if from != self.leader(slot, view) {
-            return; // not the leader of (slot, view): ignore the imposter
-        }
-        self.silent[from.index()] = false;
-        let hash = self.store.insert(block);
-        // A borrower puts a loan in its view-0 block or nowhere: seeing
-        // that block ends the doubt, and what it left out can go to the
-        // next leader at once instead of waiting for the slot to commit.
-        if view.is_zero() && self.owed.get(&slot).is_some_and(|owed| owed.carried.is_none()) {
-            self.settle(slot, hash, false);
-        }
-        self.ensure_instance(slot, ctx);
-        // Receiving the proposal for slot s starts slot s+1 and its timer
-        // (Algorithm 3 line 4).
-        self.ensure_instance(slot.next(), ctx);
-        if let Some(inst) = self.instances.get_mut(&slot) {
-            inst.saw_proposal = true;
-            inst.regs.record(from, &CoreMessage::Proposal { view, value: hash.as_value() });
-        }
-        self.retry_pending();
-    }
-
-    fn on_vote(
-        &mut self,
-        from: NodeId,
-        slot: Slot,
-        view: View,
-        hash: BlockHash,
-        ctx: &mut Ctx<'_>,
-    ) {
-        if slot.0 > self.finalized.0 + SLOT_WINDOW {
-            // A blocking set voting beyond the window holds an honest node:
-            // the chain has moved on. Ask for it now, not at the next tick
-            // of the catch-up timer (which stays as the retransmission).
-            self.ahead[from.index()] = true;
-            let ahead = self.ahead.iter().filter(|seen| **seen).count();
-            if self.durable.is_some() && self.cfg.is_blocking(ahead) {
-                self.ask_catchup(ctx);
-            }
-            return;
-        }
-        if slot <= self.finalized {
-            return;
-        }
-        if self.store.slot_of(hash) == Some(slot) {
-            self.apply_vote(from, slot, view, hash);
-        } else {
-            // Unknown block: stash the latest such vote per peer and replay
-            // it once the block arrives (constant storage per peer).
-            self.pending[from.index()] = Some((slot, view, hash));
-        }
-    }
-
-    /// Fans one multiplexed vote out to its four roles: `vote-k` for slot
-    /// `slot − k + 1` endorsing the `(k−1)`-th ancestor of `hash`.
-    fn apply_vote(&mut self, from: NodeId, slot: Slot, view: View, hash: BlockHash) {
-        // Voting for a block this node knows, at a live slot: in step.
-        self.silent[from.index()] = false;
-        for k in 0u64..4 {
-            let Some(target) = slot.0.checked_sub(k).map(Slot) else { break };
-            if target <= self.finalized {
-                break;
-            }
-            let Some(ancestor) = self.store.ancestor(hash, k as usize) else { break };
-            let phase = Phase::from_u8(k as u8 + 1).expect("k+1 in 1..=4");
-            if let Some(inst) = self.instances.get_mut(&target) {
-                inst.regs
-                    .record(from, &CoreMessage::Vote { phase, view, value: ancestor.as_value() });
-            }
-        }
-    }
-
-    fn retry_pending(&mut self) {
-        for peer in 0..self.cfg.n() {
-            if let Some((slot, view, hash)) = self.pending[peer] {
-                if self.store.slot_of(hash) == Some(slot) {
-                    self.pending[peer] = None;
-                    self.apply_vote(NodeId(peer as u16), slot, view, hash);
-                }
-            }
-        }
-    }
-
-    fn on_view_change(&mut self, from: NodeId, slot: Slot, view: View, ctx: &mut Ctx<'_>) {
-        // A peer that started a silent leader's slot a moment before this
-        // node would: start it too (and ask with it), or the request finds
-        // no instance to support and the slot waits out its timer.
-        if slot.prev().is_some_and(|prev| self.instances.contains_key(&prev))
-            && self.leader_silent(slot)
-        {
-            self.ensure_instance(slot, ctx);
-        }
-        // Raw register (for echo): prefer higher view, then lower slot
-        // (a lower slot covers strictly more of the chain).
-        let raw = &mut self.vc_raw[from.index()];
-        let better = match raw {
-            None => true,
-            Some((s_h, v_h)) => view > *v_h || (view == *v_h && slot < *s_h),
-        };
-        if better {
-            *raw = Some((slot, view));
-        }
-        // Per-slot support: the request covers every active slot ≥ slot.
-        for (s, inst) in self.instances.iter_mut() {
-            if *s >= slot {
-                inst.support(from.index(), view);
-            }
-        }
-    }
-
-    // ---- timers ----------------------------------------------------------
-
-    fn on_timeout(&mut self, slot: Slot, ctx: &mut Ctx<'_>) {
-        let Some(inst) = self.instances.get_mut(&slot) else { return };
-        inst.timer_expired = true;
-        let target = inst.view.next();
-        if inst.view.is_zero() && !inst.saw_proposal {
-            self.silent[Self::leader_of(&self.cfg, slot, View::ZERO).index()] = true;
-        }
-        // One view-change per stalled slot (Algorithm 3 lines 6–8); the
-        // re-armed timer doubles as post-GST retransmission.
-        self.note_vc_sent(slot, target);
-        ctx.broadcast(MsMessage::ViewChange { slot, view: target });
-        ctx.set_timer(Self::timer_for(slot), self.params.view_timeout());
-    }
-
-    fn note_vc_sent(&mut self, slot: Slot, view: View) {
-        let better = match self.vc_sent {
-            None => true,
-            Some((s_h, v_h)) => view > v_h || (view == v_h && slot < s_h),
-        };
-        if better {
-            self.vc_sent = Some((slot, view));
-        }
-    }
-
-    // ---- protocol steps --------------------------------------------------
-
     fn drive(&mut self, ctx: &mut Ctx<'_>) {
         loop {
-            let mut dirty = false;
-            dirty |= self.step_echo(ctx);
-            // Snapshot the live slots before stepping them (steps insert
-            // and retire instances). Live instances are bounded by
-            // SLOT_WINDOW, so the inline capacity always suffices and the
-            // snapshot never allocates.
-            let slots: InlineVec<Slot, { SLOT_WINDOW as usize }> =
-                self.instances.keys().copied().collect();
-            for slot in slots {
-                dirty |= self.step_slot(slot, ctx);
+            let mut dirty = self.pipeline.step_echo(ctx);
+            for slot in self.pipeline.live_slots() {
+                if self.pipeline.step_enter_view(slot, ctx) {
+                    // The new view is owed to the disk; a slot that leaves
+                    // view 0 takes no loan with it.
+                    self.dirty_slots.insert(slot);
+                    self.handoff.borrowed.remove(&slot);
+                    dirty = true;
+                }
+                dirty |= self.pipeline.step_notarize(slot);
+                dirty |= self.step_propose(slot, ctx);
+                dirty |= self.step_vote(slot, ctx);
             }
             dirty |= self.step_finalize(ctx);
             if !dirty {
@@ -686,478 +296,74 @@ impl MultiShotNode {
         }
     }
 
-    /// One fixpoint pass over a single live slot.
-    fn step_slot(&mut self, slot: Slot, ctx: &mut Ctx<'_>) -> bool {
-        let mut dirty = false;
-        dirty |= self.step_enter_view(slot, ctx);
-        dirty |= self.step_notarize(slot);
-        dirty |= self.step_propose(slot, ctx);
-        dirty |= self.step_vote(slot, ctx);
-        dirty
-    }
-
-    /// Echo a view-change supported by a blocking set (Algorithm 2 lines
-    /// 3–6), so that correct nodes converge on the change within one delay.
-    fn step_echo(&mut self, ctx: &mut Ctx<'_>) -> bool {
-        let mut pairs: Vec<(Slot, View)> = self.vc_raw.iter().flatten().copied().collect();
-        pairs.sort_unstable_by(|a, b| (b.1, a.0).cmp(&(a.1, b.0)));
-        pairs.dedup();
-        for (slot, view) in pairs {
-            if self.vc_sent.is_some_and(|(_, v)| v >= view) {
-                continue;
-            }
-            let support = self
-                .vc_raw
-                .iter()
-                .flatten()
-                .filter(|(s_p, v_p)| *s_p <= slot && *v_p >= view)
-                .count();
-            if self.cfg.is_blocking(support) {
-                self.note_vc_sent(slot, view);
-                ctx.broadcast(MsMessage::ViewChange { slot, view });
-                return true;
-            }
-        }
-        false
-    }
-
-    /// Move a slot to a higher view once a quorum supports it (Algorithm 2
-    /// lines 7–11): abort the slot, reset its timer, and send the per-slot
-    /// suggest/proof that seed Rule 1 / Rule 3 in the new view.
-    fn step_enter_view(&mut self, slot: Slot, ctx: &mut Ctx<'_>) -> bool {
-        let params = self.params;
-        let (target, leader) = {
-            let me = self.me.index();
-            let silent = self.leader_silent(slot);
-            let inst = self.instances.get_mut(&slot).expect("caller checked");
-            // A request made on suspicion alone stands while the leader
-            // stays silent, or once a peer is seen in a later view of this
-            // slot. Heard from again before anyone moved, it is taken back:
-            // where only some nodes took the leader for dead, all move or
-            // none does.
-            let mut condemned = inst.timer_expired;
-            if inst.suspected && inst.view.is_zero() && !inst.timer_expired {
-                let mut peers = (0..self.cfg.n()).map(|peer| NodeId(peer as u16));
-                condemned = silent || peers.any(|peer| inst.regs.peer(peer).proof().is_some());
-                if !condemned {
-                    inst.vc_support[me] = None;
-                } else if inst.vc_support[me].is_none() {
-                    inst.support(me, View(1));
-                    ctx.broadcast(MsMessage::ViewChange { slot, view: View(1) });
-                }
-            }
-            let Some(target) = inst.quorum_view(self.cfg.quorum()) else { return false };
-            if target <= inst.view {
-                return false;
-            }
-            // Never-proposed slots stay in view 0 (Algorithm 3 line 10,
-            // Fig. 3's slot 4) unless their own timer says the view-0
-            // leader is dead, or its last slot's did and it is silent since.
-            if !inst.saw_proposal && !condemned {
-                return false;
-            }
-            (target, self.leader(slot, target))
-        };
-        let inst = self.instances.get_mut(&slot).expect("caller checked");
-        inst.view = target;
-        inst.proposed = false;
-        inst.timer_expired = false;
-        self.dirty_slots.insert(slot);
-        self.borrowed.remove(&slot);
-        ctx.set_timer(Self::timer_for(slot), params.view_timeout());
-        let (vote2, prev_vote2, vote3) = inst.book.suggest_fields();
-        ctx.send(
-            leader,
-            MsMessage::Suggest {
-                slot,
-                view: target,
-                data: SuggestData { vote2, prev_vote2, vote3 },
-            },
-        );
-        let (vote1, prev_vote1, vote4) = inst.book.proof_fields();
-        ctx.broadcast(MsMessage::Proof {
-            slot,
-            view: target,
-            data: ProofData { vote1, prev_vote1, vote4 },
-        });
-        true
-    }
-
-    /// A block is notarized on a quorum of (phase-1) votes, across views —
-    /// Fig. 3 counts view-0 votes at slot 4 toward view-1 blocks' finality.
-    fn step_notarize(&mut self, slot: Slot) -> bool {
-        let quorum = self.cfg.quorum();
-        let inst = self.instances.get_mut(&slot).expect("caller checked");
-        if inst.notarized.is_some() {
-            return false;
-        }
-        let Some(value) = inst.regs.quorum_value_any(Phase::VOTE1, quorum) else { return false };
-        inst.notarized = Some(BlockHash::from_value(value));
-        true
-    }
-
-    /// The leader proposes: in view 0, as soon as the parent chain allows
-    /// (pipelining — Fig. 2); in later views, once Rule 1 certifies a safe
-    /// value from the slot's suggest messages.
+    /// The leader proposes what the pipeline allows: the certified block
+    /// again, or a fresh one, which in view 0 waits at the pacing gate.
     fn step_propose(&mut self, slot: Slot, ctx: &mut Ctx<'_>) -> bool {
-        let inst = self.instances.get(&slot).expect("caller checked");
-        let view = inst.view;
-        if inst.proposed || self.leader(slot, view) != self.me {
-            return false;
-        }
-        let block = if view.is_zero() {
-            let Some(parent) = self.parent_ready(slot) else { return false };
-            if self.pace(slot, parent, ctx) {
-                return false;
-            }
-            self.build_block(slot, parent)
-        } else {
-            // Fill the retained scratch instead of collecting a fresh Vec.
-            let mut suggests = std::mem::take(&mut self.scratch_suggests);
-            inst.regs.suggests_into(view, &mut suggests);
-            let decision = leader_determine_safe(&self.cfg, &suggests, view, FRESH);
-            self.scratch_suggests = suggests;
-            // When any value is safe, a block already notarized here is
-            // still the one to propose: the slots above build on it
-            // (`parent_ready`'s recovery path), so a fresh block could
-            // never win, and would hold a batch of admitted transactions
-            // hostage until the slot commits.
-            let certified = match decision {
-                None => return false,
-                Some(v) if v == FRESH => {
-                    inst.notarized.filter(|h| self.store.slot_of(*h) == Some(slot))
-                }
-                Some(v) => Some(BlockHash::from_value(v)),
-            };
-            match certified {
-                None => {
-                    let Some(parent) = self.parent_ready(slot) else { return false };
-                    self.build_block(slot, parent)
-                }
-                // Re-propose the certified block; without its content we
-                // must wait (block dissemination is assumed, DESIGN.md §6).
-                Some(hash) => match self.store.get(hash) {
-                    Some(b) if b.slot == slot => b.clone(),
-                    _ => return false,
-                },
-            }
-        };
-        self.store.insert(block.clone());
-        let inst = self.instances.get_mut(&slot).expect("caller checked");
-        inst.proposed = true;
-        ctx.broadcast(MsMessage::Proposal { view, block });
-        true
-    }
-
-    /// The parent block a new slot-`slot` block must extend: the block
-    /// proposed for `slot − 1` in its current view, whose own parent is
-    /// already notarized ("upon receiving bᵢ and confirming … bᵢ₋₁ has
-    /// received a quorum of votes, bᵢ extends bᵢ₋₁").
-    fn parent_ready(&self, slot: Slot) -> Option<BlockHash> {
-        let prev = slot.prev()?;
-        if prev == self.finalized {
-            return Some(self.finalized_hash);
-        }
-        let pinst = self.instances.get(&prev)?;
-        // Pipelined path: the block proposed for prev in its current view,
-        // provided *its* parent already has a quorum of votes.
-        let leader = self.leader(prev, pinst.view);
-        if let Some(value) = pinst.regs.proposal_of(leader, pinst.view) {
-            let hash = BlockHash::from_value(value);
-            if let Some(block) = self.store.get(hash) {
-                let grandparent_ok = match prev.prev() {
-                    Some(gp) if gp == self.finalized => block.parent == self.finalized_hash,
-                    Some(gp) => {
-                        self.instances.get(&gp).is_some_and(|gi| gi.notarized == Some(block.parent))
+        let block = match self.pipeline.candidate(slot) {
+            None => return false,
+            Some(Candidate::Again(block)) => block,
+            Some(Candidate::Fresh(view, parent)) => {
+                if view.is_zero() {
+                    let (store, tip) = (&self.pipeline.store, self.pipeline.finalized);
+                    let idle_pacing = self.pipeline.params.idle_pacing();
+                    let gate =
+                        self.pacing.gate(slot, parent, &self.handoff, store, tip, idle_pacing);
+                    if let Pace::Arm(wait) = gate {
+                        ctx.set_timer(PACE_TIMER, wait);
                     }
-                    None => true,
-                };
-                if grandparent_ok {
-                    return Some(hash);
+                    if !matches!(gate, Pace::Go) {
+                        return false;
+                    }
                 }
+                self.build_block(slot, parent)
             }
-        }
-        // Recovery path: a notarized prev block satisfies the paper's
-        // "b_{i−1} has received a quorum of votes" directly, even when the
-        // current view of prev has no proposal yet (its leader may be the
-        // very node whose failure triggered recovery).
-        pinst.notarized.filter(|h| self.store.contains(*h))
-    }
-
-    /// The gate every otherwise-ready view-0 proposal passes: returns
-    /// `true` to hold it back until [`PACE_TIMER`] fires. With something to
-    /// propose — transactions queued here or borrowed for `slot`, or a
-    /// block between `parent` and the finalized tip that carries some (it
-    /// needs the three slots after it to finalize) — the timer is armed at
-    /// 0 ms: the proposal goes out at network speed, but after this node
-    /// has read what has already arrived (every message of the instant
-    /// under `Sim`, the current mailbox batch over TCP), so a loan sent
-    /// beside the vote that made the slot ready is in the block. Only an
-    /// *idle* chain waits out [`Params::idle_pacing`]. The first call arms
-    /// the timer and every call until it fires defers; a submission or a
-    /// loan arriving mid-pause re-arms it at 0 ms. View-change paths
-    /// (`view > 0`) never pass here — recovery liveness is not traded for
-    /// idle CPU.
-    fn pace(&mut self, slot: Slot, parent: BlockHash, ctx: &mut Ctx<'_>) -> bool {
-        if self.pace_released == Some(slot) {
-            return false;
-        }
-        let idle = self.mempool.is_empty()
-            && !self.borrowed.contains_key(&slot)
-            && !self.carries_txs_above_finalized(parent);
-        let wait = if idle { self.params.idle_pacing() } else { 0 };
-        if self.pace_pending != Some((slot, wait)) {
-            self.pace_pending = Some((slot, wait));
-            ctx.set_timer(PACE_TIMER, wait);
-        }
+        };
+        self.pipeline.propose(slot, block, ctx);
         true
     }
 
-    /// Whether any not-yet-finalized block on the chain ending in `tip`
-    /// carries transactions (at most [`SLOT_WINDOW`] links).
-    fn carries_txs_above_finalized(&self, tip: BlockHash) -> bool {
-        let mut cursor = tip;
-        while let Some(block) = self.store.get(cursor).filter(|b| b.slot > self.finalized) {
-            if !block.txs.is_empty() {
-                return true;
-            }
-            cursor = block.parent;
-        }
-        false
-    }
-
-    /// Mints this node's block for `slot` on `parent`: its own batch, then
-    /// what it borrowed for the slot, never more than `max_block_txs` in
-    /// all. The own part is empty while a drain is not allowed
-    /// ([`Self::owed_settled`]).
-    ///
-    /// A loan is bound to the vote it was sent beside, the lender's view-0
-    /// vote for `slot − 2`: it enters the block only if that vote, as this
-    /// node recorded it, names the block this one has at `slot − 2`. The
-    /// lender drained its queue believing everything it owed to be on that
-    /// block's chain; on any other chain (a view change re-decided a slot
-    /// in between) the loan could finalize ahead of a batch that lost.
+    /// Mints this node's block for `slot` on `parent` ([`Handoff::mint`]),
+    /// handing over each lender's view-0 vote for `slot − 2`.
     fn build_block(&mut self, slot: Slot, parent: BlockHash) -> Block {
-        let cap = self.params.max_block_txs();
-        let (seqs, mut txs) = match slot.prev() {
-            Some(prev) if self.owed_settled(parent, prev) => self.mempool.next_batch(cap),
-            _ => Default::default(),
-        };
-        if let Some(loans) = self.borrowed.remove(&slot) {
-            let anchor = self.store.ancestor(parent, 1).map(BlockHash::as_value);
-            let votes = slot.0.checked_sub(2).and_then(|k| self.instances.get(&Slot(k)));
-            for loan in loans {
-                let vote = votes.and_then(|inst| inst.regs.peer(loan.lender).vote(Phase::VOTE1));
-                let names = vote.filter(|v| v.view.is_zero()).map(|v| v.value);
-                if anchor.is_some() && names == anchor {
-                    txs.extend(loan.txs.into_iter().take(cap - txs.len()));
-                }
-            }
-        }
-        let block = Block::new(slot, parent, txs);
-        if !seqs.is_empty() {
-            let owed = Owed { seqs, txs: Arc::clone(&block.txs), carried: Some(block.hash()) };
-            self.owed.insert(slot, owed);
-        }
-        block
+        let anchor = slot.0.checked_sub(2).filter(|_| self.handoff.borrowed.contains_key(&slot));
+        let votes = anchor.map_or(Vec::new(), |k| self.pipeline.view0_votes(Slot(k)));
+        self.handoff.mint(slot, parent, &self.pipeline.store, &votes)
     }
 
-    /// Whether the mempool may be drained into a block or loan that extends
-    /// the chain ending in `tip` (the block of `tip_slot`): only if nothing
-    /// owed is in doubt — every owed batch is known to sit in the block
-    /// that chain has at its slot. A batch drained past one that then
-    /// misses its block would finalize ahead of it; per admitting node,
-    /// finalization order is admission order.
-    fn owed_settled(&self, tip: BlockHash, tip_slot: Slot) -> bool {
-        self.owed.iter().all(|(slot, owed)| {
-            *slot <= tip_slot
-                && owed.carried.is_some()
-                && self.store.ancestor(tip, (tip_slot.0 - slot.0) as usize) == owed.carried
-        })
-    }
-
-    /// The hand-off. Called as this node casts its view-0 vote for `hash`
-    /// at slot `voted`: the leader of the next slot is proposing at this
-    /// instant and the one after it proposes one hop from now, so if this
-    /// node is neither, what it has queued (one block's worth, front first)
-    /// reaches a block sooner through that second leader than by waiting
-    /// for a turn. What is lent is owed: the batch is in doubt until the
-    /// borrower's proposal is seen.
-    fn lend(&mut self, voted: Slot, hash: BlockHash, ctx: &mut Ctx<'_>) {
-        let slot = voted.next().next();
-        let borrower = self.leader(slot, View::ZERO);
-        if self.mempool.is_empty()
-            || borrower == self.me
-            || self.silent[borrower.index()]
-            || self.leader(voted.next(), View::ZERO) == self.me
-            || self.instances.get(&slot).is_some_and(|inst| inst.saw_proposal)
-            || !self.owed_settled(hash, voted)
-        {
-            return;
-        }
-        let (seqs, txs) = self.mempool.next_batch(self.params.max_block_txs());
-        let txs = Arc::new(txs);
-        self.owed.insert(slot, Owed { seqs, txs: Arc::clone(&txs), carried: None });
-        ctx.send(borrower, MsMessage::Relay { slot, txs });
-    }
-
-    /// Squares what `slot` owes with the block `hash` (in the store) —
-    /// the borrower's proposal, or, when `finalized`, the block the slot
-    /// commits: what the block carries stays owed until the slot commits,
-    /// the rest goes back to the mempool, each transaction to the place its
-    /// admission sequence gives it.
-    fn settle(&mut self, slot: Slot, hash: BlockHash, finalized: bool) {
-        let Some(owed) = self.owed.get_mut(&slot) else { return };
-        if owed.carried != Some(hash) {
-            let block = self.store.get(hash).expect("the caller just stored the block");
-            let batch = &owed.txs[..owed.seqs.len()];
-            // A borrower appends a loan in one piece: found like that,
-            // nothing is hashed and nothing copied.
-            if !block.txs.windows(batch.len()).any(|run| run == batch) {
-                let carried: HashSet<&[u8]> = block.txs.iter().map(Vec::as_slice).collect();
-                let (kept, back): (Vec<_>, Vec<_>) = std::mem::take(&mut owed.seqs)
-                    .into_iter()
-                    .zip(batch.iter().cloned())
-                    .partition(|(_, tx)| carried.contains(tx.as_slice()));
-                self.mempool.requeue(back);
-                let (seqs, txs) = kept.into_iter().unzip();
-                (owed.seqs, owed.txs) = (seqs, Arc::new(txs));
-            }
-            owed.carried = Some(hash);
-        }
-        if finalized || owed.seqs.is_empty() {
-            self.owed.remove(&slot);
-        }
-    }
-
-    /// Vote for the slot's proposal once its parent is notarized and (in
-    /// views > 0) Rule 3 certifies it; the one vote message carries all
-    /// four roles, recorded into the four ancestor slots' books.
     fn step_vote(&mut self, slot: Slot, ctx: &mut Ctx<'_>) -> bool {
-        let inst = self.instances.get(&slot).expect("caller checked");
-        let view = inst.view;
-        if inst.book.has_voted_at_or_after(Phase::VOTE1, view) {
-            return false;
-        }
-        let leader = self.leader(slot, view);
-        let Some(value) = inst.regs.proposal_of(leader, view) else { return false };
-        let hash = BlockHash::from_value(value);
-        let Some(block) = self.store.get(hash) else { return false };
-        if block.slot != slot {
-            return false;
-        }
-        // Parent must be notarized (genesis/finalized prefix counts).
-        let parent_ok = match slot.prev() {
-            Some(prev) if prev == self.finalized => block.parent == self.finalized_hash,
-            Some(prev) => {
-                self.instances.get(&prev).is_some_and(|pi| pi.notarized == Some(block.parent))
-            }
-            None => false, // slot 0 is genesis; never voted on
-        };
-        if !parent_ok {
-            return false;
-        }
-        let safe = view.is_zero() || {
-            let mut proofs = std::mem::take(&mut self.scratch_proofs);
-            inst.regs.proofs_into(view, &mut proofs);
-            let certified = node_determine_safe(&self.cfg, &proofs, view, value);
-            self.scratch_proofs = proofs;
-            certified
-        };
-        if !safe {
-            return false;
-        }
-        // Record the four roles this vote plays in the ancestors' books.
-        for k in 0u64..4 {
-            let Some(target) = slot.0.checked_sub(k).map(Slot) else { break };
-            if target <= self.finalized {
-                break;
-            }
-            let Some(ancestor) = self.store.ancestor(hash, k as usize) else { break };
-            let phase = Phase::from_u8(k as u8 + 1).expect("k+1 in 1..=4");
-            if let Some(ti) = self.instances.get_mut(&target) {
-                ti.book.record(phase, view, ancestor.as_value());
-                self.dirty_slots.insert(target);
-            }
-        }
+        let Some((view, hash)) = self.pipeline.vote_ready(slot) else { return false };
         // The loan leaves ahead of the vote, in the same flush: on an
         // ordered link the borrower reads it before the vote that may make
         // its slot ready.
-        if view.is_zero() {
-            self.lend(slot, hash, ctx);
+        let borrower = if view.is_zero() { self.pipeline.borrower_after(slot) } else { None };
+        if let Some((to, borrower)) = borrower {
+            if let Some(txs) = self.handoff.lend(to, &self.pipeline.store, hash, slot) {
+                ctx.send(borrower, MsMessage::Relay { slot: to, txs });
+            }
         }
         // The write-ahead contract: [`Node::persist`] runs before the
-        // transport flushes this broadcast, so the book entries above (and
-        // the drain behind a loan) reach disk before any peer can observe
-        // the vote.
-        ctx.broadcast(MsMessage::Vote { slot, view, hash });
+        // transport flushes this broadcast, so the book entries (and the
+        // drain behind a loan) reach disk before any peer can observe the
+        // vote.
+        self.dirty_slots.extend(self.pipeline.cast_vote((slot, view, hash), ctx));
         true
     }
 
-    /// Finalize the longest prefix backed by a quorum of (phase-4 role)
-    /// votes — equivalently, the first of four consecutively notarized
-    /// blocks plus its prefix.
     fn step_finalize(&mut self, ctx: &mut Ctx<'_>) -> bool {
-        // Highest slot with a phase-4 quorum whose chain back to the
-        // finalized tip is fully known.
-        let quorum = self.cfg.quorum();
-        let mut best: Option<(Slot, BlockHash)> = None;
-        for (slot, inst) in &self.instances {
-            if let Some(value) = inst.regs.quorum_value_any(Phase::VOTE4, quorum) {
-                best = Some((*slot, BlockHash::from_value(value)));
-            }
-        }
-        let Some((slot, hash)) = best else { return false };
-        // Collect the chain from `hash` down to the current finalized tip,
-        // into the retained scratch (good case: a single link, no
-        // allocation; block clones are `Arc` bumps).
-        let mut chain = std::mem::take(&mut self.scratch_chain);
-        chain.clear();
-        let mut cursor = hash;
-        let mut cursor_slot = slot;
-        let mut intact = true;
-        while cursor_slot > self.finalized {
-            let Some(block) = self.store.get(cursor) else {
-                intact = false;
-                break;
-            };
-            if block.slot != cursor_slot {
-                intact = false;
-                break;
-            }
-            chain.push((cursor_slot, cursor, block.clone()));
-            cursor = block.parent;
-            cursor_slot = match cursor_slot.prev() {
-                Some(p) => p,
-                None => {
-                    intact = false;
-                    break;
-                }
-            };
-        }
-        if !intact || cursor != self.finalized_hash {
-            // Chain incomplete, or forked against our finalized prefix
-            // (impossible for well-behaved inputs — agreement): bail out.
-            chain.clear();
-            self.scratch_chain = chain;
-            // A quorum finalized `slot` on a chain with a block this node
-            // never saw proposed (it was out of the window, catching up):
-            // from this instant peers can serve it. Once per slot.
-            if !intact && self.durable.is_some() && slot > self.hole {
-                self.hole = slot;
+        if let Err(hole) = self.pipeline.step_finalize() {
+            if self.durable.is_some() && self.catchup.hole_at(hole) {
                 self.ask_catchup(ctx);
             }
-            return false;
         }
-        chain.reverse();
-        for (s, h, block) in chain.drain(..) {
-            self.commit_block(s, h, block, ctx);
+        let mut progressed = false;
+        while let Some((slot, hash, block)) = self.pipeline.next_final() {
+            self.commit_block(slot, hash, block, ctx);
+            progressed = true;
         }
-        self.scratch_chain = chain;
-        // Keep a short tail of finalized blocks: in-flight votes may still
-        // reference them as ancestors.
-        self.store.prune_below(Slot(self.finalized.0.saturating_sub(4)));
-        true
+        if progressed {
+            self.pipeline.prune();
+        }
+        progressed
     }
 
     /// Commits one finalized block (already in the store) — the shared
@@ -1166,8 +372,8 @@ impl MultiShotNode {
     /// log *before* the output can be observed, emit the [`Finalized`]
     /// event, and retire the slot's live state.
     fn commit_block(&mut self, slot: Slot, hash: BlockHash, block: Block, ctx: &mut Ctx<'_>) {
-        self.settle(slot, hash, true);
-        self.borrowed.remove(&slot);
+        self.handoff.settle(slot, &self.pipeline.store, hash, true);
+        self.handoff.borrowed.remove(&slot);
         if let Some(store) = self.durable.as_mut() {
             // Finalized state must never be claimed and then lost; a store
             // that cannot append is a node that must not keep running.
@@ -1176,24 +382,10 @@ impl MultiShotNode {
                 .expect("durable chain log append failed");
         }
         ctx.output(Finalized { slot, hash, block });
-        ctx.cancel_timer(Self::timer_for(slot));
-        self.instances.remove(&slot);
+        self.pipeline.retire(slot, hash, ctx);
         self.dirty_slots.remove(&slot);
-        self.finalized = slot;
-        self.finalized_hash = hash;
-        // Receiving a proposal starts the slot after it (Algorithm 3 line
-        // 4), unless that slot lay beyond the window: a proposal at the
-        // window's very edge, from a chain running ahead of this node's
-        // finalizations. The window just moved, so start it now — its
-        // leader may be this node, and nothing else would.
-        let top = self.instances.iter().next_back().map(|(s, inst)| (*s, inst.saw_proposal));
-        if let Some((top, true)) = top {
-            self.ensure_instance(top.next(), ctx);
-        }
     }
 }
-
-type Ctx<'a> = Context<'a, MsMessage, Finalized>;
 
 impl Node for MultiShotNode {
     type Msg = MsMessage;
@@ -1202,19 +394,13 @@ impl Node for MultiShotNode {
     fn handle(&mut self, input: Input<MsMessage>, ctx: &mut Ctx<'_>) {
         match input {
             Input::Start => {
-                self.ensure_instance(self.finalized.next(), ctx);
-                // Restored instances were created without a context; every
-                // live slot (fresh or restored) gets its timer here.
-                let slots: Vec<Slot> = self.instances.keys().copied().collect();
-                for slot in slots {
-                    ctx.set_timer(Self::timer_for(slot), self.params.view_timeout());
-                }
+                self.pipeline.start(ctx);
                 if self.durable.is_some() {
                     // Pull whatever finalized while we were down, and keep
                     // pulling periodically — the timer doubles as the
                     // retransmission for lost catch-up traffic.
                     self.ask_catchup(ctx);
-                    ctx.set_timer(CATCHUP_TIMER, self.params.view_timeout());
+                    ctx.set_timer(CATCHUP_TIMER, self.pipeline.params.view_timeout());
                 }
                 self.drive(ctx);
             }
@@ -1224,50 +410,47 @@ impl Node for MultiShotNode {
             }
             Input::Timer { id } if id == CATCHUP_TIMER => {
                 self.ask_catchup(ctx);
-                ctx.set_timer(CATCHUP_TIMER, self.params.view_timeout());
+                ctx.set_timer(CATCHUP_TIMER, self.pipeline.params.view_timeout());
             }
             Input::Timer { id } if id == PACE_TIMER => {
-                self.pace_released = self.pace_pending.take().map(|(slot, _)| slot);
+                self.pacing.released = self.pacing.pending.take().map(|(slot, _)| slot);
                 self.drive(ctx);
-                self.pace_released = None;
+                self.pacing.released = None;
             }
             Input::Timer { id } => {
-                self.on_timeout(Slot(id.0), ctx);
+                self.pipeline.on_timeout(Slot(id.0), ctx);
                 self.drive(ctx);
             }
         }
     }
 
     fn persist(&mut self) {
-        if self.durable.is_none() {
-            return;
-        }
+        let Some(store) = self.durable.as_mut() else { return };
         // Called by the engine after every dispatch, *before* the transport
         // flushes staged frames: whatever this batch of work voted or
         // admitted is on disk before any peer can observe it.
-        let finalized = self.finalized;
-        let dirty = std::mem::take(&mut self.dirty_slots);
-        let store = self.durable.as_mut().expect("checked above");
-        for slot in dirty {
+        let finalized = self.pipeline.finalized;
+        for slot in std::mem::take(&mut self.dirty_slots) {
             if slot <= finalized {
                 continue;
             }
-            if let Some(inst) = self.instances.get(&slot) {
+            if let Some(inst) = self.pipeline.instances.get(&slot) {
                 store
                     .record_votes(slot, inst.view, finalized, &inst.book)
                     .expect("durable vote record failed");
             }
         }
-        if self.mempool.reordered() {
+        let mempool = &mut self.handoff.mempool;
+        if mempool.reordered() {
             // A batch came back behind an older one: not a change to the
             // queue's two ends, so the journal is rewritten, not appended.
-            store.save_mempool(self.mempool.iter()).expect("durable mempool rewrite failed");
-        } else if let Some((drained, requeued, admitted)) = self.mempool.unsealed() {
+            store.save_mempool(mempool.iter()).expect("durable mempool rewrite failed");
+        } else if let Some((drained, requeued, admitted)) = mempool.unsealed() {
             store
-                .journal_mempool(drained, requeued, admitted, self.mempool.iter())
+                .journal_mempool(drained, requeued, admitted, mempool.iter())
                 .expect("durable mempool journal failed");
         }
-        self.mempool.seal();
+        mempool.seal();
     }
 
     fn incarnation(&self) -> u64 {
@@ -1285,558 +468,4 @@ impl Submitter for MultiShotNode {
 }
 
 #[cfg(test)]
-mod tests {
-    use super::*;
-    use tetrabft_sim::{LinkPolicy, SimBuilder, Time};
-
-    fn cfg(n: usize) -> Config {
-        Config::new(n).unwrap()
-    }
-
-    fn chain_of(
-        sim: &tetrabft_sim::Sim<MsMessage, Finalized>,
-        node: NodeId,
-    ) -> Vec<(Slot, BlockHash)> {
-        sim.outputs()
-            .iter()
-            .filter(|o| o.node == node)
-            .map(|o| (o.output.slot, o.output.hash))
-            .collect()
-    }
-
-    fn assert_consistency(sim: &tetrabft_sim::Sim<MsMessage, Finalized>, n: usize) {
-        let chains: Vec<_> = (0..n as u16).map(|i| chain_of(sim, NodeId(i))).collect();
-        for chain in &chains {
-            // Slots are contiguous from 1.
-            for (i, (slot, _)) in chain.iter().enumerate() {
-                assert_eq!(slot.0, i as u64 + 1, "finalization order must be slot order");
-            }
-        }
-        let longest = chains.iter().max_by_key(|c| c.len()).unwrap();
-        for chain in &chains {
-            assert_eq!(
-                &longest[..chain.len()],
-                &chain[..],
-                "finalized chains must be prefix-comparable"
-            );
-        }
-    }
-
-    #[test]
-    fn good_case_one_block_per_delay() {
-        let n = 4;
-        let mut sim = SimBuilder::new(n)
-            .policy(LinkPolicy::synchronous(1))
-            .build(|id| MultiShotNode::new(cfg(4), Params::new(100), id));
-        sim.run_until(Time(30));
-        let chain = chain_of(&sim, NodeId(0));
-        assert!(chain.len() >= 24, "expected ~1 block/delay, got {}", chain.len());
-        let times: Vec<u64> =
-            sim.outputs().iter().filter(|o| o.node == NodeId(0)).map(|o| o.time.0).collect();
-        assert_eq!(times[0], 5, "first finalization at 5 message delays");
-        for pair in times.windows(2) {
-            assert_eq!(pair[1] - pair[0], 1, "then one block per message delay");
-        }
-        assert_consistency(&sim, n);
-    }
-
-    #[test]
-    fn idle_pacing_throttles_empty_blocks_without_stalling() {
-        let n = 4;
-        // Message delay 1, pace 10: an idle paced chain advances roughly
-        // one slot per pause instead of one per delay.
-        let mut sim = SimBuilder::new(n)
-            .policy(LinkPolicy::synchronous(1))
-            .build(|id| MultiShotNode::new(cfg(4), Params::new(100).with_idle_pacing(10), id));
-        sim.run_until(Time(300));
-        let chain = chain_of(&sim, NodeId(0));
-        assert!(!chain.is_empty(), "a paced chain still finalizes");
-        assert!(
-            chain.len() <= 60,
-            "pacing must throttle the idle chain, got {} slots in 300 delays",
-            chain.len()
-        );
-        assert_consistency(&sim, n);
-    }
-
-    #[test]
-    fn active_state_stays_bounded() {
-        let mut sim = SimBuilder::new(4)
-            .policy(LinkPolicy::synchronous(1))
-            .build(|id| MultiShotNode::new(cfg(4), Params::new(100), id));
-        sim.run_until(Time(200));
-        // Can't reach into nodes generically; bound check via window const:
-        // instances ≤ SLOT_WINDOW by construction. Assert the chain grew a
-        // lot while the window constant stayed small.
-        let chain = chain_of(&sim, NodeId(0));
-        assert!(chain.len() > 150);
-        // SLOT_WINDOW (8) bounds live instances structurally; the chain
-        // above grew ~25x past it without unbounded protocol state.
-    }
-
-    #[test]
-    fn crashed_slot_leader_recovers_via_view_change() {
-        // Node 3 is silent; it leads slots 3, 7, 11, … (view 0). The chain
-        // must stall there, view-change, and continue.
-        let n = 4;
-        let mut sim = SimBuilder::new(n).policy(LinkPolicy::synchronous(1)).build_boxed(|id| {
-            if id == NodeId(3) {
-                Box::new(tetrabft_sim::SilentNode::new())
-            } else {
-                Box::new(MultiShotNode::new(cfg(4), Params::new(5), id))
-            }
-        });
-        sim.run_until(Time(400));
-        let chain = chain_of(&sim, NodeId(0));
-        assert!(
-            chain.iter().any(|(s, _)| s.0 >= 4),
-            "chain must pass the dead leader's slot, got up to {:?}",
-            chain.last()
-        );
-        assert_consistency(&sim, n);
-    }
-
-    #[test]
-    fn jittered_network_keeps_chains_consistent() {
-        for seed in 0..5 {
-            let n = 4;
-            let mut sim = SimBuilder::new(n)
-                .seed(seed)
-                .policy(LinkPolicy::jittered(1, 6))
-                .build(|id| MultiShotNode::new(cfg(4), Params::new(30), id));
-            sim.run_until(Time(600));
-            assert_consistency(&sim, n);
-            assert!(
-                !chain_of(&sim, NodeId(0)).is_empty(),
-                "some blocks must finalize under jitter (seed {seed})"
-            );
-        }
-    }
-
-    #[test]
-    fn submitted_transaction_reaches_the_chain() {
-        let n = 4;
-        let tx = b"pay alice 5".to_vec();
-        let tx2 = tx.clone();
-        let mut sim = SimBuilder::new(n).policy(LinkPolicy::synchronous(1)).build(move |id| {
-            let mut node = MultiShotNode::new(cfg(4), Params::new(100), id);
-            node.submit_tx(tx2.clone()).unwrap();
-            node
-        });
-        sim.run_until(Time(40));
-        let included = sim
-            .outputs()
-            .iter()
-            .filter(|o| o.node == NodeId(0))
-            .any(|o| o.output.block.txs.iter().any(|t| t == &tx));
-        assert!(included, "submitted tx must be included in the finalized chain");
-    }
-
-    #[test]
-    fn degenerate_and_overflow_submissions_are_refused() {
-        use crate::mempool::SubmitError;
-        let params = Params::new(100).with_mempool_capacity(2).with_max_tx_bytes(8);
-        let mut node = MultiShotNode::new(cfg(4), params, NodeId(0));
-        assert_eq!(node.submit_tx(vec![]), Err(SubmitError::Empty));
-        assert_eq!(node.submit_tx(vec![0; 9]), Err(SubmitError::TooLarge { size: 9, max: 8 }));
-        node.submit_tx(b"a".to_vec()).unwrap();
-        assert_eq!(node.submit_tx(b"a".to_vec()), Err(SubmitError::Duplicate));
-        node.submit_tx(b"b".to_vec()).unwrap();
-        assert_eq!(node.submit_tx(b"c".to_vec()), Err(SubmitError::Full { capacity: 2 }));
-        assert_eq!(node.mempool_len(), 2);
-    }
-
-    #[test]
-    fn leader_batches_respect_max_block_txs() {
-        let n = 4;
-        let params = Params::new(100).with_max_block_txs(3);
-        let mut sim = SimBuilder::new(n).policy(LinkPolicy::synchronous(1)).build(move |id| {
-            let mut node = MultiShotNode::new(cfg(4), params, id);
-            for k in 0..20u8 {
-                node.submit_tx(vec![id.0 as u8 + 1, k + 1]).unwrap();
-            }
-            node
-        });
-        sim.run_until(Time(40));
-        let blocks: Vec<&Block> =
-            sim.outputs().iter().filter(|o| o.node == NodeId(0)).map(|o| &o.output.block).collect();
-        assert!(blocks.len() > 8);
-        assert!(blocks.iter().all(|b| b.txs.len() <= 3), "no block may exceed max_block_txs");
-        assert!(blocks.iter().any(|b| b.txs.len() == 3), "leaders fill blocks to the cap");
-    }
-
-    /// Runs `node` on one input by hand; returns the messages it sent.
-    fn sent(node: &mut MultiShotNode, input: Input<MsMessage>) -> Vec<MsMessage> {
-        let mut actions = tetrabft_sim::ActionBuf::new();
-        let (me, n) = (node.me, node.cfg.n());
-        node.handle(input, &mut Context::buffered(me, n, Time(0), &mut actions));
-        actions
-            .into_iter()
-            .filter_map(|action| match action {
-                tetrabft_sim::Action::Send { msg, .. } => Some(msg),
-                _ => None,
-            })
-            .collect()
-    }
-
-    #[test]
-    fn fresh_verdict_re_proposes_a_notarized_block_and_spares_the_mempool() {
-        let peers = [NodeId(0), NodeId(1), NodeId(3)];
-        for notarized in [true, false] {
-            // Node 2 leads slot 1 in view 1 (and slot 2 in view 0).
-            let mut node = MultiShotNode::new(cfg(4), Params::new(100), NodeId(2));
-            sent(&mut node, Input::Start);
-            let theirs = Block::new(Slot(1), GENESIS_HASH, vec![b"theirs".to_vec()]);
-            let msg = MsMessage::Proposal { view: View::ZERO, block: theirs.clone() };
-            sent(&mut node, Input::Deliver { from: NodeId(1), msg });
-            let ours = sent(&mut node, Input::Timer { id: PACE_TIMER });
-            assert!(
-                matches!(&ours[..], [MsMessage::Proposal { block, .. }] if block.slot == Slot(2))
-            );
-            // Our slot-2 proposal is out: what we admit now stays queued.
-            node.submit_tx(b"ours".to_vec()).unwrap();
-            if notarized {
-                for from in peers {
-                    let msg =
-                        MsMessage::Vote { slot: Slot(1), view: View::ZERO, hash: theirs.hash() };
-                    sent(&mut node, Input::Deliver { from, msg });
-                }
-            }
-            for from in peers {
-                let msg = MsMessage::ViewChange { slot: Slot(1), view: View(1) };
-                sent(&mut node, Input::Deliver { from, msg });
-            }
-            // No peer ever cast a vote-3 for slot 1: Rule 1 says FRESH.
-            let mut proposals = Vec::new();
-            for from in peers {
-                let msg = MsMessage::Suggest {
-                    slot: Slot(1),
-                    view: View(1),
-                    data: SuggestData::default(),
-                };
-                proposals.extend(
-                    sent(&mut node, Input::Deliver { from, msg }).into_iter().filter_map(|msg| {
-                        match msg {
-                            MsMessage::Proposal { view, block } => Some((view, block)),
-                            _ => None,
-                        }
-                    }),
-                );
-            }
-            assert_eq!(proposals.len(), 1, "one proposal for (slot 1, view 1)");
-            let (view, block) = &proposals[0];
-            assert_eq!((*view, block.slot), (View(1), Slot(1)));
-            if notarized {
-                assert_eq!(block.hash(), theirs.hash(), "the notarized block is re-proposed");
-                assert_eq!(node.mempool_len(), 1, "and no batch is drained into a doomed rival");
-            } else {
-                assert_eq!(*block.txs, vec![b"ours".to_vec()], "nothing notarized: a fresh block");
-                assert_eq!(node.mempool_len(), 0);
-            }
-        }
-    }
-
-    fn relay(slot: u64, txs: &[&[u8]]) -> MsMessage {
-        let txs = Arc::new(txs.iter().map(|tx| tx.to_vec()).collect());
-        MsMessage::Relay { slot: Slot(slot), txs }
-    }
-
-    #[test]
-    fn what_is_lent_is_owed_and_nothing_drains_past_a_loan_in_doubt() {
-        // Node 0 leads slots 4 and 8. It holds three transactions as it
-        // votes for slot 1: nodes 2 and 3 lead the next two slots, so the
-        // queue (two to a block) goes to node 3, ahead of the vote.
-        let params = Params::new(100).with_max_block_txs(2);
-        let mut node = MultiShotNode::new(cfg(4), params, NodeId(0));
-        sent(&mut node, Input::Start);
-        for tx in [b"a", b"b", b"c"] {
-            node.submit_tx(tx.to_vec()).unwrap();
-        }
-        let b1 = Block::new(Slot(1), GENESIS_HASH, Vec::new());
-        let propose =
-            |block: &Block| MsMessage::Proposal { view: View::ZERO, block: block.clone() };
-        let out = sent(&mut node, Input::Deliver { from: NodeId(1), msg: propose(&b1) });
-        let vote = MsMessage::Vote { slot: Slot(1), view: View::ZERO, hash: b1.hash() };
-        assert_eq!(out, [relay(3, &[b"a", b"b"]), vote], "the loan, then the vote");
-        assert_eq!(queue_of(&node), [b"c"]);
-        assert_eq!(node.owed[&Slot(3)].carried, None, "in doubt until slot 3 is proposed");
-
-        // Slot 2: the earlier loan is in doubt, so nothing more is lent.
-        let notarize = |node: &mut MultiShotNode, block: &Block| {
-            for from in [NodeId(1), NodeId(2), NodeId(3)] {
-                let msg =
-                    MsMessage::Vote { slot: block.slot, view: View::ZERO, hash: block.hash() };
-                sent(node, Input::Deliver { from, msg });
-            }
-        };
-        notarize(&mut node, &b1);
-        let b2 = Block::new(Slot(2), b1.hash(), Vec::new());
-        let out = sent(&mut node, Input::Deliver { from: NodeId(2), msg: propose(&b2) });
-        assert!(matches!(&out[..], [MsMessage::Vote { slot: Slot(2), .. }]), "{out:?}");
-        assert_eq!(queue_of(&node), [b"c"]);
-
-        // The borrower's block carries half the loan: that half stays owed
-        // by slot 3, the other is back at the head of the queue at once.
-        let b3 = Block::new(Slot(3), b2.hash(), vec![b"theirs".to_vec(), b"b".to_vec()]);
-        sent(&mut node, Input::Deliver { from: NodeId(3), msg: propose(&b3) });
-        assert_eq!(queue_of(&node), [b"a", b"c"]);
-        let owed = &node.owed[&Slot(3)];
-        assert_eq!((&owed.txs[..], owed.carried), (&[b"b".to_vec()][..], Some(b3.hash())));
-
-        // Nothing is in doubt and slot 3's block is on the chain slot 4
-        // extends: this node's own block drains the queue again.
-        notarize(&mut node, &b2);
-        let ours = sent(&mut node, Input::Timer { id: PACE_TIMER });
-        let [MsMessage::Proposal { block, .. }] = &ours[..] else { panic!("{ours:?}") };
-        assert_eq!((block.slot, block.parent), (Slot(4), b3.hash()));
-        assert_eq!(*block.txs, [b"a".to_vec(), b"c".to_vec()]);
-        // On any other chain the batch owed by slot 3 is not known carried,
-        // and a block of this node's would carry nothing of its own.
-        node.submit_tx(b"d".to_vec()).unwrap();
-        let rival = node.store.insert(Block::new(Slot(7), BlockHash(9), Vec::new()));
-        assert!(node.build_block(Slot(8), rival).txs.is_empty());
-        assert_eq!(queue_of(&node), [b"d"]);
-    }
-
-    #[test]
-    fn a_borrower_trusts_nothing_and_keeps_nothing() {
-        // Node 2 leads slots 2, 6 and 10; the window is slots 1..=8.
-        let params = Params::new(100).with_max_block_txs(4).with_max_tx_bytes(4);
-        let mut node = MultiShotNode::new(cfg(4), params, NodeId(2));
-        sent(&mut node, Input::Start);
-        let offer = |node: &mut MultiShotNode, from: u16, msg: MsMessage| {
-            sent(node, Input::Deliver { from: NodeId(from), msg });
-            node.borrowed.values().flatten().map(|loan| loan.txs.len()).sum::<usize>()
-        };
-        assert_eq!(offer(&mut node, 2, relay(6, &[b"me"])), 0, "not from itself");
-        assert_eq!(offer(&mut node, 0, relay(5, &[b"x"])), 0, "not for a slot it does not lead");
-        assert_eq!(offer(&mut node, 0, relay(10, &[b"x"])), 0, "not beyond the window");
-        assert_eq!(offer(&mut node, 0, relay(0, &[b"x"])), 0, "not for a finalized slot");
-        // Each payload passes the checks a submission passes, or is left out.
-        assert_eq!(offer(&mut node, 0, relay(6, &[b"a", b"", b"toolong", b"b"])), 2);
-        // One block's worth per slot, whoever lends.
-        assert_eq!(offer(&mut node, 1, relay(6, &[b"c", b"d", b"e"])), 4);
-        assert_eq!(offer(&mut node, 3, relay(6, &[b"f"])), 4);
-
-        // The chain below slot 6, and who voted for what at slot 4: node 0
-        // for the block slot 6 will have there, node 1 for a rival.
-        let mut parent = GENESIS_HASH;
-        let mut chain = Vec::new();
-        for slot in 1..=5 {
-            parent = node.store.insert(Block::new(Slot(slot), parent, Vec::new()));
-            chain.push(parent);
-        }
-        let mut at_4 = SlotInstance::new(&cfg(4), Slot(4));
-        let vote = |hash: BlockHash| CoreMessage::Vote {
-            phase: Phase::VOTE1,
-            view: View::ZERO,
-            value: hash.as_value(),
-        };
-        at_4.regs.record(NodeId(0), &vote(chain[3]));
-        at_4.regs.record(NodeId(1), &vote(BlockHash(77)));
-        node.instances.insert(Slot(4), at_4);
-        node.submit_tx(b"mine".to_vec()).unwrap();
-        let block = node.build_block(Slot(6), chain[4]);
-        assert_eq!(
-            *block.txs,
-            [b"mine".to_vec(), b"a".to_vec(), b"b".to_vec()],
-            "own first, then the loan whose lender voted for this chain"
-        );
-        assert!(node.borrowed.is_empty(), "what did not make the block is not kept");
-
-        // A slot that is proposed, or has left view 0, borrows no more.
-        let mut done = SlotInstance::new(&cfg(4), Slot(2));
-        done.proposed = true;
-        node.instances.insert(Slot(2), done);
-        assert_eq!(offer(&mut node, 0, relay(2, &[b"x"])), 0);
-        let mut moved = SlotInstance::new(&cfg(4), Slot(6));
-        moved.view = View(1);
-        node.instances.insert(Slot(6), moved);
-        assert_eq!(offer(&mut node, 0, relay(6, &[b"x"])), 0);
-    }
-
-    #[test]
-    fn proposal_at_the_window_edge_starts_the_next_slot_once_the_window_moves() {
-        // Node 1 leads slot 9. The chain runs ahead of its finalizations:
-        // it sees the proposal for slot 8 = finalized + SLOT_WINDOW before
-        // the votes that finalize slot 1.
-        let mut node = MultiShotNode::new(cfg(4), Params::new(100), NodeId(1));
-        sent(&mut node, Input::Start);
-        let mut parent = GENESIS_HASH;
-        for slot in 1..=4u64 {
-            let block = Block::new(Slot(slot), parent, Vec::new());
-            parent = block.hash();
-            let from = MultiShotNode::leader_of(&cfg(4), Slot(slot), View::ZERO);
-            let msg = MsMessage::Proposal { view: View::ZERO, block };
-            sent(&mut node, Input::Deliver { from, msg });
-        }
-        let edge = Block::new(Slot(SLOT_WINDOW), BlockHash(7), Vec::new());
-        let msg = MsMessage::Proposal { view: View::ZERO, block: edge };
-        sent(&mut node, Input::Deliver { from: NodeId(0), msg });
-        assert!(!node.instances.contains_key(&Slot(9)), "slot 9 is beyond the window");
-        for from in [NodeId(0), NodeId(2), NodeId(3)] {
-            let msg = MsMessage::Vote { slot: Slot(4), view: View::ZERO, hash: parent };
-            sent(&mut node, Input::Deliver { from, msg });
-        }
-        assert_eq!(node.finalized_slot(), Slot(1));
-        assert!(node.instances.contains_key(&Slot(9)), "the window moved: slot 9 must start");
-    }
-
-    fn journal_dir(tag: &str) -> std::path::PathBuf {
-        static NEXT: std::sync::atomic::AtomicUsize = std::sync::atomic::AtomicUsize::new(0);
-        let case = NEXT.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-        let dir = std::env::temp_dir()
-            .join(format!("tetrabft-journal-{}-{tag}-{case}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        dir
-    }
-
-    fn queue_of(node: &MultiShotNode) -> Vec<Vec<u8>> {
-        node.mempool.iter().map(<[u8]>::to_vec).collect()
-    }
-
-    #[test]
-    fn restart_re_bases_the_journal_on_what_the_mempool_took_back() {
-        let dir = journal_dir("rebase");
-        let params = Params::new(100)
-            .with_mempool_capacity(4)
-            .with_max_block_txs(3)
-            .with_fsync(tetrabft_types::FsyncPolicy::Never);
-        let open = || MultiShotNode::durable(cfg(4), params, NodeId(0), &dir).unwrap();
-        let mut node = open();
-        for k in 1..=4u8 {
-            node.submit_tx(vec![k]).unwrap();
-        }
-        let lost = node.build_block(Slot(1), GENESIS_HASH);
-        assert_eq!(lost.txs.len(), 3);
-        for k in 5..=7u8 {
-            node.submit_tx(vec![k]).unwrap();
-        }
-        // The slot commits another block: the batch comes back, and may
-        // overshoot the capacity; a restart may not.
-        let won = node.store.insert(Block::new(Slot(1), GENESIS_HASH, Vec::new()));
-        node.settle(Slot(1), won, true);
-        assert_eq!(node.mempool_len(), 7);
-        node.persist();
-        drop(node);
-        let mut node = open();
-        assert_eq!(queue_of(&node), [[1], [2], [3], [4]], "the first `capacity` survive");
-        // Drain counts now mean the same on disk as in memory.
-        node.build_block(Slot(1), GENESIS_HASH);
-        node.persist();
-        drop(node);
-        assert_eq!(queue_of(&open()), [[4]]);
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[derive(Debug, Clone)]
-    enum QueueOp {
-        Submit(usize),
-        Build,
-        Lose(usize),
-        Seal,
-        Reopen,
-    }
-
-    fn queue_ops() -> impl proptest::prelude::Strategy<Value = Vec<QueueOp>> {
-        use proptest::prelude::*;
-        proptest::collection::vec(
-            prop_oneof![
-                (1usize..6).prop_map(QueueOp::Submit),
-                (1usize..6).prop_map(QueueOp::Submit),
-                Just(QueueOp::Build),
-                Just(QueueOp::Build),
-                (0usize..4).prop_map(QueueOp::Lose),
-                Just(QueueOp::Seal),
-                Just(QueueOp::Seal),
-                Just(QueueOp::Reopen),
-            ],
-            1..60,
-        )
-    }
-
-    proptest::proptest! {
-        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(32))]
-
-        /// Whatever mix of admissions, block builds and lost blocks the
-        /// seals fall between, a restart finds the queue exactly as the
-        /// last seal left it — in admission order, however many batches
-        /// were out at once and in whatever order they came back.
-        #[test]
-        fn journal_restores_the_queue_as_of_the_last_seal(ops in queue_ops()) {
-            use proptest::prelude::*;
-            let dir = journal_dir("model");
-            let params = Params::new(100)
-                .with_max_block_txs(4)
-                .with_fsync(tetrabft_types::FsyncPolicy::Never);
-            let open = || MultiShotNode::durable(cfg(4), params, NodeId(0), &dir).unwrap();
-            let mut node = open();
-            // The model: the queue is the admitted numbers not in a block,
-            // ascending; beside it the blocks that hold a batch, and a copy
-            // of the queue as of the last seal.
-            let mut model: BTreeSet<u32> = BTreeSet::new();
-            let mut out: Vec<Block> = Vec::new();
-            let mut sealed = model.clone();
-            let (mut next_tx, mut tip) = (0u32, (Slot(0), GENESIS_HASH));
-            let number = |tx: &Vec<u8>| u32::from_be_bytes(tx[..].try_into().unwrap());
-            for op in ops.into_iter().chain([QueueOp::Seal, QueueOp::Reopen]) {
-                match op {
-                    QueueOp::Submit(count) => {
-                        for _ in 0..count {
-                            next_tx += 1;
-                            node.submit_tx(next_tx.to_be_bytes().to_vec()).unwrap();
-                            model.insert(next_tx);
-                        }
-                    }
-                    QueueOp::Build => {
-                        // Each block extends the last, so every batch still
-                        // out is on the chain and the drain is allowed.
-                        let block = node.build_block(tip.0.next(), tip.1);
-                        let batch: Vec<u32> = model.iter().copied().take(4).collect();
-                        prop_assert_eq!(block.txs.iter().map(number).collect::<Vec<_>>(), &batch[..]);
-                        model.retain(|k| !batch.contains(k));
-                        tip = (block.slot, node.store.insert(block.clone()));
-                        if !batch.is_empty() {
-                            out.push(block);
-                        }
-                    }
-                    QueueOp::Lose(pick) => {
-                        // Any of the slots still out commits a rival block.
-                        if !out.is_empty() {
-                            let lost = out.remove(pick % out.len());
-                            let rival = Block::new(lost.slot, BlockHash(7), Vec::new());
-                            let rival = node.store.insert(rival);
-                            node.settle(lost.slot, rival, true);
-                            model.extend(lost.txs.iter().map(number));
-                        }
-                    }
-                    QueueOp::Seal => {
-                        node.persist();
-                        sealed = model.clone();
-                    }
-                    QueueOp::Reopen => {
-                        drop(node);
-                        node = open();
-                        model = sealed.clone();
-                        out.clear();
-                    }
-                }
-                let queue: Vec<u32> = queue_of(&node).iter().map(number).collect();
-                prop_assert_eq!(queue, model.iter().copied().collect::<Vec<_>>());
-            }
-            std::fs::remove_dir_all(&dir).unwrap();
-        }
-    }
-
-    #[test]
-    fn pre_gst_chaos_then_progress() {
-        let n = 4;
-        let mut sim = SimBuilder::new(n)
-            .policy(LinkPolicy::partial_synchrony(Time(200), 10, 1))
-            .build(|id| MultiShotNode::new(cfg(4), Params::new(10), id));
-        sim.run_until(Time(1500));
-        assert_consistency(&sim, n);
-        let chain = chain_of(&sim, NodeId(0));
-        assert!(!chain.is_empty(), "chain must grow after GST");
-    }
-}
+mod tests;

@@ -5,18 +5,17 @@
 //! shard `j` finalizes global slots `j+1, j+1+k, j+1+2k, …` as its local
 //! slots `1, 2, 3, …`. Shards share nothing — each runs its own full
 //! Multi-shot TetraBFT group on its own engine instances (parallel threads
-//! in `tetrabft-net`, deterministically interleaved virtual time in the
-//! simulator) — so aggregate throughput scales with `k` while every shard
+//! in `tetrabft-net`, deterministically interleaved virtual time in
+//! `tetrabft-sim`'s `ShardedSim`) — so aggregate throughput scales with `k`
+//! while every shard
 //! keeps the paper's one-block-per-delay pipeline. [`FinalizedMerge`]
 //! reassembles the single global finalized stream in slot order.
 
 use std::collections::BTreeMap;
 
-use tetrabft_sim::{LinkPolicy, Sim, SimBuilder, Time};
-use tetrabft_types::{NodeId, Slot};
+use tetrabft_types::Slot;
 
-use crate::msg::MsMessage;
-use crate::node::{Finalized, MultiShotNode};
+use crate::node::Finalized;
 
 /// The slot partition: `k` shards in round-robin over global slots.
 ///
@@ -138,6 +137,19 @@ impl FinalizedMerge {
         FinalizedMerge { spec, pending: vec![BTreeMap::new(); spec.k()], next_global: 1 }
     }
 
+    /// The merge of `k` per-shard finalized streams, the `j`-th being
+    /// shard `j`'s — one node's outputs in each shard of a sharded run, say.
+    /// Iterate to read the global chain as far as it is gapless.
+    pub fn from_streams(streams: Vec<Vec<Finalized>>) -> Self {
+        let mut merge = FinalizedMerge::new(ShardSpec::new(streams.len()));
+        for (shard, stream) in streams.into_iter().enumerate() {
+            for fin in stream {
+                merge.push(shard, fin);
+            }
+        }
+        merge
+    }
+
     /// Feeds one shard-local finalization into the merge.
     ///
     /// # Panics
@@ -166,119 +178,27 @@ impl Iterator for FinalizedMerge {
     }
 }
 
-/// `k` independent Multi-shot simulations interleaved deterministically in
-/// one virtual timeline.
-///
-/// Each shard is a full [`Sim`] of `n` [`MultiShotNode`]s; the sharded
-/// runner always steps the shard with the earliest pending event (ties
-/// break to the lowest shard index), so a run remains a pure function of
-/// `(protocol, policy, seed)` exactly like a single simulation. This is
-/// the simulator counterpart of the thread-per-shard
-/// `ShardedCluster` in `tetrabft-net`.
-///
-/// # Examples
-///
-/// ```
-/// use tetrabft::Params;
-/// use tetrabft_multishot::ShardedSim;
-/// use tetrabft_sim::{LinkPolicy, Time};
-/// use tetrabft_types::{Config, NodeId};
-///
-/// let cfg = Config::new(4).unwrap();
-/// let mut sharded = ShardedSim::new(2, 4, 0, |_, _| LinkPolicy::synchronous(1), |_, id| {
-///     tetrabft_multishot::MultiShotNode::new(cfg, Params::new(100), id)
-/// });
-/// sharded.run_until(Time(20));
-/// let chain = sharded.merged_chain(NodeId(0));
-/// assert!(chain.len() > 10);
-/// assert_eq!(chain[0].global_slot, 1);
-/// ```
-pub struct ShardedSim {
-    spec: ShardSpec,
-    shards: Vec<Sim<MsMessage, Finalized>>,
-}
-
-impl ShardedSim {
-    /// Builds `k` shards of `n` nodes each from a base `seed`. Shard `j`
-    /// runs on seed `seed + j` — distinct per shard (identical shards
-    /// would otherwise march in lockstep under jittered policies) yet a
-    /// pure function of the base, so the whole sharded run remains a pure
-    /// function of `(protocol, policy, seed)`. `policy` and `make`
-    /// receive the shard index (`policy` also the shard's derived seed,
-    /// `make` the node id) so shards can be populated independently.
-    pub fn new(
-        k: usize,
-        n: usize,
-        seed: u64,
-        mut policy: impl FnMut(usize, u64) -> LinkPolicy,
-        mut make: impl FnMut(usize, NodeId) -> MultiShotNode,
-    ) -> Self {
-        let spec = ShardSpec::new(k);
-        let shards = (0..k)
-            .map(|j| {
-                let shard_seed = seed.wrapping_add(j as u64);
-                SimBuilder::new(n)
-                    .seed(shard_seed)
-                    .policy(policy(j, shard_seed))
-                    .build(|id| make(j, id))
-            })
-            .collect();
-        ShardedSim { spec, shards }
-    }
-
-    /// The slot partition.
-    pub fn spec(&self) -> ShardSpec {
-        self.spec
-    }
-
-    /// The per-shard simulations.
-    pub fn shards(&self) -> &[Sim<MsMessage, Finalized>] {
-        &self.shards
-    }
-
-    /// Mutable access to one shard (submitting txs mid-run, inspection).
-    pub fn shard_mut(&mut self, shard: usize) -> &mut Sim<MsMessage, Finalized> {
-        &mut self.shards[shard]
-    }
-
-    /// Advances the interleaved timeline until every shard's next event
-    /// lies beyond `horizon`: repeatedly steps the shard with the earliest
-    /// pending event, ties to the lowest index — fully deterministic.
-    pub fn run_until(&mut self, horizon: Time) {
-        loop {
-            let mut earliest: Option<(Time, usize)> = None;
-            for (j, shard) in self.shards.iter().enumerate() {
-                if let Some(t) = shard.next_event_time() {
-                    if t <= horizon && earliest.is_none_or(|(best, _)| t < best) {
-                        earliest = Some((t, j));
-                    }
-                }
-            }
-            let Some((_, j)) = earliest else { return };
-            self.shards[j].step();
-        }
-    }
-
-    /// The merged global finalized stream as observed by `node`: every
-    /// shard's chain for that node, reassembled in global slot order.
-    pub fn merged_chain(&self, node: NodeId) -> Vec<GlobalFinalized> {
-        let mut merge = FinalizedMerge::new(self.spec);
-        for (j, shard) in self.shards.iter().enumerate() {
-            for record in shard.outputs().iter().filter(|o| o.node == node) {
-                merge.push(j, record.output.clone());
-            }
-        }
-        merge.collect()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{MsMessage, MultiShotNode};
     use tetrabft::Params;
-    use tetrabft_types::Config;
+    use tetrabft_sim::{LinkPolicy, ShardedSim, Time};
+    use tetrabft_types::{Config, NodeId};
 
-    fn sharded(k: usize) -> ShardedSim {
+    type Sharded = ShardedSim<MsMessage, Finalized>;
+
+    /// The global chain as `node` observed it: its outputs in every shard,
+    /// reassembled in global slot order.
+    fn merged_chain(sim: &Sharded, node: NodeId) -> Vec<GlobalFinalized> {
+        let streams = sim.shards().iter().map(|shard| {
+            let mine = shard.outputs().iter().filter(|o| o.node == node);
+            mine.map(|o| o.output.clone()).collect()
+        });
+        FinalizedMerge::from_streams(streams.collect()).collect()
+    }
+
+    fn sharded(k: usize) -> Sharded {
         let cfg = Config::new(4).unwrap();
         ShardedSim::new(
             k,
@@ -293,12 +213,12 @@ mod tests {
     fn global_slots_are_contiguous_and_shard_tagged() {
         let mut sim = sharded(3);
         sim.run_until(Time(30));
-        let chain = sim.merged_chain(NodeId(0));
+        let chain = merged_chain(&sim, NodeId(0));
         assert!(chain.len() > 60, "3 shards × ~25 blocks, got {}", chain.len());
         for (i, g) in chain.iter().enumerate() {
             assert_eq!(g.global_slot, i as u64 + 1, "global slots are gapless");
-            assert_eq!(g.shard, sim.spec().shard_of_slot(g.global_slot));
-            assert_eq!(g.fin.slot, sim.spec().local_slot(g.global_slot));
+            assert_eq!(g.shard, ShardSpec::new(3).shard_of_slot(g.global_slot));
+            assert_eq!(g.fin.slot, ShardSpec::new(3).local_slot(g.global_slot));
         }
     }
 
@@ -307,7 +227,7 @@ mod tests {
         let run = |k| {
             let mut sim = sharded(k);
             sim.run_until(Time(25));
-            sim.merged_chain(NodeId(1))
+            merged_chain(&sim, NodeId(1))
                 .into_iter()
                 .map(|g| (g.global_slot, g.shard, g.fin.hash))
                 .collect::<Vec<_>>()
@@ -320,7 +240,7 @@ mod tests {
         let blocks = |k| {
             let mut sim = sharded(k);
             sim.run_until(Time(40));
-            sim.merged_chain(NodeId(0)).len()
+            merged_chain(&sim, NodeId(0)).len()
         };
         let one = blocks(1);
         let four = blocks(4);

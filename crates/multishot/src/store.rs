@@ -11,21 +11,6 @@ use crate::block::{Block, BlockHash, GENESIS_HASH};
 ///
 /// Pruning keeps the store O(window) — multi-shot TetraBFT's protocol state
 /// stays bounded; only the *application* (the output chain) grows.
-///
-/// # Examples
-///
-/// ```
-/// use tetrabft_multishot::{Block, BlockStore, GENESIS_HASH};
-/// use tetrabft_types::Slot;
-///
-/// let mut store = BlockStore::new();
-/// let b1 = Block::new(Slot(1), GENESIS_HASH, vec![]);
-/// let h1 = store.insert(b1);
-/// let b2 = Block::new(Slot(2), h1, vec![]);
-/// let h2 = store.insert(b2);
-/// assert_eq!(store.ancestor(h2, 1), Some(h1));
-/// assert_eq!(store.ancestor(h2, 2), Some(GENESIS_HASH));
-/// ```
 #[derive(Debug, Clone, Default)]
 pub struct BlockStore {
     blocks: HashMap<BlockHash, Block>,
@@ -83,16 +68,6 @@ impl BlockStore {
     pub fn prune_below(&mut self, floor: Slot) {
         self.blocks.retain(|_, b| b.slot >= floor);
     }
-
-    /// Number of stored blocks (excluding the implicit genesis).
-    pub fn len(&self) -> usize {
-        self.blocks.len()
-    }
-
-    /// `true` when no block beyond genesis is stored.
-    pub fn is_empty(&self) -> bool {
-        self.blocks.is_empty()
-    }
 }
 
 #[cfg(test)]
@@ -137,9 +112,9 @@ mod tests {
     #[test]
     fn pruning_bounds_the_store() {
         let (mut store, h) = chain(10);
-        assert_eq!(store.len(), 10);
+        assert_eq!(store.blocks.len(), 10);
         store.prune_below(Slot(8));
-        assert_eq!(store.len(), 3);
+        assert_eq!(store.blocks.len(), 3);
         assert!(store.contains(h[9]));
         assert!(!store.contains(h[7]));
         assert!(store.contains(GENESIS_HASH), "genesis survives pruning");
@@ -152,6 +127,6 @@ mod tests {
         let h1 = store.insert(b.clone());
         let h2 = store.insert(b);
         assert_eq!(h1, h2);
-        assert_eq!(store.len(), 1);
+        assert_eq!(store.blocks.len(), 1);
     }
 }

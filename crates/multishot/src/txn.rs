@@ -77,7 +77,7 @@ pub trait Transaction {
 /// store the bytes alone — the envelope exists only between client and
 /// mempool.
 ///
-/// [`Submitter`]: tetrabft_sim::Submitter
+/// [`Submitter`]: tetrabft_engine::Submitter
 ///
 /// # Examples
 ///
@@ -166,7 +166,7 @@ impl From<Vec<u8>> for Tx {
 /// for free: both sides digest the same bytes into the same [`TxId`] —
 /// which is exactly what lets a load generator match its submissions
 /// against the finalized stream without any richer client protocol.
-impl tetrabft_sim::FrameRequest for Tx {
+impl tetrabft_engine::FrameRequest for Tx {
     fn from_frame(bytes: &[u8]) -> Option<Self> {
         (!bytes.is_empty()).then(|| Tx::raw(bytes.to_vec()))
     }

@@ -71,6 +71,7 @@ mod plan;
 mod policy;
 mod queue;
 mod runner;
+mod shard;
 mod trace;
 
 pub use actors::{
@@ -81,6 +82,7 @@ pub use metrics::{KindMetrics, Metrics, NodeMetrics};
 pub use plan::{EdgeSpec, LinkPlan, PartitionWindow, PlanParseError};
 pub use policy::{LinkPolicy, Route, RouteEnv};
 pub use runner::{OutputRecord, Sim, SimBuilder};
+pub use shard::ShardedSim;
 // The node abstraction and the engine loop live in `tetrabft-engine`; the
 // simulator re-exports them so protocol crates keep a single import path.
 pub use tetrabft_engine::{

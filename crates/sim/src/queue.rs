@@ -74,10 +74,6 @@ impl<M> EventQueue<M> {
             (e.at, node)
         })
     }
-
-    pub fn len(&self) -> usize {
-        self.heap.len()
-    }
 }
 
 #[cfg(test)]
@@ -106,6 +102,6 @@ mod tests {
         q.push(Time(9), EventKind::Timer { node: NodeId(0), id: TimerId(0), generation: 0 });
         q.push(Time(2), EventKind::Timer { node: NodeId(0), id: TimerId(1), generation: 0 });
         assert_eq!(q.peek_time(), Some(Time(2)));
-        assert_eq!(q.len(), 2);
+        assert_eq!(q.heap.len(), 2);
     }
 }

@@ -277,11 +277,6 @@ impl<M: WireSize + Clone, O> Sim<M, O> {
         &self.metrics
     }
 
-    /// Number of events still queued (messages in flight plus armed timers).
-    pub fn pending_events(&self) -> usize {
-        self.queue.len()
-    }
-
     /// Virtual time of the earliest queued event, if any — what the next
     /// [`Sim::step`] would advance to. Lets embedders (the sharded runner)
     /// interleave several simulations deterministically.

@@ -45,8 +45,8 @@ pub mod prelude {
     };
     pub use tetrabft_multishot::{
         Block, BlockHash, Finalized, FinalizedMerge, GlobalFinalized, Mempool, MsMessage,
-        MultiShotNode, ShardSpec, ShardedSim, SubmitError, Transaction, Tx, TxId, GENESIS_HASH,
+        MultiShotNode, ShardSpec, SubmitError, Transaction, Tx, TxId, GENESIS_HASH,
     };
-    pub use tetrabft_sim::{Input, LinkPolicy, Node, Sim, SimBuilder, Submitter, Time};
+    pub use tetrabft_sim::{Input, LinkPolicy, Node, ShardedSim, Sim, SimBuilder, Submitter, Time};
     pub use tetrabft_types::{Config, NodeId, Phase, Slot, Value, View};
 }

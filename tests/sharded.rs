@@ -5,7 +5,19 @@
 
 use tetrabft_suite::prelude::*;
 
-fn sharded(k: usize, params: Params) -> ShardedSim {
+type Sharded = ShardedSim<MsMessage, Finalized>;
+
+/// The global chain as `node` observed it: its outputs in every shard,
+/// reassembled in global slot order.
+fn merged_chain(sim: &Sharded, node: NodeId) -> Vec<GlobalFinalized> {
+    let streams = sim.shards().iter().map(|shard| {
+        let mine = shard.outputs().iter().filter(|o| o.node == node);
+        mine.map(|o| o.output.clone()).collect()
+    });
+    FinalizedMerge::from_streams(streams.collect()).collect()
+}
+
+fn sharded(k: usize, params: Params) -> Sharded {
     let cfg = Config::new(4).unwrap();
     ShardedSim::new(
         k,
@@ -29,13 +41,13 @@ fn sharded(k: usize, params: Params) -> ShardedSim {
 fn merged_stream_is_gapless_and_consistent_across_nodes() {
     let mut sim = sharded(3, Params::new(1_000));
     sim.run_until(Time(40));
-    let reference = sim.merged_chain(NodeId(0));
+    let reference = merged_chain(&sim, NodeId(0));
     assert!(reference.len() > 80, "3 shards × ~35 blocks, got {}", reference.len());
     for (i, g) in reference.iter().enumerate() {
         assert_eq!(g.global_slot, i as u64 + 1, "no gaps in the global stream");
     }
     for i in 1..4u16 {
-        let other = sim.merged_chain(NodeId(i));
+        let other = merged_chain(&sim, NodeId(i));
         let common = reference.len().min(other.len());
         assert_eq!(
             &reference[..common],
@@ -50,7 +62,7 @@ fn txs_per_horizon_scale_with_k() {
     let txs_finalized = |k: usize| -> usize {
         let mut sim = sharded(k, Params::new(1_000).with_max_block_txs(16));
         sim.run_until(Time(30));
-        sim.merged_chain(NodeId(0)).iter().map(|g| g.fin.block.txs.len()).sum()
+        merged_chain(&sim, NodeId(0)).iter().map(|g| g.fin.block.txs.len()).sum()
     };
     let (one, four) = (txs_finalized(1), txs_finalized(4));
     assert!(
@@ -101,7 +113,7 @@ fn sharded_runs_are_a_pure_function_of_their_inputs() {
     let run = || {
         let mut sim = sharded(4, Params::new(1_000));
         sim.run_until(Time(35));
-        sim.merged_chain(NodeId(2))
+        merged_chain(&sim, NodeId(2))
             .into_iter()
             .map(|g| (g.global_slot, g.shard, g.fin.hash.0, g.fin.block.txs.len()))
             .collect::<Vec<_>>()

@@ -1,9 +1,13 @@
 //! Constant-storage guarantees under sustained adversity — the Table 1
 //! storage column, tested rather than asserted.
 
+use std::cell::RefCell;
+use std::rc::Rc;
+
 use proptest::prelude::*;
 
 use tetrabft_suite::prelude::*;
+use tetrabft_suite::sim::{Context, FnNode};
 use tetrabft_types::{Phase, VoteBook};
 
 #[test]
@@ -49,9 +53,11 @@ fn multishot_suspicion_and_evidence_registers_are_constant_per_peer() {
     // registers: votes far beyond its window (catch-up evidence: a flag a
     // peer, spent on asking), view changes naming ever-higher slots, and
     // the timer of a never-proposed slot, over and over (the silent bit of
-    // its leader). `Debug` prints every field, so the length of the
+    // its leader), and a hostile catch-up responder forging a new block for
+    // the next slot every round (one candidate a peer vouches for, the old
+    // one withdrawn). `Debug` prints every field, so the length of the
     // rendering bounds the whole state: it must not grow with the rounds.
-    use tetrabft_suite::sim::{ActionBuf, Context, TimerId};
+    use tetrabft_suite::sim::{ActionBuf, TimerId};
     use tetrabft_suite::types::FsyncPolicy;
     let dir = std::env::temp_dir().join(format!("tetrabft-peer-registers-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
@@ -82,6 +88,11 @@ fn multishot_suspicion_and_evidence_registers_are_constant_per_peer() {
             feed(&mut node, Input::Deliver { from, msg: request });
         }
         feed(&mut node, Input::Timer { id: TimerId(1) });
+        let forged = Block::new(Slot(1), GENESIS_HASH, vec![round.to_be_bytes().to_vec()]);
+        feed(
+            &mut node,
+            Input::Deliver { from: NodeId(3), msg: MsMessage::Blocks { blocks: vec![forged] } },
+        );
         if round == 100 || round == 1_999 {
             rendered.push(format!("{node:?}").len());
         }
@@ -123,20 +134,41 @@ proptest! {
             expected_prev
         );
     }
+}
 
-    /// Multi-shot nodes prune: the active window and block store stay
-    /// bounded no matter how long the chain runs.
+proptest! {
+    // Every case renders four nodes after every input of the run.
+    #![proptest_config(ProptestConfig::with_cases(8))]
+
+    /// Multi-shot nodes prune: the active window and everything else a
+    /// node holds stay bounded no matter how long the chain runs.
     #[test]
     fn multishot_active_state_is_bounded(horizon in 50u64..400) {
         let cfg = Config::new(4).unwrap();
-        let mut sim = SimBuilder::new(4)
-            .policy(LinkPolicy::synchronous(1))
-            .build(|id| MultiShotNode::new(cfg, Params::new(1_000_000), id));
+        // Each node notes, after every input it handles, the tick, its live
+        // slot count and the length of its `Debug` rendering.
+        let probe = Rc::new(RefCell::new(Vec::new()));
+        let mut sim = SimBuilder::new(4).policy(LinkPolicy::synchronous(1)).build(|id| {
+            let mut inner = MultiShotNode::new(cfg, Params::new(1_000_000), id);
+            let seen = Rc::clone(&probe);
+            FnNode::new(move |input, ctx: &mut Context<'_, MsMessage, Finalized>| {
+                let now = ctx.now().0;
+                inner.handle(input, ctx);
+                seen.borrow_mut().push((now, inner.active_slots(), format!("{inner:?}").len()));
+            })
+        });
         sim.run_until(Time(horizon));
         // The chain grows with the horizon…
         let blocks = sim.outputs().iter().filter(|o| o.node == NodeId(0)).count();
         prop_assert!(blocks as u64 >= horizon.saturating_sub(10));
-        // …while the window constant bounds live instances.
-        prop_assert!(tetrabft_multishot::SLOT_WINDOW <= 8);
+        // …while the window bounds live instances after every single input…
+        let seen = probe.borrow();
+        let window = tetrabft_multishot::SLOT_WINDOW as usize;
+        prop_assert!(seen.iter().all(|(_, active, _)| *active <= window));
+        // …and the whole state is no larger at the horizon than at tick 50
+        // (numbers print wider as they grow; structures must not).
+        let rendered_by = |tick| seen.iter().take_while(|(at, ..)| *at <= tick).map(|s| s.2).max();
+        let (early, late) = (rendered_by(50).unwrap(), seen.iter().map(|s| s.2).max().unwrap());
+        prop_assert!(late <= early + 256, "state grew: {early} -> {late} bytes of Debug");
     }
 }
