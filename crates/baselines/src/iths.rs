@@ -401,7 +401,7 @@ impl Node for IthsNode {
                 ctx.set_timer(VIEW_TIMER, self.params.view_timeout());
                 self.drive(ctx);
             }
-            Input::Timer { .. } => {}
+            Input::Timer { .. } | Input::PeerDown { .. } => {}
         }
     }
 }

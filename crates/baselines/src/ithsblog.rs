@@ -336,7 +336,7 @@ impl Node for BlogNode {
                 self.wait_done = Some(self.view);
                 self.drive(ctx);
             }
-            Input::Timer { .. } => {}
+            Input::Timer { .. } | Input::PeerDown { .. } => {}
         }
     }
 }

@@ -495,7 +495,7 @@ impl Node for PbftNode {
                 ctx.set_timer(VIEW_TIMER, self.params.view_timeout());
                 self.drive(ctx);
             }
-            Input::Timer { .. } => {}
+            Input::Timer { .. } | Input::PeerDown { .. } => {}
         }
     }
 }

@@ -141,6 +141,7 @@ impl Node for RepeatedTetra {
                 } // stale instances are dropped: that consensus is done
             }
             Input::Timer { id } => self.forward(Input::Timer { id }, ctx),
+            Input::PeerDown { peer } => self.forward(Input::PeerDown { peer }, ctx),
         }
     }
 }

@@ -285,7 +285,7 @@ impl Node for TetraNode {
                 self.on_timeout(ctx);
                 self.drive(ctx);
             }
-            Input::Timer { .. } => {}
+            Input::Timer { .. } | Input::PeerDown { .. } => {}
         }
     }
 }

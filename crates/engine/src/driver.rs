@@ -232,6 +232,17 @@ impl<N: Node> Engine<N> {
         true
     }
 
+    /// Feeds one [`Input::PeerDown`] hint to the node, like a delivery: the
+    /// persist/flush seal is deferred to [`Engine::finish_batch`].
+    pub fn on_peer_down_buffered<T: Transport<N::Msg, N::Output>>(
+        &mut self,
+        peer: NodeId,
+        now: Time,
+        transport: &mut T,
+    ) {
+        self.dispatch(Input::PeerDown { peer }, now, transport);
+    }
+
     /// Seals a batch of `*_buffered` dispatches: persists the node once,
     /// then flushes the transport once. The write-ahead ordering holds for
     /// the whole batch — everything the batch's inputs changed is durable
@@ -312,6 +323,7 @@ mod tests {
                 }
                 Input::Timer { id } => ctx.output(id.0),
                 Input::Deliver { msg, .. } => ctx.output(msg.0),
+                Input::PeerDown { .. } => {}
             }
         }
     }

@@ -67,6 +67,17 @@ pub enum Input<M> {
         /// Which timer.
         id: TimerId,
     },
+    /// The transport saw this peer's stream end — a hint, possibly wrong,
+    /// never read by safety. Local and unforgeable about a third party: it
+    /// is raised by the runtime that owns the socket (the TCP reactor, behind
+    /// every frame that connection carried), never by a message. A runtime
+    /// that cannot see a connection end (the simulator, a vanished host, a
+    /// partition) never sends it, and a [`Node`] may ignore it: timers
+    /// remain the only failure detector the protocol relies on.
+    PeerDown {
+        /// The peer whose connection ended.
+        peer: NodeId,
+    },
 }
 
 /// A deterministic protocol state machine.

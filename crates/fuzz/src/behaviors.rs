@@ -9,8 +9,8 @@
 use std::sync::Arc;
 
 use tetrabft::{Message, Params};
-use tetrabft_multishot::{BlockHash, MsMessage, MultiShotNode};
-use tetrabft_sim::{Behavior, BehaviorEnv, Dest, FnBehavior, Input};
+use tetrabft_multishot::{BlockHash, Finalized, MsMessage, MultiShotNode};
+use tetrabft_sim::{Behavior, BehaviorEnv, Context, Dest, FnBehavior, Input, Node, TimerId};
 use tetrabft_types::{Config, NodeId, Phase, Slot, Value, View};
 
 /// Ensures the equivocation offset actually flips at least one bit.
@@ -281,26 +281,89 @@ pub fn ms_vote_then_skip() -> impl Behavior<MsMessage> {
     )
 }
 
+/// An honest chain node whose transport keeps reporting that the streams
+/// of `flappers` ended: one `Input::PeerDown` about each, every so many
+/// ticks ([`Attack::Flap`](crate::Attack::Flap)). The simulator itself
+/// never raises the hint.
+pub(crate) struct Flapped {
+    inner: MultiShotNode,
+    flappers: Vec<(NodeId, u64)>,
+}
+
+impl Flapped {
+    pub(crate) fn new(inner: MultiShotNode, flappers: Vec<(NodeId, u64)>) -> Self {
+        Flapped { inner, flappers }
+    }
+
+    /// The k-th flapper's timer: below the two ids the node reserves, far
+    /// above any slot's.
+    fn timer(k: usize) -> TimerId {
+        TimerId(u64::MAX - 2 - k as u64)
+    }
+}
+
+impl Node for Flapped {
+    type Msg = MsMessage;
+    type Output = Finalized;
+
+    fn handle(&mut self, input: Input<MsMessage>, ctx: &mut Context<'_, MsMessage, Finalized>) {
+        let flap = |k: &usize| matches!(input, Input::Timer { id } if id == Self::timer(*k));
+        if let Some(k) = (0..self.flappers.len()).find(flap) {
+            let (peer, period) = self.flappers[k];
+            ctx.set_timer(Self::timer(k), period);
+            return self.inner.handle(Input::PeerDown { peer }, ctx);
+        }
+        if matches!(input, Input::Start) {
+            for (k, (_, period)) in self.flappers.iter().enumerate() {
+                ctx.set_timer(Self::timer(k), *period);
+            }
+        }
+        self.inner.handle(input, ctx);
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tetrabft_multishot::{Block, Finalized, GENESIS_HASH};
-    use tetrabft_sim::{ByzantineActor, LinkPolicy, Node, SilentNode, SimBuilder, Time};
+    use tetrabft_multishot::{Block, GENESIS_HASH};
+    use tetrabft_sim::{ByzantineActor, LinkPolicy, SilentNode, SimBuilder, Time};
 
-    /// Δ = 30 on 10-ms links, node 3 replaced by `faulty`: the gaps of a
-    /// timer's length or more between node 0's consecutive finalizations
-    /// (the first counted from the start).
-    fn stalls(faulty: fn() -> Box<dyn Node<Msg = MsMessage, Output = Finalized>>) -> Vec<u64> {
+    type ChainNode = Box<dyn Node<Msg = MsMessage, Output = Finalized>>;
+
+    /// Δ = 30 on 10-ms links for 6,000 ticks: the gaps between node 0's
+    /// consecutive finalizations (the first counted from the start).
+    fn gaps(mut make: impl FnMut(MultiShotNode) -> ChainNode) -> Vec<u64> {
         let cfg = Config::new(4).unwrap();
-        let mut sim =
-            SimBuilder::new(4).policy(LinkPolicy::synchronous(10)).build_boxed(|id| match id {
-                NodeId(3) => faulty(),
-                _ => Box::new(MultiShotNode::new(cfg, Params::new(30), id)),
-            });
+        let mut sim = SimBuilder::new(4)
+            .policy(LinkPolicy::synchronous(10))
+            .build_boxed(|id| make(MultiShotNode::new(cfg, Params::new(30), id)));
         sim.run_until(Time(6_000));
         let finalized = sim.outputs().iter().filter(|o| o.node == NodeId(0)).map(|o| o.time.0);
         let at: Vec<u64> = std::iter::once(0).chain(finalized).collect();
-        at.windows(2).map(|pair| pair[1] - pair[0]).filter(|gap| *gap >= 9 * 30).collect()
+        at.windows(2).map(|pair| pair[1] - pair[0]).collect()
+    }
+
+    /// Node 3 replaced by `faulty`: the gaps of a timer's length or more.
+    fn stalls(faulty: fn() -> ChainNode) -> Vec<u64> {
+        let mut next = 0..4;
+        let gaps = gaps(|honest| if next.next() == Some(3) { faulty() } else { Box::new(honest) });
+        gaps.into_iter().filter(|gap| *gap >= 9 * 30).collect()
+    }
+
+    #[test]
+    fn a_flapping_honest_leader_never_costs_a_timer() {
+        // Node 3 proposes and votes like anybody; its peers are told every
+        // 50 ticks that its stream ended. A hint that finds a slot of its
+        // not yet proposed costs that slot a view change, no hint a timer:
+        // the next vote clears the bit.
+        let mut next = 0..4;
+        let gaps = gaps(|honest| match next.next() {
+            Some(3) => Box::new(honest),
+            _ => Box::new(Flapped::new(honest, vec![(NodeId(3), 50)])),
+        });
+        assert!(gaps.len() > 400, "the chain must keep its pace, {} blocks", gaps.len());
+        let worst = gaps.iter().skip(1).max().unwrap();
+        assert!(*worst <= 30, "a flap cost {worst} ticks");
     }
 
     #[test]
@@ -312,9 +375,8 @@ mod tests {
         assert_eq!(stalls(|| Box::new(SilentNode::new())), [330]);
         // One that votes is never silent when its turn comes: that stall
         // every turn — the timer and never more, as before.
-        let skipper = || -> Box<dyn Node<Msg = MsMessage, Output = Finalized>> {
-            Box::new(ByzantineActor::new().with_behavior(ms_vote_then_skip()))
-        };
+        let skipper =
+            || -> ChainNode { Box::new(ByzantineActor::new().with_behavior(ms_vote_then_skip())) };
         let mut every_turn = vec![290; 18];
         every_turn[0] = 330;
         assert_eq!(stalls(skipper), every_turn);

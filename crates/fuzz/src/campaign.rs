@@ -202,9 +202,10 @@ pub fn sample_scenario(seed: u64, cfg: &CampaignCfg) -> Scenario {
         let attacks = if rng.random_range(0..100u64) < 15 {
             Vec::new()
         } else {
-            // Relay spam (kind 4) needs a hand-off to abuse and vote-then-skip
-            // (kind 5) a turn to skip: chain mode only.
-            let mut kinds: Vec<u8> = (0..if mode == Mode::Chain { 6 } else { 4 }).collect();
+            // Relay spam (kind 4) needs a hand-off to abuse, vote-then-skip
+            // (kind 5) a turn to skip and a flap (kind 6) a node that reads
+            // the hint: chain mode only.
+            let mut kinds: Vec<u8> = (0..if mode == Mode::Chain { 7 } else { 4 }).collect();
             let count = rng.random_range(1..=2u64) as usize;
             let mut attacks = Vec::with_capacity(count);
             for _ in 0..count {
@@ -215,7 +216,8 @@ pub fn sample_scenario(seed: u64, cfg: &CampaignCfg) -> Scenario {
                     2 => Attack::SkewedReplay { view_offset: rng.random_range(1..=4) },
                     3 => Attack::ValueSpam { period_ms: rng.random_range(20..=80) },
                     4 => Attack::RelaySpam,
-                    _ => Attack::VoteThenSkip,
+                    5 => Attack::VoteThenSkip,
+                    _ => Attack::Flap { period_ms: rng.random_range(20..=80) },
                 });
             }
             attacks

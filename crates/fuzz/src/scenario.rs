@@ -48,6 +48,17 @@ pub enum Attack {
     /// (`behaviors::ms_vote_then_skip`) — a leader honest nodes can never
     /// take for dead. In single-shot mode the attack does nothing.
     VoteThenSkip,
+    /// Chain mode only: the node's connections flap. Every period each
+    /// honest node's transport reports that this node's stream ended
+    /// (`Input::PeerDown`), while the node follows the rest of its
+    /// composition — alone it is honest and keeps proposing. The most an
+    /// adversary can do with the hint: it is raised locally, so it cannot
+    /// be forged about a third party. Single-shot nodes ignore the hint;
+    /// there the attack does nothing.
+    Flap {
+        /// Milliseconds between two reports.
+        period_ms: u64,
+    },
 }
 
 impl Attack {
@@ -68,6 +79,7 @@ impl Attack {
             }
             Attack::RelaySpam => "Attack::RelaySpam".into(),
             Attack::VoteThenSkip => "Attack::VoteThenSkip".into(),
+            Attack::Flap { period_ms } => format!("Attack::Flap {{ period_ms: {period_ms} }}"),
         }
     }
 }
@@ -255,6 +267,22 @@ impl Scenario {
         self.faults.iter().find(|f| f.node == id)
     }
 
+    /// Whether a composition leaves the node's own protocol logic honest:
+    /// it only filters what the node sends, or flaps its connections.
+    fn speaks_honestly(spec: &FaultSpec) -> bool {
+        spec.attacks.iter().all(|a| matches!(a, Attack::SilenceToward(_) | Attack::Flap { .. }))
+    }
+
+    /// Who flaps, and how often, as `Flapped` wants it.
+    fn flappers(&self) -> Vec<(NodeId, u64)> {
+        let period = |a: &Attack| match a {
+            Attack::Flap { period_ms } => Some((*period_ms).max(1)),
+            _ => None,
+        };
+        let flaps = |f: &FaultSpec| f.attacks.iter().find_map(period).map(|p| (f.node, p));
+        self.faults.iter().filter_map(flaps).collect()
+    }
+
     /// Union of `SilenceToward` targets across a composition.
     fn silence_set(spec: &FaultSpec) -> Vec<NodeId> {
         let mut set: Vec<NodeId> = spec
@@ -285,7 +313,7 @@ impl Scenario {
             return Box::new(SilentNode::new());
         }
         let silenced = Self::silence_set(spec);
-        if spec.attacks.iter().all(|a| matches!(a, Attack::SilenceToward(_))) {
+        if Self::speaks_honestly(spec) {
             let input = Value::from_u64(100 + u64::from(id.0));
             return Box::new(FilteredNode::new(TetraNode::new(cfg, params, id, input), silenced));
         }
@@ -296,7 +324,10 @@ impl Scenario {
                 Attack::Equivocate => {
                     actor = actor.with_behavior(behaviors::equivocator(self.seed));
                 }
-                Attack::SilenceToward(_) | Attack::RelaySpam | Attack::VoteThenSkip => {}
+                Attack::SilenceToward(_)
+                | Attack::RelaySpam
+                | Attack::VoteThenSkip
+                | Attack::Flap { .. } => {}
                 Attack::SkewedReplay { view_offset } => {
                     actor = actor.with_behavior(behaviors::skewed_replayer(*view_offset));
                 }
@@ -321,13 +352,17 @@ impl Scenario {
         id: NodeId,
     ) -> Box<dyn Node<Msg = MsMessage, Output = tetrabft_multishot::Finalized>> {
         let Some(spec) = self.fault_for(id) else {
-            return Box::new(MultiShotNode::new(cfg, params, id));
+            let node = MultiShotNode::new(cfg, params, id);
+            return match self.flappers() {
+                flappers if flappers.is_empty() => Box::new(node),
+                flappers => Box::new(behaviors::Flapped::new(node, flappers)),
+            };
         };
         if spec.attacks.is_empty() {
             return Box::new(SilentNode::new());
         }
         let silenced = Self::silence_set(spec);
-        if spec.attacks.iter().all(|a| matches!(a, Attack::SilenceToward(_))) {
+        if Self::speaks_honestly(spec) {
             return Box::new(FilteredNode::new(MultiShotNode::new(cfg, params, id), silenced));
         }
         let mut actor: ByzantineActor<MsMessage, tetrabft_multishot::Finalized> =
@@ -338,7 +373,7 @@ impl Scenario {
                 Attack::Equivocate => {
                     actor = actor.with_behavior(behaviors::ms_equivocator(self.seed));
                 }
-                Attack::SilenceToward(_) => {}
+                Attack::SilenceToward(_) | Attack::Flap { .. } => {}
                 Attack::SkewedReplay { view_offset } => {
                     actor = actor.with_behavior(behaviors::ms_skewed_replayer(*view_offset));
                 }
@@ -720,6 +755,46 @@ mod tests {
             assert_eq!(report.verdict, Verdict::Ok, "spammer {node}: {}", report.verdict);
             assert!(report.finalized.iter().all(|(_, count)| *count > 0));
         }
+    }
+
+    #[test]
+    fn flapping_connections_within_budget_cost_neither_oracle() {
+        // Alone the flapper is honest; composed, it spams while it flaps.
+        let flap = Attack::Flap { period_ms: 7 };
+        for (node, with) in (0..4).flat_map(|node| [(node, None), (node, Some(Attack::RelaySpam))])
+        {
+            let attacks = std::iter::once(flap.clone()).chain(with).collect();
+            let scn = Scenario {
+                n: 4,
+                delta_ms: 3,
+                seed: 23,
+                horizon_ms: 1_500,
+                mode: Mode::Chain,
+                faults: vec![FaultSpec { node: NodeId(node), attacks }],
+                plan: quiet_plan(),
+            };
+            assert!(scn.liveness_armed());
+            let report = scn.run();
+            assert_eq!(report.verdict, Verdict::Ok, "flapper {node}: {}", report.verdict);
+            // (A spammer never proposes: its turns cost what a crash costs.)
+            let floor = if scn.faults[0].attacks.len() == 1 { 100 } else { 0 };
+            assert!(report.finalized.iter().all(|(_, count)| *count > floor), "{report:?}");
+            let src = scn.to_rust_source("regress_flap", &Verdict::Ok);
+            assert!(src.contains("Attack::Flap { period_ms: 7 }"), "{src}");
+        }
+        // Single-shot nodes do not read the hint: the flapper is just honest.
+        let scn = Scenario {
+            n: 4,
+            delta_ms: 3,
+            seed: 23,
+            horizon_ms: 2_000,
+            mode: Mode::Single,
+            faults: vec![FaultSpec { node: NodeId(0), attacks: vec![flap] }],
+            plan: quiet_plan(),
+        };
+        let report = scn.run();
+        assert_eq!(report.verdict, Verdict::Ok, "{}", report.verdict);
+        assert_eq!(report.decided.len(), 3, "decided counts honest nodes only");
     }
 
     #[test]

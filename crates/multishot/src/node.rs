@@ -408,6 +408,10 @@ impl Node for MultiShotNode {
                 self.on_message(from, msg, ctx);
                 self.drive(ctx);
             }
+            Input::PeerDown { peer } => {
+                self.pipeline.on_peer_down(peer, ctx);
+                self.drive(ctx);
+            }
             Input::Timer { id } if id == CATCHUP_TIMER => {
                 self.ask_catchup(ctx);
                 ctx.set_timer(CATCHUP_TIMER, self.pipeline.params.view_timeout());

@@ -67,8 +67,8 @@ pub(crate) struct Pipeline {
     /// Highest view-change this node broadcast.
     vc_sent: Option<(Slot, View)>,
     /// Per-peer *silent* bit: a view-0 slot the peer leads timed out with
-    /// no proposal ever seen, and the peer has not been heard voting for a
-    /// known block (or proposing) since. A silent leader's next slot asks
+    /// no proposal ever seen, or the transport saw its stream end, and the
+    /// peer has not been heard voting for a known block (or proposing) since. A silent leader's next slot asks
     /// for view 1 the moment it starts instead of 9Δ later, and nothing is
     /// lent to it. Liveness only — safety never reads it.
     silent: Vec<bool>,
@@ -143,16 +143,38 @@ impl Pipeline {
         // old requests would hand them straight to a potentially-dead
         // rotated leader.
         let mut inst = SlotInstance::new(&self.cfg);
-        // A leader that let its last slot time out and has not voted since
-        // is taken for dead: ask for view 1 now — a request every node was
-        // always free to send — and keep the 9Δ timer as retransmission.
         if self.leader_silent(slot) {
-            inst.suspected = true;
-            inst.support(self.me.index(), View(1));
-            ctx.broadcast(MsMessage::ViewChange { slot, view: View(1) });
+            Self::suspect(&mut inst, slot, self.me, ctx);
         }
         self.instances.insert(slot, inst);
         ctx.set_timer(Self::timer_for(slot), self.params.view_timeout());
+    }
+
+    /// A leader that let its last slot time out, or whose stream the
+    /// transport saw end, and has not voted since is taken for dead: ask
+    /// for view 1 now — a request every node was always free to send — and
+    /// keep the 9Δ timer as retransmission.
+    fn suspect(inst: &mut SlotInstance, slot: Slot, me: NodeId, ctx: &mut Ctx<'_>) {
+        inst.suspected = true;
+        inst.support(me.index(), View(1));
+        ctx.broadcast(MsMessage::ViewChange { slot, view: View(1) });
+    }
+
+    /// The transport's hint that `peer`'s stream ended: the silent bit a
+    /// timer would set 9Δ from now, and for every live slot `peer` leads in
+    /// view 0 and has not proposed in, what a silent leader's fresh slot
+    /// does as it starts. Asked once per slot, however often it is hinted.
+    pub(crate) fn on_peer_down(&mut self, peer: NodeId, ctx: &mut Ctx<'_>) {
+        if peer == self.me || peer.index() >= self.silent.len() {
+            return;
+        }
+        self.silent[peer.index()] = true;
+        for (slot, inst) in &mut self.instances {
+            let unheard = inst.view.is_zero() && !inst.saw_proposal && !inst.suspected;
+            if unheard && MultiShotNode::leader_of(&self.cfg, *slot, View::ZERO) == peer {
+                Self::suspect(inst, *slot, self.me, ctx);
+            }
+        }
     }
 
     /// Returns the hash of an accepted proposal.

@@ -24,6 +24,7 @@ const DELTA: u64 = 10;
 /// Slot timers use the slot number and the node reserves the top two ids.
 const FEED_TIMER: TimerId = TimerId(u64::MAX - 2);
 const REBOOT_TIMER: TimerId = TimerId(u64::MAX - 3);
+const HINT_TIMER: TimerId = TimerId(u64::MAX - 4);
 
 /// The observer whose chain the oracles read: honest in every scenario.
 const OBSERVER: NodeId = NodeId(1);
@@ -42,7 +43,8 @@ fn field(tx: &[u8], i: usize) -> u64 {
 /// `feed`; like a submission over TCP, feeding does not run the node),
 /// optionally
 /// deaf to every `Relay`, optionally killed at `outage.start` and brought
-/// back from its WAL at `outage.end`.
+/// back from its WAL at `outage.end`, optionally told at a tick that a
+/// peer's stream ended (the Sim itself never says so).
 struct Fed {
     me: NodeId,
     params: Params,
@@ -56,6 +58,10 @@ struct Fed {
     fed: u64,
     drops_relays: bool,
     outage: Range<u64>,
+    /// `Input::PeerDown` about this peer at this tick…
+    hint: Option<(u64, NodeId)>,
+    /// …and again every so many ticks until this one (`None`: once).
+    rehint: Option<(u64, u64)>,
 }
 
 impl Fed {
@@ -71,6 +77,8 @@ impl Fed {
             fed: 0,
             drops_relays: false,
             outage: 0..0,
+            hint: None,
+            rehint: None,
         };
         node.inner = Some(node.boot());
         node
@@ -113,6 +121,16 @@ impl Node for Fed {
                 inner.handle(Input::Start, ctx);
                 self.inner = Some(inner);
             }
+            Input::Timer { id } if id == HINT_TIMER => {
+                let (_, peer) = self.hint.expect("armed by a hint");
+                if let Some((every, _)) = self.rehint.filter(|(every, until)| now + every < *until)
+                {
+                    ctx.set_timer(HINT_TIMER, every);
+                }
+                if let Some(inner) = self.inner.as_mut() {
+                    inner.handle(Input::PeerDown { peer }, ctx);
+                }
+            }
             Input::Deliver { msg: MsMessage::Relay { .. }, .. } if self.drops_relays => {}
             input => {
                 if matches!(input, Input::Start) {
@@ -124,6 +142,9 @@ impl Node for Fed {
                     }
                     if !self.outage.is_empty() {
                         ctx.set_timer(REBOOT_TIMER, self.outage.end - now);
+                    }
+                    if let Some((at, _)) = self.hint {
+                        ctx.set_timer(HINT_TIMER, at - now);
                     }
                 }
                 if let Some(inner) = self.inner.as_mut() {
@@ -360,6 +381,136 @@ fn a_dead_leader_costs_one_timeout() {
             let _ = std::fs::remove_dir_all(scratch_dir("dead-leader", NodeId(node)));
         }
     }
+}
+
+/// The observer's finalization times as `(at, ticks since the one before)`.
+fn gaps(sim: &ChainSim) -> Vec<(u64, u64)> {
+    let at: Vec<u64> =
+        sim.outputs().iter().filter(|o| o.node == OBSERVER).map(|o| o.time.0).collect();
+    at.windows(2).map(|pair| (pair[1], pair[1] - pair[0])).collect()
+}
+
+/// When each `ViewChange` left its sender.
+fn view_changes_sent(sim: &ChainSim) -> Vec<u64> {
+    let sent = |e: &TraceEvent<MsMessage>| match e {
+        TraceEvent::Sent { at, msg: MsMessage::ViewChange { .. }, .. } => Some(at.0),
+        _ => None,
+    };
+    sim.trace().unwrap().iter().filter_map(sent).collect()
+}
+
+#[test]
+fn a_hinted_dead_leader_costs_no_timeout() {
+    // The same crash, seen by a transport that reports it: every peer is
+    // told one hop after the kill that node 3's stream ended. The kill
+    // falls on every tick of one round; no finalization waits for a timer.
+    const DEAD: NodeId = NodeId(3);
+    let cfg = Config::new(4).unwrap();
+    for (back_at, kill) in (500..540).flat_map(|kill| [(None, kill), (Some(1_500), kill)]) {
+        let params = Params::new(30).with_fsync(FsyncPolicy::Never);
+        let away = kill..back_at.unwrap_or(u64::MAX / 2);
+        let world =
+            World { durable: back_at.map(|_| "hinted-leader"), ..World::new(params, 3_000) };
+        let sim = world.run(|mut node| {
+            if node.me == DEAD {
+                node.outage = away.clone();
+            } else {
+                node.hint = Some((kill + DELTA, DEAD));
+            }
+            Some(node)
+        });
+        let gaps = gaps(&sim);
+        let worst = gaps.iter().filter(|(at, _)| *at > 400).map(|g| g.1).max().unwrap();
+        assert!(worst <= 5 * DELTA, "kill at {kill}, back {back_at:?}: a gap of {worst} ticks");
+        assert!(gaps.last().unwrap().0 > 2_950, "kill at {kill}: the chain must stay live");
+        let mut proposed = HashMap::new();
+        let mut votes_again = None;
+        for event in sim.trace().unwrap() {
+            match event {
+                TraceEvent::Sent { at, from, msg: MsMessage::Proposal { view, block }, .. } => {
+                    proposed.entry(block.hash()).or_insert((at.0, (*from, *view)));
+                }
+                TraceEvent::Sent { at, from, msg: MsMessage::Vote { .. }, .. }
+                    if *from == DEAD && at.0 >= away.end =>
+                {
+                    votes_again.get_or_insert(at.0);
+                }
+                _ => {}
+            }
+        }
+        let (mut heirs, mut turns_back) = (0, 0);
+        for fin in sim.outputs().iter().filter(|o| o.node == OBSERVER) {
+            let slot = fin.output.slot;
+            if MultiShotNode::leader_of(&cfg, slot, View::ZERO) != DEAD {
+                continue;
+            }
+            let (at, by) = proposed[&fin.output.hash];
+            if votes_again.is_some_and(|again| at > again + 4 * DELTA) {
+                assert_eq!(by, (DEAD, View::ZERO), "{slot}: back in step, it leads its turn");
+                turns_back += 1;
+            } else if at > kill && at < away.end {
+                let heir = MultiShotNode::leader_of(&cfg, slot, View(1));
+                assert_eq!(by, (heir, View(1)), "{slot}: commits under its view-1 leader");
+                heirs += 1;
+            }
+        }
+        assert!(heirs > 15, "kill at {kill}: the dead node's slots must commit, {heirs} did");
+        if let Some(at) = votes_again {
+            assert!(turns_back > 20, "the restarted node must lead again, led {turns_back}");
+            let late = view_changes_sent(&sim).into_iter().filter(|sent| *sent > at + 4 * DELTA);
+            assert_eq!(late.count(), 0, "a round after it votes again nobody asks for a view");
+        }
+        for node in 0..4 {
+            let _ = std::fs::remove_dir_all(scratch_dir("hinted-leader", NodeId(node)));
+        }
+    }
+}
+
+#[test]
+fn a_false_hint_costs_a_view_change_not_a_timeout() {
+    // Node 3 is alive and in step; one, two or all three of its peers are
+    // told otherwise, at every tick of one round. Where a quorum believes
+    // it one slot changes view at network speed; otherwise the request is
+    // taken back when node 3 is heard. Either way the bit is clear a round
+    // later: nobody asks again.
+    for (told, at) in (1..=3u16).flat_map(|told| (500..540).map(move |at| (told, at))) {
+        let sim = World::new(Params::new(30), 2_000).run(|mut node| {
+            if node.me.0 < told {
+                node.hint = Some((at, NodeId(3)));
+            }
+            Some(node)
+        });
+        let gaps = gaps(&sim);
+        let worst = gaps.iter().filter(|(at, _)| *at > 400).map(|g| g.1).max().unwrap();
+        assert!(worst <= 3 * DELTA, "{told} told at {at}: a gap of {worst} ticks");
+        assert!(gaps.last().unwrap().0 > 1_950, "{told} told at {at}: the chain must stay live");
+        let asked = view_changes_sent(&sim);
+        let msgs = sim.metrics().kind("view-change").msgs;
+        assert!(msgs <= 21, "{told} told at {at}: {msgs} view-change messages");
+        assert!(asked.iter().all(|sent| *sent <= 700), "{told} told at {at}: asked at {asked:?}");
+    }
+}
+
+#[test]
+fn a_flapping_peer_costs_view_changes_and_never_a_timeout() {
+    // A connection that drops and comes back every 50 ticks, under a node
+    // that never stops proposing and voting: every peer is told each time.
+    let hints = 2_000 / 50;
+    let sim = World::new(Params::new(30), 3_000).run(|mut node| {
+        if node.me != NodeId(3) {
+            node.hint = Some((500, NodeId(3)));
+            node.rehint = Some((50, 2_500));
+        }
+        Some(node)
+    });
+    let gaps = gaps(&sim);
+    let worst = gaps.iter().filter(|(at, _)| *at > 400).map(|g| g.1).max().unwrap();
+    assert!(worst < 9 * 30, "a gap of {worst} ticks");
+    assert!(gaps.last().unwrap().0 > 2_950, "the chain must stay live");
+    let msgs = sim.metrics().kind("view-change").msgs;
+    assert!(msgs <= 21 * hints, "{msgs} view-change messages for {hints} hints");
+    let asked = view_changes_sent(&sim);
+    assert!(asked.iter().all(|sent| *sent <= 2_700), "asked long after the last hint: {asked:?}");
 }
 
 #[test]

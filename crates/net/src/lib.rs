@@ -19,6 +19,11 @@
 //!   traffic but cannot wedge a node (delivery is at-least-once across
 //!   reconnects up to a bounded per-link buffer; protocol messages are
 //!   idempotent votes and buffer overflow degrades to ordinary loss);
+//! * a peer whose newest inbound stream has ended, and whose address then
+//!   refuses this node's redial, is reported to the node as
+//!   [`tetrabft_engine::Input::PeerDown`] — a hint, behind the stream's
+//!   last frame ([`NetStats::peer_downs`] counts them); a flapped link or a
+//!   scripted partition is not;
 //! * links can be **conditioned** by the same declarative
 //!   [`LinkPlan`] the simulator consumes — per-edge one-way delay, jitter,
 //!   drop probability, and scripted partition windows — so one scenario

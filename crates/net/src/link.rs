@@ -23,6 +23,7 @@ use tetrabft_types::NodeId;
 #[derive(Debug, Default)]
 pub(crate) struct NetMetrics {
     pub reconnects: AtomicU64,
+    pub peer_downs: AtomicU64,
     pub frames_resent: AtomicU64,
     pub frames_dropped: AtomicU64,
     pub frames_shed: AtomicU64,
@@ -78,6 +79,7 @@ impl NetMetrics {
         let peer_in: u64 = self.per_peer.iter().map(|c| c.bytes_in.load(Ordering::Relaxed)).sum();
         NetStats {
             reconnects: self.reconnects.load(Ordering::Relaxed),
+            peer_downs: self.peer_downs.load(Ordering::Relaxed),
             frames_resent: self.frames_resent.load(Ordering::Relaxed),
             frames_dropped: self.frames_dropped.load(Ordering::Relaxed),
             frames_shed: self.frames_shed.load(Ordering::Relaxed),
@@ -95,6 +97,12 @@ impl NetMetrics {
 pub struct NetStats {
     /// Connections re-established after a drop (initial dials excluded).
     pub reconnects: u64,
+    /// Stream-end hints raised (`Input::PeerDown`), summed over every
+    /// node's reactor: one each time a peer's newest inbound connection
+    /// ended outside a scripted partition and the peer's address then
+    /// refused a redial. 0 on a run in which no node went away (a cut link
+    /// redials and is answered).
+    pub peer_downs: u64,
     /// Frames rewritten because a connection broke before their flush was
     /// confirmed (delivery across reconnects is at-least-once).
     pub frames_resent: u64,

@@ -24,7 +24,11 @@
 //!   resume — see `supervisor.rs`);
 //! * the engine hands staged frame batches over a channel and wakes the
 //!   reactor via [`Poller::notify`]; `NetControl` cut flags and scripted
-//!   partition windows are observed within one poll tick (25 ms).
+//!   partition windows are observed within one poll tick (25 ms);
+//! * when a peer's newest inbound stream has ended and this node's own
+//!   dial to the peer has failed since, the engine is told so
+//!   (`Input::PeerDown`) through the channel that carried the stream's
+//!   frames, hence behind the last of them.
 
 use std::collections::HashMap;
 use std::io::{self, Read, Write};
@@ -140,6 +144,13 @@ pub(crate) fn run_reactor<M, R>(
 
     let mut conns: HashMap<usize, Inbound> = HashMap::new();
     let mut next_key = n + 1;
+    // Per peer, the key of the newest connection that said hello as it —
+    // the only one whose end is news — and, once that one has ended, when
+    // (`hint_due`): news the engine hears if the peer is gone, not if its
+    // link flapped, so it waits for this node's own dial to fail, and is
+    // forgotten when the peer says hello again.
+    let mut newest: Vec<Option<usize>> = vec![None; n];
+    let mut ended: Vec<Option<(Instant, Instant)>> = vec![None; n];
     let mut poll_events = Events::new();
     let mut read_buf = vec![0u8; 64 * 1024];
 
@@ -171,6 +182,21 @@ pub(crate) fn run_reactor<M, R>(
             }
         }
 
+        // A stream's end becomes a hint once its hold is over and a dial of
+        // ours has found nobody listening since.
+        for (peer, slot) in ended.iter_mut().enumerate() {
+            let Some((seen, due)) = *slot else { continue };
+            if due > now {
+                wait = wait.min(due - now);
+            } else if links[peer].as_ref().is_some_and(|link| link.dial_failed_since(seen)) {
+                *slot = None;
+                cfg.links.metrics.peer_downs.fetch_add(1, Ordering::Relaxed);
+                if events.send(Event::PeerDown(NodeId(peer as u16))).is_err() {
+                    return; // node shut down
+                }
+            }
+        }
+
         cfg.links.metrics.poll_wakeups.fetch_add(1, Ordering::Relaxed);
         if poller.wait(&mut poll_events, Some(wait)).is_err() {
             return;
@@ -199,8 +225,12 @@ pub(crate) fn run_reactor<M, R>(
                         InState::Ack { from, .. } | InState::Streaming { from } if greeting => from,
                         _ => None,
                     };
-                    if let Some(link) = greeted.and_then(|peer| links[peer.index()].as_mut()) {
-                        link.peer_dialed(now);
+                    if let Some(peer) = greeted {
+                        newest[peer.index()] = Some(key);
+                        ended[peer.index()] = None;
+                        if let Some(link) = links[peer.index()].as_mut() {
+                            link.peer_dialed(now);
+                        }
                     }
                     if keep {
                         let interest = match conn.state {
@@ -211,6 +241,13 @@ pub(crate) fn run_reactor<M, R>(
                         };
                         let _ = poller.modify(&conn.stream, interest);
                     } else {
+                        if let InState::Streaming { from: Some(peer) } = conn.state {
+                            // A superseded connection's end is stale news.
+                            if newest[peer.index()] == Some(key) {
+                                newest[peer.index()] = None;
+                                ended[peer.index()] = hint_due(&cfg.links, peer, cfg.me, now);
+                            }
+                        }
                         let _ = poller.delete(&conn.stream);
                         conns.remove(&key);
                     }
@@ -218,6 +255,24 @@ pub(crate) fn run_reactor<M, R>(
             }
         }
     }
+}
+
+/// `peer`'s stream to `me` ended at `now`: when it ended, and when the
+/// engine may hear of it at the earliest — no sooner than a frame on that
+/// edge would have arrived (the FIN must not outrun the plan's frames).
+/// `None` inside a scripted partition of the edge: the sender tore the
+/// socket down to enact it, and a partition sends no FIN.
+fn hint_due(
+    links: &LinkSetup,
+    peer: NodeId,
+    me: NodeId,
+    now: Instant,
+) -> Option<(Instant, Instant)> {
+    let at_ms = now.saturating_duration_since(links.epoch).as_millis() as u64;
+    if links.plan.release_time(peer, me, at_ms) > at_ms {
+        return None;
+    }
+    Some((now, now + Duration::from_millis(links.plan.edge_spec(peer, me).delay_ms)))
 }
 
 /// Accepts every pending connection and registers it in hello state.

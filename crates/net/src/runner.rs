@@ -46,6 +46,8 @@ use crate::topology::{NetError, Topology};
 pub(crate) enum Event<M, R> {
     Deliver { from: NodeId, msg: M },
     Submit(R),
+    // The peer's newest inbound stream ended and its address refuses a dial.
+    PeerDown(NodeId),
 }
 
 /// An armed timer in the engine loop's local deadline heap.
@@ -454,6 +456,10 @@ where
                         dispatched = true;
                     }
                     Event::Submit(req) => on_submit(&mut engine, req),
+                    Event::PeerDown(peer) => {
+                        engine.on_peer_down_buffered(peer, now(), &mut transport);
+                        dispatched = true;
+                    }
                 }
                 drained += 1;
                 if drained < MAX_BATCH {

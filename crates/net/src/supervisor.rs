@@ -122,6 +122,9 @@ pub(crate) struct Link {
     peer_incarnation: Option<u64>,
     backoff: Duration,
     next_dial: Instant,
+    /// When a dial last found nobody listening (refused, unreachable, or
+    /// unanswered for [`DIAL_TIMEOUT`]).
+    dial_failed_at: Option<Instant>,
     /// Jitter source for the backoff (seeded per edge, deterministic).
     rng: StdRng,
     /// Interest currently armed in the poller, `None` when no socket is
@@ -142,6 +145,7 @@ impl Link {
             peer_incarnation: None,
             backoff: BACKOFF_MIN,
             next_dial: Instant::now(),
+            dial_failed_at: None,
             rng: StdRng::seed_from_u64(jitter_seed),
             armed: None,
         }
@@ -226,6 +230,13 @@ impl Link {
             self.backoff = BACKOFF_MIN;
             self.next_dial = now;
         }
+    }
+
+    /// Whether a dial has found nobody listening at the peer's address
+    /// since `at` — with its stream to this node ended too, the peer is
+    /// gone, not its link.
+    pub(crate) fn dial_failed_since(&self, at: Instant) -> bool {
+        self.dial_failed_at.is_some_and(|failed| failed >= at)
     }
 
     /// Handles a readiness delivery for this link's socket.
@@ -398,6 +409,9 @@ impl Link {
     /// Drops the current connection (if any) and schedules a backed-off
     /// redial; unretired frames stay queued for the next connection.
     fn retire_connection(&mut self, poller: &Poller, now: Instant) {
+        if matches!(self.state, LinkState::Connecting { .. }) {
+            self.dial_failed_at = Some(now);
+        }
         if self.cursor > 0 {
             // The frame the break interrupted will be rewritten in full.
             self.cursor = 0;

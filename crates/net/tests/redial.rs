@@ -72,7 +72,7 @@ impl Node for Beacon {
             Input::Deliver { from, msg } if from != ctx.me() => {
                 ctx.output(Heard { from, ping: msg, at_us: self.now_us() });
             }
-            Input::Deliver { .. } => {}
+            Input::Deliver { .. } | Input::PeerDown { .. } => {}
         }
     }
 
@@ -97,6 +97,7 @@ fn a_restarted_nodes_hello_is_answered_with_a_dial_not_a_backoff() {
         up[node.index()][heard.from.index()] = true;
     }
     assert_eq!(net.stats().reconnects, 0, "nothing has broken yet");
+    assert_eq!(net.stats().peer_downs, 0, "and no stream has ended");
 
     // Down for 2.5 s: each peer's link to the victim fails dial after dial
     // (10 ms doubling to the 1-s cap, +50 % jitter), so at the restart the
@@ -139,5 +140,8 @@ fn a_restarted_nodes_hello_is_answered_with_a_dial_not_a_backoff() {
     }
     let stats = net.stats();
     assert_eq!(stats.reconnects, 3, "one reconnect per edge into the victim: {stats:?}");
+    // Each peer saw the victim's stream end once; the dials it refused
+    // while down never became streams, and its new life ended none.
+    assert_eq!(stats.peer_downs, 3, "one hint per peer that lost the victim: {stats:?}");
     assert!(stats.frames_dropped_stale >= 3 * 100, "the outage's pings were fenced: {stats:?}");
 }

@@ -55,7 +55,9 @@ fn multishot_suspicion_and_evidence_registers_are_constant_per_peer() {
     // the timer of a never-proposed slot, over and over (the silent bit of
     // its leader), and a hostile catch-up responder forging a new block for
     // the next slot every round (one candidate a peer vouches for, the old
-    // one withdrawn). `Debug` prints every field, so the length of the
+    // one withdrawn), and a transport that reports a peer's stream ended,
+    // each peer in turn (the same silent bit, and one request per live slot
+    // the peer leads). `Debug` prints every field, so the length of the
     // rendering bounds the whole state: it must not grow with the rounds.
     use tetrabft_suite::sim::{ActionBuf, TimerId};
     use tetrabft_suite::types::FsyncPolicy;
@@ -65,19 +67,23 @@ fn multishot_suspicion_and_evidence_registers_are_constant_per_peer() {
     let params = Params::new(30).with_fsync(FsyncPolicy::Never);
     let mut node = MultiShotNode::durable(cfg, params, NodeId(0), &dir).unwrap();
     let mut asks = 0;
+    // Counts the catch-up requests; returns how many `ViewChange`s went out.
     let mut feed = |node: &mut MultiShotNode, input: Input<MsMessage>| {
+        use tetrabft_suite::sim::Action;
         let mut actions = ActionBuf::new();
         node.handle(input, &mut Context::buffered(NodeId(0), 4, Time(0), &mut actions));
-        let sends = actions.into_iter().filter(|action| {
-            matches!(
-                action,
-                tetrabft_suite::sim::Action::Send { msg: MsMessage::CatchUp { .. }, .. }
-            )
-        });
-        asks += sends.count();
+        let mut requests = 0;
+        for action in actions {
+            match action {
+                Action::Send { msg: MsMessage::CatchUp { .. }, .. } => asks += 1,
+                Action::Send { msg: MsMessage::ViewChange { .. }, .. } => requests += 1,
+                _ => {}
+            }
+        }
+        requests
     };
     feed(&mut node, Input::Start);
-    let mut rendered = Vec::new();
+    let (mut rendered, mut hinted) = (Vec::new(), 0);
     for round in 0..2_000u64 {
         for from in [NodeId(1), NodeId(2), NodeId(3)] {
             let far = Slot(1_000 + round);
@@ -88,6 +94,11 @@ fn multishot_suspicion_and_evidence_registers_are_constant_per_peer() {
             feed(&mut node, Input::Deliver { from, msg: request });
         }
         feed(&mut node, Input::Timer { id: TimerId(1) });
+        // One request per live slot the peer leads and has not been asked
+        // out of yet, never one per call.
+        let requests = feed(&mut node, Input::PeerDown { peer: NodeId(1 + (round % 3) as u16) });
+        assert!(requests <= tetrabft_multishot::SLOT_WINDOW, "round {round}: {requests}");
+        hinted += requests;
         let forged = Block::new(Slot(1), GENESIS_HASH, vec![round.to_be_bytes().to_vec()]);
         feed(
             &mut node,
@@ -101,6 +112,9 @@ fn multishot_suspicion_and_evidence_registers_are_constant_per_peer() {
     // round asks once with the first two votes, the third starts the next.
     assert!((2_900..=3_100).contains(&asks), "evidence must keep asking, asked {asks} times");
     assert!(node.active_slots() <= tetrabft_multishot::SLOT_WINDOW as usize);
+    // Slot 1 is the one live slot, node 1 leads it: asked out of view 0
+    // once in 2,000 hints.
+    assert_eq!(hinted, 1, "one request per suspected slot, not one per hint");
     // Numbers print wider as they grow; structures must not.
     assert!(rendered[1] <= rendered[0] + 64, "state grew: {rendered:?} bytes of Debug");
     let _ = std::fs::remove_dir_all(&dir);
