@@ -35,8 +35,8 @@ pub struct Cluster<O> {
     setup: LinkSetup,
 }
 
-/// How long a restart will wait out `AddrInUse` while the killed node's
-/// accept loop releases the listen port (one ≤20 ms poll, plus OS lag).
+/// How long a restart will wait out `AddrInUse` once the killed node's
+/// thread has exited and closed its listener (OS lag only).
 const REBIND_WINDOW: Duration = Duration::from_secs(5);
 
 /// What [`Cluster::spawn_submitting`] yields: the cluster plus one
@@ -129,7 +129,7 @@ impl ClusterBuilder {
         let mut handles = Vec::with_capacity(topology.len());
         for (i, listener) in listeners.into_iter().enumerate() {
             let id = NodeId(i as u16);
-            let (handle, _events) = run_node_inner::<N, std::convert::Infallible>(
+            let (handle, _submissions) = run_node_inner::<N, std::convert::Infallible>(
                 make(id),
                 id,
                 listener,
@@ -168,8 +168,8 @@ impl ClusterBuilder {
     /// Like [`ClusterBuilder::spawn_submitting`] for nodes **serving
     /// framed client submissions over TCP**: every node also accepts
     /// client connections on its listen port (hello id `0xFFFF`), decodes
-    /// each frame through [`FrameRequest`], and feeds it into the engine
-    /// mux — the path `tetrabft-load`'s client fleet and the repo
+    /// each frame through [`FrameRequest`], and queues it for the engine
+    /// on the node's thread — the path `tetrabft-load`'s client fleet and the repo
     /// benchmark's generator submit through, with no thread per
     /// connection. The in-process [`SubmitHandle`]s are returned too.
     ///
@@ -244,7 +244,7 @@ impl<O> Cluster<O> {
 
     /// Like [`Cluster::spawn`] for nodes accepting client submissions:
     /// also returns one [`SubmitHandle`] per node, feeding requests into
-    /// that node's engine mux at runtime.
+    /// that node's engine at runtime.
     ///
     /// # Errors
     ///
@@ -264,25 +264,27 @@ impl<O> Cluster<O> {
     }
 
     /// Stops node `id` abruptly — the in-process stand-in for `kill -9`:
-    /// its threads wind down without any shutdown protocol, sockets break
+    /// its thread winds down without any shutdown protocol, sockets break
     /// mid-stream, and nothing is flushed that was not already flushed.
-    /// The rest of the cluster keeps running; peers' link supervisors
-    /// buffer, re-dial, and re-handshake on their own.
+    /// Returns once the thread has exited, so nothing of the node's reaches
+    /// its directory or a socket afterwards. The rest of the cluster keeps
+    /// running; peers' link supervisors buffer, re-dial, and re-handshake
+    /// on their own.
     ///
     /// # Panics
     ///
     /// Panics if `id` is out of range.
-    pub fn kill(&self, id: NodeId) {
-        self.handles[id.index()].abort();
+    pub fn kill(&mut self, id: NodeId) {
+        self.handles[id.index()].join();
     }
 
     /// Restarts slot `id` with the state machine `node` — the
-    /// crash-recovery path. The old node (if still running) is killed, the
-    /// listen address is re-bound (waiting out the dying accept loop's
-    /// `AddrInUse` window), and `node` takes over the slot: same address,
-    /// same output channel, same link plan and metrics. A durable `node`
-    /// restored from disk announces its bumped incarnation in every
-    /// handshake, so peers drop frames buffered for its previous life.
+    /// crash-recovery path. The old node (if still running) is killed as
+    /// by [`Cluster::kill`], the listen address is re-bound, and `node`
+    /// takes over the slot: same address, same output channel, same link
+    /// plan and metrics. A durable `node` restored from disk announces its
+    /// bumped incarnation in every handshake, so peers drop frames buffered
+    /// for its previous life.
     ///
     /// # Errors
     ///
@@ -297,9 +299,9 @@ impl<O> Cluster<O> {
         N::Msg: Wire + Send + 'static,
         O: Send + 'static,
     {
-        self.handles[id.index()].abort();
+        self.handles[id.index()].join();
         let listener = self.topology.bind_retry(id, REBIND_WINDOW)?;
-        let (handle, _events) = run_node_inner::<N, std::convert::Infallible>(
+        let (handle, _submissions) = run_node_inner::<N, std::convert::Infallible>(
             node,
             id,
             listener,
@@ -335,7 +337,7 @@ impl<O> Cluster<O> {
         N::Request: Send + 'static,
         O: Send + 'static,
     {
-        self.handles[id.index()].abort();
+        self.handles[id.index()].join();
         let listener = self.topology.bind_retry(id, REBIND_WINDOW)?;
         let (handle, submit) = run_submitter_inner(
             node,

@@ -5,9 +5,9 @@
 //!
 //! The same sans-I/O [`tetrabft_engine::Node`] state machines the
 //! simulator drives run here over real sockets (non-blocking std
-//! networking on one readiness-polled reactor thread per node, beside its
-//! engine thread — no async runtime dependency), through the very same
-//! [`tetrabft_engine::Engine`] loop — this crate only provides the TCP
+//! networking, one readiness-polled thread per node on which the engine
+//! steps between waits — no async runtime dependency), through the very
+//! same [`tetrabft_engine::Engine`] loop — this crate only provides the TCP
 //! [`tetrabft_engine::Transport`]:
 //!
 //! * every node listens on a [`Topology`]-declared TCP address (ephemeral
@@ -24,6 +24,8 @@
 //!   [`tetrabft_engine::Input::PeerDown`] — a hint, behind the stream's
 //!   last frame ([`NetStats::peer_downs`] counts them); a flapped link or a
 //!   scripted partition is not;
+//! * [`Cluster::kill`] returns once the node's thread has exited, so a
+//!   restart may reopen its directory at once;
 //! * links can be **conditioned** by the same declarative
 //!   [`LinkPlan`] the simulator consumes — per-edge one-way delay, jitter,
 //!   drop probability, and scripted partition windows — so one scenario

@@ -1,13 +1,13 @@
-//! The per-node event loop: every socket the node touches — its listener,
-//! every inbound peer/client connection, every supervised outbound link —
-//! multiplexed onto **one** thread with readiness-based polling (the
-//! `polling` shim: epoll, with a portable `poll(2)` fallback).
+//! The I/O half of a node's one thread: every socket the node touches — its
+//! listener, every inbound peer/client connection, every supervised outbound
+//! link — multiplexed with readiness-based polling (the `polling` shim:
+//! epoll, with a portable `poll(2)` fallback).
 //!
-//! Together with the engine loop in `runner.rs` this fixes the node's
-//! thread budget at **two**, independent of cluster size or client count:
-//! where the old runtime spawned an accept thread, a reader thread per
-//! inbound connection, a supervisor thread per outbound edge, and a timer
-//! thread, the reactor holds them all as state:
+//! The engine steps on the same thread between two waits (`runner.rs`), so
+//! a node runs exactly **one** thread, independent of cluster size or client
+//! count: where the old runtime spawned an accept thread, a reader thread per
+//! inbound connection, a supervisor thread per outbound edge, a timer thread
+//! and then an engine thread, the reactor holds them all as state:
 //!
 //! * the listener is polled for accept readiness; accepted connections
 //!   run a non-blocking hello state machine (10-byte hello in, 8-byte
@@ -16,32 +16,33 @@
 //! * a hello naming the reserved client id (`0xFFFF`) marks a **client
 //!   submission connection** (only honored when the node runs with a
 //!   request codec — see `Cluster::spawn_serving`): its frames decode as
-//!   client requests and enter the engine mux as submissions, which is
-//!   how one node serves thousands of submitting clients without a
-//!   thread per connection;
+//!   client requests and join the engine's input queue as submissions,
+//!   which is how one node serves thousands of submitting clients without
+//!   a thread per connection;
 //! * outbound links are [`Link`] state machines (dial → handshake → up,
 //!   with jittered backoff, incarnation fencing, bounded buffered
 //!   resume — see `supervisor.rs`);
-//! * the engine hands staged frame batches over a channel and wakes the
-//!   reactor via [`Poller::notify`]; `NetControl` cut flags and scripted
-//!   partition windows are observed within one poll tick (25 ms);
+//! * the engine's flush hands each peer's staged frames straight to its
+//!   link ([`Reactor::enqueue`]), which writes what is due at once;
+//!   `NetControl` cut flags and scripted partition windows are observed
+//!   within one poll tick (25 ms);
 //! * when a peer's newest inbound stream has ended and this node's own
 //!   dial to the peer has failed since, the engine is told so
-//!   (`Input::PeerDown`) through the channel that carried the stream's
-//!   frames, hence behind the last of them.
+//!   (`Input::PeerDown`) through the input queue that carried the stream's
+//!   frames — in a later pass than the last of them, so behind it.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 use std::io::{self, Read, Write};
 use std::net::{TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{mpsc, Arc};
+use std::sync::atomic::Ordering;
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use polling::{Event as PollEvent, Events, Poller};
 
 use tetrabft_types::NodeId;
 use tetrabft_wire::frame::FrameDecoder;
-use tetrabft_wire::Wire;
+use tetrabft_wire::{Wire, WireError};
 
 use crate::link::LinkSetup;
 use crate::runner::Event;
@@ -70,7 +71,7 @@ const LISTENER_KEY: usize = 0;
 /// the node refuses client connections entirely (peer-only node).
 pub(crate) type SubmitCodec<R> = fn(&[u8]) -> Option<R>;
 
-/// Everything the reactor thread needs to run one node's I/O.
+/// Everything the reactor needs to run one node's I/O.
 pub(crate) struct ReactorConfig<R> {
     pub me: NodeId,
     pub my_incarnation: u64,
@@ -80,7 +81,6 @@ pub(crate) struct ReactorConfig<R> {
     /// Decodes a client frame into a request; `None` refuses client
     /// connections (peer-only node).
     pub codec: Option<SubmitCodec<R>>,
-    pub stop: Arc<AtomicBool>,
 }
 
 /// One accepted connection's progress through hello → ack → streaming.
@@ -99,126 +99,142 @@ struct Inbound {
     decoder: FrameDecoder,
 }
 
-/// Runs one node's reactor until the stop flag is raised or the engine
-/// side goes away. `cmd_rx` carries staged outbound batches from the
-/// engine's flush (paired with a [`Poller::notify`]); `events` feeds
-/// decoded inputs into the engine mux.
-pub(crate) fn run_reactor<M, R>(
+/// One node's sockets. Dropping it closes the listener, every connection
+/// and every link.
+pub(crate) struct Reactor<R> {
     cfg: ReactorConfig<R>,
     poller: Arc<Poller>,
-    cmd_rx: mpsc::Receiver<(NodeId, Vec<Arc<Vec<u8>>>)>,
-    events: mpsc::Sender<Event<M, R>>,
-) where
-    M: Wire,
-{
-    let n = cfg.topology.len();
-    if cfg.listener.set_nonblocking(true).is_err() {
-        return;
-    }
-    if poller.add(&cfg.listener, PollEvent::readable(LISTENER_KEY)).is_err() {
-        return;
-    }
+    /// Outbound links, keyed 1 + peer index (our own slot stays None).
+    links: Vec<Option<Link>>,
+    conns: HashMap<usize, Inbound>,
+    next_key: usize,
+    /// Per peer, the key of the newest connection that said hello as it —
+    /// the only one whose end is news — and, once that one has ended, when
+    /// (`hint_due`): news the engine hears if the peer is gone, not if its
+    /// link flapped, so it waits for this node's own dial to fail, and is
+    /// forgotten when the peer says hello again.
+    newest: Vec<Option<usize>>,
+    ended: Vec<Option<(Instant, Instant)>>,
+    poll_events: Events,
+    read_buf: Vec<u8>,
+    /// Streaming connections read this pass, in readiness order.
+    fed: Vec<usize>,
+}
 
-    // Outbound links, keyed 1 + peer index (our own slot stays None).
-    let mut links: Vec<Option<Link>> = (0..n)
-        .map(|i| {
-            let peer = NodeId(i as u16);
-            if peer == cfg.me {
-                return None;
-            }
-            let link_cfg = LinkConfig {
-                me: cfg.me,
-                my_incarnation: cfg.my_incarnation,
-                addr: cfg.topology.addr(peer),
-                conditioner: cfg.links.conditioner(cfg.me, peer),
-                cut: cfg.links.cut_flag(cfg.me, peer),
-                metrics: Arc::clone(&cfg.links.metrics),
-            };
-            // An independent jitter stream per directed edge, offset from
-            // the conditioner's seed derivation so the two never correlate.
-            let jitter_seed = cfg.links.seed.wrapping_mul(0xA076_1D64_78BD_642F)
-                ^ ((u64::from(cfg.me.0) << 16) | u64::from(peer.0));
-            Some(Link::new(link_cfg, 1 + i, jitter_seed))
-        })
-        .collect();
-
-    let mut conns: HashMap<usize, Inbound> = HashMap::new();
-    let mut next_key = n + 1;
-    // Per peer, the key of the newest connection that said hello as it —
-    // the only one whose end is news — and, once that one has ended, when
-    // (`hint_due`): news the engine hears if the peer is gone, not if its
-    // link flapped, so it waits for this node's own dial to fail, and is
-    // forgotten when the peer says hello again.
-    let mut newest: Vec<Option<usize>> = vec![None; n];
-    let mut ended: Vec<Option<(Instant, Instant)>> = vec![None; n];
-    let mut poll_events = Events::new();
-    let mut read_buf = vec![0u8; 64 * 1024];
-
-    loop {
-        if cfg.stop.load(Ordering::Relaxed) {
-            return; // drops the listener, every conn, and every link
-        }
-
-        // Stage whatever the engine flushed since the last pass.
-        let mut now = Instant::now();
-        loop {
-            match cmd_rx.try_recv() {
-                Ok((peer, batch)) => {
-                    if let Some(link) = links.get_mut(peer.index()).and_then(Option::as_mut) {
-                        link.enqueue(batch, now);
-                    }
+impl<R> Reactor<R> {
+    /// Registers the listener with `poller` and sets up one supervised link
+    /// per peer (each dials on the first [`Reactor::supervise`]).
+    pub(crate) fn new(cfg: ReactorConfig<R>, poller: Arc<Poller>) -> io::Result<Self> {
+        cfg.listener.set_nonblocking(true)?;
+        poller.add(&cfg.listener, PollEvent::readable(LISTENER_KEY))?;
+        let n = cfg.topology.len();
+        let links = (0..n)
+            .map(|i| {
+                let peer = NodeId(i as u16);
+                if peer == cfg.me {
+                    return None;
                 }
-                Err(mpsc::TryRecvError::Empty) => break,
-                Err(mpsc::TryRecvError::Disconnected) => return, // engine gone
-            }
-        }
+                let link_cfg = LinkConfig {
+                    me: cfg.me,
+                    my_incarnation: cfg.my_incarnation,
+                    addr: cfg.topology.addr(peer),
+                    conditioner: cfg.links.conditioner(cfg.me, peer),
+                    cut: cfg.links.cut_flag(cfg.me, peer),
+                    metrics: Arc::clone(&cfg.links.metrics),
+                };
+                // An independent jitter stream per directed edge, offset from
+                // the conditioner's seed derivation so the two never correlate.
+                let jitter_seed = cfg.links.seed.wrapping_mul(0xA076_1D64_78BD_642F)
+                    ^ ((u64::from(cfg.me.0) << 16) | u64::from(peer.0));
+                Some(Link::new(link_cfg, 1 + i, jitter_seed))
+            })
+            .collect();
+        Ok(Reactor {
+            cfg,
+            poller,
+            links,
+            conns: HashMap::new(),
+            next_key: n + 1,
+            newest: vec![None; n],
+            ended: vec![None; n],
+            poll_events: Events::new(),
+            read_buf: vec![0u8; 64 * 1024],
+            fed: Vec::new(),
+        })
+    }
 
-        // Supervision pass: dials, deadlines, due-frame writes; collect the
-        // earliest instant anything needs us again.
+    /// Hands frames the engine flushed for `peer` to its link, which writes
+    /// what is due right away.
+    pub(crate) fn enqueue(
+        &mut self,
+        peer: NodeId,
+        frames: impl IntoIterator<Item = Arc<Vec<u8>>>,
+        now: Instant,
+    ) {
+        if let Some(link) = self.links.get_mut(peer.index()).and_then(Option::as_mut) {
+            link.enqueue(frames, now);
+            link.housekeep(now, &self.poller);
+        }
+    }
+
+    /// Supervision pass — dials, deadlines, due-frame writes — and every
+    /// stream-end hint whose time has come, into `inputs`. Returns how long
+    /// the node may wait before the reactor needs it again.
+    pub(crate) fn supervise<M>(
+        &mut self,
+        now: Instant,
+        inputs: &mut VecDeque<Event<M, R>>,
+    ) -> Duration {
         let mut wait = POLL;
-        for link in links.iter_mut().flatten() {
-            if let Some(deadline) = link.housekeep(now, &poller) {
+        for link in self.links.iter_mut().flatten() {
+            if let Some(deadline) = link.housekeep(now, &self.poller) {
                 wait = wait.min(deadline.saturating_duration_since(now));
             }
         }
-
         // A stream's end becomes a hint once its hold is over and a dial of
         // ours has found nobody listening since.
-        for (peer, slot) in ended.iter_mut().enumerate() {
+        for (peer, slot) in self.ended.iter_mut().enumerate() {
             let Some((seen, due)) = *slot else { continue };
             if due > now {
                 wait = wait.min(due - now);
-            } else if links[peer].as_ref().is_some_and(|link| link.dial_failed_since(seen)) {
+            } else if self.links[peer].as_ref().is_some_and(|link| link.dial_failed_since(seen)) {
                 *slot = None;
-                cfg.links.metrics.peer_downs.fetch_add(1, Ordering::Relaxed);
-                if events.send(Event::PeerDown(NodeId(peer as u16))).is_err() {
-                    return; // node shut down
-                }
+                self.cfg.links.metrics.peer_downs.fetch_add(1, Ordering::Relaxed);
+                inputs.push_back(Event::PeerDown(NodeId(peer as u16)));
             }
         }
+        wait
+    }
 
-        cfg.links.metrics.poll_wakeups.fetch_add(1, Ordering::Relaxed);
-        if poller.wait(&mut poll_events, Some(wait)).is_err() {
-            return;
-        }
-        now = Instant::now();
+    /// Blocks until a socket is ready, a [`Poller::notify`], or `timeout`.
+    pub(crate) fn wait(&mut self, timeout: Duration) -> io::Result<usize> {
+        self.cfg.links.metrics.poll_wakeups.fetch_add(1, Ordering::Relaxed);
+        self.poller.wait(&mut self.poll_events, Some(timeout))
+    }
 
-        for ev in poll_events.iter() {
+    /// Serves every socket the last [`Reactor::wait`] found ready: accepts,
+    /// link progress, and inbound reads, whose decoded peer frames and client
+    /// requests join `inputs`.
+    pub(crate) fn read<M: Wire>(&mut self, now: Instant, inputs: &mut VecDeque<Event<M, R>>) {
+        let n = self.links.len();
+        let mut closing = Vec::new();
+        for ev in self.poll_events.iter() {
             match ev.key {
                 LISTENER_KEY => {
-                    accept_all(&cfg, &poller, &mut conns, &mut next_key);
+                    accept_all(&self.cfg, &self.poller, &mut self.conns, &mut self.next_key);
                     // The listener's oneshot registration needs re-arming.
-                    let _ = poller.modify(&cfg.listener, PollEvent::readable(LISTENER_KEY));
+                    let _ =
+                        self.poller.modify(&self.cfg.listener, PollEvent::readable(LISTENER_KEY));
                 }
                 key if key <= n => {
-                    if let Some(link) = links.get_mut(key - 1).and_then(Option::as_mut) {
-                        link.on_event(ev, now, &poller);
+                    if let Some(link) = self.links.get_mut(key - 1).and_then(Option::as_mut) {
+                        link.on_event(ev, now, &self.poller);
                     }
                 }
                 key => {
-                    let Some(conn) = conns.get_mut(&key) else { continue };
+                    let Some(conn) = self.conns.get_mut(&key) else { continue };
                     let greeting = matches!(conn.state, InState::Hello { .. });
-                    let keep = advance_inbound(&cfg, conn, &mut read_buf, &events);
+                    let keep = advance_inbound(&self.cfg, conn, &mut self.read_buf);
                     // A peer that has just said hello is up: dial it back
                     // now if this node's own link to it is waiting to.
                     let greeted = match conn.state {
@@ -226,9 +242,9 @@ pub(crate) fn run_reactor<M, R>(
                         _ => None,
                     };
                     if let Some(peer) = greeted {
-                        newest[peer.index()] = Some(key);
-                        ended[peer.index()] = None;
-                        if let Some(link) = links[peer.index()].as_mut() {
+                        self.newest[peer.index()] = Some(key);
+                        self.ended[peer.index()] = None;
+                        if let Some(link) = self.links[peer.index()].as_mut() {
                             link.peer_dialed(now);
                         }
                     }
@@ -239,21 +255,50 @@ pub(crate) fn run_reactor<M, R>(
                             }
                             InState::Ack { .. } => PollEvent::writable(key),
                         };
-                        let _ = poller.modify(&conn.stream, interest);
-                    } else {
-                        if let InState::Streaming { from: Some(peer) } = conn.state {
-                            // A superseded connection's end is stale news.
-                            if newest[peer.index()] == Some(key) {
-                                newest[peer.index()] = None;
-                                ended[peer.index()] = hint_due(&cfg.links, peer, cfg.me, now);
-                            }
+                        let _ = self.poller.modify(&conn.stream, interest);
+                        if matches!(conn.state, InState::Streaming { .. }) {
+                            self.fed.push(key);
                         }
-                        let _ = poller.delete(&conn.stream);
-                        conns.remove(&key);
+                    } else {
+                        // The stream's last frames, then its end.
+                        while let Ok(true) = next_input(&self.cfg, conn, inputs) {}
+                        closing.push(key);
                     }
                 }
             }
         }
+        // One frame per connection in turn, so a node that was busy while
+        // several peers sent hears them about in arrival order — as a
+        // reader thread of its own would have — not one whole backlog
+        // before the next (a proposal read ahead of the votes that bring
+        // its slot into the window is dropped).
+        while !self.fed.is_empty() {
+            let (cfg, conns) = (&self.cfg, &mut self.conns);
+            self.fed.retain(|key| {
+                let conn = conns.get_mut(key).expect("fed connections are open");
+                next_input(cfg, conn, inputs).unwrap_or_else(|_| {
+                    closing.push(*key); // a framing desync is unrecoverable
+                    false
+                })
+            });
+        }
+        for key in closing {
+            self.close(key, now);
+        }
+    }
+
+    /// Closes inbound connection `key`; the end of a peer's newest stream
+    /// starts the wait for its hint.
+    fn close(&mut self, key: usize, now: Instant) {
+        let Some(conn) = self.conns.remove(&key) else { return };
+        if let InState::Streaming { from: Some(peer) } = conn.state {
+            // A superseded connection's end is stale news.
+            if self.newest[peer.index()] == Some(key) {
+                self.newest[peer.index()] = None;
+                self.ended[peer.index()] = hint_due(&self.cfg.links, peer, self.cfg.me, now);
+            }
+        }
+        let _ = self.poller.delete(&conn.stream);
     }
 }
 
@@ -311,17 +356,10 @@ fn accept_all<R>(
     }
 }
 
-/// Drives one inbound connection as far as its socket allows. Returns
-/// `false` when the connection should be closed.
-fn advance_inbound<M, R>(
-    cfg: &ReactorConfig<R>,
-    conn: &mut Inbound,
-    read_buf: &mut [u8],
-    events: &mpsc::Sender<Event<M, R>>,
-) -> bool
-where
-    M: Wire,
-{
+/// Drives one inbound connection as far as its socket allows, buffering
+/// what it streams in its decoder. Returns `false` when the connection
+/// should be closed.
+fn advance_inbound<R>(cfg: &ReactorConfig<R>, conn: &mut Inbound, read_buf: &mut [u8]) -> bool {
     loop {
         match &mut conn.state {
             InState::Hello { buf, got } => {
@@ -376,9 +414,6 @@ where
                         Ok(k) => {
                             cfg.links.metrics.note_received(k as u64, *from);
                             conn.decoder.extend(&read_buf[..k]);
-                            if !drain_frames(cfg, &mut conn.decoder, *from, events) {
-                                return false;
-                            }
                         }
                         Err(e) if e.kind() == io::ErrorKind::WouldBlock => return true,
                         Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
@@ -393,47 +428,36 @@ where
     }
 }
 
-/// Decodes every complete frame buffered in `decoder` and feeds it into
-/// the engine mux. Returns `false` if the stream is corrupt or the engine
-/// is gone.
-fn drain_frames<M, R>(
+/// Decodes the next complete frame a streaming connection has buffered
+/// into `inputs`. `Ok(false)` when there is none; an error is a framing
+/// desync, which is unrecoverable.
+fn next_input<M, R>(
     cfg: &ReactorConfig<R>,
-    decoder: &mut FrameDecoder,
-    from: Option<NodeId>,
-    events: &mpsc::Sender<Event<M, R>>,
-) -> bool
+    conn: &mut Inbound,
+    inputs: &mut VecDeque<Event<M, R>>,
+) -> Result<bool, WireError>
 where
     M: Wire,
 {
-    loop {
-        // Frames are decoded zero-copy out of the decoder's buffer.
-        let frame = match decoder.next_frame() {
-            Ok(Some(frame)) => frame,
-            Ok(None) => return true,
-            Err(_) => return false, // framing desync is unrecoverable
-        };
-        match from {
-            Some(peer) => match M::from_bytes(frame) {
-                Ok(msg) => {
-                    if events.send(Event::Deliver { from: peer, msg }).is_err() {
-                        return false; // node shut down
-                    }
-                }
-                Err(_) => {
-                    // Malformed traffic is an adversarial act; ignore the
-                    // frame but keep the (authenticated) channel alive.
-                }
-            },
-            None => {
-                let decode = cfg.codec.expect("client connections require a codec");
-                if let Some(req) = decode(frame) {
-                    if events.send(Event::Submit(req)).is_err() {
-                        return false;
-                    }
-                }
-                // A frame that fails the request codec is dropped like any
-                // other malformed traffic.
+    let InState::Streaming { from } = conn.state else { return Ok(false) };
+    // Frames are decoded zero-copy out of the decoder's buffer.
+    let Some(frame) = conn.decoder.next_frame()? else { return Ok(false) };
+    match from {
+        // Malformed traffic is an adversarial act; ignore the frame but keep
+        // the (authenticated) channel alive.
+        Some(peer) => {
+            if let Ok(msg) = M::from_bytes(frame) {
+                inputs.push_back(Event::Deliver { from: peer, msg });
+            }
+        }
+        // A frame that fails the request codec is dropped like any other
+        // malformed traffic.
+        None => {
+            let decode = cfg.codec.expect("client connections require a codec");
+            if let Some(req) = decode(frame) {
+                inputs.push_back(Event::Submit(req));
             }
         }
     }
+    Ok(true)
 }

@@ -2,31 +2,31 @@
 //! reactor-backed TCP [`Transport`] underneath the shared
 //! [`tetrabft_engine::Engine`] loop.
 //!
-//! Each node runs exactly **two** threads, independent of cluster size and
-//! client count:
+//! Each node runs exactly **one** thread, independent of cluster size and
+//! client count: the reactor (`reactor.rs`) owns every socket, and the
+//! engine steps on the same thread between two waits, with the wall-clock
+//! timer heap and the input queue held locally — nothing crosses a thread
+//! but in-process submissions. One pass of the loop:
 //!
-//! * the **reactor** (`reactor.rs`): one readiness-polled event loop
-//!   owning the listener, every inbound peer/client connection, and every
-//!   supervised outbound link;
-//! * the **engine loop** (this module): drains the node's single event
-//!   channel (deliveries, due timers, client submissions), steps the
-//!   engine in bounded batches, and keeps the wall-clock timer heap
-//!   locally — armings never cross a thread.
-//!
-//! Outbound messages are staged per event batch: each wakeup drains every
-//! already-queued event (bounded by `MAX_BATCH`) through the engine's
-//! `*_buffered` entry points, the transport frames each message once and
-//! parks it in a per-peer outbox, and one [`Transport::flush`] at the end
-//! of the batch hands each peer's staged frames to the reactor in a single
-//! channel operation plus one poller wakeup.
+//! 1. supervise the links (dials, deadlines, due-frame writes), then wait
+//!    once, until a socket is ready or the earliest link deadline, engine
+//!    timer, pending stream-end hint, or the 25-ms poll tick;
+//! 2. read every ready socket: decoded peer frames, client requests and
+//!    stream-end hints join the input queue;
+//! 3. dispatch the due timers, that queue, loopback deliveries and
+//!    in-process submissions through the engine's `*_buffered` entry
+//!    points, sealing with `finish_batch` (persist, then flush) after every
+//!    `MAX_BATCH` inputs and at the end of the pass;
+//! 4. each seal's [`Transport::flush`] hands each peer's frames, framed
+//!    once, straight to its link, which writes what is due at once.
 
 use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+use std::collections::{BinaryHeap, VecDeque};
 use std::net::TcpListener;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc;
 use std::sync::Arc;
-use std::thread;
+use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
 use polling::Poller;
@@ -37,62 +37,69 @@ use tetrabft_wire::frame::encode_frame_into;
 use tetrabft_wire::{Wire, Writer};
 
 use crate::link::LinkSetup;
-use crate::reactor::{run_reactor, ReactorConfig, SubmitCodec};
+use crate::reactor::{Reactor, ReactorConfig, SubmitCodec};
 use crate::topology::{NetError, Topology};
 
-/// Internal events multiplexed into the node's single-threaded loop.
-/// (Timer firings no longer appear here: the engine loop owns its timer
-/// heap outright, so a due timer is a heap pop, not a channel message.)
+/// One input waiting in the node's queue for the engine.
 pub(crate) enum Event<M, R> {
     Deliver { from: NodeId, msg: M },
     Submit(R),
     // The peer's newest inbound stream ended and its address refuses a dial.
     PeerDown(NodeId),
+    Timer(TimerId, u64),
 }
 
-/// An armed timer in the engine loop's local deadline heap.
+/// An armed timer in the node's local deadline heap.
 type Arming = (Instant, u64, TimerId);
 
-/// A spawned node: its stop handle plus the event channel feeding its
-/// engine mux (kept internal; submitters wrap it in a [`SubmitHandle`]).
-type Spawned<M, R> = (NodeHandle, mpsc::Sender<Event<M, R>>);
+/// A spawned node: its stop handle plus the channel feeding in-process
+/// submissions (kept internal; submitters wrap it in a [`SubmitHandle`]).
+type Spawned<R> = (NodeHandle, mpsc::Sender<R>);
 
-/// Frames staged for one peer, handed to the reactor on flush.
+/// Frames staged for one peer, handed to its link on flush.
 type Batch = Vec<Arc<Vec<u8>>>;
 
-/// How many queued events one wakeup may drain before it must seal:
+/// How many queued inputs one pass may dispatch before it must seal:
 /// bounds both worst-case flush latency and how long persisted state can
 /// trail the newest processed input.
 const MAX_BATCH: usize = 64;
 
-/// Upper bound on one engine-loop wait, so the stop flag is noticed
-/// promptly even on an idle node.
-const ENGINE_POLL: Duration = Duration::from_millis(20);
-
 /// Handle to a running node.
 ///
-/// The node's event loop stops when the handle is aborted or dropped; its
-/// reactor unwinds with it, closing every socket it owns.
+/// The node's thread stops when the handle is aborted or dropped, closing
+/// every socket it owns; dropping the handle also waits for it to exit.
 #[derive(Debug)]
 pub struct NodeHandle {
     stop: Arc<AtomicBool>,
+    poller: Arc<Poller>,
+    thread: Option<JoinHandle<()>>,
 }
 
 impl NodeHandle {
-    /// Stops the node.
+    /// Stops the node: its thread wakes, sees the flag and exits.
     pub fn abort(&self) {
         self.stop.store(true, Ordering::Relaxed);
+        let _ = self.poller.notify();
+    }
+
+    /// Stops the node and returns once its thread has exited.
+    pub(crate) fn join(&mut self) {
+        self.abort();
+        if let Some(thread) = self.thread.take() {
+            let _ = thread.join();
+        }
     }
 }
 
 impl Drop for NodeHandle {
     fn drop(&mut self) {
-        self.abort();
+        self.join();
     }
 }
 
-/// A client's way into a running node's engine mux: submissions travel the
-/// same event channel as deliveries and timer firings.
+/// A client's way into a running node's engine: each submission wakes the
+/// node's thread, which admits it in its next pass beside deliveries and
+/// timer firings.
 ///
 /// Admission happens on the node's own thread; a transaction the mempool
 /// refuses (full, oversized, duplicate) is dropped there — at the TCP
@@ -121,7 +128,7 @@ impl std::fmt::Display for SubmitClosed {
 impl std::error::Error for SubmitClosed {}
 
 impl<R> SubmitHandle<R> {
-    /// Enqueues one client request for the node's engine mux. Accepts
+    /// Enqueues one client request for the node's engine. Accepts
     /// anything convertible into the node's request type — for
     /// `MultiShotNode` that is the typed `Tx` envelope, so both typed
     /// transactions and legacy `Vec<u8>` payloads submit directly.
@@ -134,35 +141,31 @@ impl<R> SubmitHandle<R> {
     }
 }
 
-/// The reactor-backed TCP transport: frames staged into per-peer outboxes
-/// and handed to the reactor on flush (one channel send per peer plus one
-/// poller wakeup), armings into the engine loop's local timer heap,
-/// loopback deliveries back into the event channel, outputs to the
-/// application channel.
-struct TcpTransport<'a, M, R, O> {
+/// The reactor-backed TCP transport, owned by the node's thread: frames
+/// staged into per-peer outboxes and handed to the links on flush,
+/// armings into the local timer heap, loopback deliveries back into the
+/// input queue, outputs to the application channel.
+struct TcpTransport<M, R, O> {
     me: NodeId,
-    n: usize,
-    cmds: &'a mpsc::Sender<(NodeId, Batch)>,
-    poller: &'a Poller,
-    events: &'a mpsc::Sender<Event<M, R>>,
-    timers: &'a mut BinaryHeap<Reverse<Arming>>,
-    outputs: &'a mpsc::Sender<(NodeId, O)>,
+    reactor: Reactor<R>,
+    inputs: VecDeque<Event<M, R>>,
+    timers: BinaryHeap<Reverse<Arming>>,
+    outputs: mpsc::Sender<(NodeId, O)>,
     /// Scratch encoder reused across sends: payload bytes land here, then
     /// are framed straight into the one outbound allocation per message.
-    scratch: &'a mut Writer,
-    /// Per-peer staging (indexed by node id), drained by [`flush`]. Lives
-    /// outside the per-event transport so its allocations are reused.
-    outbox: &'a mut [Batch],
+    scratch: Writer,
+    /// Per-peer staging (indexed by node id), drained by [`flush`].
+    outbox: Vec<Batch>,
 }
 
-impl<M: Wire, R, O> TcpTransport<'_, M, R, O> {
+impl<M: Wire, R, O> TcpTransport<M, R, O> {
     /// Encodes `msg` into a varint-length-prefixed frame, or `None` if the
     /// payload exceeds the frame limit. Oversize payloads are dropped at
     /// this boundary — a lost message the protocol recovers from via view
     /// change — instead of panicking the node thread as v1 framing did.
     fn frame(&mut self, msg: &M) -> Option<Arc<Vec<u8>>> {
         self.scratch.clear();
-        msg.encode(self.scratch);
+        msg.encode(&mut self.scratch);
         let mut framed = Vec::with_capacity(self.scratch.len() + 3);
         match encode_frame_into(self.scratch.as_bytes(), &mut framed) {
             Ok(()) => Some(Arc::new(framed)),
@@ -171,12 +174,13 @@ impl<M: Wire, R, O> TcpTransport<'_, M, R, O> {
     }
 }
 
-impl<M: Wire, R, O> Transport<M, O> for TcpTransport<'_, M, R, O> {
+impl<M: Wire, R, O> Transport<M, O> for TcpTransport<M, R, O> {
     fn send(&mut self, dest: Dest, msg: M) {
+        let n = self.outbox.len();
         match dest {
             Dest::All => {
                 if let Some(bytes) = self.frame(&msg) {
-                    for i in 0..self.n {
+                    for i in 0..n {
                         if i != self.me.index() {
                             self.outbox[i].push(Arc::clone(&bytes));
                         }
@@ -184,13 +188,13 @@ impl<M: Wire, R, O> Transport<M, O> for TcpTransport<'_, M, R, O> {
                 }
                 // Loopback, like the simulator: instantaneous (and exempt
                 // from the frame limit — it never touches a socket).
-                let _ = self.events.send(Event::Deliver { from: self.me, msg });
+                self.inputs.push_back(Event::Deliver { from: self.me, msg });
             }
             Dest::Node(to) if to == self.me => {
-                let _ = self.events.send(Event::Deliver { from: self.me, msg });
+                self.inputs.push_back(Event::Deliver { from: self.me, msg });
             }
             Dest::Node(to) => {
-                if to.index() < self.n {
+                if to.index() < n {
                     if let Some(bytes) = self.frame(&msg) {
                         self.outbox[to.index()].push(bytes);
                     }
@@ -209,22 +213,13 @@ impl<M: Wire, R, O> Transport<M, O> for TcpTransport<'_, M, R, O> {
     }
 
     fn flush(&mut self) {
-        // One channel handoff per peer per engine batch, then a single
-        // reactor wakeup: everything this batch produced for a peer
-        // travels (and is later written) together.
-        let mut handed_off = false;
+        // Everything this batch produced for a peer travels (and is
+        // written) together.
+        let now = Instant::now();
         for (i, batch) in self.outbox.iter_mut().enumerate() {
-            if batch.is_empty() {
-                continue;
+            if !batch.is_empty() {
+                self.reactor.enqueue(NodeId(i as u16), batch.drain(..), now);
             }
-            if self.cmds.send((NodeId(i as u16), std::mem::take(batch))).is_ok() {
-                handed_off = true;
-            } else {
-                batch.clear();
-            }
-        }
-        if handed_off {
-            let _ = self.poller.notify();
         }
     }
 }
@@ -253,7 +248,7 @@ where
     N::Output: Send + 'static,
 {
     let links = LinkSetup::new(LinkPlan::ideal(), topology.len(), 0);
-    let (handle, _event_tx) = run_node_inner::<N, std::convert::Infallible>(
+    let (handle, _submissions) = run_node_inner::<N, std::convert::Infallible>(
         node,
         me,
         listener,
@@ -268,7 +263,7 @@ where
 
 /// Like [`run_node`] for nodes accepting client submissions
 /// ([`Submitter`]): the returned [`SubmitHandle`] feeds requests into the
-/// node's engine mux alongside deliveries and timers.
+/// node's engine alongside deliveries and timers.
 ///
 /// # Errors
 ///
@@ -305,7 +300,7 @@ where
     N::Output: Send + 'static,
     N::Request: Send + 'static,
 {
-    let (handle, event_tx) = run_node_inner::<N, N::Request>(
+    let (handle, submissions) = run_node_inner::<N, N::Request>(
         node,
         me,
         listener,
@@ -319,8 +314,13 @@ where
             let _ = engine.submit(req);
         },
     )?;
+    let poller = Arc::clone(&handle.poller);
     let submit = SubmitHandle {
-        send: Box::new(move |req| event_tx.send(Event::Submit(req)).map_err(|_| SubmitClosed)),
+        send: Box::new(move |req| {
+            submissions.send(req).map_err(|_| SubmitClosed)?;
+            let _ = poller.notify();
+            Ok(())
+        }),
     };
     Ok((handle, submit))
 }
@@ -335,7 +335,7 @@ pub(crate) fn run_node_inner<N, R>(
     links: LinkSetup,
     codec: Option<SubmitCodec<R>>,
     mut on_submit: impl FnMut(&mut Engine<N>, R) + Send + 'static,
-) -> Result<Spawned<N::Msg, R>, NetError>
+) -> Result<Spawned<R>, NetError>
 where
     N: Node + Send + 'static,
     N::Msg: Wire + Send + 'static,
@@ -344,133 +344,85 @@ where
 {
     let n = topology.len();
     let stop = Arc::new(AtomicBool::new(false));
-    let (event_tx, event_rx) = mpsc::channel::<Event<N::Msg, R>>();
-    // Captured before the node moves into its thread: announced in every
-    // outbound hello and echoed as the handshake ack, so peers can fence
-    // frames buffered for a previous incarnation of this node.
-    let my_incarnation = node.incarnation();
-
+    let (submit_tx, submissions) = mpsc::channel::<R>();
     let poller = Arc::new(Poller::new().map_err(|source| NetError::Listener { source })?);
-    let (cmd_tx, cmd_rx) = mpsc::channel::<(NodeId, Batch)>();
+    // The incarnation is announced in every outbound hello and echoed as
+    // the handshake ack, so peers can fence frames buffered for a previous
+    // incarnation of this node.
+    let reactor_cfg =
+        ReactorConfig { me, my_incarnation: node.incarnation(), listener, topology, links, codec };
+    let reactor = Reactor::new(reactor_cfg, Arc::clone(&poller))
+        .map_err(|source| NetError::Listener { source })?;
 
-    // Thread 1 of 2: the reactor — listener, inbound connections, and
-    // supervised outbound links, all multiplexed on one poller.
-    let reactor_cfg = ReactorConfig {
-        me,
-        my_incarnation,
-        listener,
-        topology,
-        links,
-        codec,
-        stop: Arc::clone(&stop),
-    };
-    let reactor_poller = Arc::clone(&poller);
-    let reactor_events = event_tx.clone();
-    thread::spawn(move || {
-        run_reactor::<N::Msg, R>(reactor_cfg, reactor_poller, cmd_rx, reactor_events)
-    });
-
-    // Thread 2 of 2: the engine loop, with the timer heap held locally —
-    // an arming is a heap push, a firing is a heap pop, no thread hop.
     let loop_stop = Arc::clone(&stop);
-    let loop_events = event_tx.clone();
-    thread::spawn(move || {
+    let thread = thread::spawn(move || {
         let start = Instant::now();
-        let mut engine = Engine::new(node, me, n);
-        let mut scratch = Writer::new();
-        let mut outbox: Vec<Batch> = vec![Vec::new(); n];
-        let mut timer_heap: BinaryHeap<Reverse<Arming>> = BinaryHeap::new();
-        let mut due_timers: Vec<(TimerId, u64)> = Vec::new();
         let now = || Time(start.elapsed().as_millis() as u64);
+        let mut engine = Engine::new(node, me, n);
+        let mut io = TcpTransport {
+            me,
+            reactor,
+            inputs: VecDeque::new(),
+            timers: BinaryHeap::new(),
+            outputs,
+            scratch: Writer::new(),
+            outbox: vec![Vec::new(); n],
+        };
+        engine.start(now(), &mut io);
 
-        // Boot the state machine.
-        {
-            let mut transport = TcpTransport {
-                me,
-                n,
-                cmds: &cmd_tx,
-                poller: &poller,
-                events: &loop_events,
-                timers: &mut timer_heap,
-                outputs: &outputs,
-                scratch: &mut scratch,
-                outbox: &mut outbox,
-            };
-            engine.start(now(), &mut transport);
-        }
+        loop {
+            let wall = Instant::now();
+            let mut wait = io.reactor.supervise(wall, &mut io.inputs);
+            if let Some(Reverse((due, _, _))) = io.timers.peek() {
+                wait = wait.min(due.saturating_duration_since(wall));
+            }
+            if !io.inputs.is_empty() {
+                wait = Duration::ZERO;
+            }
+            if io.reactor.wait(wait).is_err() || loop_stop.load(Ordering::Relaxed) {
+                return; // drops the listener, every conn, and every link
+            }
+            let wall = Instant::now();
+            while io.timers.peek().is_some_and(|Reverse((due, _, _))| *due <= wall) {
+                let Reverse((_, generation, id)) = io.timers.pop().expect("peeked entry exists");
+                io.inputs.push_back(Event::Timer(id, generation));
+            }
+            io.reactor.read(wall, &mut io.inputs);
+            io.inputs.extend(submissions.try_iter().map(Event::Submit));
 
-        while !loop_stop.load(Ordering::Relaxed) {
-            // Pop everything due; the batch below dispatches it. Armings
-            // made *during* the batch land in the heap through the
-            // transport and are picked up next iteration.
-            let now_wall = Instant::now();
-            while timer_heap.peek().is_some_and(|Reverse((due, _, _))| *due <= now_wall) {
-                let Reverse((_, generation, id)) = timer_heap.pop().expect("peeked entry exists");
-                due_timers.push((id, generation));
-            }
-            let first = if due_timers.is_empty() {
-                let wait = match timer_heap.peek() {
-                    Some(Reverse((due, _, _))) => {
-                        ENGINE_POLL.min(due.saturating_duration_since(now_wall))
-                    }
-                    None => ENGINE_POLL,
-                };
-                match event_rx.recv_timeout(wait.max(Duration::from_millis(1))) {
-                    Ok(event) => Some(event),
-                    Err(mpsc::RecvTimeoutError::Timeout) => None,
-                    Err(mpsc::RecvTimeoutError::Disconnected) => return,
-                }
-            } else {
-                event_rx.try_recv().ok()
-            };
-            if due_timers.is_empty() && first.is_none() {
-                continue;
-            }
-            let mut transport = TcpTransport {
-                me,
-                n,
-                cmds: &cmd_tx,
-                poller: &poller,
-                events: &loop_events,
-                timers: &mut timer_heap,
-                outputs: &outputs,
-                scratch: &mut scratch,
-                outbox: &mut outbox,
-            };
-            // Drain whatever is already queued (due timers, bursts of
-            // deliveries) in the same wakeup: one persist/flush seal and
-            // one reactor wakeup per *batch* instead of per event.
-            let mut dispatched = false;
-            let mut drained = 0;
-            for (id, generation) in due_timers.drain(..) {
-                // Stale (replaced or cancelled) firings die in the
-                // engine's generation filter.
-                dispatched |= engine.on_timer_buffered(id, generation, now(), &mut transport);
-                drained += 1;
-            }
-            let mut event = first;
-            while let Some(ev) = event.take() {
-                match ev {
+            // Loopback deliveries join the back of the queue and are
+            // dispatched in the same pass.
+            let (mut batched, mut unsealed) = (0, false);
+            while let Some(event) = io.inputs.pop_front() {
+                unsealed |= match event {
                     Event::Deliver { from, msg } => {
-                        engine.on_deliver_buffered(from, msg, now(), &mut transport);
-                        dispatched = true;
+                        engine.on_deliver_buffered(from, msg, now(), &mut io);
+                        true
                     }
-                    Event::Submit(req) => on_submit(&mut engine, req),
                     Event::PeerDown(peer) => {
-                        engine.on_peer_down_buffered(peer, now(), &mut transport);
-                        dispatched = true;
+                        engine.on_peer_down_buffered(peer, now(), &mut io);
+                        true
                     }
+                    // Stale (replaced or cancelled) firings die in the
+                    // engine's generation filter.
+                    Event::Timer(id, generation) => {
+                        engine.on_timer_buffered(id, generation, now(), &mut io)
+                    }
+                    Event::Submit(req) => {
+                        on_submit(&mut engine, req);
+                        false
+                    }
+                };
+                batched += 1;
+                if batched == MAX_BATCH || io.inputs.is_empty() {
+                    if unsealed {
+                        engine.finish_batch(&mut io);
+                    }
+                    (batched, unsealed) = (0, false);
                 }
-                drained += 1;
-                if drained < MAX_BATCH {
-                    event = event_rx.try_recv().ok();
-                }
-            }
-            if dispatched {
-                engine.finish_batch(&mut transport);
             }
         }
     });
 
-    Ok((NodeHandle { stop }, event_tx))
+    Ok((NodeHandle { stop, poller, thread: Some(thread) }, submit_tx))
 }

@@ -99,8 +99,8 @@ enum LinkState {
 ///
 /// The reactor calls [`Link::enqueue`] when the engine flushes frames for
 /// this peer, [`Link::on_event`] when the link's socket reports readiness,
-/// and [`Link::housekeep`] every wakeup (cut flags, partition windows,
-/// dial/ack deadlines, due-frame writes). The link keeps its poller
+/// and [`Link::housekeep`] every pass and after every enqueue (cut flags,
+/// partition windows, dial/ack deadlines, due-frame writes). The link keeps its poller
 /// registration in sync itself, always under the same `key`.
 pub(crate) struct Link {
     cfg: LinkConfig,
@@ -154,7 +154,7 @@ impl Link {
     /// Admits a batch of frames through the edge conditioner into the
     /// bounded pending queue (drops, sheds, and the send-queue high-water
     /// mark are counted here).
-    pub(crate) fn enqueue(&mut self, batch: Vec<Arc<Vec<u8>>>, now: Instant) {
+    pub(crate) fn enqueue(&mut self, batch: impl IntoIterator<Item = Arc<Vec<u8>>>, now: Instant) {
         for frame in batch {
             match self.cfg.conditioner.admit(now) {
                 Some(due) => {

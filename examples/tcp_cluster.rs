@@ -26,8 +26,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("\n— multi-shot blockchain over TCP —");
     let (mut chain_cluster, submitters) =
         Cluster::spawn_submitting(4, |id| MultiShotNode::new(cfg, Params::new(300), id))?;
-    // Client transactions enter the running cluster through the engine's
-    // submit mux — the same channel deliveries and timer firings use.
+    // Client transactions enter the running cluster on each node's one
+    // thread, in the same input queue as deliveries and timer firings.
     for (i, handle) in submitters.iter().enumerate() {
         handle.submit(format!("client-tx-{i}").into_bytes()).expect("cluster is live");
     }
