@@ -4,8 +4,7 @@
 //! snapshot; the allocations that execution performs (a hard gate: none on
 //! an unshared ledger); the per-block state-root cost of the account trie
 //! against a rescan-the-world baseline; the invalid-transaction rejection
-//! path; and the end-to-end consensus→execution pipeline on the sharded
-//! sim.
+//! path; and the end-to-end consensus→execution pipeline on the sim.
 //!
 //! Set `TETRABFT_BENCH_SMOKE=1` for a tiny CI smoke run. Every correctness
 //! assertion and the allocation gate stay armed; only the timing gate
@@ -16,11 +15,9 @@ use std::time::{Duration, Instant};
 
 use tetrabft::Params;
 use tetrabft_bench::{print_table, CountingAlloc};
-use tetrabft_ledger::{
-    shard_of_account, transfer_admission, AccountId, AccountMap, Ledger, LedgerReplica, Transfer,
-};
-use tetrabft_multishot::{MultiShotNode, ShardSpec, Transaction};
-use tetrabft_sim::{LinkPolicy, ShardedSim, Time};
+use tetrabft_ledger::{transfer_admission, AccountId, AccountMap, Ledger, LedgerReplica, Transfer};
+use tetrabft_multishot::{MultiShotNode, Transaction};
+use tetrabft_sim::{LinkPolicy, SimBuilder, Time};
 use tetrabft_types::{Config, NodeId};
 
 #[global_allocator]
@@ -439,7 +436,7 @@ fn main() {
         ]],
     );
 
-    // ---- end to end: consensus → merge → execution (k = 1, 2) -----------
+    // ---- end to end: consensus → execution ------------------------------
     let n = 4;
     let cfg = Config::new(n).unwrap();
     let horizon: u64 = if smoke() { 40 } else { 200 };
@@ -447,67 +444,50 @@ fn main() {
     let exec_accounts = 8u64;
     let exec_genesis: Vec<(AccountId, u64)> =
         (1..=exec_accounts).map(|id| (AccountId(id), 10_000)).collect();
-    let mut rows = Vec::new();
-    for k in [1usize, 2] {
-        let spec = ShardSpec::new(k);
-        let mut sharded = ShardedSim::new(
-            k,
-            n,
-            0,
-            |_, _| LinkPolicy::synchronous(1),
-            |shard, id| {
-                let mut node = MultiShotNode::new(cfg, Params::new(1_000), id)
-                    .with_admission(transfer_admission);
-                if id == NodeId(0) {
-                    for from in 1..=exec_accounts {
-                        if shard_of_account(&spec, AccountId(from)) != shard {
-                            continue;
-                        }
-                        for t in 0..per_account {
-                            let tx = Transfer {
-                                from: AccountId(from),
-                                to: AccountId((from % exec_accounts) + 1),
-                                amount: 1,
-                                nonce: t,
-                            };
-                            node.submit_tx(&tx).unwrap();
-                        }
-                    }
+    let mut sim = SimBuilder::new(n).policy(LinkPolicy::synchronous(1)).build(|id| {
+        let mut node =
+            MultiShotNode::new(cfg, Params::new(1_000), id).with_admission(transfer_admission);
+        if id == NodeId(0) {
+            for from in 1..=exec_accounts {
+                for t in 0..per_account {
+                    let tx = Transfer {
+                        from: AccountId(from),
+                        to: AccountId((from % exec_accounts) + 1),
+                        amount: 1,
+                        nonce: t,
+                    };
+                    node.submit_tx(&tx).unwrap();
                 }
-                node
-            },
-        );
-        sharded.run_until(Time(horizon));
-        let t0 = Instant::now();
-        let mut replica = LedgerReplica::sharded(spec, exec_genesis.clone());
-        for (j, shard) in sharded.shards().iter().enumerate() {
-            for record in shard.outputs().iter().filter(|o| o.node == NodeId(0)) {
-                replica.push(j, &record.output);
             }
         }
-        let exec_time = t0.elapsed();
-        let applied: usize = replica.receipts().iter().map(|r| r.applied).sum();
-        assert_eq!(
-            applied as u64,
-            exec_accounts * per_account,
-            "every submitted transfer finalizes and applies exactly once (k={k})"
-        );
-        assert_eq!(replica.ledger().accounts().total_balance(), exec_accounts as u128 * 10_000);
-        rows.push(vec![
-            k.to_string(),
+        node
+    });
+    sim.run_until(Time(horizon));
+    let t0 = Instant::now();
+    let mut replica = LedgerReplica::new(exec_genesis);
+    for record in sim.outputs().iter().filter(|o| o.node == NodeId(0)) {
+        replica.push(0, &record.output);
+    }
+    let exec_time = t0.elapsed();
+    let applied: usize = replica.receipts().iter().map(|r| r.applied).sum();
+    assert_eq!(
+        applied as u64,
+        exec_accounts * per_account,
+        "every submitted transfer finalizes and applies exactly once"
+    );
+    assert_eq!(replica.ledger().accounts().total_balance(), exec_accounts as u128 * 10_000);
+    print_table(
+        &format!(
+            "Consensus → execution — n={n}, {exec_accounts} accounts × {per_account} transfers, \
+             horizon {horizon} delays"
+        ),
+        &["blocks executed", "applied", "blocks/s (exec)", "final root"],
+        &[vec![
             replica.height().to_string(),
             applied.to_string(),
             format!("{:.0}", replica.height() as f64 / exec_time.as_secs_f64()),
             format!("{}", replica.root()),
-        ]);
-    }
-    print_table(
-        &format!(
-            "Consensus → execution — n={n}, {exec_accounts} accounts × {per_account} transfers, \
-             horizon {horizon} delays, account-routed shards"
-        ),
-        &["k", "blocks executed", "applied", "blocks/s (exec)", "final root"],
-        &rows,
+        ]],
     );
 
     println!(

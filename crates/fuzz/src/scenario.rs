@@ -10,7 +10,7 @@
 use std::fmt;
 
 use tetrabft::{Message, Params, TetraNode};
-use tetrabft_multishot::{FinalizedMerge, MsMessage, MultiShotNode, ShardSpec};
+use tetrabft_multishot::{MsMessage, MultiShotNode};
 use tetrabft_sim::{
     ByzantineActor, FilteredNode, LinkPlan, Node, SilentNode, Sim, SimBuilder, Time, TraceEvent,
 };
@@ -492,31 +492,16 @@ impl Scenario {
             }
         }
         if verdict == Verdict::Ok {
-            // Each honest stream must be contiguous from slot 1: feed it
-            // through FinalizedMerge with a single shard and require every
-            // pushed block to come back out.
+            // Each honest stream must be contiguous from slot 1.
             for (node, chain) in &chains {
-                let mut merge = FinalizedMerge::new(ShardSpec::new(1));
-                let mut out = 0usize;
-                for (slot, hash) in chain {
-                    merge.push(
-                        0,
-                        tetrabft_multishot::Finalized {
-                            slot: tetrabft_types::Slot(*slot),
-                            hash: tetrabft_multishot::BlockHash(*hash),
-                            block: tetrabft_multishot::Block::new(
-                                tetrabft_types::Slot(*slot),
-                                tetrabft_multishot::GENESIS_HASH,
-                                Vec::new(),
-                            ),
-                        },
-                    );
-                    out += merge.by_ref().count();
-                }
-                out += merge.by_ref().count();
-                if out != chain.len() {
+                let contiguous = chain
+                    .iter()
+                    .enumerate()
+                    .take_while(|(i, (slot, _))| *slot == *i as u64 + 1)
+                    .count();
+                if contiguous != chain.len() {
                     verdict = Verdict::Safety(format!(
-                        "chain gap: node {node} finalized {} blocks but only {out} form a contiguous prefix",
+                        "chain gap: node {node} finalized {} blocks but only {contiguous} form a contiguous prefix",
                         chain.len()
                     ));
                     break;

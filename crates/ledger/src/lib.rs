@@ -6,13 +6,12 @@
 //! [`Transfer`]s through the typed transaction surface
 //! ([`tetrabft_multishot::Transaction`]); the [`transfer_admission`] hook
 //! refuses structurally-invalid payloads at the mempool door; and every
-//! replica folds the finalized stream — single-instance or `k` merged
-//! shard streams — through a [`LedgerReplica`] into an account state whose
-//! per-block [`StateRoot`] is chained and canonical. Replicas cross-check
-//! roots: deterministic execution means equal streams give equal roots, so
-//! any divergence (a forged block, a corrupted executor) surfaces as a
-//! typed [`StateRootMismatch`] naming the first offending block instead of
-//! passing silently.
+//! replica folds its node's finalized stream through a [`LedgerReplica`]
+//! into an account state whose per-block [`StateRoot`] is chained and
+//! canonical. Replicas cross-check roots: deterministic execution means
+//! equal streams give equal roots, so any divergence (a forged block, a
+//! corrupted executor) surfaces as a typed [`StateRootMismatch`] naming
+//! the first offending block instead of passing silently.
 //!
 //! The account map is persistent (imhamt-style copy-on-write trie,
 //! [`AccountMap`]): snapshots are O(1) clones, and a write copies only the
@@ -60,4 +59,4 @@ pub use account::{Account, AccountId};
 pub use ledger::{BlockReceipt, ExecError, Ledger};
 pub use replica::{LedgerReplica, StateRootMismatch};
 pub use state::{AccountBatch, AccountMap, StateRoot};
-pub use txn::{shard_of_account, transfer_admission, Transfer};
+pub use txn::{transfer_admission, Transfer};

@@ -2,9 +2,10 @@
 //! the cross-replica root check that turns silent execution divergence
 //! into a typed error.
 
+use std::collections::BTreeMap;
 use std::fmt;
 
-use tetrabft_multishot::{Finalized, FinalizedMerge, ShardSpec};
+use tetrabft_multishot::Finalized;
 
 use crate::account::AccountId;
 use crate::ledger::{BlockReceipt, Ledger};
@@ -17,8 +18,8 @@ use crate::state::StateRoot;
 /// happened.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct StateRootMismatch {
-    /// The first global slot whose roots disagree.
-    pub global_slot: u64,
+    /// The first slot whose roots disagree.
+    pub slot: u64,
     /// This replica's root after that block.
     pub ours: StateRoot,
     /// The other replica's root after that block.
@@ -29,23 +30,21 @@ impl fmt::Display for StateRootMismatch {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "state root mismatch at global slot {}: ours {}, theirs {}",
-            self.global_slot, self.ours, self.theirs
+            "state root mismatch at slot {}: ours {}, theirs {}",
+            self.slot, self.ours, self.theirs
         )
     }
 }
 
 impl std::error::Error for StateRootMismatch {}
 
-/// A replica's ledger fold: feeds per-shard [`Finalized`] events through a
-/// [`FinalizedMerge`] into a [`Ledger`], keeping the per-block root
-/// history for cross-checks.
+/// A replica's ledger fold: executes one node's finalized stream into a
+/// [`Ledger`] in slot order, keeping the per-block root history for
+/// cross-checks.
 ///
-/// The same type serves every runtime: the single-instance sim and TCP
-/// cluster use `k = 1` ([`LedgerReplica::new`]), sharded runs feed each
-/// shard's stream with its shard index ([`LedgerReplica::sharded`]) and
-/// the merge reassembles the global order before anything executes — so
-/// roots are comparable across all of them by construction.
+/// A block that arrives ahead of the executed tip waits until the blocks
+/// below it have run. The sim, the TCP cluster and the benchmark all feed
+/// it the same way, so roots are comparable across them by construction.
 ///
 /// # Examples
 ///
@@ -67,42 +66,53 @@ impl std::error::Error for StateRootMismatch {}
 #[derive(Debug)]
 pub struct LedgerReplica {
     ledger: Ledger,
-    merge: FinalizedMerge,
-    /// Receipt per executed block, indexed by `global_slot - 1` — the root
+    /// Finalized blocks ahead of the executed tip, keyed by slot.
+    ahead: BTreeMap<u64, Finalized>,
+    /// Receipt per executed block, indexed by `slot - 1` — the root
     /// history [`LedgerReplica::cross_check`] walks.
     receipts: Vec<BlockReceipt>,
 }
 
 impl LedgerReplica {
-    /// A single-stream replica (sim or TCP cluster: one consensus
-    /// instance, shard index 0).
+    /// A replica at `genesis`, with nothing executed.
     pub fn new(genesis: impl IntoIterator<Item = (AccountId, u64)>) -> Self {
-        Self::sharded(ShardSpec::new(1), genesis)
+        LedgerReplica { ledger: Ledger::new(genesis), ahead: BTreeMap::new(), receipts: Vec::new() }
     }
 
-    /// A replica merging `spec.k()` shard streams into the global order
-    /// before executing.
-    pub fn sharded(spec: ShardSpec, genesis: impl IntoIterator<Item = (AccountId, u64)>) -> Self {
-        LedgerReplica {
-            ledger: Ledger::new(genesis),
-            merge: FinalizedMerge::new(spec),
-            receipts: Vec::new(),
+    /// Feeds one finalization and executes every block that became
+    /// contiguous with the executed prefix, returning how many blocks ran.
+    /// A block at or below the tip runs nothing. The returned count
+    /// indexes into [`LedgerReplica::receipts`] if the caller wants the
+    /// details.
+    ///
+    /// `stream` must be 0: a replica executes one finalized stream. The
+    /// frozen `benchmark/` crate still passes the index, so it stays until
+    /// that crate next changes (ROADMAP item 6).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `stream` is not 0.
+    pub fn push(&mut self, stream: usize, fin: &Finalized) -> usize {
+        assert_eq!(stream, 0, "a replica executes one finalized stream");
+        let next = self.ledger.height() + 1;
+        if fin.slot.0 != next {
+            if fin.slot.0 > next {
+                self.ahead.insert(fin.slot.0, fin.clone());
+            }
+            return 0;
         }
-    }
-
-    /// Feeds one shard-local finalization and executes every block that
-    /// became globally contiguous, returning how many blocks ran. The
-    /// returned count indexes into [`LedgerReplica::receipts`] if the
-    /// caller wants the details.
-    pub fn push(&mut self, shard: usize, fin: &Finalized) -> usize {
-        self.merge.push(shard, fin.clone());
-        let mut ran = 0;
-        for g in self.merge.by_ref() {
-            let receipt = self.ledger.apply_block(g.global_slot, &g.fin.block.txs);
-            self.receipts.push(receipt);
+        self.execute(fin);
+        let mut ran = 1;
+        while let Some(fin) = self.ahead.remove(&(self.ledger.height() + 1)) {
+            self.execute(&fin);
             ran += 1;
         }
         ran
+    }
+
+    fn execute(&mut self, fin: &Finalized) {
+        let receipt = self.ledger.apply_block(fin.slot.0, &fin.block.txs);
+        self.receipts.push(receipt);
     }
 
     /// Compares per-block roots with another replica over their common
@@ -118,7 +128,7 @@ impl LedgerReplica {
         for i in 0..common {
             let (ours, theirs) = (self.receipts[i].root, other.receipts[i].root);
             if ours != theirs {
-                return Err(StateRootMismatch { global_slot: self.receipts[i].slot, ours, theirs });
+                return Err(StateRootMismatch { slot: self.receipts[i].slot, ours, theirs });
             }
         }
         Ok(())
@@ -129,7 +139,7 @@ impl LedgerReplica {
         &self.ledger
     }
 
-    /// Receipts of every executed block, in global slot order.
+    /// Receipts of every executed block, in slot order.
     pub fn receipts(&self) -> &[BlockReceipt] {
         &self.receipts
     }
@@ -140,15 +150,9 @@ impl LedgerReplica {
         self.ledger.root()
     }
 
-    /// Number of globally contiguous blocks executed so far.
+    /// Number of blocks executed so far: the executed tip's slot.
     pub fn height(&self) -> u64 {
         self.ledger.height()
-    }
-
-    /// The next global slot the merge is waiting for — a gap here with
-    /// shard outputs pending means that shard's stream is behind.
-    pub fn next_global_slot(&self) -> u64 {
-        self.merge.next_global_slot()
     }
 }
 
@@ -170,22 +174,25 @@ mod tests {
     }
 
     #[test]
-    fn sharded_merge_executes_in_global_order() {
-        // k=2: shard 0 owns global slots 1,3; shard 1 owns 2,4. The
-        // transfer chain only balances if executed in global order.
-        let spec = ShardSpec::new(2);
-        let genesis = [(AccountId(1), 100)];
-        let mut replica = LedgerReplica::sharded(spec, genesis);
-        let s0b1 = fin(1, GENESIS_HASH, vec![pay(1, 2, 100, 0)]); // global 1
-        let s1b1 = fin(1, GENESIS_HASH, vec![pay(2, 3, 100, 0)]); // global 2
-                                                                  // Push out of order: shard 1 first. Nothing can run yet.
-        assert_eq!(replica.push(1, &s1b1), 0);
-        assert_eq!(replica.next_global_slot(), 1);
-        // Shard 0 arrives: both blocks become contiguous and run in order.
-        assert_eq!(replica.push(0, &s0b1), 2);
+    fn a_block_ahead_of_the_tip_waits_then_runs_in_order() {
+        // The transfer chain only balances if slot 1 runs before slot 2.
+        let mut replica = LedgerReplica::new([(AccountId(1), 100)]);
+        let b1 = fin(1, GENESIS_HASH, vec![pay(1, 2, 100, 0)]);
+        let b2 = fin(2, GENESIS_HASH, vec![pay(2, 3, 100, 0)]);
+        assert_eq!(replica.push(0, &b2), 0, "slot 2 waits for slot 1");
+        assert_eq!(replica.height(), 0);
+        assert_eq!(replica.push(0, &b1), 2, "slot 1 releases slot 2");
         assert_eq!(replica.height(), 2);
         assert_eq!(replica.ledger().account(AccountId(3)).balance, 100);
         assert!(replica.receipts().iter().all(|r| r.rejected.is_empty()));
+        assert_eq!(replica.push(0, &b1), 0, "a block at or below the tip runs nothing");
+        assert_eq!(replica.receipts().len(), 2);
+    }
+
+    #[test]
+    #[should_panic(expected = "one finalized stream")]
+    fn a_second_stream_is_refused() {
+        LedgerReplica::new([]).push(1, &fin(1, GENESIS_HASH, vec![]));
     }
 
     #[test]
@@ -208,12 +215,12 @@ mod tests {
             }
         }
         let err = honest.cross_check(&forged).unwrap_err();
-        assert_eq!(err.global_slot, 2, "the first divergent block is named");
+        assert_eq!(err.slot, 2, "the first divergent block is named");
         assert_ne!(err.ours, err.theirs);
         // Symmetric view agrees on the slot.
-        assert_eq!(forged.cross_check(&honest).unwrap_err().global_slot, 2);
+        assert_eq!(forged.cross_check(&honest).unwrap_err().slot, 2);
         // And the error says where.
-        assert!(err.to_string().contains("global slot 2"));
+        assert!(err.to_string().contains("at slot 2:"));
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! The transfer transaction: canonical wire form, typed submission, and
 //! the structural admission check.
 
-use tetrabft_multishot::{ShardSpec, SubmitError, Transaction, Tx};
+use tetrabft_multishot::{SubmitError, Transaction, Tx};
 use tetrabft_wire::{Reader, Wire, WireError, Writer};
 
 use crate::account::AccountId;
@@ -119,23 +119,6 @@ pub fn transfer_admission(tx: &Tx) -> Result<(), SubmitError> {
     Ok(())
 }
 
-/// Routes an account to its owning shard: FNV-1a over the account id,
-/// mod `k`.
-///
-/// Sharded ledgers route a transfer by its *paying* account — not by
-/// payload hash ([`ShardSpec::route_tx`]) — so all of one account's
-/// transfers land on one shard and its nonce sequencing survives the
-/// round-robin slot partition (shards finalize independently; only the
-/// merged global order is total).
-pub fn shard_of_account(spec: &ShardSpec, id: AccountId) -> usize {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in id.0.to_be_bytes() {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    (h % spec.k() as u64) as usize
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -188,24 +171,5 @@ mod tests {
             transfer_admission(&Tx::typed(&t(1, 1, 5, 0))),
             Err(SubmitError::Rejected { reason: "self-paying transfer" })
         ));
-    }
-
-    #[test]
-    fn account_routing_is_stable_in_range_and_nonce_blind() {
-        let spec = ShardSpec::new(3);
-        for id in 0..64u64 {
-            let shard = shard_of_account(&spec, AccountId(id));
-            assert!(shard < 3);
-            assert_eq!(shard, shard_of_account(&spec, AccountId(id)));
-        }
-        // The same account's transfers route identically whatever their
-        // nonce/amount — that is the whole point vs payload routing.
-        let spec = ShardSpec::new(4);
-        let a = shard_of_account(&spec, AccountId(42));
-        for nonce in 0..8 {
-            let tx = t(42, 7, 100 + nonce, nonce);
-            let _ = tx; // routing never looks at the payload
-            assert_eq!(shard_of_account(&spec, AccountId(42)), a);
-        }
     }
 }

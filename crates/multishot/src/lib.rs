@@ -56,7 +56,6 @@ mod mempool;
 mod msg;
 mod node;
 mod pipeline;
-mod shard;
 mod store;
 mod txn;
 
@@ -65,5 +64,4 @@ pub use mempool::{Mempool, SubmitError};
 pub use msg::MsMessage;
 pub use node::{Finalized, MultiShotNode};
 pub use pipeline::SLOT_WINDOW;
-pub use shard::{FinalizedMerge, GlobalFinalized, ShardSpec};
 pub use txn::{Transaction, Tx, TxCheck, TxId};

@@ -1,6 +1,6 @@
-//! Cluster orchestration: flat clusters, submitting clusters, the sharded
-//! multi-instance mode, and the [`ClusterBuilder`] that threads a
-//! declarative topology and link plan through every node.
+//! Cluster orchestration: flat clusters, submitting clusters, and the
+//! [`ClusterBuilder`] that threads a declarative topology and link plan
+//! through every node.
 
 use std::net::TcpListener;
 use std::sync::mpsc;
@@ -169,9 +169,10 @@ impl ClusterBuilder {
     /// framed client submissions over TCP**: every node also accepts
     /// client connections on its listen port (hello id `0xFFFF`), decodes
     /// each frame through [`FrameRequest`], and queues it for the engine
-    /// on the node's thread — the path `tetrabft-load`'s client fleet and the repo
-    /// benchmark's generator submit through, with no thread per
-    /// connection. The in-process [`SubmitHandle`]s are returned too.
+    /// on the node's thread, with no thread per connection. The repo
+    /// benchmark's generator submits through this path, and
+    /// `tests/reactor_runtime.rs` fans a hundred-odd raw clients into it.
+    /// The in-process [`SubmitHandle`]s are returned too.
     ///
     /// # Errors
     ///
@@ -377,79 +378,5 @@ impl<O> Cluster<O> {
     /// `true` if the cluster has no nodes.
     pub fn is_empty(&self) -> bool {
         self.handles.is_empty()
-    }
-}
-
-/// `k` independent clusters running in parallel threads — the net-layer
-/// counterpart of the simulator's deterministic `ShardedSim`
-/// (`tetrabft-multishot`): each shard is a full consensus group on its own
-/// engine instances, so aggregate throughput scales with `k` across OS
-/// threads (the simulator is single-threaded by design; this layer is not).
-///
-/// Every shard's outputs are funneled into one merged channel, tagged with
-/// the shard index, so waiting blocks (no polling) and ends early once all
-/// nodes have stopped. Reassembling the single global finalized stream is
-/// the consumer's job (for multi-shot shards,
-/// `tetrabft_multishot::FinalizedMerge` does exactly that).
-///
-/// Dropping the sharded cluster stops every node of every shard.
-#[derive(Debug)]
-pub struct ShardedCluster<O> {
-    merged: mpsc::Receiver<(usize, NodeId, O)>,
-    /// Per shard, the node stop handles (abort-on-drop).
-    handles: Vec<Vec<NodeHandle>>,
-}
-
-impl<O> ShardedCluster<O> {
-    /// Spawns `k` shards of `n` nodes each; `make` receives the shard
-    /// index and node id.
-    ///
-    /// # Errors
-    ///
-    /// Propagates socket binding errors as [`NetError`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `k == 0`.
-    pub fn spawn<N, F>(k: usize, n: usize, mut make: F) -> Result<ShardedCluster<O>, NetError>
-    where
-        N: Node<Output = O> + Send + 'static,
-        N::Msg: Wire + Send + 'static,
-        O: Send + 'static,
-        F: FnMut(usize, NodeId) -> N,
-    {
-        assert!(k > 0, "at least one shard");
-        let (merged_tx, merged) = mpsc::channel();
-        let mut handles = Vec::with_capacity(k);
-        for j in 0..k {
-            let Cluster { outputs, handles: shard_handles, .. } =
-                Cluster::spawn(n, |id| make(j, id))?;
-            handles.push(shard_handles);
-            // Forwarder: tags the shard's outputs and exits when its node
-            // threads stop (their senders drop); once every forwarder is
-            // gone the merged channel disconnects, so receivers fail fast
-            // instead of sleeping out their timeout.
-            let tx = merged_tx.clone();
-            std::thread::spawn(move || {
-                while let Ok((node, out)) = outputs.recv() {
-                    if tx.send((j, node, out)).is_err() {
-                        return;
-                    }
-                }
-            });
-        }
-        Ok(ShardedCluster { merged, handles })
-    }
-
-    /// Number of shards.
-    pub fn k(&self) -> usize {
-        self.handles.len()
-    }
-
-    /// Waits (blocking) for the next output from any shard:
-    /// `Some((shard, node, output))`, or `None` once `timeout` elapses or
-    /// every node of every shard has stopped.
-    pub fn next_output_timeout(&mut self, timeout: Duration) -> Option<(usize, NodeId, O)> {
-        self.merged.recv_timeout(timeout).ok()
     }
 }

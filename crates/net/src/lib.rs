@@ -74,7 +74,7 @@ mod runner;
 mod supervisor;
 mod topology;
 
-pub use cluster::{Cluster, ClusterBuilder, ShardedCluster, SubmittingCluster};
+pub use cluster::{Cluster, ClusterBuilder, SubmittingCluster};
 pub use link::{NetControl, NetStats, PeerTraffic};
 pub use reactor::CLIENT_HELLO_ID;
 pub use runner::{run_node, run_submitter, NodeHandle, SubmitClosed, SubmitHandle};

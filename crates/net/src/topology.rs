@@ -254,11 +254,6 @@ impl Topology {
     pub fn addr(&self, id: NodeId) -> SocketAddr {
         self.addrs[usize::from(id.0)]
     }
-
-    /// All addresses, indexed by node id.
-    pub fn addrs(&self) -> &[SocketAddr] {
-        &self.addrs
-    }
 }
 
 impl FromStr for Topology {

@@ -5,11 +5,14 @@
 //!
 //! Kept in its own integration-test binary: thread counting is process
 //! global, and sharing a process with unrelated concurrently-running
-//! tests would make the census meaningless.
+//! tests would make the census meaningless. The tests here take turns
+//! through [`CENSUS`] for the same reason.
 
+use std::collections::{HashMap, HashSet};
 use std::io::{Read, Write};
-use std::net::TcpStream;
-use std::time::Duration;
+use std::net::{SocketAddr, TcpStream};
+use std::sync::{Mutex, PoisonError};
+use std::time::{Duration, Instant};
 
 use tetrabft::{Params, TetraNode};
 use tetrabft_multishot::{MultiShotNode, TxId};
@@ -17,13 +20,32 @@ use tetrabft_net::{Cluster, ClusterBuilder, CLIENT_HELLO_ID};
 use tetrabft_types::{Config, NodeId, Value};
 use tetrabft_wire::frame::encode_frame;
 
+/// Held by each test for its whole run, so no census counts another
+/// test's threads.
+static CENSUS: Mutex<()> = Mutex::new(());
+
 /// Live threads of this process, per the kernel.
 fn thread_count() -> usize {
     std::fs::read_dir("/proc/self/task").expect("procfs").count()
 }
 
+/// Dials `addr` as a TCP client: a 10-byte hello (client id + zero
+/// incarnation), then the node's 8-byte ack. Framed transactions may
+/// follow on the returned stream.
+fn dial_client(addr: SocketAddr) -> TcpStream {
+    let mut client = TcpStream::connect(addr).expect("client dials");
+    client.set_read_timeout(Some(Duration::from_secs(10))).expect("read timeout");
+    let mut hello = [0u8; 10];
+    hello[..2].copy_from_slice(&CLIENT_HELLO_ID.to_be_bytes());
+    client.write_all(&hello).expect("hello");
+    let mut ack = [0u8; 8];
+    client.read_exact(&mut ack).expect("the node acks every client");
+    client
+}
+
 #[test]
 fn reactor_runtime_is_one_thread_per_node_and_serves_tcp_clients() {
+    let _census = CENSUS.lock().unwrap_or_else(PoisonError::into_inner);
     let n = 4;
     let before = thread_count();
 
@@ -48,15 +70,8 @@ fn reactor_runtime_is_one_thread_per_node_and_serves_tcp_clients() {
         .spawn_serving(|id| MultiShotNode::new(cfg, Params::new(500), id))
         .expect("serving cluster spawns");
 
-    // Dial node 0 as a TCP client: 10-byte hello (client id + zero
-    // incarnation), read the 8-byte ack, then stream framed transactions.
-    let addr = cluster.topology().addr(NodeId(0));
-    let mut client = TcpStream::connect(addr).expect("client dials");
-    let mut hello = [0u8; 10];
-    hello[..2].copy_from_slice(&CLIENT_HELLO_ID.to_be_bytes());
-    client.write_all(&hello).expect("hello");
-    let mut ack = [0u8; 8];
-    client.read_exact(&mut ack).expect("ack");
+    // Dial node 0 as a TCP client, then stream framed transactions.
+    let mut client = dial_client(cluster.topology().addr(NodeId(0)));
 
     // Stream submissions for a while, taking the census as they flow: a
     // serving node admits them on the same one thread.
@@ -77,9 +92,9 @@ fn reactor_runtime_is_one_thread_per_node_and_serves_tcp_clients() {
     // same TxId digest the client can compute locally.
     let mut wanted: std::collections::HashSet<TxId> =
         payloads.iter().map(|p| TxId::of(p)).collect();
-    let deadline = std::time::Instant::now() + Duration::from_secs(30);
+    let deadline = Instant::now() + Duration::from_secs(30);
     while !wanted.is_empty() {
-        let remaining = deadline.saturating_duration_since(std::time::Instant::now());
+        let remaining = deadline.saturating_duration_since(Instant::now());
         let (_, fin) = cluster
             .next_output_timeout(remaining)
             .expect("finalizations keep arriving while client txs are pending");
@@ -87,6 +102,52 @@ fn reactor_runtime_is_one_thread_per_node_and_serves_tcp_clients() {
             wanted.remove(&TxId::of(tx));
         }
     }
+}
+
+#[test]
+fn a_hundred_raw_clients_fan_in_and_each_submission_finalizes_once() {
+    let _census = CENSUS.lock().unwrap_or_else(PoisonError::into_inner);
+    let (n, clients, per_client) = (4, 128, 3);
+    let before = thread_count();
+    let cfg = Config::new(n).unwrap();
+    let ((mut cluster, _handles), _net) = ClusterBuilder::new(n)
+        .spawn_serving(|id| MultiShotNode::new(cfg, Params::new(500), id))
+        .expect("serving cluster spawns");
+
+    // Raw sockets, round-robin over the nodes, every one acked before the
+    // next dials; then a few submissions from each, interleaved.
+    let mut streams: Vec<TcpStream> =
+        (0..clients).map(|c| dial_client(cluster.topology().addr(NodeId(c % n as u16)))).collect();
+    let mut wanted = HashSet::new();
+    let mut busiest = 0;
+    for k in 0..per_client {
+        for (c, stream) in streams.iter_mut().enumerate() {
+            let payload = format!("fan-in-{c}-{k}").into_bytes();
+            stream.write_all(&encode_frame(&payload).expect("frame")).expect("submit");
+            wanted.insert(TxId::of(&payload));
+        }
+        busiest = busiest.max(thread_count());
+    }
+    assert_eq!(wanted.len(), clients as usize * per_client);
+    assert_at_most_one_thread_per_node(before, n, busiest);
+
+    // Each node's chain carries every submission, and none twice.
+    let mut seen: Vec<HashMap<TxId, usize>> = vec![HashMap::new(); n];
+    let deadline = Instant::now() + Duration::from_secs(60);
+    while seen.iter().any(|counts| counts.len() < wanted.len()) {
+        let remaining = deadline.saturating_duration_since(Instant::now());
+        let (node, fin) = cluster
+            .next_output_timeout(remaining)
+            .expect("finalizations keep arriving while client txs are pending");
+        for id in fin.block.txs.iter().map(|tx| TxId::of(tx)).filter(|id| wanted.contains(id)) {
+            *seen[node.index()].entry(id).or_default() += 1;
+        }
+    }
+    for (node, counts) in seen.iter().enumerate() {
+        let twice = counts.values().filter(|&&count| count > 1).count();
+        assert_eq!(twice, 0, "node {node} finalized {twice} submissions more than once");
+    }
+    drop(streams);
 }
 
 fn assert_at_most_one_thread_per_node(before: usize, n: usize, found: usize) {

@@ -77,36 +77,3 @@ fn runtime_submissions_reach_the_chain_over_tcp() {
         }
     }
 }
-
-#[test]
-fn sharded_tcp_cluster_merges_into_one_global_stream() {
-    use tetrabft_multishot::{Finalized, FinalizedMerge, ShardSpec};
-    use tetrabft_net::ShardedCluster;
-    use tetrabft_types::NodeId;
-
-    let k = 2;
-    let cfg = Config::new(4).unwrap();
-    let mut cluster: ShardedCluster<Finalized> = ShardedCluster::spawn(k, 4, |shard, id| {
-        let mut node = MultiShotNode::new(cfg, Params::new(500), id);
-        node.submit_tx(format!("s{shard}-{id}").into_bytes()).unwrap();
-        node
-    })
-    .expect("sharded cluster spawns");
-
-    // Merge node 0's streams from both shards into the global chain until
-    // six consecutive global slots have finalized.
-    let mut merge = FinalizedMerge::new(ShardSpec::new(k));
-    let mut global = Vec::new();
-    while global.len() < 6 {
-        let (shard, node, fin) =
-            cluster.next_output_timeout(Duration::from_secs(30)).expect("finalize within 30s");
-        if node == NodeId(0) {
-            merge.push(shard, fin);
-            global.extend(merge.by_ref());
-        }
-    }
-    for (i, g) in global.iter().enumerate() {
-        assert_eq!(g.global_slot, i as u64 + 1, "global stream has no gaps");
-        assert_eq!(g.shard, (i) % k, "round-robin slot ownership");
-    }
-}

@@ -71,7 +71,6 @@ mod plan;
 mod policy;
 mod queue;
 mod runner;
-mod shard;
 mod trace;
 
 pub use actors::{
@@ -82,7 +81,6 @@ pub use metrics::{KindMetrics, Metrics, NodeMetrics};
 pub use plan::{EdgeSpec, LinkPlan, PartitionWindow, PlanParseError};
 pub use policy::{LinkPolicy, Route, RouteEnv};
 pub use runner::{OutputRecord, Sim, SimBuilder};
-pub use shard::ShardedSim;
 // The node abstraction and the engine loop live in `tetrabft-engine`; the
 // simulator re-exports them so protocol crates keep a single import path.
 pub use tetrabft_engine::{

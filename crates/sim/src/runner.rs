@@ -277,13 +277,6 @@ impl<M: WireSize + Clone, O> Sim<M, O> {
         &self.metrics
     }
 
-    /// Virtual time of the earliest queued event, if any — what the next
-    /// [`Sim::step`] would advance to. Lets embedders (the sharded runner)
-    /// interleave several simulations deterministically.
-    pub fn next_event_time(&self) -> Option<Time> {
-        self.queue.peek_time()
-    }
-
     /// The recorded trace, if tracing was enabled.
     pub fn trace(&self) -> Option<&[TraceEvent<M>]> {
         self.trace.as_deref()

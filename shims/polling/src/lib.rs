@@ -3,12 +3,12 @@
 //!
 //! The repository builds in environments without a crates.io mirror, so
 //! this shim provides the small slice of a readiness API `tetrabft-net`
-//! and `tetrabft-load` need, in the style of smol's `polling` crate:
+//! needs, in the style of smol's `polling` crate:
 //!
 //! * [`Poller`] — an OS readiness queue: **epoll** on Linux, with a
-//!   portable **`poll(2)`** fallback selected on other Unixes or forced
-//!   via `TETRABFT_FORCE_POLL=1` (the CI runs the readiness test suite
-//!   against both backends on the same machine);
+//!   portable **`poll(2)`** fallback on other Unixes
+//!   ([`Poller::with_backend`] picks either, so the readiness tests run
+//!   every case against both on one machine);
 //! * **oneshot semantics** — an event delivery disarms the source's
 //!   interest until it is re-armed with [`Poller::modify`], so a level
 //!   condition (readable socket nobody drained) can never spin the loop;
@@ -173,15 +173,10 @@ impl std::fmt::Debug for Poller {
 }
 
 impl Poller {
-    /// Creates a poller on the platform's best backend: epoll on Linux
-    /// (unless `TETRABFT_FORCE_POLL` is set), `poll(2)` elsewhere.
+    /// Creates a poller on the platform's best backend: epoll on Linux,
+    /// `poll(2)` elsewhere.
     pub fn new() -> io::Result<Poller> {
-        let backend =
-            if cfg!(target_os = "linux") && std::env::var_os("TETRABFT_FORCE_POLL").is_none() {
-                Backend::Epoll
-            } else {
-                Backend::Poll
-            };
+        let backend = if cfg!(target_os = "linux") { Backend::Epoll } else { Backend::Poll };
         Poller::with_backend(backend)
     }
 

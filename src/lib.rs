@@ -3,8 +3,8 @@
 //! integration tests (`tests/`).
 //!
 //! Start with [`consensus`] ([`tetrabft`]) for single-shot consensus,
-//! [`multishot`] for the pipelined blockchain (mempool, batching, and the
-//! sharded mode included), [`ledger`] for the account state machine and
+//! [`multishot`] for the pipelined blockchain (mempool and batching
+//! included), [`ledger`] for the account state machine and
 //! state roots executed on top, [`engine`] for the unified driver loop
 //! every runtime shares, [`sim`] for the deterministic test harness, and
 //! [`net`] for real TCP deployment.
@@ -40,13 +40,13 @@ pub use tetrabft_wire as wire;
 pub mod prelude {
     pub use tetrabft::{Message, Params, TetraNode};
     pub use tetrabft_ledger::{
-        shard_of_account, transfer_admission, Account, AccountId, Ledger, LedgerReplica, StateRoot,
+        transfer_admission, Account, AccountId, Ledger, LedgerReplica, StateRoot,
         StateRootMismatch, Transfer,
     };
     pub use tetrabft_multishot::{
-        Block, BlockHash, Finalized, FinalizedMerge, GlobalFinalized, Mempool, MsMessage,
-        MultiShotNode, ShardSpec, SubmitError, Transaction, Tx, TxId, GENESIS_HASH,
+        Block, BlockHash, Finalized, Mempool, MsMessage, MultiShotNode, SubmitError, Transaction,
+        Tx, TxId, GENESIS_HASH,
     };
-    pub use tetrabft_sim::{Input, LinkPolicy, Node, ShardedSim, Sim, SimBuilder, Submitter, Time};
+    pub use tetrabft_sim::{Input, LinkPolicy, Node, Sim, SimBuilder, Submitter, Time};
     pub use tetrabft_types::{Config, NodeId, Phase, Slot, Value, View};
 }

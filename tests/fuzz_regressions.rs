@@ -157,3 +157,33 @@ fn chain_mode_survives_partition_and_selective_silence() {
     assert_eq!(report.verdict, Verdict::Ok, "got {}", report.verdict);
     assert!(report.finalized.iter().all(|(_, count)| *count > 0));
 }
+
+/// Auto-generated by tetrabft-fuzz (seed 0x649, shrunken).
+///
+/// A liveness violation at tolerated f, which the campaign prints verbatim
+/// for `TETRABFT_FUZZ_SEEDS=1 TETRABFT_FUZZ_SEED0=1609 cargo run --release
+/// --example adversary_fuzz`: one relay-spamming equivocator of five, a
+/// lossless plan, no partition — and honest node 1 finalizes nothing in
+/// 6.8 s. Pinned failing first; it passes once the chain is live under
+/// every schedule the paper covers.
+#[test]
+#[ignore = "ROADMAP item 1 (c)"]
+fn fuzz_seed_649_liveness() {
+    let scenario = Scenario {
+        n: 5,
+        delta_ms: 58,
+        seed: 0x649,
+        horizon_ms: 6812,
+        mode: Mode::Chain,
+        faults: vec![FaultSpec {
+            node: NodeId(4),
+            attacks: vec![Attack::RelaySpam, Attack::Equivocate],
+        }],
+        plan: "default(delay=12,jitter=7); edge(0->1,delay=39,jitter=18); edge(1->2,delay=46,jitter=12); edge(3->2,delay=3,jitter=2)"
+            .parse()
+            .unwrap(),
+    };
+    assert!(scenario.liveness_armed(), "lossless and within f = 1 arms liveness");
+    let report = scenario.run();
+    assert_eq!(report.verdict, Verdict::Ok, "got {}", report.verdict);
+}
