@@ -4,7 +4,7 @@ use std::cell::RefCell;
 use std::sync::Arc;
 
 use tetrabft_types::{Slot, Value};
-use tetrabft_wire::{Reader, Wire, WireError, Writer};
+use tetrabft_wire::{varint_len, Reader, Wire, WireError, Writer};
 
 /// A block digest: the 64-bit FNV-1a hash of the block's encoding.
 ///
@@ -75,9 +75,17 @@ pub struct Block {
 
 thread_local! {
     /// Scratch encoder for [`Block::hash`]: hashing re-encodes the block,
-    /// and the store hashes every insert, so a heap-allocated `Writer` per
-    /// call would be one of the hottest allocation sites in the pipeline.
+    /// and the store hashes every block it has not seen, so a
+    /// heap-allocated `Writer` per call would be one of the hottest
+    /// allocation sites in the pipeline.
     static HASH_SCRATCH: RefCell<Writer> = RefCell::new(Writer::new());
+}
+
+#[cfg(test)]
+thread_local! {
+    /// How many times this thread ran [`Block::hash`]: the digest is paid
+    /// per payload byte, and a node owes each block exactly one.
+    pub(crate) static HASHES: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
 }
 
 impl Block {
@@ -90,6 +98,8 @@ impl Block {
     /// genesis hash). Encodes into a thread-local scratch buffer, so
     /// steady-state calls do not allocate.
     pub fn hash(&self) -> BlockHash {
+        #[cfg(test)]
+        HASHES.with(|count| count.set(count.get() + 1));
         let mut h: u64 = 0xcbf2_9ce4_8422_2325;
         HASH_SCRATCH.with(|scratch| {
             let mut w = scratch.borrow_mut();
@@ -160,6 +170,12 @@ impl Wire for Block {
         let (slot, parent) = (Slot::decode(r)?, BlockHash::decode(r)?);
         Ok(Block { slot, parent, txs: decode_txs(r, MAX_TXS)? })
     }
+    /// Counted, not encoded: the chain log asks for it to frame a block
+    /// it then encodes in place.
+    fn wire_len(&self) -> usize {
+        let txs: usize = self.txs.iter().map(|tx| varint_len(tx.len() as u64) + tx.len()).sum();
+        varint_len(self.slot.0) + 8 + varint_len(self.txs.len() as u64) + txs
+    }
 }
 
 #[cfg(test)]
@@ -196,6 +212,15 @@ mod tests {
         let b = Block::new(Slot(7), BlockHash(42), vec![b"hello".to_vec(), vec![]]);
         let bytes = b.to_bytes();
         assert_eq!(Block::from_bytes(&bytes).unwrap(), b);
+    }
+
+    #[test]
+    fn wire_len_counts_what_encode_writes() {
+        let long = vec![7u8; 200];
+        for (slot, txs) in [(0, vec![]), (127, vec![vec![]]), (1 << 40, vec![long; 130])] {
+            let b = Block::new(Slot(slot), BlockHash(3), txs);
+            assert_eq!(b.wire_len(), b.to_bytes().len(), "slot {slot}");
+        }
     }
 
     #[test]

@@ -98,9 +98,9 @@ impl Handoff {
         }
     }
 
-    /// Mints this node's block for `slot` on `parent`: its own batch, then
-    /// what it borrowed for the slot, never more than `max_block_txs` in
-    /// all. The
+    /// Mints this node's block for `slot` on `parent`, with its hash (the
+    /// one this node computes for it): its own batch, then what it
+    /// borrowed for the slot, never more than `max_block_txs` in all. The
     /// own part is empty while a drain is not allowed
     /// ([`Self::owed_settled`]).
     ///
@@ -117,7 +117,7 @@ impl Handoff {
         parent: BlockHash,
         store: &BlockStore,
         lender_votes: &[Option<Value>],
-    ) -> Block {
+    ) -> (Block, BlockHash) {
         let (seqs, mut txs) = match slot.prev() {
             Some(prev) if self.owed_settled(store, parent, prev) => {
                 self.mempool.next_batch(self.cap)
@@ -134,11 +134,12 @@ impl Handoff {
             }
         }
         let block = Block::new(slot, parent, txs);
+        let hash = block.hash();
         if !seqs.is_empty() {
-            let owed = Owed { seqs, txs: Arc::clone(&block.txs), carried: Some(block.hash()) };
+            let owed = Owed { seqs, txs: Arc::clone(&block.txs), carried: Some(hash) };
             self.owed.insert(slot, owed);
         }
-        block
+        (block, hash)
     }
 
     /// Whether the mempool may be drained into a block or loan that extends

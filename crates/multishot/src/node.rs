@@ -258,7 +258,7 @@ impl MultiShotNode {
             self.pipeline.finalized_hash,
             &self.pipeline.cfg,
         ) {
-            self.pipeline.store.insert(block.clone());
+            self.pipeline.store.insert_hashed(hash, block.clone());
             self.commit_block(block.slot, hash, block, ctx);
             progressed = true;
         }
@@ -299,9 +299,9 @@ impl MultiShotNode {
     /// The leader proposes what the pipeline allows: the certified block
     /// again, or a fresh one, which in view 0 waits at the pacing gate.
     fn step_propose(&mut self, slot: Slot, ctx: &mut Ctx<'_>) -> bool {
-        let block = match self.pipeline.candidate(slot) {
+        let minted = match self.pipeline.candidate(slot) {
             None => return false,
-            Some(Candidate::Again(block)) => block,
+            Some(Candidate::Again(block, hash)) => (block, hash),
             Some(Candidate::Fresh(view, parent)) => {
                 if view.is_zero() {
                     let (store, tip) = (&self.pipeline.store, self.pipeline.finalized);
@@ -318,13 +318,13 @@ impl MultiShotNode {
                 self.build_block(slot, parent)
             }
         };
-        self.pipeline.propose(slot, block, ctx);
+        self.pipeline.propose(slot, minted, ctx);
         true
     }
 
     /// Mints this node's block for `slot` on `parent` ([`Handoff::mint`]),
     /// handing over each lender's view-0 vote for `slot − 2`.
-    fn build_block(&mut self, slot: Slot, parent: BlockHash) -> Block {
+    fn build_block(&mut self, slot: Slot, parent: BlockHash) -> (Block, BlockHash) {
         let anchor = slot.0.checked_sub(2).filter(|_| self.handoff.borrowed.contains_key(&slot));
         let votes = anchor.map_or(Vec::new(), |k| self.pipeline.view0_votes(Slot(k)));
         self.handoff.mint(slot, parent, &self.pipeline.store, &votes)
@@ -377,9 +377,7 @@ impl MultiShotNode {
         if let Some(store) = self.durable.as_mut() {
             // Finalized state must never be claimed and then lost; a store
             // that cannot append is a node that must not keep running.
-            store
-                .append_block(slot, hash.0, &block.to_bytes())
-                .expect("durable chain log append failed");
+            store.append_encoded(slot, hash.0, &block).expect("durable chain log append failed");
         }
         ctx.output(Finalized { slot, hash, block });
         self.pipeline.retire(slot, hash, ctx);

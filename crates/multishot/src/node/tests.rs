@@ -179,6 +179,40 @@ fn sent(node: &mut MultiShotNode, input: Input<MsMessage>) -> Vec<MsMessage> {
         .collect()
 }
 
+/// Runs `node` on one input by hand; returns how many times it ran
+/// [`Block::hash`] doing so, and the messages it sent.
+fn hashed(node: &mut MultiShotNode, input: Input<MsMessage>) -> (u64, Vec<MsMessage>) {
+    let count = || crate::block::HASHES.with(std::cell::Cell::get);
+    let before = count();
+    let out = sent(node, input);
+    (count() - before, out)
+}
+
+#[test]
+fn a_block_is_hashed_once_by_its_leader_and_once_by_each_follower() {
+    // Node 1 leads slot 1 in view 0, with a batch of its own to carry:
+    // the batch is owed to the block's hash from the moment it is minted.
+    let leader = NodeId(1);
+    let mut node = MultiShotNode::new(cfg(4), Params::new(100), leader);
+    node.submit_tx(b"own".to_vec()).unwrap();
+    sent(&mut node, Input::Start);
+    let (minted, out) = hashed(&mut node, Input::Timer { id: PACE_TIMER });
+    let [proposal @ MsMessage::Proposal { block, .. }] = &out[..] else { panic!("{out:?}") };
+    assert_eq!(*block.txs, [b"own".to_vec()]);
+    let vote = MsMessage::Vote { slot: Slot(1), view: View::ZERO, hash: block.hash() };
+    // Loopback brings the proposal back to its leader, who votes for it.
+    let (looped, out) = hashed(&mut node, Input::Deliver { from: leader, msg: proposal.clone() });
+    assert!(out.contains(&vote), "{out:?}");
+    assert_eq!((minted, looped), (1, 0), "mint, propose and loopback share one digest");
+
+    let mut follower = MultiShotNode::new(cfg(4), Params::new(100), NodeId(2));
+    sent(&mut follower, Input::Start);
+    let (received, out) =
+        hashed(&mut follower, Input::Deliver { from: leader, msg: proposal.clone() });
+    assert!(out.contains(&vote), "{out:?}");
+    assert_eq!(received, 1, "a follower hashes the block it receives once");
+}
+
 #[test]
 fn fresh_verdict_re_proposes_a_notarized_block_and_spares_the_mempool() {
     let peers = [NodeId(0), NodeId(1), NodeId(3)];
@@ -284,7 +318,7 @@ fn what_is_lent_is_owed_and_nothing_drains_past_a_loan_in_doubt() {
     // and a block of this node's would carry nothing of its own.
     node.submit_tx(b"d".to_vec()).unwrap();
     let rival = node.pipeline.store.insert(Block::new(Slot(7), BlockHash(9), Vec::new()));
-    assert!(node.build_block(Slot(8), rival).txs.is_empty());
+    assert!(node.build_block(Slot(8), rival).0.txs.is_empty());
     assert_eq!(queue_of(&node), [b"d"]);
 }
 
@@ -326,7 +360,7 @@ fn a_borrower_trusts_nothing_and_keeps_nothing() {
     at_4.regs.record(NodeId(1), &vote(BlockHash(77)));
     node.pipeline.instances.insert(Slot(4), at_4);
     node.submit_tx(b"mine".to_vec()).unwrap();
-    let block = node.build_block(Slot(6), chain[4]);
+    let (block, _) = node.build_block(Slot(6), chain[4]);
     assert_eq!(
         *block.txs,
         [b"mine".to_vec(), b"a".to_vec(), b"b".to_vec()],
@@ -397,7 +431,7 @@ fn restart_re_bases_the_journal_on_what_the_mempool_took_back() {
     for k in 1..=4u8 {
         node.submit_tx(vec![k]).unwrap();
     }
-    let lost = node.build_block(Slot(1), GENESIS_HASH);
+    let (lost, _) = node.build_block(Slot(1), GENESIS_HASH);
     assert_eq!(lost.txs.len(), 3);
     for k in 5..=7u8 {
         node.submit_tx(vec![k]).unwrap();
@@ -481,7 +515,7 @@ proptest::proptest! {
                 QueueOp::Build => {
                     // Each block extends the last, so every batch still
                     // out is on the chain and the drain is allowed.
-                    let block = node.build_block(tip.0.next(), tip.1);
+                    let (block, _) = node.build_block(tip.0.next(), tip.1);
                     let batch: Vec<u32> = model.iter().copied().take(4).collect();
                     prop_assert_eq!(block.txs.iter().map(number).collect::<Vec<_>>(), &batch[..]);
                     model.retain(|k| !batch.contains(k));

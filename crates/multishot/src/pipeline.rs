@@ -35,10 +35,10 @@ const FRESH: Value = Value([0; 8]);
 pub(crate) type Ctx<'a> = Context<'a, MsMessage, Finalized>;
 
 /// What a leader may propose: a new block in this view on this parent, for
-/// the node to fill, or the block Rule 1 certified, again.
+/// the node to fill, or the block Rule 1 certified, again (with its hash).
 pub(crate) enum Candidate {
     Fresh(View, BlockHash),
-    Again(Block),
+    Again(Block, BlockHash),
 }
 
 /// Keeps in `held` the view-change request that reaches further: prefer
@@ -426,14 +426,22 @@ impl Pipeline {
                 // Re-propose the certified block; without its content we
                 // must wait (block dissemination is assumed, DESIGN.md §6).
                 let block = self.store.get(hash).filter(|b| b.slot == slot)?;
-                return Some(Candidate::Again(block.clone()));
+                return Some(Candidate::Again(block.clone(), hash));
             }
         }
         Some(Candidate::Fresh(view, self.parent_ready(slot)?))
     }
 
-    pub(crate) fn propose(&mut self, slot: Slot, block: Block, ctx: &mut Ctx<'_>) {
-        self.store.insert(block.clone());
+    /// Proposes `block`, whose hash the caller holds: the loopback copy
+    /// of the proposal finds it in the store by its payload
+    /// ([`BlockStore::insert`]), so the leader hashes its block once.
+    pub(crate) fn propose(
+        &mut self,
+        slot: Slot,
+        (block, hash): (Block, BlockHash),
+        ctx: &mut Ctx<'_>,
+    ) {
+        self.store.insert_hashed(hash, block.clone());
         let inst = self.instances.get_mut(&slot).expect("caller checked");
         inst.proposed = true;
         ctx.broadcast(MsMessage::Proposal { view: inst.view, block });

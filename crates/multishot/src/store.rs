@@ -1,6 +1,7 @@
 //! Windowed block storage with ancestor resolution.
 
 use std::collections::HashMap;
+use std::sync::Arc;
 
 use tetrabft_types::Slot;
 
@@ -22,11 +23,30 @@ impl BlockStore {
         BlockStore::default()
     }
 
-    /// Inserts `block`, returning its hash. Idempotent.
+    /// Inserts `block`, returning its hash. Idempotent. A block held
+    /// here already — the same `txs` allocation at the same slot on the
+    /// same parent, as a leader's own proposal is when loopback brings it
+    /// back — is found without hashing it again: the store holds a
+    /// window's worth of blocks, so the search costs less than the digest.
+    /// (The held clone keeps the allocation alive and shared, so the
+    /// pointer cannot have been reused and the bytes cannot have changed.)
     pub fn insert(&mut self, block: Block) -> BlockHash {
+        let held = self.blocks.iter().find(|(_, b)| {
+            Arc::ptr_eq(&b.txs, &block.txs) && b.slot == block.slot && b.parent == block.parent
+        });
+        if let Some((hash, _)) = held {
+            return *hash;
+        }
         let hash = block.hash();
-        self.blocks.entry(hash).or_insert(block);
+        self.insert_hashed(hash, block);
         hash
+    }
+
+    /// Inserts `block` under `hash`, its [`Block::hash`] as the caller
+    /// already computed it (minting it, or vouching for it in catch-up):
+    /// each block is hashed once per node. Idempotent.
+    pub fn insert_hashed(&mut self, hash: BlockHash, block: Block) {
+        self.blocks.entry(hash).or_insert(block);
     }
 
     /// Looks up a block. The genesis hash is always known (slot 0).
@@ -128,5 +148,27 @@ mod tests {
         let h2 = store.insert(b);
         assert_eq!(h1, h2);
         assert_eq!(store.blocks.len(), 1);
+    }
+
+    #[test]
+    fn a_held_block_is_found_by_its_payload_and_position_not_rehashed() {
+        let mut store = BlockStore::new();
+        let b = Block::new(Slot(1), GENESIS_HASH, vec![b"t".to_vec()]);
+        let hash = b.hash();
+        store.insert_hashed(hash, b.clone());
+        let before = crate::block::HASHES.with(|count| count.get());
+        assert_eq!(store.insert(b.clone()), hash);
+        assert_eq!(crate::block::HASHES.with(|count| count.get()), before, "found, not hashed");
+        // The same payload at another slot or on another parent is another
+        // block; an equal payload in another allocation is hashed.
+        let moved = Block { slot: Slot(2), ..b.clone() };
+        let reparented = Block { parent: BlockHash(5), ..b.clone() };
+        assert_eq!(store.insert(moved.clone()), moved.hash());
+        assert_eq!(store.insert(reparented.clone()), reparented.hash());
+        let copied = Block::new(Slot(1), GENESIS_HASH, vec![b"t".to_vec()]);
+        let before = crate::block::HASHES.with(|count| count.get());
+        assert_eq!(store.insert(copied), hash);
+        assert_eq!(crate::block::HASHES.with(|count| count.get()), before + 1);
+        assert_eq!(store.blocks.len(), 3);
     }
 }

@@ -6,11 +6,11 @@ use std::fs;
 use std::path::{Path, PathBuf};
 
 use tetrabft_types::{FsyncPolicy, Slot, View, VoteBook, VoteInfo};
-use tetrabft_wire::{Reader, Writer};
+use tetrabft_wire::{varint_len, Reader, Wire, Writer};
 
 use crate::crc::crc32;
 use crate::record::MAX_RECORD_BYTES;
-use crate::wal::Wal;
+use crate::wal::{sync_dir_of, Wal};
 use crate::StoreError;
 
 /// Compaction slack for the vote WAL: the log is rewritten down to one
@@ -103,32 +103,32 @@ impl NodeStore {
         fs::create_dir_all(&dir)?;
         let incarnation = bump_incarnation(&dir)?;
 
-        let (votes, vote_payloads) = Wal::open(dir.join("votes.wal"), policy)?;
         let mut latest_votes: BTreeMap<u64, Vec<u8>> = BTreeMap::new();
         let mut restored: BTreeMap<u64, SlotVotes> = BTreeMap::new();
-        for payload in vote_payloads {
-            let sv = decode_votes(&payload)?;
-            latest_votes.insert(sv.0.slot.0, payload);
-            restored.insert(sv.0.slot.0, sv.0);
-        }
+        let votes = Wal::open(dir.join("votes.wal"), policy, |payload| {
+            let (sv, _) = decode_votes(payload)?;
+            latest_votes.insert(sv.slot.0, payload.to_vec());
+            restored.insert(sv.slot.0, sv);
+            Ok(())
+        })?;
 
-        let (mut chain, chain_payloads) = Wal::open(dir.join("chain.wal"), policy)?;
-        // Re-derive the frame offsets by replaying the scan arithmetic:
-        // rewrite is never used on the chain log, so offsets are stable.
+        // Only each block's header is read: the index keeps where the
+        // record starts, and the body stays on disk until a peer asks.
+        // Offsets replay the scan arithmetic: rewrite is never used on the
+        // chain log, so they are stable.
         let mut chain_index = BTreeMap::new();
         let mut offset = 0u64;
         let mut expected: Option<u64> = None;
-        for payload in &chain_payloads {
+        let mut chain = Wal::open(dir.join("chain.wal"), policy, |payload| {
             let (slot, hash) = decode_chain_header(payload)?;
-            if let Some(want) = expected {
-                if slot != want {
-                    return Err(StoreError::Corrupt("chain log slots are not contiguous"));
-                }
+            if expected.is_some_and(|want| slot != want) {
+                return Err(StoreError::Corrupt("chain log slots are not contiguous"));
             }
             expected = Some(slot + 1);
             chain_index.insert(slot, ChainEntry { hash, offset });
             offset += frame_len(payload.len());
-        }
+            Ok(())
+        })?;
         debug_assert_eq!(offset, chain.len_bytes());
         chain.sync()?;
 
@@ -138,12 +138,12 @@ impl NodeStore {
             Err(e) if e.kind() != std::io::ErrorKind::NotFound => return Err(e.into()),
             _ => {}
         }
-        let (mempool, seals) = Wal::open(dir.join("mempool.wal"), policy)?;
         let mut queue = VecDeque::new();
         let mut mempool_dead = 0;
-        for seal in &seals {
+        let mempool = Wal::open(dir.join("mempool.wal"), policy, |seal| {
             mempool_dead += replay_seal(seal, &mut queue)?;
-        }
+            Ok(())
+        })?;
         let restored_mempool = Vec::from(queue);
 
         let last_finalized = chain_index.keys().next_back().copied().unwrap_or(0);
@@ -236,6 +236,29 @@ impl NodeStore {
     /// re-appending an already-stored slot is an idempotent no-op, a gap
     /// is an error (finalization is in slot order by construction).
     pub fn append_block(&mut self, slot: Slot, hash: u64, block: &[u8]) -> Result<(), StoreError> {
+        self.append_chain(slot, hash, block.len(), |w| w.put_slice(block))
+    }
+
+    /// [`NodeStore::append_block`] for a block not yet encoded: it is
+    /// encoded once, straight into the chain log's frame, so its bytes are
+    /// copied once on the way to the file. [`Wire::wire_len`] must be
+    /// cheap for `B` (it is asked for the frame's length prefix first).
+    pub fn append_encoded<B: Wire>(
+        &mut self,
+        slot: Slot,
+        hash: u64,
+        block: &B,
+    ) -> Result<(), StoreError> {
+        self.append_chain(slot, hash, block.wire_len(), |w| block.encode(w))
+    }
+
+    fn append_chain(
+        &mut self,
+        slot: Slot,
+        hash: u64,
+        body_len: usize,
+        body: impl FnOnce(&mut Writer),
+    ) -> Result<(), StoreError> {
         let tip = self.chain_tip().map(|(s, _)| s.0);
         match tip {
             Some(t) if slot.0 <= t => return Ok(()),
@@ -244,12 +267,13 @@ impl NodeStore {
             }
             _ => {}
         }
-        let mut w = Writer::with_capacity(block.len() + 24);
-        w.put_u8(CHAIN_VERSION);
-        w.put_varint(slot.0);
-        w.put_u64(hash);
-        w.put_slice(block);
-        let offset = self.chain.append(w.as_bytes())?;
+        let len = 1 + varint_len(slot.0) + 8 + body_len;
+        let offset = self.chain.append_with(len, |w| {
+            w.put_u8(CHAIN_VERSION);
+            w.put_varint(slot.0);
+            w.put_u64(hash);
+            body(w);
+        })?;
         self.chain_index.insert(slot.0, ChainEntry { hash, offset });
         self.last_finalized = self.last_finalized.max(slot.0);
         Ok(())
@@ -290,7 +314,9 @@ impl NodeStore {
         let _ = r.get_varint_u64();
         let _ = r.get_u64();
         let body_start = payload.len() - r.remaining();
-        Ok(Some((hash, payload[body_start..].to_vec())))
+        let mut body = payload;
+        body.drain(..body_start);
+        Ok(Some((hash, body)))
     }
 
     // ---- mempool journal -------------------------------------------------
@@ -400,6 +426,10 @@ fn bump_incarnation(dir: &Path) -> Result<u64, StoreError> {
     f.sync_data()?;
     drop(f);
     fs::rename(&tmp, &path)?;
+    // Until the directory is synced a power loss can bring the old meta
+    // back: the next open would hand out this incarnation a second time,
+    // and peers would take frames of the dead one for the live one's.
+    sync_dir_of(&path)?;
     Ok(incarnation)
 }
 

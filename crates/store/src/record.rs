@@ -15,27 +15,35 @@ use crate::crc::crc32;
 /// otherwise ask for gigabytes).
 pub const MAX_RECORD_BYTES: u64 = 1 << 24;
 
-/// Appends the framed encoding of `payload` to `w` — the scratch-reuse
-/// entry point: a retained, cleared [`Writer`] frames record after record
+/// Appends to `w` the frame of the `len`-byte payload `encode` writes —
+/// the scratch-reuse entry point: the payload is encoded in place behind
+/// its length prefix and checksummed where it lies, so a retained, cleared
+/// [`Writer`] frames record after record with no copy of the payload and
 /// without touching the allocator once its capacity settles.
-pub fn frame_into_writer(w: &mut Writer, payload: &[u8]) {
-    w.put_varint(payload.len() as u64);
-    w.put_slice(payload);
-    w.put_u32(crc32(payload));
+///
+/// # Panics
+///
+/// If `encode` writes other than `len` bytes: the prefix would misframe
+/// the record and hide every later one behind a torn tail.
+pub(crate) fn frame_with(w: &mut Writer, len: usize, encode: impl FnOnce(&mut Writer)) {
+    w.put_varint(len as u64);
+    let start = w.len();
+    encode(w);
+    assert_eq!(w.len() - start, len, "a record's encoder wrote other than the length it declared");
+    let crc = crc32(&w.as_bytes()[start..]);
+    w.put_u32(crc);
 }
 
-/// Appends the framed encoding of `payload` to `out`.
-pub fn frame_into(out: &mut Vec<u8>, payload: &[u8]) {
-    let mut w = Writer::with_capacity(payload.len() + 14);
-    frame_into_writer(&mut w, payload);
-    out.extend_from_slice(w.as_bytes());
+/// Appends the framed encoding of `payload` to `w`.
+pub fn frame_into_writer(w: &mut Writer, payload: &[u8]) {
+    frame_with(w, payload.len(), |w| w.put_slice(payload));
 }
 
 /// The framed encoding of `payload` as a fresh buffer.
 pub fn frame(payload: &[u8]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(payload.len() + 14);
-    frame_into(&mut out, payload);
-    out
+    let mut w = Writer::with_capacity(payload.len() + 14);
+    frame_into_writer(&mut w, payload);
+    w.into_bytes()
 }
 
 /// Scans `bytes` from the front, returning every valid record payload and
@@ -76,7 +84,7 @@ mod tests {
             vec![vec![], vec![7], vec![0; 200], (0..=255u8).collect(), b"final".to_vec()];
         let mut file = Vec::new();
         for p in &payloads {
-            frame_into(&mut file, p);
+            file.extend(frame(p));
         }
         let (records, valid) = scan(&file);
         assert_eq!(valid, file.len());
@@ -87,11 +95,32 @@ mod tests {
     }
 
     #[test]
+    fn framing_in_place_lays_out_prefix_payload_and_checksum() {
+        let mut w = Writer::new();
+        frame_with(&mut w, 300, |w| {
+            w.put_u8(1);
+            w.put_slice(&[9; 299]);
+        });
+        let mut payload = vec![1];
+        payload.extend([9; 299]);
+        let mut want = vec![0xAC, 0x02]; // 300 as a varint
+        want.extend(&payload);
+        want.extend(crc32(&payload).to_be_bytes());
+        assert_eq!(w.as_bytes(), want);
+    }
+
+    #[test]
+    #[should_panic(expected = "declared")]
+    fn an_encoder_that_misses_its_declared_length_is_refused() {
+        frame_with(&mut Writer::new(), 4, |w| w.put_slice(b"abc"));
+    }
+
+    #[test]
     fn torn_tail_at_every_offset_keeps_the_valid_prefix() {
         let mut file = Vec::new();
-        frame_into(&mut file, b"first record");
+        file.extend(frame(b"first record"));
         let keep = file.len();
-        frame_into(&mut file, b"second record, torn below");
+        file.extend(frame(b"second record, torn below"));
         // Truncate the file at every length from "whole second record
         // minus one byte" down to "nothing of it": the scan must always
         // return exactly the first record and the prefix length.
@@ -106,9 +135,9 @@ mod tests {
     #[test]
     fn corrupt_byte_anywhere_in_the_tail_record_is_detected() {
         let mut file = Vec::new();
-        frame_into(&mut file, b"good");
+        file.extend(frame(b"good"));
         let keep = file.len();
-        frame_into(&mut file, b"evil twin");
+        file.extend(frame(b"evil twin"));
         for i in keep..file.len() {
             let mut bent = file.clone();
             bent[i] ^= 0x41;

@@ -9,7 +9,7 @@ use tetrabft_types::FsyncPolicy;
 use tetrabft_wire::{Reader, Writer};
 
 use crate::crc::crc32;
-use crate::record::{frame_into, frame_into_writer, scan, MAX_RECORD_BYTES};
+use crate::record::{frame_into_writer, frame_with, scan, MAX_RECORD_BYTES};
 use crate::StoreError;
 
 /// One write-ahead log file: append-only CRC-framed records, torn-tail
@@ -25,11 +25,14 @@ use crate::StoreError;
 /// std::fs::create_dir_all(&dir)?;
 /// let path = dir.join("demo.wal");
 /// # let _ = std::fs::remove_file(&path);
-/// let (mut wal, restored) = Wal::open(&path, FsyncPolicy::Always)?;
-/// assert!(restored.is_empty());
+/// let mut wal = Wal::open(&path, FsyncPolicy::Always, |_| unreachable!("a fresh log"))?;
 /// wal.append(b"record")?;
 /// drop(wal);
-/// let (_, restored) = Wal::open(&path, FsyncPolicy::Always)?;
+/// let mut restored = Vec::new();
+/// Wal::open(&path, FsyncPolicy::Always, |record| {
+///     restored.push(record.to_vec());
+///     Ok(())
+/// })?;
 /// assert_eq!(restored, vec![b"record".to_vec()]);
 /// # std::fs::remove_file(&path)?;
 /// # Ok::<(), tetrabft_store::StoreError>(())
@@ -51,12 +54,15 @@ pub struct Wal {
 
 impl Wal {
     /// Opens (creating if absent) the log at `path`, scans its records,
-    /// and truncates any torn tail. Returns the log handle and every
-    /// payload that survived the scan, in append order.
+    /// and truncates any torn tail. Hands `restore` every payload that
+    /// survived the scan, in append order, by reference into the one read
+    /// of the file: a caller that needs only a record's header copies
+    /// nothing. The first error `restore` returns fails the open.
     pub fn open(
         path: impl AsRef<Path>,
         policy: FsyncPolicy,
-    ) -> Result<(Wal, Vec<Vec<u8>>), StoreError> {
+        mut restore: impl FnMut(&[u8]) -> Result<(), StoreError>,
+    ) -> Result<Wal, StoreError> {
         let path = path.as_ref().to_path_buf();
         // truncate(false): existing records are the whole point — the scan
         // below decides how much of the tail survives.
@@ -65,31 +71,47 @@ impl Wal {
         let mut bytes = Vec::new();
         file.read_to_end(&mut bytes)?;
         let (records, valid) = scan(&bytes);
-        let restored: Vec<Vec<u8>> = records.iter().map(|r| r.to_vec()).collect();
         if valid < bytes.len() {
             // A torn or corrupt tail: cut back to the last valid record so
             // future appends extend known-good state, never garbage.
             file.set_len(valid as u64)?;
             file.sync_data()?;
         }
-        let count = restored.len() as u64;
-        let wal = Wal {
+        for record in &records {
+            restore(record)?;
+        }
+        Ok(Wal {
             path,
             file,
             len: valid as u64,
-            records: count,
+            records: records.len() as u64,
             pending: 0,
             policy,
             scratch: Writer::new(),
-        };
-        Ok((wal, restored))
+        })
     }
 
     /// Appends one record, returning the file offset its frame starts at.
     pub fn append(&mut self, payload: &[u8]) -> Result<u64, StoreError> {
-        debug_assert!((payload.len() as u64) <= MAX_RECORD_BYTES);
+        self.append_with(payload.len(), |w| w.put_slice(payload))
+    }
+
+    /// Appends the `len`-byte record `encode` writes, encoded straight
+    /// into the retained frame buffer ([`frame_with`]): the one copy of
+    /// its bytes between the caller's values and the file. Returns the
+    /// file offset the frame starts at.
+    ///
+    /// # Panics
+    ///
+    /// If `encode` writes other than `len` bytes.
+    pub(crate) fn append_with(
+        &mut self,
+        len: usize,
+        encode: impl FnOnce(&mut Writer),
+    ) -> Result<u64, StoreError> {
+        debug_assert!((len as u64) <= MAX_RECORD_BYTES);
         self.scratch.clear();
-        frame_into_writer(&mut self.scratch, payload);
+        frame_with(&mut self.scratch, len, encode);
         // Positional write at the tracked end of the valid prefix: one
         // syscall per record, and nothing (the open-time scan, a catch-up
         // read) can leave a cursor pointing elsewhere.
@@ -144,25 +166,31 @@ impl Wal {
     /// Atomically replaces the log's content with `records` (compaction):
     /// the replacement is written to a sibling temp file, synced, and
     /// renamed over the log, so a crash leaves either the old or the new
-    /// log — never a hybrid.
+    /// log — never a hybrid; the rename is synced before anything can be
+    /// appended to the new log.
     pub fn rewrite<I, B>(&mut self, records: I) -> Result<(), StoreError>
     where
         I: IntoIterator<Item = B>,
         B: AsRef<[u8]>,
     {
         let tmp = self.path.with_extension("tmp");
-        let mut bytes = Vec::new();
+        let mut bytes = Writer::new();
         let mut count = 0u64;
         for record in records {
-            frame_into(&mut bytes, record.as_ref());
+            frame_into_writer(&mut bytes, record.as_ref());
             count += 1;
         }
         {
             let mut f = File::create(&tmp)?;
-            f.write_all(&bytes)?;
+            f.write_all(bytes.as_bytes())?;
             f.sync_data()?;
         }
         std::fs::rename(&tmp, &self.path)?;
+        // The rename lives in the directory, not in either file. Until the
+        // directory is synced a power loss can bring the old log back, and
+        // with it drop every record appended (and synced) to the new one
+        // from here on: a restarted node could contradict a vote it sent.
+        sync_dir_of(&self.path)?;
         self.file = OpenOptions::new().read(true).write(true).open(&self.path)?;
         self.len = bytes.len() as u64;
         self.records = count;
@@ -197,6 +225,14 @@ impl Wal {
     }
 }
 
+/// Forces the directory entry of `path` to stable media: what makes a
+/// rename onto `path` durable.
+pub(crate) fn sync_dir_of(path: &Path) -> Result<(), StoreError> {
+    let dir = path.parent().filter(|dir| !dir.as_os_str().is_empty()).unwrap_or(Path::new("."));
+    File::open(dir)?.sync_all()?;
+    Ok(())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -207,17 +243,28 @@ mod tests {
         dir.join(format!("{tag}.wal"))
     }
 
+    /// Opens the log, collecting what it restores.
+    fn open(path: &Path, policy: FsyncPolicy) -> (Wal, Vec<Vec<u8>>) {
+        let mut restored = Vec::new();
+        let wal = Wal::open(path, policy, |record| {
+            restored.push(record.to_vec());
+            Ok(())
+        })
+        .unwrap();
+        (wal, restored)
+    }
+
     #[test]
     fn append_reopen_restores_in_order() {
         let path = temp_path("reopen");
         let _ = std::fs::remove_file(&path);
-        let (mut wal, _) = Wal::open(&path, FsyncPolicy::Never).unwrap();
+        let (mut wal, _) = open(&path, FsyncPolicy::Never);
         for i in 0..10u8 {
             wal.append(&[i; 3]).unwrap();
         }
         wal.sync().unwrap();
         drop(wal);
-        let (wal, restored) = Wal::open(&path, FsyncPolicy::Never).unwrap();
+        let (wal, restored) = open(&path, FsyncPolicy::Never);
         assert_eq!(restored.len(), 10);
         assert_eq!(wal.records(), 10);
         for (i, r) in restored.iter().enumerate() {
@@ -230,7 +277,7 @@ mod tests {
     fn read_at_returns_the_exact_record() {
         let path = temp_path("read-at");
         let _ = std::fs::remove_file(&path);
-        let (mut wal, _) = Wal::open(&path, FsyncPolicy::Always).unwrap();
+        let (mut wal, _) = open(&path, FsyncPolicy::Always);
         let mut offsets = Vec::new();
         for i in 0..5u64 {
             offsets.push(wal.append(&i.to_be_bytes()).unwrap());
@@ -249,7 +296,7 @@ mod tests {
     fn torn_tail_is_truncated_on_open() {
         let path = temp_path("torn");
         let _ = std::fs::remove_file(&path);
-        let (mut wal, _) = Wal::open(&path, FsyncPolicy::Always).unwrap();
+        let (mut wal, _) = open(&path, FsyncPolicy::Always);
         wal.append(b"keep me").unwrap();
         let keep = wal.len_bytes();
         wal.append(b"torn away").unwrap();
@@ -257,7 +304,7 @@ mod tests {
         // Tear the final record by one byte.
         let bytes = std::fs::read(&path).unwrap();
         std::fs::write(&path, &bytes[..bytes.len() - 1]).unwrap();
-        let (wal, restored) = Wal::open(&path, FsyncPolicy::Always).unwrap();
+        let (wal, restored) = open(&path, FsyncPolicy::Always);
         assert_eq!(restored, vec![b"keep me".to_vec()]);
         assert_eq!(wal.len_bytes(), keep, "file physically truncated to the valid prefix");
         assert_eq!(std::fs::metadata(&path).unwrap().len(), keep);
@@ -268,7 +315,7 @@ mod tests {
     fn rewrite_compacts_atomically() {
         let path = temp_path("rewrite");
         let _ = std::fs::remove_file(&path);
-        let (mut wal, _) = Wal::open(&path, FsyncPolicy::Always).unwrap();
+        let (mut wal, _) = open(&path, FsyncPolicy::Always);
         for i in 0..100u32 {
             wal.append(&i.to_be_bytes()).unwrap();
         }
@@ -279,7 +326,7 @@ mod tests {
         // Appends keep working on the fresh handle.
         wal.append(b"three").unwrap();
         drop(wal);
-        let (_, restored) = Wal::open(&path, FsyncPolicy::Always).unwrap();
+        let (_, restored) = open(&path, FsyncPolicy::Always);
         assert_eq!(restored, vec![b"only".to_vec(), b"two".to_vec(), b"three".to_vec()]);
         std::fs::remove_file(&path).unwrap();
     }
