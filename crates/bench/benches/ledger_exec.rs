@@ -2,9 +2,12 @@
 //! applied transfers/s through the deterministic state machine at the two
 //! id distributions that bound the trie's depth, with and without a live
 //! snapshot; the allocations that execution performs (a hard gate: none on
-//! an unshared ledger); the per-block state-root cost of the account trie
-//! against a rescan-the-world baseline; the invalid-transaction rejection
-//! path; and the end-to-end consensus→execution pipeline on the sim.
+//! an unshared ledger); the benchmark's four replicas fed block by block,
+//! and one ledger as its account count outgrows the cache (the size sweep
+//! runs 16,384 to 1,048,576 accounts in the full run only); the per-block
+//! state-root cost of the account trie against a rescan-the-world
+//! baseline; the invalid-transaction rejection path; and the end-to-end
+//! consensus→execution pipeline on the sim.
 //!
 //! Set `TETRABFT_BENCH_SMOKE=1` for a tiny CI smoke run. Every correctness
 //! assertion and the allocation gate stay armed; only the timing gate
@@ -306,6 +309,57 @@ fn main() {
             "copies/transfer",
             "pass 3 (same paths)",
         ],
+        &rows,
+    );
+
+    // ---- the exec thread's shape, and the trie against the cache ---------
+    // The TCP benchmark's `exec` thread applies each finalized block (≈ 180
+    // transfers on `loaded`) to four replicas in turn, each a hashed
+    // 262,144-account trie, so a replica's paths have left the cache by
+    // the time its next block comes. The one-ledger sweep over the account
+    // count shows where the trie stops fitting in cache: below that,
+    // execution reads ahead nothing (`state.rs`, `READ_AHEAD_MIN_ACCOUNTS`).
+    let exec_per_block = 180;
+    let (exec_blocks, exec_shapes): (usize, &[(u64, usize)]) = if smoke() {
+        (40, &[(1_024, 1), (4_096, 1), (4_096, 4)])
+    } else {
+        (500, &[(16_384, 1), (65_536, 1), (262_144, 1), (1_048_576, 1), (262_144, 4)])
+    };
+    let mut rows = Vec::new();
+    for &(accounts, replicas) in exec_shapes {
+        let traffic = valid_blocks(HASHED, accounts, exec_blocks, exec_per_block);
+        let mut ledgers: Vec<Ledger> =
+            (0..replicas).map(|_| Ledger::new(genesis(HASHED, accounts))).collect();
+        let before = ALLOC.snapshot();
+        let t0 = Instant::now();
+        let mut applied = 0;
+        for (b, txs) in traffic.iter().enumerate() {
+            for ledger in &mut ledgers {
+                applied += ledger.apply_block(b as u64 + 1, txs).applied;
+            }
+        }
+        let time = t0.elapsed();
+        let allocs = before.allocs_since(&ALLOC.snapshot());
+        let txs = exec_blocks * exec_per_block * replicas;
+        assert_eq!(applied, txs, "all pre-sequenced transfers must apply");
+        assert_eq!(
+            allocs, 0,
+            "{accounts} accounts × {replicas}: unshared execution must not allocate"
+        );
+        assert!(ledgers.iter().all(|l| l.root() == ledgers[0].root()), "replicas must agree");
+        rows.push(vec![
+            accounts.to_string(),
+            replicas.to_string(),
+            format!("{:.0}", time.as_secs_f64() * 1e9 / txs as f64),
+            format!("{}", ledgers[0].root()),
+        ]);
+    }
+    print_table(
+        &format!(
+            "Execution by account count and replicas — hashed ids, \
+             {exec_blocks} blocks × {exec_per_block} transfers, each block to every replica in turn"
+        ),
+        &["accounts", "replicas", "ns/transfer/replica (0 allocs)", "final root"],
         &rows,
     );
 

@@ -11,7 +11,7 @@
 use std::collections::{HashMap, HashSet};
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
-use std::sync::{Mutex, PoisonError};
+use std::sync::{Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
 use tetrabft::{Params, TetraNode};
@@ -24,9 +24,49 @@ use tetrabft_wire::frame::encode_frame;
 /// test's threads.
 static CENSUS: Mutex<()> = Mutex::new(());
 
-/// Live threads of this process, per the kernel.
-fn thread_count() -> usize {
-    std::fs::read_dir("/proc/self/task").expect("procfs").count()
+/// Every test in this binary. libtest may spawn a test's thread while
+/// another test already holds [`CENSUS`]: the new thread starts with the
+/// process's `comm`, then takes the test's name, of which the kernel keeps
+/// the first 15 bytes.
+const TESTS: [&str; 2] = [
+    "reactor_runtime_is_one_thread_per_node_and_serves_tcp_clients",
+    "a_hundred_raw_clients_fan_in_and_each_submission_finalizes_once",
+];
+
+/// Takes [`CENSUS`] and the baseline for [`started_since`]. The calling
+/// thread is renamed first: the unnamed threads a cluster spawns from it
+/// inherit its `comm`, which must never pass for the harness's.
+fn take_census() -> (MutexGuard<'static, ()>, HashSet<u64>) {
+    let census = CENSUS.lock().unwrap_or_else(PoisonError::into_inner);
+    std::fs::write("/proc/thread-self/comm", "census").expect("procfs");
+    (census, live_threads())
+}
+
+/// Kernel task ids of this process's live threads.
+fn live_threads() -> HashSet<u64> {
+    std::fs::read_dir("/proc/self/task")
+        .expect("procfs")
+        .filter_map(|task| task.ok()?.file_name().to_str()?.parse().ok())
+        .collect()
+}
+
+/// Threads started since `before`, less the test harness's own: a thread
+/// libtest spawns for another test of this binary is no thread of the
+/// cluster under census.
+fn started_since(before: &HashSet<u64>) -> usize {
+    let process = std::fs::read_to_string("/proc/self/comm").expect("procfs");
+    let harness = |comm: &str| {
+        comm == process.trim_end()
+            || TESTS.iter().any(|test| test.as_bytes().get(..15) == Some(comm.as_bytes()))
+    };
+    live_threads()
+        .difference(before)
+        .filter(|tid| {
+            // A thread that exited since the listing has no `comm` to read.
+            std::fs::read_to_string(format!("/proc/self/task/{tid}/comm"))
+                .is_ok_and(|comm| !harness(comm.trim_end()))
+        })
+        .count()
 }
 
 /// Dials `addr` as a TCP client: a 10-byte hello (client id + zero
@@ -45,9 +85,8 @@ fn dial_client(addr: SocketAddr) -> TcpStream {
 
 #[test]
 fn reactor_runtime_is_one_thread_per_node_and_serves_tcp_clients() {
-    let _census = CENSUS.lock().unwrap_or_else(PoisonError::into_inner);
+    let (_census, before) = take_census();
     let n = 4;
-    let before = thread_count();
 
     // --- Thread budget on a plain (non-serving) cluster. -----------------
     let cfg = Config::new(n).unwrap();
@@ -62,8 +101,11 @@ fn reactor_runtime_is_one_thread_per_node_and_serves_tcp_clients() {
     // stepping on its reactor's, nothing per connection (a 4-node mesh has
     // 12 directed links and 12 inbound connections — the thread-per-socket
     // runtime held 30+ threads here, the reactor beside an engine loop 8).
-    assert_at_most_one_thread_per_node(before, n, thread_count());
+    assert_at_most_one_thread_per_node(n, started_since(&before));
     drop(cluster);
+    // A joined thread can linger in `/proc` until the kernel reaps it: the
+    // serving cluster's census starts from here.
+    let before = live_threads();
 
     // --- TCP client submissions against a serving multishot cluster. -----
     let ((mut cluster, _handles), _net) = ClusterBuilder::new(n)
@@ -84,9 +126,9 @@ fn reactor_runtime_is_one_thread_per_node_and_serves_tcp_clients() {
             client.write_all(&frame).expect("submit");
         }
         std::thread::sleep(Duration::from_millis(5));
-        busiest = busiest.max(thread_count());
+        busiest = busiest.max(started_since(&before));
     }
-    assert_at_most_one_thread_per_node(before, n, busiest);
+    assert_at_most_one_thread_per_node(n, busiest);
 
     // Every submitted transaction must be finalized, identified by the
     // same TxId digest the client can compute locally.
@@ -106,9 +148,8 @@ fn reactor_runtime_is_one_thread_per_node_and_serves_tcp_clients() {
 
 #[test]
 fn a_hundred_raw_clients_fan_in_and_each_submission_finalizes_once() {
-    let _census = CENSUS.lock().unwrap_or_else(PoisonError::into_inner);
+    let (_census, before) = take_census();
     let (n, clients, per_client) = (4, 128, 3);
-    let before = thread_count();
     let cfg = Config::new(n).unwrap();
     let ((mut cluster, _handles), _net) = ClusterBuilder::new(n)
         .spawn_serving(|id| MultiShotNode::new(cfg, Params::new(500), id))
@@ -126,10 +167,10 @@ fn a_hundred_raw_clients_fan_in_and_each_submission_finalizes_once() {
             stream.write_all(&encode_frame(&payload).expect("frame")).expect("submit");
             wanted.insert(TxId::of(&payload));
         }
-        busiest = busiest.max(thread_count());
+        busiest = busiest.max(started_since(&before));
     }
     assert_eq!(wanted.len(), clients as usize * per_client);
-    assert_at_most_one_thread_per_node(before, n, busiest);
+    assert_at_most_one_thread_per_node(n, busiest);
 
     // Each node's chain carries every submission, and none twice.
     let mut seen: Vec<HashMap<TxId, usize>> = vec![HashMap::new(); n];
@@ -150,11 +191,10 @@ fn a_hundred_raw_clients_fan_in_and_each_submission_finalizes_once() {
     drop(streams);
 }
 
-fn assert_at_most_one_thread_per_node(before: usize, n: usize, found: usize) {
+fn assert_at_most_one_thread_per_node(n: usize, started: usize) {
     assert!(
-        found <= before + n,
-        "one thread per node: expected at most {} threads ({before} baseline + 1 per node), \
-         found {found}",
-        before + n,
+        started <= n,
+        "one thread per node: expected at most {n} threads started by a {n}-node cluster, \
+         found {started}",
     );
 }

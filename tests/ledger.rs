@@ -1,15 +1,19 @@
 //! The ledger on consensus, end to end: conservation and rejection
 //! invariants under arbitrary traffic (proptests), the account trie's
-//! in-place writes against a `BTreeMap` model, byte-identical state
+//! in-place writes against a `BTreeMap` model, chunked read-ahead execution
+//! against a plain one-batch reference, byte-identical state
 //! roots across independently-executing replicas in both runtimes (sim
 //! n=4, TCP cluster), and forged divergence surfacing as a typed
 //! `StateRootMismatch` naming the offending block.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashSet};
+use std::mem;
 
 use proptest::prelude::*;
-use tetrabft_suite::ledger::AccountMap;
+use proptest::TestCaseError;
+use tetrabft_suite::ledger::{AccountBatch, AccountMap, BlockReceipt, ExecError};
 use tetrabft_suite::prelude::*;
+use tetrabft_suite::wire::Wire;
 
 /// Canonical bytes of one transfer.
 fn pay(from: u64, to: u64, amount: u64, nonce: u64) -> Vec<u8> {
@@ -51,7 +55,7 @@ enum MapOp {
 fn key_strategy() -> impl Strategy<Value = u64> {
     (0u8..3, 0u64..40).prop_map(|(family, k)| match family {
         0 => k,
-        1 => k.wrapping_mul(0x9E37_79B9_7F4A_7C15),
+        1 => hashed(k),
         _ => 0xAAAA_AAAA_AAAA_AA00 | k,
     })
 }
@@ -237,6 +241,249 @@ proptest! {
         // because both executed the same two slots over the same state.
         prop_assert_eq!(clean.root(), dirty.root());
     }
+}
+
+// ---- chunked, read-ahead execution against a plain batch ----------------
+
+/// The execution rules once more, through the public map API alone: one
+/// `AccountMap::batch` per block, each transfer decoded, checked and written
+/// through `AccountBatch::{get, insert}` as it comes, the root chained with
+/// `StateRoot::chain`. Nothing is read ahead and nothing is chunked.
+struct Reference {
+    accounts: AccountMap,
+    height: u64,
+    root: StateRoot,
+}
+
+impl Reference {
+    fn new(accounts: AccountMap) -> Self {
+        let root = StateRoot::genesis(&accounts);
+        Reference { accounts, height: 0, root }
+    }
+
+    fn apply_block(&mut self, txs: &[Vec<u8>]) -> BlockReceipt {
+        let (mut applied, mut rejected) = (0, Vec::new());
+        let mut batch = self.accounts.batch();
+        for (i, bytes) in txs.iter().enumerate() {
+            match Self::apply_tx(&mut batch, bytes) {
+                Ok(()) => applied += 1,
+                Err(e) => rejected.push((i, e)),
+            }
+        }
+        drop(batch);
+        self.height += 1;
+        self.root = StateRoot::chain(self.root, self.height, self.accounts.root_hash());
+        BlockReceipt { slot: self.height, applied, rejected, root: self.root }
+    }
+
+    fn apply_tx(batch: &mut AccountBatch<'_>, bytes: &[u8]) -> Result<(), ExecError> {
+        let t = Transfer::from_bytes(bytes).map_err(|_| ExecError::Malformed)?;
+        if t.amount == 0 {
+            return Err(ExecError::ZeroAmount);
+        }
+        if t.from == t.to {
+            return Err(ExecError::SelfTransfer);
+        }
+        let mut from = batch.get(t.from).unwrap_or_default();
+        if t.nonce != from.nonce {
+            return Err(ExecError::BadNonce { expected: from.nonce, got: t.nonce });
+        }
+        if from.balance < t.amount {
+            return Err(ExecError::Overdraft { balance: from.balance, amount: t.amount });
+        }
+        let mut to = batch.get(t.to).unwrap_or_default();
+        to.balance = to.balance.checked_add(t.amount).ok_or(ExecError::Overflow)?;
+        from.balance -= t.amount;
+        from.nonce += 1;
+        batch.insert(t.from, from);
+        batch.insert(t.to, to);
+        Ok(())
+    }
+}
+
+fn hashed(k: u64) -> u64 {
+    k.wrapping_mul(0x9E37_79B9_7F4A_7C15)
+}
+
+/// Accounts `hashed(1..=n)` with 1,000 each, except `hashed(7)`, which holds
+/// nearly `u64::MAX`: a credit of more than 300 to it overflows.
+fn spread_genesis(n: u64) -> Vec<(AccountId, u64)> {
+    let rich = (AccountId(hashed(7)), u64::MAX - 300);
+    (1..=n).map(|k| (AccountId(hashed(k)), 1_000)).chain([rich]).collect()
+}
+
+/// The accounts generated blocks name: six funded, the rich one, and three
+/// that do not exist yet — two whose first credit splits a funded
+/// account's leaf 15 and 13 nibbles down, and one with a path of its own.
+const NAMED: usize = 10;
+
+fn named(i: usize) -> u64 {
+    match i {
+        0..=6 => hashed(i as u64 + 1),
+        7 => hashed(1) ^ 0x1,
+        8 => hashed(2) ^ 0x100,
+        _ => 0x0123_4567_89AB_CDEF,
+    }
+}
+
+/// One transaction of a generated block.
+#[derive(Debug, Clone, Copy)]
+enum TxSpec {
+    /// Named account `from` pays named account `to` with the payer's
+    /// current nonce, plus `skew`, minus one: a replay, the right one, or a
+    /// gap.
+    Pay { from: usize, to: usize, amount: u64, skew: u64 },
+    /// A canonical transfer with a byte appended.
+    Malformed,
+}
+
+/// Mostly payments that can apply; zero amounts, self-payments, replays,
+/// gaps, overdrafts, overflows and malformed bytes all occur. `amount` is
+/// drawn from `1..=1_200`: two thirds of draws pay at most 101, a quarter
+/// 401–700 (enough to overflow the rich account), the rest over 11,000.
+fn spec_of((kind, from, to, amount, skew): (u8, usize, usize, u64, u8)) -> TxSpec {
+    let amount = match amount {
+        _ if kind == 1 => 0,
+        0..=800 => amount / 8 + 1,
+        801..=1_100 => amount - 400,
+        _ => amount * 10,
+    };
+    match kind {
+        0 => TxSpec::Malformed,
+        _ => TxSpec::Pay {
+            from,
+            to,
+            amount,
+            skew: match skew {
+                0 => 0,
+                5 => 2,
+                _ => 1,
+            },
+        },
+    }
+}
+
+fn tx_spec_strategy() -> impl Strategy<Value = TxSpec> {
+    (0u8..16, 0..NAMED, 0..NAMED, 1u64..=1_200, 0u8..6).prop_map(spec_of)
+}
+
+/// A block's bytes, nonces taken from `state` and advanced past each
+/// payment that looks valid.
+fn block_bytes(specs: &[TxSpec], state: &AccountMap) -> Vec<Vec<u8>> {
+    let mut nonces: BTreeMap<usize, u64> = BTreeMap::new();
+    specs
+        .iter()
+        .map(|spec| match *spec {
+            TxSpec::Malformed => {
+                let mut bytes = pay(1, 2, 3, 0);
+                bytes.push(0);
+                bytes
+            }
+            TxSpec::Pay { from, to, amount, skew } => {
+                let current = nonces
+                    .entry(from)
+                    .or_insert_with(|| state.get(AccountId(named(from))).map_or(0, |a| a.nonce));
+                let nonce = (*current + skew).saturating_sub(1);
+                if skew == 1 && amount > 0 && from != to {
+                    *current += 1;
+                }
+                pay(named(from), named(to), amount, nonce)
+            }
+        })
+        .collect()
+}
+
+/// Executes `blocks` through `ledger` and through a [`Reference`] on
+/// `reference_state` (the same accounts), holding a clone of `ledger`
+/// across each block when `hold`: receipts, chained roots and the final
+/// accounts must be identical.
+fn assert_matches_reference(
+    mut ledger: Ledger,
+    reference_state: AccountMap,
+    blocks: &[Vec<TxSpec>],
+    hold: bool,
+) -> Result<Vec<BlockReceipt>, TestCaseError> {
+    let mut reference = Reference::new(reference_state);
+    prop_assert_eq!(ledger.root(), reference.root);
+    let mut receipts = Vec::new();
+    for specs in blocks {
+        let txs = block_bytes(specs, &reference.accounts);
+        let snapshot = hold.then(|| ledger.clone());
+        let digest = ledger.accounts().root_hash();
+        let receipt = ledger.apply_block(ledger.height() + 1, &txs);
+        prop_assert_eq!(&receipt, &reference.apply_block(&txs));
+        if let Some(snapshot) = snapshot {
+            prop_assert_eq!(snapshot.accounts().root_hash(), digest);
+        }
+        receipts.push(receipt);
+    }
+    prop_assert_eq!(ledger.accounts().entries(), reference.accounts.entries());
+    Ok(receipts)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// `Ledger::apply_block` decodes a block once, in chunks of 32, and
+    /// reads each chunk's paths ahead before applying it: none of that may
+    /// change a receipt or a root. Blocks of 0–100 transactions (up to four
+    /// chunks) with every rejection, payees that split leaves, accounts
+    /// named again and again, with a clone of the ledger held or not.
+    #[test]
+    fn chunked_execution_matches_a_plain_batch(
+        blocks in proptest::collection::vec(
+            proptest::collection::vec(tx_spec_strategy(), 0..=100),
+            1..4,
+        ),
+        hold in any::<bool>(),
+    ) {
+        let genesis = spread_genesis(6);
+        let mut state = AccountMap::new();
+        for (id, balance) in &genesis {
+            state.insert(*id, Account::with_balance(*balance));
+        }
+        assert_matches_reference(Ledger::new(genesis), state, &blocks, hold)?;
+    }
+}
+
+/// The same comparison on a map large enough that execution reads ahead:
+/// the benchmark's 262,144 accounts, and blocks drawn as above.
+#[test]
+fn execution_above_the_read_ahead_size_matches_a_plain_batch() {
+    let ledger = Ledger::new(spread_genesis(262_144));
+    // The reference starts from a snapshot, so the first block also writes
+    // under a live clone.
+    let state = ledger.accounts().clone();
+    let mut x: u64 = 28;
+    let mut draw = |n: u64| {
+        x = x.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1_442_695_040_888_963_407);
+        (x >> 33) % n
+    };
+    let mut blocks: Vec<Vec<TxSpec>> = [100, 64, 33, 0, 100]
+        .iter()
+        .map(|&len| {
+            (0..len)
+                .map(|_| {
+                    let named = NAMED as u64;
+                    let (from, to) = (draw(named) as usize, draw(named) as usize);
+                    spec_of((draw(16) as u8, from, to, 1 + draw(1_200), draw(6) as u8))
+                })
+                .collect()
+        })
+        .collect();
+    // Every rejection in the first chunk, whatever the draws: an overflow
+    // of the rich account, a self-payment, a zero amount, a nonce gap, an
+    // overdraft, malformed bytes.
+    let pay = |from, to, amount, skew| TxSpec::Pay { from, to, amount, skew };
+    let every_reason =
+        [pay(0, 6, 500, 1), pay(1, 1, 5, 1), pay(2, 3, 0, 1), pay(2, 3, 5, 2), pay(3, 4, 5_000, 1)];
+    blocks[0].splice(0..0, every_reason.into_iter().chain([TxSpec::Malformed]));
+    let receipts = assert_matches_reference(ledger, state, &blocks, false).unwrap();
+    let reasons: HashSet<_> =
+        receipts.iter().flat_map(|r| &r.rejected).map(|(_, e)| mem::discriminant(e)).collect();
+    assert_eq!(reasons.len(), 6, "every rejection reason occurs");
+    let applied: usize = receipts.iter().map(|r| r.applied).sum();
+    assert!(applied > 50, "{applied} applied");
 }
 
 // ---- typed submission & admission through the node ----------------------
