@@ -62,7 +62,7 @@ pub trait Submitter: Node {
 /// A request clients can ship over a byte-framed transport: the decode
 /// half of the submit path, for runtimes where submissions arrive as
 /// length-prefixed frames on a socket rather than through an in-process
-/// handle.
+/// [`Engine::submit`] call.
 ///
 /// The encode half is the client's business (for opaque-payload requests
 /// the frame payload *is* the request); a runtime serving framed clients

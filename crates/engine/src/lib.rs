@@ -9,11 +9,13 @@
 //! * the [`Engine`] loop — buffered entry points for deliveries and timer
 //!   firings sealed (persist, then flush) once per batch, client
 //!   submissions via [`Submitter`], timer-generation bookkeeping, and the
-//!   dispatch of node [`Action`]s into a runtime-provided [`Transport`].
+//!   dispatch of node [`Action`]s into a runtime-provided [`Transport`];
+//! * the scenario language both runtimes condition their links by —
+//!   [`LinkPlan`], [`EdgeSpec`], [`PartitionWindow`].
 //!
 //! `tetrabft-sim` plugs a deterministic virtual-time transport underneath
-//! (an event queue plus link policies), `tetrabft-net` a threaded TCP
-//! transport (sockets, a wall-clock timer heap, client channels). Neither
+//! (an event queue plus link policies), `tetrabft-net` a TCP transport
+//! (sockets, a wall-clock timer heap, client frames). Neither
 //! re-implements dispatch or timer semantics, so a fix or feature here —
 //! batching, backpressure, new input classes — lands in both at once.
 //!
@@ -26,8 +28,10 @@
 
 mod driver;
 mod node;
+mod plan;
 mod time;
 
 pub use driver::{Engine, FrameRequest, Submitter, Transport};
 pub use node::{Action, ActionBuf, Context, Dest, Input, Node, TimerId, WireSize};
+pub use plan::{EdgeSpec, LinkPlan, PartitionWindow, PlanParseError};
 pub use time::{Time, NEVER};

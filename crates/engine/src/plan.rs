@@ -3,11 +3,13 @@
 //!
 //! A [`LinkPlan`] describes a network scenario — per-edge one-way delay,
 //! jitter, drop probability, and scripted partition windows — without
-//! reference to any runtime. The simulator consumes it through
-//! [`LinkPlan::policy`] (virtual-time ticks are milliseconds), the TCP
-//! layer (`tetrabft-net`) applies the very same plan in its send path with
-//! wall-clock milliseconds, so one scenario drives both runtimes and their
-//! results can be compared directly.
+//! reference to any runtime. The simulator routes each message through
+//! [`LinkPlan::route_at`] (`SimBuilder::plan`; virtual-time ticks are
+//! milliseconds), the TCP layer (`tetrabft-net`) applies the very same plan
+//! in its send path with wall-clock milliseconds, so one scenario drives
+//! both runtimes and their results can be compared directly. One
+//! difference stays: a TCP link is a FIFO byte stream, so its jitter never
+//! reorders two frames of one edge, while the simulator's may.
 //!
 //! Partition semantics match what a supervised TCP link does: frames sent
 //! while an edge is severed are *buffered* and released when the window
@@ -20,10 +22,7 @@ use std::str::FromStr;
 use rand::rngs::StdRng;
 use rand::Rng;
 
-use tetrabft_engine::Time;
 use tetrabft_types::NodeId;
-
-use crate::policy::{LinkPolicy, Route};
 
 /// Conditioning applied to one directed edge: a base one-way delay, a
 /// uniform jitter on top, and an independent drop probability per message.
@@ -218,20 +217,6 @@ impl PartitionWindow {
     pub fn contains(&self, at_ms: u64) -> bool {
         (self.start_ms..self.end_ms).contains(&at_ms)
     }
-
-    /// Earliest time at or after `at_ms` at which none of `windows` is
-    /// active — when buffered traffic held by these windows is released.
-    /// Chained or overlapping windows are walked through to the final heal.
-    pub fn release_time(windows: &[PartitionWindow], at_ms: u64) -> u64 {
-        let mut at = at_ms;
-        loop {
-            let Some(end) = windows.iter().filter(|w| w.contains(at)).map(|w| w.end_ms).max()
-            else {
-                return at;
-            };
-            at = end;
-        }
-    }
 }
 
 impl std::fmt::Display for PartitionWindow {
@@ -289,7 +274,7 @@ impl FromStr for PartitionWindow {
 /// # Examples
 ///
 /// ```
-/// use tetrabft_sim::{EdgeSpec, LinkPlan, PartitionWindow};
+/// use tetrabft_engine::{EdgeSpec, LinkPlan, PartitionWindow};
 /// use tetrabft_types::NodeId;
 ///
 /// // A 30 ms WAN with 3 ms jitter, one slow transatlantic edge, and a
@@ -322,11 +307,6 @@ impl LinkPlan {
     /// The same spec on every edge.
     pub fn uniform(spec: EdgeSpec) -> Self {
         LinkPlan { default: spec, edges: HashMap::new(), partitions: Vec::new() }
-    }
-
-    /// A LAN preset: 1 ms one-way delay, no jitter or loss.
-    pub fn lan() -> Self {
-        LinkPlan::uniform(EdgeSpec::delay(1))
     }
 
     /// A WAN preset: `one_way_ms` delay with 10% jitter.
@@ -466,6 +446,7 @@ impl LinkPlan {
 
     /// When a message sent on `from → to` at `at_ms` is released from any
     /// severing partition windows (equal to `at_ms` when unsevered).
+    /// Chained or overlapping windows are walked through to the final heal.
     pub fn release_time(&self, from: NodeId, to: NodeId, at_ms: u64) -> u64 {
         let mut at = at_ms;
         loop {
@@ -489,19 +470,6 @@ impl LinkPlan {
     pub fn route_at(&self, from: NodeId, to: NodeId, at_ms: u64, rng: &mut StdRng) -> Option<u64> {
         let delay = self.edge_spec(from, to).sample(rng)?;
         Some(self.release_time(from, to, at_ms) + delay)
-    }
-
-    /// The simulator-side view of this plan: a scripted [`LinkPolicy`]
-    /// with one tick = one millisecond, exactly mirroring what the TCP
-    /// layer's link conditioning does with the wall clock.
-    pub fn policy(&self) -> LinkPolicy {
-        let plan = self.clone();
-        LinkPolicy::scripted(move |env, rng| {
-            match plan.route_at(env.from, env.to, env.now.0, rng) {
-                Some(at) => Route::DeliverAt(Time(at)),
-                None => Route::Drop,
-            }
-        })
     }
 }
 
@@ -576,7 +544,6 @@ impl FromStr for LinkPlan {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::policy::RouteEnv;
     use rand::SeedableRng;
 
     fn rng() -> StdRng {
@@ -636,24 +603,6 @@ mod tests {
         let dropped = sample(3);
         assert!((350..650).contains(&dropped), "≈half dropped, got {dropped}");
         assert_eq!(dropped, sample(3), "sampling is a pure function of the seed");
-    }
-
-    #[test]
-    fn policy_mirrors_the_plan_in_virtual_time() {
-        let plan = LinkPlan::uniform(EdgeSpec::delay(30)).partition(PartitionWindow::isolate(
-            0,
-            600,
-            [NodeId(0)],
-        ));
-        let mut policy = plan.policy();
-        let mut r = rng();
-        let env = |from, to, now| RouteEnv { from, to, now: Time(now), size: 8 };
-        assert_eq!(
-            policy.route(env(NodeId(0), NodeId(2), 5), &mut r),
-            Route::DeliverAt(Time(630)),
-            "severed traffic heals at the window end plus the edge delay"
-        );
-        assert_eq!(policy.route(env(NodeId(1), NodeId(2), 5), &mut r), Route::DeliverAt(Time(35)));
     }
 
     #[test]

@@ -402,7 +402,7 @@ impl Scenario {
         let params = Params::new(self.delta_ms.max(1));
         let mut sim = SimBuilder::new(self.n)
             .seed(self.seed)
-            .policy(self.plan.policy())
+            .plan(&self.plan)
             .record_trace(true)
             .build_boxed(|id| self.make_single(cfg, params, id));
         sim.run_until(Time(self.horizon_ms));
@@ -451,7 +451,7 @@ impl Scenario {
         let params = Params::new(self.delta_ms.max(1));
         let mut sim = SimBuilder::new(self.n)
             .seed(self.seed)
-            .policy(self.plan.policy())
+            .plan(&self.plan)
             .build_boxed(|id| self.make_chain(cfg, params, id));
         sim.run_until(Time(self.horizon_ms));
 

@@ -73,7 +73,7 @@ pub trait Transaction {
 ///
 /// This is what [`crate::Mempool::submit`] takes, what
 /// [`crate::MultiShotNode`] accepts as its [`Submitter`] request, and what
-/// a `tetrabft-net` `SubmitHandle` carries to a running node. Blocks still
+/// a `tetrabft-net` node decodes each client frame into. Blocks still
 /// store the bytes alone — the envelope exists only between client and
 /// mempool.
 ///

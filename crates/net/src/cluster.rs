@@ -1,19 +1,18 @@
-//! Cluster orchestration: flat clusters, submitting clusters, and the
-//! [`ClusterBuilder`] that threads a declarative topology and link plan
-//! through every node.
+//! Cluster orchestration: the [`ClusterBuilder`] that threads a
+//! declarative topology and link plan through every node, and the running
+//! [`Cluster`] that kills and restarts them.
 
 use std::net::TcpListener;
 use std::sync::mpsc;
 use std::time::Duration;
 
-use tetrabft_engine::{FrameRequest, Node, Submitter};
-use tetrabft_sim::LinkPlan;
+use tetrabft_engine::{FrameRequest, LinkPlan, Node, Submitter};
 use tetrabft_types::NodeId;
 use tetrabft_wire::Wire;
 
+use crate::client::SubmitHandle;
 use crate::link::{LinkSetup, NetControl};
-use crate::reactor::SubmitCodec;
-use crate::runner::{run_node_inner, run_submitter_inner, NodeHandle, SubmitHandle};
+use crate::runner::{spawn_peer, spawn_serving, NodeHandle, Wiring};
 use crate::topology::{NetError, Topology};
 
 /// A running cluster: `n` nodes in one process, real TCP between them.
@@ -27,21 +26,15 @@ use crate::topology::{NetError, Topology};
 pub struct Cluster<O> {
     outputs: mpsc::Receiver<(NodeId, O)>,
     handles: Vec<NodeHandle>,
-    /// Retained for node restarts: the shared output sender, the addresses
-    /// every node listens on, and the link setup (conditioners, metrics,
-    /// cut flags) a replacement node re-joins.
-    tx: mpsc::Sender<(NodeId, O)>,
-    topology: Topology,
-    setup: LinkSetup,
+    /// Retained for node restarts: the addresses every node listens on,
+    /// the shared output sender, and the link setup (conditioners,
+    /// metrics, cut flags) a replacement node re-joins.
+    wiring: Wiring<O>,
 }
 
 /// How long a restart will wait out `AddrInUse` once the killed node's
 /// thread has exited and closed its listener (OS lag only).
 const REBIND_WINDOW: Duration = Duration::from_secs(5);
-
-/// What [`Cluster::spawn_submitting`] yields: the cluster plus one
-/// [`SubmitHandle`] per node (indexed by [`NodeId`]).
-pub type SubmittingCluster<O, R> = (Cluster<O>, Vec<SubmitHandle<R>>);
 
 /// Declarative cluster spec: node count or explicit [`Topology`], a
 /// [`LinkPlan`] for fault injection / WAN conditioning, and the
@@ -102,85 +95,60 @@ impl ClusterBuilder {
         self
     }
 
-    fn listeners(&mut self) -> Result<(Vec<TcpListener>, Topology, LinkSetup), NetError> {
-        let (listeners, topology) = match self.topology.take() {
+    /// Binds every node's listener and starts each with `start`.
+    fn build<O>(
+        self,
+        mut start: impl FnMut(NodeId, TcpListener, &Wiring<O>) -> Result<NodeHandle, NetError>,
+    ) -> Result<(Cluster<O>, NetControl), NetError> {
+        let (listeners, topology) = match self.topology {
             Some(t) => (t.bind_all()?, t),
             None => Topology::bind_ephemeral(self.n)?,
         };
-        let setup = LinkSetup::new(self.plan.clone(), topology.len(), self.seed);
-        Ok((listeners, topology, setup))
+        let links = LinkSetup::new(self.plan, topology.len(), self.seed);
+        let (tx, outputs) = mpsc::channel();
+        let wiring = Wiring { topology, outputs: tx, links };
+        let handles = (0..listeners.len() as u16)
+            .zip(listeners)
+            .map(|(i, listener)| start(NodeId(i), listener, &wiring))
+            .collect::<Result<_, _>>()?;
+        let control = wiring.links.control();
+        Ok((Cluster { outputs, handles, wiring }, control))
     }
 
-    /// Spawns one node per topology slot, built by `make`, and returns the
-    /// cluster plus its [`NetControl`] (link stats and fault injection).
+    /// Spawns one peer-only node per topology slot, built by `make`, and
+    /// returns the cluster plus its [`NetControl`] (link stats and fault
+    /// injection). The nodes hang up on client hellos.
     ///
     /// # Errors
     ///
     /// [`NetError`] on bind or listener-configuration failures.
-    pub fn spawn<N, O, F>(mut self, mut make: F) -> Result<(Cluster<O>, NetControl), NetError>
+    pub fn spawn<N, O, F>(self, mut make: F) -> Result<(Cluster<O>, NetControl), NetError>
     where
         N: Node<Output = O> + Send + 'static,
         N::Msg: Wire + Send + 'static,
         O: Send + 'static,
         F: FnMut(NodeId) -> N,
     {
-        let (listeners, topology, setup) = self.listeners()?;
-        let (tx, rx) = mpsc::channel();
-        let mut handles = Vec::with_capacity(topology.len());
-        for (i, listener) in listeners.into_iter().enumerate() {
-            let id = NodeId(i as u16);
-            let (handle, _submissions) = run_node_inner::<N, std::convert::Infallible>(
-                make(id),
-                id,
-                listener,
-                topology.clone(),
-                tx.clone(),
-                setup.clone(),
-                None,
-                |_, never| match never {},
-            )?;
-            handles.push(handle);
-        }
-        let control = setup.control();
-        Ok((Cluster { outputs: rx, handles, tx, topology, setup }, control))
+        self.build(|id, listener, wiring| spawn_peer(make(id), id, listener, wiring))
     }
 
-    /// Like [`ClusterBuilder::spawn`] for [`Submitter`] nodes: also
-    /// returns one [`SubmitHandle`] per node.
+    /// Like [`ClusterBuilder::spawn`] for [`Submitter`] nodes **serving
+    /// client submissions over TCP**: every node also accepts client
+    /// connections on its listen port (hello id [`crate::CLIENT_HELLO_ID`]),
+    /// decodes each frame through [`FrameRequest`], and queues it for the
+    /// engine on the node's thread, with no thread per connection. This is
+    /// the only way a request enters a running node. Also returns one
+    /// [`SubmitHandle`] per node (indexed by [`NodeId`]), a client of that
+    /// node that dials on first use.
     ///
     /// # Errors
     ///
     /// As [`ClusterBuilder::spawn`].
-    pub fn spawn_submitting<N, O, F>(
-        self,
-        make: F,
-    ) -> Result<(SubmittingCluster<O, N::Request>, NetControl), NetError>
-    where
-        N: Submitter<Output = O> + Send + 'static,
-        N::Msg: Wire + Send + 'static,
-        N::Request: Send + 'static,
-        O: Send + 'static,
-        F: FnMut(NodeId) -> N,
-    {
-        self.spawn_submitting_with(make, None)
-    }
-
-    /// Like [`ClusterBuilder::spawn_submitting`] for nodes **serving
-    /// framed client submissions over TCP**: every node also accepts
-    /// client connections on its listen port (hello id `0xFFFF`), decodes
-    /// each frame through [`FrameRequest`], and queues it for the engine
-    /// on the node's thread, with no thread per connection. The repo
-    /// benchmark's generator submits through this path, and
-    /// `tests/reactor_runtime.rs` fans a hundred-odd raw clients into it.
-    /// The in-process [`SubmitHandle`]s are returned too.
-    ///
-    /// # Errors
-    ///
-    /// As [`ClusterBuilder::spawn`].
+    #[allow(clippy::type_complexity)] // the frozen benchmark destructures this tuple
     pub fn spawn_serving<N, O, F>(
         self,
-        make: F,
-    ) -> Result<(SubmittingCluster<O, N::Request>, NetControl), NetError>
+        mut make: F,
+    ) -> Result<((Cluster<O>, Vec<SubmitHandle>), NetControl), NetError>
     where
         N: Submitter<Output = O> + Send + 'static,
         N::Msg: Wire + Send + 'static,
@@ -188,82 +156,16 @@ impl ClusterBuilder {
         O: Send + 'static,
         F: FnMut(NodeId) -> N,
     {
-        self.spawn_submitting_with(make, Some(N::Request::from_frame))
-    }
-
-    fn spawn_submitting_with<N, O, F>(
-        mut self,
-        mut make: F,
-        codec: Option<SubmitCodec<N::Request>>,
-    ) -> Result<(SubmittingCluster<O, N::Request>, NetControl), NetError>
-    where
-        N: Submitter<Output = O> + Send + 'static,
-        N::Msg: Wire + Send + 'static,
-        N::Request: Send + 'static,
-        O: Send + 'static,
-        F: FnMut(NodeId) -> N,
-    {
-        let (listeners, topology, setup) = self.listeners()?;
-        let (tx, rx) = mpsc::channel();
-        let mut handles = Vec::with_capacity(topology.len());
-        let mut submitters = Vec::with_capacity(topology.len());
-        for (i, listener) in listeners.into_iter().enumerate() {
-            let id = NodeId(i as u16);
-            let (handle, submit) = run_submitter_inner(
-                make(id),
-                id,
-                listener,
-                topology.clone(),
-                tx.clone(),
-                setup.clone(),
-                codec,
-            )?;
-            handles.push(handle);
-            submitters.push(submit);
-        }
-        let control = setup.control();
-        Ok(((Cluster { outputs: rx, handles, tx, topology, setup }, submitters), control))
+        let (cluster, control) =
+            self.build(|id, listener, wiring| spawn_serving(make(id), id, listener, wiring))?;
+        let handles = (0..cluster.len() as u16)
+            .map(|i| SubmitHandle::new(cluster.wiring.topology.addr(NodeId(i))))
+            .collect();
+        Ok(((cluster, handles), control))
     }
 }
 
 impl<O> Cluster<O> {
-    /// Binds `n` OS-assigned ephemeral listeners on localhost and spawns
-    /// one node per listener, built by `make`, over unconditioned links.
-    ///
-    /// # Errors
-    ///
-    /// Propagates socket binding errors as [`NetError`].
-    pub fn spawn<N, F>(n: usize, make: F) -> Result<Cluster<O>, NetError>
-    where
-        N: Node<Output = O> + Send + 'static,
-        N::Msg: Wire + Send + 'static,
-        O: Send + 'static,
-        F: FnMut(NodeId) -> N,
-    {
-        ClusterBuilder::new(n).spawn(make).map(|(cluster, _)| cluster)
-    }
-
-    /// Like [`Cluster::spawn`] for nodes accepting client submissions:
-    /// also returns one [`SubmitHandle`] per node, feeding requests into
-    /// that node's engine at runtime.
-    ///
-    /// # Errors
-    ///
-    /// Propagates socket binding errors as [`NetError`].
-    pub fn spawn_submitting<N, F>(
-        n: usize,
-        make: F,
-    ) -> Result<SubmittingCluster<O, N::Request>, NetError>
-    where
-        N: Submitter<Output = O> + Send + 'static,
-        N::Msg: Wire + Send + 'static,
-        N::Request: Send + 'static,
-        O: Send + 'static,
-        F: FnMut(NodeId) -> N,
-    {
-        ClusterBuilder::new(n).spawn_submitting(make).map(|(cluster, _)| cluster)
-    }
-
     /// Stops node `id` abruptly — the in-process stand-in for `kill -9`:
     /// its thread winds down without any shutdown protocol, sockets break
     /// mid-stream, and nothing is flushed that was not already flushed.
@@ -279,7 +181,7 @@ impl<O> Cluster<O> {
         self.handles[id.index()].join();
     }
 
-    /// Restarts slot `id` with the state machine `node` — the
+    /// Restarts slot `id` with the peer-only state machine `node` — the
     /// crash-recovery path. The old node (if still running) is killed as
     /// by [`Cluster::kill`], the listen address is re-bound, and `node`
     /// takes over the slot: same address, same output channel, same link
@@ -300,25 +202,13 @@ impl<O> Cluster<O> {
         N::Msg: Wire + Send + 'static,
         O: Send + 'static,
     {
-        self.handles[id.index()].join();
-        let listener = self.topology.bind_retry(id, REBIND_WINDOW)?;
-        let (handle, _submissions) = run_node_inner::<N, std::convert::Infallible>(
-            node,
-            id,
-            listener,
-            self.topology.clone(),
-            self.tx.clone(),
-            self.setup.clone(),
-            None,
-            |_, never| match never {},
-        )?;
-        self.handles[id.index()] = handle;
-        Ok(())
+        self.restart(id, |listener, wiring| spawn_peer(node, id, listener, wiring))
     }
 
-    /// Like [`Cluster::restart_node`] for [`Submitter`] nodes: the
-    /// replacement also gets a fresh [`SubmitHandle`] (handles of the
-    /// killed node are dead and return [`crate::SubmitClosed`]).
+    /// Like [`Cluster::restart_node`] for a node of a
+    /// [`ClusterBuilder::spawn_serving`] cluster: the replacement serves
+    /// clients again, and the slot's [`SubmitHandle`] reaches it on its
+    /// next submission.
     ///
     /// # Errors
     ///
@@ -327,37 +217,32 @@ impl<O> Cluster<O> {
     /// # Panics
     ///
     /// Panics if `id` is out of range.
-    pub fn restart_submitter<N>(
-        &mut self,
-        id: NodeId,
-        node: N,
-    ) -> Result<SubmitHandle<N::Request>, NetError>
+    pub fn restart_submitter<N>(&mut self, id: NodeId, node: N) -> Result<(), NetError>
     where
         N: Submitter<Output = O> + Send + 'static,
         N::Msg: Wire + Send + 'static,
-        N::Request: Send + 'static,
+        N::Request: FrameRequest + Send + 'static,
         O: Send + 'static,
     {
+        self.restart(id, |listener, wiring| spawn_serving(node, id, listener, wiring))
+    }
+
+    fn restart(
+        &mut self,
+        id: NodeId,
+        start: impl FnOnce(TcpListener, &Wiring<O>) -> Result<NodeHandle, NetError>,
+    ) -> Result<(), NetError> {
         self.handles[id.index()].join();
-        let listener = self.topology.bind_retry(id, REBIND_WINDOW)?;
-        let (handle, submit) = run_submitter_inner(
-            node,
-            id,
-            listener,
-            self.topology.clone(),
-            self.tx.clone(),
-            self.setup.clone(),
-            None,
-        )?;
-        self.handles[id.index()] = handle;
-        Ok(submit)
+        let listener = self.wiring.topology.bind_retry(id, REBIND_WINDOW)?;
+        self.handles[id.index()] = start(listener, &self.wiring)?;
+        Ok(())
     }
 
     /// The addresses this cluster's nodes listen on — what a TCP client
     /// fleet needs to dial the nodes of a [`ClusterBuilder::spawn_serving`]
     /// cluster.
     pub fn topology(&self) -> &Topology {
-        &self.topology
+        &self.wiring.topology
     }
 
     /// Waits for the next protocol output from any node.

@@ -24,6 +24,9 @@
 //!   [`tetrabft_engine::Input::PeerDown`] — a hint, behind the stream's
 //!   last frame ([`NetStats::peer_downs`] counts them); a flapped link or a
 //!   scripted partition is not;
+//! * a transaction enters a running node one way: as a length-prefixed
+//!   frame on the node's listen port from a client that said hello as
+//!   [`CLIENT_HELLO_ID`] — [`SubmitHandle`] is such a client;
 //! * [`Cluster::kill`] returns once the node's thread has exited, so a
 //!   restart may reopen its directory at once;
 //! * links can be **conditioned** by the same declarative
@@ -44,20 +47,25 @@
 //!
 //! # Examples
 //!
-//! Run a 4-node TetraBFT cluster on localhost and wait for all decisions:
+//! Run a 4-node multi-shot chain on localhost, submit one transaction
+//! through node 0's client port, and wait until a node finalizes it:
 //!
 //! ```no_run
-//! use tetrabft::{Params, TetraNode};
-//! use tetrabft_net::Cluster;
-//! use tetrabft_types::{Config, Value};
+//! use tetrabft::Params;
+//! use tetrabft_multishot::MultiShotNode;
+//! use tetrabft_net::ClusterBuilder;
+//! use tetrabft_types::Config;
 //!
-//! # fn main() -> Result<(), tetrabft_net::NetError> {
-//! let cfg = Config::new(4).unwrap();
-//! let mut cluster =
-//!     Cluster::spawn(4, |id| TetraNode::new(cfg, Params::new(200), id, Value::from_u64(7)))?;
-//! for _ in 0..4 {
-//!     let (node, decided) = cluster.next_output().unwrap();
-//!     println!("{node} decided {decided}");
+//! # fn main() -> Result<(), Box<dyn std::error::Error>> {
+//! let cfg = Config::new(4)?;
+//! let ((mut cluster, clients), _net) = ClusterBuilder::new(4)
+//!     .spawn_serving(|id| MultiShotNode::new(cfg, Params::new(200), id))?;
+//! clients[0].submit(b"hello, chain")?;
+//! while let Some((node, fin)) = cluster.next_output() {
+//!     if fin.block.txs.contains(&b"hello, chain".to_vec()) {
+//!         println!("{node} finalized it in slot {}", fin.slot.0);
+//!         break;
+//!     }
 //! }
 //! # Ok(()) }
 //! ```
@@ -67,6 +75,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod client;
 mod cluster;
 mod link;
 mod reactor;
@@ -74,14 +83,12 @@ mod runner;
 mod supervisor;
 mod topology;
 
-pub use cluster::{Cluster, ClusterBuilder, SubmittingCluster};
+pub use client::{SubmitClosed, SubmitHandle};
+pub use cluster::{Cluster, ClusterBuilder};
 pub use link::{NetControl, NetStats, PeerTraffic};
 pub use reactor::CLIENT_HELLO_ID;
-pub use runner::{run_node, run_submitter, NodeHandle, SubmitClosed, SubmitHandle};
 pub use topology::{NetError, Topology, TopologyError};
-// The request-decode half of the TCP submit path lives with the engine so
-// every runtime shares it; re-export for serving-cluster embedders.
-pub use tetrabft_engine::FrameRequest;
-// The scenario language is shared with the simulator; re-export it so TCP
-// embedders keep a single import path.
-pub use tetrabft_sim::{EdgeSpec, LinkPlan, PartitionWindow};
+// The request decode of the client door and the scenario language live
+// with the engine, shared with the simulator; re-exported so TCP embedders
+// keep a single import path.
+pub use tetrabft_engine::{EdgeSpec, FrameRequest, LinkPlan, PartitionWindow};

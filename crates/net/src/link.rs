@@ -1,7 +1,7 @@
 //! Link conditioning and fault injection for the TCP layer.
 //!
-//! The declarative scenario ([`tetrabft_sim::LinkPlan`]) is shared with
-//! the simulator; this module is its wall-clock interpretation. Each
+//! The declarative scenario ([`LinkPlan`]) is shared with the simulator;
+//! this module is its wall-clock interpretation. Each
 //! directed edge gets an [`EdgeConditioner`] that stamps outbound frames
 //! with a due time (base delay + jitter), samples drops, and reports
 //! scripted partition windows, all deterministically from a per-edge seed.
@@ -16,7 +16,7 @@ use std::time::{Duration, Instant};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use tetrabft_sim::{EdgeSpec, LinkPlan, PartitionWindow};
+use tetrabft_engine::{EdgeSpec, LinkPlan};
 use tetrabft_types::NodeId;
 
 /// Aggregated counters of every supervised link of one cluster/node.
@@ -160,13 +160,6 @@ pub struct NetControl {
 }
 
 impl NetControl {
-    pub(crate) fn new(
-        metrics: Arc<NetMetrics>,
-        cuts: Arc<HashMap<(u16, u16), Arc<AtomicBool>>>,
-    ) -> Self {
-        NetControl { metrics, cuts }
-    }
-
     /// Current link-layer counters, aggregated over every edge.
     pub fn stats(&self) -> NetStats {
         self.metrics.snapshot()
@@ -215,8 +208,8 @@ pub(crate) struct LinkSetup {
 }
 
 impl LinkSetup {
-    /// A standalone node's setup: the given plan, fresh metrics, and cut
-    /// flags for every directed edge of an `n`-node mesh.
+    /// A cluster's setup: the given plan, fresh metrics, and cut flags for
+    /// every directed edge of an `n`-node mesh.
     pub(crate) fn new(plan: LinkPlan, n: usize, seed: u64) -> Self {
         let mut cuts = HashMap::new();
         for a in 0..n as u16 {
@@ -240,11 +233,11 @@ impl LinkSetup {
     }
 
     pub(crate) fn control(&self) -> NetControl {
-        NetControl::new(Arc::clone(&self.metrics), Arc::clone(&self.cuts))
+        NetControl { metrics: Arc::clone(&self.metrics), cuts: Arc::clone(&self.cuts) }
     }
 
     pub(crate) fn conditioner(&self, from: NodeId, to: NodeId) -> EdgeConditioner {
-        EdgeConditioner::new(&self.plan, from, to, self.epoch, self.seed)
+        EdgeConditioner::new(Arc::clone(&self.plan), from, to, self.epoch, self.seed)
     }
 }
 
@@ -253,9 +246,9 @@ impl LinkSetup {
 /// windows into absolute instants.
 #[derive(Debug)]
 pub(crate) struct EdgeConditioner {
+    plan: Arc<LinkPlan>,
+    edge: (NodeId, NodeId),
     spec: EdgeSpec,
-    /// Only the windows that sever this edge.
-    windows: Vec<PartitionWindow>,
     epoch: Instant,
     rng: StdRng,
     /// Links are FIFO: a jittered frame never overtakes its predecessor.
@@ -264,18 +257,18 @@ pub(crate) struct EdgeConditioner {
 
 impl EdgeConditioner {
     pub(crate) fn new(
-        plan: &LinkPlan,
+        plan: Arc<LinkPlan>,
         from: NodeId,
         to: NodeId,
         epoch: Instant,
         seed: u64,
     ) -> Self {
-        let windows = plan.partitions().iter().filter(|w| w.severs(from, to)).cloned().collect();
         // One deterministic stream per directed edge, derived from the
         // cluster seed — runs are reproducible modulo wall-clock jitter.
         let edge = (u64::from(from.0) << 16) | u64::from(to.0);
         let rng = StdRng::seed_from_u64(seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ edge);
-        EdgeConditioner { spec: plan.edge_spec(from, to), windows, epoch, rng, last_due: epoch }
+        let spec = plan.edge_spec(from, to);
+        EdgeConditioner { plan, edge: (from, to), spec, epoch, rng, last_due: epoch }
     }
 
     /// Admits one frame enqueued at `now`: `None` if the loss rate drops
@@ -294,11 +287,11 @@ impl EdgeConditioner {
     /// If this edge is inside a scripted partition at `now`, the instant
     /// the (possibly chained) windows heal; `None` when connected.
     pub(crate) fn severed_until(&self, now: Instant) -> Option<Instant> {
-        if self.windows.is_empty() {
+        if self.plan.partitions().is_empty() {
             return None;
         }
         let at_ms = now.saturating_duration_since(self.epoch).as_millis() as u64;
-        let heal = PartitionWindow::release_time(&self.windows, at_ms);
+        let heal = self.plan.release_time(self.edge.0, self.edge.1, at_ms);
         (heal > at_ms).then(|| self.epoch + Duration::from_millis(heal))
     }
 }
@@ -306,6 +299,7 @@ impl EdgeConditioner {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use tetrabft_engine::PartitionWindow;
 
     #[test]
     fn conditioner_preserves_fifo_under_jitter() {
@@ -359,9 +353,10 @@ mod tests {
 
     #[test]
     fn lossy_edges_drop_deterministically_per_seed() {
-        let plan = LinkPlan::uniform(EdgeSpec::delay(1).with_drop(0.5));
+        let plan = Arc::new(LinkPlan::uniform(EdgeSpec::delay(1).with_drop(0.5)));
         let count = |seed| {
-            let mut c = EdgeConditioner::new(&plan, NodeId(0), NodeId(1), Instant::now(), seed);
+            let mut c =
+                EdgeConditioner::new(plan.clone(), NodeId(0), NodeId(1), Instant::now(), seed);
             let now = Instant::now();
             (0..200).filter(|_| c.admit(now).is_none()).count()
         };
@@ -370,6 +365,6 @@ mod tests {
     }
 
     fn plan_conditioner(plan: &LinkPlan) -> EdgeConditioner {
-        EdgeConditioner::new(plan, NodeId(0), NodeId(1), Instant::now(), 0)
+        EdgeConditioner::new(Arc::new(plan.clone()), NodeId(0), NodeId(1), Instant::now(), 0)
     }
 }

@@ -15,10 +15,11 @@
 //!   the zero-copy [`FrameDecoder`];
 //! * a hello naming the reserved client id (`0xFFFF`) marks a **client
 //!   submission connection** (only honored when the node runs with a
-//!   request codec — see `Cluster::spawn_serving`): its frames decode as
-//!   client requests and join the engine's input queue as submissions,
-//!   which is how one node serves thousands of submitting clients without
-//!   a thread per connection;
+//!   request codec — see `ClusterBuilder::spawn_serving`): its frames
+//!   decode as client requests and join the engine's input queue as
+//!   submissions — the only way a request reaches the engine — which is
+//!   how one node serves thousands of submitting clients without a thread
+//!   per connection;
 //! * outbound links are [`Link`] state machines (dial → handshake → up,
 //!   with jittered backoff, incarnation fencing, bounded buffered
 //!   resume — see `supervisor.rs`);
@@ -67,8 +68,7 @@ const READS_PER_EVENT: usize = 16;
 
 const LISTENER_KEY: usize = 0;
 
-/// Decodes one client frame into a request; `None` at a use site means
-/// the node refuses client connections entirely (peer-only node).
+/// Decodes one client frame into a request.
 pub(crate) type SubmitCodec<R> = fn(&[u8]) -> Option<R>;
 
 /// Everything the reactor needs to run one node's I/O.

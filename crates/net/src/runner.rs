@@ -5,23 +5,26 @@
 //! Each node runs exactly **one** thread, independent of cluster size and
 //! client count: the reactor (`reactor.rs`) owns every socket, and the
 //! engine steps on the same thread between two waits, with the wall-clock
-//! timer heap and the input queue held locally — nothing crosses a thread
-//! but in-process submissions. One pass of the loop:
+//! timer heap and the input queue held locally. No request crosses a
+//! thread — clients, in-process ones included, write frames to the node's
+//! port — only the stop flag and the links' cut flags do. One pass of the
+//! loop:
 //!
 //! 1. supervise the links (dials, deadlines, due-frame writes), then wait
 //!    once, until a socket is ready or the earliest link deadline, engine
 //!    timer, pending stream-end hint, or the 25-ms poll tick;
 //! 2. read every ready socket: decoded peer frames, client requests and
 //!    stream-end hints join the input queue;
-//! 3. dispatch the due timers, that queue, loopback deliveries and
-//!    in-process submissions through the engine's `*_buffered` entry
-//!    points, sealing with `finish_batch` (persist, then flush) after every
-//!    `MAX_BATCH` inputs and at the end of the pass;
+//! 3. dispatch the due timers, that queue and loopback deliveries through
+//!    the engine's `*_buffered` entry points, sealing with `finish_batch`
+//!    (persist, then flush) after every `MAX_BATCH` inputs and at the end
+//!    of the pass;
 //! 4. each seal's [`Transport::flush`] hands each peer's frames, framed
 //!    once, straight to its link, which writes what is due at once.
 
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
+use std::convert::Infallible;
 use std::net::TcpListener;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc;
@@ -30,8 +33,7 @@ use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
 use polling::Poller;
-use tetrabft_engine::{Dest, Engine, Node, Submitter, Time, TimerId, Transport};
-use tetrabft_sim::LinkPlan;
+use tetrabft_engine::{Dest, Engine, FrameRequest, Node, Submitter, Time, TimerId, Transport};
 use tetrabft_types::NodeId;
 use tetrabft_wire::frame::encode_frame_into;
 use tetrabft_wire::{Wire, Writer};
@@ -52,10 +54,6 @@ pub(crate) enum Event<M, R> {
 /// An armed timer in the node's local deadline heap.
 type Arming = (Instant, u64, TimerId);
 
-/// A spawned node: its stop handle plus the channel feeding in-process
-/// submissions (kept internal; submitters wrap it in a [`SubmitHandle`]).
-type Spawned<R> = (NodeHandle, mpsc::Sender<R>);
-
 /// Frames staged for one peer, handed to its link on flush.
 type Batch = Vec<Arc<Vec<u8>>>;
 
@@ -64,27 +62,21 @@ type Batch = Vec<Arc<Vec<u8>>>;
 /// trail the newest processed input.
 const MAX_BATCH: usize = 64;
 
-/// Handle to a running node.
-///
-/// The node's thread stops when the handle is aborted or dropped, closing
-/// every socket it owns; dropping the handle also waits for it to exit.
+/// A running node's thread. Dropping the handle stops the node and waits
+/// for its thread to exit, closing every socket it owns.
 #[derive(Debug)]
-pub struct NodeHandle {
+pub(crate) struct NodeHandle {
     stop: Arc<AtomicBool>,
     poller: Arc<Poller>,
     thread: Option<JoinHandle<()>>,
 }
 
 impl NodeHandle {
-    /// Stops the node: its thread wakes, sees the flag and exits.
-    pub fn abort(&self) {
+    /// Stops the node — its thread wakes, sees the flag and exits — and
+    /// returns once the thread has exited.
+    pub(crate) fn join(&mut self) {
         self.stop.store(true, Ordering::Relaxed);
         let _ = self.poller.notify();
-    }
-
-    /// Stops the node and returns once its thread has exited.
-    pub(crate) fn join(&mut self) {
-        self.abort();
         if let Some(thread) = self.thread.take() {
             let _ = thread.join();
         }
@@ -94,50 +86,6 @@ impl NodeHandle {
 impl Drop for NodeHandle {
     fn drop(&mut self) {
         self.join();
-    }
-}
-
-/// A client's way into a running node's engine: each submission wakes the
-/// node's thread, which admits it in its next pass beside deliveries and
-/// timer firings.
-///
-/// Admission happens on the node's own thread; a transaction the mempool
-/// refuses (full, oversized, duplicate) is dropped there — at the TCP
-/// boundary backpressure is best-effort, while in-process embedders get
-/// the typed error from the node's own submit API.
-pub struct SubmitHandle<R> {
-    send: Box<dyn Fn(R) -> Result<(), SubmitClosed> + Send>,
-}
-
-impl<R> std::fmt::Debug for SubmitHandle<R> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("SubmitHandle").finish_non_exhaustive()
-    }
-}
-
-/// The node this handle fed has shut down.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SubmitClosed;
-
-impl std::fmt::Display for SubmitClosed {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "node is no longer running")
-    }
-}
-
-impl std::error::Error for SubmitClosed {}
-
-impl<R> SubmitHandle<R> {
-    /// Enqueues one client request for the node's engine. Accepts
-    /// anything convertible into the node's request type — for
-    /// `MultiShotNode` that is the typed `Tx` envelope, so both typed
-    /// transactions and legacy `Vec<u8>` payloads submit directly.
-    ///
-    /// # Errors
-    ///
-    /// [`SubmitClosed`] if the node has stopped.
-    pub fn submit(&self, req: impl Into<R>) -> Result<(), SubmitClosed> {
-        (self.send)(req.into())
     }
 }
 
@@ -224,133 +172,82 @@ impl<M: Wire, R, O> Transport<M, O> for TcpTransport<M, R, O> {
     }
 }
 
-/// Runs `node` as `me`, listening on `listener` and dialing the peers of
-/// `topology` (indexed by [`NodeId`]); outputs are forwarded to `outputs`.
-///
-/// Every outbound link is supervised reactor state: it dials with capped
-/// jittered backoff, re-handshakes after drops, and resends unretired
-/// frames, so peers may boot in any order and flapping connections only
-/// delay traffic. One protocol tick is one millisecond of wall-clock time.
-///
-/// # Errors
-///
-/// [`NetError`] if the listener or poller cannot be configured.
-pub fn run_node<N>(
+/// What a node takes from its cluster: where every node listens, where its
+/// outputs go, and its links' setup (conditioners, metrics, cut flags).
+#[derive(Debug)]
+pub(crate) struct Wiring<O> {
+    pub topology: Topology,
+    pub outputs: mpsc::Sender<(NodeId, O)>,
+    pub links: LinkSetup,
+}
+
+/// Starts a peer-only node as `me` on `listener`, on a thread of its own:
+/// it hangs up on client hellos.
+pub(crate) fn spawn_peer<N>(
     node: N,
     me: NodeId,
     listener: TcpListener,
-    topology: Topology,
-    outputs: mpsc::Sender<(NodeId, N::Output)>,
+    wiring: &Wiring<N::Output>,
 ) -> Result<NodeHandle, NetError>
 where
     N: Node + Send + 'static,
     N::Msg: Wire + Send + 'static,
     N::Output: Send + 'static,
 {
-    let links = LinkSetup::new(LinkPlan::ideal(), topology.len(), 0);
-    let (handle, _submissions) = run_node_inner::<N, std::convert::Infallible>(
-        node,
-        me,
-        listener,
-        topology,
-        outputs,
-        links,
-        None,
-        |_, never| match never {},
-    )?;
-    Ok(handle)
+    spawn::<N, Infallible>(node, me, listener, wiring, None, |_, never| match never {})
 }
 
-/// Like [`run_node`] for nodes accepting client submissions
-/// ([`Submitter`]): the returned [`SubmitHandle`] feeds requests into the
-/// node's engine alongside deliveries and timers.
-///
-/// # Errors
-///
-/// As [`run_node`].
-pub fn run_submitter<N>(
+/// Like [`spawn_peer`] for a node that also serves clients on its listen
+/// port: each client frame decodes through [`FrameRequest`] and is admitted
+/// on the node's thread.
+pub(crate) fn spawn_serving<N>(
     node: N,
     me: NodeId,
     listener: TcpListener,
-    topology: Topology,
-    outputs: mpsc::Sender<(NodeId, N::Output)>,
-) -> Result<(NodeHandle, SubmitHandle<N::Request>), NetError>
+    wiring: &Wiring<N::Output>,
+) -> Result<NodeHandle, NetError>
 where
     N: Submitter + Send + 'static,
     N::Msg: Wire + Send + 'static,
     N::Output: Send + 'static,
-    N::Request: Send + 'static,
+    N::Request: FrameRequest + Send + 'static,
 {
-    let links = LinkSetup::new(LinkPlan::ideal(), topology.len(), 0);
-    run_submitter_inner(node, me, listener, topology, outputs, links, None)
-}
-
-pub(crate) fn run_submitter_inner<N>(
-    node: N,
-    me: NodeId,
-    listener: TcpListener,
-    topology: Topology,
-    outputs: mpsc::Sender<(NodeId, N::Output)>,
-    links: LinkSetup,
-    codec: Option<SubmitCodec<N::Request>>,
-) -> Result<(NodeHandle, SubmitHandle<N::Request>), NetError>
-where
-    N: Submitter + Send + 'static,
-    N::Msg: Wire + Send + 'static,
-    N::Output: Send + 'static,
-    N::Request: Send + 'static,
-{
-    let (handle, submissions) = run_node_inner::<N, N::Request>(
-        node,
-        me,
-        listener,
-        topology,
-        outputs,
-        links,
-        codec,
-        // Refused submissions (mempool full, degenerate tx) are dropped
-        // here; the admission verdict lives on the node's thread.
-        |engine, req| {
-            let _ = engine.submit(req);
-        },
-    )?;
-    let poller = Arc::clone(&handle.poller);
-    let submit = SubmitHandle {
-        send: Box::new(move |req| {
-            submissions.send(req).map_err(|_| SubmitClosed)?;
-            let _ = poller.notify();
-            Ok(())
-        }),
+    // Refused submissions (mempool full, degenerate tx) are dropped here;
+    // the admission verdict lives on the node's thread.
+    let admit = |engine: &mut Engine<N>, req| {
+        let _ = engine.submit(req);
     };
-    Ok((handle, submit))
+    spawn(node, me, listener, wiring, Some(N::Request::from_frame), admit)
 }
 
-#[allow(clippy::too_many_arguments)] // internal seam; public entry points are narrow
-pub(crate) fn run_node_inner<N, R>(
+fn spawn<N, R>(
     node: N,
     me: NodeId,
     listener: TcpListener,
-    topology: Topology,
-    outputs: mpsc::Sender<(NodeId, N::Output)>,
-    links: LinkSetup,
+    wiring: &Wiring<N::Output>,
     codec: Option<SubmitCodec<R>>,
-    mut on_submit: impl FnMut(&mut Engine<N>, R) + Send + 'static,
-) -> Result<Spawned<R>, NetError>
+    admit: impl Fn(&mut Engine<N>, R) + Send + 'static,
+) -> Result<NodeHandle, NetError>
 where
     N: Node + Send + 'static,
     N::Msg: Wire + Send + 'static,
     N::Output: Send + 'static,
     R: Send + 'static,
 {
-    let n = topology.len();
+    let (n, outputs) = (wiring.topology.len(), wiring.outputs.clone());
     let stop = Arc::new(AtomicBool::new(false));
-    let (submit_tx, submissions) = mpsc::channel::<R>();
     let poller = Arc::new(Poller::new().map_err(|source| NetError::Listener { source })?);
     // The incarnation is announced in every outbound hello and echoed as
     // the handshake ack, so peers can fence frames buffered for a previous
     // incarnation of this node.
-    let reactor_cfg =
-        ReactorConfig { me, my_incarnation: node.incarnation(), listener, topology, links, codec };
+    let reactor_cfg = ReactorConfig {
+        me,
+        my_incarnation: node.incarnation(),
+        listener,
+        topology: wiring.topology.clone(),
+        links: wiring.links.clone(),
+        codec,
+    };
     let reactor = Reactor::new(reactor_cfg, Arc::clone(&poller))
         .map_err(|source| NetError::Listener { source })?;
 
@@ -388,7 +285,6 @@ where
                 io.inputs.push_back(Event::Timer(id, generation));
             }
             io.reactor.read(wall, &mut io.inputs);
-            io.inputs.extend(submissions.try_iter().map(Event::Submit));
 
             // Loopback deliveries join the back of the queue and are
             // dispatched in the same pass.
@@ -409,7 +305,7 @@ where
                         engine.on_timer_buffered(id, generation, now(), &mut io)
                     }
                     Event::Submit(req) => {
-                        on_submit(&mut engine, req);
+                        admit(&mut engine, req);
                         false
                     }
                 };
@@ -424,5 +320,5 @@ where
         }
     });
 
-    Ok((NodeHandle { stop, poller, thread: Some(thread) }, submit_tx))
+    Ok(NodeHandle { stop, poller, thread: Some(thread) })
 }

@@ -34,7 +34,7 @@
 //!   buffer and become due at heal + delay, the same price
 //!   `LinkPlan::route_at` charges in the simulator).
 //!
-//! [`LinkPlan`]: tetrabft_sim::LinkPlan
+//! [`LinkPlan`]: tetrabft_engine::LinkPlan
 
 use std::collections::VecDeque;
 use std::io::{self, Read, Write};

@@ -196,10 +196,10 @@ impl Topology {
     }
 
     /// Binds node `me`'s address like [`Topology::bind`], but keeps
-    /// retrying `AddrInUse` for up to `window` — the restart path: a node
-    /// rebinding its own port races its dying accept loop, which holds the
-    /// listener for one final ≤20 ms poll (and the OS may lag the release
-    /// slightly further). Any other bind failure still fails immediately.
+    /// retrying `AddrInUse` for up to `window` — the restart path: the
+    /// killed node's thread has exited and dropped its listener, but the
+    /// OS may lag the port's release. Any other bind failure still fails
+    /// immediately.
     ///
     /// # Errors
     ///

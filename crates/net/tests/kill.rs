@@ -6,6 +6,8 @@
 //! while the rest of the cluster runs under load.
 
 use std::fs;
+use std::io::{Read, Write};
+use std::net::TcpStream;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -14,8 +16,9 @@ use std::time::{Duration, Instant};
 
 use tetrabft::Params;
 use tetrabft_multishot::MultiShotNode;
-use tetrabft_net::ClusterBuilder;
+use tetrabft_net::{ClusterBuilder, CLIENT_HELLO_ID};
 use tetrabft_types::{Config, NodeId};
+use tetrabft_wire::frame::encode_frame;
 
 const VICTIM: NodeId = NodeId(1);
 
@@ -46,12 +49,12 @@ fn digest(dir: &Path) -> Vec<(PathBuf, u64, u64)> {
 fn a_killed_node_writes_nothing_after_kill_returns_and_restarts_at_once() {
     let base = std::env::temp_dir().join(format!("tetrabft-kill-{}", std::process::id()));
     let _ = fs::remove_dir_all(&base);
-    let ((mut cluster, handles), _net) = ClusterBuilder::new(4)
-        .spawn_submitting(|id| durable_node(&base, id))
-        .expect("cluster spawns");
+    let ((mut cluster, handles), _net) =
+        ClusterBuilder::new(4).spawn_serving(|id| durable_node(&base, id)).expect("cluster spawns");
 
     // Every node, the victim included, admits a transaction every
-    // millisecond until the end; the victim's handle dies with it.
+    // millisecond until the end; the victim's handle fails while it is
+    // down and dials the restarted node.
     let stop = Arc::new(AtomicBool::new(false));
     let load = {
         let stop = Arc::clone(&stop);
@@ -61,7 +64,7 @@ fn a_killed_node_writes_nothing_after_kill_returns_and_restarts_at_once() {
                     return;
                 }
                 for (node, handle) in handles.iter().enumerate() {
-                    let _ = handle.submit(format!("n{node}-t{k}").into_bytes());
+                    let _ = handle.submit(format!("n{node}-t{k}").as_bytes());
                 }
                 thread::sleep(Duration::from_millis(1));
             }
@@ -91,7 +94,7 @@ fn a_killed_node_writes_nothing_after_kill_returns_and_restarts_at_once() {
     assert_eq!(digest(&dir), at_kill, "the killed node's files changed after kill returned");
 
     // No sleep: the directory is the restarted node's alone.
-    cluster.restart_node(VICTIM, durable_node(&base, VICTIM)).expect("victim rebinds");
+    cluster.restart_submitter(VICTIM, durable_node(&base, VICTIM)).expect("victim rebinds");
     let deadline = Instant::now() + Duration::from_secs(30);
     loop {
         let left = deadline.saturating_duration_since(Instant::now());
@@ -102,6 +105,40 @@ fn a_killed_node_writes_nothing_after_kill_returns_and_restarts_at_once() {
     }
     stop.store(true, Ordering::Relaxed);
     load.join().unwrap();
+    drop(cluster);
+    let _ = fs::remove_dir_all(&base);
+}
+
+#[test]
+fn a_node_restarted_into_a_serving_cluster_serves_clients_again() {
+    let base = std::env::temp_dir().join(format!("tetrabft-reserve-{}", std::process::id()));
+    let _ = fs::remove_dir_all(&base);
+    let ((mut cluster, _handles), _net) = ClusterBuilder::new(4)
+        .spawn_serving(|id| durable_node(&base, id))
+        .expect("serving cluster spawns");
+    cluster.next_output_timeout(Duration::from_secs(30)).expect("finalizes");
+
+    cluster.kill(VICTIM);
+    cluster.restart_submitter(VICTIM, durable_node(&base, VICTIM)).expect("victim rebinds");
+
+    let mut client = TcpStream::connect(cluster.topology().addr(VICTIM)).expect("client dials");
+    client.set_read_timeout(Some(Duration::from_secs(10))).expect("read timeout");
+    let mut hello = [0u8; 10];
+    hello[..2].copy_from_slice(&CLIENT_HELLO_ID.to_be_bytes());
+    client.write_all(&hello).expect("hello");
+    let mut ack = [0u8; 8];
+    client.read_exact(&mut ack).expect("the restarted node acks a client");
+
+    let payload = b"after-the-restart".to_vec();
+    client.write_all(&encode_frame(&payload).expect("frame")).expect("submit");
+    let deadline = Instant::now() + Duration::from_secs(30);
+    loop {
+        let left = deadline.saturating_duration_since(Instant::now());
+        let (_, fin) = cluster.next_output_timeout(left).expect("the payload finalizes");
+        if fin.block.txs.contains(&payload) {
+            break;
+        }
+    }
     drop(cluster);
     let _ = fs::remove_dir_all(&base);
 }

@@ -12,11 +12,11 @@ use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::time::{Duration, Instant};
 
+use tetrabft_engine::{Context, Input, Node, Submitter, TimerId, WireSize};
 use tetrabft_net::{
     Cluster, ClusterBuilder, EdgeSpec, FrameRequest, LinkPlan, NetControl, PartitionWindow,
     CLIENT_HELLO_ID,
 };
-use tetrabft_sim::{Context, Input, Node, Submitter, TimerId, WireSize};
 use tetrabft_types::NodeId;
 use tetrabft_wire::{Reader, Wire, WireError, Writer};
 

@@ -16,7 +16,7 @@ use std::time::{Duration, Instant};
 
 use tetrabft::{Params, TetraNode};
 use tetrabft_multishot::{MultiShotNode, TxId};
-use tetrabft_net::{Cluster, ClusterBuilder, CLIENT_HELLO_ID};
+use tetrabft_net::{ClusterBuilder, CLIENT_HELLO_ID};
 use tetrabft_types::{Config, NodeId, Value};
 use tetrabft_wire::frame::encode_frame;
 
@@ -90,9 +90,9 @@ fn reactor_runtime_is_one_thread_per_node_and_serves_tcp_clients() {
 
     // --- Thread budget on a plain (non-serving) cluster. -----------------
     let cfg = Config::new(n).unwrap();
-    let mut cluster =
-        Cluster::spawn(n, |id| TetraNode::new(cfg, Params::new(500), id, Value::from_u64(7)))
-            .expect("cluster spawns");
+    let (mut cluster, _net) = ClusterBuilder::new(n)
+        .spawn(|id| TetraNode::new(cfg, Params::new(500), id, Value::from_u64(7)))
+        .expect("cluster spawns");
     for _ in 0..n {
         cluster.next_output_timeout(Duration::from_secs(30)).expect("decides");
     }

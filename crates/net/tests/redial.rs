@@ -10,8 +10,8 @@
 
 use std::time::{Duration, Instant};
 
+use tetrabft_engine::{Context, Input, Node, TimerId, WireSize};
 use tetrabft_net::ClusterBuilder;
-use tetrabft_sim::{Context, Input, Node, TimerId, WireSize};
 use tetrabft_types::NodeId;
 use tetrabft_wire::{Reader, Wire, WireError, Writer};
 

@@ -1,15 +1,15 @@
-//! An in-process submission wakes a sleeping node: the engine steps on the
-//! node's one thread, which sleeps in its poller between passes, so a
-//! `SubmitHandle::submit` must wake that poller — not wait for the next
-//! 25-ms poll tick to be noticed.
+//! A client frame wakes a sleeping node: the engine steps on the node's one
+//! thread, which sleeps in its poller between passes, so a frame arriving
+//! on a client connection must be admitted at once — not at the next 25-ms
+//! poll tick.
 //!
 //! Its own binary: the assertion is a wall-clock bound.
 
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
+use tetrabft_engine::{Context, FrameRequest, Input, Node, Submitter, WireSize};
 use tetrabft_net::ClusterBuilder;
-use tetrabft_sim::{Context, Input, Node, Submitter, WireSize};
 use tetrabft_wire::{Reader, Wire, WireError, Writer};
 
 /// How late an admission may be stamped after `submit` returns.
@@ -31,9 +31,18 @@ impl WireSize for Nothing {
     }
 }
 
+/// A client request: one big-endian `u32` per 4-byte frame.
+struct Seq(u32);
+
+impl FrameRequest for Seq {
+    fn from_frame(bytes: &[u8]) -> Option<Self> {
+        Some(Seq(u32::from_be_bytes(bytes.try_into().ok()?)))
+    }
+}
+
 /// Sends nothing, arms nothing; stamps every request it admits.
 struct Recorder {
-    accepted: Arc<Mutex<Vec<Instant>>>,
+    accepted: Arc<Mutex<Vec<(u32, Instant)>>>,
 }
 
 impl Node for Recorder {
@@ -44,20 +53,20 @@ impl Node for Recorder {
 }
 
 impl Submitter for Recorder {
-    type Request = u32;
+    type Request = Seq;
     type SubmitError = ();
 
-    fn accept(&mut self, _: u32) -> Result<(), ()> {
-        self.accepted.lock().unwrap().push(Instant::now());
+    fn accept(&mut self, Seq(i): Seq) -> Result<(), ()> {
+        self.accepted.lock().unwrap().push((i, Instant::now()));
         Ok(())
     }
 }
 
 #[test]
-fn a_submission_wakes_an_idle_node_at_once() {
+fn a_client_frame_wakes_an_idle_node_at_once() {
     let accepted = Arc::new(Mutex::new(Vec::new()));
     let ((_cluster, handles), _net) = ClusterBuilder::new(4)
-        .spawn_submitting(|_| Recorder { accepted: Arc::clone(&accepted) })
+        .spawn_serving(|_| Recorder { accepted: Arc::clone(&accepted) })
         .expect("cluster spawns");
     // Let the links come up; after that nothing happens on any node.
     std::thread::sleep(Duration::from_millis(100));
@@ -65,15 +74,16 @@ fn a_submission_wakes_an_idle_node_at_once() {
     let mut returned = Vec::new();
     for i in 0..20u32 {
         std::thread::sleep(Duration::from_millis(40));
-        handles[0].submit(i).expect("node 0 is running");
-        returned.push(Instant::now());
+        handles[0].submit(&i.to_be_bytes()).expect("node 0 is running");
+        returned.push((i, Instant::now()));
     }
     std::thread::sleep(Duration::from_millis(100));
 
     let stamps = accepted.lock().unwrap().clone();
-    assert_eq!(stamps.len(), returned.len(), "every submission is admitted");
-    for (i, (stamp, back)) in stamps.iter().zip(&returned).enumerate() {
+    assert_eq!(stamps.len(), returned.len(), "every frame is admitted");
+    for ((seq, stamp), (i, back)) in stamps.iter().zip(&returned) {
+        assert_eq!(seq, i, "frames are admitted in order");
         let late = stamp.saturating_duration_since(*back);
-        assert!(late <= BOUND, "submission {i} was admitted {late:?} after submit returned");
+        assert!(late <= BOUND, "frame {i} was admitted {late:?} after submit returned");
     }
 }

@@ -67,7 +67,6 @@
 
 mod actors;
 mod metrics;
-mod plan;
 mod policy;
 mod queue;
 mod runner;
@@ -78,13 +77,13 @@ pub use actors::{
     DEFAULT_BYZ_BUDGET,
 };
 pub use metrics::{KindMetrics, Metrics, NodeMetrics};
-pub use plan::{EdgeSpec, LinkPlan, PartitionWindow, PlanParseError};
 pub use policy::{LinkPolicy, Route, RouteEnv};
 pub use runner::{OutputRecord, Sim, SimBuilder};
-// The node abstraction and the engine loop live in `tetrabft-engine`; the
-// simulator re-exports them so protocol crates keep a single import path.
+// The node abstraction, the engine loop and the link-plan language live in
+// `tetrabft-engine`; the simulator re-exports them so protocol crates keep
+// a single import path.
 pub use tetrabft_engine::{
-    Action, ActionBuf, Context, Dest, Engine, FrameRequest, Input, Node, Submitter, Time, TimerId,
-    Transport, WireSize, NEVER,
+    Action, ActionBuf, Context, Dest, EdgeSpec, Engine, FrameRequest, Input, LinkPlan, Node,
+    PartitionWindow, PlanParseError, Submitter, Time, TimerId, Transport, WireSize, NEVER,
 };
 pub use trace::TraceEvent;

@@ -10,7 +10,7 @@
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use tetrabft_engine::{Dest, Engine, Node, Time, TimerId, Transport, WireSize};
+use tetrabft_engine::{Dest, Engine, LinkPlan, Node, Time, TimerId, Transport, WireSize};
 use tetrabft_types::NodeId;
 
 use crate::metrics::Metrics;
@@ -65,11 +65,17 @@ impl SimBuilder {
         self
     }
 
-    /// Sets the link policy from a declarative [`crate::LinkPlan`] — the
-    /// same plan the TCP layer (`tetrabft-net`) consumes, so one scenario
-    /// description drives both runtimes (one tick = one millisecond).
-    pub fn plan(self, plan: &crate::LinkPlan) -> Self {
-        self.policy(plan.policy())
+    /// Sets the link policy from a declarative [`LinkPlan`] — the same plan
+    /// the TCP layer (`tetrabft-net`) consumes, so one scenario description
+    /// drives both runtimes (one tick = one millisecond).
+    pub fn plan(self, plan: &LinkPlan) -> Self {
+        let plan = plan.clone();
+        self.policy(LinkPolicy::scripted(move |env, rng| {
+            match plan.route_at(env.from, env.to, env.now.0, rng) {
+                Some(at) => Route::DeliverAt(Time(at)),
+                None => Route::Drop,
+            }
+        }))
     }
 
     /// Enables the event trace (off by default; it grows with the run).
@@ -584,5 +590,24 @@ mod tests {
         sim.run_until(Time(35));
         assert_eq!(sim.outputs().len(), 3); // t=10, 20, 30
         assert_eq!(sim.now(), Time(30));
+    }
+
+    #[test]
+    fn policy_mirrors_the_plan_in_virtual_time() {
+        use crate::{EdgeSpec, PartitionWindow};
+        let plan = LinkPlan::uniform(EdgeSpec::delay(30)).partition(PartitionWindow::isolate(
+            0,
+            600,
+            [NodeId(0)],
+        ));
+        let mut policy = SimBuilder::new(3).plan(&plan).policy;
+        let mut r = StdRng::seed_from_u64(7);
+        let env = |from, to, now| RouteEnv { from, to, now: Time(now), size: 8 };
+        assert_eq!(
+            policy.route(env(NodeId(0), NodeId(2), 5), &mut r),
+            Route::DeliverAt(Time(630)),
+            "severed traffic heals at the window end plus the edge delay"
+        );
+        assert_eq!(policy.route(env(NodeId(1), NodeId(2), 5), &mut r), Route::DeliverAt(Time(35)));
     }
 }

@@ -6,7 +6,7 @@
 //! cargo run --example tcp_cluster
 //! ```
 
-use tetrabft_net::Cluster;
+use tetrabft_net::ClusterBuilder;
 use tetrabft_suite::prelude::*;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -14,7 +14,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     println!("— single-shot consensus over TCP —");
     let started = std::time::Instant::now();
-    let mut cluster = Cluster::spawn(4, |id| {
+    let (mut cluster, _net) = ClusterBuilder::new(4).spawn(|id| {
         TetraNode::new(cfg, Params::new(300), id, Value::from_u64(40 + u64::from(id.0)))
     })?;
     for _ in 0..4 {
@@ -24,12 +24,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     drop(cluster);
 
     println!("\n— multi-shot blockchain over TCP —");
-    let (mut chain_cluster, submitters) =
-        Cluster::spawn_submitting(4, |id| MultiShotNode::new(cfg, Params::new(300), id))?;
-    // Client transactions enter the running cluster on each node's one
-    // thread, in the same input queue as deliveries and timer firings.
+    let ((mut chain_cluster, submitters), _net) =
+        ClusterBuilder::new(4).spawn_serving(|id| MultiShotNode::new(cfg, Params::new(300), id))?;
+    // Client transactions enter the running cluster as frames on each
+    // node's client port, and join the same input queue on the node's one
+    // thread as deliveries and timer firings.
     for (i, handle) in submitters.iter().enumerate() {
-        handle.submit(format!("client-tx-{i}").into_bytes()).expect("cluster is live");
+        handle.submit(format!("client-tx-{i}").as_bytes())?;
     }
     let mut finalized = 0;
     while finalized < 12 {

@@ -59,10 +59,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // ---- run ------------------------------------------------------------
     let started = Instant::now();
     let ((mut cluster, submitters), net) =
-        builder.spawn_submitting(|id| MultiShotNode::new(cfg, params, id))?;
+        builder.spawn_serving(|id| MultiShotNode::new(cfg, params, id))?;
     for (i, handle) in submitters.iter().enumerate() {
         for t in 0..4 {
-            handle.submit(format!("client-{i}-tx-{t}").into_bytes())?;
+            handle.submit(format!("client-{i}-tx-{t}").as_bytes())?;
         }
     }
 

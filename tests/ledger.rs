@@ -580,28 +580,30 @@ fn sim_replicas_agree_on_state_roots() {
 
 // ---- replica agreement: real TCP cluster --------------------------------
 
-/// A live four-node TCP cluster with typed transfers submitted through
-/// `SubmitHandle`s: every node's finalized stream executes to the same
-/// per-block roots as the others — the same check as the sim tests, over
-/// real sockets.
+/// A live four-node TCP cluster with transfers submitted as client frames
+/// through a `SubmitHandle` — `transfer_admission` runs at the TCP door, as
+/// under the benchmark's load: every node's finalized stream executes to
+/// the same per-block roots as the others — the same check as the sim
+/// tests, over real sockets.
 #[test]
 fn tcp_cluster_replicas_agree_on_state_roots() {
     use std::time::{Duration, Instant};
-    use tetrabft_suite::net::Cluster;
+    use tetrabft_suite::net::ClusterBuilder;
 
     let n = 4;
     let total = 12u64;
     let cfg = Config::new(n).unwrap();
     let genesis = [(AccountId(1), 1_000)];
-    let (mut cluster, submitters) = Cluster::spawn_submitting(n, |id| {
-        MultiShotNode::new(cfg, Params::new(300), id).with_admission(transfer_admission)
-    })
-    .expect("cluster spawns");
+    let ((mut cluster, submitters), _net) = ClusterBuilder::new(n)
+        .spawn_serving(|id| {
+            MultiShotNode::new(cfg, Params::new(300), id).with_admission(transfer_admission)
+        })
+        .expect("cluster spawns");
     for t in 0..total {
         let tx = Transfer { from: AccountId(1), to: AccountId(2), amount: 5, nonce: t };
         // Submit to one node only: exactly-once inclusion without relying
         // on cross-node dedup.
-        submitters[0].submit(&tx).expect("cluster is running");
+        submitters[0].submit(&tx.canonical_bytes()).expect("cluster is running");
     }
 
     let mut replicas: Vec<LedgerReplica> = (0..n).map(|_| LedgerReplica::new(genesis)).collect();
