@@ -14,8 +14,7 @@ use tetrabft_engine::{Context, Input, Node, TimerId, WireSize};
 use tetrabft_types::{Config, NodeId, Value, View, VoteInfo};
 use tetrabft_wire::{Reader, Wire, WireError, Writer};
 
-use crate::common::{PhaseRegisters, ViewChangeEngine, ViewChangeVerdict};
-use tetrabft::Params;
+use tetrabft::{Params, ViewChanges, ViewVerdict, VoteRegisters};
 
 /// Phase indices into the register file.
 const ECHO: usize = 0;
@@ -163,8 +162,8 @@ pub struct IthsNode {
     me: NodeId,
     input: Value,
     view: View,
-    regs: PhaseRegisters<5>,
-    vc: ViewChangeEngine,
+    regs: VoteRegisters<5>,
+    vc: ViewChanges,
     /// Per-peer latest suggest (view, key3, lock) — leader state.
     suggests: Vec<Option<SuggestRecord>>,
     proposal: Option<(View, Value)>,
@@ -187,8 +186,8 @@ impl IthsNode {
             me,
             input,
             view: View::ZERO,
-            regs: PhaseRegisters::new(&cfg),
-            vc: ViewChangeEngine::new(&cfg),
+            regs: VoteRegisters::new(&cfg),
+            vc: ViewChanges::new(&cfg),
             suggests: vec![None; cfg.n()],
             proposal: None,
             sent: [None; 5],
@@ -227,20 +226,16 @@ impl IthsNode {
 
     fn drive(&mut self, ctx: &mut Ctx<'_>) {
         loop {
-            let mut dirty = false;
-            // View-change engine.
-            match self.vc.poll(&self.cfg, self.view) {
-                ViewChangeVerdict::Enter(v) => {
-                    self.enter_view(v, ctx);
-                    dirty = true;
-                }
-                ViewChangeVerdict::Echo(v) => {
+            let verdict = self.vc.poll(self.view);
+            match verdict {
+                ViewVerdict::Enter(v) => self.enter_view(v, ctx),
+                ViewVerdict::Echo(v) => {
                     self.vc.sent = Some(v);
                     ctx.broadcast(IthsMsg::ViewChange { view: v });
-                    dirty = true;
                 }
-                ViewChangeVerdict::Idle => {}
+                ViewVerdict::Idle => {}
             }
+            let mut dirty = verdict != ViewVerdict::Idle;
             dirty |= self.step_propose(ctx);
             dirty |= self.step_echo(ctx);
             dirty |= self.step_keys(ctx);
@@ -302,12 +297,7 @@ impl IthsNode {
             if self.already(next) {
                 continue;
             }
-            let Some((value, _)) = self
-                .regs
-                .tallies(prev, self.view)
-                .into_iter()
-                .find(|(_, c)| self.cfg.is_quorum(*c))
-            else {
+            let Some(value) = self.regs.quorum_value(prev, self.view, self.cfg.quorum()) else {
                 continue;
             };
             if next == KEY1 {
@@ -339,9 +329,7 @@ impl IthsNode {
         if self.decided.is_some() {
             return false;
         }
-        let Some((value, _)) =
-            self.regs.tallies(LOCK, self.view).into_iter().find(|(_, c)| self.cfg.is_quorum(*c))
-        else {
+        let Some(value) = self.regs.quorum_value(LOCK, self.view, self.cfg.quorum()) else {
             return false;
         };
         self.decided = Some(value);
@@ -395,9 +383,7 @@ impl Node for IthsNode {
                 self.drive(ctx);
             }
             Input::Timer { id } if id == VIEW_TIMER => {
-                let target = self.view.next().max(self.vc.sent.unwrap_or(View::ZERO));
-                self.vc.sent = Some(target);
-                ctx.broadcast(IthsMsg::ViewChange { view: target });
+                ctx.broadcast(IthsMsg::ViewChange { view: self.vc.timeout(self.view) });
                 ctx.set_timer(VIEW_TIMER, self.params.view_timeout());
                 self.drive(ctx);
             }

@@ -10,8 +10,7 @@ use tetrabft_engine::{Context, Input, Node, TimerId, WireSize};
 use tetrabft_types::{Config, NodeId, Value, View, VoteInfo};
 use tetrabft_wire::{Reader, Wire, WireError, Writer};
 
-use crate::common::{PhaseRegisters, ViewChangeEngine, ViewChangeVerdict};
-use tetrabft::Params;
+use tetrabft::{Params, ViewChanges, ViewVerdict, VoteRegisters};
 
 const ECHO: usize = 0;
 const ACCEPT: usize = 1;
@@ -129,8 +128,8 @@ pub struct BlogNode {
     me: NodeId,
     input: Value,
     view: View,
-    regs: PhaseRegisters<3>,
-    vc: ViewChangeEngine,
+    regs: VoteRegisters<3>,
+    vc: ViewChanges,
     suggests: Vec<Option<(View, Option<VoteInfo>)>>,
     proposal: Option<(View, Value)>,
     sent: [Option<View>; 3],
@@ -150,8 +149,8 @@ impl BlogNode {
             me,
             input,
             view: View::ZERO,
-            regs: PhaseRegisters::new(&cfg),
-            vc: ViewChangeEngine::new(&cfg),
+            regs: VoteRegisters::new(&cfg),
+            vc: ViewChanges::new(&cfg),
             suggests: vec![None; cfg.n()],
             proposal: None,
             sent: [None; 3],
@@ -192,19 +191,16 @@ impl BlogNode {
 
     fn drive(&mut self, ctx: &mut Ctx<'_>) {
         loop {
-            let mut dirty = false;
-            match self.vc.poll(&self.cfg, self.view) {
-                ViewChangeVerdict::Enter(v) => {
-                    self.enter_view(v, ctx);
-                    dirty = true;
-                }
-                ViewChangeVerdict::Echo(v) => {
+            let verdict = self.vc.poll(self.view);
+            match verdict {
+                ViewVerdict::Enter(v) => self.enter_view(v, ctx),
+                ViewVerdict::Echo(v) => {
                     self.vc.sent = Some(v);
                     ctx.broadcast(BlogMsg::ViewChange { view: v });
-                    dirty = true;
                 }
-                ViewChangeVerdict::Idle => {}
+                ViewVerdict::Idle => {}
             }
+            let mut dirty = verdict != ViewVerdict::Idle;
             dirty |= self.step_propose(ctx);
             dirty |= self.step_phases(ctx);
             dirty |= self.step_decide(ctx);
@@ -254,12 +250,7 @@ impl BlogNode {
             if self.already(next) {
                 continue;
             }
-            let Some((value, _)) = self
-                .regs
-                .tallies(prev, self.view)
-                .into_iter()
-                .find(|(_, c)| self.cfg.is_quorum(*c))
-            else {
+            let Some(value) = self.regs.quorum_value(prev, self.view, self.cfg.quorum()) else {
                 continue;
             };
             if next == ACCEPT && self.lock.is_some_and(|l| l.value != value) {
@@ -281,9 +272,7 @@ impl BlogNode {
         if self.decided.is_some() {
             return false;
         }
-        let Some((value, _)) =
-            self.regs.tallies(LOCK, self.view).into_iter().find(|(_, c)| self.cfg.is_quorum(*c))
-        else {
+        let Some(value) = self.regs.quorum_value(LOCK, self.view, self.cfg.quorum()) else {
             return false;
         };
         self.decided = Some(value);
@@ -326,9 +315,7 @@ impl Node for BlogNode {
                 self.drive(ctx);
             }
             Input::Timer { id } if id == VIEW_TIMER => {
-                let target = self.view.next().max(self.vc.sent.unwrap_or(View::ZERO));
-                self.vc.sent = Some(target);
-                ctx.broadcast(BlogMsg::ViewChange { view: target });
+                ctx.broadcast(BlogMsg::ViewChange { view: self.vc.timeout(self.view) });
                 ctx.set_timer(VIEW_TIMER, self.params.view_timeout());
                 self.drive(ctx);
             }

@@ -21,19 +21,19 @@
 //! originals have no open-source unauthenticated implementations); their
 //! good-case and view-change message flows follow the phase structures the
 //! TetraBFT paper itself attributes to them in Section 1.2, which is
-//! exactly what Table 1 measures. See DESIGN.md §2 for the substitution
-//! argument.
+//! exactly what Table 1 measures. They receive through TetraBFT's own
+//! receive model — [`tetrabft::VoteRegisters`] for their vote phases and
+//! [`tetrabft::ViewChanges`] for the view change — so the comparison runs
+//! over literally the same registers (DESIGN.md §2).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod common;
 pub mod iths;
 pub mod ithsblog;
 pub mod pbft;
 pub mod repeated;
 
-pub use common::{PhaseRegisters, ViewChangeEngine, ViewChangeVerdict};
 pub use iths::IthsNode;
 pub use ithsblog::BlogNode;
 pub use pbft::PbftNode;

@@ -15,8 +15,7 @@ use tetrabft_engine::{Context, Input, Node, TimerId, WireSize};
 use tetrabft_types::{Config, NodeId, Value, View, VoteInfo};
 use tetrabft_wire::{Reader, Wire, WireError, Writer};
 
-use crate::common::{PhaseRegisters, ViewChangeEngine, ViewChangeVerdict};
-use tetrabft::Params;
+use tetrabft::{Params, ViewChanges, ViewVerdict, VoteRegisters};
 
 const PREPARE: usize = 0;
 const COMMIT: usize = 1;
@@ -211,8 +210,8 @@ pub struct PbftNode {
     me: NodeId,
     input: Value,
     view: View,
-    regs: PhaseRegisters<2>,
-    requests: ViewChangeEngine,
+    regs: VoteRegisters<2>,
+    requests: ViewChanges,
     /// Per-peer latest view-change record.
     vcs: Vec<Option<VcSlot>>,
     /// Per-peer highest new-view ack.
@@ -241,8 +240,8 @@ impl PbftNode {
             me,
             input,
             view: View::ZERO,
-            regs: PhaseRegisters::new(&cfg),
-            requests: ViewChangeEngine::new(&cfg),
+            regs: VoteRegisters::new(&cfg),
+            requests: ViewChanges::new(&cfg),
             vcs: vec![None; cfg.n()],
             acks: vec![None; cfg.n()],
             proposal: None,
@@ -288,13 +287,13 @@ impl PbftNode {
     /// Requests (timeout signals) gather like view-changes: echo at f+1;
     /// at a quorum, broadcast the certificate-carrying ViewChange.
     fn step_request_engine(&mut self, ctx: &mut Ctx<'_>) -> bool {
-        match self.requests.poll(&self.cfg, self.view) {
-            ViewChangeVerdict::Echo(v) => {
+        match self.requests.poll(self.view) {
+            ViewVerdict::Echo(v) => {
                 self.requests.sent = Some(v);
                 ctx.broadcast(PbftMsg::Request { view: v });
                 true
             }
-            ViewChangeVerdict::Enter(v) => {
+            ViewVerdict::Enter(v) => {
                 if self.vc_broadcast.is_some_and(|b| b >= v) {
                     return false;
                 }
@@ -306,7 +305,7 @@ impl PbftNode {
                 });
                 true
             }
-            ViewChangeVerdict::Idle => false,
+            ViewVerdict::Idle => false,
         }
     }
 
@@ -397,12 +396,7 @@ impl PbftNode {
         }
         // prepare quorum → commit (and record the certificate).
         if !self.already(COMMIT) {
-            if let Some((value, _)) = self
-                .regs
-                .tallies(PREPARE, self.view)
-                .into_iter()
-                .find(|(_, c)| self.cfg.is_quorum(*c))
-            {
+            if let Some(value) = self.regs.quorum_value(PREPARE, self.view, self.cfg.quorum()) {
                 self.prepared = Some(VoteInfo::new(self.view, value));
                 self.cert = self
                     .regs
@@ -422,9 +416,7 @@ impl PbftNode {
         if self.decided.is_some() {
             return false;
         }
-        let Some((value, _)) =
-            self.regs.tallies(COMMIT, self.view).into_iter().find(|(_, c)| self.cfg.is_quorum(*c))
-        else {
+        let Some(value) = self.regs.quorum_value(COMMIT, self.view, self.cfg.quorum()) else {
             return false;
         };
         self.decided = Some(value);
@@ -489,9 +481,7 @@ impl Node for PbftNode {
                 self.drive(ctx);
             }
             Input::Timer { id } if id == VIEW_TIMER => {
-                let target = self.view.next().max(self.requests.sent.unwrap_or(View::ZERO));
-                self.requests.sent = Some(target);
-                ctx.broadcast(PbftMsg::Request { view: target });
+                ctx.broadcast(PbftMsg::Request { view: self.requests.timeout(self.view) });
                 ctx.set_timer(VIEW_TIMER, self.params.view_timeout());
                 self.drive(ctx);
             }

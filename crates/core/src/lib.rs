@@ -60,4 +60,4 @@ pub mod strategies;
 pub use msg::{Message, ProofData, SuggestData};
 pub use node::{TetraNode, VIEW_TIMER};
 pub use params::Params;
-pub use records::{PeerRecord, Registers};
+pub use records::{PeerRecord, Registers, ViewChanges, ViewVerdict, VoteRegisters};

@@ -5,7 +5,7 @@ use tetrabft_types::{Config, NodeId, Phase, Value, View, VoteBook};
 
 use crate::msg::Message;
 use crate::params::Params;
-use crate::records::Registers;
+use crate::records::{Registers, ViewChanges, ViewVerdict};
 use crate::rules::{leader_determine_safe, node_determine_safe};
 
 /// The single protocol timer: the per-view timeout of `9Δ`.
@@ -16,7 +16,7 @@ pub const VIEW_TIMER: TimerId = TimerId(0);
 /// The node is a deterministic state machine ([`tetrabft_engine::Node`]); its
 /// complete persistent state is the [`VoteBook`] (six registers — the
 /// constant-storage claim of Table 1), and its volatile state is the
-/// per-peer [`Registers`] snapshot (O(1) per peer).
+/// per-peer [`Registers`] and [`ViewChanges`] snapshot (O(1) per peer).
 ///
 /// A node emits its decided [`Value`] exactly once as its output, then keeps
 /// participating so that slower nodes can still decide (its vote book makes
@@ -35,10 +35,9 @@ pub struct TetraNode {
     view: View,
     book: VoteBook,
     regs: Registers,
+    vc: ViewChanges,
     /// Leader flag: already proposed in the current view.
     proposed: bool,
-    /// Highest view-change this node has broadcast.
-    vc_sent: Option<View>,
     decided: Option<Value>,
     /// Reusable scratch for view-change suggest collection: filled by
     /// `Registers::suggests_into` each re-evaluation, so collecting
@@ -59,8 +58,8 @@ impl TetraNode {
             view: View::ZERO,
             book: VoteBook::new(),
             regs: Registers::new(&cfg),
+            vc: ViewChanges::new(&cfg),
             proposed: false,
-            vc_sent: None,
             decided: None,
             scratch_suggests: Vec::new(),
             scratch_proofs: Vec::new(),
@@ -145,28 +144,17 @@ impl TetraNode {
         }
     }
 
-    /// View-change engine: enter on `n − f` support, echo on `f + 1`.
+    /// View change: enter on `n − f` support, echo on `f + 1`.
     fn step_view_change(&mut self, ctx: &mut Context<'_, Message, Value>) -> bool {
-        let candidates = self.regs.view_change_candidates(self.view);
-        // Entering: take the highest view with quorum support.
-        for &v in &candidates {
-            if self.cfg.is_quorum(self.regs.view_change_support(v)) {
-                self.enter_view(v, ctx);
-                return true;
+        match self.vc.poll(self.view) {
+            ViewVerdict::Enter(view) => self.enter_view(view, ctx),
+            ViewVerdict::Echo(view) => {
+                self.vc.sent = Some(view);
+                ctx.broadcast(Message::ViewChange { view });
             }
+            ViewVerdict::Idle => return false,
         }
-        // Echoing: the highest view with blocking-set support not yet
-        // acknowledged by our own view-change broadcast.
-        for &v in &candidates {
-            if self.cfg.is_blocking(self.regs.view_change_support(v))
-                && self.vc_sent.is_none_or(|sent| v > sent)
-            {
-                self.vc_sent = Some(v);
-                ctx.broadcast(Message::ViewChange { view: v });
-                return true;
-            }
-        }
-        false
+        true
     }
 
     /// Step 2: the leader proposes once a safe value is certified (Rule 1).
@@ -246,22 +234,12 @@ impl TetraNode {
     /// view, if any: an allocation-free lookup in the registers'
     /// incremental tally tables.
     fn quorum_at_current_view(&self, phase: Phase) -> Option<Value> {
-        self.regs.quorum_value(phase, self.view, self.cfg.quorum())
+        self.regs.votes().quorum_value(phase.index(), self.view, self.cfg.quorum())
     }
 
     fn cast(&mut self, phase: Phase, value: Value, ctx: &mut Context<'_, Message, Value>) {
         self.book.record(phase, self.view, value);
         ctx.broadcast(Message::Vote { phase, view: self.view, value });
-    }
-
-    fn on_timeout(&mut self, ctx: &mut Context<'_, Message, Value>) {
-        // Ask for the next view (or re-broadcast the highest ask so far —
-        // pre-GST losses make retransmission necessary for liveness).
-        let target = self.view.next().max(self.vc_sent.unwrap_or(View::ZERO));
-        self.vc_sent = Some(target);
-        ctx.broadcast(Message::ViewChange { view: target });
-        // Re-arm: the view is still stuck, keep escalating/retransmitting.
-        ctx.set_timer(VIEW_TIMER, self.params.view_timeout());
     }
 }
 
@@ -278,11 +256,16 @@ impl Node for TetraNode {
                 self.drive(ctx);
             }
             Input::Deliver { from, msg } => {
-                self.regs.record(from, &msg);
+                match msg {
+                    Message::ViewChange { view } => self.vc.record(from, view),
+                    msg => self.regs.record(from, &msg),
+                }
                 self.drive(ctx);
             }
             Input::Timer { id } if id == VIEW_TIMER => {
-                self.on_timeout(ctx);
+                ctx.broadcast(Message::ViewChange { view: self.vc.timeout(self.view) });
+                // Re-arm: the view is still stuck, keep escalating/retransmitting.
+                ctx.set_timer(VIEW_TIMER, self.params.view_timeout());
                 self.drive(ctx);
             }
             Input::Timer { .. } | Input::PeerDown { .. } => {}

@@ -1,12 +1,11 @@
-//! Per-peer receive registers — the constant-storage realization of
-//! "nodes keep checking … messages" (DESIGN.md §2).
+//! The receive model every protocol in the tree counts through: per-peer
+//! registers, the constant-storage realization of "nodes keep checking …
+//! messages" (DESIGN.md §2).
 //!
-//! For each peer the node stores only the *latest* message of each kind
-//! (one slot per vote phase, one for the proposal, one each for
-//! suggest/proof, and the highest view-change view). Well-behaved peers send
-//! at most one message per kind per view with non-decreasing views, so no
-//! information a future view needs is ever lost, while total memory stays
-//! O(n) — constant per peer — as the Table 1 storage column requires.
+//! For each peer a node stores only the *latest* message of each kind: one
+//! vote per phase ([`VoteRegisters`]), the highest view-change request
+//! ([`ViewChanges`]) and, in TetraBFT, one proposal, suggest and proof
+//! ([`Registers`]): O(n) memory, as the Table 1 storage column requires.
 
 use tetrabft_types::{Config, Evidence, InlineVec, NodeId, Phase, Value, View, VoteInfo};
 
@@ -17,10 +16,18 @@ use crate::msg::{Message, ProofData, SuggestData};
 /// dedup is per `(node, view, phase)` register.
 const EVIDENCE_CAP: usize = 64;
 
-fn push_evidence(evidence: &mut Vec<Evidence>, ev: Evidence) {
-    let dup =
-        evidence.iter().any(|e| e.node == ev.node && e.view == ev.view && e.phase == ev.phase);
+/// Records `(from, view, phase)` as evidence if `held` claims the same view
+/// for a different value than `value`.
+fn convict(
+    evidence: &mut Vec<Evidence>,
+    from: NodeId,
+    held: Option<VoteInfo>,
+    (view, phase, value): (View, Option<Phase>, Value),
+) {
+    let Some(held) = held.filter(|h| h.view == view && h.value != value) else { return };
+    let dup = evidence.iter().any(|e| e.node == from && e.view == view && e.phase == phase);
     if !dup && evidence.len() < EVIDENCE_CAP {
+        let ev = Evidence { node: from, slot: None, view, phase, first: held.value, second: value };
         evidence.push(ev);
     }
 }
@@ -34,74 +41,248 @@ type TallyTable = InlineVec<(View, Value, u32), 4>;
 /// Increments the tally for `(view, value)`, inserting it at count 1 if
 /// absent.
 fn tally_add(table: &mut TallyTable, view: View, value: Value) {
-    for i in 0..table.len() {
-        let entry = table.get_mut(i).expect("index below len");
-        if entry.0 == view && entry.1 == value {
-            entry.2 += 1;
-            return;
-        }
+    match table.iter().position(|e| e.0 == view && e.1 == value) {
+        Some(i) => table.get_mut(i).expect("index below len").2 += 1,
+        None => table.push((view, value, 1)),
     }
-    table.push((view, value, 1));
 }
 
 /// Decrements the tally for `(view, value)`, removing the entry at zero so
 /// the table tracks only live votes.
 fn tally_sub(table: &mut TallyTable, view: View, value: Value) {
-    for i in 0..table.len() {
-        let entry = table.get_mut(i).expect("index below len");
-        if entry.0 == view && entry.1 == value {
-            entry.2 -= 1;
-            if entry.2 == 0 {
-                table.swap_remove(i);
-            }
-            return;
-        }
+    let i = table.iter().position(|e| e.0 == view && e.1 == value).expect("a held vote is tallied");
+    let entry = table.get_mut(i).expect("index below len");
+    entry.2 -= 1;
+    if entry.2 == 0 {
+        table.swap_remove(i);
     }
-    debug_assert!(false, "decremented a tally that was never incremented");
 }
 
-/// Registers for a single peer.
+/// The latest vote of each peer in each of a protocol's `K` vote phases
+/// (phases are indices `0..K`), with per-phase incremental tallies.
+///
+/// A newer view replaces a peer's register; within a view the first vote
+/// received stays, so an equivocating peer cannot flip a register it already
+/// committed for that view and every later re-evaluation sees a stable
+/// snapshot.
+///
+/// # Examples
+///
+/// ```
+/// use tetrabft::VoteRegisters;
+/// use tetrabft_types::{Config, NodeId, Value, View};
+///
+/// let cfg = Config::new(4)?;
+/// let mut votes: VoteRegisters<2> = VoteRegisters::new(&cfg);
+/// for peer in 0..3 {
+///     votes.record(NodeId(peer), 1, View(0), Value::from_u64(7));
+/// }
+/// assert_eq!(votes.count(1, View(0), Value::from_u64(7)), 3);
+/// assert_eq!(votes.quorum_value(1, View(0), cfg.quorum()), Some(Value::from_u64(7)));
+/// # Ok::<(), Box<dyn std::error::Error>>(())
+/// ```
+#[derive(Debug, Clone)]
+pub struct VoteRegisters<const K: usize> {
+    peers: Vec<[Option<VoteInfo>; K]>,
+    /// Per-phase tallies over the peers' latest votes: they make the quorum
+    /// checks O(distinct values) lookups with zero allocation instead of an
+    /// O(n) peer scan per engine step.
+    tallies: [TallyTable; K],
+}
+
+/// Equality is over the peer registers only: the tally tables are a pure
+/// function of them, and their entry *order* varies with arrival history.
+impl<const K: usize> PartialEq for VoteRegisters<K> {
+    fn eq(&self, other: &Self) -> bool {
+        self.peers == other.peers
+    }
+}
+
+impl<const K: usize> Eq for VoteRegisters<K> {}
+
+impl<const K: usize> VoteRegisters<K> {
+    /// Creates empty registers for `cfg.n()` peers.
+    pub fn new(cfg: &Config) -> Self {
+        VoteRegisters {
+            peers: vec![[None; K]; cfg.n()],
+            tallies: std::array::from_fn(|_| TallyTable::new()),
+        }
+    }
+
+    /// Folds `from`'s `phase` vote for `(view, value)` into its register.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `phase >= K`.
+    pub fn record(&mut self, from: NodeId, phase: usize, view: View, value: Value) {
+        let slot = &mut self.peers[from.index()][phase];
+        if slot.is_none_or(|held| view > held.view) {
+            let table = &mut self.tallies[phase];
+            if let Some(old) = slot.replace(VoteInfo::new(view, value)) {
+                tally_sub(table, old.view, old.value);
+            }
+            tally_add(table, view, value);
+        }
+    }
+
+    /// The latest `phase` vote received from `from`, if any.
+    pub fn get(&self, from: NodeId, phase: usize) -> Option<VoteInfo> {
+        self.peers[from.index()][phase]
+    }
+
+    /// Every peer's latest `phase` vote, by peer.
+    pub fn iter_phase(&self, phase: usize) -> impl Iterator<Item = (NodeId, VoteInfo)> + '_ {
+        self.peers
+            .iter()
+            .enumerate()
+            .filter_map(move |(i, p)| p[phase].map(|v| (NodeId(i as u16), v)))
+    }
+
+    /// The value whose latest-vote count in `phase` at exactly `view`
+    /// reaches `threshold`, if any — an allocation-free lookup in the
+    /// incremental tally table.
+    ///
+    /// For any `threshold > n/2` (quorum is `n − f > 2n/3`) at most one
+    /// value can reach it: each peer contributes exactly one latest vote, so
+    /// two distinct winners would need `2·threshold ≤ n`. Scan order is
+    /// therefore immaterial and the first hit is *the* answer.
+    pub fn quorum_value(&self, phase: usize, view: View, threshold: usize) -> Option<Value> {
+        self.tallies[phase]
+            .iter()
+            .find(|(v, _, c)| *v == view && *c as usize >= threshold)
+            .map(|(_, value, _)| *value)
+    }
+
+    /// The value whose latest-vote count in `phase` across *all* views
+    /// reaches `threshold`, if any (table-backed and allocation-free).
+    /// Multi-shot TetraBFT counts notarization/finality quorums this way: a
+    /// vote for a descendant block endorses its ancestors regardless of the
+    /// views the ancestors were proposed in (cf. Fig. 3, where votes at
+    /// slot 4 / view 0 finalize the block at slot 1 / view 1). Uniqueness
+    /// for majority thresholds holds as for [`VoteRegisters::quorum_value`].
+    pub fn quorum_value_any(&self, phase: usize, threshold: usize) -> Option<Value> {
+        // Per-(view, value) counts fold into per-value counts on the fly:
+        // the table holds one entry per distinct pair, ≤ n entries total,
+        // and in the good case exactly one.
+        let table = &self.tallies[phase];
+        let total =
+            |value| table.iter().filter(|e| e.1 == value).map(|e| e.2 as usize).sum::<usize>();
+        table.iter().map(|e| e.1).find(|value| total(*value) >= threshold)
+    }
+
+    /// Number of peers whose latest `phase` vote is exactly `(view, value)`:
+    /// a plain peer scan, the reference the tally tables are tested against.
+    pub fn count(&self, phase: usize, view: View, value: Value) -> usize {
+        self.iter_phase(phase).filter(|(_, v)| *v == VoteInfo::new(view, value)).count()
+    }
+
+    /// Number of peers whose latest `phase` vote is for `value` in any
+    /// view: the scan reference for [`VoteRegisters::quorum_value_any`].
+    pub fn count_value(&self, phase: usize, value: Value) -> usize {
+        self.iter_phase(phase).filter(|(_, v)| v.value == value).count()
+    }
+}
+
+/// What [`ViewChanges::poll`] asks of the node.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ViewVerdict {
+    /// Nothing to do.
+    Idle,
+    /// Broadcast a view-change for this view: a blocking set asks for it.
+    Echo(View),
+    /// Enter this view: a quorum asks for it.
+    Enter(View),
+}
+
+/// The view-change rule of Section 3.2, which every protocol here follows:
+/// echo a request a blocking set (`f + 1`) supports, enter a view a quorum
+/// (`n − f`) supports, and ask again when the `9Δ` timer fires.
+///
+/// It keeps each peer's highest request, and a peer supports view `v` if
+/// that request is **some view ≥ v** (DESIGN.md §2).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct ViewChanges {
+    cfg: Config,
+    highest: Vec<Option<View>>,
+    /// The highest view-change this node has broadcast.
+    pub sent: Option<View>,
+}
+
+impl ViewChanges {
+    /// Creates the counter for `cfg.n()` peers, none of which has asked.
+    pub fn new(cfg: &Config) -> Self {
+        ViewChanges { cfg: *cfg, highest: vec![None; cfg.n()], sent: None }
+    }
+
+    /// Records that `from` asks for `view`; a lower request than one it
+    /// already made changes nothing.
+    pub fn record(&mut self, from: NodeId, view: View) {
+        let held = &mut self.highest[from.index()];
+        *held = (*held).max(Some(view));
+    }
+
+    /// Takes `from`'s request back.
+    pub fn withdraw(&mut self, from: NodeId) {
+        self.highest[from.index()] = None;
+    }
+
+    /// The highest view `from` asked for, if any.
+    pub fn request(&self, from: NodeId) -> Option<View> {
+        self.highest[from.index()]
+    }
+
+    /// Number of peers whose highest request covers `view`.
+    pub fn support(&self, view: View) -> usize {
+        self.highest.iter().flatten().filter(|v| **v >= view).count()
+    }
+
+    /// The rules above `current`: enter the highest view a quorum supports,
+    /// else echo the highest view a blocking set supports if it is above
+    /// [`ViewChanges::sent`]. Allocation-free; with fewer than `f + 1`
+    /// requests above `current`, one pass over the peers.
+    pub fn poll(&self, current: View) -> ViewVerdict {
+        if self.highest.iter().flatten().filter(|v| **v > current).count() < self.cfg.blocking() {
+            return ViewVerdict::Idle;
+        }
+        // The highest view `k` peers support is the `k`-th highest request.
+        let kth =
+            |k| self.highest.iter().flatten().copied().filter(|v| self.support(*v) >= k).max();
+        match (kth(self.cfg.quorum()), kth(self.cfg.blocking())) {
+            (Some(view), _) if view > current => ViewVerdict::Enter(view),
+            (_, Some(view)) if view > current && self.sent.is_none_or(|s| view > s) => {
+                ViewVerdict::Echo(view)
+            }
+            _ => ViewVerdict::Idle,
+        }
+    }
+
+    /// The view to ask for when the timer fires in `current`: the next one,
+    /// or again the highest asked so far (pre-GST loss makes retransmission
+    /// necessary for liveness). Marks it sent.
+    pub fn timeout(&mut self, current: View) -> View {
+        let view = current.next().max(self.sent.unwrap_or(View::ZERO));
+        self.sent = Some(view);
+        view
+    }
+}
+
+/// A peer's latest proposal, suggest and proof.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct PeerRecord {
-    votes: [Option<VoteInfo>; 4],
     proposal: Option<VoteInfo>,
     suggest: Option<(View, SuggestData)>,
     proof: Option<(View, ProofData)>,
-    view_change: Option<View>,
 }
 
 impl PeerRecord {
-    /// The latest vote received from this peer in `phase`, if any.
-    pub fn vote(&self, phase: Phase) -> Option<VoteInfo> {
-        self.votes[phase.index()]
-    }
-
-    /// The latest proposal received from this peer, if any.
-    pub fn proposal(&self) -> Option<VoteInfo> {
-        self.proposal
-    }
-
-    /// The latest suggest received from this peer, if any.
-    pub fn suggest(&self) -> Option<(View, SuggestData)> {
-        self.suggest
-    }
-
     /// The latest proof received from this peer, if any.
     pub fn proof(&self) -> Option<(View, ProofData)> {
         self.proof
     }
-
-    /// The highest view-change view received from this peer, if any.
-    pub fn view_change(&self) -> Option<View> {
-        self.view_change
-    }
 }
 
-/// Replace `slot` with `(view, payload)` if it is newer.
-///
-/// Equal-view messages keep the original: an equivocating peer cannot flip a
-/// register it already committed for that view, so every later re-evaluation
-/// sees a stable snapshot.
+/// Replace `slot` with `(view, payload)` if it is newer; equal-view
+/// messages keep the original, as in [`VoteRegisters`].
 fn upsert<T>(slot: &mut Option<(View, T)>, view: View, payload: T) {
     match slot {
         Some((held, _)) if view <= *held => {}
@@ -109,7 +290,9 @@ fn upsert<T>(slot: &mut Option<(View, T)>, view: View, payload: T) {
     }
 }
 
-/// The register file: one [`PeerRecord`] per peer.
+/// TetraBFT's register file: the four vote phases in [`VoteRegisters`],
+/// and one [`PeerRecord`] per peer. View-change requests are counted by
+/// [`ViewChanges`], not here.
 ///
 /// # Examples
 ///
@@ -124,20 +307,13 @@ fn upsert<T>(slot: &mut Option<(View, T)>, view: View, payload: T) {
 ///     view: View(0),
 ///     value: Value::from_u64(5),
 /// });
-/// assert_eq!(regs.count_votes(Phase::VOTE1, View(0), Value::from_u64(5)), 1);
+/// assert_eq!(regs.votes().count(Phase::VOTE1.index(), View(0), Value::from_u64(5)), 1);
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
 #[derive(Debug, Clone)]
 pub struct Registers {
     peers: Vec<PeerRecord>,
-    /// Per-phase incremental tallies over the peers' latest votes,
-    /// maintained by [`Registers::record`] — the precomputed
-    /// quorum-threshold tables the model checker's `mc/model.rs` proved out
-    /// (its packed-count pass turned minutes into seconds). They make
-    /// [`Registers::quorum_value`] / [`Registers::quorum_value_any`] O(distinct
-    /// values) lookups with zero allocation instead of an O(n) peer scan per
-    /// engine step.
-    tallies: [TallyTable; 4],
+    votes: VoteRegisters<4>,
     /// Equivocation evidence harvested by [`Registers::record`]: a peer that
     /// re-claims a same-view register with a *different* value convicts
     /// itself (channels are authenticated), and the conflicting pair is
@@ -148,24 +324,12 @@ pub struct Registers {
     evidence: Vec<Evidence>,
 }
 
-/// Equality is over the peer registers only: the tally tables are a pure
-/// function of them (entry *order* varies with arrival history, which must
-/// not affect equality), and the evidence log is an audit side-channel, not
-/// protocol state.
-impl PartialEq for Registers {
-    fn eq(&self, other: &Self) -> bool {
-        self.peers == other.peers
-    }
-}
-
-impl Eq for Registers {}
-
 impl Registers {
     /// Creates an empty register file for `cfg.n()` peers.
     pub fn new(cfg: &Config) -> Self {
         Registers {
             peers: vec![PeerRecord::default(); cfg.n()],
-            tallies: std::array::from_fn(|_| TallyTable::new()),
+            votes: VoteRegisters::new(cfg),
             evidence: Vec::new(),
         }
     }
@@ -180,6 +344,11 @@ impl Registers {
         &self.peers[id.index()]
     }
 
+    /// The vote registers, indexed by [`Phase::index`].
+    pub fn votes(&self) -> &VoteRegisters<4> {
+        &self.votes
+    }
+
     /// Folds `msg` from `from` into the registers.
     ///
     /// Stale messages (older view than the slot already holds) are dropped;
@@ -188,116 +357,20 @@ impl Registers {
         let peer = &mut self.peers[from.index()];
         match msg {
             Message::Proposal { view, value } => {
-                if let Some(held) = peer.proposal {
-                    if held.view == *view && held.value != *value {
-                        push_evidence(
-                            &mut self.evidence,
-                            Evidence {
-                                node: from,
-                                slot: None,
-                                view: *view,
-                                phase: None,
-                                first: held.value,
-                                second: *value,
-                            },
-                        );
-                    }
-                }
+                convict(&mut self.evidence, from, peer.proposal, (*view, None, *value));
                 if peer.proposal.is_none_or(|held| *view > held.view) {
                     peer.proposal = Some(VoteInfo::new(*view, *value));
                 }
             }
             Message::Vote { phase, view, value } => {
-                let slot = &mut peer.votes[phase.index()];
-                if let Some(held) = slot {
-                    if held.view == *view && held.value != *value {
-                        push_evidence(
-                            &mut self.evidence,
-                            Evidence {
-                                node: from,
-                                slot: None,
-                                view: *view,
-                                phase: Some(*phase),
-                                first: held.value,
-                                second: *value,
-                            },
-                        );
-                    }
-                }
-                if slot.is_none_or(|held| *view > held.view) {
-                    let outgoing = slot.replace(VoteInfo::new(*view, *value));
-                    let table = &mut self.tallies[phase.index()];
-                    if let Some(old) = outgoing {
-                        tally_sub(table, old.view, old.value);
-                    }
-                    tally_add(table, *view, *value);
-                }
+                let held = self.votes.get(from, phase.index());
+                convict(&mut self.evidence, from, held, (*view, Some(*phase), *value));
+                self.votes.record(from, phase.index(), *view, *value);
             }
             Message::Suggest { view, data } => upsert(&mut peer.suggest, *view, *data),
             Message::Proof { view, data } => upsert(&mut peer.proof, *view, *data),
-            Message::ViewChange { view } => {
-                if peer.view_change.is_none_or(|held| *view > held) {
-                    peer.view_change = Some(*view);
-                }
-            }
+            Message::ViewChange { .. } => {}
         }
-    }
-
-    /// Number of peers whose latest `phase` vote is for exactly
-    /// `(view, value)`.
-    pub fn count_votes(&self, phase: Phase, view: View, value: Value) -> usize {
-        self.peers.iter().filter(|p| p.vote(phase) == Some(VoteInfo::new(view, value))).count()
-    }
-
-    /// Number of peers whose latest `phase` vote is for `value`, in *any*
-    /// view. Multi-shot TetraBFT counts notarization/finality quorums this
-    /// way: a vote for a descendant block endorses its ancestors regardless
-    /// of the views the ancestors were proposed in (cf. Fig. 3, where votes
-    /// at slot 4 / view 0 finalize the block at slot 1 / view 1).
-    pub fn count_votes_value(&self, phase: Phase, value: Value) -> usize {
-        self.peers.iter().filter(|p| p.vote(phase).is_some_and(|v| v.value == value)).count()
-    }
-
-    /// The value whose latest-vote count in `phase` at exactly `view`
-    /// reaches `threshold`, if any — an allocation-free lookup in the
-    /// incremental tally table.
-    ///
-    /// For any blocking-or-larger threshold (`≥ f + 1 > n/3` votes… in fact
-    /// any `threshold > n/2`, and quorum is `n − f > 2n/3`) at most one value
-    /// can reach it: each peer contributes exactly one latest vote, so two
-    /// distinct winners would need `2·threshold ≤ n`. Scan order is
-    /// therefore immaterial and the first hit is *the* answer.
-    pub fn quorum_value(&self, phase: Phase, view: View, threshold: usize) -> Option<Value> {
-        self.tallies[phase.index()]
-            .iter()
-            .find(|(v, _, c)| *v == view && *c as usize >= threshold)
-            .map(|(_, value, _)| *value)
-    }
-
-    /// The value whose latest-vote count in `phase` across *all* views
-    /// reaches `threshold`, if any (table-backed and allocation-free; see
-    /// [`Registers::count_votes_value`] for why multi-shot counts quorums
-    /// view-agnostically). Uniqueness for majority thresholds holds by the
-    /// same argument as [`Registers::quorum_value`].
-    pub fn quorum_value_any(&self, phase: Phase, threshold: usize) -> Option<Value> {
-        let table = &self.tallies[phase.index()];
-        // Per-(view, value) counts fold into per-value counts on the fly:
-        // the table holds one entry per distinct pair, ≤ n entries total,
-        // and in the good case exactly one.
-        for i in 0..table.len() {
-            let (_, value, count) = *table.get(i).expect("index below len");
-            let mut total = count as usize;
-            for j in 0..table.len() {
-                let (_, other_value, other_count) = *table.get(j).expect("index below len");
-                if j != i && other_value == value {
-                    total += other_count as usize;
-                }
-            }
-            if total >= threshold {
-                return Some(value);
-            }
-        }
-        None
     }
 
     /// The proposal the leader of `view` made in `view`, if received.
@@ -323,22 +396,6 @@ impl Registers {
             self.peers.iter().filter_map(|p| p.proof).filter(|(v, _)| *v == view).map(|(_, d)| d),
         );
     }
-
-    /// Number of peers whose highest view-change is `≥ view` (see DESIGN.md
-    /// §2 for why `≥` is the right constant-storage counting rule).
-    pub fn view_change_support(&self, view: View) -> usize {
-        self.peers.iter().filter(|p| p.view_change.is_some_and(|v| v >= view)).count()
-    }
-
-    /// Distinct view-change views strictly greater than `above`, descending.
-    pub fn view_change_candidates(&self, above: View) -> Vec<View> {
-        let mut views: Vec<View> =
-            self.peers.iter().filter_map(|p| p.view_change).filter(|v| *v > above).collect();
-        views.sort_unstable();
-        views.dedup();
-        views.reverse();
-        views
-    }
 }
 
 #[cfg(test)]
@@ -354,15 +411,16 @@ mod tests {
         Message::Vote { phase, view: View(view), value: Value::from_u64(value) }
     }
 
+    fn held(regs: &Registers, peer: u16, phase: Phase) -> Option<VoteInfo> {
+        regs.votes().get(NodeId(peer), phase.index())
+    }
+
     #[test]
     fn newer_votes_replace_older() {
         let mut regs = Registers::new(&cfg());
         regs.record(NodeId(1), &vote(Phase::VOTE1, 0, 5));
         regs.record(NodeId(1), &vote(Phase::VOTE1, 2, 6));
-        assert_eq!(
-            regs.peer(NodeId(1)).vote(Phase::VOTE1),
-            Some(VoteInfo::new(View(2), Value::from_u64(6)))
-        );
+        assert_eq!(held(&regs, 1, Phase::VOTE1), Some(VoteInfo::new(View(2), Value::from_u64(6))));
     }
 
     #[test]
@@ -370,10 +428,13 @@ mod tests {
         let mut regs = Registers::new(&cfg());
         regs.record(NodeId(1), &vote(Phase::VOTE2, 5, 1));
         regs.record(NodeId(1), &vote(Phase::VOTE2, 3, 9));
-        assert_eq!(
-            regs.peer(NodeId(1)).vote(Phase::VOTE2),
-            Some(VoteInfo::new(View(5), Value::from_u64(1)))
-        );
+        assert_eq!(held(&regs, 1, Phase::VOTE2), Some(VoteInfo::new(View(5), Value::from_u64(1))));
+        // Any phase count: a `K = 3` register keeps the newest view too.
+        let mut votes: VoteRegisters<3> = VoteRegisters::new(&cfg());
+        for (view, value) in [(1, 1), (3, 2), (2, 3)] {
+            votes.record(NodeId(0), 2, View(view), Value::from_u64(value));
+        }
+        assert_eq!(votes.get(NodeId(0), 2), Some(VoteInfo::new(View(3), Value::from_u64(2))));
     }
 
     #[test]
@@ -381,10 +442,7 @@ mod tests {
         let mut regs = Registers::new(&cfg());
         regs.record(NodeId(3), &vote(Phase::VOTE1, 1, 7));
         regs.record(NodeId(3), &vote(Phase::VOTE1, 1, 8)); // equivocation
-        assert_eq!(
-            regs.peer(NodeId(3)).vote(Phase::VOTE1),
-            Some(VoteInfo::new(View(1), Value::from_u64(7)))
-        );
+        assert_eq!(held(&regs, 3, Phase::VOTE1), Some(VoteInfo::new(View(1), Value::from_u64(7))));
     }
 
     #[test]
@@ -392,9 +450,9 @@ mod tests {
         let mut regs = Registers::new(&cfg());
         regs.record(NodeId(0), &vote(Phase::VOTE1, 1, 1));
         regs.record(NodeId(0), &vote(Phase::VOTE4, 1, 1));
-        assert!(regs.peer(NodeId(0)).vote(Phase::VOTE2).is_none());
-        assert!(regs.peer(NodeId(0)).vote(Phase::VOTE1).is_some());
-        assert!(regs.peer(NodeId(0)).vote(Phase::VOTE4).is_some());
+        assert!(held(&regs, 0, Phase::VOTE2).is_none());
+        assert!(held(&regs, 0, Phase::VOTE1).is_some());
+        assert!(held(&regs, 0, Phase::VOTE4).is_some());
     }
 
     #[test]
@@ -404,11 +462,14 @@ mod tests {
             regs.record(NodeId(i), &vote(Phase::VOTE1, 0, 5));
         }
         regs.record(NodeId(3), &vote(Phase::VOTE1, 0, 6));
-        assert_eq!(regs.count_votes(Phase::VOTE1, View(0), Value::from_u64(5)), 3);
-        assert_eq!(regs.count_votes(Phase::VOTE1, View(0), Value::from_u64(6)), 1);
-        assert_eq!(regs.count_votes_value(Phase::VOTE1, Value::from_u64(5)), 3);
-        assert_eq!(regs.count_votes(Phase::VOTE1, View(1), Value::from_u64(5)), 0, "wrong view");
-        assert_eq!(regs.count_votes(Phase::VOTE2, View(0), Value::from_u64(5)), 0, "wrong phase");
+        let (votes, one, two) = (regs.votes(), Phase::VOTE1.index(), Phase::VOTE2.index());
+        assert_eq!(votes.count(one, View(0), Value::from_u64(5)), 3);
+        assert_eq!(votes.count(one, View(0), Value::from_u64(6)), 1);
+        assert_eq!(votes.count_value(one, Value::from_u64(5)), 3);
+        assert_eq!(votes.count(one, View(1), Value::from_u64(5)), 0, "wrong view");
+        assert_eq!(votes.count(two, View(0), Value::from_u64(5)), 0, "wrong phase");
+        assert_eq!(votes.iter_phase(one).count(), 4);
+        assert_eq!(votes.iter_phase(two).count(), 0);
     }
 
     #[test]
@@ -447,48 +508,90 @@ mod tests {
 
     #[test]
     fn view_change_support_counts_at_or_above() {
-        let mut regs = Registers::new(&cfg());
-        regs.record(NodeId(0), &Message::ViewChange { view: View(1) });
-        regs.record(NodeId(1), &Message::ViewChange { view: View(2) });
-        regs.record(NodeId(2), &Message::ViewChange { view: View(5) });
-        assert_eq!(regs.view_change_support(View(1)), 3);
-        assert_eq!(regs.view_change_support(View(2)), 2);
-        assert_eq!(regs.view_change_support(View(5)), 1);
-        assert_eq!(regs.view_change_support(View(6)), 0);
-        assert_eq!(regs.view_change_candidates(View(1)), vec![View(5), View(2)]);
+        let mut vc = ViewChanges::new(&cfg());
+        vc.record(NodeId(0), View(1));
+        vc.record(NodeId(1), View(2));
+        vc.record(NodeId(2), View(5));
+        assert_eq!(vc.support(View(1)), 3);
+        assert_eq!(vc.support(View(2)), 2);
+        assert_eq!(vc.support(View(5)), 1);
+        assert_eq!(vc.support(View(6)), 0);
+        vc.withdraw(NodeId(2));
+        assert_eq!((vc.support(View(2)), vc.request(NodeId(2))), (1, None));
     }
 
-    /// The incremental tally table must agree with a fresh peer scan after
-    /// any history of replacements, equivocations, and stale votes.
+    #[test]
+    fn view_changes_echo_then_enter() {
+        let mut vc = ViewChanges::new(&cfg());
+        assert_eq!(vc.poll(View(0)), ViewVerdict::Idle);
+        vc.record(NodeId(1), View(1));
+        assert_eq!(vc.poll(View(0)), ViewVerdict::Idle);
+        vc.record(NodeId(2), View(1));
+        assert_eq!(vc.poll(View(0)), ViewVerdict::Echo(View(1)));
+        vc.sent = Some(View(1));
+        assert_eq!(vc.poll(View(0)), ViewVerdict::Idle);
+        vc.record(NodeId(3), View(1));
+        assert_eq!(vc.poll(View(0)), ViewVerdict::Enter(View(1)));
+        assert_eq!(vc.poll(View(1)), ViewVerdict::Idle, "nothing above the current view");
+        // The timer asks for the next view, or again for the highest sent.
+        assert_eq!(vc.timeout(View(1)), View(2));
+        assert_eq!(vc.timeout(View(0)), View(2));
+        assert_eq!(vc.sent, Some(View(2)));
+    }
+
+    #[test]
+    fn higher_requests_support_lower_views() {
+        let mut vc = ViewChanges::new(&cfg());
+        vc.record(NodeId(0), View(5));
+        vc.record(NodeId(1), View(2));
+        vc.record(NodeId(2), View(2));
+        assert_eq!(vc.support(View(2)), 3);
+        assert_eq!(vc.poll(View(0)), ViewVerdict::Enter(View(2)));
+    }
+
+    /// The incremental tally tables must agree with a fresh peer scan after
+    /// any history of replacements, equivocations, and stale votes, for any
+    /// number of phases.
     #[test]
     fn tally_table_matches_scan_after_replacements() {
-        let cfg = Config::new(7).unwrap();
-        let mut regs = Registers::new(&cfg);
-        // A messy but deterministic vote history: every peer revotes across
-        // views and phases, switching values, with stale and duplicate
-        // messages sprinkled in.
-        for round in 0..5u64 {
-            for i in 0..7u64 {
-                let phase = Phase::ALL[(round as usize + i as usize) % 4];
-                regs.record(NodeId(i as u16), &vote(phase, round + i % 3, (round + i) % 4));
-                // Stale re-delivery: must not perturb the tables.
-                regs.record(NodeId(i as u16), &vote(phase, round / 2, 99));
+        fn check<const K: usize>() {
+            let cfg = Config::new(7).unwrap();
+            let mut regs: VoteRegisters<K> = VoteRegisters::new(&cfg);
+            // A messy but deterministic vote history: every peer revotes
+            // across views and phases, switching values, with stale and
+            // duplicate messages sprinkled in.
+            for round in 0..5u64 {
+                for i in 0..7u64 {
+                    let (peer, phase) = (NodeId(i as u16), (round + i) as usize % K);
+                    regs.record(peer, phase, View(round + i % 3), Value::from_u64((round + i) % 4));
+                    // Stale re-delivery: must not perturb the tables.
+                    regs.record(peer, phase, View(round / 2), Value::from_u64(99));
+                }
+            }
+            let q = cfg.quorum();
+            // Every value that appeared (99 only ever arrives stale). At most
+            // one value can reach a quorum, so the first scan hit is the
+            // answer.
+            let values = || [0, 1, 2, 3, 99].into_iter().map(Value::from_u64);
+            for phase in 0..K {
+                // View-agnostic: table lookup agrees with the peer scan.
+                let by_scan = values().find(|v| regs.count_value(phase, *v) >= q);
+                assert_eq!(regs.quorum_value_any(phase, q), by_scan, "K={K} {phase} any-view");
+                // Per-view, over every view that appeared.
+                for view in (0..8).map(View) {
+                    let by_scan = values().find(|v| regs.count(phase, view, *v) >= q);
+                    assert_eq!(
+                        regs.quorum_value(phase, view, q),
+                        by_scan,
+                        "K={K} {phase} {view:?}"
+                    );
+                }
             }
         }
-        let q = cfg.quorum();
-        // Every value that appeared (99 only ever arrives stale). At most
-        // one value can reach a quorum, so the first scan hit is the answer.
-        let values = || [0, 1, 2, 3, 99].into_iter().map(Value::from_u64);
-        for phase in Phase::ALL {
-            // View-agnostic: table lookup agrees with the peer scan.
-            let by_scan = values().find(|v| regs.count_votes_value(phase, *v) >= q);
-            assert_eq!(regs.quorum_value_any(phase, q), by_scan, "{phase:?} any-view");
-            // Per-view, over every view that appeared.
-            for view in (0..8).map(View) {
-                let by_scan = values().find(|v| regs.count_votes(phase, view, *v) >= q);
-                assert_eq!(regs.quorum_value(phase, view, q), by_scan, "{phase:?} {view:?}");
-            }
-        }
+        check::<2>();
+        check::<3>();
+        check::<4>();
+        check::<5>();
     }
 
     #[test]
@@ -498,34 +601,36 @@ mod tests {
             regs.record(NodeId(i), &vote(Phase::VOTE1, 2, 5));
         }
         regs.record(NodeId(3), &vote(Phase::VOTE1, 2, 6));
-        assert_eq!(regs.quorum_value(Phase::VOTE1, View(2), 3), Some(Value::from_u64(5)));
-        assert_eq!(regs.quorum_value(Phase::VOTE1, View(1), 3), None, "wrong view");
-        assert_eq!(regs.quorum_value(Phase::VOTE2, View(2), 3), None, "wrong phase");
-        assert_eq!(regs.quorum_value(Phase::VOTE1, View(2), 4), None, "threshold unmet");
+        let (votes, one, two) = (regs.votes(), Phase::VOTE1.index(), Phase::VOTE2.index());
+        assert_eq!(votes.quorum_value(one, View(2), 3), Some(Value::from_u64(5)));
+        assert_eq!(votes.quorum_value(one, View(1), 3), None, "wrong view");
+        assert_eq!(votes.quorum_value(two, View(2), 3), None, "wrong phase");
+        assert_eq!(votes.quorum_value(one, View(2), 4), None, "threshold unmet");
     }
 
     #[test]
     fn quorum_value_any_sums_across_views() {
         let mut regs = Registers::new(&cfg());
         // Three peers back value 7, but in different views — the multi-shot
-        // counting rule (count_votes_value) must still see a quorum.
+        // counting rule must still see a quorum.
         regs.record(NodeId(0), &vote(Phase::VOTE4, 1, 7));
         regs.record(NodeId(1), &vote(Phase::VOTE4, 2, 7));
         regs.record(NodeId(2), &vote(Phase::VOTE4, 3, 7));
-        assert_eq!(regs.quorum_value_any(Phase::VOTE4, 3), Some(Value::from_u64(7)));
-        assert_eq!(regs.quorum_value(Phase::VOTE4, View(1), 3), None, "no single view has 3");
+        let four = Phase::VOTE4.index();
+        assert_eq!(regs.votes().quorum_value_any(four, 3), Some(Value::from_u64(7)));
+        assert_eq!(regs.votes().quorum_value(four, View(1), 3), None, "no single view has 3");
     }
 
     #[test]
     fn equality_ignores_tally_entry_order() {
         // Same final registers via different arrival orders: the tally
         // tables' internal entry order differs, equality must not.
-        let mut a = Registers::new(&cfg());
-        let mut b = Registers::new(&cfg());
-        a.record(NodeId(0), &vote(Phase::VOTE1, 1, 5));
-        a.record(NodeId(1), &vote(Phase::VOTE1, 1, 6));
-        b.record(NodeId(1), &vote(Phase::VOTE1, 1, 6));
-        b.record(NodeId(0), &vote(Phase::VOTE1, 1, 5));
+        let mut a: VoteRegisters<1> = VoteRegisters::new(&cfg());
+        let mut b = a.clone();
+        a.record(NodeId(0), 0, View(1), Value::from_u64(5));
+        a.record(NodeId(1), 0, View(1), Value::from_u64(6));
+        b.record(NodeId(1), 0, View(1), Value::from_u64(6));
+        b.record(NodeId(0), 0, View(1), Value::from_u64(5));
         assert_eq!(a, b);
     }
 
@@ -555,9 +660,9 @@ mod tests {
 
     #[test]
     fn view_change_register_is_monotone() {
-        let mut regs = Registers::new(&cfg());
-        regs.record(NodeId(0), &Message::ViewChange { view: View(4) });
-        regs.record(NodeId(0), &Message::ViewChange { view: View(2) });
-        assert_eq!(regs.peer(NodeId(0)).view_change(), Some(View(4)));
+        let mut vc = ViewChanges::new(&cfg());
+        vc.record(NodeId(0), View(4));
+        vc.record(NodeId(0), View(2));
+        assert_eq!(vc.request(NodeId(0)), Some(View(4)));
     }
 }

@@ -1,6 +1,6 @@
 //! Per-slot protocol state.
 
-use tetrabft::Registers;
+use tetrabft::{Registers, ViewChanges};
 use tetrabft_types::{Config, View, VoteBook};
 
 use crate::block::BlockHash;
@@ -34,9 +34,9 @@ pub struct SlotInstance {
     /// delivering, which (unlike `saw_proposal`) licenses bumping even a
     /// never-proposed slot out of view 0.
     pub timer_expired: bool,
-    /// Per-peer view-change support for this slot: the highest view each
-    /// peer has requested for a slot range covering this slot.
-    pub vc_support: Vec<Option<View>>,
+    /// Per-peer view-change requests covering this slot: the highest view
+    /// each peer asked for at this slot or below.
+    pub requests: ViewChanges,
     /// Whether this node asked for view 1 as the slot started, taking its
     /// view-0 leader for dead.
     pub suspected: bool,
@@ -53,36 +53,17 @@ impl SlotInstance {
             notarized: None,
             saw_proposal: false,
             timer_expired: false,
-            vc_support: vec![None; cfg.n()],
+            requests: ViewChanges::new(cfg),
             suspected: false,
         }
-    }
-
-    /// Records that `peer` supports moving this slot to at least `view`.
-    pub fn support(&mut self, peer: usize, view: View) {
-        let slot = &mut self.vc_support[peer];
-        if slot.is_none_or(|held| view > held) {
-            *slot = Some(view);
-        }
-    }
-
-    /// The highest view with support from at least `quorum` peers, if any.
-    pub fn quorum_view(&self, quorum: usize) -> Option<View> {
-        // Count before collecting: the good case (no view changes, every
-        // register `None`) runs every step and must not allocate.
-        if self.vc_support.iter().flatten().count() < quorum {
-            return None;
-        }
-        let mut views: Vec<View> = self.vc_support.iter().flatten().copied().collect();
-        views.sort_unstable();
-        views.reverse();
-        Some(views[quorum - 1])
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use tetrabft::ViewVerdict::{Echo, Enter, Idle};
+    use tetrabft_types::NodeId;
 
     fn inst() -> SlotInstance {
         SlotInstance::new(&Config::new(4).unwrap())
@@ -94,40 +75,42 @@ mod tests {
         assert_eq!(i.view, View::ZERO);
         assert!(!i.proposed && !i.saw_proposal && !i.timer_expired);
         assert_eq!(i.notarized, None);
-        assert_eq!(i.quorum_view(3), None);
+        assert_eq!(i.requests.poll(i.view), Idle);
     }
 
     #[test]
     fn support_is_monotone_per_peer() {
         let mut i = inst();
-        i.support(0, View(3));
-        i.support(0, View(1)); // lower request cannot regress the register
-        assert_eq!(i.vc_support[0], Some(View(3)));
-        i.support(0, View(5));
-        assert_eq!(i.vc_support[0], Some(View(5)));
+        i.requests.record(NodeId(0), View(3));
+        i.requests.record(NodeId(0), View(1)); // lower request cannot regress the register
+        assert_eq!(i.requests.request(NodeId(0)), Some(View(3)));
+        i.requests.record(NodeId(0), View(5));
+        assert_eq!(i.requests.request(NodeId(0)), Some(View(5)));
     }
 
     #[test]
-    fn quorum_view_takes_the_kth_highest() {
+    fn entered_view_is_the_kth_highest() {
         let mut i = inst();
-        i.support(0, View(5));
-        i.support(1, View(2));
-        assert_eq!(i.quorum_view(3), None, "two supporters < quorum");
-        i.support(2, View(2));
+        i.requests.record(NodeId(0), View(5));
+        i.requests.record(NodeId(1), View(2));
+        assert_eq!(i.requests.poll(i.view), Echo(View(2)), "two supporters < quorum");
+        i.requests.record(NodeId(2), View(2));
         // Views sorted desc: [5, 2, 2] → the 3rd highest is 2: a quorum
         // supports view ≥ 2 (the view-5 request also covers view 2).
-        assert_eq!(i.quorum_view(3), Some(View(2)));
-        i.support(3, View(7));
-        assert_eq!(i.quorum_view(3), Some(View(2)));
-        i.support(1, View(6));
+        assert_eq!(i.requests.poll(i.view), Enter(View(2)));
+        i.requests.record(NodeId(3), View(7));
+        assert_eq!(i.requests.poll(i.view), Enter(View(2)));
+        i.requests.record(NodeId(1), View(6));
         // Now [7, 6, 5, 2] → quorum of 3 agrees on ≥ 5.
-        assert_eq!(i.quorum_view(3), Some(View(5)));
+        assert_eq!(i.requests.poll(i.view), Enter(View(5)));
+        i.view = View(5);
+        assert_eq!(i.requests.poll(i.view), Echo(View(6)), "enter only above its view");
     }
 
     #[test]
-    fn quorum_view_of_one_is_the_max() {
-        let mut i = inst();
-        i.support(2, View(9));
-        assert_eq!(i.quorum_view(1), Some(View(9)));
+    fn a_lone_node_enters_the_view_it_asks_for() {
+        let mut i = SlotInstance::new(&Config::new(1).unwrap());
+        i.requests.record(NodeId(0), View(9));
+        assert_eq!(i.requests.poll(i.view), Enter(View(9)));
     }
 }

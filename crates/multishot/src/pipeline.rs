@@ -7,7 +7,7 @@ use std::cmp::Reverse;
 use std::collections::BTreeMap;
 
 use tetrabft::rules::{leader_determine_safe, node_determine_safe};
-use tetrabft::{Message as CoreMessage, Params, ProofData, SuggestData};
+use tetrabft::{Message as CoreMessage, Params, ProofData, SuggestData, ViewVerdict};
 use tetrabft_engine::{Context, TimerId};
 use tetrabft_types::{Config, InlineVec, NodeId, Phase, Slot, Value, View};
 
@@ -156,7 +156,7 @@ impl Pipeline {
     /// keep the 9Δ timer as retransmission.
     fn suspect(inst: &mut SlotInstance, slot: Slot, me: NodeId, ctx: &mut Ctx<'_>) {
         inst.suspected = true;
-        inst.support(me.index(), View(1));
+        inst.requests.record(me, View(1));
         ctx.broadcast(MsMessage::ViewChange { slot, view: View(1) });
     }
 
@@ -281,7 +281,7 @@ impl Pipeline {
         raise(&mut self.vc_raw[from.index()], (slot, view));
         // Per-slot support: the request covers every active slot ≥ slot.
         for (_, inst) in self.instances.range_mut(slot..) {
-            inst.support(from.index(), view);
+            inst.requests.record(from, view);
         }
     }
 
@@ -335,7 +335,7 @@ impl Pipeline {
     /// lines 7–11): abort the slot, reset its timer, and send the per-slot
     /// suggest/proof that seed Rule 1 / Rule 3 in the new view.
     pub(crate) fn step_enter_view(&mut self, slot: Slot, ctx: &mut Ctx<'_>) -> bool {
-        let (me, silent) = (self.me.index(), self.leader_silent(slot));
+        let (me, silent) = (self.me, self.leader_silent(slot));
         let inst = self.instances.get_mut(&slot).expect("caller checked");
         // A request made on suspicion alone stands while the leader
         // stays silent, or once a peer is seen in a later view of this
@@ -347,16 +347,13 @@ impl Pipeline {
             let seen_moved = |peer| inst.regs.peer(peer).proof().is_some();
             condemned = silent || self.cfg.nodes().any(seen_moved);
             if !condemned {
-                inst.vc_support[me] = None;
-            } else if inst.vc_support[me].is_none() {
-                inst.support(me, View(1));
+                inst.requests.withdraw(me);
+            } else if inst.requests.request(me).is_none() {
+                inst.requests.record(me, View(1));
                 ctx.broadcast(MsMessage::ViewChange { slot, view: View(1) });
             }
         }
-        let Some(target) = inst.quorum_view(self.cfg.quorum()) else { return false };
-        if target <= inst.view {
-            return false;
-        }
+        let ViewVerdict::Enter(target) = inst.requests.poll(inst.view) else { return false };
         // Never-proposed slots stay in view 0 (Algorithm 3 line 10,
         // Fig. 3's slot 4) unless their own timer says the view-0
         // leader is dead, or its last slot's did and it is silent since.
@@ -393,7 +390,9 @@ impl Pipeline {
         if inst.notarized.is_some() {
             return false;
         }
-        let Some(value) = inst.regs.quorum_value_any(Phase::VOTE1, quorum) else { return false };
+        let Some(value) = inst.regs.votes().quorum_value_any(Phase::VOTE1.index(), quorum) else {
+            return false;
+        };
         inst.notarized = Some(BlockHash::from_value(value));
         true
     }
@@ -552,7 +551,8 @@ impl Pipeline {
     /// Each peer's view-0 vote at `slot` as recorded here, by peer index.
     pub(crate) fn view0_votes(&self, slot: Slot) -> Vec<Option<Value>> {
         let Some(inst) = self.instances.get(&slot) else { return Vec::new() };
-        let vote = |peer| inst.regs.peer(peer).vote(Phase::VOTE1).filter(|v| v.view.is_zero());
+        let vote =
+            |peer| inst.regs.votes().get(peer, Phase::VOTE1.index()).filter(|v| v.view.is_zero());
         self.cfg.nodes().map(|peer| vote(peer).map(|v| v.value)).collect()
     }
 
@@ -568,7 +568,7 @@ impl Pipeline {
         let quorum = self.cfg.quorum();
         let mut best: Option<(Slot, BlockHash)> = None;
         for (slot, inst) in &self.instances {
-            if let Some(value) = inst.regs.quorum_value_any(Phase::VOTE4, quorum) {
+            if let Some(value) = inst.regs.votes().quorum_value_any(Phase::VOTE4.index(), quorum) {
                 best = Some((*slot, BlockHash::from_value(value)));
             }
         }

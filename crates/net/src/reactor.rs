@@ -1,7 +1,7 @@
 //! The I/O half of a node's one thread: every socket the node touches — its
 //! listener, every inbound peer/client connection, every supervised outbound
-//! link — multiplexed with readiness-based polling (the `polling` shim:
-//! epoll, with a portable `poll(2)` fallback).
+//! link — multiplexed with readiness-based polling (the `polling` shim
+//! over Linux epoll).
 //!
 //! The engine steps on the same thread between two waits (`runner.rs`), so
 //! a node runs exactly **one** thread, independent of cluster size or client

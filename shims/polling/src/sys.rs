@@ -1,6 +1,6 @@
-//! The raw syscall layer: `epoll_*`, `poll(2)` and `socket`/`connect`,
-//! declared directly against the C library that `std` already links (no
-//! `libc` crate in the offline build environment).
+//! The raw syscall layer: `epoll_*` and `socket`/`connect`, declared
+//! directly against the Linux C library that `std` already links (no `libc`
+//! crate in the offline build environment).
 //!
 //! Everything `unsafe` in the shim lives here; the wrappers exposed to the
 //! rest of the crate are safe and return `io::Error::last_os_error()` on
@@ -9,7 +9,7 @@
 use std::io;
 use std::net::{SocketAddr, TcpStream};
 use std::os::fd::{FromRawFd, OwnedFd, RawFd};
-use std::os::raw::{c_int, c_short, c_uint, c_ulong, c_void};
+use std::os::raw::{c_int, c_uint, c_void};
 
 // ---- epoll -----------------------------------------------------------
 
@@ -79,49 +79,12 @@ pub fn epoll_wait_raw(epfd: RawFd, buf: &mut [EpollEvent], timeout: c_int) -> io
     Ok(rc as usize)
 }
 
-// ---- poll ------------------------------------------------------------
-
-pub const POLLIN: c_short = 0x001;
-pub const POLLOUT: c_short = 0x004;
-pub const POLLERR: c_short = 0x008;
-pub const POLLHUP: c_short = 0x010;
-pub const POLLNVAL: c_short = 0x020;
-pub const POLLRDHUP: c_short = 0x2000;
-
-/// The C library's `struct pollfd`.
-#[repr(C)]
-#[derive(Clone, Copy)]
-pub struct PollFd {
-    pub fd: c_int,
-    pub events: c_short,
-    pub revents: c_short,
-}
-
-extern "C" {
-    fn poll(fds: *mut PollFd, nfds: c_ulong, timeout: c_int) -> c_int;
-}
-
-/// One `poll(2)` call; `timeout` in milliseconds, `-1` for infinite.
-/// Returns how many entries have non-zero `revents`.
-pub fn poll_raw(fds: &mut [PollFd], timeout: c_int) -> io::Result<usize> {
-    let rc = unsafe { poll(fds.as_mut_ptr(), fds.len() as c_ulong, timeout) };
-    if rc < 0 {
-        return Err(io::Error::last_os_error());
-    }
-    Ok(rc as usize)
-}
-
 // ---- non-blocking connect --------------------------------------------
 
 const AF_INET: c_int = 2;
-#[cfg(target_os = "linux")]
 const AF_INET6: c_int = 10;
-#[cfg(not(target_os = "linux"))]
-const AF_INET6: c_int = 30; // macOS/BSD value; unused on the Linux CI
 const SOCK_STREAM: c_int = 1;
-#[cfg(target_os = "linux")]
 const SOCK_NONBLOCK: c_int = 0o4000;
-#[cfg(target_os = "linux")]
 const SOCK_CLOEXEC: c_int = 0o2000000;
 const EINPROGRESS: i32 = 115;
 
@@ -162,11 +125,7 @@ pub fn connect_stream(addr: &SocketAddr) -> io::Result<TcpStream> {
         SocketAddr::V4(_) => AF_INET,
         SocketAddr::V6(_) => AF_INET6,
     };
-    #[cfg(target_os = "linux")]
-    let ty = SOCK_STREAM | SOCK_NONBLOCK | SOCK_CLOEXEC;
-    #[cfg(not(target_os = "linux"))]
-    let ty = SOCK_STREAM;
-    let fd = unsafe { socket(family, ty, 0) };
+    let fd = unsafe { socket(family, SOCK_STREAM | SOCK_NONBLOCK | SOCK_CLOEXEC, 0) };
     if fd < 0 {
         return Err(io::Error::last_os_error());
     }
@@ -174,8 +133,6 @@ pub fn connect_stream(addr: &SocketAddr) -> io::Result<TcpStream> {
     // exclusively by this process; OwnedFd closes it on every error path.
     let owned = unsafe { OwnedFd::from_raw_fd(fd) };
     let stream = TcpStream::from(owned);
-    #[cfg(not(target_os = "linux"))]
-    stream.set_nonblocking(true)?;
 
     let rc = match addr {
         SocketAddr::V4(v4) => {

@@ -1,11 +1,40 @@
 //! Comparative invariants across protocols — Table 1's ordering relations,
-//! checked end to end rather than per protocol.
+//! checked end to end rather than per protocol — and each protocol's
+//! traffic, pinned.
+
+use std::fmt::Debug;
+
+use rand::Rng;
 
 use tetrabft::{Params, TetraNode};
 use tetrabft_baselines::{BlogNode, IthsNode, PbftNode, RepeatedTetra};
 use tetrabft_multishot::MultiShotNode;
+use tetrabft_sim::{OutputRecord, Route, TraceEvent, WireSize};
 use tetrabft_suite::prelude::*;
 use tetrabft_types::NodeId;
+
+/// `n` nodes built by `make`, node `i` with input `i + 1`, on `policy` (its
+/// draws seeded with 7), recording their trace; with `crashed`, node 0 (the
+/// view-0 leader) is silent.
+fn cluster<N>(
+    n: usize,
+    policy: LinkPolicy,
+    crashed: bool,
+    params: Params,
+    make: impl Fn(Config, Params, NodeId, Value) -> N,
+) -> Sim<N::Msg, Value>
+where
+    N: Node<Output = Value> + 'static,
+{
+    let cfg = Config::new(n).unwrap();
+    SimBuilder::new(n).seed(7).policy(policy).record_trace(true).build_boxed(|id| {
+        if crashed && id == NodeId(0) {
+            Box::new(tetrabft_suite::sim::SilentNode::new())
+        } else {
+            Box::new(make(cfg, params, id, Value::from_u64(u64::from(id.0) + 1)))
+        }
+    })
+}
 
 /// First-decision tick of `n` nodes built by `make` on a unit-delay
 /// network; with `crash_leader`, node 0 (the view-0 leader) is silent.
@@ -18,14 +47,7 @@ fn first_decision<N>(
 where
     N: Node<Output = Value> + 'static,
 {
-    let cfg = Config::new(n).unwrap();
-    let mut sim = SimBuilder::new(n).policy(LinkPolicy::synchronous(1)).build_boxed(|id| {
-        if crash_leader && id == NodeId(0) {
-            Box::new(tetrabft_suite::sim::SilentNode::new())
-        } else {
-            Box::new(make(cfg, params, id, Value::from_u64(1)))
-        }
-    });
+    let mut sim = cluster(n, LinkPolicy::synchronous(1), crash_leader, params, make);
     assert!(sim.run_until_outputs(n - usize::from(crash_leader), 20_000_000));
     sim.outputs()[0].time.0
 }
@@ -80,24 +102,96 @@ fn pipelining_beats_repetition_by_about_five() {
 #[test]
 fn all_protocols_agree_under_crash() {
     // Same scenario, four protocols: everyone recovers and agrees.
-    macro_rules! check {
-        ($ctor:expr) => {{
-            let cfg = Config::new(4).unwrap();
-            let mut sim =
-                SimBuilder::new(4).policy(LinkPolicy::synchronous(1)).build_boxed(move |id| {
-                    if id == NodeId(0) {
-                        Box::new(tetrabft_suite::sim::SilentNode::new())
-                    } else {
-                        Box::new($ctor(cfg, Params::new(10), id, Value::from_u64(9)))
-                    }
-                });
-            assert!(sim.run_until_outputs(3, 20_000_000));
-            let first = sim.outputs()[0].output;
-            assert!(sim.outputs().iter().all(|o| o.output == first));
-        }};
+    fn check<N: Node<Output = Value> + 'static>(make: impl Fn(Config, Params, NodeId, Value) -> N) {
+        let mut sim = cluster(4, LinkPolicy::synchronous(1), true, Params::new(10), make);
+        assert!(sim.run_until_outputs(3, 20_000_000));
+        let first = sim.outputs()[0].output;
+        assert!(sim.outputs().iter().all(|o| o.output == first));
     }
-    check!(TetraNode::new);
-    check!(IthsNode::new);
-    check!(BlogNode::new);
-    check!(PbftNode::new);
+    check(TetraNode::new);
+    check(IthsNode::new);
+    check(BlogNode::new);
+    check(PbftNode::new);
+}
+
+/// Everything observable about one run, as in `tests/batched_stepping.rs`.
+#[derive(Debug)]
+#[allow(dead_code)] // read through `Debug` only
+struct RunRecord<M> {
+    outputs: Vec<OutputRecord<Value>>,
+    trace: Vec<TraceEvent<M>>,
+    bytes_sent: u64,
+    msgs_sent: u64,
+}
+
+/// The schedules every protocol's traffic is pinned under. Δ = 10, so each
+/// run of 600 ticks also sees several 9Δ timeouts, and with them the
+/// view-change rules, after its decision.
+#[derive(Debug, Clone, Copy)]
+enum Scenario {
+    /// Unit delays, every node correct.
+    GoodCase(usize),
+    /// n = 4 on links of 1–4 ticks; node 0, the view-0 leader, is silent.
+    CrashedLeader,
+    /// n = 4 on links of 1–4 ticks that drop each message with probability
+    /// 1/2 until tick 150.
+    PreGstLoss,
+}
+
+/// The FNV-1a digest of the [`RunRecord`] of `make`'s nodes under
+/// `scenario`.
+fn traffic<N>(scenario: Scenario, make: impl Fn(Config, Params, NodeId, Value) -> N) -> u64
+where
+    N: Node<Output = Value> + 'static,
+    N::Msg: Debug + WireSize,
+{
+    let (n, crashed, policy) = match scenario {
+        Scenario::GoodCase(n) => (n, false, LinkPolicy::synchronous(1)),
+        Scenario::CrashedLeader => (4, true, LinkPolicy::jittered(1, 4)),
+        Scenario::PreGstLoss => (
+            4,
+            false,
+            LinkPolicy::scripted(|env, rng| match env.now < Time(150) && rng.next_u64() % 2 == 0 {
+                true => Route::Drop,
+                false => Route::DeliverAt(env.now + rng.random_range(1..5u64)),
+            }),
+        ),
+    };
+    let mut sim = cluster(n, policy, crashed, Params::new(10), make);
+    sim.run_until(Time(600));
+    assert_eq!(sim.outputs().len(), n - usize::from(crashed), "{scenario:?}: all must decide");
+    let run = RunRecord {
+        outputs: sim.outputs().to_vec(),
+        trace: sim.trace().map(<[TraceEvent<N::Msg>]>::to_vec).unwrap_or_default(),
+        bytes_sent: sim.metrics().total_bytes_sent(),
+        msgs_sent: sim.metrics().total_msgs_sent(),
+    };
+    TxId::of(format!("{run:?}").as_bytes()).0
+}
+
+/// TetraBFT's, IT-HS's, blog IT-HS's and PBFT's traffic: a run that changes
+/// any message, tick, byte or output changes its digest. The literals were
+/// captured before the four protocols shared one register file and one
+/// view-change counter.
+#[test]
+fn every_protocols_traffic_is_pinned() {
+    use Scenario::{CrashedLeader, GoodCase, PreGstLoss};
+    // One row per scenario: TetraBFT, IT-HS, blog IT-HS, PBFT.
+    const PINNED: [[u64; 4]; 4] = [
+        [0xe7c8530fad157555, 0xe2005980df9fa653, 0x922b9c363159960e, 0x1cf877413789aa3c],
+        [0xf1d91ffd8240866e, 0xb41ff091d39c8dd1, 0x9c12fb949383de00, 0xd7c54e0b262356bb],
+        [0xb693f82488a92cbe, 0x8373ca7be2f6cde9, 0x48e7307f5cdbc935, 0xa516b728bf006061],
+        [0xf49649071c8beb91, 0xcef636622f533bd8, 0xd88193ddcff787ed, 0x429a76dbad171281],
+    ];
+    for (scenario, pinned) in
+        [GoodCase(4), GoodCase(7), CrashedLeader, PreGstLoss].into_iter().zip(PINNED)
+    {
+        let got = [
+            traffic(scenario, TetraNode::new),
+            traffic(scenario, IthsNode::new),
+            traffic(scenario, BlogNode::new),
+            traffic(scenario, PbftNode::new),
+        ];
+        assert!(got == pinned, "{scenario:?}: {got:#x?} (TetraBFT, IT-HS, blog, PBFT)");
+    }
 }

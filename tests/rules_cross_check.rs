@@ -10,13 +10,16 @@
 //!   proof messages and fed to the *production* `node_determine_safe`
 //!   (Algorithm 5); once a value is decided, Rule 3 must reject every
 //!   conflicting value in every later view.
+//! * **The view-change rule**: [`ViewChanges::poll`], allocation-free,
+//!   against the sort–dedup–scan it replaced, and the view it makes a
+//!   chain slot enter against the k-th-highest formula slots used before.
 
 use proptest::prelude::*;
 
 use tetrabft::rules::{claims_safe, node_determine_safe};
-use tetrabft::ProofData;
+use tetrabft::{ProofData, ViewChanges, ViewVerdict};
 use tetrabft_mc::{ModelCfg, State};
-use tetrabft_types::{Config, Phase, Value, View, VoteBook, VoteInfo};
+use tetrabft_types::{Config, NodeId, Phase, Value, View, VoteBook, VoteInfo};
 
 proptest! {
     /// Lemma 1, first statement: vote-1 history ⇒ persistent proof claims.
@@ -173,5 +176,99 @@ proptest! {
             node_determine_safe(&real_cfg, &proofs, next, winner),
             "the decided value must remain certifiable at {next}"
         );
+    }
+}
+
+/// The view-change counter as it was before [`ViewChanges`], its `poll`
+/// verbatim: the reference the allocation-free one is checked against.
+struct Reference {
+    highest: Vec<Option<View>>,
+    sent: Option<View>,
+}
+
+impl Reference {
+    fn support(&self, view: View) -> usize {
+        self.highest.iter().flatten().filter(|v| **v >= view).count()
+    }
+
+    fn poll(&self, cfg: &Config, current: View) -> ViewVerdict {
+        let mut candidates: Vec<View> =
+            self.highest.iter().flatten().copied().filter(|v| *v > current).collect();
+        candidates.sort_unstable();
+        candidates.dedup();
+        candidates.reverse();
+        for v in &candidates {
+            if cfg.is_quorum(self.support(*v)) {
+                return ViewVerdict::Enter(*v);
+            }
+        }
+        for v in &candidates {
+            if cfg.is_blocking(self.support(*v)) && self.sent.is_none_or(|s| *v > s) {
+                return ViewVerdict::Echo(*v);
+            }
+        }
+        ViewVerdict::Idle
+    }
+}
+
+/// The view a chain slot entered before [`ViewChanges`]: the quorum-th
+/// highest request, verbatim.
+fn kth_highest(requests: &[Option<View>], quorum: usize) -> Option<View> {
+    if requests.iter().flatten().count() < quorum {
+        return None;
+    }
+    let mut views: Vec<View> = requests.iter().flatten().copied().collect();
+    views.sort_unstable();
+    views.reverse();
+    Some(views[quorum - 1])
+}
+
+/// Replays `history` into both counters for `n` peers, both carrying the
+/// `sent` mark: `(peer, view, 0)` withdraws `peer`'s request, any other
+/// third field records one (peer indices wrap).
+fn replay(n: usize, history: &[(u16, u64, u8)], sent: Option<View>) -> (ViewChanges, Reference) {
+    let mut vc = ViewChanges::new(&Config::new(n).unwrap());
+    let mut reference = Reference { highest: vec![None; n], sent };
+    vc.sent = sent;
+    for &(peer, view, op) in history {
+        let peer = NodeId(peer % n as u16);
+        if op == 0 {
+            vc.withdraw(peer);
+            reference.highest[peer.index()] = None;
+        } else {
+            vc.record(peer, View(view));
+            let held = &mut reference.highest[peer.index()];
+            *held = (*held).max(Some(View(view)));
+        }
+    }
+    (vc, reference)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// Same requests, same `sent` mark: at every current view, the same
+    /// verdict as the sort–dedup–scan, the same support, and — where a
+    /// chain slot would enter a view — the view the k-th-highest formula
+    /// names.
+    #[test]
+    fn view_changes_poll_matches_the_code_it_replaced(
+        n in 4usize..14,
+        history in proptest::collection::vec((0u16..13, 0u64..8, 0u8..4), 0..40),
+        sent in proptest::option::of(0u64..8),
+    ) {
+        let cfg = Config::new(n).unwrap();
+        let (vc, reference) = replay(n, &history, sent.map(View));
+        for view in (0..9).map(View) {
+            let verdict = vc.poll(view);
+            prop_assert_eq!(verdict, reference.poll(&cfg, view), "current {:?}", view);
+            prop_assert_eq!(vc.support(view), reference.support(view));
+            let entered = match verdict {
+                ViewVerdict::Enter(target) => Some(target),
+                _ => None,
+            };
+            let formula = kth_highest(&reference.highest, cfg.quorum()).filter(|v| *v > view);
+            prop_assert_eq!(entered, formula, "current {:?}", view);
+        }
     }
 }
