@@ -429,12 +429,28 @@ mod tests {
         regs.record(NodeId(1), &vote(Phase::VOTE2, 5, 1));
         regs.record(NodeId(1), &vote(Phase::VOTE2, 3, 9));
         assert_eq!(held(&regs, 1, Phase::VOTE2), Some(VoteInfo::new(View(5), Value::from_u64(1))));
+    }
+
+    #[test]
+    fn registers_keep_newest_view() {
         // Any phase count: a `K = 3` register keeps the newest view too.
         let mut votes: VoteRegisters<3> = VoteRegisters::new(&cfg());
-        for (view, value) in [(1, 1), (3, 2), (2, 3)] {
-            votes.record(NodeId(0), 2, View(view), Value::from_u64(value));
+        votes.record(NodeId(0), 1, View(1), Value::from_u64(1));
+        votes.record(NodeId(0), 1, View(3), Value::from_u64(2));
+        votes.record(NodeId(0), 1, View(2), Value::from_u64(3)); // stale
+        assert_eq!(votes.get(NodeId(0), 1), Some(VoteInfo::new(View(3), Value::from_u64(2))));
+    }
+
+    #[test]
+    fn tallies_and_counts() {
+        let mut votes: VoteRegisters<1> = VoteRegisters::new(&cfg());
+        for i in 0..3u16 {
+            votes.record(NodeId(i), 0, View(0), Value::from_u64(9));
         }
-        assert_eq!(votes.get(NodeId(0), 2), Some(VoteInfo::new(View(3), Value::from_u64(2))));
+        assert_eq!(votes.count(0, View(0), Value::from_u64(9)), 3);
+        assert_eq!(votes.quorum_value(0, View(0), 3), Some(Value::from_u64(9)));
+        assert_eq!(votes.quorum_value(0, View(0), 4), None);
+        assert_eq!(votes.iter_phase(0).count(), 3);
     }
 
     #[test]
