@@ -55,7 +55,6 @@ mod node;
 mod params;
 mod records;
 pub mod rules;
-pub mod strategies;
 
 pub use msg::{Message, ProofData, SuggestData};
 pub use node::{TetraNode, VIEW_TIMER};

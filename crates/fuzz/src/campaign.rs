@@ -202,10 +202,11 @@ pub fn sample_scenario(seed: u64, cfg: &CampaignCfg) -> Scenario {
         let attacks = if rng.random_range(0..100u64) < 15 {
             Vec::new()
         } else {
-            // Relay spam (kind 4) needs a hand-off to abuse, vote-then-skip
-            // (kind 5) a turn to skip and a flap (kind 6) a node that reads
-            // the hint: chain mode only.
-            let mut kinds: Vec<u8> = (0..if mode == Mode::Chain { 7 } else { 4 }).collect();
+            // Relay spam (kind 7) needs a hand-off to abuse, vote-then-skip
+            // (kind 8) a turn to skip and a flap (kind 9) a node that reads
+            // the hint: they act in chain mode only. The amplifier (kind 4)
+            // acts in single-shot mode only, and is drawn in both.
+            let mut kinds: Vec<u8> = (0..if mode == Mode::Chain { 10 } else { 7 }).collect();
             let count = rng.random_range(1..=2u64) as usize;
             let mut attacks = Vec::with_capacity(count);
             for _ in 0..count {
@@ -215,8 +216,11 @@ pub fn sample_scenario(seed: u64, cfg: &CampaignCfg) -> Scenario {
                     1 => Attack::SilenceToward(sample_targets(&mut rng, n, node)),
                     2 => Attack::SkewedReplay { view_offset: rng.random_range(1..=4) },
                     3 => Attack::ValueSpam { period_ms: rng.random_range(20..=80) },
-                    4 => Attack::RelaySpam,
-                    5 => Attack::VoteThenSkip,
+                    4 => Attack::Amplify,
+                    5 => Attack::ForgeHistory,
+                    6 => Attack::CrashAt { ms: rng.random_range(0..=PLAN_HORIZON_MS / 2) },
+                    7 => Attack::RelaySpam,
+                    8 => Attack::VoteThenSkip,
                     _ => Attack::Flap { period_ms: rng.random_range(20..=80) },
                 });
             }
@@ -281,6 +285,41 @@ mod tests {
             seen_over |= scn.is_over_budget();
         }
         assert!(seen_over, "64 seeds should sample at least one over-budget scenario");
+    }
+
+    #[test]
+    fn every_attack_kind_is_sampled() {
+        // Each kind's index and whether it acts in single-shot mode. No
+        // wildcard: a new variant does not compile until it is listed
+        // here, and fails below until the sampler draws it.
+        fn kind(attack: &Attack) -> (usize, bool) {
+            match attack {
+                Attack::Equivocate => (0, true),
+                Attack::SilenceToward(_) => (1, true),
+                Attack::SkewedReplay { .. } => (2, true),
+                Attack::ValueSpam { .. } => (3, true),
+                Attack::Amplify => (4, true),
+                Attack::ForgeHistory => (5, true),
+                Attack::CrashAt { .. } => (6, true),
+                Attack::RelaySpam => (7, false),
+                Attack::VoteThenSkip => (8, false),
+                Attack::Flap { .. } => (9, false),
+            }
+        }
+        let cfg = CampaignCfg::default();
+        let (mut single, mut chain, mut acts_single) = ([false; 10], [false; 10], [false; 10]);
+        for seed in 0..1024 {
+            let scn = sample_scenario(seed, &cfg);
+            for attack in scn.faults.iter().flat_map(|f| &f.attacks) {
+                let (k, acts) = kind(attack);
+                match scn.mode {
+                    Mode::Single => single[k] = true,
+                    Mode::Chain => (chain[k], acts_single[k]) = (true, acts),
+                }
+            }
+        }
+        assert_eq!(chain, [true; 10], "every kind in a chain scenario");
+        assert_eq!(single, acts_single, "exactly the kinds that act there in a single-shot one");
     }
 
     #[test]

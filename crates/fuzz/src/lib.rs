@@ -1,12 +1,16 @@
-//! Seeded adversary fuzzer for the TetraBFT reproduction.
+//! Seeded adversary fuzzer for the TetraBFT reproduction, and the one place
+//! the workspace defines Byzantine behavior.
 //!
 //! Each fuzz seed deterministically samples a whole hostile world:
 //!
-//! * a **Byzantine strategy composition** per faulty node — equivocation,
-//!   selective silence toward a sampled subset, view-skewed vote replay,
-//!   value spam, in chain mode relay spam (unasked-for loans of every
-//!   shape), or random compositions thereof, assembled from the
-//!   composable [`Behavior`](tetrabft_sim::Behavior)s in `tetrabft-sim`;
+//! * a **Byzantine strategy composition** per faulty node, one or two of
+//!   the [`Attack`]s: split-brain equivocation, selective silence toward a
+//!   sampled subset, stale and premature vote replay (across slots too, on
+//!   the chain), value spam, vote amplification, forged suggest/proof
+//!   history, a crash at a sampled instant and, on the chain, relay spam
+//!   (unasked-for loans of every shape), vote-then-skip and connection
+//!   flaps — or a plain crash. Nodes that speak for themselves are a
+//!   crate-private Byzantine actor composing one behavior per attack;
 //! * a **random [`LinkPlan`](tetrabft_sim::LinkPlan)** — delay/jitter/loss
 //!   matrices plus scripted partition windows;
 //!
@@ -45,6 +49,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod actors;
 mod audit;
 mod behaviors;
 mod campaign;

@@ -10,13 +10,12 @@
 use std::fmt;
 
 use tetrabft::{Message, Params, TetraNode};
-use tetrabft_multishot::{MsMessage, MultiShotNode};
-use tetrabft_sim::{
-    ByzantineActor, FilteredNode, LinkPlan, Node, SilentNode, Sim, SimBuilder, Time, TraceEvent,
-};
+use tetrabft_multishot::{Finalized, MsMessage, MultiShotNode};
+use tetrabft_sim::{FilteredNode, LinkPlan, Node, SilentNode, Sim, SimBuilder, Time, TraceEvent};
 use tetrabft_types::{Config, Evidence, NodeId, Value};
 
-use crate::behaviors;
+use crate::actors::{Behavior, ByzantineActor};
+use crate::behaviors::{self, Crashing};
 
 /// One component of a faulty node's strategy composition.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -28,9 +27,12 @@ pub enum Attack {
     /// Drop all traffic toward the listed peers while talking normally to
     /// everyone else (selective silence / split-view).
     SilenceToward(Vec<NodeId>),
-    /// Replay delivered votes shifted this many views into the future.
+    /// Replay each delivered vote this many views later and earlier (the
+    /// earlier copy only where it stays at or above view 0); in chain mode
+    /// also in the same view one slot lower and one slot higher — a stale
+    /// replayer across views and slots.
     SkewedReplay {
-        /// How many views ahead the replayed votes claim to be.
+        /// How many views the replayed votes are moved.
         view_offset: u64,
     },
     /// Broadcast forged proposals/votes on a timer.
@@ -59,6 +61,22 @@ pub enum Attack {
         /// Milliseconds between two reports.
         period_ms: u64,
     },
+    /// Single-shot only: vote every `(view, value)` heard proposed or voted
+    /// in all four phases of that view. In chain mode the attack does
+    /// nothing.
+    Amplify,
+    /// Answer view changes with a forged history: suggest to the new view's
+    /// leader and proof to everyone, both claiming votes one view earlier
+    /// for a poison value derived from the scenario seed (in chain mode, per
+    /// `(slot, view)` and for a hash no block has). The attack Rule 1 and
+    /// Algorithm 4 exist to survive.
+    ForgeHistory,
+    /// Run the node's composition (the honest protocol, if nothing else
+    /// speaks for it) until this virtual time, then go silent for good.
+    CrashAt {
+        /// When the node stops, in milliseconds.
+        ms: u64,
+    },
 }
 
 impl Attack {
@@ -80,6 +98,9 @@ impl Attack {
             Attack::RelaySpam => "Attack::RelaySpam".into(),
             Attack::VoteThenSkip => "Attack::VoteThenSkip".into(),
             Attack::Flap { period_ms } => format!("Attack::Flap {{ period_ms: {period_ms} }}"),
+            Attack::Amplify => "Attack::Amplify".into(),
+            Attack::ForgeHistory => "Attack::ForgeHistory".into(),
+            Attack::CrashAt { ms } => format!("Attack::CrashAt {{ ms: {ms} }}"),
         }
     }
 }
@@ -267,12 +288,6 @@ impl Scenario {
         self.faults.iter().find(|f| f.node == id)
     }
 
-    /// Whether a composition leaves the node's own protocol logic honest:
-    /// it only filters what the node sends, or flaps its connections.
-    fn speaks_honestly(spec: &FaultSpec) -> bool {
-        spec.attacks.iter().all(|a| matches!(a, Attack::SilenceToward(_) | Attack::Flap { .. }))
-    }
-
     /// Who flaps, and how often, as `Flapped` wants it.
     fn flappers(&self) -> Vec<(NodeId, u64)> {
         let period = |a: &Attack| match a {
@@ -283,66 +298,12 @@ impl Scenario {
         self.faults.iter().filter_map(flaps).collect()
     }
 
-    /// Union of `SilenceToward` targets across a composition.
-    fn silence_set(spec: &FaultSpec) -> Vec<NodeId> {
-        let mut set: Vec<NodeId> = spec
-            .attacks
-            .iter()
-            .filter_map(|a| match a {
-                Attack::SilenceToward(targets) => Some(targets.iter().copied()),
-                _ => None,
-            })
-            .flatten()
-            .collect();
-        set.sort_unstable();
-        set.dedup();
-        set
-    }
-
-    fn make_single(
-        &self,
-        cfg: Config,
-        params: Params,
-        id: NodeId,
-    ) -> Box<dyn Node<Msg = Message, Output = Value>> {
-        let Some(spec) = self.fault_for(id) else {
-            let input = Value::from_u64(100 + u64::from(id.0));
-            return Box::new(TetraNode::new(cfg, params, id, input));
-        };
-        if spec.attacks.is_empty() {
-            return Box::new(SilentNode::new());
+    fn make_single(&self, cfg: Config, params: Params, id: NodeId) -> BoxedNode<Message, Value> {
+        let honest = || TetraNode::new(cfg, params, id, Value::from_u64(100 + u64::from(id.0)));
+        match self.fault_for(id) {
+            Some(spec) => faulty(spec, honest, |a| behaviors::single(a, self.seed)),
+            None => Box::new(honest()),
         }
-        let silenced = Self::silence_set(spec);
-        if Self::speaks_honestly(spec) {
-            let input = Value::from_u64(100 + u64::from(id.0));
-            return Box::new(FilteredNode::new(TetraNode::new(cfg, params, id, input), silenced));
-        }
-        let mut actor: ByzantineActor<Message, Value> = ByzantineActor::new();
-        let mut tick: Option<u64> = None;
-        for attack in &spec.attacks {
-            match attack {
-                Attack::Equivocate => {
-                    actor = actor.with_behavior(behaviors::equivocator(self.seed));
-                }
-                Attack::SilenceToward(_)
-                | Attack::RelaySpam
-                | Attack::VoteThenSkip
-                | Attack::Flap { .. } => {}
-                Attack::SkewedReplay { view_offset } => {
-                    actor = actor.with_behavior(behaviors::skewed_replayer(*view_offset));
-                }
-                Attack::ValueSpam { period_ms } => {
-                    let p = (*period_ms).max(1);
-                    tick = Some(tick.map_or(p, |t| t.min(p)));
-                    actor = actor.with_behavior(behaviors::value_spammer());
-                }
-            }
-        }
-        actor = actor.silence_toward(silenced);
-        if let Some(every) = tick {
-            actor = actor.tick_every(every);
-        }
-        Box::new(actor)
     }
 
     fn make_chain(
@@ -350,51 +311,13 @@ impl Scenario {
         cfg: Config,
         params: Params,
         id: NodeId,
-    ) -> Box<dyn Node<Msg = MsMessage, Output = tetrabft_multishot::Finalized>> {
-        let Some(spec) = self.fault_for(id) else {
-            let node = MultiShotNode::new(cfg, params, id);
-            return match self.flappers() {
-                flappers if flappers.is_empty() => Box::new(node),
-                flappers => Box::new(behaviors::Flapped::new(node, flappers)),
-            };
-        };
-        if spec.attacks.is_empty() {
-            return Box::new(SilentNode::new());
+    ) -> BoxedNode<MsMessage, Finalized> {
+        let honest = || MultiShotNode::new(cfg, params, id);
+        match (self.fault_for(id), self.flappers()) {
+            (Some(spec), _) => faulty(spec, honest, |a| behaviors::chain(a, self.seed)),
+            (None, flappers) if flappers.is_empty() => Box::new(honest()),
+            (None, flappers) => Box::new(behaviors::Flapped::new(honest(), flappers)),
         }
-        let silenced = Self::silence_set(spec);
-        if Self::speaks_honestly(spec) {
-            return Box::new(FilteredNode::new(MultiShotNode::new(cfg, params, id), silenced));
-        }
-        let mut actor: ByzantineActor<MsMessage, tetrabft_multishot::Finalized> =
-            ByzantineActor::new();
-        let mut tick: Option<u64> = None;
-        for attack in &spec.attacks {
-            match attack {
-                Attack::Equivocate => {
-                    actor = actor.with_behavior(behaviors::ms_equivocator(self.seed));
-                }
-                Attack::SilenceToward(_) | Attack::Flap { .. } => {}
-                Attack::SkewedReplay { view_offset } => {
-                    actor = actor.with_behavior(behaviors::ms_skewed_replayer(*view_offset));
-                }
-                Attack::ValueSpam { period_ms } => {
-                    let p = (*period_ms).max(1);
-                    tick = Some(tick.map_or(p, |t| t.min(p)));
-                    actor = actor.with_behavior(behaviors::ms_value_spammer());
-                }
-                Attack::RelaySpam => {
-                    actor = actor.with_behavior(behaviors::ms_relay_spammer());
-                }
-                Attack::VoteThenSkip => {
-                    actor = actor.with_behavior(behaviors::ms_vote_then_skip());
-                }
-            }
-        }
-        actor = actor.silence_toward(silenced);
-        if let Some(every) = tick {
-            actor = actor.tick_every(every);
-        }
-        Box::new(actor)
     }
 
     fn run_single(&self) -> RunReport {
@@ -577,6 +500,52 @@ impl Scenario {
             faults = faults.join(", "),
             plan = self.plan,
         )
+    }
+}
+
+type BoxedNode<M, O> = Box<dyn Node<Msg = M, Output = O>>;
+
+/// A faulty node: crashed if its composition is empty; honest behind its
+/// selective-silence filter if no attack in it speaks for the node;
+/// otherwise a Byzantine actor sending what each attack `speak`s, ticking
+/// at the fastest spam period. Either way stopped at its `CrashAt`, if any.
+fn faulty<N: Node + 'static>(
+    spec: &FaultSpec,
+    honest: impl FnOnce() -> N,
+    speak: impl Fn(&Attack) -> Option<Behavior<N::Msg>>,
+) -> BoxedNode<N::Msg, N::Output>
+where
+    N::Msg: 'static,
+    N::Output: 'static,
+{
+    let mut silenced: Vec<NodeId> = Vec::new();
+    let (mut tick, mut crash) = (None, None);
+    for attack in &spec.attacks {
+        match attack {
+            Attack::SilenceToward(targets) => silenced.extend(targets),
+            Attack::ValueSpam { period_ms } => {
+                tick = Some(tick.map_or(*period_ms, |t: u64| t.min(*period_ms)))
+            }
+            Attack::CrashAt { ms } => crash = Some(*ms),
+            _ => {}
+        }
+    }
+    silenced.sort_unstable();
+    silenced.dedup();
+    let quiet = |a: &Attack| {
+        matches!(a, Attack::SilenceToward(_) | Attack::Flap { .. } | Attack::CrashAt { .. })
+    };
+    let node: BoxedNode<N::Msg, N::Output> = if spec.attacks.is_empty() {
+        Box::new(SilentNode::new())
+    } else if spec.attacks.iter().all(quiet) {
+        Box::new(FilteredNode::new(honest(), silenced))
+    } else {
+        let behaviors = spec.attacks.iter().filter_map(speak).collect();
+        Box::new(ByzantineActor::new(behaviors, silenced, tick))
+    };
+    match crash {
+        Some(at) => Box::new(Crashing::new(node, at)),
+        None => node,
     }
 }
 
@@ -782,8 +751,56 @@ mod tests {
         assert_eq!(report.decided.len(), 3, "decided counts honest nodes only");
     }
 
+    /// An equivocating leader, a vote amplifier, a history forger, a stale
+    /// replayer and a crash mid-view, each at node 0 (the view-0 leader) of
+    /// four on 1–4 ms links: the honest nodes agree and progress, in each
+    /// mode where the attack acts.
+    #[test]
+    fn each_attacker_at_the_view_0_leader_is_tolerated() {
+        let both = [Mode::Single, Mode::Chain];
+        let table = [
+            (Attack::Equivocate, &both[..]),
+            (Attack::Amplify, &[Mode::Single][..]),
+            (Attack::ForgeHistory, &both[..]),
+            (Attack::SkewedReplay { view_offset: 1 }, &both[..]),
+            (Attack::CrashAt { ms: 10 }, &both[..]),
+        ];
+        for (attack, modes) in table {
+            for (&mode, seed) in modes.iter().flat_map(|mode| [mode; 5].into_iter().zip(0..)) {
+                let scn = Scenario {
+                    n: 4,
+                    delta_ms: 20,
+                    seed,
+                    horizon_ms: 3_000,
+                    mode,
+                    faults: vec![FaultSpec { node: NodeId(0), attacks: vec![attack.clone()] }],
+                    plan: "default(delay=1,jitter=3)".parse().unwrap(),
+                };
+                let report = scn.run();
+                let at = format!("{attack:?} in {mode:?} mode, seed {seed}");
+                assert_eq!(report.verdict, Verdict::Ok, "{at}");
+                match mode {
+                    Mode::Single => assert_eq!(report.decided.len(), 3, "{at}"),
+                    Mode::Chain => assert!(report.finalized.iter().all(|(_, n)| *n > 0), "{at}"),
+                }
+            }
+        }
+    }
+
     #[test]
     fn scripted_source_round_trips_the_plan() {
+        let every = [
+            (Attack::Equivocate, "Attack::Equivocate"),
+            (Attack::SilenceToward(vec![NodeId(2)]), "Attack::SilenceToward(vec![NodeId(2)])"),
+            (Attack::SkewedReplay { view_offset: 2 }, "Attack::SkewedReplay { view_offset: 2 }"),
+            (Attack::ValueSpam { period_ms: 30 }, "Attack::ValueSpam { period_ms: 30 }"),
+            (Attack::RelaySpam, "Attack::RelaySpam"),
+            (Attack::VoteThenSkip, "Attack::VoteThenSkip"),
+            (Attack::Flap { period_ms: 7 }, "Attack::Flap { period_ms: 7 }"),
+            (Attack::Amplify, "Attack::Amplify"),
+            (Attack::ForgeHistory, "Attack::ForgeHistory"),
+            (Attack::CrashAt { ms: 40 }, "Attack::CrashAt { ms: 40 }"),
+        ];
         let scn = Scenario {
             n: 4,
             delta_ms: 3,
@@ -792,13 +809,14 @@ mod tests {
             mode: Mode::Single,
             faults: vec![FaultSpec {
                 node: NodeId(1),
-                attacks: vec![Attack::Equivocate, Attack::SilenceToward(vec![NodeId(2)])],
+                attacks: every.iter().map(|(attack, _)| attack.clone()).collect(),
             }],
             plan: "default(delay=2,jitter=1); part(10..40:0,1)".parse().unwrap(),
         };
         let src = scn.to_rust_source("regress_demo", &Verdict::Safety(String::new()));
         assert!(src.contains("fn regress_demo()"), "{src}");
-        assert!(src.contains("Attack::SilenceToward(vec![NodeId(2)])"), "{src}");
+        let rendered: Vec<&str> = every.iter().map(|(_, source)| *source).collect();
+        assert!(src.contains(&format!("attacks: vec![{}]", rendered.join(", "))), "{src}");
         assert!(src.contains("part(10..40:0,1)"), "{src}");
         assert!(src.contains("matches!(report.verdict, Verdict::Safety(_))"), "{src}");
         // The embedded plan string must parse back to the same plan.

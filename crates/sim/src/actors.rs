@@ -1,9 +1,11 @@
-//! Generic actors for fault injection: crashed nodes, closure-driven
-//! strategies, and composable Byzantine behaviors for the adversary fuzzer.
+//! Generic actors for fault injection: omission faults (a crashed node, an
+//! honest node that drops part of what it sends) and a closure-driven node
+//! for tests. Byzantine speech, nodes that send what the protocol never
+//! would, lives in the adversary fuzzer, `tetrabft-fuzz`.
 
 use std::marker::PhantomData;
 
-use tetrabft_engine::{Action, ActionBuf, Context, Dest, Input, Node, Time, TimerId, WireSize};
+use tetrabft_engine::{Action, ActionBuf, Context, Dest, Input, Node, WireSize};
 use tetrabft_types::NodeId;
 
 /// A node that never sends anything — models a crashed / silent Byzantine
@@ -39,8 +41,8 @@ impl<M: WireSize + Clone, O> Node for SilentNode<M, O> {
     fn handle(&mut self, _input: Input<M>, _ctx: &mut Context<'_, M, O>) {}
 }
 
-/// A node driven by a closure — the building block for protocol-specific
-/// Byzantine strategies (equivocators, value spammers, stale-view replayers).
+/// A node driven by a closure, for tests that need a node with one
+/// hand-written reaction.
 ///
 /// # Examples
 ///
@@ -80,221 +82,6 @@ where
     type Output = O;
     fn handle(&mut self, input: Input<M>, ctx: &mut Context<'_, M, O>) {
         (self.f)(input, ctx)
-    }
-}
-
-/// Environment snapshot handed to a [`Behavior`]: who the Byzantine node is,
-/// how many nodes exist, and the current virtual time.
-#[derive(Debug, Clone, Copy)]
-pub struct BehaviorEnv {
-    /// The Byzantine node's own id.
-    pub me: NodeId,
-    /// Number of nodes in the system.
-    pub n: usize,
-    /// Current virtual time.
-    pub now: Time,
-}
-
-/// One composable Byzantine sub-strategy.
-///
-/// A behavior reacts to an input by queueing `(destination, message)` pairs;
-/// the hosting [`ByzantineActor`] composes several behaviors, applies its
-/// selective-silence filter and emission budget, and performs the sends.
-/// Keeping behaviors send-only (no timers, no outputs) is what makes
-/// arbitrary compositions safe: two behaviors can never fight over a timer.
-pub trait Behavior<M> {
-    /// Reacts to `input`, pushing any sends into `out`.
-    ///
-    /// `Dest::All` means "every *other* node" — the actor never delivers to
-    /// itself, so behaviors cannot self-amplify through loopback.
-    fn react(&mut self, input: &Input<M>, env: &BehaviorEnv, out: &mut Vec<(Dest, M)>);
-}
-
-/// A [`Behavior`] backed by a closure.
-///
-/// # Examples
-///
-/// A vote-echo behavior that replays every delivered message back at the
-/// whole system:
-///
-/// ```
-/// use tetrabft_sim::{BehaviorEnv, Dest, FnBehavior, Input};
-///
-/// let echo = FnBehavior::new(|input: &Input<u8>, _env: &BehaviorEnv, out: &mut Vec<(Dest, u8)>| {
-///     if let Input::Deliver { msg, .. } = input {
-///         out.push((Dest::All, *msg));
-///     }
-/// });
-/// # let _ = echo;
-/// ```
-pub struct FnBehavior<F> {
-    f: F,
-}
-
-impl<F> FnBehavior<F> {
-    /// Wraps `f` as a behavior.
-    pub fn new(f: F) -> Self {
-        FnBehavior { f }
-    }
-}
-
-impl<M, F> Behavior<M> for FnBehavior<F>
-where
-    F: FnMut(&Input<M>, &BehaviorEnv, &mut Vec<(Dest, M)>),
-{
-    fn react(&mut self, input: &Input<M>, env: &BehaviorEnv, out: &mut Vec<(Dest, M)>) {
-        (self.f)(input, env, out)
-    }
-}
-
-/// Timer id the [`ByzantineActor`] uses for its periodic tick — far outside
-/// any protocol's timer space.
-pub const BYZ_TICK: TimerId = TimerId(u64::MAX - 1);
-
-/// Default total-emission budget of a [`ByzantineActor`]. Generous enough
-/// for any real attack in a bounded-horizon run, small enough that a
-/// pathological behavior composition cannot wedge the event queue.
-pub const DEFAULT_BYZ_BUDGET: u64 = 4096;
-
-/// A Byzantine node assembled from composable [`Behavior`]s — the fuzzer's
-/// unit of adversary sampling.
-///
-/// The actor:
-/// * feeds every input (boots, deliveries from *other* nodes, its periodic
-///   [`BYZ_TICK`]) to each behavior in order;
-/// * expands `Dest::All` into per-node sends, **never to itself** (no
-///   loopback self-amplification);
-/// * drops sends toward nodes in its selective-silence set;
-/// * stops emitting once its total budget is exhausted, so a runaway
-///   composition cannot flood the simulation.
-///
-/// # Examples
-///
-/// A pure value-spammer ticking every 50 ms:
-///
-/// ```
-/// use tetrabft_sim::{BehaviorEnv, ByzantineActor, Dest, FnBehavior, Input};
-///
-/// let spam = FnBehavior::new(|input: &Input<u8>, _env: &BehaviorEnv, out: &mut Vec<(Dest, u8)>| {
-///     if matches!(input, Input::Timer { .. }) {
-///         out.push((Dest::All, 0xee));
-///     }
-/// });
-/// let actor: ByzantineActor<u8, ()> =
-///     ByzantineActor::new().with_behavior(spam).tick_every(50);
-/// # let _ = actor;
-/// ```
-pub struct ByzantineActor<M, O> {
-    behaviors: Vec<Box<dyn Behavior<M>>>,
-    silenced: Vec<NodeId>,
-    tick_every: Option<u64>,
-    budget: u64,
-    scratch: Vec<(Dest, M)>,
-    _marker: PhantomData<fn() -> O>,
-}
-
-impl<M, O> ByzantineActor<M, O> {
-    /// An actor with no behaviors (equivalent to [`SilentNode`] until
-    /// behaviors are added).
-    pub fn new() -> Self {
-        ByzantineActor {
-            behaviors: Vec::new(),
-            silenced: Vec::new(),
-            tick_every: None,
-            budget: DEFAULT_BYZ_BUDGET,
-            scratch: Vec::new(),
-            _marker: PhantomData,
-        }
-    }
-
-    /// Adds a behavior; behaviors react to every input in insertion order.
-    pub fn with_behavior(mut self, b: impl Behavior<M> + 'static) -> Self {
-        self.behaviors.push(Box::new(b));
-        self
-    }
-
-    /// Selective silence: sends toward `targets` are dropped (the node
-    /// looks crashed to them, Byzantine to everyone else).
-    pub fn silence_toward(mut self, targets: impl IntoIterator<Item = NodeId>) -> Self {
-        self.silenced.extend(targets);
-        self
-    }
-
-    /// Arms a periodic [`BYZ_TICK`] every `ms` ticks, for behaviors that
-    /// emit spontaneously rather than reactively.
-    pub fn tick_every(mut self, ms: u64) -> Self {
-        self.tick_every = Some(ms.max(1));
-        self
-    }
-
-    /// Caps the total number of messages the actor will ever emit
-    /// (default [`DEFAULT_BYZ_BUDGET`]).
-    pub fn with_budget(mut self, budget: u64) -> Self {
-        self.budget = budget;
-        self
-    }
-}
-
-impl<M, O> Default for ByzantineActor<M, O> {
-    fn default() -> Self {
-        ByzantineActor::new()
-    }
-}
-
-impl<M: WireSize + Clone, O> Node for ByzantineActor<M, O> {
-    type Msg = M;
-    type Output = O;
-
-    fn handle(&mut self, input: Input<M>, ctx: &mut Context<'_, M, O>) {
-        match &input {
-            Input::Start => {
-                if let Some(every) = self.tick_every {
-                    ctx.set_timer(BYZ_TICK, every);
-                }
-            }
-            // Own loopback deliveries are ignored: Dest::All expansion
-            // already skips `me`, and dropping strays here keeps any
-            // hand-built scenario from self-amplifying.
-            Input::Deliver { from, .. } if *from == ctx.me() => return,
-            Input::Timer { id } if *id == BYZ_TICK => {
-                if let Some(every) = self.tick_every {
-                    ctx.set_timer(BYZ_TICK, every);
-                }
-            }
-            _ => {}
-        }
-        let env = BehaviorEnv { me: ctx.me(), n: ctx.n(), now: ctx.now() };
-        self.scratch.clear();
-        for b in &mut self.behaviors {
-            b.react(&input, &env, &mut self.scratch);
-        }
-        for (dest, msg) in self.scratch.drain(..) {
-            match dest {
-                Dest::All => {
-                    for i in 0..env.n as u16 {
-                        let to = NodeId(i);
-                        if to == env.me || self.silenced.contains(&to) {
-                            continue;
-                        }
-                        if self.budget == 0 {
-                            return;
-                        }
-                        self.budget -= 1;
-                        ctx.send(to, msg.clone());
-                    }
-                }
-                Dest::Node(to) => {
-                    if to == env.me || self.silenced.contains(&to) {
-                        continue;
-                    }
-                    if self.budget == 0 {
-                        return;
-                    }
-                    self.budget -= 1;
-                    ctx.send(to, msg);
-                }
-            }
-        }
     }
 }
 
@@ -388,6 +175,7 @@ impl<N: Node> Node for FilteredNode<N> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use tetrabft_engine::{Time, TimerId};
 
     #[derive(Clone, Copy, Debug, PartialEq)]
     struct M(u8);
@@ -412,44 +200,6 @@ mod tests {
                 _ => None,
             })
             .collect()
-    }
-
-    #[test]
-    fn byzantine_actor_expands_broadcasts_skipping_self_and_silenced() {
-        let echo = FnBehavior::new(|input: &Input<M>, _env: &BehaviorEnv, out: &mut Vec<_>| {
-            if let Input::Deliver { msg, .. } = input {
-                out.push((Dest::All, *msg));
-            }
-        });
-        let mut actor: ByzantineActor<M, ()> =
-            ByzantineActor::new().with_behavior(echo).silence_toward([NodeId(2)]);
-        let actions = drive(&mut actor, Input::Deliver { from: NodeId(1), msg: M(7) });
-        assert_eq!(sent_to(&actions), vec![1, 3], "skips self (0) and silenced (2)");
-        // Own loopback deliveries are ignored entirely.
-        let actions = drive(&mut actor, Input::Deliver { from: NodeId(0), msg: M(7) });
-        assert!(actions.is_empty());
-    }
-
-    #[test]
-    fn byzantine_actor_budget_stops_emission() {
-        let spam = FnBehavior::new(|_: &Input<M>, _env: &BehaviorEnv, out: &mut Vec<_>| {
-            out.push((Dest::All, M(1)));
-        });
-        let mut actor: ByzantineActor<M, ()> =
-            ByzantineActor::new().with_behavior(spam).with_budget(2);
-        let actions = drive(&mut actor, Input::Deliver { from: NodeId(1), msg: M(0) });
-        assert_eq!(sent_to(&actions).len(), 2, "budget caps mid-broadcast");
-        let actions = drive(&mut actor, Input::Deliver { from: NodeId(1), msg: M(0) });
-        assert!(sent_to(&actions).is_empty(), "budget exhausted");
-    }
-
-    #[test]
-    fn byzantine_actor_ticks_rearm() {
-        let mut actor: ByzantineActor<M, ()> = ByzantineActor::new().tick_every(50);
-        let actions = drive(&mut actor, Input::Start);
-        assert!(matches!(actions[..], [Action::SetTimer { id: BYZ_TICK, after: 50 }]));
-        let actions = drive(&mut actor, Input::Timer { id: BYZ_TICK });
-        assert!(matches!(actions[..], [Action::SetTimer { id: BYZ_TICK, after: 50 }]));
     }
 
     #[test]

@@ -72,10 +72,7 @@ mod queue;
 mod runner;
 mod trace;
 
-pub use actors::{
-    Behavior, BehaviorEnv, ByzantineActor, FilteredNode, FnBehavior, FnNode, SilentNode, BYZ_TICK,
-    DEFAULT_BYZ_BUDGET,
-};
+pub use actors::{FilteredNode, FnNode, SilentNode};
 pub use metrics::{KindMetrics, Metrics, NodeMetrics};
 pub use policy::{LinkPolicy, Route, RouteEnv};
 pub use runner::{OutputRecord, Sim, SimBuilder};

@@ -4,39 +4,21 @@
 
 use proptest::prelude::*;
 
-use tetrabft::strategies::{EquivocatingLeader, LyingHistorian, StaleReplayer, VoteAmplifier};
+use tetrabft_fuzz::{Attack, FaultSpec, Mode, Scenario, Verdict};
 use tetrabft_suite::prelude::*;
 use tetrabft_types::NodeId;
 
-#[derive(Debug, Clone, Copy)]
-enum Adversary {
-    Silent,
-    Equivocator,
-    Liar,
-    Amplifier,
-    Replayer,
-}
-
-fn arb_adversary() -> impl Strategy<Value = Adversary> {
+/// A faulty node's composition: a crash (no attack), or one attack that
+/// acts in single-shot mode.
+fn arb_attacks() -> impl Strategy<Value = Vec<Attack>> {
     prop_oneof![
-        Just(Adversary::Silent),
-        Just(Adversary::Equivocator),
-        Just(Adversary::Liar),
-        Just(Adversary::Amplifier),
-        Just(Adversary::Replayer),
+        Just(vec![]),
+        Just(vec![Attack::Equivocate]),
+        Just(vec![Attack::ForgeHistory]),
+        Just(vec![Attack::Amplify]),
+        (1u64..3).prop_map(|view_offset| vec![Attack::SkewedReplay { view_offset }]),
+        (0u64..60).prop_map(|ms| vec![Attack::CrashAt { ms }]),
     ]
-}
-
-fn byz_node(kind: Adversary, cfg: Config) -> Box<dyn Node<Msg = Message, Output = Value>> {
-    match kind {
-        Adversary::Silent => Box::new(tetrabft_suite::sim::SilentNode::new()),
-        Adversary::Equivocator => {
-            Box::new(EquivocatingLeader::new(cfg, Value::from_u64(1), Value::from_u64(2)))
-        }
-        Adversary::Liar => Box::new(LyingHistorian::new(cfg, Value::from_u64(13))),
-        Adversary::Amplifier => Box::new(VoteAmplifier::new()),
-        Adversary::Replayer => Box::new(StaleReplayer),
-    }
 }
 
 proptest! {
@@ -49,27 +31,20 @@ proptest! {
         seed in any::<u64>(),
         jitter_max in 1u64..8,
         byz_pos in 0u16..4,
-        adversary in arb_adversary(),
+        attacks in arb_attacks(),
     ) {
-        let cfg = Config::new(4).unwrap();
-        let mut sim = SimBuilder::new(4)
-            .seed(seed)
-            .policy(LinkPolicy::jittered(1, jitter_max))
-            .build_boxed(move |id| {
-                if id.0 == byz_pos {
-                    byz_node(adversary, cfg)
-                } else {
-                    Box::new(TetraNode::new(
-                        cfg,
-                        Params::new(20 + jitter_max),
-                        id,
-                        Value::from_u64(100 + u64::from(id.0)),
-                    ))
-                }
-            });
-        prop_assert!(sim.run_until_outputs(3, 20_000_000), "honest nodes must decide");
-        let first = sim.outputs()[0].output;
-        prop_assert!(sim.outputs().iter().all(|o| o.output == first), "agreement");
+        let scenario = Scenario {
+            n: 4,
+            delta_ms: 20 + jitter_max,
+            seed,
+            horizon_ms: 10_000,
+            mode: Mode::Single,
+            faults: vec![FaultSpec { node: NodeId(byz_pos), attacks }],
+            plan: format!("default(delay=1,jitter={})", jitter_max - 1).parse().unwrap(),
+        };
+        let report = scenario.run();
+        prop_assert_eq!(report.decided.len(), 3, "honest nodes must decide");
+        prop_assert_eq!(report.verdict, Verdict::Ok, "agreement");
     }
 
     /// Multi-shot prefix consistency under random jitter and a random

@@ -1,7 +1,7 @@
 //! Cross-crate integration tests: Basic TetraBFT under the simulator, at
 //! several system sizes, fault placements, and network regimes.
 
-use tetrabft::strategies::{EquivocatingLeader, LyingHistorian, VoteAmplifier};
+use tetrabft_fuzz::{Attack, FaultSpec, Mode, Scenario, Verdict};
 use tetrabft_suite::prelude::*;
 use tetrabft_types::NodeId;
 
@@ -80,29 +80,26 @@ fn one_crash_over_f_means_no_progress_but_no_disagreement() {
 
 #[test]
 fn mixed_adversaries_at_the_fault_budget() {
-    // n = 10 tolerates f = 3: one equivocator, one liar, one amplifier.
-    let n = 10;
+    // n = 10 tolerates f = 3: one equivocator, one history forger, one
+    // amplifier.
+    let fault = |node, attack| FaultSpec { node: NodeId(node), attacks: vec![attack] };
     for seed in 0..5 {
-        let cfg = Config::new(n).unwrap();
-        let mut sim = SimBuilder::new(n).seed(seed).policy(LinkPolicy::jittered(1, 5)).build_boxed(
-            move |id| match id.0 {
-                0 => Box::new(EquivocatingLeader::new(
-                    cfg,
-                    Value::from_u64(111),
-                    Value::from_u64(222),
-                )),
-                4 => Box::new(LyingHistorian::new(cfg, Value::from_u64(333))),
-                7 => Box::new(VoteAmplifier::new()),
-                _ => Box::new(TetraNode::new(
-                    cfg,
-                    Params::new(25),
-                    id,
-                    Value::from_u64(u64::from(id.0)),
-                )),
-            },
-        );
-        assert!(sim.run_until_outputs(n - 3, 50_000_000), "seed {seed}");
-        assert_agreement(&sim);
+        let scenario = Scenario {
+            n: 10,
+            delta_ms: 25,
+            seed,
+            horizon_ms: 10_000,
+            mode: Mode::Single,
+            faults: vec![
+                fault(0, Attack::Equivocate),
+                fault(4, Attack::ForgeHistory),
+                fault(7, Attack::Amplify),
+            ],
+            plan: "default(delay=1,jitter=4)".parse().unwrap(),
+        };
+        let report = scenario.run();
+        assert_eq!(report.verdict, Verdict::Ok, "seed {seed}");
+        assert_eq!(report.decided.len(), 7, "seed {seed}: every honest node decides");
     }
 }
 
