@@ -55,6 +55,8 @@ mod behaviors;
 mod campaign;
 mod scenario;
 mod shrink;
+#[cfg(test)]
+mod strategies;
 
 pub use audit::{cross_audit, McAudit};
 pub use campaign::{run_campaign, sample_scenario, CampaignCfg, CampaignReport, SeedOutcome};
