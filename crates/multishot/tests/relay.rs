@@ -12,9 +12,10 @@ use std::ops::{Range, RangeInclusive};
 use std::path::PathBuf;
 
 use tetrabft::Params;
-use tetrabft_multishot::{Finalized, MsMessage, MultiShotNode};
+use tetrabft_multishot::{Finalized, MsMessage, MultiShotNode, TxId};
 use tetrabft_sim::{
-    Context, Input, LinkPolicy, Node, SilentNode, Sim, SimBuilder, Time, TimerId, TraceEvent,
+    Context, Input, LinkPolicy, Node, OutputRecord, SilentNode, Sim, SimBuilder, Time, TimerId,
+    TraceEvent,
 };
 use tetrabft_types::{Config, FsyncPolicy, NodeId, View};
 
@@ -310,25 +311,51 @@ fn a_silent_borrower_costs_time_and_no_transaction() {
     assert_eq!(last, 1_210, "the last transaction's finalization");
 }
 
+/// The node the crash scenarios kill.
+const DEAD: NodeId = NodeId(3);
+
+/// Node 3 killed at `kill`: for good, or (durable, its WAL tagged `tag`)
+/// back at `back_at`; with `hinted`, every peer is told one hop after the
+/// kill that its stream ended. Δ = 30.
+fn crash(tag: &'static str, kill: u64, back_at: Option<u64>, hinted: bool) -> ChainSim {
+    let params = Params::new(30).with_fsync(FsyncPolicy::Never);
+    let away = kill..back_at.unwrap_or(u64::MAX / 2);
+    let world = World { durable: back_at.map(|_| tag), ..World::new(params, 3_000) };
+    let sim = world.run(|mut node| {
+        if node.me == DEAD {
+            node.outage = away.clone();
+        } else if hinted {
+            node.hint = Some((kill + DELTA, DEAD));
+        }
+        Some(node)
+    });
+    for node in 0..4 {
+        let _ = std::fs::remove_dir_all(scratch_dir(tag, NodeId(node)));
+    }
+    sim
+}
+
+/// `(back_at, kill)` of `a_dead_leader_costs_one_timeout`: a round is four
+/// slots, 40 ticks, and the kill falls in each part of one.
+fn dead_leader_runs() -> impl Iterator<Item = (Option<u64>, u64)> {
+    (500..540).step_by(13).flat_map(|kill| [(None, kill), (Some(1_500), kill)])
+}
+
+/// `(back_at, kill)` of `a_hinted_dead_leader_costs_no_timeout`: the kill
+/// on every tick of one round.
+fn hinted_leader_runs() -> impl Iterator<Item = (Option<u64>, u64)> {
+    (500..540).flat_map(|kill| [(None, kill), (Some(1_500), kill)])
+}
+
 #[test]
 fn a_dead_leader_costs_one_timeout() {
     // Node 3 leads every fourth slot, in step and voting, until it is
     // killed at tick 500: for good, then (durable) back from its WAL at
     // tick 1,500. Δ = 30, so a timed-out slot costs 9Δ = 270 ticks.
-    const DEAD: NodeId = NodeId(3);
     let cfg = Config::new(4).unwrap();
-    // A round is four slots, 40 ticks: the kill falls in each part of one.
-    let kills = (500..540).step_by(13);
-    for (back_at, kill) in kills.flat_map(|kill| [(None, kill), (Some(1_500), kill)]) {
-        let params = Params::new(30).with_fsync(FsyncPolicy::Never);
+    for (back_at, kill) in dead_leader_runs() {
         let away = kill..back_at.unwrap_or(u64::MAX / 2);
-        let world = World { durable: back_at.map(|_| "dead-leader"), ..World::new(params, 3_000) };
-        let sim = world.run(|mut node| {
-            if node.me == DEAD {
-                node.outage = away.clone();
-            }
-            Some(node)
-        });
+        let sim = crash("dead-leader", kill, back_at, false);
         let chain: Vec<_> = sim.outputs().iter().filter(|o| o.node == OBSERVER).collect();
         // One stall of 9Δ, the paper's; after it a slot of the dead node
         // costs a view change at network speed, not another timer.
@@ -377,9 +404,6 @@ fn a_dead_leader_costs_one_timeout() {
             let late = view_changes.iter().filter(|sent| **sent > at + 4 * DELTA).count();
             assert_eq!(late, 0, "a round after it votes again nobody asks for a view change");
         }
-        for node in 0..4 {
-            let _ = std::fs::remove_dir_all(scratch_dir("dead-leader", NodeId(node)));
-        }
     }
 }
 
@@ -404,21 +428,10 @@ fn a_hinted_dead_leader_costs_no_timeout() {
     // The same crash, seen by a transport that reports it: every peer is
     // told one hop after the kill that node 3's stream ended. The kill
     // falls on every tick of one round; no finalization waits for a timer.
-    const DEAD: NodeId = NodeId(3);
     let cfg = Config::new(4).unwrap();
-    for (back_at, kill) in (500..540).flat_map(|kill| [(None, kill), (Some(1_500), kill)]) {
-        let params = Params::new(30).with_fsync(FsyncPolicy::Never);
+    for (back_at, kill) in hinted_leader_runs() {
         let away = kill..back_at.unwrap_or(u64::MAX / 2);
-        let world =
-            World { durable: back_at.map(|_| "hinted-leader"), ..World::new(params, 3_000) };
-        let sim = world.run(|mut node| {
-            if node.me == DEAD {
-                node.outage = away.clone();
-            } else {
-                node.hint = Some((kill + DELTA, DEAD));
-            }
-            Some(node)
-        });
+        let sim = crash("hinted-leader", kill, back_at, true);
         let gaps = gaps(&sim);
         let worst = gaps.iter().filter(|(at, _)| *at > 400).map(|g| g.1).max().unwrap();
         assert!(worst <= 5 * DELTA, "kill at {kill}, back {back_at:?}: a gap of {worst} ticks");
@@ -460,9 +473,6 @@ fn a_hinted_dead_leader_costs_no_timeout() {
             let late = view_changes_sent(&sim).into_iter().filter(|sent| *sent > at + 4 * DELTA);
             assert_eq!(late.count(), 0, "a round after it votes again nobody asks for a view");
         }
-        for node in 0..4 {
-            let _ = std::fs::remove_dir_all(scratch_dir("hinted-leader", NodeId(node)));
-        }
     }
 }
 
@@ -483,7 +493,6 @@ fn a_hinted_dead_leader_costs_no_timeout() {
 fn hinted_restart_sweep_has_no_second_timeout() {
     use rand::Rng;
     use tetrabft_sim::Route;
-    const DEAD: NodeId = NodeId(3);
     const UNTIL: u64 = 3_000;
     const SLOWEST_LINK: u64 = 13;
     let mut stalls = Vec::new();
@@ -519,6 +528,35 @@ fn hinted_restart_sweep_has_no_second_timeout() {
     assert!(stalls.is_empty(), "{} of 800 runs stall ≥ 9Δ: {stalls:?}", stalls.len());
 }
 
+/// Node 3 is alive and in step; the first `told` of its peers are told at
+/// tick `at` that its stream ended.
+fn false_hint(told: u16, at: u64) -> ChainSim {
+    World::new(Params::new(30), 2_000).run(|mut node| {
+        if node.me.0 < told {
+            node.hint = Some((at, NodeId(3)));
+        }
+        Some(node)
+    })
+}
+
+/// `(told, at)` of `a_false_hint_costs_a_view_change_not_a_timeout`.
+fn false_hint_runs() -> impl Iterator<Item = (u16, u64)> {
+    (1..=3u16).flat_map(|told| (500..540).map(move |at| (told, at)))
+}
+
+/// Node 3's connection drops and comes back every 50 ticks from tick 500
+/// to 2,500, under a node that never stops proposing and voting: every
+/// peer is told each time.
+fn flapping() -> ChainSim {
+    World::new(Params::new(30), 3_000).run(|mut node| {
+        if node.me != NodeId(3) {
+            node.hint = Some((500, NodeId(3)));
+            node.rehint = Some((50, 2_500));
+        }
+        Some(node)
+    })
+}
+
 #[test]
 fn a_false_hint_costs_a_view_change_not_a_timeout() {
     // Node 3 is alive and in step; one, two or all three of its peers are
@@ -526,13 +564,8 @@ fn a_false_hint_costs_a_view_change_not_a_timeout() {
     // it one slot changes view at network speed; otherwise the request is
     // taken back when node 3 is heard. Either way the bit is clear a round
     // later: nobody asks again.
-    for (told, at) in (1..=3u16).flat_map(|told| (500..540).map(move |at| (told, at))) {
-        let sim = World::new(Params::new(30), 2_000).run(|mut node| {
-            if node.me.0 < told {
-                node.hint = Some((at, NodeId(3)));
-            }
-            Some(node)
-        });
+    for (told, at) in false_hint_runs() {
+        let sim = false_hint(told, at);
         let gaps = gaps(&sim);
         let worst = gaps.iter().filter(|(at, _)| *at > 400).map(|g| g.1).max().unwrap();
         assert!(worst <= 3 * DELTA, "{told} told at {at}: a gap of {worst} ticks");
@@ -549,13 +582,7 @@ fn a_flapping_peer_costs_view_changes_and_never_a_timeout() {
     // A connection that drops and comes back every 50 ticks, under a node
     // that never stops proposing and voting: every peer is told each time.
     let hints = 2_000 / 50;
-    let sim = World::new(Params::new(30), 3_000).run(|mut node| {
-        if node.me != NodeId(3) {
-            node.hint = Some((500, NodeId(3)));
-            node.rehint = Some((50, 2_500));
-        }
-        Some(node)
-    });
+    let sim = flapping();
     let gaps = gaps(&sim);
     let worst = gaps.iter().filter(|(at, _)| *at > 400).map(|g| g.1).max().unwrap();
     assert!(worst < 9 * 30, "a gap of {worst} ticks");
@@ -693,4 +720,73 @@ fn held_links_sweep_never_wedges() {
     assert!(named.is_empty(), "seeds {named:?} wedge");
     let wedged: Vec<u64> = (0..1_500).filter(wedges).collect();
     assert!(wedged.is_empty(), "{} of 1,500 seeds wedge: {wedged:?}", wedged.len());
+}
+
+/// Everything observable about one run, as `tests/batched_stepping.rs`
+/// records it.
+#[derive(Debug)]
+#[allow(dead_code)] // read through `Debug` only
+struct RunRecord<'a> {
+    outputs: &'a [OutputRecord<Finalized>],
+    trace: &'a [TraceEvent<MsMessage>],
+    bytes_sent: u64,
+    msgs_sent: u64,
+    events_processed: u64,
+    final_time: Time,
+}
+
+/// The FNV-1a digest of one whole run's [`RunRecord`]'s `Debug` text.
+fn digest(sim: &ChainSim) -> u64 {
+    let record = RunRecord {
+        outputs: sim.outputs(),
+        trace: sim.trace().unwrap_or_default(),
+        bytes_sent: sim.metrics().total_bytes_sent(),
+        msgs_sent: sim.metrics().total_msgs_sent(),
+        events_processed: sim.metrics().events_processed,
+        final_time: sim.now(),
+    };
+    TxId::of(format!("{record:?}").as_bytes()).0
+}
+
+/// The digest of a scenario: of the digests of its runs, in order.
+fn scenario_digest(runs: impl Iterator<Item = ChainSim>) -> u64 {
+    let digests: Vec<u64> = runs.map(|sim| digest(&sim)).collect();
+    TxId::of(format!("{digests:?}").as_bytes()).0
+}
+
+/// The view-change driver's traffic, pinned: every run of the four
+/// scenarios that price its departures from Algorithm 3 — the silent bit,
+/// the request a slot makes as it starts, the `PeerDown` hint and the
+/// withdrawal — and three held-link seeds that wedge, down to the last
+/// message, tick and byte. The tests above check those departures by
+/// counts; these digests say the driver did not change at all. A change
+/// that moves the driver's traffic on purpose re-captures them and says
+/// why.
+#[test]
+fn the_view_change_drivers_traffic_is_pinned() {
+    let dead = dead_leader_runs().map(|(back, kill)| crash("pin-dead", kill, back, false));
+    assert_eq!(scenario_digest(dead), 0xef98_411e_71ac_b68c, "a_dead_leader_costs_one_timeout");
+    let hinted = hinted_leader_runs().map(|(back, kill)| crash("pin-hinted", kill, back, true));
+    assert_eq!(
+        scenario_digest(hinted),
+        0xd903_a78b_7eef_e0bb,
+        "a_hinted_dead_leader_costs_no_timeout"
+    );
+    let false_hints = false_hint_runs().map(|(told, at)| false_hint(told, at));
+    assert_eq!(
+        scenario_digest(false_hints),
+        0x4b58_042e_2bc9_a7cc,
+        "a_false_hint_costs_a_view_change_not_a_timeout"
+    );
+    assert_eq!(
+        digest(&flapping()),
+        0x1ca8_b42a_4dc8_2df6,
+        "a_flapping_peer_costs_view_changes_and_never_a_timeout"
+    );
+    for (seed, pinned) in
+        [(68, 0x40b7_80a8_cdbe_333c), (76, 0x037c_a274_659c_e7ce), (123, 0x083c_7fbf_5628_2b4c)]
+    {
+        let sim = held_links(seed, 1..=30, 150 + (37 * seed) % 300);
+        assert_eq!(digest(&sim), pinned, "held_links seed {seed}");
+    }
 }
