@@ -50,18 +50,18 @@
 
 mod block;
 mod catchup;
+mod chain;
 mod handoff;
-mod instance;
+mod liveness;
 mod mempool;
 mod msg;
 mod node;
-mod pipeline;
 mod store;
 mod txn;
 
 pub use block::{Block, BlockHash, GENESIS_HASH};
+pub use chain::SLOT_WINDOW;
 pub use mempool::{Mempool, SubmitError};
 pub use msg::MsMessage;
 pub use node::{Finalized, MultiShotNode};
-pub use pipeline::SLOT_WINDOW;
 pub use txn::{Transaction, Tx, TxCheck, TxId};

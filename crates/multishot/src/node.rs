@@ -1,25 +1,27 @@
 //! The Multi-shot TetraBFT node, as a composition root: Algorithms 2 and 3
-//! are [`crate::pipeline`]; here are durability and the five places where
-//! the pipeline meets the queue ([`crate::handoff`]), each in the order
-//! DESIGN.md §7 gives a reason for, plus catch-up ([`crate::catchup`]).
+//! are [`crate::chain`] and [`crate::liveness`]; here are durability and
+//! the five places where the chain meets the queue ([`crate::handoff`]),
+//! each in the order DESIGN.md §7 gives a reason for, plus catch-up.
 
 use std::collections::BTreeSet;
 use std::path::Path;
 
 use tetrabft::{Message as CoreMessage, Params};
-use tetrabft_engine::{Input, Node, Submitter, TimerId};
+use tetrabft_engine::{Context, Input, Node, Submitter, TimerId};
 use tetrabft_store::{NodeStore, StoreError};
 use tetrabft_types::{Config, NodeId, Slot, View};
 use tetrabft_wire::Wire;
 
 use crate::block::{Block, BlockHash};
 use crate::catchup::Catchup;
+use crate::chain::{Candidate, Chain, SlotState, FINALIZED_TAIL};
 use crate::handoff::{Handoff, Pace, Pacing};
-use crate::instance::SlotInstance;
+use crate::liveness::Liveness;
 use crate::mempool::SubmitError;
 use crate::msg::MsMessage;
-use crate::pipeline::{Candidate, Ctx, Pipeline, FINALIZED_TAIL};
 use crate::txn::{Tx, TxCheck};
+
+pub(crate) type Ctx<'a> = Context<'a, MsMessage, Finalized>;
 
 /// Timer id reserved for the periodic catch-up broadcast of durable nodes.
 /// Slot timers use the slot number itself as their id, so the top of the id
@@ -56,7 +58,8 @@ pub struct Finalized {
 /// See the crate-level example for the pipelined good case.
 #[derive(Debug)]
 pub struct MultiShotNode {
-    pipeline: Pipeline,
+    chain: Chain,
+    liveness: Liveness,
     handoff: Handoff,
     pacing: Pacing,
     catchup: Catchup,
@@ -73,7 +76,8 @@ impl MultiShotNode {
     /// Creates a node starting at the genesis block.
     pub fn new(cfg: Config, params: Params, me: NodeId) -> Self {
         MultiShotNode {
-            pipeline: Pipeline::new(cfg, params, me),
+            chain: Chain::new(cfg, me),
+            liveness: Liveness::new(&cfg, params),
             handoff: Handoff::new(&params),
             pacing: Pacing::default(),
             catchup: Catchup::new(&cfg),
@@ -103,13 +107,13 @@ impl MultiShotNode {
         let mut node = MultiShotNode::new(cfg, params, me);
         node.incarnation = store.incarnation();
         if let Some((tip, hash)) = store.chain_tip() {
-            (node.pipeline.finalized, node.pipeline.finalized_hash) = (tip, BlockHash(hash));
+            (node.chain.finalized, node.chain.finalized_hash) = (tip, BlockHash(hash));
             // Reload the recent chain tail into the in-memory block store:
             // votes in flight at the crash may reference these blocks as
             // ancestors (pruning keeps the same margin).
             for s in tip.0.saturating_sub(FINALIZED_TAIL).max(1)..=tip.0 {
                 if let Some((_, bytes)) = store.block_record(Slot(s))? {
-                    node.pipeline.store.insert(Block::from_bytes(&bytes)?);
+                    node.chain.store.insert(Block::from_bytes(&bytes)?);
                 }
             }
         }
@@ -117,10 +121,10 @@ impl MultiShotNode {
         // write-ahead record left it, so the node cannot contradict a vote
         // it already sent before the crash.
         for sv in store.restored_votes().values() {
-            if node.pipeline.in_window(sv.slot) {
-                let mut inst = SlotInstance::new(&cfg);
-                (inst.view, inst.book) = (sv.view, sv.book.clone());
-                node.pipeline.instances.insert(sv.slot, inst);
+            if node.chain.in_window(sv.slot) {
+                let mut st = SlotState::new(&cfg);
+                (st.view, st.book) = (sv.view, sv.book.clone());
+                node.chain.slots.insert(sv.slot, st);
             }
         }
         // Admitted-but-unfinalized transactions survive the crash. The
@@ -177,12 +181,12 @@ impl MultiShotNode {
 
     /// Highest finalized slot.
     pub fn finalized_slot(&self) -> Slot {
-        self.pipeline.finalized
+        self.chain.finalized
     }
 
     /// Number of live slot instances (bounded by [`crate::SLOT_WINDOW`]).
     pub fn active_slots(&self) -> usize {
-        self.pipeline.instances.len()
+        self.chain.slots.len()
     }
 
     /// Leader of `slot` at `view`: round-robin over `slot + view` so that
@@ -196,39 +200,50 @@ impl MultiShotNode {
         match msg {
             MsMessage::Proposal { view, block } => {
                 let slot = block.slot;
-                let seen = self.pipeline.on_proposal(from, view, block, ctx);
+                let Some((hash, fresh)) = self.chain.on_proposal(from, view, block) else { return };
+                // The slots it started get their timers while the voters
+                // whose stashed votes it lets count are still silent.
+                self.liveness.heard(from);
+                fresh.into_iter().for_each(|fresh| self.liveness.opened(&self.chain, fresh, ctx));
+                let peers = (0..self.chain.cfg.n() as u16).map(NodeId);
+                for peer in peers.filter(|peer| self.chain.retry_pending(*peer)) {
+                    self.liveness.heard(peer);
+                }
                 // A borrower puts a loan in its view-0 block or nowhere:
                 // seeing that block ends the doubt, and what it left out
                 // can go to the next leader at once instead of waiting for
                 // the slot to commit.
-                if let Some(hash) = seen.filter(|_| view.is_zero() && self.handoff.in_doubt(slot)) {
-                    self.handoff.settle(slot, &self.pipeline.store, hash, false);
+                if view.is_zero() && self.handoff.in_doubt(slot) {
+                    self.handoff.settle(slot, &self.chain.store, hash, false);
                 }
             }
             MsMessage::Vote { slot, view, hash } => {
+                if self.chain.knows(slot, hash) {
+                    self.liveness.heard(from);
+                }
                 // A blocking set voting beyond the window holds an honest
                 // node: the chain has moved on. Ask for it now, not at the
                 // next tick of the catch-up timer (which stays as the
                 // retransmission).
-                let ahead = self.pipeline.on_vote(from, (slot, view, hash))
-                    && self.catchup.voted_ahead(from, &self.pipeline.cfg);
+                let ahead = self.chain.on_vote(from, (slot, view, hash))
+                    && self.catchup.voted_ahead(from, &self.chain.cfg);
                 if ahead && self.durable.is_some() {
                     self.ask_catchup(ctx);
                 }
             }
             MsMessage::Suggest { slot, view, data } => {
-                self.pipeline.record(from, slot, &CoreMessage::Suggest { view, data });
+                self.chain.record(from, slot, &CoreMessage::Suggest { view, data });
             }
             MsMessage::Proof { slot, view, data } => {
-                self.pipeline.record(from, slot, &CoreMessage::Proof { view, data });
+                self.chain.record(from, slot, &CoreMessage::Proof { view, data });
             }
             MsMessage::ViewChange { slot, view } => {
-                self.pipeline.on_view_change(from, slot, view, ctx);
+                self.liveness.on_view_change(&mut self.chain, from, (slot, view), ctx);
             }
             MsMessage::CatchUp { from_slot } => {
                 // Nodes without a durable store (or with nothing the
                 // requester lacks) stay silent — catch-up quiesces by itself.
-                let log = self.durable.as_mut().filter(|_| from != self.pipeline.me);
+                let log = self.durable.as_mut().filter(|_| from != self.chain.me);
                 let blocks = log.map_or(Vec::new(), |log| Catchup::serve(log, from_slot));
                 if !blocks.is_empty() {
                     ctx.send(from, MsMessage::Blocks { blocks });
@@ -236,7 +251,7 @@ impl MultiShotNode {
             }
             MsMessage::Blocks { blocks } => self.on_blocks(from, blocks, ctx),
             MsMessage::Relay { slot, txs } => {
-                if from != self.pipeline.me && self.pipeline.may_borrow_for(slot) {
+                if from != self.chain.me && self.chain.may_borrow_for(slot) {
                     self.handoff.borrow(from, slot, txs);
                 }
             }
@@ -245,47 +260,46 @@ impl MultiShotNode {
 
     /// Asks every peer for the finalized blocks above this node's tip.
     fn ask_catchup(&mut self, ctx: &mut Ctx<'_>) {
-        ctx.broadcast(self.catchup.request(self.pipeline.finalized));
+        ctx.broadcast(self.catchup.request(self.chain.finalized));
     }
 
     /// Buffers catch-up blocks with the peer vouching for them, then
     /// commits whatever chains onto our tip.
     fn on_blocks(&mut self, from: NodeId, blocks: Vec<Block>, ctx: &mut Ctx<'_>) {
-        self.catchup.vouch(from, blocks, self.pipeline.finalized);
+        self.catchup.vouch(from, blocks, self.chain.finalized);
         let mut progressed = false;
         while let Some((hash, block)) = self.catchup.next_block(
-            self.pipeline.finalized,
-            self.pipeline.finalized_hash,
-            &self.pipeline.cfg,
+            self.chain.finalized,
+            self.chain.finalized_hash,
+            &self.chain.cfg,
         ) {
-            self.pipeline.store.insert_hashed(hash, block.clone());
+            self.chain.store.insert_hashed(hash, block.clone());
             self.commit_block(block.slot, hash, block, ctx);
             progressed = true;
         }
-        let tip = self.pipeline.finalized;
+        let tip = self.chain.finalized;
         self.catchup.prune(tip);
         if progressed {
-            self.pipeline.prune();
             // Re-open the live window above the new tip and immediately ask
             // for the next range — convergence in chain/BATCH round trips
             // instead of one periodic timer tick per batch.
-            self.pipeline.ensure_instance(tip.next(), ctx);
+            self.liveness.open(&mut self.chain, tip.next(), ctx);
             self.ask_catchup(ctx);
         }
     }
 
     fn drive(&mut self, ctx: &mut Ctx<'_>) {
         loop {
-            let mut dirty = self.pipeline.step_echo(ctx);
-            for slot in self.pipeline.live_slots() {
-                if self.pipeline.step_enter_view(slot, ctx) {
+            let mut dirty = self.liveness.step_echo(&self.chain, ctx);
+            for slot in self.chain.live_slots() {
+                if self.liveness.step_enter(&mut self.chain, slot, ctx) {
                     // The new view is owed to the disk; a slot that leaves
                     // view 0 takes no loan with it.
                     self.dirty_slots.insert(slot);
                     self.handoff.borrowed.remove(&slot);
                     dirty = true;
                 }
-                dirty |= self.pipeline.step_notarize(slot);
+                dirty |= self.chain.step_notarize(slot);
                 dirty |= self.step_propose(slot, ctx);
                 dirty |= self.step_vote(slot, ctx);
             }
@@ -296,16 +310,16 @@ impl MultiShotNode {
         }
     }
 
-    /// The leader proposes what the pipeline allows: the certified block
+    /// The leader proposes what the chain allows: the certified block
     /// again, or a fresh one, which in view 0 waits at the pacing gate.
     fn step_propose(&mut self, slot: Slot, ctx: &mut Ctx<'_>) -> bool {
-        let minted = match self.pipeline.candidate(slot) {
+        let minted = match self.chain.candidate(slot) {
             None => return false,
             Some(Candidate::Again(block, hash)) => (block, hash),
             Some(Candidate::Fresh(view, parent)) => {
                 if view.is_zero() {
-                    let (store, tip) = (&self.pipeline.store, self.pipeline.finalized);
-                    let idle_pacing = self.pipeline.params.idle_pacing();
+                    let (store, tip) = (&self.chain.store, self.chain.finalized);
+                    let idle_pacing = self.liveness.params.idle_pacing();
                     let gate =
                         self.pacing.gate(slot, parent, &self.handoff, store, tip, idle_pacing);
                     if let Pace::Arm(wait) = gate {
@@ -318,7 +332,7 @@ impl MultiShotNode {
                 self.build_block(slot, parent)
             }
         };
-        self.pipeline.propose(slot, minted, ctx);
+        ctx.broadcast(self.chain.propose(slot, minted));
         true
     }
 
@@ -326,18 +340,19 @@ impl MultiShotNode {
     /// handing over each lender's view-0 vote for `slot − 2`.
     fn build_block(&mut self, slot: Slot, parent: BlockHash) -> (Block, BlockHash) {
         let anchor = slot.0.checked_sub(2).filter(|_| self.handoff.borrowed.contains_key(&slot));
-        let votes = anchor.map_or(Vec::new(), |k| self.pipeline.view0_votes(Slot(k)));
-        self.handoff.mint(slot, parent, &self.pipeline.store, &votes)
+        let votes = anchor.map_or(Vec::new(), |k| self.chain.view0_votes(Slot(k)));
+        self.handoff.mint(slot, parent, &self.chain.store, &votes)
     }
 
     fn step_vote(&mut self, slot: Slot, ctx: &mut Ctx<'_>) -> bool {
-        let Some((view, hash)) = self.pipeline.vote_ready(slot) else { return false };
+        let Some((view, hash)) = self.chain.vote_ready(slot) else { return false };
         // The loan leaves ahead of the vote, in the same flush: on an
         // ordered link the borrower reads it before the vote that may make
         // its slot ready.
-        let borrower = if view.is_zero() { self.pipeline.borrower_after(slot) } else { None };
+        let borrower =
+            if view.is_zero() { self.liveness.borrower_after(&self.chain, slot) } else { None };
         if let Some((to, borrower)) = borrower {
-            if let Some(txs) = self.handoff.lend(to, &self.pipeline.store, hash, slot) {
+            if let Some(txs) = self.handoff.lend(to, &self.chain.store, hash, slot) {
                 ctx.send(borrower, MsMessage::Relay { slot: to, txs });
             }
         }
@@ -345,23 +360,21 @@ impl MultiShotNode {
         // transport flushes this broadcast, so the book entries (and the
         // drain behind a loan) reach disk before any peer can observe the
         // vote.
-        self.dirty_slots.extend(self.pipeline.cast_vote((slot, view, hash), ctx));
+        self.dirty_slots.extend(self.chain.cast_vote((slot, view, hash)));
+        ctx.broadcast(MsMessage::Vote { slot, view, hash });
         true
     }
 
     fn step_finalize(&mut self, ctx: &mut Ctx<'_>) -> bool {
-        if let Err(hole) = self.pipeline.step_finalize() {
+        if let Err(hole) = self.chain.step_finalize() {
             if self.durable.is_some() && self.catchup.hole_at(hole) {
                 self.ask_catchup(ctx);
             }
         }
         let mut progressed = false;
-        while let Some((slot, hash, block)) = self.pipeline.next_final() {
+        while let Some((slot, hash, block)) = self.chain.next_final() {
             self.commit_block(slot, hash, block, ctx);
             progressed = true;
-        }
-        if progressed {
-            self.pipeline.prune();
         }
         progressed
     }
@@ -372,7 +385,7 @@ impl MultiShotNode {
     /// log *before* the output can be observed, emit the [`Finalized`]
     /// event, and retire the slot's live state.
     fn commit_block(&mut self, slot: Slot, hash: BlockHash, block: Block, ctx: &mut Ctx<'_>) {
-        self.handoff.settle(slot, &self.pipeline.store, hash, true);
+        self.handoff.settle(slot, &self.chain.store, hash, true);
         self.handoff.borrowed.remove(&slot);
         if let Some(store) = self.durable.as_mut() {
             // Finalized state must never be claimed and then lost; a store
@@ -380,7 +393,8 @@ impl MultiShotNode {
             store.append_encoded(slot, hash.0, &block).expect("durable chain log append failed");
         }
         ctx.output(Finalized { slot, hash, block });
-        self.pipeline.retire(slot, hash, ctx);
+        self.chain.retire(slot, hash);
+        self.liveness.retire(&mut self.chain, slot, ctx);
         self.dirty_slots.remove(&slot);
     }
 }
@@ -392,13 +406,13 @@ impl Node for MultiShotNode {
     fn handle(&mut self, input: Input<MsMessage>, ctx: &mut Ctx<'_>) {
         match input {
             Input::Start => {
-                self.pipeline.start(ctx);
+                self.liveness.start(&mut self.chain, ctx);
                 if self.durable.is_some() {
                     // Pull whatever finalized while we were down, and keep
                     // pulling periodically — the timer doubles as the
                     // retransmission for lost catch-up traffic.
                     self.ask_catchup(ctx);
-                    ctx.set_timer(CATCHUP_TIMER, self.pipeline.params.view_timeout());
+                    ctx.set_timer(CATCHUP_TIMER, self.liveness.params.view_timeout());
                 }
                 self.drive(ctx);
             }
@@ -407,12 +421,12 @@ impl Node for MultiShotNode {
                 self.drive(ctx);
             }
             Input::PeerDown { peer } => {
-                self.pipeline.on_peer_down(peer, ctx);
+                self.liveness.on_peer_down(&self.chain, peer, ctx);
                 self.drive(ctx);
             }
             Input::Timer { id } if id == CATCHUP_TIMER => {
                 self.ask_catchup(ctx);
-                ctx.set_timer(CATCHUP_TIMER, self.pipeline.params.view_timeout());
+                ctx.set_timer(CATCHUP_TIMER, self.liveness.params.view_timeout());
             }
             Input::Timer { id } if id == PACE_TIMER => {
                 self.pacing.released = self.pacing.pending.take().map(|(slot, _)| slot);
@@ -420,7 +434,7 @@ impl Node for MultiShotNode {
                 self.pacing.released = None;
             }
             Input::Timer { id } => {
-                self.pipeline.on_timeout(Slot(id.0), ctx);
+                self.liveness.on_timeout(&self.chain, Slot(id.0), ctx);
                 self.drive(ctx);
             }
         }
@@ -431,14 +445,14 @@ impl Node for MultiShotNode {
         // Called by the engine after every dispatch, *before* the transport
         // flushes staged frames: whatever this batch of work voted or
         // admitted is on disk before any peer can observe it.
-        let finalized = self.pipeline.finalized;
+        let finalized = self.chain.finalized;
         for slot in std::mem::take(&mut self.dirty_slots) {
             if slot <= finalized {
                 continue;
             }
-            if let Some(inst) = self.pipeline.instances.get(&slot) {
+            if let Some(st) = self.chain.slots.get(&slot) {
                 store
-                    .record_votes(slot, inst.view, finalized, &inst.book)
+                    .record_votes(slot, st.view, finalized, &st.book)
                     .expect("durable vote record failed");
             }
         }

@@ -2,8 +2,10 @@ use std::sync::Arc;
 
 use super::*;
 use crate::block::GENESIS_HASH;
-use crate::pipeline::SLOT_WINDOW;
+use crate::chain::SLOT_WINDOW;
+use crate::liveness::SlotWatch;
 use tetrabft::SuggestData;
+use tetrabft::ViewVerdict::{Echo, Enter, Idle};
 use tetrabft_sim::{Context, LinkPolicy, SimBuilder, Time};
 use tetrabft_types::Phase;
 
@@ -168,7 +170,7 @@ fn leader_batches_respect_max_block_txs() {
 /// Runs `node` on one input by hand; returns the messages it sent.
 fn sent(node: &mut MultiShotNode, input: Input<MsMessage>) -> Vec<MsMessage> {
     let mut actions = tetrabft_sim::ActionBuf::new();
-    let (me, n) = (node.pipeline.me, node.pipeline.cfg.n());
+    let (me, n) = (node.chain.me, node.chain.cfg.n());
     node.handle(input, &mut Context::buffered(me, n, Time(0), &mut actions));
     actions
         .into_iter()
@@ -317,7 +319,7 @@ fn what_is_lent_is_owed_and_nothing_drains_past_a_loan_in_doubt() {
     // On any other chain the batch owed by slot 3 is not known carried,
     // and a block of this node's would carry nothing of its own.
     node.submit_tx(b"d".to_vec()).unwrap();
-    let rival = node.pipeline.store.insert(Block::new(Slot(7), BlockHash(9), Vec::new()));
+    let rival = node.chain.store.insert(Block::new(Slot(7), BlockHash(9), Vec::new()));
     assert!(node.build_block(Slot(8), rival).0.txs.is_empty());
     assert_eq!(queue_of(&node), [b"d"]);
 }
@@ -347,10 +349,10 @@ fn a_borrower_trusts_nothing_and_keeps_nothing() {
     let mut parent = GENESIS_HASH;
     let mut chain = Vec::new();
     for slot in 1..=5 {
-        parent = node.pipeline.store.insert(Block::new(Slot(slot), parent, Vec::new()));
+        parent = node.chain.store.insert(Block::new(Slot(slot), parent, Vec::new()));
         chain.push(parent);
     }
-    let mut at_4 = SlotInstance::new(&cfg(4));
+    let mut at_4 = SlotState::new(&cfg(4));
     let vote = |hash: BlockHash| CoreMessage::Vote {
         phase: Phase::VOTE1,
         view: View::ZERO,
@@ -358,7 +360,7 @@ fn a_borrower_trusts_nothing_and_keeps_nothing() {
     };
     at_4.regs.record(NodeId(0), &vote(chain[3]));
     at_4.regs.record(NodeId(1), &vote(BlockHash(77)));
-    node.pipeline.instances.insert(Slot(4), at_4);
+    node.chain.slots.insert(Slot(4), at_4);
     node.submit_tx(b"mine".to_vec()).unwrap();
     let (block, _) = node.build_block(Slot(6), chain[4]);
     assert_eq!(
@@ -369,13 +371,13 @@ fn a_borrower_trusts_nothing_and_keeps_nothing() {
     assert!(node.handoff.borrowed.is_empty(), "what did not make the block is not kept");
 
     // A slot that is proposed, or has left view 0, borrows no more.
-    let mut done = SlotInstance::new(&cfg(4));
+    let mut done = SlotState::new(&cfg(4));
     done.proposed = true;
-    node.pipeline.instances.insert(Slot(2), done);
+    node.chain.slots.insert(Slot(2), done);
     assert_eq!(offer(&mut node, 0, relay(2, &[b"x"])), 0);
-    let mut moved = SlotInstance::new(&cfg(4));
+    let mut moved = SlotState::new(&cfg(4));
     moved.view = View(1);
-    node.pipeline.instances.insert(Slot(6), moved);
+    node.chain.slots.insert(Slot(6), moved);
     assert_eq!(offer(&mut node, 0, relay(6, &[b"x"])), 0);
 }
 
@@ -397,13 +399,13 @@ fn proposal_at_the_window_edge_starts_the_next_slot_once_the_window_moves() {
     let edge = Block::new(Slot(SLOT_WINDOW), BlockHash(7), Vec::new());
     let msg = MsMessage::Proposal { view: View::ZERO, block: edge };
     sent(&mut node, Input::Deliver { from: NodeId(0), msg });
-    assert!(!node.pipeline.instances.contains_key(&Slot(9)), "slot 9 is beyond the window");
+    assert!(!node.chain.slots.contains_key(&Slot(9)), "slot 9 is beyond the window");
     for from in [NodeId(0), NodeId(2), NodeId(3)] {
         let msg = MsMessage::Vote { slot: Slot(4), view: View::ZERO, hash: parent };
         sent(&mut node, Input::Deliver { from, msg });
     }
     assert_eq!(node.finalized_slot(), Slot(1));
-    assert!(node.pipeline.instances.contains_key(&Slot(9)), "the window moved: slot 9 must start");
+    assert!(node.chain.slots.contains_key(&Slot(9)), "the window moved: slot 9 must start");
 }
 
 fn journal_dir(tag: &str) -> std::path::PathBuf {
@@ -438,8 +440,8 @@ fn restart_re_bases_the_journal_on_what_the_mempool_took_back() {
     }
     // The slot commits another block: the batch comes back, and may
     // overshoot the capacity; a restart may not.
-    let won = node.pipeline.store.insert(Block::new(Slot(1), GENESIS_HASH, Vec::new()));
-    node.handoff.settle(Slot(1), &node.pipeline.store, won, true);
+    let won = node.chain.store.insert(Block::new(Slot(1), GENESIS_HASH, Vec::new()));
+    node.handoff.settle(Slot(1), &node.chain.store, won, true);
     assert_eq!(node.mempool_len(), 7);
     node.persist();
     drop(node);
@@ -519,7 +521,7 @@ proptest::proptest! {
                     let batch: Vec<u32> = model.iter().copied().take(4).collect();
                     prop_assert_eq!(block.txs.iter().map(number).collect::<Vec<_>>(), &batch[..]);
                     model.retain(|k| !batch.contains(k));
-                    tip = (block.slot, node.pipeline.store.insert(block.clone()));
+                    tip = (block.slot, node.chain.store.insert(block.clone()));
                     if !batch.is_empty() {
                         out.push(block);
                     }
@@ -529,8 +531,8 @@ proptest::proptest! {
                     if !out.is_empty() {
                         let lost = out.remove(pick % out.len());
                         let rival = Block::new(lost.slot, BlockHash(7), Vec::new());
-                        let rival = node.pipeline.store.insert(rival);
-                        node.handoff.settle(lost.slot, &node.pipeline.store, rival, true);
+                        let rival = node.chain.store.insert(rival);
+                        node.handoff.settle(lost.slot, &node.chain.store, rival, true);
                         model.extend(lost.txs.iter().map(number));
                     }
                 }
@@ -562,4 +564,55 @@ fn pre_gst_chaos_then_progress() {
     assert_consistency(&sim, n);
     let chain = chain_of(&sim, NodeId(0));
     assert!(!chain.is_empty(), "chain must grow after GST");
+}
+
+/// A fresh slot, as the core and the driver each hold it.
+fn fresh(n: usize) -> (SlotState, SlotWatch) {
+    let cfg = Config::new(n).unwrap();
+    (SlotState::new(&cfg), SlotWatch::new(&cfg))
+}
+
+#[test]
+fn fresh_instance_defaults() {
+    let (st, watch) = fresh(4);
+    assert_eq!(st.view, View::ZERO);
+    assert!(!st.proposed && !st.saw_proposal && !watch.timer_expired);
+    assert_eq!(st.notarized, None);
+    assert_eq!(watch.requests.poll(st.view), Idle);
+}
+
+#[test]
+fn support_is_monotone_per_peer() {
+    let (_, mut watch) = fresh(4);
+    watch.requests.record(NodeId(0), View(3));
+    watch.requests.record(NodeId(0), View(1)); // lower request cannot regress the register
+    assert_eq!(watch.requests.request(NodeId(0)), Some(View(3)));
+    watch.requests.record(NodeId(0), View(5));
+    assert_eq!(watch.requests.request(NodeId(0)), Some(View(5)));
+}
+
+#[test]
+fn entered_view_is_the_kth_highest() {
+    let (mut st, mut watch) = fresh(4);
+    watch.requests.record(NodeId(0), View(5));
+    watch.requests.record(NodeId(1), View(2));
+    assert_eq!(watch.requests.poll(st.view), Echo(View(2)), "two supporters < quorum");
+    watch.requests.record(NodeId(2), View(2));
+    // Views sorted desc: [5, 2, 2] → the 3rd highest is 2: a quorum
+    // supports view ≥ 2 (the view-5 request also covers view 2).
+    assert_eq!(watch.requests.poll(st.view), Enter(View(2)));
+    watch.requests.record(NodeId(3), View(7));
+    assert_eq!(watch.requests.poll(st.view), Enter(View(2)));
+    watch.requests.record(NodeId(1), View(6));
+    // Now [7, 6, 5, 2] → quorum of 3 agrees on ≥ 5.
+    assert_eq!(watch.requests.poll(st.view), Enter(View(5)));
+    st.view = View(5);
+    assert_eq!(watch.requests.poll(st.view), Echo(View(6)), "enter only above its view");
+}
+
+#[test]
+fn a_lone_node_enters_the_view_it_asks_for() {
+    let (st, mut watch) = fresh(1);
+    watch.requests.record(NodeId(0), View(9));
+    assert_eq!(watch.requests.poll(st.view), Enter(View(9)));
 }
