@@ -21,22 +21,28 @@ fn chain_of(sim: &tetrabft_sim::Sim<MsMessage, Finalized>, node: NodeId) -> Vec<
         .collect()
 }
 
-fn assert_consistency(sim: &tetrabft_sim::Sim<MsMessage, Finalized>, n: usize) {
+/// The first way the chains of `sim`'s `n` nodes break consistency, if
+/// any: each must run 1, 2, 3, … and any two must be prefix-comparable.
+fn disagreement(sim: &tetrabft_sim::Sim<MsMessage, Finalized>, n: usize) -> Option<String> {
     let chains: Vec<_> = (0..n as u16).map(|i| chain_of(sim, NodeId(i))).collect();
-    for chain in &chains {
-        // Slots are contiguous from 1.
-        for (i, (slot, _)) in chain.iter().enumerate() {
-            assert_eq!(slot.0, i as u64 + 1, "finalization order must be slot order");
+    let longest = chains.iter().max_by_key(|c| c.len()).unwrap();
+    for (node, chain) in chains.iter().enumerate() {
+        if let Some((i, (slot, _))) =
+            chain.iter().enumerate().find(|(i, (s, _))| s.0 != *i as u64 + 1)
+        {
+            return Some(format!(
+                "node {node} finalized {slot} at position {i}: not in slot order"
+            ));
+        }
+        if longest[..chain.len()] != chain[..] {
+            return Some(format!("node {node}'s chain is no prefix of the longest: {chain:?}"));
         }
     }
-    let longest = chains.iter().max_by_key(|c| c.len()).unwrap();
-    for chain in &chains {
-        assert_eq!(
-            &longest[..chain.len()],
-            &chain[..],
-            "finalized chains must be prefix-comparable"
-        );
-    }
+    None
+}
+
+fn assert_consistency(sim: &tetrabft_sim::Sim<MsMessage, Finalized>, n: usize) {
+    assert_eq!(disagreement(sim, n), None, "finalized chains must be consistent");
 }
 
 #[test]
@@ -615,4 +621,100 @@ fn a_lone_node_enters_the_view_it_asks_for() {
     let (st, mut watch) = fresh(1);
     watch.requests.record(NodeId(0), View(9));
     assert_eq!(watch.requests.poll(st.view), Enter(View(9)));
+}
+
+/// An honest node whose views chaos enters, through the safety core alone
+/// — the two things the liveness driver may do to it, at moments no driver
+/// would choose. Every [`CHAOS_EPOCH`] ms, drawn from the seed alone and so
+/// the same at every node, a slot of the window is told to enter a view
+/// (the epoch's number), at each node's next input; and before any input
+/// a node may, on its own, enter a higher view at a random live slot or
+/// open a random slot of the window.
+struct Chaos {
+    node: MultiShotNode,
+    seed: u64,
+    epoch: u64,
+    rng: rand::rngs::StdRng,
+}
+
+/// Ms between two views every node is told to enter.
+const CHAOS_EPOCH: u64 = 100;
+
+/// One input in this many is preceded by a view a node enters on its own,
+/// and one by a slot it opens.
+const CHAOS_ODDS: u32 = 64;
+
+impl Chaos {
+    fn enter(&mut self, slot: Slot, view: View, ctx: &mut Ctx<'_>) {
+        if let Some((suggest, proof)) = self.node.chain.enter(slot, view) {
+            ctx.send(self.node.chain.leader(slot, view), suggest);
+            ctx.broadcast(proof);
+        }
+    }
+}
+
+impl Node for Chaos {
+    type Msg = MsMessage;
+    type Output = Finalized;
+
+    fn handle(&mut self, input: Input<MsMessage>, ctx: &mut Ctx<'_>) {
+        use rand::{Rng, SeedableRng};
+        while self.epoch < ctx.now().0 / CHAOS_EPOCH {
+            self.epoch += 1;
+            let mut shared = rand::rngs::StdRng::seed_from_u64(self.seed ^ self.epoch);
+            let slot = Slot(self.node.chain.finalized.0 + shared.random_range(1..=4u64));
+            self.enter(slot, View(self.epoch), ctx);
+        }
+        let live = self.node.chain.live_slots();
+        match self.rng.random_range(0..CHAOS_ODDS) {
+            0 if !live.is_empty() => {
+                let slot = *live.get(self.rng.random_range(0..live.len())).expect("in range");
+                let view = self.node.chain.slots[&slot].view.0 + self.rng.random_range(1..=3u64);
+                self.enter(slot, View(view), ctx);
+            }
+            1 => {
+                let ahead = self.rng.random_range(1..=SLOT_WINDOW);
+                self.node.chain.open(Slot(self.node.chain.finalized.0 + ahead));
+            }
+            _ => {}
+        }
+        self.node.handle(input, ctx);
+    }
+}
+
+proptest::proptest! {
+    #![proptest_config(proptest::prelude::ProptestConfig::with_cases(64))]
+
+    /// Safety cannot read a timer: the paper's proof says any schedule of
+    /// entered views is safe, so whatever views chaos enters and whenever —
+    /// seven nodes, one of them silent, on 1–5 ms links that jitter by
+    /// 10–80 ms, lose up to 2 % of frames and cut one node off for a while —
+    /// the honest chains agree. A safety core that finalized a block on
+    /// its notarization alone fails this within 64 cases.
+    #[test]
+    fn chains_agree_whatever_views_are_entered(
+        (seed, delay, jitter, loss) in (proptest::prelude::any::<u64>(), 1u64..=5, 10u64..=80, 0u32..=20_000),
+        (silent, isolated, cut, heal) in (0u16..7, 0u16..7, 0u64..1_000, 1u64..300),
+    ) {
+        use rand::SeedableRng;
+        use tetrabft_sim::{EdgeSpec, LinkPlan, PartitionWindow, SilentNode};
+        let edge = EdgeSpec::delay(delay).with_jitter(jitter).with_drop(f64::from(loss) / 1e6);
+        let split = PartitionWindow::isolate(cut, cut + heal, [NodeId(isolated)]);
+        let plan = LinkPlan::uniform(edge).partition(split);
+        let mut sim = SimBuilder::new(7).seed(seed).plan(&plan).build_boxed(|id| {
+            if id == NodeId(silent) {
+                return Box::new(SilentNode::new());
+            }
+            // Each node queues transactions of its own, so that two leaders
+            // of one slot propose two different blocks.
+            let mut node = MultiShotNode::new(cfg(7), Params::new(10).with_max_block_txs(2), id);
+            for k in 0..200u32 {
+                node.submit_tx([u32::from(id.0).to_be_bytes(), k.to_be_bytes()].concat()).unwrap();
+            }
+            let rng = rand::rngs::StdRng::seed_from_u64(seed ^ (u64::from(id.0) << 32));
+            Box::new(Chaos { node, seed, epoch: 0, rng })
+        });
+        sim.run_until(Time(2_000));
+        proptest::prop_assert_eq!(disagreement(&sim, 7), None);
+    }
 }
