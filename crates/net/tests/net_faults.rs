@@ -88,6 +88,13 @@ fn multishot_chain(cut: bool, slots: u64) -> Vec<(u64, u64)> {
         }
     }
     if cut {
+        // The chain can finalize on the quorum {0, 1, 2}, which uses
+        // neither cut link, before the 0↔3 and 1↔2 handshakes are done:
+        // give the redials time to land before counting them.
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while net.stats().reconnects < 4 && Instant::now() < deadline {
+            std::thread::sleep(Duration::from_millis(10));
+        }
         let stats = net.stats();
         assert!(
             stats.reconnects >= 4,
