@@ -150,25 +150,21 @@ impl Chain {
         Some((hash, opened))
     }
 
-    /// Whether a vote for `hash` at `slot` counts now: a known block at a
-    /// slot in the window.
-    pub(crate) fn knows(&self, slot: Slot, hash: BlockHash) -> bool {
-        self.in_window(slot) && self.store.slot_of(hash) == Some(slot)
-    }
-
-    /// Returns `true` for a vote beyond the window: its sender is ahead.
+    /// Counts a vote for a known block at a slot in the window, and
+    /// returns `true`; stashes one whose block is unknown.
     pub(crate) fn on_vote(&mut self, from: NodeId, vote: (Slot, View, BlockHash)) -> bool {
         let (slot, _, hash) = vote;
-        if self.knows(slot, hash) {
-            self.apply_vote(from, vote);
-        } else if self.in_window(slot) {
+        if !self.in_window(slot) {
+            return false;
+        }
+        if self.store.slot_of(hash) != Some(slot) {
             // Unknown block: stash the latest such vote per peer and replay
             // it once the block arrives (constant storage per peer).
             self.pending[from.index()] = Some(vote);
-        } else {
-            return slot > self.finalized;
+            return false;
         }
-        false
+        self.apply_vote(from, vote);
+        true
     }
 
     /// Counts `peer`'s stashed vote if its block has arrived; `true` if so.

@@ -14,7 +14,7 @@ use tetrabft_wire::Wire;
 
 use crate::block::{Block, BlockHash};
 use crate::catchup::Catchup;
-use crate::chain::{Candidate, Chain, SlotState, FINALIZED_TAIL};
+use crate::chain::{Candidate, Chain, SlotState, FINALIZED_TAIL, SLOT_WINDOW};
 use crate::handoff::{Handoff, Pace, Pacing};
 use crate::liveness::Liveness;
 use crate::mempool::SubmitError;
@@ -204,7 +204,7 @@ impl MultiShotNode {
                 // The slots it started get their timers while the voters
                 // whose stashed votes it lets count are still silent.
                 self.liveness.heard(from);
-                fresh.into_iter().for_each(|fresh| self.liveness.opened(&self.chain, fresh, ctx));
+                fresh.into_iter().for_each(|s| self.liveness.opened(&self.chain, s, ctx));
                 let peers = (0..self.chain.cfg.n() as u16).map(NodeId);
                 for peer in peers.filter(|peer| self.chain.retry_pending(*peer)) {
                     self.liveness.heard(peer);
@@ -218,14 +218,14 @@ impl MultiShotNode {
                 }
             }
             MsMessage::Vote { slot, view, hash } => {
-                if self.chain.knows(slot, hash) {
+                if self.chain.on_vote(from, (slot, view, hash)) {
                     self.liveness.heard(from);
                 }
                 // A blocking set voting beyond the window holds an honest
                 // node: the chain has moved on. Ask for it now, not at the
                 // next tick of the catch-up timer (which stays as the
                 // retransmission).
-                let ahead = self.chain.on_vote(from, (slot, view, hash))
+                let ahead = slot.0 > self.chain.finalized.0 + SLOT_WINDOW
                     && self.catchup.voted_ahead(from, &self.chain.cfg);
                 if ahead && self.durable.is_some() {
                     self.ask_catchup(ctx);
