@@ -38,7 +38,7 @@ pub(crate) enum Candidate {
 
 /// The safety state of one live slot: a windowed Basic-TetraBFT instance.
 /// At most [`SLOT_WINDOW`] are live, so protocol state stays O(window · n).
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub(crate) struct SlotState {
     /// Current view (views are per slot; a fresh slot starts at view 0 —
     /// Algorithm 3 line 10).

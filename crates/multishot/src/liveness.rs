@@ -25,7 +25,7 @@ fn raise(held: &mut Option<(Slot, View)>, (slot, view): (Slot, View)) {
 }
 
 /// The view-change state of one live slot.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub(crate) struct SlotWatch {
     /// Whether the slot's `9Δ` timer expired in the current view: unlike a
     /// proposal seen, this licenses moving a never-proposed slot on.
