@@ -100,21 +100,15 @@ impl Block {
     pub fn hash(&self) -> BlockHash {
         #[cfg(test)]
         HASHES.with(|count| count.set(count.get() + 1));
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        HASH_SCRATCH.with(|scratch| {
+        let h = HASH_SCRATCH.with(|scratch| {
             let mut w = scratch.borrow_mut();
             w.clear();
             self.encode(&mut w);
-            for &b in w.as_bytes() {
-                h ^= u64::from(b);
-                h = h.wrapping_mul(0x0000_0100_0000_01b3);
-            }
+            // The FNV-1a digest a transaction's identity is, too.
+            crate::txn::TxId::of(w.as_bytes()).0
         });
         // Reserve 0 (the "fresh block" sentinel in Rule 1) and 1 (genesis).
-        if h <= 1 {
-            h = 2;
-        }
-        BlockHash(h)
+        BlockHash(h.max(2))
     }
 }
 

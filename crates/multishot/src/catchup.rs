@@ -54,9 +54,7 @@ impl Catchup {
     /// `true` once per slot.
     pub(crate) fn hole_at(&mut self, slot: Slot) -> bool {
         let new = slot > self.hole;
-        if new {
-            self.hole = slot;
-        }
+        self.hole = self.hole.max(slot);
         new
     }
 

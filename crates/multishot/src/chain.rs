@@ -97,7 +97,7 @@ impl Chain {
         Chain {
             cfg,
             me,
-            store: BlockStore::new(),
+            store: BlockStore::default(),
             slots: BTreeMap::new(),
             finalized: Slot::GENESIS,
             finalized_hash: GENESIS_HASH,
@@ -117,14 +117,11 @@ impl Chain {
         MultiShotNode::leader_of(&self.cfg, slot, view)
     }
 
-    /// Opens `slot` in view 0, if it lies in the window and is not live;
-    /// `true` if it did.
-    pub(crate) fn open(&mut self, slot: Slot) -> bool {
+    /// Opens `slot` in view 0, if it lies in the window and is not live,
+    /// and returns its state.
+    pub(crate) fn open(&mut self, slot: Slot) -> Option<&mut SlotState> {
         let fresh = self.in_window(slot) && !self.slots.contains_key(&slot);
-        if fresh {
-            self.slots.insert(slot, SlotState::new(&self.cfg));
-        }
-        fresh
+        fresh.then(|| self.slots.entry(slot).or_insert(SlotState::new(&self.cfg)))
     }
 
     /// Takes in a proposal. Returns the block's hash, if the proposal is
@@ -142,7 +139,7 @@ impl Chain {
             return None;
         }
         let hash = self.store.insert(block);
-        let opened = [slot, slot.next()].into_iter().filter(|s| self.open(*s)).collect();
+        let opened = [slot, slot.next()].into_iter().filter(|s| self.open(*s).is_some()).collect();
         if let Some(st) = self.slots.get_mut(&slot) {
             st.saw_proposal = true;
             st.regs.record(from, &CoreMessage::Proposal { view, value: hash.as_value() });
@@ -169,12 +166,10 @@ impl Chain {
 
     /// Counts `peer`'s stashed vote if its block has arrived; `true` if so.
     pub(crate) fn retry_pending(&mut self, peer: NodeId) -> bool {
-        let vote = self.pending[peer.index()].filter(|v| self.store.slot_of(v.2) == Some(v.0));
-        if let Some(vote) = vote {
-            self.pending[peer.index()] = None;
-            self.apply_vote(peer, vote);
-        }
-        vote.is_some()
+        let arrived = |v: &mut (Slot, View, BlockHash)| self.store.slot_of(v.2) == Some(v.0);
+        let Some(vote) = self.pending[peer.index()].take_if(arrived) else { return false };
+        self.apply_vote(peer, vote);
+        true
     }
 
     /// Records a peer's suggest or proof.
@@ -209,8 +204,7 @@ impl Chain {
     }
 
     /// Snapshot of the live slots, to step them (steps open and retire
-    /// slots). At most [`SLOT_WINDOW`] are live, so the inline capacity
-    /// always suffices and the snapshot never allocates.
+    /// slots); at most [`SLOT_WINDOW`] are live, so it never allocates.
     pub(crate) fn live_slots(&self) -> InlineVec<Slot, { SLOT_WINDOW as usize }> {
         self.slots.keys().copied().collect()
     }
@@ -389,16 +383,13 @@ impl Chain {
     /// proposed (it was out of the window, catching up): from this instant
     /// peers can serve it.
     pub(crate) fn step_finalize(&mut self) -> Result<(), Slot> {
-        // Highest slot with a phase-4 quorum whose chain back to the
-        // finalized tip is fully known.
+        // The highest slot with a phase-4 quorum.
         let quorum = self.cfg.quorum();
-        let mut best: Option<(Slot, BlockHash)> = None;
-        for (slot, st) in &self.slots {
-            if let Some(value) = st.regs.votes().quorum_value_any(Phase::VOTE4.index(), quorum) {
-                best = Some((*slot, BlockHash::from_value(value)));
-            }
-        }
-        let Some((slot, hash)) = best else { return Ok(()) };
+        let final_at = |(slot, st): (&Slot, &SlotState)| {
+            let value = st.regs.votes().quorum_value_any(Phase::VOTE4.index(), quorum)?;
+            Some((*slot, BlockHash::from_value(value)))
+        };
+        let Some((slot, hash)) = self.slots.iter().rev().find_map(final_at) else { return Ok(()) };
         // Collect the chain from `hash` down to the current finalized tip,
         // into the retained scratch (good case: a single link, no
         // allocation; block clones are `Arc` bumps).

@@ -73,12 +73,6 @@ impl Liveness {
         }
     }
 
-    fn timer_for(slot: Slot) -> TimerId {
-        // TimerId is as wide as Slot, so slots never alias (a u32 id
-        // wrapped at slot 2^32, resurrecting foreign slots' timers).
-        TimerId(slot.0)
-    }
-
     /// Whether `slot`'s view-0 leader is held silent.
     fn leader_silent(&self, chain: &Chain, slot: Slot) -> bool {
         self.silent[chain.leader(slot, View::ZERO).index()]
@@ -93,13 +87,13 @@ impl Liveness {
         // Restored slots were opened without a context; every live slot
         // (fresh or restored) gets its timer here.
         for slot in chain.slots.keys() {
-            ctx.set_timer(Self::timer_for(*slot), self.params.view_timeout());
+            ctx.set_timer(TimerId(slot.0), self.params.view_timeout());
         }
     }
 
     /// Opens `slot` in the core, if it lies in the window and is not live.
     pub(crate) fn open(&mut self, chain: &mut Chain, slot: Slot, ctx: &mut Ctx<'_>) {
-        if chain.open(slot) {
+        if chain.open(slot).is_some() {
             self.opened(chain, slot, ctx);
         }
     }
@@ -112,7 +106,7 @@ impl Liveness {
         if self.leader_silent(chain, slot) {
             Self::suspect(self.watch(chain, slot), slot, chain.me, ctx);
         }
-        ctx.set_timer(Self::timer_for(slot), self.params.view_timeout());
+        ctx.set_timer(TimerId(slot.0), self.params.view_timeout());
     }
 
     /// A leader that let its last slot time out, or whose stream the
@@ -182,7 +176,7 @@ impl Liveness {
         // re-armed timer doubles as post-GST retransmission.
         raise(&mut self.vc_sent, (slot, target));
         ctx.broadcast(MsMessage::ViewChange { slot, view: target });
-        ctx.set_timer(Self::timer_for(slot), self.params.view_timeout());
+        ctx.set_timer(TimerId(slot.0), self.params.view_timeout());
     }
 
     /// Echo a view-change supported by a blocking set (Algorithm 2 lines
@@ -236,7 +230,7 @@ impl Liveness {
         }
         let Some((suggest, proof)) = chain.enter(slot, target) else { return false };
         watch.timer_expired = false;
-        ctx.set_timer(Self::timer_for(slot), self.params.view_timeout());
+        ctx.set_timer(TimerId(slot.0), self.params.view_timeout());
         ctx.send(chain.leader(slot, target), suggest);
         ctx.broadcast(proof);
         true
@@ -247,7 +241,7 @@ impl Liveness {
     /// window just moved, so start it now — its leader may be this node,
     /// and nothing else would.
     pub(crate) fn retire(&mut self, chain: &mut Chain, slot: Slot, ctx: &mut Ctx<'_>) {
-        ctx.cancel_timer(Self::timer_for(slot));
+        ctx.cancel_timer(TimerId(slot.0));
         self.slots.remove(&slot);
         if let Some((top, _)) = chain.slots.last_key_value().filter(|(_, st)| st.saw_proposal) {
             self.open(chain, top.next(), ctx);

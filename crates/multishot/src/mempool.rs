@@ -80,9 +80,7 @@ impl fmt::Display for SubmitError {
             SubmitError::TooLarge { size, max } => {
                 write!(f, "transaction of {size} bytes exceeds the {max}-byte cap")
             }
-            SubmitError::Malformed { reason } => {
-                write!(f, "malformed transaction: {reason}")
-            }
+            SubmitError::Malformed { reason } => write!(f, "malformed transaction: {reason}"),
             SubmitError::Rejected { reason } => {
                 write!(f, "transaction refused at admission: {reason}")
             }
@@ -364,10 +362,7 @@ impl Mempool {
     /// Marks the queue as it stands now as sealed: [`Mempool::unsealed`]
     /// reports changes from here on.
     pub fn seal(&mut self) {
-        self.requeued = 0;
-        self.admitted = 0;
-        self.drained = 0;
-        self.reordered = false;
+        (self.requeued, self.admitted, self.drained, self.reordered) = (0, 0, 0, false);
     }
 
     /// Number of queued transactions.

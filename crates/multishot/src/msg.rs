@@ -209,15 +209,10 @@ impl Wire for MsMessage {
             TAG_BLOCKS => {
                 let count = r.get_varint_u64()?;
                 if count > MAX_CATCHUP_BLOCKS as u64 {
-                    return Err(WireError::LengthOverflow {
-                        declared: usize::try_from(count).unwrap_or(usize::MAX),
-                        limit: MAX_CATCHUP_BLOCKS,
-                    });
+                    let declared = usize::try_from(count).unwrap_or(usize::MAX);
+                    return Err(WireError::LengthOverflow { declared, limit: MAX_CATCHUP_BLOCKS });
                 }
-                let mut blocks = Vec::with_capacity(count as usize);
-                for _ in 0..count {
-                    blocks.push(Block::decode(r)?);
-                }
+                let blocks = (0..count).map(|_| Block::decode(r)).collect::<Result<_, _>>()?;
                 Ok(MsMessage::Blocks { blocks })
             }
             TAG_RELAY => {

@@ -14,7 +14,7 @@ use tetrabft_wire::Wire;
 
 use crate::block::{Block, BlockHash};
 use crate::catchup::Catchup;
-use crate::chain::{Candidate, Chain, SlotState, FINALIZED_TAIL, SLOT_WINDOW};
+use crate::chain::{Candidate, Chain, FINALIZED_TAIL, SLOT_WINDOW};
 use crate::handoff::{Handoff, Pace, Pacing};
 use crate::liveness::Liveness;
 use crate::mempool::SubmitError;
@@ -121,10 +121,8 @@ impl MultiShotNode {
         // write-ahead record left it, so the node cannot contradict a vote
         // it already sent before the crash.
         for sv in store.restored_votes().values() {
-            if node.chain.in_window(sv.slot) {
-                let mut st = SlotState::new(&cfg);
+            if let Some(st) = node.chain.open(sv.slot) {
                 (st.view, st.book) = (sv.view, sv.book.clone());
-                node.chain.slots.insert(sv.slot, st);
             }
         }
         // Admitted-but-unfinalized transactions survive the crash. The

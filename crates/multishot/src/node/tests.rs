@@ -2,7 +2,7 @@ use std::sync::Arc;
 
 use super::*;
 use crate::block::GENESIS_HASH;
-use crate::chain::SLOT_WINDOW;
+use crate::chain::{SlotState, SLOT_WINDOW};
 use crate::liveness::SlotWatch;
 use tetrabft::SuggestData;
 use tetrabft::ViewVerdict::{Echo, Enter, Idle};

@@ -18,11 +18,6 @@ pub struct BlockStore {
 }
 
 impl BlockStore {
-    /// Creates a store containing only the implicit genesis block.
-    pub fn new() -> Self {
-        BlockStore::default()
-    }
-
     /// Inserts `block`, returning its hash. Idempotent. A block held
     /// here already — the same `txs` allocation at the same slot on the
     /// same parent, as a leader's own proposal is when loopback brings it
@@ -95,7 +90,7 @@ mod tests {
     use super::*;
 
     fn chain(len: u64) -> (BlockStore, Vec<BlockHash>) {
-        let mut store = BlockStore::new();
+        let mut store = BlockStore::default();
         let mut hashes = vec![GENESIS_HASH];
         for s in 1..=len {
             let block = Block::new(Slot(s), *hashes.last().unwrap(), vec![]);
@@ -142,7 +137,7 @@ mod tests {
 
     #[test]
     fn insert_is_idempotent() {
-        let mut store = BlockStore::new();
+        let mut store = BlockStore::default();
         let b = Block::new(Slot(1), GENESIS_HASH, vec![b"t".to_vec()]);
         let h1 = store.insert(b.clone());
         let h2 = store.insert(b);
@@ -152,7 +147,7 @@ mod tests {
 
     #[test]
     fn a_held_block_is_found_by_its_payload_and_position_not_rehashed() {
-        let mut store = BlockStore::new();
+        let mut store = BlockStore::default();
         let b = Block::new(Slot(1), GENESIS_HASH, vec![b"t".to_vec()]);
         let hash = b.hash();
         store.insert_hashed(hash, b.clone());
