@@ -2,19 +2,27 @@
 //! runtime.
 //!
 //! A [`LinkPlan`] describes a network scenario — per-edge one-way delay,
-//! jitter, drop probability, and scripted partition windows — without
-//! reference to any runtime. The simulator routes each message through
-//! [`LinkPlan::route_at`] (`SimBuilder::plan`; virtual-time ticks are
-//! milliseconds), the TCP layer (`tetrabft-net`) applies the very same plan
-//! in its send path with wall-clock milliseconds, so one scenario drives
-//! both runtimes and their results can be compared directly. One
-//! difference stays: a TCP link is a FIFO byte stream, so its jitter never
-//! reorders two frames of one edge, while the simulator's may.
+//! jitter, drop probability, and scripted windows — without reference to
+//! any runtime. The simulator routes each message through
+//! [`LinkPlan::route_at`] (virtual-time ticks are milliseconds), the TCP
+//! layer (`tetrabft-net`) prices each frame with the very same call in
+//! wall-clock milliseconds, so one scenario drives both runtimes and their
+//! results can be compared directly. One difference stays: a TCP link is a
+//! FIFO byte stream, so its jitter never reorders two frames of one edge,
+//! while the simulator's may.
 //!
-//! Partition semantics match what a supervised TCP link does: frames sent
-//! while an edge is severed are *buffered* and released when the window
-//! ends (the link reconnects and flushes), not silently lost. Loss is
-//! modeled separately by the per-edge drop probability.
+//! A [`PartitionWindow`] selects edges — those crossing a group's boundary,
+//! those leaving a group, or those entering it — and acts on every frame
+//! sent on them while it is open:
+//!
+//! * **buffer** (the default): the frame leaves at the heal, then takes its
+//!   sampled delay — what a supervised TCP link does when it is severed,
+//!   reconnects and flushes;
+//! * **hold**: the frame arrives at the window's end;
+//! * **lose**: the frame is dropped with a given probability.
+//!
+//! The edge's own delay and loss are always sampled first, so no draw of
+//! theirs depends on a window.
 
 use std::collections::HashMap;
 use std::str::FromStr;
@@ -23,6 +31,22 @@ use rand::rngs::StdRng;
 use rand::Rng;
 
 use tetrabft_types::NodeId;
+
+/// The largest millisecond value the plan grammar accepts for a delay, a
+/// jitter or a window bound (about 31 years), so no sum a plan forms — a
+/// release time plus a delay plus a jitter — can overflow a `u64`.
+const MAX_MS: u64 = 1_000_000_000_000;
+
+/// A probability in parts per million (`1_000_000` = always).
+fn ppm(fraction: f64) -> u32 {
+    (fraction.clamp(0.0, 1.0) * 1_000_000.0) as u32
+}
+
+/// Whether a message is lost at `ppm` parts per million; a certain or an
+/// impossible loss draws nothing.
+fn lost(ppm: u32, rng: &mut StdRng) -> bool {
+    ppm >= 1_000_000 || (ppm > 0 && rng.random_range(0..1_000_000u64) < u64::from(ppm))
+}
 
 /// Conditioning applied to one directed edge: a base one-way delay, a
 /// uniform jitter on top, and an independent drop probability per message.
@@ -57,14 +81,14 @@ impl EdgeSpec {
 
     /// Sets the drop probability as a fraction in `0.0..=1.0`.
     pub fn with_drop(mut self, fraction: f64) -> Self {
-        self.drop_ppm = (fraction.clamp(0.0, 1.0) * 1_000_000.0) as u32;
+        self.drop_ppm = ppm(fraction);
         self
     }
 
     /// Samples one message: `None` if dropped, otherwise the total one-way
     /// delay (base + jitter) in milliseconds.
     pub fn sample(&self, rng: &mut StdRng) -> Option<u64> {
-        if self.drop_ppm > 0 && rng.random_range(0..1_000_000u64) < u64::from(self.drop_ppm) {
+        if lost(self.drop_ppm, rng) {
             return None;
         }
         let jitter = if self.jitter_ms > 0 { rng.random_range(0..=self.jitter_ms) } else { 0 };
@@ -97,6 +121,26 @@ impl std::fmt::Display for PlanParseError {
 }
 
 impl std::error::Error for PlanParseError {}
+
+/// Parses a millisecond `value` no larger than [`MAX_MS`].
+fn parse_ms(what: &str, value: &str) -> Result<u64, PlanParseError> {
+    let ms: u64 =
+        value.trim().parse().map_err(|_| PlanParseError::new(format!("bad {what} `{value}`")))?;
+    if ms > MAX_MS {
+        return Err(PlanParseError::new(format!("{what} `{value}` above the {MAX_MS} ms ceiling")));
+    }
+    Ok(ms)
+}
+
+/// Parses a probability in parts per million.
+fn parse_ppm(what: &str, value: &str) -> Result<u32, PlanParseError> {
+    let ppm: u32 =
+        value.trim().parse().map_err(|_| PlanParseError::new(format!("bad {what} `{value}`")))?;
+    if ppm > 1_000_000 {
+        return Err(PlanParseError::new(format!("{what} `{value}` above 1000000")));
+    }
+    Ok(ppm)
+}
 
 impl std::fmt::Display for EdgeSpec {
     /// Canonical form, re-parsable by [`EdgeSpec::from_str`]: zero fields
@@ -133,18 +177,8 @@ impl FromStr for EdgeSpec {
                 .split_once('=')
                 .ok_or_else(|| PlanParseError::new(format!("expected key=value, got `{part}`")))?;
             match key.trim() {
-                "delay" => {
-                    spec.delay_ms = value
-                        .trim()
-                        .parse()
-                        .map_err(|_| PlanParseError::new(format!("bad delay `{value}`")))?;
-                }
-                "jitter" => {
-                    spec.jitter_ms = value
-                        .trim()
-                        .parse()
-                        .map_err(|_| PlanParseError::new(format!("bad jitter `{value}`")))?;
-                }
+                "delay" => spec.delay_ms = parse_ms("delay", value)?,
+                "jitter" => spec.jitter_ms = parse_ms("jitter", value)?,
                 "drop" => {
                     let frac: f64 = value
                         .trim()
@@ -157,18 +191,7 @@ impl FromStr for EdgeSpec {
                     }
                     spec = spec.with_drop(frac);
                 }
-                "drop_ppm" => {
-                    let ppm: u32 = value
-                        .trim()
-                        .parse()
-                        .map_err(|_| PlanParseError::new(format!("bad drop_ppm `{value}`")))?;
-                    if ppm > 1_000_000 {
-                        return Err(PlanParseError::new(format!(
-                            "drop_ppm `{value}` above 1000000"
-                        )));
-                    }
-                    spec.drop_ppm = ppm;
-                }
+                "drop_ppm" => spec.drop_ppm = parse_ppm("drop_ppm", value)?,
                 other => {
                     return Err(PlanParseError::new(format!("unknown key `{other}`")));
                 }
@@ -178,19 +201,47 @@ impl FromStr for EdgeSpec {
     }
 }
 
-/// A scripted partition: during `start_ms..end_ms` every edge crossing the
-/// boundary between `group` and the rest of the cluster is severed.
+/// Which directed edges a [`PartitionWindow`] acts on.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Edges {
+    /// Edges crossing the group's boundary, either way.
+    Across,
+    /// Edges whose sender is in the group.
+    From,
+    /// Edges whose receiver is in the group.
+    To,
+}
+
+/// What a [`PartitionWindow`] does to a frame sent on one of its edges.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Effect {
+    /// The frame leaves at the heal, then takes its sampled delay.
+    Buffer,
+    /// The frame arrives at the window's end.
+    Hold,
+    /// The frame is lost with this probability, in parts per million.
+    Lose(u32),
+}
+
+/// A scripted window: during `start_ms..end_ms` it acts on every frame
+/// sent on the edges it selects — those crossing the boundary of a group
+/// ([`PartitionWindow::isolate`]), leaving it
+/// ([`PartitionWindow::from_group`]) or entering it
+/// ([`PartitionWindow::to_group`]).
 ///
-/// Severed traffic is buffered and released at the end of the window (the
-/// TCP link closes, reconnects after heal, and flushes its buffer; the
-/// simulator delivers at the heal time plus the edge delay).
+/// By default it buffers them until the end of the window (the TCP link
+/// closes, reconnects after heal, and flushes its buffer; the simulator
+/// delivers at the heal time plus the edge delay); [`PartitionWindow::hold`]
+/// and [`PartitionWindow::lose`] choose the other effects.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PartitionWindow {
     /// Window start, inclusive, in milliseconds since the run began.
     pub start_ms: u64,
     /// Window end, exclusive, in milliseconds since the run began.
     pub end_ms: u64,
+    edges: Edges,
     group: Vec<u16>,
+    effect: Effect,
 }
 
 impl PartitionWindow {
@@ -201,16 +252,65 @@ impl PartitionWindow {
     ///
     /// Panics if the window is empty (`start_ms >= end_ms`).
     pub fn isolate(start_ms: u64, end_ms: u64, group: impl IntoIterator<Item = NodeId>) -> Self {
+        PartitionWindow::new(start_ms, end_ms, Edges::Across, group)
+    }
+
+    /// Acts on every edge leaving a member of `group` during
+    /// `start_ms..end_ms`; with the whole cluster as the group, on every
+    /// edge.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the window is empty (`start_ms >= end_ms`).
+    pub fn from_group(start_ms: u64, end_ms: u64, group: impl IntoIterator<Item = NodeId>) -> Self {
+        PartitionWindow::new(start_ms, end_ms, Edges::From, group)
+    }
+
+    /// Acts on every edge entering a member of `group` during
+    /// `start_ms..end_ms`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the window is empty (`start_ms >= end_ms`).
+    pub fn to_group(start_ms: u64, end_ms: u64, group: impl IntoIterator<Item = NodeId>) -> Self {
+        PartitionWindow::new(start_ms, end_ms, Edges::To, group)
+    }
+
+    fn new(
+        start_ms: u64,
+        end_ms: u64,
+        edges: Edges,
+        group: impl IntoIterator<Item = NodeId>,
+    ) -> Self {
         assert!(start_ms < end_ms, "partition window must be non-empty");
         let mut group: Vec<u16> = group.into_iter().map(|id| id.0).collect();
         group.sort_unstable();
         group.dedup();
-        PartitionWindow { start_ms, end_ms, group }
+        PartitionWindow { start_ms, end_ms, edges, group, effect: Effect::Buffer }
     }
 
-    /// Whether the edge `a`–`b` crosses this partition's boundary.
-    pub fn severs(&self, a: NodeId, b: NodeId) -> bool {
-        self.group.binary_search(&a.0).is_ok() != self.group.binary_search(&b.0).is_ok()
+    /// The same window, holding its frames instead: each arrives at the
+    /// window's end, whatever its sampled delay.
+    pub fn hold(mut self) -> Self {
+        self.effect = Effect::Hold;
+        self
+    }
+
+    /// The same window, losing each of its frames with probability
+    /// `fraction` (clamped to `0.0..=1.0`) instead.
+    pub fn lose(mut self, fraction: f64) -> Self {
+        self.effect = Effect::Lose(ppm(fraction));
+        self
+    }
+
+    /// Whether this window acts on the directed edge `from → to`.
+    pub fn severs(&self, from: NodeId, to: NodeId) -> bool {
+        let member = |id: NodeId| self.group.binary_search(&id.0).is_ok();
+        match self.edges {
+            Edges::Across => member(from) != member(to),
+            Edges::From => member(from),
+            Edges::To => member(to),
+        }
     }
 
     /// Whether `at_ms` falls inside the window.
@@ -220,17 +320,27 @@ impl PartitionWindow {
 }
 
 impl std::fmt::Display for PartitionWindow {
-    /// Canonical `start..end:ids` form, re-parsable by
-    /// [`PartitionWindow::from_str`] (the group is kept sorted, so the
-    /// rendering is unique).
+    /// Canonical `start..end:[from |to ]ids[:hold|:lose_ppm=N]` form,
+    /// re-parsable by [`PartitionWindow::from_str`] (the group is kept
+    /// sorted, so the rendering is unique; a buffer window prints no
+    /// effect).
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(f, "{}..{}:", self.start_ms, self.end_ms)?;
+        match self.edges {
+            Edges::Across => {}
+            Edges::From => f.write_str("from ")?,
+            Edges::To => f.write_str("to ")?,
+        }
         let mut sep = "";
         for id in &self.group {
             write!(f, "{sep}{id}")?;
             sep = ",";
         }
-        Ok(())
+        match self.effect {
+            Effect::Buffer => Ok(()),
+            Effect::Hold => f.write_str(":hold"),
+            Effect::Lose(ppm) => write!(f, ":lose_ppm={ppm}"),
+        }
     }
 }
 
@@ -238,23 +348,27 @@ impl FromStr for PartitionWindow {
     type Err = PlanParseError;
 
     /// Parses `"500..1500:0,3"` — isolate nodes 0 and 3 during
-    /// milliseconds 500..1500.
+    /// milliseconds 500..1500 — and its variants: `from 0` or `to 0` in
+    /// place of the group select the edges leaving or entering it, and a
+    /// trailing `:hold` or `:lose_ppm=<n>` picks the effect.
     fn from_str(s: &str) -> Result<Self, PlanParseError> {
-        let (range, group) = s
+        let (range, rest) = s
             .split_once(':')
             .ok_or_else(|| PlanParseError::new(format!("expected range:group, got `{s}`")))?;
+        let (group, effect) = rest.split_once(':').unwrap_or((rest, ""));
         let (start, end) = range
             .split_once("..")
             .ok_or_else(|| PlanParseError::new(format!("expected start..end, got `{range}`")))?;
-        let start: u64 = start
-            .trim()
-            .parse()
-            .map_err(|_| PlanParseError::new(format!("bad start `{start}`")))?;
-        let end: u64 =
-            end.trim().parse().map_err(|_| PlanParseError::new(format!("bad end `{end}`")))?;
+        let (start, end) = (parse_ms("start", start)?, parse_ms("end", end)?);
         if start >= end {
             return Err(PlanParseError::new(format!("empty window `{range}`")));
         }
+        let group = group.trim();
+        let (edges, group) = match (group.strip_prefix("from"), group.strip_prefix("to")) {
+            (Some(ids), _) => (Edges::From, ids),
+            (_, Some(ids)) => (Edges::To, ids),
+            _ => (Edges::Across, group),
+        };
         let mut ids = Vec::new();
         for id in group.split(',').map(str::trim).filter(|g| !g.is_empty()) {
             let id: u16 =
@@ -264,7 +378,18 @@ impl FromStr for PartitionWindow {
         if ids.is_empty() {
             return Err(PlanParseError::new("partition group is empty"));
         }
-        Ok(PartitionWindow::isolate(start, end, ids))
+        let mut window = PartitionWindow::new(start, end, edges, ids);
+        window.effect = match effect.trim() {
+            "" => Effect::Buffer,
+            "hold" => Effect::Hold,
+            other => match other.split_once('=') {
+                Some((key, ppm)) if key.trim() == "lose_ppm" => {
+                    Effect::Lose(parse_ppm("lose_ppm", ppm)?)
+                }
+                _ => return Err(PlanParseError::new(format!("unknown window effect `{other}`"))),
+            },
+        };
+        Ok(window)
     }
 }
 
@@ -346,7 +471,7 @@ impl LinkPlan {
         self.edge(a, b, spec).edge(b, a, spec)
     }
 
-    /// Adds a scripted partition window.
+    /// Adds a scripted window; windows act in the order they are added.
     pub fn partition(mut self, window: PartitionWindow) -> Self {
         self.partitions.push(window);
         self
@@ -358,7 +483,7 @@ impl LinkPlan {
         self.edges.get(&(from.0, to.0)).copied().unwrap_or(self.default)
     }
 
-    /// The scripted partition windows.
+    /// The scripted windows.
     pub fn partitions(&self) -> &[PartitionWindow] {
         &self.partitions
     }
@@ -384,11 +509,14 @@ impl LinkPlan {
         max
     }
 
-    /// Whether no edge of the plan ever drops a message. Liveness oracles
-    /// are only armed on lossless plans: with loss the partial-synchrony
-    /// model gives no delivery bound to hold the protocol to.
+    /// Whether the plan never drops a message: no edge has a loss rate and
+    /// no window loses frames. Liveness oracles are only armed on lossless
+    /// plans: with loss the partial-synchrony model gives no delivery bound
+    /// to hold the protocol to.
     pub fn is_lossless(&self) -> bool {
-        self.default.drop_ppm == 0 && self.edges.values().all(|e| e.drop_ppm == 0)
+        self.default.drop_ppm == 0
+            && self.edges.values().all(|e| e.drop_ppm == 0)
+            && self.partitions.iter().all(|w| !matches!(w.effect, Effect::Lose(_)))
     }
 
     /// Samples a random plan for an `n`-node cluster — the adversary
@@ -444,32 +572,53 @@ impl LinkPlan {
         plan
     }
 
-    /// When a message sent on `from → to` at `at_ms` is released from any
-    /// severing partition windows (equal to `at_ms` when unsevered).
-    /// Chained or overlapping windows are walked through to the final heal.
-    pub fn release_time(&self, from: NodeId, to: NodeId, at_ms: u64) -> u64 {
+    /// When a frame sent on `from → to` at `at_ms` leaves the buffer
+    /// windows for which `keep` holds and that act on the edge (`at_ms`
+    /// when none does). Chained or overlapping windows are walked through
+    /// to the final heal.
+    fn heal(&self, from: NodeId, to: NodeId, at_ms: u64, keep: impl Fn(&Edges) -> bool) -> u64 {
         let mut at = at_ms;
-        loop {
-            let Some(end) = self
-                .partitions
-                .iter()
-                .filter(|w| w.severs(from, to) && w.contains(at))
-                .map(|w| w.end_ms)
-                .max()
-            else {
-                return at;
-            };
+        while let Some(end) = self
+            .partitions
+            .iter()
+            .filter(|w| w.effect == Effect::Buffer && keep(&w.edges))
+            .filter(|w| w.severs(from, to) && w.contains(at))
+            .map(|w| w.end_ms)
+            .max()
+        {
             at = end;
         }
+        at
     }
 
-    /// Routes one message: `None` if dropped by the edge's loss rate,
-    /// otherwise its absolute delivery time in milliseconds — partition
-    /// release first (buffered links flush at heal), then the sampled
-    /// one-way delay.
+    /// When the link carrying `from → to`, severed at `at_ms`, comes back
+    /// (`at_ms` when it is up). Only buffer windows that isolate a group
+    /// sever a link — the TCP runtime tears its socket down until then;
+    /// every other window acts on each frame in [`LinkPlan::route_at`].
+    pub fn release_time(&self, from: NodeId, to: NodeId, at_ms: u64) -> u64 {
+        self.heal(from, to, at_ms, |edges| *edges == Edges::Across)
+    }
+
+    /// Routes one message sent on `from → to` at `at_ms`: `None` if it is
+    /// lost, otherwise its absolute delivery time in milliseconds.
+    ///
+    /// The edge's loss and delay are sampled first. Then each window open
+    /// at `at_ms` on the edge acts, in plan order: a lose window may drop
+    /// the message; a hold window makes it arrive at its end (the latest
+    /// end, if several hold it; its delay and any buffering are ignored);
+    /// otherwise it leaves when the buffer windows heal and takes its
+    /// delay from there.
     pub fn route_at(&self, from: NodeId, to: NodeId, at_ms: u64, rng: &mut StdRng) -> Option<u64> {
         let delay = self.edge_spec(from, to).sample(rng)?;
-        Some(self.release_time(from, to, at_ms) + delay)
+        let mut held = None;
+        for w in self.partitions.iter().filter(|w| w.severs(from, to) && w.contains(at_ms)) {
+            match w.effect {
+                Effect::Lose(ppm) if lost(ppm, rng) => return None,
+                Effect::Hold => held = held.max(Some(w.end_ms)),
+                _ => {}
+            }
+        }
+        Some(held.unwrap_or_else(|| self.heal(from, to, at_ms, |_| true) + delay))
     }
 }
 
@@ -501,7 +650,7 @@ impl FromStr for LinkPlan {
 
     /// Parses the grammar printed by [`LinkPlan`]'s `Display`:
     /// `;`-separated `default(<spec>)`, `edge(<from>-><to>[,<spec>])`, and
-    /// `part(<start>..<end>:<ids>)` segments, in any order.
+    /// `part(<window>)` segments, in any order.
     fn from_str(s: &str) -> Result<Self, PlanParseError> {
         let mut plan = LinkPlan::ideal();
         for seg in s.split(';').map(str::trim).filter(|t| !t.is_empty()) {
@@ -696,5 +845,139 @@ mod tests {
             assert!((10..=14).contains(&d));
         }
         assert_eq!(spec.max_delay_ms(), 14);
+    }
+
+    /// All four nodes of a cluster, as a window group.
+    fn everyone() -> [NodeId; 4] {
+        [NodeId(0), NodeId(1), NodeId(2), NodeId(3)]
+    }
+
+    #[test]
+    fn a_fixed_delay_is_exact() {
+        let plan = LinkPlan::uniform(EdgeSpec::delay(3));
+        assert_eq!(plan.route_at(NodeId(0), NodeId(1), 10, &mut rng()), Some(13));
+    }
+
+    #[test]
+    fn loss_before_gst_then_delta() {
+        // Partial synchrony with lossy links until GST = 100, δ = 4 after.
+        let plan = LinkPlan::uniform(EdgeSpec::delay(4))
+            .partition(PartitionWindow::from_group(0, 100, everyone()).lose(1.0));
+        let mut r = rng();
+        assert_eq!(plan.route_at(NodeId(0), NodeId(1), 99, &mut r), None);
+        assert_eq!(plan.route_at(NodeId(0), NodeId(1), 100, &mut r), Some(104));
+        assert_eq!(plan.route_at(NodeId(2), NodeId(3), 150, &mut r), Some(154));
+        assert!(!plan.is_lossless(), "a lose window makes the plan lossy");
+    }
+
+    #[test]
+    fn buffering_delivers_at_gst_plus_delta() {
+        let plan = LinkPlan::uniform(EdgeSpec::delay(4)).partition(PartitionWindow::from_group(
+            0,
+            100,
+            everyone(),
+        ));
+        assert_eq!(plan.route_at(NodeId(0), NodeId(1), 7, &mut rng()), Some(104));
+        assert!(plan.is_lossless());
+        // Only a window isolating a group takes a link down.
+        assert_eq!(plan.release_time(NodeId(0), NodeId(1), 7), 7);
+    }
+
+    #[test]
+    fn jitter_stays_in_range_and_is_deterministic() {
+        let plan = LinkPlan::uniform(EdgeSpec::delay(2).with_jitter(3));
+        let route = |seed| {
+            let mut r = StdRng::seed_from_u64(seed);
+            (0..100).map(|_| plan.route_at(NodeId(0), NodeId(1), 0, &mut r)).collect::<Vec<_>>()
+        };
+        let routes = route(42);
+        assert!(routes.iter().all(|at| matches!(at, Some(2..=5))), "{routes:?}");
+        assert_eq!(routes, route(42), "a pure function of the seed");
+    }
+
+    #[test]
+    fn a_held_frame_arrives_at_the_window_end() {
+        // Node 1's outbound traffic is held during 400..750.
+        let plan = LinkPlan::uniform(EdgeSpec::delay(10).with_jitter(20))
+            .partition(PartitionWindow::from_group(400, 750, [NodeId(1)]).hold());
+        let mut r = rng();
+        assert_eq!(plan.route_at(NodeId(1), NodeId(0), 400, &mut r), Some(750));
+        assert_eq!(plan.route_at(NodeId(1), NodeId(2), 749, &mut r), Some(750), "not later");
+        let free = plan.route_at(NodeId(0), NodeId(1), 500, &mut r).unwrap();
+        assert!((510..=530).contains(&free), "inbound traffic is not held: {free}");
+        let after = plan.route_at(NodeId(1), NodeId(0), 750, &mut r).unwrap();
+        assert!((760..=780).contains(&after), "the window is closed at its end: {after}");
+        assert!(plan.is_lossless());
+        assert_eq!(plan.release_time(NodeId(1), NodeId(0), 500), 500, "a hold severs no link");
+        // Holding draws nothing beyond the edge's own sample.
+        let (mut held, mut free) = (rng(), rng());
+        plan.route_at(NodeId(1), NodeId(0), 500, &mut held);
+        plan.route_at(NodeId(0), NodeId(1), 100, &mut free);
+        assert_eq!(held.next_u64(), free.next_u64());
+    }
+
+    #[test]
+    fn selectors_pick_their_edges() {
+        let [across, from, to] = [
+            PartitionWindow::isolate(0, 9, [NodeId(0)]),
+            PartitionWindow::from_group(0, 9, [NodeId(0)]),
+            PartitionWindow::to_group(0, 9, [NodeId(0)]),
+        ];
+        let edges = |w: &PartitionWindow| {
+            [(0, 1), (1, 0), (1, 2)].map(|(a, b)| w.severs(NodeId(a), NodeId(b)))
+        };
+        assert_eq!(edges(&across), [true, true, false]);
+        assert_eq!(edges(&from), [true, false, false]);
+        assert_eq!(edges(&to), [false, true, false]);
+    }
+
+    #[test]
+    fn lose_windows_drop_their_fraction_after_the_edge_sample() {
+        let plan = LinkPlan::uniform(EdgeSpec::delay(1).with_jitter(3))
+            .partition(PartitionWindow::to_group(0, 150, [NodeId(3)]).lose(0.5));
+        let mut r = StdRng::seed_from_u64(3);
+        let lost =
+            (0..1000).filter(|_| plan.route_at(NodeId(0), NodeId(3), 10, &mut r).is_none()).count();
+        assert!((400..600).contains(&lost), "≈ half lost, got {lost}");
+        // The edge's jitter is drawn first, then the window's coin.
+        let mut by_plan = StdRng::seed_from_u64(5);
+        let mut by_hand = StdRng::seed_from_u64(5);
+        let routed = plan.route_at(NodeId(0), NodeId(3), 10, &mut by_plan);
+        let delay = 1 + by_hand.random_range(0..=3u64);
+        let kept = by_hand.random_range(0..1_000_000u64) >= 500_000;
+        assert_eq!(routed, kept.then_some(10 + delay));
+        // Edges the window does not select, and later sends, never lose.
+        assert!((0..100).all(|_| plan.route_at(NodeId(3), NodeId(0), 10, &mut r).is_some()));
+        assert!((0..100).all(|_| plan.route_at(NodeId(0), NodeId(3), 150, &mut r).is_some()));
+    }
+
+    #[test]
+    fn windows_parse_their_selectors_and_effects() {
+        for (text, window) in [
+            (
+                "0..150:from 0,1:lose_ppm=500000",
+                PartitionWindow::from_group(0, 150, [NodeId(0), NodeId(1)]).lose(0.5),
+            ),
+            ("400..750:from 2:hold", PartitionWindow::from_group(400, 750, [NodeId(2)]).hold()),
+            (
+                "0..200:to 3:lose_ppm=1000000",
+                PartitionWindow::to_group(0, 200, [NodeId(3)]).lose(1.0),
+            ),
+            ("5..9:1", PartitionWindow::isolate(5, 9, [NodeId(1)])),
+        ] {
+            assert_eq!(text.parse::<PartitionWindow>().unwrap(), window);
+            assert_eq!(window.to_string(), text);
+        }
+        assert!("0..9:0:drop".parse::<PartitionWindow>().is_err(), "unknown effect");
+        assert!("0..9:0:lose_ppm=1000001".parse::<PartitionWindow>().is_err());
+        assert!("0..9:from".parse::<PartitionWindow>().is_err(), "empty group");
+    }
+
+    #[test]
+    fn values_above_the_ceiling_do_not_parse() {
+        assert!("default(delay=18446744073709551615,jitter=1)".parse::<LinkPlan>().is_err());
+        assert!(format!("delay={MAX_MS},jitter={MAX_MS}").parse::<EdgeSpec>().is_ok());
+        assert!(format!("jitter={}", MAX_MS + 1).parse::<EdgeSpec>().is_err());
+        assert!(format!("0..{}:0", MAX_MS + 1).parse::<PartitionWindow>().is_err());
     }
 }

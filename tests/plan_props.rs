@@ -27,16 +27,19 @@ proptest! {
         prop_assert_eq!(reparsed, spec, "rendering was `{}`", rendered);
     }
 
-    /// Partition windows round-trip, with the group canonicalized (sorted,
-    /// deduplicated) on both sides.
+    /// Windows round-trip — every edge selector, every effect — with the
+    /// group canonicalized (sorted, deduplicated) on both sides.
     #[test]
     fn partition_window_display_round_trips(
         start in 0u64..=100_000,
         len in 1u64..=50_000,
         group in proptest::collection::vec(0u16..16, 1..=6),
+        selector in 0u8..3,
+        effect in 0u8..3,
+        lose_ppm in 0u32..=1_000_000,
     ) {
         let ids: Vec<NodeId> = group.into_iter().map(NodeId).collect();
-        let window = PartitionWindow::isolate(start, start + len, ids);
+        let window = window(selector, effect, lose_ppm, start, start + len, ids);
         let rendered = window.to_string();
         let reparsed: PartitionWindow = rendered.parse().expect("canonical form must parse");
         prop_assert_eq!(reparsed, window, "rendering was `{}`", rendered);
@@ -55,26 +58,48 @@ proptest! {
     }
 
     /// Hand-assembled plans round-trip too (sampling never emits the
-    /// IDEAL-override or drop-fraction corners, so cover them here).
+    /// IDEAL-override or drop-fraction corners, nor hold or lose windows,
+    /// so cover them here).
     #[test]
     fn assembled_link_plans_round_trip(
         base_delay in 1u64..=200,
-        from in 0u16..6,
-        to in 0u16..6,
+        (from, to) in (0u16..6, 0u16..6),
         part_start in 0u64..=500,
         part_len in 1u64..=500,
         isolate in 0u16..6,
+        (selector, lose_ppm) in (0u8..3, 0u32..=1_000_000),
     ) {
+        let (start, end) = (part_start, part_start + part_len);
         let plan = LinkPlan::uniform(EdgeSpec::delay(base_delay))
             .link(NodeId(from), NodeId(to), EdgeSpec::IDEAL)
-            .partition(PartitionWindow::isolate(
-                part_start,
-                part_start + part_len,
-                [NodeId(isolate)],
-            ));
+            .partition(PartitionWindow::isolate(start, end, [NodeId(isolate)]))
+            .partition(window(selector, 1, lose_ppm, start, end, [NodeId(from)]))
+            .partition(window(selector, 2, lose_ppm, start, end, [NodeId(to), NodeId(isolate)]));
         let rendered = plan.to_string();
         let reparsed: LinkPlan = rendered.parse().expect("canonical form must parse");
         prop_assert_eq!(reparsed, plan, "rendering was `{}`", rendered);
+    }
+}
+
+/// A window over `group` selected by `selector` (across, from, to) with
+/// `effect` (buffer, hold, lose `lose_ppm` parts per million).
+fn window(
+    selector: u8,
+    effect: u8,
+    lose_ppm: u32,
+    start: u64,
+    end: u64,
+    group: impl IntoIterator<Item = NodeId>,
+) -> PartitionWindow {
+    let window = match selector {
+        0 => PartitionWindow::isolate(start, end, group),
+        1 => PartitionWindow::from_group(start, end, group),
+        _ => PartitionWindow::to_group(start, end, group),
+    };
+    match effect {
+        0 => window,
+        1 => window.hold(),
+        _ => window.lose(f64::from(lose_ppm) / 1e6),
     }
 }
 
@@ -101,6 +126,13 @@ fn hostile_edge_specs_yield_typed_errors() {
     assert_parse_error("drop_ppm=1000001".parse::<EdgeSpec>(), "above 1000000");
     assert_parse_error("drop_ppm=-1".parse::<EdgeSpec>(), "bad drop_ppm");
     assert_parse_error("latency=30".parse::<EdgeSpec>(), "unknown key");
+    // Milliseconds stop at a ceiling of 10^12, so no sum of them overflows.
+    assert!("delay=1000000000000,jitter=1000000000000".parse::<EdgeSpec>().is_ok());
+    assert_parse_error(
+        "delay=1000000000001".parse::<EdgeSpec>(),
+        "above the 1000000000000 ms ceiling",
+    );
+    assert_parse_error("jitter=1000000000001".parse::<EdgeSpec>(), "jitter `1000000000001` above");
     // And the degenerate-but-valid corner: the empty spec is IDEAL.
     assert_eq!("".parse::<EdgeSpec>().unwrap(), EdgeSpec::IDEAL);
 }
@@ -120,6 +152,23 @@ fn hostile_partition_windows_yield_typed_errors() {
     assert_parse_error("10..20: , ,".parse::<PartitionWindow>(), "group is empty");
     assert_parse_error("10..20:0,node3".parse::<PartitionWindow>(), "bad node id");
     assert_parse_error("10..20:70000".parse::<PartitionWindow>(), "bad node id");
+    // Edge selectors need a group too.
+    assert_parse_error("10..20:from".parse::<PartitionWindow>(), "group is empty");
+    assert_parse_error("10..20:to ,".parse::<PartitionWindow>(), "group is empty");
+    assert_parse_error("10..20:to x".parse::<PartitionWindow>(), "bad node id");
+    assert_parse_error("10..20:into 3".parse::<PartitionWindow>(), "bad node id");
+    // Effects are `hold` or `lose_ppm=<n>`; buffering is the default.
+    assert_parse_error("10..20:0:buffer".parse::<PartitionWindow>(), "unknown window effect");
+    assert_parse_error("10..20:0:lose=0.5".parse::<PartitionWindow>(), "unknown window effect");
+    assert_parse_error("10..20:0:hold:hold".parse::<PartitionWindow>(), "unknown window effect");
+    assert_parse_error("10..20:0:lose_ppm=half".parse::<PartitionWindow>(), "bad lose_ppm");
+    assert_parse_error("10..20:0:lose_ppm=1000001".parse::<PartitionWindow>(), "above 1000000");
+    // Window bounds stop at the same ceiling as delays.
+    assert!("0..1000000000000:0".parse::<PartitionWindow>().is_ok());
+    assert_parse_error(
+        "0..1000000000001:0".parse::<PartitionWindow>(),
+        "end `1000000000001` above",
+    );
 }
 
 #[test]
@@ -129,6 +178,12 @@ fn hostile_link_plans_yield_typed_errors() {
     assert_parse_error("default(delay=1".parse::<LinkPlan>(), "");
     assert_parse_error("part(20..10:0)".parse::<LinkPlan>(), "empty window");
     assert_parse_error("edge(0->x,delay=5)".parse::<LinkPlan>(), "");
+    // A delay whose sum with its jitter would wrap a u64.
+    assert_parse_error(
+        "default(delay=18446744073709551615,jitter=1)".parse::<LinkPlan>(),
+        "ms ceiling",
+    );
+    assert_parse_error("part(0..9:from 1:hold:x)".parse::<LinkPlan>(), "unknown window effect");
     // The empty plan parses as the default (ideal links, no partitions).
     assert_eq!("".parse::<LinkPlan>().unwrap(), LinkPlan::default());
 }
