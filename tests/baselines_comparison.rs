@@ -4,12 +4,12 @@
 
 use std::fmt::Debug;
 
-use rand::Rng;
-
 use tetrabft::{Params, TetraNode};
 use tetrabft_baselines::{BlogNode, IthsNode, PbftNode, RepeatedTetra};
 use tetrabft_multishot::MultiShotNode;
-use tetrabft_sim::{OutputRecord, Route, TraceEvent, WireSize};
+use tetrabft_sim::{
+    EdgeSpec, LinkPlan, OutputRecord, PartitionWindow, Route, TraceEvent, WireSize,
+};
 use tetrabft_suite::prelude::*;
 use tetrabft_types::NodeId;
 
@@ -148,14 +148,18 @@ where
     let (n, crashed, policy) = match scenario {
         Scenario::GoodCase(n) => (n, false, LinkPolicy::synchronous(1)),
         Scenario::CrashedLeader => (4, true, LinkPolicy::jittered(1, 4)),
-        Scenario::PreGstLoss => (
-            4,
-            false,
-            LinkPolicy::scripted(|env, rng| match env.now < Time(150) && rng.next_u64() % 2 == 0 {
-                true => Route::Drop,
-                false => Route::DeliverAt(env.now + rng.random_range(1..5u64)),
-            }),
-        ),
+        Scenario::PreGstLoss => {
+            // Half the frames are lost before tick 150, on 1–4-tick links.
+            let plan = LinkPlan::uniform(EdgeSpec::delay(1).with_jitter(3))
+                .partition(PartitionWindow::from_group(0, 150, (0..4).map(NodeId)).lose(0.5));
+            let policy = LinkPolicy::scripted(move |env, rng| {
+                match plan.route_at(env.from, env.to, env.now.0, rng) {
+                    Some(at) => Route::DeliverAt(Time(at)),
+                    None => Route::Drop,
+                }
+            });
+            (4, false, policy)
+        }
     };
     let mut sim = cluster(n, policy, crashed, Params::new(10), make);
     sim.run_until(Time(600));
@@ -172,7 +176,8 @@ where
 /// TetraBFT's, IT-HS's, blog IT-HS's and PBFT's traffic: a run that changes
 /// any message, tick, byte or output changes its digest. The literals were
 /// captured before the four protocols shared one register file and one
-/// view-change counter.
+/// view-change counter; the `PreGstLoss` row's again when its losses came
+/// to be drawn by a `LinkPlan` lose window.
 #[test]
 fn every_protocols_traffic_is_pinned() {
     use Scenario::{CrashedLeader, GoodCase, PreGstLoss};
@@ -181,7 +186,7 @@ fn every_protocols_traffic_is_pinned() {
         [0xe7c8530fad157555, 0xe2005980df9fa653, 0x922b9c363159960e, 0x1cf877413789aa3c],
         [0xf1d91ffd8240866e, 0xb41ff091d39c8dd1, 0x9c12fb949383de00, 0xd7c54e0b262356bb],
         [0xb693f82488a92cbe, 0x8373ca7be2f6cde9, 0x48e7307f5cdbc935, 0xa516b728bf006061],
-        [0xf49649071c8beb91, 0xcef636622f533bd8, 0xd88193ddcff787ed, 0x429a76dbad171281],
+        [0x549525a04ed1785e, 0x34ddaf475edafee2, 0x12da449506f18186, 0x1ec3d1cb4e73d737],
     ];
     for (scenario, pinned) in
         [GoodCase(4), GoodCase(7), CrashedLeader, PreGstLoss].into_iter().zip(PINNED)
