@@ -331,13 +331,12 @@ impl Node for BlogNode {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tetrabft_sim::{LinkPolicy, SimBuilder, Time};
+    use tetrabft_sim::{SimBuilder, Time};
 
     #[test]
     fn good_case_is_four_message_delays() {
         let cfg = Config::new(4).unwrap();
         let mut sim = SimBuilder::new(4)
-            .policy(LinkPolicy::synchronous(1))
             .build(move |id| BlogNode::new(cfg, Params::new(100), id, Value::from_u64(5)));
         assert!(sim.run_until_outputs(4, 1_000_000));
         for o in sim.outputs() {
@@ -352,14 +351,13 @@ mod tests {
         // lands ≥ Δ after the view change — non-responsiveness in action.
         let cfg = Config::new(4).unwrap();
         let delta = 50;
-        let mut sim =
-            SimBuilder::new(4).policy(LinkPolicy::synchronous(1)).build_boxed(move |id| {
-                if id == NodeId(0) {
-                    Box::new(tetrabft_sim::SilentNode::new())
-                } else {
-                    Box::new(BlogNode::new(cfg, Params::new(delta), id, Value::from_u64(5)))
-                }
-            });
+        let mut sim = SimBuilder::new(4).build_boxed(move |id| {
+            if id == NodeId(0) {
+                Box::new(tetrabft_sim::SilentNode::new())
+            } else {
+                Box::new(BlogNode::new(cfg, Params::new(delta), id, Value::from_u64(5)))
+            }
+        });
         assert!(sim.run_until_outputs(3, 1_000_000));
         let timeout = Params::new(delta).view_timeout(); // 450
         let decided_at = sim.outputs()[0].time.0;

@@ -493,13 +493,12 @@ impl Node for PbftNode {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tetrabft_sim::{LinkPolicy, SimBuilder, Time};
+    use tetrabft_sim::{SimBuilder, Time};
 
     #[test]
     fn good_case_is_three_message_delays() {
         let cfg = Config::new(4).unwrap();
         let mut sim = SimBuilder::new(4)
-            .policy(LinkPolicy::synchronous(1))
             .build(move |id| PbftNode::new(cfg, Params::new(100), id, Value::from_u64(7)));
         assert!(sim.run_until_outputs(4, 1_000_000));
         for o in sim.outputs() {
@@ -510,14 +509,13 @@ mod tests {
     #[test]
     fn view_change_costs_seven_delays() {
         let cfg = Config::new(4).unwrap();
-        let mut sim =
-            SimBuilder::new(4).policy(LinkPolicy::synchronous(1)).build_boxed(move |id| {
-                if id == NodeId(0) {
-                    Box::new(tetrabft_sim::SilentNode::new())
-                } else {
-                    Box::new(PbftNode::new(cfg, Params::new(10), id, Value::from_u64(7)))
-                }
-            });
+        let mut sim = SimBuilder::new(4).build_boxed(move |id| {
+            if id == NodeId(0) {
+                Box::new(tetrabft_sim::SilentNode::new())
+            } else {
+                Box::new(PbftNode::new(cfg, Params::new(10), id, Value::from_u64(7)))
+            }
+        });
         assert!(sim.run_until_outputs(3, 1_000_000));
         // Timeout at 90, then request, vc, new-view, ack, pre-prepare,
         // prepare, commit: decide at 90 + 7.

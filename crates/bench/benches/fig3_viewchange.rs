@@ -9,7 +9,7 @@ use std::collections::BTreeMap;
 
 use tetrabft::Params;
 use tetrabft_multishot::{MsMessage, MultiShotNode};
-use tetrabft_sim::{FilteredNode, LinkPolicy, SimBuilder, Time, TraceEvent};
+use tetrabft_sim::{FilteredNode, SimBuilder, Time, TraceEvent};
 use tetrabft_types::{Config, NodeId, Slot, View};
 
 fn main() {
@@ -20,20 +20,17 @@ fn main() {
     // The minimal Fig. 3 fault: slot 3's leader is honest but for its
     // view-0 proposal, which never goes out (it fails to propose without
     // crashing).
-    let mut sim = SimBuilder::new(n)
-        .policy(LinkPolicy::synchronous(1))
-        .record_trace(true)
-        .build_boxed(|id| {
-            let inner = MultiShotNode::new(cfg, Params::new(delta), id);
-            if id == MultiShotNode::leader_of(&cfg, Slot(failed_slot), View(0)) {
-                Box::new(FilteredNode::sending(inner, move |msg| {
-                    !matches!(msg, MsMessage::Proposal { view, block }
-                        if view.is_zero() && block.slot.0 == failed_slot)
-                }))
-            } else {
-                Box::new(inner)
-            }
-        });
+    let mut sim = SimBuilder::new(n).record_trace(true).build_boxed(|id| {
+        let inner = MultiShotNode::new(cfg, Params::new(delta), id);
+        if id == MultiShotNode::leader_of(&cfg, Slot(failed_slot), View(0)) {
+            Box::new(FilteredNode::sending(inner, move |msg| {
+                !matches!(msg, MsMessage::Proposal { view, block }
+                    if view.is_zero() && block.slot.0 == failed_slot)
+            }))
+        } else {
+            Box::new(inner)
+        }
+    });
     sim.run_until(Time(120));
 
     // Condensed timeline: first occurrence of each (slot, view, kind).

@@ -20,7 +20,7 @@ use tetrabft::Params;
 use tetrabft_bench::{print_table, CountingAlloc};
 use tetrabft_ledger::{transfer_admission, AccountId, AccountMap, Ledger, LedgerReplica, Transfer};
 use tetrabft_multishot::{MultiShotNode, Transaction};
-use tetrabft_sim::{LinkPolicy, SimBuilder, Time};
+use tetrabft_sim::{SimBuilder, Time};
 use tetrabft_types::{Config, NodeId};
 
 #[global_allocator]
@@ -498,7 +498,7 @@ fn main() {
     let exec_accounts = 8u64;
     let exec_genesis: Vec<(AccountId, u64)> =
         (1..=exec_accounts).map(|id| (AccountId(id), 10_000)).collect();
-    let mut sim = SimBuilder::new(n).policy(LinkPolicy::synchronous(1)).build(|id| {
+    let mut sim = SimBuilder::new(n).build(|id| {
         let mut node =
             MultiShotNode::new(cfg, Params::new(1_000), id).with_admission(transfer_admission);
         if id == NodeId(0) {

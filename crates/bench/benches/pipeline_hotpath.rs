@@ -32,7 +32,7 @@ use std::time::Instant;
 use tetrabft::Params;
 use tetrabft_bench::{print_table, CountingAlloc};
 use tetrabft_multishot::{BlockHash, Finalized, MsMessage, MultiShotNode};
-use tetrabft_sim::{Dest, Engine, LinkPolicy, SimBuilder, Time, TimerId, TraceEvent, Transport};
+use tetrabft_sim::{Dest, Engine, SimBuilder, Time, TimerId, TraceEvent, Transport};
 use tetrabft_types::{Config, FsyncPolicy, NodeId, Slot, View};
 
 #[global_allocator]
@@ -63,7 +63,7 @@ fn run_pipeline(n: usize, horizon: u64) -> Sample {
     let root = std::env::temp_dir().join(format!("tetrabft-hotpath-{}-n{n}", std::process::id()));
     let _ = std::fs::remove_dir_all(&root);
     let stores = root.clone();
-    let mut sim = SimBuilder::new(n).policy(LinkPolicy::synchronous(1)).build(move |id| {
+    let mut sim = SimBuilder::new(n).build(move |id| {
         MultiShotNode::durable(cfg, params, id, stores.join(format!("node{}", id.0)))
             .expect("fresh durable store")
     });
@@ -130,10 +130,8 @@ const MAILBOX_BATCH: usize = 64;
 fn recorded_mailbox(n: usize, horizon: u64) -> Vec<(Time, NodeId, MsMessage)> {
     let cfg = Config::new(n).expect("valid n");
     let params = Params::new(1_000_000);
-    let mut sim = SimBuilder::new(n)
-        .policy(LinkPolicy::synchronous(1))
-        .record_trace(true)
-        .build(move |id| MultiShotNode::new(cfg, params, id));
+    let mut sim =
+        SimBuilder::new(n).record_trace(true).build(move |id| MultiShotNode::new(cfg, params, id));
     sim.run_until(Time(horizon));
     sim.trace()
         .expect("tracing is on")

@@ -17,7 +17,7 @@ pub use alloc_count::{AllocSnapshot, CountingAlloc};
 
 use tetrabft::{Params, TetraNode};
 use tetrabft_baselines::{BlogNode, IthsNode, PbftNode};
-use tetrabft_sim::{FilteredNode, LinkPolicy, Node, SilentNode, Sim, SimBuilder, WireSize};
+use tetrabft_sim::{EdgeSpec, FilteredNode, LinkPlan, Node, SilentNode, Sim, SimBuilder, WireSize};
 use tetrabft_types::{Config, NodeId, Value};
 
 /// Latency + communication measurements for one protocol scenario.
@@ -132,7 +132,7 @@ where
         Scenario::GoodCase => (Params::new(1_000_000), false),
         Scenario::ViewChange { delta } => (Params::new(delta), true),
     };
-    let sim = SimBuilder::new(n).policy(LinkPolicy::synchronous(hop)).build_boxed(|id| {
+    let sim = SimBuilder::new(n).plan(&LinkPlan::uniform(EdgeSpec::delay(hop))).build_boxed(|id| {
         if crash_leader && id == NodeId(0) {
             Box::new(SilentNode::new())
         } else {
@@ -160,7 +160,7 @@ pub fn pbft_loaded_view_change(n: usize, delta: u64) -> Measurement {
     use tetrabft_baselines::pbft::PbftMsg;
     let cfg = Config::new(n).expect("valid n");
     let params = Params::new(delta);
-    let sim = SimBuilder::new(n).policy(LinkPolicy::synchronous(1)).build(move |id| {
+    let sim = SimBuilder::new(n).build(move |id| {
         let node = PbftNode::new(cfg, params, id, Value::from_u64(u64::from(id.0) + 1));
         FilteredNode::sending(
             node,

@@ -462,7 +462,7 @@ impl<N: Node> Node for Crashing<N> {
 mod tests {
     use super::*;
     use tetrabft_multishot::{Block, GENESIS_HASH};
-    use tetrabft_sim::{LinkPolicy, SilentNode, SimBuilder, Time};
+    use tetrabft_sim::{EdgeSpec, LinkPlan, SilentNode, SimBuilder, Time};
 
     use crate::actors::{BehaviorEnv, ByzantineActor};
 
@@ -473,7 +473,7 @@ mod tests {
     fn gaps(mut make: impl FnMut(MultiShotNode) -> ChainNode) -> Vec<u64> {
         let cfg = Config::new(4).unwrap();
         let mut sim = SimBuilder::new(4)
-            .policy(LinkPolicy::synchronous(10))
+            .plan(&LinkPlan::uniform(EdgeSpec::delay(10)))
             .build_boxed(|id| make(MultiShotNode::new(cfg, Params::new(30), id)));
         sim.run_until(Time(6_000));
         let finalized = sim.outputs().iter().filter(|o| o.node == NodeId(0)).map(|o| o.time.0);

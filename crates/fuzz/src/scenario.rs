@@ -260,15 +260,17 @@ impl Scenario {
     /// Whether the liveness oracle is armed for this scenario.
     ///
     /// Liveness is only promised when the fault budget is respected and no
-    /// message can be lost forever: partitions are fine (they heal), but
-    /// probabilistic loss is not, since the sampled horizon cannot bound
-    /// retransmission-free protocols under unbounded loss.
+    /// message can be lost forever: buffer and hold windows are fine (they
+    /// end), but loss — an edge's loss rate or a lose window — is not,
+    /// since the sampled horizon cannot bound retransmission-free protocols
+    /// under loss.
     pub fn liveness_armed(&self) -> bool {
         self.plan.is_lossless() && !self.is_over_budget()
     }
 
     /// A horizon that comfortably covers `views` view-changes after the last
-    /// partition heals, given this plan's worst-case link delay.
+    /// window ends — a heal, or the end of a hold, when its frames arrive —
+    /// given this plan's worst-case link delay.
     pub fn recommended_horizon(&self) -> u64 {
         let heal = self.plan.partitions().iter().map(|w| w.end_ms).max().unwrap_or(0);
         let delay = self.plan.max_delay_ms(self.n).max(1);
@@ -583,6 +585,29 @@ mod tests {
 
     fn quiet_plan() -> LinkPlan {
         "default(delay=2,jitter=1)".parse().unwrap()
+    }
+
+    #[test]
+    fn a_hold_ends_like_a_heal_and_a_lose_window_disarms_liveness() {
+        let scenario = |plan: &str| Scenario {
+            n: 4,
+            delta_ms: 3,
+            seed: 7,
+            horizon_ms: 0,
+            mode: Mode::Chain,
+            faults: vec![],
+            plan: plan.parse().unwrap(),
+        };
+        let quiet = scenario("default(delay=2,jitter=1)");
+        let healed = scenario("default(delay=2,jitter=1); part(100..900:1)");
+        let held = scenario("default(delay=2,jitter=1); part(100..900:from 1:hold)");
+        assert_eq!(held.recommended_horizon(), quiet.recommended_horizon() + 900);
+        assert_eq!(held.recommended_horizon(), healed.recommended_horizon());
+        assert!(held.liveness_armed());
+        let held = Scenario { horizon_ms: held.recommended_horizon(), ..held };
+        assert_eq!(held.run().verdict, Verdict::Ok);
+        let lossy = scenario("default(delay=2,jitter=1); part(0..100:to 3:lose_ppm=1000000)");
+        assert!(!lossy.liveness_armed(), "a lose window makes the plan lossy");
     }
 
     #[test]

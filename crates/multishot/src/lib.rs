@@ -25,12 +25,11 @@
 //! ```
 //! use tetrabft::Params;
 //! use tetrabft_multishot::MultiShotNode;
-//! use tetrabft_sim::{LinkPolicy, SimBuilder};
+//! use tetrabft_sim::SimBuilder;
 //! use tetrabft_types::Config;
 //!
 //! let cfg = Config::new(4)?;
 //! let mut sim = SimBuilder::new(4)
-//!     .policy(LinkPolicy::synchronous(1))
 //!     .build(|id| MultiShotNode::new(cfg, Params::new(100), id));
 //! sim.run_until(tetrabft_sim::Time(20));
 //! // The first finalization lands at 5 message delays, then one per delay.

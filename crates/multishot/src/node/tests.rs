@@ -6,7 +6,7 @@ use crate::chain::{SlotState, SLOT_WINDOW};
 use crate::liveness::SlotWatch;
 use tetrabft::SuggestData;
 use tetrabft::ViewVerdict::{Echo, Enter, Idle};
-use tetrabft_sim::{Context, LinkPolicy, SimBuilder, Time};
+use tetrabft_sim::{Context, EdgeSpec, LinkPlan, PartitionWindow, SimBuilder, Time};
 use tetrabft_types::Phase;
 
 fn cfg(n: usize) -> Config {
@@ -48,9 +48,7 @@ fn assert_consistency(sim: &tetrabft_sim::Sim<MsMessage, Finalized>, n: usize) {
 #[test]
 fn good_case_one_block_per_delay() {
     let n = 4;
-    let mut sim = SimBuilder::new(n)
-        .policy(LinkPolicy::synchronous(1))
-        .build(|id| MultiShotNode::new(cfg(4), Params::new(100), id));
+    let mut sim = SimBuilder::new(n).build(|id| MultiShotNode::new(cfg(4), Params::new(100), id));
     sim.run_until(Time(30));
     let chain = chain_of(&sim, NodeId(0));
     assert!(chain.len() >= 24, "expected ~1 block/delay, got {}", chain.len());
@@ -69,7 +67,6 @@ fn idle_pacing_throttles_empty_blocks_without_stalling() {
     // Message delay 1, pace 10: an idle paced chain advances roughly
     // one slot per pause instead of one per delay.
     let mut sim = SimBuilder::new(n)
-        .policy(LinkPolicy::synchronous(1))
         .build(|id| MultiShotNode::new(cfg(4), Params::new(100).with_idle_pacing(10), id));
     sim.run_until(Time(300));
     let chain = chain_of(&sim, NodeId(0));
@@ -87,7 +84,7 @@ fn crashed_slot_leader_recovers_via_view_change() {
     // Node 3 is silent; it leads slots 3, 7, 11, … (view 0). The chain
     // must stall there, view-change, and continue.
     let n = 4;
-    let mut sim = SimBuilder::new(n).policy(LinkPolicy::synchronous(1)).build_boxed(|id| {
+    let mut sim = SimBuilder::new(n).build_boxed(|id| {
         if id == NodeId(3) {
             Box::new(tetrabft_sim::SilentNode::new())
         } else {
@@ -110,7 +107,7 @@ fn jittered_network_keeps_chains_consistent() {
         let n = 4;
         let mut sim = SimBuilder::new(n)
             .seed(seed)
-            .policy(LinkPolicy::jittered(1, 6))
+            .plan(&LinkPlan::uniform(EdgeSpec::delay(1).with_jitter(5)))
             .build(|id| MultiShotNode::new(cfg(4), Params::new(30), id));
         sim.run_until(Time(600));
         assert_consistency(&sim, n);
@@ -126,7 +123,7 @@ fn submitted_transaction_reaches_the_chain() {
     let n = 4;
     let tx = b"pay alice 5".to_vec();
     let tx2 = tx.clone();
-    let mut sim = SimBuilder::new(n).policy(LinkPolicy::synchronous(1)).build(move |id| {
+    let mut sim = SimBuilder::new(n).build(move |id| {
         let mut node = MultiShotNode::new(cfg(4), Params::new(100), id);
         node.submit_tx(tx2.clone()).unwrap();
         node
@@ -158,7 +155,7 @@ fn degenerate_and_overflow_submissions_are_refused() {
 fn leader_batches_respect_max_block_txs() {
     let n = 4;
     let params = Params::new(100).with_max_block_txs(3);
-    let mut sim = SimBuilder::new(n).policy(LinkPolicy::synchronous(1)).build(move |id| {
+    let mut sim = SimBuilder::new(n).build(move |id| {
         let mut node = MultiShotNode::new(cfg(4), params, id);
         for k in 0..20u8 {
             node.submit_tx(vec![id.0 as u8 + 1, k + 1]).unwrap();
@@ -564,7 +561,10 @@ proptest::proptest! {
 fn pre_gst_chaos_then_progress() {
     let n = 4;
     let mut sim = SimBuilder::new(n)
-        .policy(LinkPolicy::partial_synchrony(Time(200), 10, 1))
+        .plan(
+            &LinkPlan::uniform(EdgeSpec::delay(1))
+                .partition(PartitionWindow::from_group(0, 200, (0..4).map(NodeId)).lose(1.0)),
+        )
         .build(|id| MultiShotNode::new(cfg(4), Params::new(10), id));
     sim.run_until(Time(1500));
     assert_consistency(&sim, n);
@@ -697,7 +697,7 @@ proptest::proptest! {
         (silent, isolated, cut, heal) in (0u16..7, 0u16..7, 0u64..1_000, 1u64..300),
     ) {
         use rand::SeedableRng;
-        use tetrabft_sim::{EdgeSpec, LinkPlan, PartitionWindow, SilentNode};
+        use tetrabft_sim::SilentNode;
         let edge = EdgeSpec::delay(delay).with_jitter(jitter).with_drop(f64::from(loss) / 1e6);
         let split = PartitionWindow::isolate(cut, cut + heal, [NodeId(isolated)]);
         let plan = LinkPlan::uniform(edge).partition(split);

@@ -8,7 +8,9 @@ use std::ops::Range;
 
 use tetrabft::Params;
 use tetrabft_multishot::{BlockHash, Finalized, MsMessage, MultiShotNode};
-use tetrabft_sim::{Context, Input, LinkPolicy, Node, Sim, SimBuilder, Time, TimerId, TraceEvent};
+use tetrabft_sim::{
+    Context, EdgeSpec, Input, LinkPlan, Node, Sim, SimBuilder, Time, TimerId, TraceEvent,
+};
 use tetrabft_types::{Config, NodeId};
 
 /// Slot timers use the slot number and the node reserves the top two ids.
@@ -105,15 +107,14 @@ fn propose_to_final(sim: &ChainSim) -> Vec<u64> {
 /// Message delay 1; nodes 0 and 2 get one transaction per tick in `feed`.
 fn paced_run(pause: u64, feed: Range<u64>, until: u64) -> ChainSim {
     let params = Params::new(100).with_idle_pacing(pause);
-    let mut sim =
-        SimBuilder::new(4).policy(LinkPolicy::synchronous(1)).record_trace(true).build(|id| {
-            let node = Fed::new(id, params);
-            if id.0 % 2 == 0 {
-                node.fed(1, feed.clone())
-            } else {
-                node
-            }
-        });
+    let mut sim = SimBuilder::new(4).record_trace(true).build(|id| {
+        let node = Fed::new(id, params);
+        if id.0 % 2 == 0 {
+            node.fed(1, feed.clone())
+        } else {
+            node
+        }
+    });
     sim.run_until(Time(until));
     sim
 }
@@ -165,7 +166,7 @@ const LOAD_FROM: u64 = 4_000;
 fn worst_wait_through_outage(kill: u64) -> u64 {
     let params = Params::new(BIG_DELTA).with_idle_pacing(5).with_max_block_txs(4096);
     let feed = LOAD_FROM..kill + 3_000;
-    let mut sim = SimBuilder::new(4).policy(LinkPolicy::synchronous(DELTA)).build(|id| {
+    let mut sim = SimBuilder::new(4).plan(&LinkPlan::uniform(EdgeSpec::delay(DELTA))).build(|id| {
         let mut node = Fed::new(id, params);
         if id.0 % 2 == 0 {
             node = node.fed(4, feed.clone());

@@ -14,8 +14,8 @@ use std::path::PathBuf;
 use tetrabft::Params;
 use tetrabft_multishot::{Finalized, MsMessage, MultiShotNode, TxId};
 use tetrabft_sim::{
-    Context, Input, LinkPolicy, Node, OutputRecord, SilentNode, Sim, SimBuilder, Time, TimerId,
-    TraceEvent,
+    Context, EdgeSpec, Input, LinkPlan, Node, OutputRecord, PartitionWindow, SilentNode, Sim,
+    SimBuilder, Time, TimerId, TraceEvent,
 };
 use tetrabft_types::{Config, FsyncPolicy, NodeId, View};
 
@@ -176,7 +176,7 @@ fn scratch_dir(tag: &str, node: NodeId) -> PathBuf {
 struct World {
     params: Params,
     until: u64,
-    links: LinkPolicy,
+    links: LinkPlan,
     /// Tag of the WAL directories, for a scenario whose nodes are durable.
     durable: Option<&'static str>,
     seed: u64,
@@ -184,13 +184,14 @@ struct World {
 
 impl World {
     fn new(params: Params, until: u64) -> World {
-        World { params, until, links: LinkPolicy::synchronous(DELTA), durable: None, seed: 0 }
+        let links = LinkPlan::uniform(EdgeSpec::delay(DELTA));
+        World { params, until, links, durable: None, seed: 0 }
     }
 
     /// `shape` turns each plain node into what the scenario needs; `None`
     /// replaces it by a silent one.
     fn run(self, mut shape: impl FnMut(Fed) -> Option<Fed>) -> ChainSim {
-        let builder = SimBuilder::new(4).seed(self.seed).policy(self.links).record_trace(true);
+        let builder = SimBuilder::new(4).seed(self.seed).plan(&self.links).record_trace(true);
         let mut sim = builder.build_boxed(|id| {
             let dir = self.durable.map(|tag| scratch_dir(tag, id));
             match shape(Fed::new(id, self.params, dir)) {
@@ -491,16 +492,12 @@ fn a_hinted_dead_leader_costs_no_timeout() {
 #[test]
 #[ignore = "ROADMAP item 1 (b)"]
 fn hinted_restart_sweep_has_no_second_timeout() {
-    use rand::Rng;
-    use tetrabft_sim::Route;
     const UNTIL: u64 = 3_000;
     const SLOWEST_LINK: u64 = 13;
     let mut stalls = Vec::new();
     for (seed, kill) in (0..20u64).flat_map(|seed| (500..540).map(move |kill| (seed, kill))) {
         let params = Params::new(30).with_fsync(FsyncPolicy::Never);
-        let links = LinkPolicy::scripted(|env, rng| {
-            Route::DeliverAt(Time(env.now.0 + rng.random_range(10..=SLOWEST_LINK)))
-        });
+        let links = LinkPlan::uniform(EdgeSpec::delay(10).with_jitter(SLOWEST_LINK - 10));
         let world =
             World { links, seed, durable: Some("hinted-restart"), ..World::new(params, UNTIL) };
         let sim = world.run(|mut node| {
@@ -667,15 +664,14 @@ fn a_backlog_drains_through_both_doors_in_order() {
 /// dropped on the wire (the chain has no block fetch), so in the end every
 /// transaction must be on the chain, once, in order.
 fn held_links(seed: u64, jitter: RangeInclusive<u64>, hold: u64) -> ChainSim {
-    use rand::Rng;
-    use tetrabft_sim::Route;
     let params = Params::new(30).with_max_block_txs(6);
-    let links = LinkPolicy::scripted(move |env, rng| {
-        let arrives = env.now.0 + rng.random_range(jitter.clone());
-        let from = 400 + 500 * u64::from(env.from.0);
-        let held = from..from + hold;
-        Route::DeliverAt(Time(if held.contains(&env.now.0) { held.end } else { arrives }))
-    });
+    let (fastest, slowest) = jitter.into_inner();
+    let mut links = LinkPlan::uniform(EdgeSpec::delay(fastest).with_jitter(slowest - fastest));
+    for node in 0..4 {
+        let from = 400 + 500 * u64::from(node);
+        let held = PartitionWindow::from_group(from, from + hold, [NodeId(node)]).hold();
+        links = links.partition(held);
+    }
     let world = World { links, seed, ..World::new(params, 12_000) };
     world.run(|mut node| {
         node.feed = 100..2_100;

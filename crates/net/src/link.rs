@@ -1,10 +1,10 @@
 //! Link conditioning and fault injection for the TCP layer.
 //!
 //! The declarative scenario ([`LinkPlan`]) is shared with the simulator;
-//! this module is its wall-clock interpretation. Each
-//! directed edge gets an [`EdgeConditioner`] that stamps outbound frames
-//! with a due time (base delay + jitter), samples drops, and reports
-//! scripted partition windows, all deterministically from a per-edge seed.
+//! this module is its wall-clock interpretation. Each directed edge gets an
+//! [`EdgeConditioner`] that prices outbound frames with the simulator's own
+//! [`LinkPlan::route_at`] — a due time, or a drop — and reports the windows
+//! that sever its socket, all deterministically from a per-edge seed.
 //! [`NetControl`] is the test/benchmark handle: aggregated link metrics
 //! plus one-shot socket kills.
 
@@ -16,7 +16,7 @@ use std::time::{Duration, Instant};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use tetrabft_engine::{EdgeSpec, LinkPlan};
+use tetrabft_engine::LinkPlan;
 use tetrabft_types::NodeId;
 
 /// Aggregated counters of every supervised link of one cluster/node.
@@ -248,7 +248,6 @@ impl LinkSetup {
 pub(crate) struct EdgeConditioner {
     plan: Arc<LinkPlan>,
     edge: (NodeId, NodeId),
-    spec: EdgeSpec,
     epoch: Instant,
     rng: StdRng,
     /// Links are FIFO: a jittered frame never overtakes its predecessor.
@@ -267,25 +266,26 @@ impl EdgeConditioner {
         // cluster seed — runs are reproducible modulo wall-clock jitter.
         let edge = (u64::from(from.0) << 16) | u64::from(to.0);
         let rng = StdRng::seed_from_u64(seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ edge);
-        let spec = plan.edge_spec(from, to);
-        EdgeConditioner { plan, edge: (from, to), spec, epoch, rng, last_due: epoch }
+        EdgeConditioner { plan, edge: (from, to), epoch, rng, last_due: epoch }
     }
 
-    /// Admits one frame enqueued at `now`: `None` if the loss rate drops
-    /// it, otherwise the instant it becomes writable (FIFO-clamped so
-    /// jitter cannot reorder a TCP stream). A frame admitted inside a
-    /// severed window counts its one-way delay from the heal, exactly as
-    /// `LinkPlan::route_at` prices it for the simulator.
+    /// Admits one frame enqueued at `now`: `None` if the plan loses it,
+    /// otherwise the instant it becomes writable — `now` plus the offset
+    /// [`LinkPlan::route_at`] gives it in the simulator, FIFO-clamped so
+    /// jitter cannot reorder a TCP stream.
     pub(crate) fn admit(&mut self, now: Instant) -> Option<Instant> {
-        let delay = self.spec.sample(&mut self.rng)?;
-        let release = self.severed_until(now).unwrap_or(now);
-        let due = (release + Duration::from_millis(delay)).max(self.last_due);
+        let at_ms = now.saturating_duration_since(self.epoch).as_millis() as u64;
+        let at = self.plan.route_at(self.edge.0, self.edge.1, at_ms, &mut self.rng)?;
+        let due = (now + Duration::from_millis(at - at_ms)).max(self.last_due);
         self.last_due = due;
         Some(due)
     }
 
-    /// If this edge is inside a scripted partition at `now`, the instant
-    /// the (possibly chained) windows heal; `None` when connected.
+    /// If a window isolating a group severs this edge at `now`, the instant
+    /// the (possibly chained) windows heal; `None` when connected. Hold and
+    /// lose windows, and buffer windows that select the edges leaving or
+    /// entering a group, never take the socket down: [`Self::admit`] prices
+    /// their frames one by one.
     pub(crate) fn severed_until(&self, now: Instant) -> Option<Instant> {
         if self.plan.partitions().is_empty() {
             return None;
@@ -299,7 +299,7 @@ impl EdgeConditioner {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tetrabft_engine::PartitionWindow;
+    use tetrabft_engine::{EdgeSpec, PartitionWindow};
 
     #[test]
     fn conditioner_preserves_fifo_under_jitter() {
@@ -362,6 +362,47 @@ mod tests {
         };
         assert_eq!(count(9), count(9));
         assert!((50..150).contains(&count(9)));
+    }
+
+    /// One plan with a hold window and a lose window on edge 0 → 1: the
+    /// conditioner drops exactly the frames the simulator drops, and gives
+    /// every frame the FIFO clamp leaves alone the simulator's offset.
+    #[test]
+    fn admit_prices_frames_as_the_simulator_routes_them() {
+        let plan = LinkPlan::uniform(EdgeSpec::delay(5).with_jitter(10))
+            .partition(PartitionWindow::from_group(100, 300, [NodeId(0)]).hold())
+            .partition(PartitionWindow::to_group(250, 400, [NodeId(1)]).lose(0.5));
+        let mut c = plan_conditioner(&plan);
+        let mut sim_rng = c.rng.clone();
+        let (mut lost, mut held, mut clamped) = (0, 0, 0);
+        for at_ms in (0..500).step_by(3) {
+            let now = c.epoch + Duration::from_millis(at_ms) + Duration::from_micros(at_ms % 1000);
+            let before = c.last_due;
+            let routed = plan.route_at(NodeId(0), NodeId(1), at_ms, &mut sim_rng);
+            let due = c.admit(now);
+            assert_eq!(due.is_none(), routed.is_none(), "frame sent at {at_ms} ms");
+            let (Some(due), Some(routed)) = (due, routed) else {
+                lost += 1;
+                continue;
+            };
+            held += usize::from(routed == 300);
+            let offset = Duration::from_millis(routed - at_ms);
+            if due - now != offset {
+                assert!(due == before && before > now + offset, "only the clamp moves a frame");
+                clamped += 1;
+            }
+        }
+        assert!(lost > 0 && held > 0 && clamped > 0, "{lost} lost, {held} held, {clamped} clamped");
+    }
+
+    #[test]
+    fn hold_and_lose_windows_keep_the_socket_up() {
+        let plan = LinkPlan::uniform(EdgeSpec::IDEAL)
+            .partition(PartitionWindow::from_group(0, 50, [NodeId(0)]).hold())
+            .partition(PartitionWindow::to_group(0, 50, [NodeId(1)]).lose(1.0))
+            .partition(PartitionWindow::from_group(0, 50, [NodeId(0)]));
+        let c = plan_conditioner(&plan);
+        assert!(c.severed_until(c.epoch).is_none());
     }
 
     fn plan_conditioner(plan: &LinkPlan) -> EdgeConditioner {

@@ -28,11 +28,11 @@
 //!   is *at-least-once* (duplicates are harmless: every protocol message
 //!   is an idempotent vote); a shed frame is an ordinary loss the
 //!   protocol absorbs through view changes;
-//! * **link conditioning** — the shared [`LinkPlan`]'s per-edge delay,
-//!   jitter, and loss are applied before frames reach the socket, and
-//!   scripted partition windows proactively sever the connection (frames
-//!   buffer and become due at heal + delay, the same price
-//!   `LinkPlan::route_at` charges in the simulator).
+//! * **link conditioning** — each frame is priced by the shared
+//!   [`LinkPlan`]'s `route_at`, the call the simulator routes with (delay,
+//!   jitter, loss, and every window), before it reaches the socket; a
+//!   window isolating a group also proactively severs the connection
+//!   (frames buffer and become due at heal + delay).
 //!
 //! [`LinkPlan`]: tetrabft_engine::LinkPlan
 

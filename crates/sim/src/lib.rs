@@ -16,19 +16,25 @@
 //!   of nodes (equivocation included).
 //!
 //! Protocols are plugged in as deterministic [`Node`] state machines, so a
-//! simulation run is a pure function of `(protocol, policy, seed)` — every
+//! simulation run is a pure function of `(protocol, plan, seed)` — every
 //! table `crates/bench/benches/` prints is exactly reproducible.
 //!
-//! Latency accounting: under [`LinkPolicy::synchronous`]`(1)` every network
-//! hop costs one tick, so a decision at tick `k` means the protocol used `k`
-//! *message delays* — the unit Table 1 of the paper is expressed in.
+//! The network is a [`LinkPlan`], the one link language the TCP runtime
+//! and the fuzzer speak too: per-edge delay, jitter and loss, plus windows
+//! that buffer, hold or lose traffic (partial synchrony is a window that
+//! loses or buffers everything until GST). Every message is routed through
+//! [`LinkPlan::route_at`], with one tick per millisecond.
+//!
+//! Latency accounting: by default every network hop costs one tick, so a
+//! decision at tick `k` means the protocol used `k` *message delays* — the
+//! unit Table 1 of the paper is expressed in.
 //!
 //! # Examples
 //!
 //! A two-node ping/pong echo, measured in message delays:
 //!
 //! ```
-//! use tetrabft_sim::{Context, Input, LinkPolicy, Node, SimBuilder, WireSize};
+//! use tetrabft_sim::{Context, Input, Node, SimBuilder, WireSize};
 //! use tetrabft_types::NodeId;
 //!
 //! #[derive(Clone)]
@@ -54,9 +60,7 @@
 //!     }
 //! }
 //!
-//! let mut sim = SimBuilder::new(2)
-//!     .policy(LinkPolicy::synchronous(1))
-//!     .build(|_id| Echo);
+//! let mut sim = SimBuilder::new(2).build(|_id| Echo);
 //! sim.run_until_quiet(1_000);
 //! assert_eq!(sim.outputs().len(), 1);
 //! assert_eq!(sim.outputs()[0].time.0, 5); // five one-delay hops
@@ -67,14 +71,12 @@
 
 mod actors;
 mod metrics;
-mod policy;
 mod queue;
 mod runner;
 mod trace;
 
 pub use actors::{FilteredNode, FnNode, SilentNode};
 pub use metrics::{KindMetrics, Metrics, NodeMetrics};
-pub use policy::{LinkPolicy, Route, RouteEnv};
 pub use runner::{OutputRecord, Sim, SimBuilder};
 // The node abstraction, the engine loop and the link-plan language live in
 // `tetrabft-engine`; the simulator re-exports them so protocol crates keep

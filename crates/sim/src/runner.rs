@@ -4,17 +4,16 @@
 //! The simulator owns no protocol-driving logic — timer generations,
 //! action dispatch, and the persist/flush seal live in
 //! `tetrabft-engine`. What remains here is purely the *environment*: a
-//! global virtual-time event queue, seeded link policies, metrics, and
+//! global virtual-time event queue, a seeded [`LinkPlan`], metrics, and
 //! traces.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use tetrabft_engine::{Dest, Engine, LinkPlan, Node, Time, TimerId, Transport, WireSize};
+use tetrabft_engine::{Dest, EdgeSpec, Engine, LinkPlan, Node, Time, TimerId, Transport, WireSize};
 use tetrabft_types::NodeId;
 
 use crate::metrics::Metrics;
-use crate::policy::{LinkPolicy, Route, RouteEnv};
 use crate::queue::{EventKind, EventQueue};
 use crate::trace::TraceEvent;
 
@@ -38,7 +37,7 @@ pub struct OutputRecord<O> {
 pub struct SimBuilder {
     n: usize,
     seed: u64,
-    policy: LinkPolicy,
+    plan: LinkPlan,
     record_trace: bool,
 }
 
@@ -50,7 +49,8 @@ impl SimBuilder {
     /// Panics if `n == 0`.
     pub fn new(n: usize) -> Self {
         assert!(n > 0, "simulation needs at least one node");
-        SimBuilder { n, seed: 0, policy: LinkPolicy::synchronous(1), record_trace: false }
+        let plan = LinkPlan::uniform(EdgeSpec::delay(1));
+        SimBuilder { n, seed: 0, plan, record_trace: false }
     }
 
     /// Seeds the deterministic RNG (default 0).
@@ -59,23 +59,13 @@ impl SimBuilder {
         self
     }
 
-    /// Sets the link policy (default: synchronous unit delay).
-    pub fn policy(mut self, policy: LinkPolicy) -> Self {
-        self.policy = policy;
+    /// Routes every message through `plan` — the same plan the TCP layer
+    /// (`tetrabft-net`) consumes, so one scenario description drives both
+    /// runtimes (one tick = one millisecond). The default is one tick per
+    /// hop on every link, so decision times count message delays.
+    pub fn plan(mut self, plan: &LinkPlan) -> Self {
+        self.plan = plan.clone();
         self
-    }
-
-    /// Sets the link policy from a declarative [`LinkPlan`] — the same plan
-    /// the TCP layer (`tetrabft-net`) consumes, so one scenario description
-    /// drives both runtimes (one tick = one millisecond).
-    pub fn plan(self, plan: &LinkPlan) -> Self {
-        let plan = plan.clone();
-        self.policy(LinkPolicy::scripted(move |env, rng| {
-            match plan.route_at(env.from, env.to, env.now.0, rng) {
-                Some(at) => Route::DeliverAt(Time(at)),
-                None => Route::Drop,
-            }
-        }))
     }
 
     /// Enables the event trace (off by default; it grows with the run).
@@ -121,7 +111,7 @@ impl SimBuilder {
         let mut sim = Sim {
             n,
             engines,
-            policy: self.policy,
+            plan: self.plan,
             rng: StdRng::seed_from_u64(self.seed),
             queue: EventQueue::new(),
             now: Time::ZERO,
@@ -135,7 +125,7 @@ impl SimBuilder {
     }
 }
 
-/// The virtual-time transport: routes sends through the link policy into
+/// The virtual-time transport: routes sends through the link plan into
 /// the global event queue, queues timer firings with their generation tag,
 /// and records outputs. One instance is materialized per dispatch, borrowing
 /// the simulation's shared state on behalf of the dispatching node.
@@ -144,7 +134,7 @@ struct SimTransport<'a, M, O> {
     n: usize,
     now: Time,
     queue: &'a mut EventQueue<M>,
-    policy: &'a mut LinkPolicy,
+    plan: &'a LinkPlan,
     rng: &'a mut StdRng,
     metrics: &'a mut Metrics,
     trace: Option<&'a mut Vec<TraceEvent<M>>>,
@@ -170,13 +160,9 @@ impl<M: WireSize + Clone, O> SimTransport<'_, M, O> {
         if let Some(trace) = self.trace.as_deref_mut() {
             trace.push(TraceEvent::Sent { at: self.now, from, to, msg: msg.clone() });
         }
-        let env = RouteEnv { from, to, now: self.now, size };
-        match self.policy.route(env, self.rng) {
-            Route::DeliverAt(at) => {
-                let at = at.max(self.now);
-                self.queue.push(at, EventKind::Deliver { to, from, msg });
-            }
-            Route::Drop => {
+        match self.plan.route_at(from, to, self.now.0, self.rng) {
+            Some(at) => self.queue.push(Time(at), EventKind::Deliver { to, from, msg }),
+            None => {
                 self.metrics.msgs_dropped += 1;
                 if let Some(trace) = self.trace.as_deref_mut() {
                     trace.push(TraceEvent::Dropped { at: self.now, from, to });
@@ -221,7 +207,7 @@ impl<M: WireSize + Clone, O> Transport<M, O> for SimTransport<'_, M, O> {
 pub struct Sim<M, O> {
     n: usize,
     engines: Vec<Engine<Box<dyn Node<Msg = M, Output = O>>>>,
-    policy: LinkPolicy,
+    plan: LinkPlan,
     rng: StdRng,
     queue: EventQueue<M>,
     now: Time,
@@ -242,7 +228,7 @@ macro_rules! engine_and_transport {
             n: $sim.n,
             now: $sim.now,
             queue: &mut $sim.queue,
-            policy: &mut $sim.policy,
+            plan: &$sim.plan,
             rng: &mut $sim.rng,
             metrics: &mut $sim.metrics,
             trace: $sim.trace.as_mut(),
@@ -404,7 +390,7 @@ impl<M: WireSize + Clone, O> Sim<M, O> {
 mod tests {
     use super::*;
     use crate::actors::{FnNode, SilentNode};
-    use crate::policy::LinkPolicy;
+    use crate::PartitionWindow;
     use tetrabft_engine::Input;
 
     #[derive(Clone, Debug, PartialEq)]
@@ -528,14 +514,15 @@ mod tests {
 
     #[test]
     fn drops_are_counted() {
-        let mut sim =
-            SimBuilder::new(2).policy(LinkPolicy::partial_synchrony(Time(100), 5, 1)).build(|id| {
-                FnNode::<Msg, (), _>::new(move |input, ctx| {
-                    if matches!(input, Input::Start) && id == NodeId(0) {
-                        ctx.send(NodeId(1), Msg(1));
-                    }
-                })
-            });
+        let lossy = PartitionWindow::from_group(0, 100, [NodeId(0), NodeId(1)]).lose(1.0);
+        let plan = LinkPlan::uniform(EdgeSpec::delay(1)).partition(lossy);
+        let mut sim = SimBuilder::new(2).plan(&plan).build(|id| {
+            FnNode::<Msg, (), _>::new(move |input, ctx| {
+                if matches!(input, Input::Start) && id == NodeId(0) {
+                    ctx.send(NodeId(1), Msg(1));
+                }
+            })
+        });
         sim.run_until_quiet(100);
         assert_eq!(sim.metrics().msgs_dropped, 1);
     }
@@ -543,15 +530,15 @@ mod tests {
     #[test]
     fn identical_seeds_identical_runs() {
         let run = |seed| {
-            let mut sim =
-                SimBuilder::new(3).seed(seed).policy(LinkPolicy::jittered(1, 7)).build(|id| {
-                    FnNode::<Msg, (NodeId, u64), _>::new(move |input, ctx| match input {
-                        Input::Start if id == NodeId(0) => ctx.broadcast(Msg(0)),
-                        Input::Deliver { msg: Msg(k), .. } if k < 3 => ctx.broadcast(Msg(k + 1)),
-                        Input::Deliver { msg: Msg(k), .. } => ctx.output((ctx.me(), k)),
-                        _ => {}
-                    })
-                });
+            let plan = LinkPlan::uniform(EdgeSpec::delay(1).with_jitter(6));
+            let mut sim = SimBuilder::new(3).seed(seed).plan(&plan).build(|id| {
+                FnNode::<Msg, (NodeId, u64), _>::new(move |input, ctx| match input {
+                    Input::Start if id == NodeId(0) => ctx.broadcast(Msg(0)),
+                    Input::Deliver { msg: Msg(k), .. } if k < 3 => ctx.broadcast(Msg(k + 1)),
+                    Input::Deliver { msg: Msg(k), .. } => ctx.output((ctx.me(), k)),
+                    _ => {}
+                })
+            });
             sim.run_until_quiet(10_000);
             (sim.outputs().to_vec(), sim.metrics().total_bytes_sent())
         };
@@ -594,20 +581,23 @@ mod tests {
 
     #[test]
     fn policy_mirrors_the_plan_in_virtual_time() {
-        use crate::{EdgeSpec, PartitionWindow};
+        // Node 0 is cut off until tick 600; nodes 0 and 1 each send node 2
+        // one message at tick 0, and node 2 reports when each arrives.
         let plan = LinkPlan::uniform(EdgeSpec::delay(30)).partition(PartitionWindow::isolate(
             0,
             600,
             [NodeId(0)],
         ));
-        let mut policy = SimBuilder::new(3).plan(&plan).policy;
-        let mut r = StdRng::seed_from_u64(7);
-        let env = |from, to, now| RouteEnv { from, to, now: Time(now), size: 8 };
-        assert_eq!(
-            policy.route(env(NodeId(0), NodeId(2), 5), &mut r),
-            Route::DeliverAt(Time(630)),
-            "severed traffic heals at the window end plus the edge delay"
-        );
-        assert_eq!(policy.route(env(NodeId(1), NodeId(2), 5), &mut r), Route::DeliverAt(Time(35)));
+        let mut sim = SimBuilder::new(3).plan(&plan).build(|id| {
+            FnNode::<Msg, (NodeId, u64), _>::new(move |input, ctx| match input {
+                Input::Start if id != NodeId(2) => ctx.send(NodeId(2), Msg(0)),
+                Input::Deliver { from, .. } => ctx.output((from, ctx.now().0)),
+                _ => {}
+            })
+        });
+        sim.run_until_quiet(100);
+        let arrivals: Vec<_> = sim.outputs().iter().map(|o| o.output).collect();
+        // Severed traffic heals at the window end plus the edge delay.
+        assert_eq!(arrivals, [(NodeId(1), 30), (NodeId(0), 630)]);
     }
 }

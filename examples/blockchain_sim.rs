@@ -10,6 +10,7 @@
 //! ```
 
 use tetrabft_suite::prelude::*;
+use tetrabft_suite::sim::{EdgeSpec, LinkPlan};
 use tetrabft_types::NodeId;
 
 fn env_usize(key: &str, default: usize) -> usize {
@@ -27,7 +28,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     let mut sim = SimBuilder::new(n)
-        .policy(LinkPolicy::jittered(1, 3)) // mild real-world jitter
+        .plan(&LinkPlan::uniform(EdgeSpec::delay(1).with_jitter(2))) // mild real-world jitter
         .seed(7)
         .build_boxed(|id| {
             if id == NodeId(6) {

@@ -14,8 +14,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Each node proposes its own value; the round-robin leader of view 0
     // (node 0) gets to pick.
     let params = Params::new(100); // Δ = 100 ticks → 9Δ view timeout
-    let mut sim = SimBuilder::new(4)
-        .policy(LinkPolicy::synchronous(1)) // 1 tick per hop = message delays
+    let mut sim = SimBuilder::new(4) // 1 tick per hop (the default) = message delays
         .build(|id| TetraNode::new(cfg, params, id, Value::from_u64(1000 + u64::from(id.0))));
 
     assert!(sim.run_until_outputs(4, 1_000_000), "all nodes decide");

@@ -16,7 +16,6 @@
 //!
 //! let cfg = Config::new(4)?;
 //! let mut sim = SimBuilder::new(4)
-//!     .policy(LinkPolicy::synchronous(1))
 //!     .build(|id| TetraNode::new(cfg, Params::new(100), id, Value::from_u64(3)));
 //! assert!(sim.run_until_outputs(4, 100_000));
 //! # Ok::<(), Box<dyn std::error::Error>>(())
@@ -47,6 +46,6 @@ pub mod prelude {
         Block, BlockHash, Finalized, Mempool, MsMessage, MultiShotNode, SubmitError, Transaction,
         Tx, TxId, GENESIS_HASH,
     };
-    pub use tetrabft_sim::{Input, LinkPolicy, Node, Sim, SimBuilder, Submitter, Time};
+    pub use tetrabft_sim::{Input, Node, Sim, SimBuilder, Submitter, Time};
     pub use tetrabft_types::{Config, NodeId, Phase, Slot, Value, View};
 }

@@ -5,7 +5,7 @@
 use tetrabft::Params;
 use tetrabft_multishot::{Block, Finalized, MsMessage, MultiShotNode};
 use tetrabft_sim::{
-    Context, FilteredNode, Input, LinkPolicy, Node, Route, RouteEnv, Sim, SimBuilder, Time,
+    Context, EdgeSpec, FilteredNode, Input, LinkPlan, Node, PartitionWindow, Sim, SimBuilder, Time,
 };
 use tetrabft_types::{Config, NodeId, Slot, View};
 
@@ -70,7 +70,7 @@ impl Node for EquivocatingProducer {
 #[test]
 fn equivocating_block_producer_cannot_fork_the_chain() {
     let cfg = Config::new(4).unwrap();
-    let mut sim = SimBuilder::new(4).policy(LinkPolicy::synchronous(1)).build_boxed(|id| {
+    let mut sim = SimBuilder::new(4).build_boxed(|id| {
         if id == NodeId(1) {
             Box::new(EquivocatingProducer { cfg, me: id })
         } else {
@@ -95,7 +95,7 @@ fn vote_withholding_slows_but_does_not_stop_the_chain() {
     // Node 3 participates but never votes — it starves quorums by exactly
     // one vote whenever another node is down. With only this withholder
     // faulty, the chain must still grow (3 of 4 vote).
-    let mut sim = SimBuilder::new(4).policy(LinkPolicy::synchronous(1)).build_boxed(|id| {
+    let mut sim = SimBuilder::new(4).build_boxed(|id| {
         let node = MultiShotNode::new(cfg, Params::new(5), id);
         if id == NodeId(3) {
             Box::new(FilteredNode::sending(node, |msg| !matches!(msg, MsMessage::Vote { .. })))
@@ -121,17 +121,9 @@ fn partition_heals_without_forking() {
     // quorum, so nothing finalizes during the partition — and nothing forks
     // after it heals.
     let cfg = Config::new(4).unwrap();
-    let partition = |env: RouteEnv, _rng: &mut rand::rngs::StdRng| {
-        let cut = env.now < Time(200);
-        let side = |n: NodeId| n.0 / 2;
-        if cut && side(env.from) != side(env.to) {
-            Route::Drop
-        } else {
-            Route::DeliverAt(Time(env.now.0 + 1))
-        }
-    };
+    let partition = PartitionWindow::isolate(0, 200, [NodeId(0), NodeId(1)]).lose(1.0);
     let mut sim = SimBuilder::new(4)
-        .policy(LinkPolicy::scripted(partition))
+        .plan(&LinkPlan::uniform(EdgeSpec::delay(1)).partition(partition))
         .build(|id| MultiShotNode::new(cfg, Params::new(10), id));
     sim.run_until(Time(190));
     assert!(sim.outputs().is_empty(), "no side of a 2/2 partition may finalize anything");
@@ -153,15 +145,9 @@ fn deaf_node_never_forks_and_never_blocks_the_others() {
     // What consensus *does* guarantee, and what this test checks, is that
     // the deaf node neither forks nor slows anyone down.
     let cfg = Config::new(4).unwrap();
-    let deaf = |env: RouteEnv, _rng: &mut rand::rngs::StdRng| {
-        if env.to == NodeId(3) && env.now < Time(150) {
-            Route::Drop
-        } else {
-            Route::DeliverAt(Time(env.now.0 + 1))
-        }
-    };
+    let deaf = PartitionWindow::to_group(0, 150, [NodeId(3)]).lose(1.0);
     let mut sim = SimBuilder::new(4)
-        .policy(LinkPolicy::scripted(deaf))
+        .plan(&LinkPlan::uniform(EdgeSpec::delay(1)).partition(deaf))
         .build(|id| MultiShotNode::new(cfg, Params::new(10), id));
     sim.run_until(Time(1_500));
     assert_no_fork(&sim, &[0, 1, 2, 3]);

@@ -7,18 +7,16 @@ use std::fmt::Debug;
 use tetrabft::{Params, TetraNode};
 use tetrabft_baselines::{BlogNode, IthsNode, PbftNode, RepeatedTetra};
 use tetrabft_multishot::MultiShotNode;
-use tetrabft_sim::{
-    EdgeSpec, LinkPlan, OutputRecord, PartitionWindow, Route, TraceEvent, WireSize,
-};
+use tetrabft_sim::{EdgeSpec, LinkPlan, OutputRecord, PartitionWindow, TraceEvent, WireSize};
 use tetrabft_suite::prelude::*;
 use tetrabft_types::NodeId;
 
-/// `n` nodes built by `make`, node `i` with input `i + 1`, on `policy` (its
+/// `n` nodes built by `make`, node `i` with input `i + 1`, on `plan` (its
 /// draws seeded with 7), recording their trace; with `crashed`, node 0 (the
 /// view-0 leader) is silent.
 fn cluster<N>(
     n: usize,
-    policy: LinkPolicy,
+    plan: &LinkPlan,
     crashed: bool,
     params: Params,
     make: impl Fn(Config, Params, NodeId, Value) -> N,
@@ -27,7 +25,7 @@ where
     N: Node<Output = Value> + 'static,
 {
     let cfg = Config::new(n).unwrap();
-    SimBuilder::new(n).seed(7).policy(policy).record_trace(true).build_boxed(|id| {
+    SimBuilder::new(n).seed(7).plan(plan).record_trace(true).build_boxed(|id| {
         if crashed && id == NodeId(0) {
             Box::new(tetrabft_suite::sim::SilentNode::new())
         } else {
@@ -47,7 +45,7 @@ fn first_decision<N>(
 where
     N: Node<Output = Value> + 'static,
 {
-    let mut sim = cluster(n, LinkPolicy::synchronous(1), crash_leader, params, make);
+    let mut sim = cluster(n, &LinkPlan::uniform(EdgeSpec::delay(1)), crash_leader, params, make);
     assert!(sim.run_until_outputs(n - usize::from(crash_leader), 20_000_000));
     sim.outputs()[0].time.0
 }
@@ -79,15 +77,13 @@ fn pipelining_beats_repetition_by_about_five() {
     // The ratio converges on 5 from below as the 5-delay ramp-up amortizes:
     // 4.8 at 100 delays already.
     for horizon in [100, 300] {
-        let mut pipelined = SimBuilder::new(4)
-            .policy(LinkPolicy::synchronous(1))
-            .build(|id| MultiShotNode::new(cfg, Params::new(1_000_000), id));
+        let mut pipelined =
+            SimBuilder::new(4).build(|id| MultiShotNode::new(cfg, Params::new(1_000_000), id));
         pipelined.run_until(Time(horizon));
         let blocks = pipelined.outputs().iter().filter(|o| o.node == NodeId(0)).count() as f64;
 
-        let mut repeated = SimBuilder::new(4)
-            .policy(LinkPolicy::synchronous(1))
-            .build(|id| RepeatedTetra::new(cfg, Params::new(1_000_000), id));
+        let mut repeated =
+            SimBuilder::new(4).build(|id| RepeatedTetra::new(cfg, Params::new(1_000_000), id));
         repeated.run_until(Time(horizon));
         let decisions = repeated.outputs().iter().filter(|o| o.node == NodeId(0)).count() as f64;
 
@@ -103,7 +99,8 @@ fn pipelining_beats_repetition_by_about_five() {
 fn all_protocols_agree_under_crash() {
     // Same scenario, four protocols: everyone recovers and agrees.
     fn check<N: Node<Output = Value> + 'static>(make: impl Fn(Config, Params, NodeId, Value) -> N) {
-        let mut sim = cluster(4, LinkPolicy::synchronous(1), true, Params::new(10), make);
+        let unit = LinkPlan::uniform(EdgeSpec::delay(1));
+        let mut sim = cluster(4, &unit, true, Params::new(10), make);
         assert!(sim.run_until_outputs(3, 20_000_000));
         let first = sim.outputs()[0].output;
         assert!(sim.outputs().iter().all(|o| o.output == first));
@@ -145,23 +142,18 @@ where
     N: Node<Output = Value> + 'static,
     N::Msg: Debug + WireSize,
 {
-    let (n, crashed, policy) = match scenario {
-        Scenario::GoodCase(n) => (n, false, LinkPolicy::synchronous(1)),
-        Scenario::CrashedLeader => (4, true, LinkPolicy::jittered(1, 4)),
-        Scenario::PreGstLoss => {
-            // Half the frames are lost before tick 150, on 1–4-tick links.
-            let plan = LinkPlan::uniform(EdgeSpec::delay(1).with_jitter(3))
-                .partition(PartitionWindow::from_group(0, 150, (0..4).map(NodeId)).lose(0.5));
-            let policy = LinkPolicy::scripted(move |env, rng| {
-                match plan.route_at(env.from, env.to, env.now.0, rng) {
-                    Some(at) => Route::DeliverAt(Time(at)),
-                    None => Route::Drop,
-                }
-            });
-            (4, false, policy)
-        }
+    let jittery = LinkPlan::uniform(EdgeSpec::delay(1).with_jitter(3));
+    let (n, crashed, plan) = match scenario {
+        Scenario::GoodCase(n) => (n, false, LinkPlan::uniform(EdgeSpec::delay(1))),
+        Scenario::CrashedLeader => (4, true, jittery),
+        // Half the frames are lost before tick 150.
+        Scenario::PreGstLoss => (
+            4,
+            false,
+            jittery.partition(PartitionWindow::from_group(0, 150, (0..4).map(NodeId)).lose(0.5)),
+        ),
     };
-    let mut sim = cluster(n, policy, crashed, Params::new(10), make);
+    let mut sim = cluster(n, &plan, crashed, Params::new(10), make);
     sim.run_until(Time(600));
     assert_eq!(sim.outputs().len(), n - usize::from(crashed), "{scenario:?}: all must decide");
     let run = RunRecord {

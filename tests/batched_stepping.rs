@@ -19,7 +19,7 @@
 //! difference; a PR that changes the event order on purpose re-captures
 //! them and says why.
 
-use tetrabft_sim::{OutputRecord, TraceEvent};
+use tetrabft_sim::{EdgeSpec, LinkPlan, OutputRecord, PartitionWindow, TraceEvent};
 use tetrabft_suite::prelude::*;
 
 /// Everything observable about one run.
@@ -53,7 +53,7 @@ fn single_shot_run(seed: u64, jitter_max: u64) -> RunRecord<Value, Message> {
     let cfg = Config::new(4).unwrap();
     let mut sim = SimBuilder::new(4)
         .seed(seed)
-        .policy(LinkPolicy::jittered(1, jitter_max))
+        .plan(&LinkPlan::uniform(EdgeSpec::delay(1).with_jitter(jitter_max - 1)))
         .record_trace(true)
         .build(|id| {
             TetraNode::new(cfg, Params::new(25 + jitter_max), id, Value::from_u64(u64::from(id.0)))
@@ -66,7 +66,7 @@ fn multishot_run(seed: u64) -> RunRecord<Finalized, MsMessage> {
     let cfg = Config::new(4).unwrap();
     let mut sim = SimBuilder::new(4)
         .seed(seed)
-        .policy(LinkPolicy::jittered(1, 4))
+        .plan(&LinkPlan::uniform(EdgeSpec::delay(1).with_jitter(3)))
         .record_trace(true)
         .build(|id| MultiShotNode::new(cfg, Params::new(20), id));
     sim.run_until(Time(400));
@@ -119,7 +119,10 @@ fn batched_stepping_survives_faults_and_partitions() {
     let cfg = Config::new(4).unwrap();
     let mut sim = SimBuilder::new(4)
         .seed(99)
-        .policy(LinkPolicy::partial_synchrony(Time(150), 10, 2))
+        .plan(
+            &LinkPlan::uniform(EdgeSpec::delay(2))
+                .partition(PartitionWindow::from_group(0, 150, (0..4).map(NodeId)).lose(1.0)),
+        )
         .record_trace(true)
         .build(|id| MultiShotNode::new(cfg, Params::new(10), id));
     sim.run_until(Time(600));

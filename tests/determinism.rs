@@ -6,7 +6,7 @@
 use std::collections::BTreeMap;
 
 use tetrabft::{Message, Params, TetraNode};
-use tetrabft_sim::{KindMetrics, LinkPolicy, OutputRecord, SimBuilder, TraceEvent};
+use tetrabft_sim::{EdgeSpec, KindMetrics, LinkPlan, OutputRecord, SimBuilder, TraceEvent};
 use tetrabft_suite::prelude::*;
 use tetrabft_types::NodeId;
 use tetrabft_wire::Wire;
@@ -26,7 +26,7 @@ fn run_single_shot(seed: u64, jitter_max: u64) -> RunRecord {
     let cfg = Config::new(4).unwrap();
     let mut sim = SimBuilder::new(4)
         .seed(seed)
-        .policy(LinkPolicy::jittered(1, jitter_max))
+        .plan(&LinkPlan::uniform(EdgeSpec::delay(1).with_jitter(jitter_max - 1)))
         .record_trace(true)
         .build(move |id| {
             TetraNode::new(cfg, Params::new(25 + jitter_max), id, Value::from_u64(u64::from(id.0)))
@@ -102,7 +102,7 @@ fn multishot_runs_are_equally_deterministic() {
         let cfg = Config::new(4).unwrap();
         let mut sim = SimBuilder::new(4)
             .seed(seed)
-            .policy(LinkPolicy::jittered(1, 4))
+            .plan(&LinkPlan::uniform(EdgeSpec::delay(1).with_jitter(3)))
             .build(|id| MultiShotNode::new(cfg, Params::new(20), id));
         sim.run_until(Time(400));
         let chain: Vec<(u64, u64)> = sim

@@ -535,7 +535,7 @@ fn sim_replicas_agree_on_state_roots() {
     let n = 4;
     let cfg = Config::new(n).unwrap();
     let genesis: Vec<(AccountId, u64)> = (1..=n as u64).map(|id| (AccountId(id), 1_000)).collect();
-    let mut sim = SimBuilder::new(n).policy(LinkPolicy::synchronous(1)).build(|id| {
+    let mut sim = SimBuilder::new(n).build(|id| {
         let mut node =
             MultiShotNode::new(cfg, Params::new(100), id).with_admission(transfer_admission);
         // Node i pays from account i+1: each transfer enters exactly one

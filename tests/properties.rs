@@ -6,6 +6,7 @@ use proptest::prelude::*;
 
 use tetrabft_fuzz::{Attack, FaultSpec, Mode, Scenario, Verdict};
 use tetrabft_suite::prelude::*;
+use tetrabft_suite::sim::{EdgeSpec, LinkPlan};
 use tetrabft_types::NodeId;
 
 /// A faulty node's composition: a crash (no attack), or one attack that
@@ -58,7 +59,7 @@ proptest! {
         let cfg = Config::new(4).unwrap();
         let mut sim = SimBuilder::new(4)
             .seed(seed)
-            .policy(LinkPolicy::jittered(1, jitter_max))
+            .plan(&LinkPlan::uniform(EdgeSpec::delay(1).with_jitter(jitter_max - 1)))
             .build_boxed(move |id| {
                 if Some(id.0) == dead {
                     Box::new(tetrabft_suite::sim::SilentNode::new())
@@ -91,7 +92,7 @@ proptest! {
             let cfg = Config::new(4).unwrap();
             let mut sim = SimBuilder::new(4)
                 .seed(seed)
-                .policy(LinkPolicy::jittered(1, jitter_max))
+                .plan(&LinkPlan::uniform(EdgeSpec::delay(1).with_jitter(jitter_max - 1)))
                 .build(move |id| {
                     TetraNode::new(cfg, Params::new(20), id, Value::from_u64(u64::from(id.0)))
                 });

@@ -3,6 +3,7 @@
 
 use tetrabft_fuzz::{Attack, FaultSpec, Mode, Scenario, Verdict};
 use tetrabft_suite::prelude::*;
+use tetrabft_suite::sim::{EdgeSpec, LinkPlan, PartitionWindow};
 use tetrabft_types::NodeId;
 
 fn honest(cfg: Config, delta: u64) -> impl Fn(NodeId) -> TetraNode {
@@ -22,8 +23,7 @@ fn assert_agreement(sim: &Sim<Message, Value>) {
 fn latency_is_five_delays_for_all_system_sizes() {
     for n in [1usize, 2, 3, 4, 7, 13, 31, 52] {
         let cfg = Config::new(n).unwrap();
-        let mut sim =
-            SimBuilder::new(n).policy(LinkPolicy::synchronous(1)).build(honest(cfg, 1_000));
+        let mut sim = SimBuilder::new(n).build(honest(cfg, 1_000));
         assert!(sim.run_until_outputs(n, 20_000_000), "n={n}");
         let times: Vec<u64> = sim.outputs().iter().map(|o| o.time.0).collect();
         if n >= 3 {
@@ -44,19 +44,18 @@ fn f_crashes_at_every_position_still_decide() {
     let n = 7; // f = 2
     for (a, b) in [(0u16, 1u16), (0, 6), (3, 4), (5, 6)] {
         let cfg = Config::new(n).unwrap();
-        let mut sim =
-            SimBuilder::new(n).policy(LinkPolicy::synchronous(1)).build_boxed(move |id| {
-                if id.0 == a || id.0 == b {
-                    Box::new(tetrabft_suite::sim::SilentNode::new())
-                } else {
-                    Box::new(TetraNode::new(
-                        cfg,
-                        Params::new(5),
-                        id,
-                        Value::from_u64(u64::from(id.0) + 1),
-                    ))
-                }
-            });
+        let mut sim = SimBuilder::new(n).build_boxed(move |id| {
+            if id.0 == a || id.0 == b {
+                Box::new(tetrabft_suite::sim::SilentNode::new())
+            } else {
+                Box::new(TetraNode::new(
+                    cfg,
+                    Params::new(5),
+                    id,
+                    Value::from_u64(u64::from(id.0) + 1),
+                ))
+            }
+        });
         assert!(sim.run_until_outputs(n - 2, 20_000_000), "crashes at {a},{b}");
         assert_agreement(&sim);
     }
@@ -67,7 +66,7 @@ fn one_crash_over_f_means_no_progress_but_no_disagreement() {
     // n = 4, f = 1, but two nodes are down: quorums are unreachable. The
     // protocol must stall — not decide inconsistently.
     let cfg = Config::new(4).unwrap();
-    let mut sim = SimBuilder::new(4).policy(LinkPolicy::synchronous(1)).build_boxed(move |id| {
+    let mut sim = SimBuilder::new(4).build_boxed(move |id| {
         if id.0 <= 1 {
             Box::new(tetrabft_suite::sim::SilentNode::new())
         } else {
@@ -107,9 +106,12 @@ fn mixed_adversaries_at_the_fault_budget() {
 fn decisions_survive_every_gst_placement() {
     for gst in [0u64, 17, 100, 333] {
         let cfg = Config::new(4).unwrap();
-        let mut sim = SimBuilder::new(4)
-            .policy(LinkPolicy::partial_synchrony(Time(gst), 10, 2))
-            .build(honest(cfg, 10));
+        let mut plan = LinkPlan::uniform(EdgeSpec::delay(2));
+        if gst > 0 {
+            let lossy = PartitionWindow::from_group(0, gst, (0..4).map(NodeId)).lose(1.0);
+            plan = plan.partition(lossy);
+        }
+        let mut sim = SimBuilder::new(4).plan(&plan).build(honest(cfg, 10));
         assert!(sim.run_until_outputs(4, 20_000_000), "gst={gst}");
         assert_agreement(&sim);
         assert!(sim.outputs()[0].time.0 >= gst.saturating_sub(1), "no decision before GST");
@@ -119,9 +121,9 @@ fn decisions_survive_every_gst_placement() {
 #[test]
 fn pre_gst_delay_without_loss_also_recovers() {
     let cfg = Config::new(4).unwrap();
-    let mut sim = SimBuilder::new(4)
-        .policy(LinkPolicy::partial_synchrony_delaying(Time(120), 10, 3))
-        .build(honest(cfg, 10));
+    let buffered = PartitionWindow::from_group(0, 120, (0..4).map(NodeId));
+    let plan = LinkPlan::uniform(EdgeSpec::delay(3)).partition(buffered);
+    let mut sim = SimBuilder::new(4).plan(&plan).build(honest(cfg, 10));
     assert!(sim.run_until_outputs(4, 20_000_000));
     assert_agreement(&sim);
 }
@@ -132,14 +134,13 @@ fn validity_holds_under_unanimity_and_any_leader() {
     // must be 77 (validity), even with a crashed node shifting leadership.
     for crash in 0u16..4 {
         let cfg = Config::new(4).unwrap();
-        let mut sim =
-            SimBuilder::new(4).policy(LinkPolicy::synchronous(1)).build_boxed(move |id| {
-                if id.0 == crash {
-                    Box::new(tetrabft_suite::sim::SilentNode::new())
-                } else {
-                    Box::new(TetraNode::new(cfg, Params::new(5), id, Value::from_u64(77)))
-                }
-            });
+        let mut sim = SimBuilder::new(4).build_boxed(move |id| {
+            if id.0 == crash {
+                Box::new(tetrabft_suite::sim::SilentNode::new())
+            } else {
+                Box::new(TetraNode::new(cfg, Params::new(5), id, Value::from_u64(77)))
+            }
+        });
         assert!(sim.run_until_outputs(3, 20_000_000));
         assert!(sim.outputs().iter().all(|o| o.output == Value::from_u64(77)));
     }
@@ -149,8 +150,7 @@ fn validity_holds_under_unanimity_and_any_leader() {
 fn unit_delay_traffic_is_quadratic_total_linear_per_node() {
     let bytes = |n: usize| {
         let cfg = Config::new(n).unwrap();
-        let mut sim =
-            SimBuilder::new(n).policy(LinkPolicy::synchronous(1)).build(honest(cfg, 1_000));
+        let mut sim = SimBuilder::new(n).build(honest(cfg, 1_000));
         assert!(sim.run_until_outputs(n, 50_000_000));
         (sim.metrics().total_bytes_sent() as f64, sim.metrics().max_node_bytes_sent() as f64)
     };

@@ -7,7 +7,7 @@ use std::rc::Rc;
 use proptest::prelude::*;
 
 use tetrabft_suite::prelude::*;
-use tetrabft_suite::sim::{Context, FnNode};
+use tetrabft_suite::sim::{Context, EdgeSpec, FnNode, LinkPlan, PartitionWindow};
 use tetrabft_types::{Phase, VoteBook};
 
 #[test]
@@ -31,7 +31,10 @@ fn node_persistent_state_is_view_independent() {
     let baseline = probe.persistent_bytes();
 
     let mut sim = SimBuilder::new(4)
-        .policy(LinkPolicy::partial_synchrony(Time(400), 5, 1))
+        .plan(
+            &LinkPlan::uniform(EdgeSpec::delay(1))
+                .partition(PartitionWindow::from_group(0, 400, (0..4).map(NodeId)).lose(1.0)),
+        )
         .build_boxed(move |id| {
             if id == NodeId(0) {
                 Box::new(tetrabft_suite::sim::SilentNode::new())
@@ -162,7 +165,7 @@ proptest! {
         // Each node notes, after every input it handles, the tick, its live
         // slot count and the length of its `Debug` rendering.
         let probe = Rc::new(RefCell::new(Vec::new()));
-        let mut sim = SimBuilder::new(4).policy(LinkPolicy::synchronous(1)).build(|id| {
+        let mut sim = SimBuilder::new(4).build(|id| {
             let mut inner = MultiShotNode::new(cfg, Params::new(1_000_000), id);
             let seen = Rc::clone(&probe);
             FnNode::new(move |input, ctx: &mut Context<'_, MsMessage, Finalized>| {
