@@ -369,10 +369,9 @@ mod tests {
         // Messages are lost until GST=500; with Δ=10 and δ=1 the system
         // recovers via view changes and decides shortly after GST.
         let n = 4;
+        let pre_gst = PartitionWindow::from_group(0, 500, (0..n as u16).map(NodeId)).lose(1.0);
         let mut sim = SimBuilder::new(n)
-            .plan(&LinkPlan::uniform(EdgeSpec::delay(1)).partition(
-                PartitionWindow::from_group(0, 500, (0..n as u16).map(NodeId)).lose(1.0),
-            ))
+            .plan(&LinkPlan::uniform(EdgeSpec::delay(1)).partition(pre_gst))
             .build(move |id| {
                 TetraNode::new(cfg(n), Params::new(10), id, Value::from_u64(id.0 as u64))
             });
@@ -405,11 +404,9 @@ mod tests {
     fn persistent_storage_is_constant() {
         let node = TetraNode::new(cfg(4), Params::new(10), NodeId(0), Value::from_u64(0));
         let before = node.persistent_bytes();
+        let pre_gst = PartitionWindow::from_group(0, 300, (0..4).map(NodeId)).lose(1.0);
         let mut sim = SimBuilder::new(4)
-            .plan(
-                &LinkPlan::uniform(EdgeSpec::delay(1))
-                    .partition(PartitionWindow::from_group(0, 300, (0..4).map(NodeId)).lose(1.0)),
-            )
+            .plan(&LinkPlan::uniform(EdgeSpec::delay(1)).partition(pre_gst))
             .build(move |id| {
                 TetraNode::new(cfg(4), Params::new(10), id, Value::from_u64(id.0 as u64))
             });

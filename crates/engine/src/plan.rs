@@ -11,18 +11,9 @@
 //! FIFO byte stream, so its jitter never reorders two frames of one edge,
 //! while the simulator's may.
 //!
-//! A [`PartitionWindow`] selects edges — those crossing a group's boundary,
-//! those leaving a group, or those entering it — and acts on every frame
-//! sent on them while it is open:
-//!
-//! * **buffer** (the default): the frame leaves at the heal, then takes its
-//!   sampled delay — what a supervised TCP link does when it is severed,
-//!   reconnects and flushes;
-//! * **hold**: the frame arrives at the window's end;
-//! * **lose**: the frame is dropped with a given probability.
-//!
-//! The edge's own delay and loss are always sampled first, so no draw of
-//! theirs depends on a window.
+//! A [`PartitionWindow`] selects the edges crossing a group's boundary,
+//! leaving it or entering it, and buffers, holds or loses every frame sent
+//! on them while it is open (DESIGN.md §10).
 
 use std::collections::HashMap;
 use std::str::FromStr;
@@ -132,6 +123,11 @@ fn parse_ms(what: &str, value: &str) -> Result<u64, PlanParseError> {
     Ok(ms)
 }
 
+/// Parses a node id.
+fn parse_id(id: &str) -> Result<u16, PlanParseError> {
+    id.trim().parse().map_err(|_| PlanParseError::new(format!("bad node id `{}`", id.trim())))
+}
+
 /// Parses a probability in parts per million.
 fn parse_ppm(what: &str, value: &str) -> Result<u32, PlanParseError> {
     let ppm: u32 =
@@ -179,18 +175,13 @@ impl FromStr for EdgeSpec {
             match key.trim() {
                 "delay" => spec.delay_ms = parse_ms("delay", value)?,
                 "jitter" => spec.jitter_ms = parse_ms("jitter", value)?,
-                "drop" => {
-                    let frac: f64 = value
-                        .trim()
-                        .parse()
-                        .map_err(|_| PlanParseError::new(format!("bad drop `{value}`")))?;
-                    if !(0.0..=1.0).contains(&frac) {
-                        return Err(PlanParseError::new(format!(
-                            "drop fraction `{value}` outside 0..=1"
-                        )));
+                "drop" => match value.trim().parse::<f64>() {
+                    Ok(frac) if (0.0..=1.0).contains(&frac) => spec = spec.with_drop(frac),
+                    Ok(_) => {
+                        return Err(PlanParseError::new(format!("drop `{value}` outside 0..=1")))
                     }
-                    spec = spec.with_drop(frac);
-                }
+                    Err(_) => return Err(PlanParseError::new(format!("bad drop `{value}`"))),
+                },
                 "drop_ppm" => spec.drop_ppm = parse_ppm("drop_ppm", value)?,
                 other => {
                     return Err(PlanParseError::new(format!("unknown key `{other}`")));
@@ -201,38 +192,31 @@ impl FromStr for EdgeSpec {
     }
 }
 
-/// Which directed edges a [`PartitionWindow`] acts on.
+/// Which directed edges a [`PartitionWindow`] acts on: those crossing its
+/// group's boundary, leaving the group, or entering it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Edges {
-    /// Edges crossing the group's boundary, either way.
     Across,
-    /// Edges whose sender is in the group.
     From,
-    /// Edges whose receiver is in the group.
     To,
 }
 
-/// What a [`PartitionWindow`] does to a frame sent on one of its edges.
+/// What a [`PartitionWindow`] does to a frame sent on one of its edges; a
+/// lost frame's probability is in parts per million.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Effect {
-    /// The frame leaves at the heal, then takes its sampled delay.
     Buffer,
-    /// The frame arrives at the window's end.
     Hold,
-    /// The frame is lost with this probability, in parts per million.
     Lose(u32),
 }
 
 /// A scripted window: during `start_ms..end_ms` it acts on every frame
-/// sent on the edges it selects — those crossing the boundary of a group
-/// ([`PartitionWindow::isolate`]), leaving it
-/// ([`PartitionWindow::from_group`]) or entering it
-/// ([`PartitionWindow::to_group`]).
-///
-/// By default it buffers them until the end of the window (the TCP link
-/// closes, reconnects after heal, and flushes its buffer; the simulator
-/// delivers at the heal time plus the edge delay); [`PartitionWindow::hold`]
-/// and [`PartitionWindow::lose`] choose the other effects.
+/// sent on the edges it selects. By default it buffers them until the
+/// window ends (the TCP link closes, reconnects after heal, and flushes its
+/// buffer; the simulator delivers at the heal time plus the edge delay);
+/// [`PartitionWindow::hold`] and [`PartitionWindow::lose`] choose the other
+/// effects. Every constructor panics if the window is empty
+/// (`start_ms >= end_ms`).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PartitionWindow {
     /// Window start, inclusive, in milliseconds since the run began.
@@ -247,64 +231,40 @@ pub struct PartitionWindow {
 impl PartitionWindow {
     /// Severs `group` from the rest of the cluster during
     /// `start_ms..end_ms`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the window is empty (`start_ms >= end_ms`).
     pub fn isolate(start_ms: u64, end_ms: u64, group: impl IntoIterator<Item = NodeId>) -> Self {
-        PartitionWindow::new(start_ms, end_ms, Edges::Across, group)
-    }
-
-    /// Acts on every edge leaving a member of `group` during
-    /// `start_ms..end_ms`; with the whole cluster as the group, on every
-    /// edge.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the window is empty (`start_ms >= end_ms`).
-    pub fn from_group(start_ms: u64, end_ms: u64, group: impl IntoIterator<Item = NodeId>) -> Self {
-        PartitionWindow::new(start_ms, end_ms, Edges::From, group)
-    }
-
-    /// Acts on every edge entering a member of `group` during
-    /// `start_ms..end_ms`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the window is empty (`start_ms >= end_ms`).
-    pub fn to_group(start_ms: u64, end_ms: u64, group: impl IntoIterator<Item = NodeId>) -> Self {
-        PartitionWindow::new(start_ms, end_ms, Edges::To, group)
-    }
-
-    fn new(
-        start_ms: u64,
-        end_ms: u64,
-        edges: Edges,
-        group: impl IntoIterator<Item = NodeId>,
-    ) -> Self {
         assert!(start_ms < end_ms, "partition window must be non-empty");
         let mut group: Vec<u16> = group.into_iter().map(|id| id.0).collect();
         group.sort_unstable();
         group.dedup();
-        PartitionWindow { start_ms, end_ms, edges, group, effect: Effect::Buffer }
+        PartitionWindow { start_ms, end_ms, edges: Edges::Across, group, effect: Effect::Buffer }
     }
 
-    /// The same window, holding its frames instead: each arrives at the
-    /// window's end, whatever its sampled delay.
-    pub fn hold(mut self) -> Self {
-        self.effect = Effect::Hold;
-        self
+    /// Acts on every edge leaving a member of `group` during
+    /// `start_ms..end_ms` (on every edge, if the group is the whole cluster).
+    pub fn from_group(start_ms: u64, end_ms: u64, group: impl IntoIterator<Item = NodeId>) -> Self {
+        PartitionWindow { edges: Edges::From, ..PartitionWindow::isolate(start_ms, end_ms, group) }
+    }
+
+    /// Acts on every edge entering a member of `group` during
+    /// `start_ms..end_ms`.
+    pub fn to_group(start_ms: u64, end_ms: u64, group: impl IntoIterator<Item = NodeId>) -> Self {
+        PartitionWindow { edges: Edges::To, ..PartitionWindow::isolate(start_ms, end_ms, group) }
+    }
+
+    /// The same window, holding its frames: each arrives at the window's
+    /// end, whatever its sampled delay.
+    pub fn hold(self) -> Self {
+        PartitionWindow { effect: Effect::Hold, ..self }
     }
 
     /// The same window, losing each of its frames with probability
-    /// `fraction` (clamped to `0.0..=1.0`) instead.
-    pub fn lose(mut self, fraction: f64) -> Self {
-        self.effect = Effect::Lose(ppm(fraction));
-        self
+    /// `fraction` (clamped to `0.0..=1.0`).
+    pub fn lose(self, fraction: f64) -> Self {
+        PartitionWindow { effect: Effect::Lose(ppm(fraction)), ..self }
     }
 
     /// Whether this window acts on the directed edge `from → to`.
-    pub fn severs(&self, from: NodeId, to: NodeId) -> bool {
+    fn severs(&self, from: NodeId, to: NodeId) -> bool {
         let member = |id: NodeId| self.group.binary_search(&id.0).is_ok();
         match self.edges {
             Edges::Across => member(from) != member(to),
@@ -312,25 +272,19 @@ impl PartitionWindow {
             Edges::To => member(to),
         }
     }
-
-    /// Whether `at_ms` falls inside the window.
-    pub fn contains(&self, at_ms: u64) -> bool {
-        (self.start_ms..self.end_ms).contains(&at_ms)
-    }
 }
 
 impl std::fmt::Display for PartitionWindow {
     /// Canonical `start..end:[from |to ]ids[:hold|:lose_ppm=N]` form,
     /// re-parsable by [`PartitionWindow::from_str`] (the group is kept
-    /// sorted, so the rendering is unique; a buffer window prints no
-    /// effect).
+    /// sorted, so the rendering is unique; a buffer prints no effect).
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "{}..{}:", self.start_ms, self.end_ms)?;
-        match self.edges {
-            Edges::Across => {}
-            Edges::From => f.write_str("from ")?,
-            Edges::To => f.write_str("to ")?,
-        }
+        let edges = match self.edges {
+            Edges::Across => "",
+            Edges::From => "from ",
+            Edges::To => "to ",
+        };
+        write!(f, "{}..{}:{edges}", self.start_ms, self.end_ms)?;
         let mut sep = "";
         for id in &self.group {
             write!(f, "{sep}{id}")?;
@@ -369,27 +323,20 @@ impl FromStr for PartitionWindow {
             (_, Some(ids)) => (Edges::To, ids),
             _ => (Edges::Across, group),
         };
-        let mut ids = Vec::new();
-        for id in group.split(',').map(str::trim).filter(|g| !g.is_empty()) {
-            let id: u16 =
-                id.parse().map_err(|_| PlanParseError::new(format!("bad node id `{id}`")))?;
-            ids.push(NodeId(id));
-        }
+        let ids = group.split(',').filter(|id| !id.trim().is_empty());
+        let ids = ids.map(|id| parse_id(id).map(NodeId)).collect::<Result<Vec<_>, _>>()?;
         if ids.is_empty() {
             return Err(PlanParseError::new("partition group is empty"));
         }
-        let mut window = PartitionWindow::new(start, end, edges, ids);
-        window.effect = match effect.trim() {
-            "" => Effect::Buffer,
-            "hold" => Effect::Hold,
-            other => match other.split_once('=') {
-                Some((key, ppm)) if key.trim() == "lose_ppm" => {
-                    Effect::Lose(parse_ppm("lose_ppm", ppm)?)
-                }
-                _ => return Err(PlanParseError::new(format!("unknown window effect `{other}`"))),
-            },
+        let effect = match (effect.trim(), effect.trim().strip_prefix("lose_ppm=")) {
+            ("", _) => Effect::Buffer,
+            ("hold", _) => Effect::Hold,
+            (_, Some(ppm)) => Effect::Lose(parse_ppm("lose_ppm", ppm)?),
+            (other, None) => {
+                return Err(PlanParseError::new(format!("unknown window effect `{other}`")))
+            }
         };
-        Ok(window)
+        Ok(PartitionWindow { edges, effect, ..PartitionWindow::isolate(start, end, ids) })
     }
 }
 
@@ -432,11 +379,6 @@ impl LinkPlan {
     /// The same spec on every edge.
     pub fn uniform(spec: EdgeSpec) -> Self {
         LinkPlan { default: spec, edges: HashMap::new(), partitions: Vec::new() }
-    }
-
-    /// A WAN preset: `one_way_ms` delay with 10% jitter.
-    pub fn wan(one_way_ms: u64) -> Self {
-        LinkPlan::uniform(EdgeSpec::delay(one_way_ms).with_jitter(one_way_ms / 10))
     }
 
     /// Per-edge delays from a square matrix: `delays[i][j]` is the one-way
@@ -572,23 +514,22 @@ impl LinkPlan {
         plan
     }
 
+    /// The windows acting on a frame sent on `from → to` at `at_ms`, in
+    /// plan order.
+    fn open(&self, from: NodeId, to: NodeId, at_ms: u64) -> impl Iterator<Item = &PartitionWindow> {
+        let open = move |w: &&PartitionWindow| (w.start_ms..w.end_ms).contains(&at_ms);
+        self.partitions.iter().filter(move |w| w.severs(from, to)).filter(open)
+    }
+
     /// When a frame sent on `from → to` at `at_ms` leaves the buffer
-    /// windows for which `keep` holds and that act on the edge (`at_ms`
-    /// when none does). Chained or overlapping windows are walked through
-    /// to the final heal.
-    fn heal(&self, from: NodeId, to: NodeId, at_ms: u64, keep: impl Fn(&Edges) -> bool) -> u64 {
-        let mut at = at_ms;
-        while let Some(end) = self
-            .partitions
-            .iter()
-            .filter(|w| w.effect == Effect::Buffer && keep(&w.edges))
-            .filter(|w| w.severs(from, to) && w.contains(at))
-            .map(|w| w.end_ms)
-            .max()
-        {
-            at = end;
-        }
-        at
+    /// windows whose selector passes `keep` (`at_ms` when none holds it),
+    /// walking chained or overlapping windows through to the final heal.
+    fn heal(&self, from: NodeId, to: NodeId, at_ms: u64, keep: impl Fn(Edges) -> bool) -> u64 {
+        let next = |&at: &u64| {
+            let buffers = self.open(from, to, at).filter(|w| w.effect == Effect::Buffer);
+            buffers.filter(|w| keep(w.edges)).map(|w| w.end_ms).max()
+        };
+        std::iter::successors(Some(at_ms), next).last().unwrap_or(at_ms)
     }
 
     /// When the link carrying `from → to`, severed at `at_ms`, comes back
@@ -596,7 +537,7 @@ impl LinkPlan {
     /// sever a link — the TCP runtime tears its socket down until then;
     /// every other window acts on each frame in [`LinkPlan::route_at`].
     pub fn release_time(&self, from: NodeId, to: NodeId, at_ms: u64) -> u64 {
-        self.heal(from, to, at_ms, |edges| *edges == Edges::Across)
+        self.heal(from, to, at_ms, |edges| edges == Edges::Across)
     }
 
     /// Routes one message sent on `from → to` at `at_ms`: `None` if it is
@@ -611,7 +552,7 @@ impl LinkPlan {
     pub fn route_at(&self, from: NodeId, to: NodeId, at_ms: u64, rng: &mut StdRng) -> Option<u64> {
         let delay = self.edge_spec(from, to).sample(rng)?;
         let mut held = None;
-        for w in self.partitions.iter().filter(|w| w.severs(from, to) && w.contains(at_ms)) {
+        for w in self.open(from, to, at_ms) {
             match w.effect {
                 Effect::Lose(ppm) if lost(ppm, rng) => return None,
                 Effect::Hold => held = held.max(Some(w.end_ms)),
@@ -663,22 +604,11 @@ impl FromStr for LinkPlan {
             match name.trim() {
                 "default" => plan.default = body.parse()?,
                 "edge" => {
-                    let (edge, spec) = match body.split_once(',') {
-                        Some((edge, spec)) => (edge, spec),
-                        None => (body, ""),
-                    };
+                    let (edge, spec) = body.split_once(',').unwrap_or((body, ""));
                     let (from, to) = edge.split_once("->").ok_or_else(|| {
                         PlanParseError::new(format!("expected from->to, got `{edge}`"))
                     })?;
-                    let from: u16 = from
-                        .trim()
-                        .parse()
-                        .map_err(|_| PlanParseError::new(format!("bad node id `{from}`")))?;
-                    let to: u16 = to
-                        .trim()
-                        .parse()
-                        .map_err(|_| PlanParseError::new(format!("bad node id `{to}`")))?;
-                    plan.edges.insert((from, to), spec.parse()?);
+                    plan.edges.insert((parse_id(from)?, parse_id(to)?), spec.parse()?);
                 }
                 "part" => plan.partitions.push(body.parse()?),
                 other => {
@@ -775,6 +705,10 @@ mod tests {
         assert!(w.severs(NodeId(3), NodeId(2)));
         assert!(!w.severs(NodeId(0), NodeId(3)), "both isolated: same side");
         assert!(!w.severs(NodeId(1), NodeId(2)));
+        let leaving: PartitionWindow = "0..9:from 0".parse().unwrap();
+        assert!(leaving.severs(NodeId(0), NodeId(1)) && !leaving.severs(NodeId(1), NodeId(0)));
+        let entering: PartitionWindow = "0..9:to 0".parse().unwrap();
+        assert!(entering.severs(NodeId(1), NodeId(0)) && !entering.severs(NodeId(0), NodeId(1)));
         assert!("500..400:0".parse::<PartitionWindow>().is_err());
         assert!("0..9:".parse::<PartitionWindow>().is_err());
         assert!("0..9".parse::<PartitionWindow>().is_err());
@@ -786,12 +720,15 @@ mod tests {
             .edge(NodeId(2), NodeId(1), EdgeSpec::delay(80))
             .edge(NodeId(0), NodeId(3), EdgeSpec::IDEAL)
             .partition(PartitionWindow::isolate(100, 500, [NodeId(0), NodeId(3)]))
-            .partition(PartitionWindow::isolate(700, 900, [NodeId(1)]));
+            .partition(PartitionWindow::isolate(700, 900, [NodeId(1)]))
+            .partition(PartitionWindow::from_group(0, 150, [NodeId(2)]).hold())
+            .partition(PartitionWindow::to_group(0, 200, [NodeId(3)]).lose(0.5));
         let text = plan.to_string();
         assert_eq!(
             text,
             "default(delay=30,jitter=3); edge(0->3); edge(2->1,delay=80); \
-             part(100..500:0,3); part(700..900:1)"
+             part(100..500:0,3); part(700..900:1); part(0..150:from 2:hold); \
+             part(0..200:to 3:lose_ppm=500000)"
         );
         let parsed: LinkPlan = text.parse().unwrap();
         assert_eq!(parsed, plan);
@@ -800,7 +737,8 @@ mod tests {
         let lossy = LinkPlan::uniform(EdgeSpec { delay_ms: 2, jitter_ms: 0, drop_ppm: 123_457 });
         assert_eq!(lossy.to_string().parse::<LinkPlan>().unwrap(), lossy);
         assert!(!lossy.is_lossless());
-        assert!(plan.is_lossless());
+        assert!(!plan.is_lossless(), "a lose window loses");
+        assert!(plan.without_partition(3).is_lossless());
     }
 
     #[test]
@@ -847,36 +785,21 @@ mod tests {
         assert_eq!(spec.max_delay_ms(), 14);
     }
 
-    /// All four nodes of a cluster, as a window group.
-    fn everyone() -> [NodeId; 4] {
-        [NodeId(0), NodeId(1), NodeId(2), NodeId(3)]
-    }
-
-    #[test]
-    fn a_fixed_delay_is_exact() {
-        let plan = LinkPlan::uniform(EdgeSpec::delay(3));
-        assert_eq!(plan.route_at(NodeId(0), NodeId(1), 10, &mut rng()), Some(13));
-    }
-
     #[test]
     fn loss_before_gst_then_delta() {
         // Partial synchrony with lossy links until GST = 100, δ = 4 after.
         let plan = LinkPlan::uniform(EdgeSpec::delay(4))
-            .partition(PartitionWindow::from_group(0, 100, everyone()).lose(1.0));
+            .partition(PartitionWindow::from_group(0, 100, (0..4).map(NodeId)).lose(1.0));
         let mut r = rng();
         assert_eq!(plan.route_at(NodeId(0), NodeId(1), 99, &mut r), None);
         assert_eq!(plan.route_at(NodeId(0), NodeId(1), 100, &mut r), Some(104));
         assert_eq!(plan.route_at(NodeId(2), NodeId(3), 150, &mut r), Some(154));
-        assert!(!plan.is_lossless(), "a lose window makes the plan lossy");
     }
 
     #[test]
     fn buffering_delivers_at_gst_plus_delta() {
-        let plan = LinkPlan::uniform(EdgeSpec::delay(4)).partition(PartitionWindow::from_group(
-            0,
-            100,
-            everyone(),
-        ));
+        let buffered = PartitionWindow::from_group(0, 100, (0..4).map(NodeId));
+        let plan = LinkPlan::uniform(EdgeSpec::delay(4)).partition(buffered);
         assert_eq!(plan.route_at(NodeId(0), NodeId(1), 7, &mut rng()), Some(104));
         assert!(plan.is_lossless());
         // Only a window isolating a group takes a link down.
@@ -905,79 +828,23 @@ mod tests {
         assert_eq!(plan.route_at(NodeId(1), NodeId(2), 749, &mut r), Some(750), "not later");
         let free = plan.route_at(NodeId(0), NodeId(1), 500, &mut r).unwrap();
         assert!((510..=530).contains(&free), "inbound traffic is not held: {free}");
-        let after = plan.route_at(NodeId(1), NodeId(0), 750, &mut r).unwrap();
-        assert!((760..=780).contains(&after), "the window is closed at its end: {after}");
-        assert!(plan.is_lossless());
         assert_eq!(plan.release_time(NodeId(1), NodeId(0), 500), 500, "a hold severs no link");
-        // Holding draws nothing beyond the edge's own sample.
-        let (mut held, mut free) = (rng(), rng());
-        plan.route_at(NodeId(1), NodeId(0), 500, &mut held);
-        plan.route_at(NodeId(0), NodeId(1), 100, &mut free);
-        assert_eq!(held.next_u64(), free.next_u64());
-    }
-
-    #[test]
-    fn selectors_pick_their_edges() {
-        let [across, from, to] = [
-            PartitionWindow::isolate(0, 9, [NodeId(0)]),
-            PartitionWindow::from_group(0, 9, [NodeId(0)]),
-            PartitionWindow::to_group(0, 9, [NodeId(0)]),
-        ];
-        let edges = |w: &PartitionWindow| {
-            [(0, 1), (1, 0), (1, 2)].map(|(a, b)| w.severs(NodeId(a), NodeId(b)))
-        };
-        assert_eq!(edges(&across), [true, true, false]);
-        assert_eq!(edges(&from), [true, false, false]);
-        assert_eq!(edges(&to), [false, true, false]);
     }
 
     #[test]
     fn lose_windows_drop_their_fraction_after_the_edge_sample() {
         let plan = LinkPlan::uniform(EdgeSpec::delay(1).with_jitter(3))
             .partition(PartitionWindow::to_group(0, 150, [NodeId(3)]).lose(0.5));
-        let mut r = StdRng::seed_from_u64(3);
-        let lost =
-            (0..1000).filter(|_| plan.route_at(NodeId(0), NodeId(3), 10, &mut r).is_none()).count();
-        assert!((400..600).contains(&lost), "≈ half lost, got {lost}");
         // The edge's jitter is drawn first, then the window's coin.
-        let mut by_plan = StdRng::seed_from_u64(5);
-        let mut by_hand = StdRng::seed_from_u64(5);
-        let routed = plan.route_at(NodeId(0), NodeId(3), 10, &mut by_plan);
-        let delay = 1 + by_hand.random_range(0..=3u64);
-        let kept = by_hand.random_range(0..1_000_000u64) >= 500_000;
-        assert_eq!(routed, kept.then_some(10 + delay));
-        // Edges the window does not select, and later sends, never lose.
-        assert!((0..100).all(|_| plan.route_at(NodeId(3), NodeId(0), 10, &mut r).is_some()));
-        assert!((0..100).all(|_| plan.route_at(NodeId(0), NodeId(3), 150, &mut r).is_some()));
-    }
-
-    #[test]
-    fn windows_parse_their_selectors_and_effects() {
-        for (text, window) in [
-            (
-                "0..150:from 0,1:lose_ppm=500000",
-                PartitionWindow::from_group(0, 150, [NodeId(0), NodeId(1)]).lose(0.5),
-            ),
-            ("400..750:from 2:hold", PartitionWindow::from_group(400, 750, [NodeId(2)]).hold()),
-            (
-                "0..200:to 3:lose_ppm=1000000",
-                PartitionWindow::to_group(0, 200, [NodeId(3)]).lose(1.0),
-            ),
-            ("5..9:1", PartitionWindow::isolate(5, 9, [NodeId(1)])),
-        ] {
-            assert_eq!(text.parse::<PartitionWindow>().unwrap(), window);
-            assert_eq!(window.to_string(), text);
+        for seed in 0..20 {
+            let (mut by_plan, mut by_hand) =
+                (StdRng::seed_from_u64(seed), StdRng::seed_from_u64(seed));
+            let delay = 1 + by_hand.random_range(0..=3u64);
+            let kept = by_hand.random_range(0..1_000_000u64) >= 500_000;
+            let routed = plan.route_at(NodeId(0), NodeId(3), 10, &mut by_plan);
+            assert_eq!(routed, kept.then_some(10 + delay));
         }
-        assert!("0..9:0:drop".parse::<PartitionWindow>().is_err(), "unknown effect");
-        assert!("0..9:0:lose_ppm=1000001".parse::<PartitionWindow>().is_err());
-        assert!("0..9:from".parse::<PartitionWindow>().is_err(), "empty group");
-    }
-
-    #[test]
-    fn values_above_the_ceiling_do_not_parse() {
-        assert!("default(delay=18446744073709551615,jitter=1)".parse::<LinkPlan>().is_err());
-        assert!(format!("delay={MAX_MS},jitter={MAX_MS}").parse::<EdgeSpec>().is_ok());
-        assert!(format!("jitter={}", MAX_MS + 1).parse::<EdgeSpec>().is_err());
-        assert!(format!("0..{}:0", MAX_MS + 1).parse::<PartitionWindow>().is_err());
+        let mut r = rng();
+        assert!((0..100).all(|_| plan.route_at(NodeId(0), NodeId(3), 150, &mut r).is_some()));
     }
 }

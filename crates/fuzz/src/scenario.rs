@@ -598,10 +598,8 @@ mod tests {
             faults: vec![],
             plan: plan.parse().unwrap(),
         };
-        let quiet = scenario("default(delay=2,jitter=1)");
         let healed = scenario("default(delay=2,jitter=1); part(100..900:1)");
         let held = scenario("default(delay=2,jitter=1); part(100..900:from 1:hold)");
-        assert_eq!(held.recommended_horizon(), quiet.recommended_horizon() + 900);
         assert_eq!(held.recommended_horizon(), healed.recommended_horizon());
         assert!(held.liveness_armed());
         let held = Scenario { horizon_ms: held.recommended_horizon(), ..held };

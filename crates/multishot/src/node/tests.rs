@@ -560,11 +560,9 @@ proptest::proptest! {
 #[test]
 fn pre_gst_chaos_then_progress() {
     let n = 4;
+    let pre_gst = PartitionWindow::from_group(0, 200, (0..4).map(NodeId)).lose(1.0);
     let mut sim = SimBuilder::new(n)
-        .plan(
-            &LinkPlan::uniform(EdgeSpec::delay(1))
-                .partition(PartitionWindow::from_group(0, 200, (0..4).map(NodeId)).lose(1.0)),
-        )
+        .plan(&LinkPlan::uniform(EdgeSpec::delay(1)).partition(pre_gst))
         .build(|id| MultiShotNode::new(cfg(4), Params::new(10), id));
     sim.run_until(Time(1500));
     assert_consistency(&sim, n);

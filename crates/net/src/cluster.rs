@@ -47,12 +47,13 @@ const REBIND_WINDOW: Duration = Duration::from_secs(5);
 ///
 /// ```no_run
 /// use tetrabft::{Params, TetraNode};
-/// use tetrabft_net::{ClusterBuilder, LinkPlan};
+/// use tetrabft_net::{ClusterBuilder, EdgeSpec, LinkPlan};
 /// use tetrabft_types::{Config, NodeId, Value};
 ///
 /// # fn main() -> Result<(), tetrabft_net::NetError> {
 /// let cfg = Config::new(4).unwrap();
-/// let (mut cluster, net) = ClusterBuilder::new(4).plan(LinkPlan::wan(30)).spawn(|id| {
+/// let wan = LinkPlan::uniform(EdgeSpec::delay(30).with_jitter(3));
+/// let (mut cluster, net) = ClusterBuilder::new(4).plan(wan).spawn(|id| {
 ///     TetraNode::new(cfg, Params::new(1000), id, Value::from_u64(7))
 /// })?;
 /// net.cut(NodeId(0), NodeId(1)); // the link re-establishes on its own

@@ -49,8 +49,7 @@ impl SimBuilder {
     /// Panics if `n == 0`.
     pub fn new(n: usize) -> Self {
         assert!(n > 0, "simulation needs at least one node");
-        let plan = LinkPlan::uniform(EdgeSpec::delay(1));
-        SimBuilder { n, seed: 0, plan, record_trace: false }
+        SimBuilder { n, seed: 0, plan: LinkPlan::uniform(EdgeSpec::delay(1)), record_trace: false }
     }
 
     /// Seeds the deterministic RNG (default 0).

@@ -99,8 +99,8 @@ fn pipelining_beats_repetition_by_about_five() {
 fn all_protocols_agree_under_crash() {
     // Same scenario, four protocols: everyone recovers and agrees.
     fn check<N: Node<Output = Value> + 'static>(make: impl Fn(Config, Params, NodeId, Value) -> N) {
-        let unit = LinkPlan::uniform(EdgeSpec::delay(1));
-        let mut sim = cluster(4, &unit, true, Params::new(10), make);
+        let mut sim =
+            cluster(4, &LinkPlan::uniform(EdgeSpec::delay(1)), true, Params::new(10), make);
         assert!(sim.run_until_outputs(3, 20_000_000));
         let first = sim.outputs()[0].output;
         assert!(sim.outputs().iter().all(|o| o.output == first));

@@ -117,12 +117,10 @@ fn batched_stepping_survives_faults_and_partitions() {
     // timer storms dominate — the paths where dispatch coalescing sees
     // stale timers and re-deliveries.
     let cfg = Config::new(4).unwrap();
+    let pre_gst = PartitionWindow::from_group(0, 150, (0..4).map(NodeId)).lose(1.0);
     let mut sim = SimBuilder::new(4)
         .seed(99)
-        .plan(
-            &LinkPlan::uniform(EdgeSpec::delay(2))
-                .partition(PartitionWindow::from_group(0, 150, (0..4).map(NodeId)).lose(1.0)),
-        )
+        .plan(&LinkPlan::uniform(EdgeSpec::delay(2)).partition(pre_gst))
         .record_trace(true)
         .build(|id| MultiShotNode::new(cfg, Params::new(10), id));
     sim.run_until(Time(600));

@@ -87,12 +87,10 @@ fn seven_nodes_two_crashes() {
 fn asynchrony_then_recovery_keeps_consistency() {
     for seed in 0..4 {
         let cfg = Config::new(4).unwrap();
+        let pre_gst = PartitionWindow::from_group(0, 150, (0..4).map(NodeId)).lose(1.0);
         let mut sim = SimBuilder::new(4)
             .seed(seed)
-            .plan(
-                &LinkPlan::uniform(EdgeSpec::delay(2))
-                    .partition(PartitionWindow::from_group(0, 150, (0..4).map(NodeId)).lose(1.0)),
-            )
+            .plan(&LinkPlan::uniform(EdgeSpec::delay(2)).partition(pre_gst))
             .build(|id| MultiShotNode::new(cfg, Params::new(10), id));
         sim.run_until(Time(1_200));
         assert_prefix_consistency(&sim, 4);

@@ -30,11 +30,9 @@ fn node_persistent_state_is_view_independent() {
     let probe = TetraNode::new(cfg, Params::new(5), NodeId(1), Value::from_u64(1));
     let baseline = probe.persistent_bytes();
 
+    let pre_gst = PartitionWindow::from_group(0, 400, (0..4).map(NodeId)).lose(1.0);
     let mut sim = SimBuilder::new(4)
-        .plan(
-            &LinkPlan::uniform(EdgeSpec::delay(1))
-                .partition(PartitionWindow::from_group(0, 400, (0..4).map(NodeId)).lose(1.0)),
-        )
+        .plan(&LinkPlan::uniform(EdgeSpec::delay(1)).partition(pre_gst))
         .build_boxed(move |id| {
             if id == NodeId(0) {
                 Box::new(tetrabft_suite::sim::SilentNode::new())
