@@ -458,7 +458,7 @@ impl LinkPlan {
     pub fn is_lossless(&self) -> bool {
         self.default.drop_ppm == 0
             && self.edges.values().all(|e| e.drop_ppm == 0)
-            && self.partitions.iter().all(|w| !matches!(w.effect, Effect::Lose(_)))
+            && self.partitions.iter().all(|w| !matches!(w.effect, Effect::Lose(ppm) if ppm > 0))
     }
 
     /// Samples a random plan for an `n`-node cluster — the adversary
