@@ -786,6 +786,14 @@ mod tests {
     }
 
     #[test]
+    fn synchronous_is_fixed() {
+        // A synchronous network: every frame arrives exactly δ = 3 after it is sent.
+        let plan = LinkPlan::uniform(EdgeSpec::delay(3));
+        assert_eq!(plan.route_at(NodeId(0), NodeId(1), 10, &mut rng()), Some(13));
+        assert!(plan.is_lossless());
+    }
+
+    #[test]
     fn loss_before_gst_then_delta() {
         // Partial synchrony with lossy links until GST = 100, δ = 4 after.
         let plan = LinkPlan::uniform(EdgeSpec::delay(4))
