@@ -2,7 +2,8 @@
 //! applied transfers/s through the deterministic state machine at the two
 //! id distributions that bound the trie's depth, with and without a live
 //! snapshot; the allocations that execution performs (a hard gate: none on
-//! an unshared ledger); the benchmark's four replicas fed block by block,
+//! an unshared ledger); the cost of building the benchmark's four genesis
+//! tries; the benchmark's four replicas fed block by block,
 //! and one ledger as its account count outgrows the cache (the size sweep
 //! runs 16,384 to 1,048,576 accounts in the full run only); the per-block
 //! state-root cost of the account trie against a rescan-the-world
@@ -33,10 +34,10 @@ fn smoke() -> bool {
 /// The retained baseline: account state in a plain `HashMap`, with the
 /// per-block commitment recomputed by rescanning every account in sorted
 /// order — what a ledger without a persistent hashed structure must do.
-/// The trie ledger keeps a digest in every node instead: a block's writes
-/// go in place (or, under a live snapshot, into a copy of each shared node
-/// on their paths, made once), and when the block ends each branch they
-/// touched is rehashed once, children first.
+/// The trie ledger keeps each child's digest in its parent branch instead:
+/// a block's writes go in place (or, under a live snapshot, into a copy of
+/// each shared branch on their paths, made once), and when the block ends
+/// each slot they touched is re-digested once, children first.
 struct RescanLedger {
     accounts: HashMap<u64, (u64, u64)>, // id -> (balance, nonce)
     root: u64,
@@ -311,6 +312,34 @@ fn main() {
         ],
         &rows,
     );
+
+    // ---- genesis: the replicas' tries, built before the window opens -----
+    // The benchmark builds four replicas of 262,144 hashed accounts before
+    // it starts the clock; this is the ledger's share of its `setup_s`.
+    // `Ledger::new` sorts the genesis and builds each trie bottom-up, so
+    // every branch is allocated once and digested once.
+    let (genesis_accounts, genesis_replicas) = (if smoke() { 4_096u64 } else { 262_144 }, 4);
+    let before = ALLOC.snapshot();
+    let t0 = Instant::now();
+    let replicas: Vec<Ledger> =
+        (0..genesis_replicas).map(|_| Ledger::new(genesis(HASHED, genesis_accounts))).collect();
+    let time = t0.elapsed();
+    let allocs = before.allocs_since(&ALLOC.snapshot());
+    let built = (genesis_accounts * genesis_replicas) as f64;
+    assert!(replicas.iter().all(|l| l.accounts().len() == genesis_accounts as usize));
+    assert!(replicas.iter().all(|l| l.root() == replicas[0].root()), "replicas must agree");
+    print_table(
+        "Genesis — `Ledger::new`, hashed ids, each replica built in turn",
+        &["accounts", "replicas", "ns/account", "allocs/account", "genesis root"],
+        &[vec![
+            genesis_accounts.to_string(),
+            genesis_replicas.to_string(),
+            format!("{:.0}", time.as_secs_f64() * 1e9 / built),
+            format!("{:.3}", allocs as f64 / built),
+            format!("{}", replicas[0].root()),
+        ]],
+    );
+    drop(replicas);
 
     // ---- the exec thread's shape, and the trie against the cache ---------
     // The TCP benchmark's `exec` thread applies each finalized block (≈ 180

@@ -116,12 +116,19 @@ impl Ledger {
     /// A ledger at height 0 holding the genesis allocation (all nonces 0).
     /// Later entries for a repeated account id replace earlier ones.
     pub fn new(genesis: impl IntoIterator<Item = (AccountId, u64)>) -> Self {
-        let mut accounts = AccountMap::new();
-        let mut batch = accounts.batch();
-        for (id, balance) in genesis {
-            batch.insert(id, Account::with_balance(balance));
-        }
-        drop(batch);
+        let mut entries: Vec<(AccountId, Account)> =
+            genesis.into_iter().map(|(id, balance)| (id, Account::with_balance(balance))).collect();
+        // A stable sort keeps a repeated id's entries in their given order,
+        // and the dedup keeps the last one's account in the first's place.
+        entries.sort_by_key(|&(id, _)| id);
+        entries.dedup_by(|later, kept| {
+            let repeated = later.0 == kept.0;
+            if repeated {
+                *kept = *later;
+            }
+            repeated
+        });
+        let accounts = AccountMap::from_sorted(&entries);
         let root = StateRoot::genesis(&accounts);
         Ledger { accounts, height: 0, root }
     }
@@ -225,6 +232,8 @@ impl Ledger {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use proptest::TestCaseError;
     use tetrabft_multishot::Transaction;
 
     fn bytes(from: u64, to: u64, amount: u64, nonce: u64) -> Vec<u8> {
@@ -341,6 +350,84 @@ mod tests {
             roots
         };
         assert_eq!(run(), run());
+    }
+
+    /// The genesis inserted as one batch, in the given order, where
+    /// `Ledger::new` sorts it and builds the trie bottom-up.
+    fn inserted(genesis: &[(AccountId, u64)]) -> Ledger {
+        let mut accounts = AccountMap::new();
+        let mut batch = accounts.batch();
+        for &(id, balance) in genesis {
+            batch.insert(id, Account::with_balance(balance));
+        }
+        drop(batch);
+        let root = StateRoot::genesis(&accounts);
+        Ledger { accounts, height: 0, root }
+    }
+
+    /// `AccountMap::from_sorted`, reached through `Ledger::new`, against
+    /// batch inserts of the same genesis: the same map, and the same roots
+    /// after one block in which every account pays its successor and the
+    /// first also pays an id that splits the deepest leaf.
+    fn assert_genesis_matches_inserts(genesis: &[(AccountId, u64)]) -> Result<(), TestCaseError> {
+        let (mut built, mut inserted) = (Ledger::new(genesis.iter().copied()), inserted(genesis));
+        let (a, b) = (built.accounts(), inserted.accounts());
+        prop_assert_eq!(a.entries(), b.entries());
+        prop_assert_eq!(a.len(), b.len());
+        prop_assert_eq!(a.root_hash(), b.root_hash());
+        prop_assert_eq!(built.root(), inserted.root());
+        let ids: Vec<u64> = a.entries().iter().map(|(id, _)| id.0).collect();
+        let mut txs: Vec<Vec<u8>> =
+            ids.iter().zip(ids.iter().cycle().skip(1)).map(|(&f, &t)| bytes(f, t, 1, 0)).collect();
+        txs.extend(ids.first().map(|&f| bytes(f, 0xAAAA_AAAA_AAAA_AAA3, 1, 1)));
+        prop_assert_eq!(built.apply_block(1, &txs), inserted.apply_block(1, &txs));
+        prop_assert_eq!(built.accounts().entries(), inserted.accounts().entries());
+        prop_assert_eq!(built.accounts().root_hash(), inserted.accounts().root_hash());
+        Ok(())
+    }
+
+    /// Ids that collide at every depth: dense small ones, hashed ones
+    /// spread over the key space, and ones that differ only in the last
+    /// nibble or two — few enough that a draw repeats some.
+    fn genesis_id() -> impl Strategy<Value = AccountId> {
+        (0u8..3, 0u64..40).prop_map(|(family, k)| {
+            AccountId(match family {
+                0 => k,
+                1 => k.wrapping_mul(0x9E37_79B9_7F4A_7C15),
+                _ => 0xAAAA_AAAA_AAAA_AA00 | k,
+            })
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        /// Random genesis sets, repeated ids included (the last entry for
+        /// an id wins on both sides).
+        #[test]
+        fn genesis_from_sorted_matches_batch_inserts(
+            genesis in proptest::collection::vec((genesis_id(), 0u64..1_000), 0..80),
+        ) {
+            assert_genesis_matches_inserts(&genesis)?;
+        }
+    }
+
+    #[test]
+    fn genesis_from_sorted_matches_batch_inserts_at_the_edges() {
+        let deep = [0xAAAA_AAAA_AAAA_AAA0, 0xAAAA_AAAA_AAAA_AAA7];
+        let edges: [Vec<(AccountId, u64)>; 5] = [
+            (1..=300).map(|id| (AccountId(id), 1_000)).collect(),
+            deep.map(|id| (AccountId(id), 10)).to_vec(),
+            vec![(AccountId(42), 5)],
+            vec![],
+            vec![(AccountId(3), 1), (AccountId(9), 2), (AccountId(3), 0), (AccountId(3), 7)],
+        ];
+        for genesis in &edges {
+            assert_genesis_matches_inserts(genesis).unwrap();
+        }
+        let last_wins = Ledger::new(edges[4].iter().copied());
+        assert_eq!(last_wins.account(AccountId(3)), Account::with_balance(7));
+        assert_eq!(last_wins.accounts().len(), 2);
     }
 
     #[test]

@@ -15,13 +15,13 @@
 //!
 //! The account map is persistent (imhamt-style copy-on-write trie,
 //! [`AccountMap`]): snapshots are O(1) clones, and a write copies only the
-//! nodes a live snapshot still shares — where the map is a node's sole
+//! branches a live snapshot still shares — where the map is a branch's sole
 //! owner, as a replica's is between snapshots, it is written in place.
-//! Every node carries its subtree digest; a block executes as one
-//! [`AccountBatch`], whose end recomputes the digest of each branch the
-//! block touched once, children first. A per-block commitment therefore
-//! costs O(distinct branches touched), not O(txs · depth) and never
-//! O(accounts).
+//! Each branch stores its children's digests and holds its leaves inline;
+//! a block executes as one [`AccountBatch`], whose end re-digests each slot
+//! the block wrote through once, children first. A per-block commitment
+//! therefore costs O(distinct branches touched), not O(txs · depth) and
+//! never O(accounts).
 //!
 //! # Examples
 //!

@@ -3,21 +3,24 @@
 //!
 //! [`AccountMap`] is a 16-ary radix trie over the account id's nibbles
 //! (most-significant first), in the imhamt/HAMT copy-on-write style: every
-//! node sits behind an [`Arc`], and a snapshot is a `Clone` — one atomic
+//! branch sits behind an [`Arc`], and a snapshot is a `Clone` — one atomic
 //! refcount bump, however many accounts exist. What a write copies depends
-//! on who else holds the node: it descends with [`Arc::make_mut`], so a
-//! node only this map owns is written in place, and a node a live snapshot
+//! on who else holds a branch: it descends with [`Arc::make_mut`], so a
+//! branch only this map owns is written in place, and one a live snapshot
 //! still shares is copied first — once; the copy is unshared from then on.
-//! Each node carries its subtree digest. A write leaves the branches on its
-//! path owing theirs, and the end of the batch of writes
-//! ([`AccountMap::batch`]) pays the debt once per touched branch, children
-//! first — so between batches [`AccountMap::root_hash`] is O(1) to read
-//! and, because the trie's shape is a pure function of the key set,
-//! canonical: two maps holding the same accounts hash identically
-//! regardless of insertion order or batching.
+//!
+//! A branch stores its 16 children's digests in one array, ahead of the 16
+//! child slots, and holds each leaf inline in its slot: a leaf costs no
+//! allocation of its own, and digesting a branch folds one 128-byte array
+//! instead of visiting 16 children. A write marks the slots on its path
+//! dirty, and the end of the batch of writes ([`AccountMap::batch`])
+//! re-digests exactly the dirty slots, children first — so between batches
+//! [`AccountMap::root_hash`] is O(1) to read and, because the trie's shape
+//! is a pure function of the key set, canonical: two maps holding the same
+//! accounts hash identically regardless of insertion order or batching.
 
-use std::fmt;
 use std::sync::Arc;
+use std::{fmt, mem};
 
 use crate::account::{Account, AccountId};
 
@@ -32,16 +35,18 @@ pub(crate) const READ_AHEAD_KEYS: usize = 64;
 /// core between blocks, and walking it twice only costs. It sits at the
 /// break-even of `ledger_exec`'s size sweep (one ledger, hashed ids, 180
 /// transfers a block), run with this constant at 0 and at `usize::MAX`,
-/// ns per transfer, off → on (best of 7 runs of 200 blocks, median of 5
-/// alternating rounds; 2-vCPU Xeon VM, 4 MiB L2 per core):
+/// ns per transfer, off → on (median of 10 alternating full runs per side;
+/// 2-vCPU Xeon VM, 4 MiB L2 per core):
 ///
 /// | accounts | 16,384 | 65,536 | 262,144 | 1,048,576 |
 /// |---|---|---|---|---|
-/// | off → on | 590 → 672 | 844 → 921 | 1,448 → 1,331 | 2,476 → 1,887 |
+/// | off → on | 699 → 769 | 1,018 → 933 | 1,652 → 1,381 | 2,168 → 1,746 |
 ///
-/// The benchmark's four replicas of 262,144 accounts each gain more than
-/// one alone: they evict one another between blocks.
-const READ_AHEAD_MIN_ACCOUNTS: usize = 131_072;
+/// The read-ahead lost in 7 of 10 rounds at 16,384 accounts and won all
+/// 10 at 65,536; the constant is their geometric midpoint. The benchmark's
+/// four replicas of 262,144 accounts each gain more than one alone (1,955
+/// → 1,571): they evict one another between blocks.
+const READ_AHEAD_MIN_ACCOUNTS: usize = 32_768;
 
 /// FNV-1a step, the repository's digest primitive.
 #[inline]
@@ -70,26 +75,6 @@ fn nibble(key: u64, depth: usize) -> usize {
     ((key >> (60 - 4 * depth)) & 0xF) as usize
 }
 
-/// `repr(u8)` lays each variant out in declaration order behind a one-byte
-/// tag, so the tag, a branch's `stale` and either variant's `hash` share
-/// the node's first 16 bytes — one cache line for every digest a rehash
-/// reads — and a branch stays 144 bytes.
-#[derive(Debug, Clone)]
-#[repr(u8)]
-enum TrieNode {
-    /// A key whose path is unique from this depth down sits in a leaf
-    /// immediately — the trie's depth tracks key-prefix density, not key
-    /// width.
-    Leaf { hash: u64, key: u64, account: Account },
-    Branch {
-        /// A write passed through since `hash` was computed. Only ever set
-        /// while an [`AccountBatch`] holds the map.
-        stale: bool,
-        hash: u64,
-        children: [Option<Arc<TrieNode>>; 16],
-    },
-}
-
 fn leaf_hash(key: u64, account: Account) -> u64 {
     let mut h = fnv(FNV_OFFSET, TAG_LEAF);
     h = fnv_u64(h, key);
@@ -97,104 +82,169 @@ fn leaf_hash(key: u64, account: Account) -> u64 {
     fnv_u64(h, account.nonce)
 }
 
-impl TrieNode {
-    fn leaf(key: u64, account: Account) -> Arc<TrieNode> {
-        Arc::new(TrieNode::Leaf { key, account, hash: leaf_hash(key, account) })
+/// One child position of a branch, or the map's root.
+#[derive(Debug, Clone, Default)]
+enum Slot {
+    #[default]
+    Empty,
+    /// A key whose path is unique from this depth down sits in a leaf
+    /// immediately — the trie's depth tracks key-prefix density, not key
+    /// width. The leaf is stored in its parent's slot, not behind a
+    /// pointer of its own.
+    Leaf {
+        key: u64,
+        account: Account,
+    },
+    Branch(Arc<Branch>),
+}
+
+/// `repr(C)` keeps the declaration order: the two bitmaps and the digests a
+/// rehash folds fill the branch's first 136 bytes, ahead of its 512 bytes
+/// of slots.
+#[derive(Debug, Clone, Default)]
+#[repr(C)]
+struct Branch {
+    /// Bit `i` is set when `slots[i]` is not [`Slot::Empty`].
+    present: u16,
+    /// Bit `i` is set when a write went through `slots[i]` since
+    /// `digests[i]` was computed. Only ever set while an [`AccountBatch`]
+    /// holds the map.
+    dirty: u16,
+    /// The digest of each present, clean slot's subtree.
+    digests: [u64; 16],
+    slots: [Slot; 16],
+}
+
+impl Branch {
+    /// Slot `i`, marked present and owing its digest: what a write to it
+    /// goes through.
+    fn write(&mut self, i: usize) -> &mut Slot {
+        self.present |= 1 << i;
+        self.dirty |= 1 << i;
+        &mut self.slots[i]
     }
 
-    /// A branch that owes its digest: [`TrieNode::rehash`] settles it.
-    fn stale_branch(children: [Option<Arc<TrieNode>>; 16]) -> Arc<TrieNode> {
-        Arc::new(TrieNode::Branch { children, hash: 0, stale: true })
+    /// The branch digest: `TAG_BRANCH`, then the nibble and digest of each
+    /// present child in nibble order.
+    fn fold(&self) -> u64 {
+        let mut h = fnv(FNV_OFFSET, TAG_BRANCH);
+        let mut present = self.present;
+        while present != 0 {
+            let i = present.trailing_zeros() as usize;
+            h = fnv(h, i as u8);
+            h = fnv_u64(h, self.digests[i]);
+            present &= present - 1;
+        }
+        h
     }
 
-    /// The stored digest, stale or not.
-    fn digest(&self) -> u64 {
+    /// Re-digests the dirty slots, children first, and returns the branch's
+    /// own digest.
+    fn settle(&mut self) -> u64 {
+        let mut dirty = mem::take(&mut self.dirty);
+        while dirty != 0 {
+            let i = dirty.trailing_zeros() as usize;
+            self.digests[i] = self.slots[i].settle();
+            dirty &= dirty - 1;
+        }
+        self.fold()
+    }
+}
+
+impl Slot {
+    /// The digest of the subtree in this slot, re-digesting a branch's
+    /// dirty slots first. The empty slot hashes to the bare offset basis,
+    /// distinct from any tagged digest; only the empty map's root has it.
+    fn settle(&mut self) -> u64 {
         match self {
-            TrieNode::Leaf { hash, .. } | TrieNode::Branch { hash, .. } => *hash,
+            Slot::Empty => FNV_OFFSET,
+            Slot::Leaf { key, account } => leaf_hash(*key, *account),
+            // A dirty slot had a write come through, so its branch is
+            // already unshared and this `make_mut` copies nothing.
+            Slot::Branch(branch) => Arc::make_mut(branch).settle(),
         }
     }
 
-    /// The subtree that replaces `leaf` (holding `existing`, at `depth`)
-    /// when a distinct `key` lands on it: branches grown until the two
-    /// keys' nibbles diverge — they differ, so they must within MAX_DEPTH
-    /// — all owing their digest. The old leaf moves down as it is, shared
-    /// with a snapshot or not.
-    fn split(
-        leaf: Arc<TrieNode>,
-        existing: u64,
-        key: u64,
-        account: Account,
-        depth: usize,
-    ) -> Arc<TrieNode> {
+    /// Writes `key` at or below this slot (at `depth`), copying each branch
+    /// a snapshot shares first and marking every slot on the way down
+    /// dirty. Returns whether the key is new.
+    fn insert(&mut self, key: u64, account: Account, depth: usize) -> bool {
+        match self {
+            Slot::Empty => {
+                *self = Slot::Leaf { key, account };
+                true
+            }
+            Slot::Leaf { key: existing, account: old } if *existing == key => {
+                *old = account;
+                false
+            }
+            &mut Slot::Leaf { key: existing, account: old } => {
+                *self = Slot::split(existing, old, key, account, depth);
+                true
+            }
+            Slot::Branch(branch) => {
+                Arc::make_mut(branch).write(nibble(key, depth)).insert(key, account, depth + 1)
+            }
+        }
+    }
+
+    /// What replaces the leaf (`existing`, holding `old`, at `depth`) when
+    /// a distinct `key` lands on it: branches grown until the two keys'
+    /// nibbles diverge — they differ, so they must within MAX_DEPTH — all
+    /// owing their digests.
+    fn split(existing: u64, old: Account, key: u64, account: Account, depth: usize) -> Slot {
         let mut d = depth;
         while nibble(existing, d) == nibble(key, d) {
             d += 1;
             debug_assert!(d < MAX_DEPTH, "distinct keys share all nibbles");
         }
-        let mut children: [Option<Arc<TrieNode>>; 16] = Default::default();
-        children[nibble(existing, d)] = Some(leaf);
-        children[nibble(key, d)] = Some(TrieNode::leaf(key, account));
-        let mut grown = TrieNode::stale_branch(children);
+        let mut branch = Branch::default();
+        *branch.write(nibble(existing, d)) = Slot::Leaf { key: existing, account: old };
+        *branch.write(nibble(key, d)) = Slot::Leaf { key, account };
+        let mut grown = Slot::Branch(Arc::new(branch));
         // Wrap back up to the leaf's depth.
         for up in (depth..d).rev() {
-            let mut children: [Option<Arc<TrieNode>>; 16] = Default::default();
-            children[nibble(key, up)] = Some(grown);
-            grown = TrieNode::stale_branch(children);
+            let mut branch = Branch::default();
+            *branch.write(nibble(key, up)) = grown;
+            grown = Slot::Branch(Arc::new(branch));
         }
         grown
     }
 
-    /// Writes `key` at or below `slot` (a node at `depth`), copying `slot`
-    /// first if a snapshot shares it and marking every branch on the way
-    /// down stale. Returns whether the key is new.
-    fn insert_at(slot: &mut Arc<TrieNode>, key: u64, account: Account, depth: usize) -> bool {
-        match **slot {
-            TrieNode::Leaf { key: existing, .. } if existing != key => {
-                *slot = Self::split(slot.clone(), existing, key, account, depth);
-                return true;
-            }
-            _ => {}
-        }
-        match Arc::make_mut(slot) {
-            TrieNode::Leaf { account: old, hash, .. } => {
-                *old = account;
-                *hash = leaf_hash(key, account);
-                false
-            }
-            TrieNode::Branch { children, stale, .. } => {
-                *stale = true;
-                match &mut children[nibble(key, depth)] {
-                    Some(child) => Self::insert_at(child, key, account, depth + 1),
-                    empty => {
-                        *empty = Some(TrieNode::leaf(key, account));
-                        true
-                    }
+    /// The slot holding `entries` — sorted by id, no id repeated, all
+    /// sharing their first `depth` nibbles — and its digest. Children are
+    /// built first, so each branch is allocated once, complete, and
+    /// digested once.
+    fn build(entries: &[(AccountId, Account)], depth: usize) -> (Slot, u64) {
+        match *entries {
+            [] => (Slot::Empty, FNV_OFFSET),
+            [(AccountId(key), account)] => (Slot::Leaf { key, account }, leaf_hash(key, account)),
+            _ => {
+                let mut branch = Branch::default();
+                let mut rest = entries;
+                while let Some(&(AccountId(first), _)) = rest.first() {
+                    let i = nibble(first, depth);
+                    let n = rest.partition_point(|(id, _)| nibble(id.0, depth) == i);
+                    let (slot, digest) = Slot::build(&rest[..n], depth + 1);
+                    branch.present |= 1 << i;
+                    branch.digests[i] = digest;
+                    branch.slots[i] = slot;
+                    rest = &rest[n..];
                 }
+                let digest = branch.fold();
+                (Slot::Branch(Arc::new(branch)), digest)
             }
         }
     }
 
-    /// The digest of the subtree at `slot`, recomputing — children first,
-    /// each once — exactly the branches a write went through.
-    fn rehash(slot: &mut Arc<TrieNode>) -> u64 {
-        if let TrieNode::Leaf { hash, .. } | TrieNode::Branch { hash, stale: false, .. } = **slot {
-            return hash;
+    /// Calls `f` on every account at or below this slot, in ascending id
+    /// order (the trie branches on most-significant nibbles first).
+    fn for_each(&self, f: &mut impl FnMut(u64, Account)) {
+        match self {
+            Slot::Empty => {}
+            Slot::Leaf { key, account } => f(*key, *account),
+            Slot::Branch(branch) => branch.slots.iter().for_each(|slot| slot.for_each(f)),
         }
-        // Stale means a write came through here, so the node is already
-        // unshared and this `make_mut` copies nothing.
-        let TrieNode::Branch { children, hash, stale } = Arc::make_mut(slot) else {
-            unreachable!("anything but a stale branch returned above")
-        };
-        let mut h = fnv(FNV_OFFSET, TAG_BRANCH);
-        for (i, child) in children.iter_mut().enumerate() {
-            if let Some(c) = child {
-                h = fnv(h, i as u8);
-                h = fnv_u64(h, Self::rehash(c));
-            }
-        }
-        *hash = h;
-        *stale = false;
-        h
     }
 }
 
@@ -219,16 +269,34 @@ impl TrieNode {
 /// other.insert(AccountId(1), Account::with_balance(100));
 /// assert_eq!(live.root_hash(), other.root_hash());
 /// ```
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 pub struct AccountMap {
-    root: Option<Arc<TrieNode>>,
+    root: Slot,
+    /// The root slot's digest, brought up to date when a batch ends.
+    root_digest: u64,
     len: usize,
+}
+
+impl Default for AccountMap {
+    fn default() -> Self {
+        AccountMap { root: Slot::Empty, root_digest: FNV_OFFSET, len: 0 }
+    }
 }
 
 impl AccountMap {
     /// The empty map.
     pub fn new() -> Self {
         AccountMap::default()
+    }
+
+    /// The map holding `entries`, which are sorted by id with no id
+    /// repeated. It is built bottom-up, so each branch is allocated once
+    /// and digested once, and it equals the same entries inserted in any
+    /// order.
+    pub(crate) fn from_sorted(entries: &[(AccountId, Account)]) -> Self {
+        debug_assert!(entries.windows(2).all(|w| w[0].0 < w[1].0), "unsorted or repeated ids");
+        let (root, root_digest) = Slot::build(entries, 0);
+        AccountMap { root, root_digest, len: entries.len() }
     }
 
     /// Number of accounts present.
@@ -243,19 +311,19 @@ impl AccountMap {
 
     /// Looks up one account.
     pub fn get(&self, id: AccountId) -> Option<Account> {
-        let mut node = self.root.as_deref()?;
-        for depth in 0..=MAX_DEPTH {
-            match node {
-                TrieNode::Leaf { key, account, .. } => {
-                    return (*key == id.0).then_some(*account);
-                }
-                TrieNode::Branch { children, .. } => {
+        let mut slot = &self.root;
+        let mut depth = 0;
+        loop {
+            match slot {
+                Slot::Empty => return None,
+                Slot::Leaf { key, account } => return (*key == id.0).then_some(*account),
+                Slot::Branch(branch) => {
                     debug_assert!(depth < MAX_DEPTH, "branch below last nibble");
-                    node = children[nibble(id.0, depth)].as_deref()?;
+                    slot = &branch.slots[nibble(id.0, depth)];
+                    depth += 1;
                 }
             }
         }
-        None
     }
 
     /// Inserts or replaces one account: a [batch](AccountMap::batch) of
@@ -276,97 +344,67 @@ impl AccountMap {
         AccountBatch { map: self }
     }
 
-    /// The canonical digest of the whole account state — O(1): every node
-    /// carries its subtree's digest, brought up to date when the batch
-    /// that wrote below it ended.
+    /// The canonical digest of the whole account state — O(1): each branch
+    /// stores its children's digests and the map its root's, brought up to
+    /// date when the batch that wrote below them ended.
     pub fn root_hash(&self) -> u64 {
-        // The empty map hashes to the bare offset basis, distinct from any
-        // tagged node digest.
-        self.root.as_deref().map_or(FNV_OFFSET, TrieNode::digest)
+        self.root_digest
     }
 
     /// Sum of every balance, wide enough that it cannot overflow
     /// (2^64 accounts × u64 balances fit in u128) — the conservation
     /// invariant tests check against the genesis supply.
     pub fn total_balance(&self) -> u128 {
-        fn walk(node: &TrieNode, sum: &mut u128) {
-            match node {
-                TrieNode::Leaf { account, .. } => *sum += u128::from(account.balance),
-                TrieNode::Branch { children, .. } => {
-                    for child in children.iter().flatten() {
-                        walk(child, sum);
-                    }
-                }
-            }
-        }
         let mut sum = 0;
-        if let Some(root) = &self.root {
-            walk(root, &mut sum);
-        }
+        self.root.for_each(&mut |_, account| sum += u128::from(account.balance));
         sum
     }
 
-    /// Every `(id, account)` pair in ascending id order (the trie branches
-    /// on most-significant nibbles first, so in-order traversal is sorted).
+    /// Every `(id, account)` pair in ascending id order.
     pub fn entries(&self) -> Vec<(AccountId, Account)> {
-        fn walk(node: &TrieNode, out: &mut Vec<(AccountId, Account)>) {
-            match node {
-                TrieNode::Leaf { key, account, .. } => out.push((AccountId(*key), *account)),
-                TrieNode::Branch { children, .. } => {
-                    for child in children.iter().flatten() {
-                        walk(child, out);
-                    }
-                }
-            }
-        }
         let mut out = Vec::with_capacity(self.len);
-        if let Some(root) = &self.root {
-            walk(root, &mut out);
-        }
+        self.root.for_each(&mut |key, account| out.push((AccountId(key), account)));
         out
     }
 
     /// Loads what writing `keys` (sorted here, at most [`READ_AHEAD_KEYS`])
-    /// and then rehashing will read, and changes nothing: every node on
-    /// their paths, every child digest of each branch among them, and the
-    /// leaf at each path's end.
+    /// and then rehashing will read, and changes nothing: each branch on
+    /// their paths, its digest array, and the slot each path takes out of
+    /// it — a leaf's account included.
     ///
     /// The walk goes level by level across all the paths at once, so the
     /// loads of one level depend only on the level above: where the trie
     /// is out of cache, the CPU keeps the misses of different paths in
     /// flight together instead of paying them one by one. Safe Rust has no
-    /// prefetch, so each load is real, and its digest is folded into a
+    /// prefetch, so each load is real, and what it read is folded into a
     /// value the optimizer must keep (DESIGN.md §9).
     fn walk_paths(&self, keys: &mut [u64]) {
-        let Some(root) = self.root.as_deref() else { return };
+        let Slot::Branch(root) = &self.root else { return };
         keys.sort_unstable();
-        let mut cursors = [Some(root); READ_AHEAD_KEYS];
+        let mut cursors = [Some(&**root); READ_AHEAD_KEYS];
         let cursors = &mut cursors[..keys.len()];
         let mut read = 0u64;
-        for depth in 0..=MAX_DEPTH {
+        for depth in 0..MAX_DEPTH {
             // Sorted keys reach a shared branch one after another, so
             // comparing with the last branch visited reads each one's
-            // children once.
-            let mut last: Option<&TrieNode> = None;
+            // digests once.
+            let mut last: Option<&Branch> = None;
             let mut deeper = false;
             for (cursor, &key) in cursors.iter_mut().zip(keys.iter()) {
-                let Some(node) = *cursor else { continue };
-                match node {
-                    TrieNode::Leaf { key: at, account, .. } => {
-                        read ^= at ^ account.balance;
-                        *cursor = None;
-                    }
-                    TrieNode::Branch { children, .. } => {
-                        if !last.is_some_and(|last| std::ptr::eq(last, node)) {
-                            for child in children.iter().flatten() {
-                                read ^= child.digest();
-                            }
-                            last = Some(node);
-                        }
-                        *cursor = children[nibble(key, depth)].as_deref();
-                        deeper |= cursor.is_some();
-                    }
+                let Some(branch) = *cursor else { continue };
+                if !last.is_some_and(|last| std::ptr::eq(last, branch)) {
+                    read ^= branch.digests.iter().fold(0, |acc, d| acc ^ d);
+                    last = Some(branch);
                 }
+                *cursor = match &branch.slots[nibble(key, depth)] {
+                    Slot::Branch(child) => Some(child),
+                    Slot::Leaf { key: at, account } => {
+                        read ^= at ^ account.balance;
+                        None
+                    }
+                    Slot::Empty => None,
+                };
+                deeper |= cursor.is_some();
             }
             if !deeper {
                 break;
@@ -379,12 +417,12 @@ impl AccountMap {
 /// A batch of writes to an [`AccountMap`], from [`AccountMap::batch`].
 ///
 /// Each [`insert`](AccountBatch::insert) writes the trie in place where
-/// this map is a node's only owner and copies exactly the nodes a live
-/// snapshot still shares; it leaves the branches above the written leaf
-/// owing a digest. [`get`](AccountBatch::get) sees the batch's own writes.
-/// Dropping the handle ends the batch: the stale branches are rehashed,
-/// children first, each once — so a block that writes 800 leaves under the
-/// same root hashes that root once, not 800 times.
+/// this map is a branch's only owner and copies exactly the branches a live
+/// snapshot still shares; it leaves the slots on its path owing a digest.
+/// [`get`](AccountBatch::get) sees the batch's own writes. Dropping the
+/// handle ends the batch: the dirty slots are re-digested, children first,
+/// each once — so a block that writes 800 leaves under the same root hashes
+/// that root once, not 800 times.
 ///
 /// (Leaking the handle with [`std::mem::forget`] skips that rehash and
 /// leaves [`AccountMap::root_hash`] stale until the map's next batch ends;
@@ -407,7 +445,7 @@ impl AccountMap {
 /// assert_eq!(batch.get(AccountId(2)), Some(Account::with_balance(30)), "reads its own writes");
 /// drop(batch); // digests settle here
 ///
-/// // The snapshot kept the nodes it shared; the live map hashes exactly
+/// // The snapshot kept the branches it shared; the live map hashes exactly
 /// // like the same accounts inserted one at a time.
 /// assert_eq!(snapshot.get(AccountId(1)), Some(Account::with_balance(100)));
 /// let mut one_by_one = AccountMap::new();
@@ -436,14 +474,7 @@ impl AccountBatch<'_> {
 
     /// Inserts or replaces one account.
     pub fn insert(&mut self, id: AccountId, account: Account) {
-        let added = match &mut self.map.root {
-            Some(root) => TrieNode::insert_at(root, id.0, account, 0),
-            empty => {
-                *empty = Some(TrieNode::leaf(id.0, account));
-                true
-            }
-        };
-        if added {
+        if self.map.root.insert(id.0, account, 0) {
             self.map.len += 1;
         }
     }
@@ -451,8 +482,11 @@ impl AccountBatch<'_> {
 
 impl Drop for AccountBatch<'_> {
     fn drop(&mut self) {
-        if let Some(root) = &mut self.map.root {
-            TrieNode::rehash(root);
+        let map = &mut *self.map;
+        // A root branch no write went through keeps its digest, and stays
+        // shared with every snapshot that shares it.
+        if !matches!(&map.root, Slot::Branch(root) if root.dirty == 0) {
+            map.root_digest = map.root.settle();
         }
     }
 }
@@ -556,8 +590,9 @@ mod tests {
         assert_eq!(batched.entries(), one_by_one.entries());
         assert_eq!(batched.root_hash(), one_by_one.root_hash());
 
-        // The same split under a live snapshot: the leaf it shares moves
-        // down uncopied, and the snapshot does not notice.
+        // The same split under a live snapshot: the root leaf it shares is
+        // copied down into the grown branches, and the snapshot does not
+        // notice.
         let mut live = AccountMap::new();
         live.insert(AccountId(a), acct(1, 0));
         let snapshot = live.clone();
@@ -629,24 +664,24 @@ mod tests {
     }
 
     #[test]
-    fn a_branch_is_144_bytes() {
-        assert_eq!(std::mem::size_of::<TrieNode>(), 144);
+    fn a_slot_is_32_bytes_and_digests_precede_slots() {
+        use std::mem::{offset_of, size_of};
+        assert_eq!(size_of::<Slot>(), 32, "a leaf sits inline: key, balance, nonce and a tag");
+        assert_eq!(offset_of!(Branch, digests), 8, "the bitmaps, then the digests");
+        assert_eq!(offset_of!(Branch, slots), 8 + 16 * 8, "the slots come after every digest");
+        assert_eq!(size_of::<Branch>(), 8 + 16 * 8 + 16 * 32);
     }
 
-    /// Every node's `Arc` strong count, in pre-order.
+    /// Every branch's `Arc` strong count, in pre-order.
     fn strong_counts(map: &AccountMap) -> Vec<usize> {
-        fn walk(node: &Arc<TrieNode>, out: &mut Vec<usize>) {
-            out.push(Arc::strong_count(node));
-            if let TrieNode::Branch { children, .. } = &**node {
-                for child in children.iter().flatten() {
-                    walk(child, out);
-                }
+        fn walk(slot: &Slot, out: &mut Vec<usize>) {
+            if let Slot::Branch(branch) = slot {
+                out.push(Arc::strong_count(branch));
+                branch.slots.iter().for_each(|child| walk(child, out));
             }
         }
         let mut out = Vec::new();
-        if let Some(root) = &map.root {
-            walk(root, &mut out);
-        }
+        walk(&map.root, &mut out);
         out
     }
 
@@ -654,8 +689,9 @@ mod tests {
     fn the_read_ahead_changes_nothing() {
         // Hashed ids (a balanced trie), dense ones (a 16-deep chain) and a
         // pair split 15 nibbles down; keys present, absent, and repeated,
-        // so several paths share each branch. A clone of any `Arc` would
-        // show in its strong count, and would make the next write copy.
+        // so several paths share each branch. A clone of any branch's `Arc`
+        // would show in its strong count, and would make the next write
+        // copy.
         let mut map = AccountMap::new();
         let hashed = (0..300u64).map(|k| k.wrapping_mul(0x9E37_79B9_7F4A_7C15));
         for (i, id) in hashed.chain(1..=40).chain([0xAAAA_AAAA_AAAA_AAA0]).enumerate() {
@@ -672,6 +708,41 @@ mod tests {
         assert_eq!(map.root_hash(), root_hash);
         assert_eq!(strong_counts(&map), counts);
         AccountMap::new().walk_paths(&mut [1, 2]);
+    }
+
+    #[test]
+    fn inline_leaves_overwritten_and_split_under_a_snapshot_leave_it_be() {
+        // Leaves live in their parent's slot, so a snapshot shares them
+        // only through the branch around them: the write must copy that
+        // branch before it touches the leaf. One batch overwrites a leaf,
+        // splits another 15 nibbles down and adds a key beside a third;
+        // a later batch overwrites a leaf the split moved down.
+        let a = 0xAAAA_AAAA_AAAA_AAA0;
+        let b = 0xAAAA_AAAA_AAAA_AAA7;
+        let mut live = AccountMap::new();
+        for id in [1, 2, a, 0x5000_0000_0000_0000] {
+            live.insert(AccountId(id), acct(id % 1_000, 0));
+        }
+        let snapshot = live.clone();
+        let (entries, root_hash, len) = (snapshot.entries(), snapshot.root_hash(), snapshot.len());
+
+        let mut batch = live.batch();
+        batch.insert(AccountId(1), acct(7, 1));
+        batch.insert(AccountId(b), acct(3, 0));
+        batch.insert(AccountId(0x5100_0000_0000_0000), acct(4, 0));
+        drop(batch);
+        live.insert(AccountId(a), acct(5, 2));
+
+        assert_eq!(snapshot.entries(), entries);
+        assert_eq!(snapshot.root_hash(), root_hash);
+        assert_eq!(snapshot.len(), len);
+        assert_eq!(snapshot.get(AccountId(1)), Some(acct(1, 0)));
+        assert_eq!(snapshot.get(AccountId(b)), None);
+        assert_eq!(live.get(AccountId(a)), Some(acct(5, 2)));
+        assert_eq!(live.len(), 6);
+        let rebuilt = AccountMap::from_sorted(&live.entries());
+        assert_eq!(live.root_hash(), rebuilt.root_hash());
+        assert_eq!(snapshot.root_hash(), AccountMap::from_sorted(&entries).root_hash());
     }
 
     #[test]
