@@ -297,7 +297,7 @@ impl IthsNode {
             if self.already(next) {
                 continue;
             }
-            let Some(value) = self.regs.quorum_value(prev, self.view, self.cfg.quorum()) else {
+            let Some(value) = self.regs.quorum_value(prev, self.view) else {
                 continue;
             };
             if next == KEY1 {
@@ -329,7 +329,7 @@ impl IthsNode {
         if self.decided.is_some() {
             return false;
         }
-        let Some(value) = self.regs.quorum_value(LOCK, self.view, self.cfg.quorum()) else {
+        let Some(value) = self.regs.quorum_value(LOCK, self.view) else {
             return false;
         };
         self.decided = Some(value);

@@ -250,7 +250,7 @@ impl BlogNode {
             if self.already(next) {
                 continue;
             }
-            let Some(value) = self.regs.quorum_value(prev, self.view, self.cfg.quorum()) else {
+            let Some(value) = self.regs.quorum_value(prev, self.view) else {
                 continue;
             };
             if next == ACCEPT && self.lock.is_some_and(|l| l.value != value) {
@@ -272,7 +272,7 @@ impl BlogNode {
         if self.decided.is_some() {
             return false;
         }
-        let Some(value) = self.regs.quorum_value(LOCK, self.view, self.cfg.quorum()) else {
+        let Some(value) = self.regs.quorum_value(LOCK, self.view) else {
             return false;
         };
         self.decided = Some(value);

@@ -396,7 +396,7 @@ impl PbftNode {
         }
         // prepare quorum → commit (and record the certificate).
         if !self.already(COMMIT) {
-            if let Some(value) = self.regs.quorum_value(PREPARE, self.view, self.cfg.quorum()) {
+            if let Some(value) = self.regs.quorum_value(PREPARE, self.view) {
                 self.prepared = Some(VoteInfo::new(self.view, value));
                 self.cert = self
                     .regs
@@ -416,7 +416,7 @@ impl PbftNode {
         if self.decided.is_some() {
             return false;
         }
-        let Some(value) = self.regs.quorum_value(COMMIT, self.view, self.cfg.quorum()) else {
+        let Some(value) = self.regs.quorum_value(COMMIT, self.view) else {
             return false;
         };
         self.decided = Some(value);

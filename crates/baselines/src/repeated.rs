@@ -53,6 +53,8 @@ pub struct RepeatedTetra {
     node: TetraNode,
     /// One buffered future-instance message per peer.
     pending: Vec<Option<SeqMsg>>,
+    /// The inner node's effects, drained after every `forward`.
+    buf: ActionBuf<CoreMessage, Value>,
 }
 
 impl RepeatedTetra {
@@ -65,6 +67,7 @@ impl RepeatedTetra {
             instance: 0,
             node: TetraNode::new(cfg, params, me, Value::from_u64(0)),
             pending: vec![None; cfg.n()],
+            buf: ActionBuf::new(),
         }
     }
 
@@ -77,13 +80,10 @@ impl RepeatedTetra {
     /// messages get instance-tagged, a decision rolls over to the next
     /// instance.
     fn forward(&mut self, input: Input<CoreMessage>, ctx: &mut Ctx<'_>) {
-        let mut buf: ActionBuf<CoreMessage, Value> = ActionBuf::new();
-        {
-            let mut inner_ctx = Context::buffered(self.me, self.cfg.n(), ctx.now(), &mut buf);
-            self.node.handle(input, &mut inner_ctx);
-        }
+        let mut inner_ctx = Context::buffered(self.me, self.cfg.n(), ctx.now(), &mut self.buf);
+        self.node.handle(input, &mut inner_ctx);
         let mut decided = None;
-        for action in buf {
+        for action in self.buf.drain(..) {
             match action {
                 Action::Send { dest, msg } => {
                     let tagged = SeqMsg { instance: self.instance, inner: msg };

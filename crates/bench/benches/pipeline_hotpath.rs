@@ -1,5 +1,6 @@
 //! **Zero-alloc consensus hot path** — the perf harness gating the scratch
-//! buffer, tally-table, inline-vec, and batched-stepping work.
+//! buffers, the engine's retained action buffer, the register-scan quorum
+//! checks, and batched stepping.
 //!
 //! The good-case multi-shot scenario runs with *durable* nodes — the
 //! deployed shape, where every persist seal writes the dirtied vote books
@@ -23,7 +24,10 @@
 //!   below 6;
 //! * a warmed engine fed duplicate votes allocates **exactly zero** — the
 //!   strict steady-state target, checked at the dispatch level where no
-//!   sim bookkeeping (event queue, outputs, metrics) can blur it.
+//!   sim bookkeeping (event queue, outputs, metrics) can blur it;
+//! * a warmed engine whose every input emits a send, a timer re-arm and an
+//!   output allocates **exactly zero** too: duplicate votes emit nothing,
+//!   so only this gate sees a buffer the engine allocates per dispatch.
 //!
 //! Set `TETRABFT_BENCH_SMOKE=1` for the CI smoke run (n ∈ {4, 16}).
 
@@ -32,7 +36,9 @@ use std::time::Instant;
 use tetrabft::Params;
 use tetrabft_bench::{print_table, CountingAlloc};
 use tetrabft_multishot::{BlockHash, Finalized, MsMessage, MultiShotNode};
-use tetrabft_sim::{Dest, Engine, SimBuilder, Time, TimerId, TraceEvent, Transport};
+use tetrabft_sim::{
+    Context, Dest, Engine, Input, Node, SimBuilder, Time, TimerId, TraceEvent, Transport, WireSize,
+};
 use tetrabft_types::{Config, FsyncPolicy, NodeId, Slot, View};
 
 #[global_allocator]
@@ -95,13 +101,44 @@ fn run_pipeline(n: usize, horizon: u64) -> Sample {
 }
 
 /// A transport that drops everything: isolates the engine + node cost from
-/// any environment bookkeeping for the strict zero-alloc gate.
+/// any environment bookkeeping for the strict zero-alloc gates.
 struct DropTransport;
 
-impl Transport<MsMessage, Finalized> for DropTransport {
-    fn send(&mut self, _dest: Dest, _msg: MsMessage) {}
+impl<M, O> Transport<M, O> for DropTransport {
+    fn send(&mut self, _dest: Dest, _msg: M) {}
     fn arm_timer(&mut self, _id: TimerId, _generation: u64, _after: u64) {}
-    fn deliver_output(&mut self, _out: Finalized) {}
+    fn deliver_output(&mut self, _out: O) {}
+}
+
+/// A message that owns nothing: cloning or dropping it never reaches the
+/// allocator.
+#[derive(Clone, Copy, Debug)]
+struct Tick(u64);
+
+impl WireSize for Tick {
+    fn wire_size(&self) -> usize {
+        8
+    }
+}
+
+/// Answers every input with the effects of a good-case step — a
+/// broadcast, a timer re-arm and an output — and allocates nothing itself,
+/// so whatever a dispatch allocates is the engine's.
+struct Echo;
+
+impl Node for Echo {
+    type Msg = Tick;
+    type Output = u64;
+
+    fn handle(&mut self, input: Input<Tick>, ctx: &mut Context<'_, Tick, u64>) {
+        let tick = match input {
+            Input::Deliver { msg, .. } => msg.0,
+            _ => 0,
+        };
+        ctx.broadcast(Tick(tick + 1));
+        ctx.set_timer(TimerId(0), 10);
+        ctx.output(tick);
+    }
 }
 
 /// Drops sends and timers, but records finalizations: how the mailbox
@@ -202,7 +239,7 @@ fn assert_steady_state_is_alloc_free() {
     engine.start(Time(0), &mut transport);
 
     // Votes from every peer for the live slot window: these exercise the
-    // registers, tally tables, quorum checks, and the full drive loop.
+    // registers, the quorum checks, and the full drive loop.
     let votes: Vec<(NodeId, MsMessage)> = (0..n as u16)
         .flat_map(|peer| {
             (1..=4u64).map(move |slot| {
@@ -242,6 +279,37 @@ fn assert_steady_state_is_alloc_free() {
     println!(
         "strict gate: {} duplicate-vote deliveries through a warmed engine → 0 allocations",
         votes.len() * 100
+    );
+}
+
+/// The second strict gate: a warmed engine around [`Echo`], whose every
+/// input emits three actions, must allocate exactly 0 — the action buffer
+/// and the timer-generation table are retained across dispatches.
+fn assert_effectful_dispatch_is_alloc_free() {
+    let me = NodeId(0);
+    let mut engine = Engine::new(Echo, me, 4);
+    let mut transport = DropTransport;
+    engine.start(Time(0), &mut transport);
+    // One warm delivery: the counted window starts from steady state.
+    engine.on_deliver_buffered(NodeId(1), Tick(0), Time(1), &mut transport);
+    engine.finish_batch(&mut transport);
+
+    let deliveries = 1_000u64;
+    let before = ALLOC.snapshot();
+    for t in 0..deliveries {
+        engine.on_deliver_buffered(NodeId(1), Tick(t), Time(2 + t), &mut transport);
+        engine.finish_batch(&mut transport);
+    }
+    let after = ALLOC.snapshot();
+    let allocs = before.allocs_since(&after);
+    assert_eq!(
+        allocs, 0,
+        "effectful dispatch must be allocation-free, got {allocs} allocations over \
+         {deliveries} deliveries that each emit a send, a timer re-arm and an output",
+    );
+    println!(
+        "strict gate: {deliveries} effectful deliveries (send + timer + output each) through \
+         a warmed engine → 0 allocations"
     );
 }
 
@@ -286,6 +354,7 @@ fn main() {
     let horizon: u64 = if smoke() { 150 } else { 400 };
 
     assert_steady_state_is_alloc_free();
+    assert_effectful_dispatch_is_alloc_free();
     run_mailbox_gate();
 
     let mut rows: Vec<Vec<String>> = Vec::new();

@@ -231,10 +231,9 @@ impl TetraNode {
     }
 
     /// The value holding a quorum of latest `phase` votes at the current
-    /// view, if any: an allocation-free lookup in the registers'
-    /// incremental tally tables.
+    /// view, if any: an allocation-free count over the registers.
     fn quorum_at_current_view(&self, phase: Phase) -> Option<Value> {
-        self.regs.votes().quorum_value(phase.index(), self.view, self.cfg.quorum())
+        self.regs.votes().quorum_value(phase.index(), self.view)
     }
 
     fn cast(&mut self, phase: Phase, value: Value, ctx: &mut Context<'_, Message, Value>) {

@@ -7,7 +7,7 @@
 //! ([`ViewChanges`]) and, in TetraBFT, one proposal, suggest and proof
 //! ([`Registers`]): O(n) memory, as the Table 1 storage column requires.
 
-use tetrabft_types::{Config, Evidence, InlineVec, NodeId, Phase, Value, View, VoteInfo};
+use tetrabft_types::{AuditClaim, Config, Evidence, NodeId, Phase, Value, View, VoteInfo};
 
 use crate::msg::{Message, ProofData, SuggestData};
 
@@ -24,42 +24,40 @@ fn convict(
     held: Option<VoteInfo>,
     (view, phase, value): (View, Option<Phase>, Value),
 ) {
-    let Some(held) = held.filter(|h| h.view == view && h.value != value) else { return };
+    let claim = |view, value| AuditClaim { slot: None, view, phase, value };
+    let Some(held) = held else { return };
+    let Some(ev) = Evidence::from_claims(from, claim(held.view, held.value), claim(view, value))
+    else {
+        return;
+    };
     let dup = evidence.iter().any(|e| e.node == from && e.view == view && e.phase == phase);
     if !dup && evidence.len() < EVIDENCE_CAP {
-        let ev = Evidence { node: from, slot: None, view, phase, first: held.value, second: value };
         evidence.push(ev);
     }
 }
 
-/// One tally table: distinct `(view, value)` pairs among the peers' *latest*
-/// votes in one phase, with their counts. Latest-vote-per-peer bounds the
-/// table at `n` entries; in the good case (one view, one value) it holds a
-/// single entry, so the `InlineVec` never spills.
-type TallyTable = InlineVec<(View, Value, u32), 4>;
-
-/// Increments the tally for `(view, value)`, inserting it at count 1 if
-/// absent.
-fn tally_add(table: &mut TallyTable, view: View, value: Value) {
-    match table.iter().position(|e| e.0 == view && e.1 == value) {
-        Some(i) => table.get_mut(i).expect("index below len").2 += 1,
-        None => table.push((view, value, 1)),
+/// The one value that can hold a majority of `votes`: Boyer–Moore's
+/// pairing-off pass, O(len) and allocation-free. A value held by more than
+/// half of `votes` always survives it, but the survivor is only a candidate
+/// until it is counted.
+fn majority_candidate(votes: impl Iterator<Item = Value>) -> Option<Value> {
+    let mut lead = None;
+    let mut margin = 0usize;
+    for value in votes {
+        if margin == 0 {
+            (lead, margin) = (Some(value), 1);
+        } else if lead == Some(value) {
+            margin += 1;
+        } else {
+            margin -= 1;
+        }
     }
-}
-
-/// Decrements the tally for `(view, value)`, removing the entry at zero so
-/// the table tracks only live votes.
-fn tally_sub(table: &mut TallyTable, view: View, value: Value) {
-    let i = table.iter().position(|e| e.0 == view && e.1 == value).expect("a held vote is tallied");
-    let entry = table.get_mut(i).expect("index below len");
-    entry.2 -= 1;
-    if entry.2 == 0 {
-        table.swap_remove(i);
-    }
+    lead
 }
 
 /// The latest vote of each peer in each of a protocol's `K` vote phases
-/// (phases are indices `0..K`), with per-phase incremental tallies.
+/// (phases are indices `0..K`), and the quorum those votes are counted
+/// against.
 ///
 /// A newer view replaces a peer's register; within a view the first vote
 /// received stays, so an equivocating peer cannot flip a register it already
@@ -78,35 +76,20 @@ fn tally_sub(table: &mut TallyTable, view: View, value: Value) {
 ///     votes.record(NodeId(peer), 1, View(0), Value::from_u64(7));
 /// }
 /// assert_eq!(votes.count(1, View(0), Value::from_u64(7)), 3);
-/// assert_eq!(votes.quorum_value(1, View(0), cfg.quorum()), Some(Value::from_u64(7)));
+/// assert_eq!(votes.quorum_value(1, View(0)), Some(Value::from_u64(7)));
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct VoteRegisters<const K: usize> {
     peers: Vec<[Option<VoteInfo>; K]>,
-    /// Per-phase tallies over the peers' latest votes: they make the quorum
-    /// checks O(distinct values) lookups with zero allocation instead of an
-    /// O(n) peer scan per engine step.
-    tallies: [TallyTable; K],
+    quorum: usize,
 }
-
-/// Equality is over the peer registers only: the tally tables are a pure
-/// function of them, and their entry *order* varies with arrival history.
-impl<const K: usize> PartialEq for VoteRegisters<K> {
-    fn eq(&self, other: &Self) -> bool {
-        self.peers == other.peers
-    }
-}
-
-impl<const K: usize> Eq for VoteRegisters<K> {}
 
 impl<const K: usize> VoteRegisters<K> {
-    /// Creates empty registers for `cfg.n()` peers.
+    /// Creates empty registers for `cfg.n()` peers, counted against
+    /// `cfg.quorum()`.
     pub fn new(cfg: &Config) -> Self {
-        VoteRegisters {
-            peers: vec![[None; K]; cfg.n()],
-            tallies: std::array::from_fn(|_| TallyTable::new()),
-        }
+        VoteRegisters { peers: vec![[None; K]; cfg.n()], quorum: cfg.quorum() }
     }
 
     /// Folds `from`'s `phase` vote for `(view, value)` into its register.
@@ -117,11 +100,7 @@ impl<const K: usize> VoteRegisters<K> {
     pub fn record(&mut self, from: NodeId, phase: usize, view: View, value: Value) {
         let slot = &mut self.peers[from.index()][phase];
         if slot.is_none_or(|held| view > held.view) {
-            let table = &mut self.tallies[phase];
-            if let Some(old) = slot.replace(VoteInfo::new(view, value)) {
-                tally_sub(table, old.view, old.value);
-            }
-            tally_add(table, view, value);
+            *slot = Some(VoteInfo::new(view, value));
         }
     }
 
@@ -138,46 +117,38 @@ impl<const K: usize> VoteRegisters<K> {
             .filter_map(move |(i, p)| p[phase].map(|v| (NodeId(i as u16), v)))
     }
 
-    /// The value whose latest-vote count in `phase` at exactly `view`
-    /// reaches `threshold`, if any — an allocation-free lookup in the
-    /// incremental tally table.
+    /// The value a quorum of peers' latest `phase` votes name at exactly
+    /// `view`, if any: two O(n) passes over the registers, no allocation.
     ///
-    /// For any `threshold > n/2` (quorum is `n − f > 2n/3`) at most one
-    /// value can reach it: each peer contributes exactly one latest vote, so
-    /// two distinct winners would need `2·threshold ≤ n`. Scan order is
-    /// therefore immaterial and the first hit is *the* answer.
-    pub fn quorum_value(&self, phase: usize, view: View, threshold: usize) -> Option<Value> {
-        self.tallies[phase]
-            .iter()
-            .find(|(v, _, c)| *v == view && *c as usize >= threshold)
-            .map(|(_, value, _)| *value)
+    /// A quorum (`n − f > 2n/3`) is a majority, and each peer holds one
+    /// latest vote, so at most one value can reach it. The first pass finds
+    /// the only value that could (a Boyer–Moore majority pass), and
+    /// [`VoteRegisters::count`] decides whether it does.
+    pub fn quorum_value(&self, phase: usize, view: View) -> Option<Value> {
+        let at_view = self.iter_phase(phase).filter(|(_, v)| v.view == view).map(|(_, v)| v.value);
+        majority_candidate(at_view).filter(|value| self.count(phase, view, *value) >= self.quorum)
     }
 
-    /// The value whose latest-vote count in `phase` across *all* views
-    /// reaches `threshold`, if any (table-backed and allocation-free).
+    /// The value a quorum of peers' latest `phase` votes name across *all*
+    /// views, if any, found as in [`VoteRegisters::quorum_value`].
     /// Multi-shot TetraBFT counts notarization/finality quorums this way: a
     /// vote for a descendant block endorses its ancestors regardless of the
     /// views the ancestors were proposed in (cf. Fig. 3, where votes at
-    /// slot 4 / view 0 finalize the block at slot 1 / view 1). Uniqueness
-    /// for majority thresholds holds as for [`VoteRegisters::quorum_value`].
-    pub fn quorum_value_any(&self, phase: usize, threshold: usize) -> Option<Value> {
-        // Per-(view, value) counts fold into per-value counts on the fly:
-        // the table holds one entry per distinct pair, ≤ n entries total,
-        // and in the good case exactly one.
-        let table = &self.tallies[phase];
-        let total =
-            |value| table.iter().filter(|e| e.1 == value).map(|e| e.2 as usize).sum::<usize>();
-        table.iter().map(|e| e.1).find(|value| total(*value) >= threshold)
+    /// slot 4 / view 0 finalize the block at slot 1 / view 1).
+    pub fn quorum_value_any(&self, phase: usize) -> Option<Value> {
+        let values = self.iter_phase(phase).map(|(_, v)| v.value);
+        majority_candidate(values).filter(|value| self.count_value(phase, *value) >= self.quorum)
     }
 
     /// Number of peers whose latest `phase` vote is exactly `(view, value)`:
-    /// a plain peer scan, the reference the tally tables are tested against.
+    /// the count that confirms [`VoteRegisters::quorum_value`]'s candidate.
     pub fn count(&self, phase: usize, view: View, value: Value) -> usize {
         self.iter_phase(phase).filter(|(_, v)| *v == VoteInfo::new(view, value)).count()
     }
 
     /// Number of peers whose latest `phase` vote is for `value` in any
-    /// view: the scan reference for [`VoteRegisters::quorum_value_any`].
+    /// view: the count that confirms [`VoteRegisters::quorum_value_any`]'s
+    /// candidate.
     pub fn count_value(&self, phase: usize, value: Value) -> usize {
         self.iter_phase(phase).filter(|(_, v)| v.value == value).count()
     }
@@ -448,8 +419,8 @@ mod tests {
             votes.record(NodeId(i), 0, View(0), Value::from_u64(9));
         }
         assert_eq!(votes.count(0, View(0), Value::from_u64(9)), 3);
-        assert_eq!(votes.quorum_value(0, View(0), 3), Some(Value::from_u64(9)));
-        assert_eq!(votes.quorum_value(0, View(0), 4), None);
+        assert_eq!(votes.quorum_value(0, View(0)), Some(Value::from_u64(9)));
+        assert_eq!(votes.quorum_value_any(0), Some(Value::from_u64(9)));
         assert_eq!(votes.iter_phase(0).count(), 3);
     }
 
@@ -565,49 +536,92 @@ mod tests {
         assert_eq!(vc.poll(View(0)), ViewVerdict::Enter(View(2)));
     }
 
-    /// The incremental tally tables must agree with a fresh peer scan after
-    /// any history of replacements, equivocations, and stale votes, for any
-    /// number of phases.
+    /// The value among `values` whose scan count reaches a quorum: the
+    /// brute-force reference for the majority-pass quorum checks.
+    fn scan_winner(values: &[u64], quorum: usize, count: impl Fn(Value) -> usize) -> Option<Value> {
+        values.iter().map(|v| Value::from_u64(*v)).find(|v| count(*v) >= quorum)
+    }
+
+    /// The quorum checks must agree with a fresh peer scan after any
+    /// history of replacements, equivocations, and stale votes, for any
+    /// number of phases and peers.
     #[test]
-    fn tally_table_matches_scan_after_replacements() {
-        fn check<const K: usize>() {
-            let cfg = Config::new(7).unwrap();
+    fn quorum_checks_match_a_peer_scan_after_replacements() {
+        fn check<const K: usize>(n: usize) {
+            let cfg = Config::new(n).unwrap();
             let mut regs: VoteRegisters<K> = VoteRegisters::new(&cfg);
             // A messy but deterministic vote history: every peer revotes
             // across views and phases, switching values, with stale and
             // duplicate messages sprinkled in.
             for round in 0..5u64 {
-                for i in 0..7u64 {
+                for i in 0..n as u64 {
                     let (peer, phase) = (NodeId(i as u16), (round + i) as usize % K);
                     regs.record(peer, phase, View(round + i % 3), Value::from_u64((round + i) % 4));
-                    // Stale re-delivery: must not perturb the tables.
+                    // Stale re-delivery: must not perturb the registers.
                     regs.record(peer, phase, View(round / 2), Value::from_u64(99));
                 }
             }
-            let q = cfg.quorum();
-            // Every value that appeared (99 only ever arrives stale). At most
-            // one value can reach a quorum, so the first scan hit is the
-            // answer.
-            let values = || [0, 1, 2, 3, 99].into_iter().map(Value::from_u64);
+            // Every value that appeared (99 only ever arrives stale).
+            let (values, q) = ([0, 1, 2, 3, 99], cfg.quorum());
             for phase in 0..K {
-                // View-agnostic: table lookup agrees with the peer scan.
-                let by_scan = values().find(|v| regs.count_value(phase, *v) >= q);
-                assert_eq!(regs.quorum_value_any(phase, q), by_scan, "K={K} {phase} any-view");
+                let by_scan = scan_winner(&values, q, |v| regs.count_value(phase, v));
+                assert_eq!(regs.quorum_value_any(phase), by_scan, "n={n} K={K} {phase} any-view");
                 // Per-view, over every view that appeared.
                 for view in (0..8).map(View) {
-                    let by_scan = values().find(|v| regs.count(phase, view, *v) >= q);
+                    let by_scan = scan_winner(&values, q, |v| regs.count(phase, view, v));
                     assert_eq!(
-                        regs.quorum_value(phase, view, q),
+                        regs.quorum_value(phase, view),
                         by_scan,
-                        "K={K} {phase} {view:?}"
+                        "n={n} K={K} {phase} {view:?}"
                     );
                 }
             }
         }
-        check::<2>();
-        check::<3>();
-        check::<4>();
-        check::<5>();
+        for n in [4, 7, 13] {
+            check::<2>(n);
+            check::<3>(n);
+            check::<4>(n);
+            check::<5>(n);
+        }
+    }
+
+    /// Arbitrary `(peer, phase, view, value)` histories, few values and
+    /// views so that quorums, near-misses and splits all occur: the quorum
+    /// checks agree with the brute-force scan counts.
+    mod props {
+        use super::*;
+        use proptest::prelude::*;
+
+        const VALUES: [u64; 3] = [0, 1, 2];
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(256))]
+
+            #[test]
+            fn quorum_checks_match_brute_force_counts(
+                n in 1usize..14,
+                history in proptest::collection::vec(
+                    (0u16..13, 0usize..2, 0u64..3, 0u64..3),
+                    0..60,
+                ),
+            ) {
+                let cfg = Config::new(n).unwrap();
+                let mut regs: VoteRegisters<2> = VoteRegisters::new(&cfg);
+                for (peer, phase, view, value) in history {
+                    let peer = NodeId(peer % n as u16);
+                    regs.record(peer, phase, View(view), Value::from_u64(value));
+                }
+                let q = cfg.quorum();
+                for phase in 0..2 {
+                    let by_scan = scan_winner(&VALUES, q, |v| regs.count_value(phase, v));
+                    prop_assert_eq!(regs.quorum_value_any(phase), by_scan);
+                    for view in (0..3).map(View) {
+                        let by_scan = scan_winner(&VALUES, q, |v| regs.count(phase, view, v));
+                        prop_assert_eq!(regs.quorum_value(phase, view), by_scan);
+                    }
+                }
+            }
+        }
     }
 
     #[test]
@@ -618,10 +632,16 @@ mod tests {
         }
         regs.record(NodeId(3), &vote(Phase::VOTE1, 2, 6));
         let (votes, one, two) = (regs.votes(), Phase::VOTE1.index(), Phase::VOTE2.index());
-        assert_eq!(votes.quorum_value(one, View(2), 3), Some(Value::from_u64(5)));
-        assert_eq!(votes.quorum_value(one, View(1), 3), None, "wrong view");
-        assert_eq!(votes.quorum_value(two, View(2), 3), None, "wrong phase");
-        assert_eq!(votes.quorum_value(one, View(2), 4), None, "threshold unmet");
+        assert_eq!(votes.quorum_value(one, View(2)), Some(Value::from_u64(5)));
+        assert_eq!(votes.quorum_value(one, View(1)), None, "wrong view");
+        assert_eq!(votes.quorum_value(two, View(2)), None, "wrong phase");
+        // A 2-of-4 split leaves each value one vote short of the quorum of 3.
+        let mut split = Registers::new(&cfg());
+        for i in 0..4 {
+            split.record(NodeId(i), &vote(Phase::VOTE1, 2, 5 + u64::from(i % 2)));
+        }
+        assert_eq!(split.votes().quorum_value(one, View(2)), None, "threshold unmet");
+        assert_eq!(split.votes().quorum_value_any(one), None, "threshold unmet");
     }
 
     #[test]
@@ -633,14 +653,13 @@ mod tests {
         regs.record(NodeId(1), &vote(Phase::VOTE4, 2, 7));
         regs.record(NodeId(2), &vote(Phase::VOTE4, 3, 7));
         let four = Phase::VOTE4.index();
-        assert_eq!(regs.votes().quorum_value_any(four, 3), Some(Value::from_u64(7)));
-        assert_eq!(regs.votes().quorum_value(four, View(1), 3), None, "no single view has 3");
+        assert_eq!(regs.votes().quorum_value_any(four), Some(Value::from_u64(7)));
+        assert_eq!(regs.votes().quorum_value(four, View(1)), None, "no single view has 3");
     }
 
     #[test]
-    fn equality_ignores_tally_entry_order() {
-        // Same final registers via different arrival orders: the tally
-        // tables' internal entry order differs, equality must not.
+    fn equality_ignores_arrival_order() {
+        // Same final registers via different arrival orders: equal.
         let mut a: VoteRegisters<1> = VoteRegisters::new(&cfg());
         let mut b = a.clone();
         a.record(NodeId(0), 0, View(1), Value::from_u64(5));

@@ -137,7 +137,7 @@ pub trait FrameRequest: Sized {
 /// assert_eq!(transport.outputs, vec!["booted"]);
 /// ```
 #[derive(Debug)]
-pub struct Engine<N> {
+pub struct Engine<N: Node> {
     node: N,
     me: NodeId,
     n: usize,
@@ -145,12 +145,22 @@ pub struct Engine<N> {
     /// removed (safe because generations are never reused across ids).
     generations: HashMap<TimerId, u64>,
     next_generation: u64,
+    /// The node's effects, drained after every dispatch: its capacity is
+    /// kept, so a warmed engine allocates nothing to buffer them.
+    actions: ActionBuf<N::Msg, N::Output>,
 }
 
 impl<N: Node> Engine<N> {
     /// Wraps `node` (node `me` of `n`) in an engine with no armed timers.
     pub fn new(node: N, me: NodeId, n: usize) -> Self {
-        Engine { node, me, n, generations: HashMap::new(), next_generation: 0 }
+        Engine {
+            node,
+            me,
+            n,
+            generations: HashMap::new(),
+            next_generation: 0,
+            actions: ActionBuf::new(),
+        }
     }
 
     /// Number of currently armed timers (the size of the generation
@@ -260,14 +270,11 @@ impl<N: Node> Engine<N> {
         now: Time,
         transport: &mut T,
     ) {
-        // The buffer lives on the stack: a good-case step emits well under
-        // its inline capacity, so dispatch itself performs no allocation.
-        let mut actions: ActionBuf<N::Msg, N::Output> = ActionBuf::new();
-        {
-            let mut ctx = Context::buffered(self.me, self.n, now, &mut actions);
-            self.node.handle(input, &mut ctx);
-        }
-        for action in actions {
+        // The retained buffer is taken out so the node and the generation
+        // table can be borrowed beside it, and put back, empty, after.
+        let mut actions = std::mem::take(&mut self.actions);
+        self.node.handle(input, &mut Context::buffered(self.me, self.n, now, &mut actions));
+        for action in actions.drain(..) {
             match action {
                 Action::Send { dest, msg } => transport.send(dest, msg),
                 Action::SetTimer { id, after } => {
@@ -284,6 +291,7 @@ impl<N: Node> Engine<N> {
                 Action::Output(out) => transport.deliver_output(out),
             }
         }
+        self.actions = actions;
     }
 }
 

@@ -1,6 +1,6 @@
 //! The protocol-facing state-machine interface (sans-I/O).
 
-use tetrabft_types::{InlineVec, NodeId};
+use tetrabft_types::NodeId;
 
 use crate::time::Time;
 
@@ -165,11 +165,11 @@ pub enum Action<M, O> {
 
 /// The action buffer one [`Node::handle`] call writes into.
 ///
-/// A good-case step emits at most a handful of effects (a broadcast, a
-/// timer re-arm, maybe an output), so the buffer keeps 8 slots inline and
-/// only touches the heap on bursts — the per-dispatch `Vec` allocation was
-/// one of the hottest sites in the consensus pipeline.
-pub type ActionBuf<M, O> = InlineVec<Action<M, O>, 8>;
+/// A plain `Vec`: the [`Engine`](crate::Engine) keeps one across
+/// dispatches and drains it after each, so once it has grown to the
+/// largest step's effects, dispatch allocates nothing for it. A caller
+/// that drives a node by hand should retain its buffer the same way.
+pub type ActionBuf<M, O> = Vec<Action<M, O>>;
 
 /// Effect sink and environment view handed to [`Node::handle`].
 pub struct Context<'a, M, O> {

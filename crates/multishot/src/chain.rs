@@ -7,7 +7,7 @@ use std::collections::BTreeMap;
 
 use tetrabft::rules::{leader_determine_safe, node_determine_safe};
 use tetrabft::{Message as CoreMessage, ProofData, Registers, SuggestData};
-use tetrabft_types::{Config, InlineVec, NodeId, Phase, Slot, Value, View, VoteBook};
+use tetrabft_types::{Config, NodeId, Phase, Slot, Value, View, VoteBook};
 
 use crate::block::{Block, BlockHash, GENESIS_HASH};
 use crate::msg::MsMessage;
@@ -132,19 +132,19 @@ impl Chain {
         from: NodeId,
         view: View,
         block: Block,
-    ) -> Option<(BlockHash, InlineVec<Slot, 2>)> {
+    ) -> Option<(BlockHash, impl Iterator<Item = Slot>)> {
         let slot = block.slot;
         // Not the leader of (slot, view): ignore the imposter.
         if !self.in_window(slot) || from != self.leader(slot, view) {
             return None;
         }
         let hash = self.store.insert(block);
-        let opened = [slot, slot.next()].into_iter().filter(|s| self.open(*s).is_some()).collect();
+        let opened = [slot, slot.next()].map(|s| self.open(s).map(|_| s));
         if let Some(st) = self.slots.get_mut(&slot) {
             st.saw_proposal = true;
             st.regs.record(from, &CoreMessage::Proposal { view, value: hash.as_value() });
         }
-        Some((hash, opened))
+        Some((hash, opened.into_iter().flatten()))
     }
 
     /// Counts a vote for a known block at a slot in the window, and
@@ -181,18 +181,18 @@ impl Chain {
 
     /// The four roles of one multiplexed vote: `vote-k` for slot
     /// `slot − k + 1` endorsing the `(k−1)`-th ancestor of `hash`.
-    fn roles(&self, slot: Slot, hash: BlockHash) -> InlineVec<(Slot, Phase, Value), 4> {
-        let mut roles = InlineVec::new();
-        for k in 0u64..4 {
+    fn roles(&self, slot: Slot, hash: BlockHash) -> impl Iterator<Item = (Slot, Phase, Value)> {
+        let mut roles = [None; 4];
+        for (k, role) in (0u64..).zip(&mut roles) {
             let Some(target) = slot.0.checked_sub(k).map(Slot) else { break };
             if target <= self.finalized {
                 break;
             }
             let Some(ancestor) = self.store.ancestor(hash, k as usize) else { break };
             let phase = Phase::from_u8(k as u8 + 1).expect("k+1 in 1..=4");
-            roles.push((target, phase, ancestor.as_value()));
+            *role = Some((target, phase, ancestor.as_value()));
         }
-        roles
+        roles.into_iter().flatten()
     }
 
     fn apply_vote(&mut self, from: NodeId, (slot, view, hash): (Slot, View, BlockHash)) {
@@ -203,10 +203,16 @@ impl Chain {
         }
     }
 
-    /// Snapshot of the live slots, to step them (steps open and retire
-    /// slots); at most [`SLOT_WINDOW`] are live, so it never allocates.
-    pub(crate) fn live_slots(&self) -> InlineVec<Slot, { SLOT_WINDOW as usize }> {
-        self.slots.keys().copied().collect()
+    /// Snapshot of the live slots in order, to step them (steps open and
+    /// retire slots); at most [`SLOT_WINDOW`] are live, so it never
+    /// allocates.
+    pub(crate) fn live_slots(&self) -> impl Iterator<Item = Slot> {
+        debug_assert!(self.slots.len() <= SLOT_WINDOW as usize, "live slots outgrew the window");
+        let mut live = [None; SLOT_WINDOW as usize];
+        for (entry, slot) in live.iter_mut().zip(self.slots.keys()) {
+            *entry = Some(*slot);
+        }
+        live.into_iter().flatten()
     }
 
     /// Enters `view` at the live `slot` if it is higher (Algorithm 2 lines
@@ -228,12 +234,11 @@ impl Chain {
     /// A block is notarized on a quorum of (phase-1) votes, across views —
     /// Fig. 3 counts view-0 votes at slot 4 toward view-1 blocks' finality.
     pub(crate) fn step_notarize(&mut self, slot: Slot) -> bool {
-        let quorum = self.cfg.quorum();
         let st = self.slots.get_mut(&slot).expect("caller checked");
         if st.notarized.is_some() {
             return false;
         }
-        let Some(value) = st.regs.votes().quorum_value_any(Phase::VOTE1.index(), quorum) else {
+        let Some(value) = st.regs.votes().quorum_value_any(Phase::VOTE1.index()) else {
             return false;
         };
         st.notarized = Some(BlockHash::from_value(value));
@@ -348,15 +353,18 @@ impl Chain {
     /// Casts the vote: the one message carries all four roles, recorded
     /// into the four ancestor slots' books. Returns the slots written; the
     /// caller broadcasts the vote.
-    pub(crate) fn cast_vote(&mut self, vote: (Slot, View, BlockHash)) -> InlineVec<Slot, 4> {
-        let mut written = InlineVec::new();
-        for (target, phase, value) in self.roles(vote.0, vote.2) {
+    pub(crate) fn cast_vote(
+        &mut self,
+        vote: (Slot, View, BlockHash),
+    ) -> impl Iterator<Item = Slot> {
+        let mut written = [None; 4];
+        for ((target, phase, value), entry) in self.roles(vote.0, vote.2).zip(&mut written) {
             if let Some(st) = self.slots.get_mut(&target) {
                 st.book.record(phase, vote.1, value);
-                written.push(target);
+                *entry = Some(target);
             }
         }
-        written
+        written.into_iter().flatten()
     }
 
     /// Whether a loan for `slot` can still reach a block: the slot must be
@@ -384,9 +392,8 @@ impl Chain {
     /// peers can serve it.
     pub(crate) fn step_finalize(&mut self) -> Result<(), Slot> {
         // The highest slot with a phase-4 quorum.
-        let quorum = self.cfg.quorum();
         let final_at = |(slot, st): (&Slot, &SlotState)| {
-            let value = st.regs.votes().quorum_value_any(Phase::VOTE4.index(), quorum)?;
+            let value = st.regs.votes().quorum_value_any(Phase::VOTE4.index())?;
             Some((*slot, BlockHash::from_value(value)))
         };
         let Some((slot, hash)) = self.slots.iter().rev().find_map(final_at) else { return Ok(()) };

@@ -663,10 +663,10 @@ impl Node for Chaos {
             let slot = Slot(self.node.chain.finalized.0 + shared.random_range(1..=4u64));
             self.enter(slot, View(self.epoch), ctx);
         }
-        let live = self.node.chain.live_slots();
+        let live: Vec<Slot> = self.node.chain.live_slots().collect();
         match self.rng.random_range(0..CHAOS_ODDS) {
             0 if !live.is_empty() => {
-                let slot = *live.get(self.rng.random_range(0..live.len())).expect("in range");
+                let slot = live[self.rng.random_range(0..live.len())];
                 let view = self.node.chain.slots[&slot].view.0 + self.rng.random_range(1..=3u64);
                 self.enter(slot, View(view), ctx);
             }

@@ -133,10 +133,9 @@ impl<N: Node> Node for FilteredNode<N> {
     type Output = N::Output;
 
     fn handle(&mut self, input: Input<N::Msg>, ctx: &mut Context<'_, N::Msg, N::Output>) {
-        self.buf.clear();
         let mut inner_ctx = Context::buffered(ctx.me(), ctx.n(), ctx.now(), &mut self.buf);
         self.inner.handle(input, &mut inner_ctx);
-        for action in std::mem::take(&mut self.buf) {
+        for action in self.buf.drain(..) {
             match action {
                 Action::Send { msg, .. } if !(self.keep)(&msg) => {}
                 Action::Send { dest: Dest::All, msg } if self.silenced.is_empty() => {

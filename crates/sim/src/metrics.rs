@@ -89,16 +89,10 @@ impl Metrics {
                     self.claims.insert(key, claim.value);
                 }
             }
-            Some(first) if *first != claim.value => {
+            Some(first) => {
+                let held = AuditClaim { value: *first, ..claim };
+                let Some(ev) = Evidence::from_claims(from, held, claim) else { return };
                 self.equivocations += 1;
-                let ev = Evidence {
-                    node: from,
-                    slot: claim.slot,
-                    view: claim.view,
-                    phase: claim.phase,
-                    first: *first,
-                    second: claim.value,
-                };
                 let dup = self.evidence.iter().any(|e| {
                     e.node == ev.node
                         && e.slot == ev.slot
@@ -109,7 +103,6 @@ impl Metrics {
                     self.evidence.push(ev);
                 }
             }
-            Some(_) => {}
         }
     }
 

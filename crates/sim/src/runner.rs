@@ -203,7 +203,7 @@ impl<M: WireSize + Clone, O> Transport<M, O> for SimTransport<'_, M, O> {
 /// Drive it with [`Sim::step`], [`Sim::run_until`], or
 /// [`Sim::run_until_quiet`]; inspect results via [`Sim::outputs`],
 /// [`Sim::metrics`], and [`Sim::trace`].
-pub struct Sim<M, O> {
+pub struct Sim<M: WireSize + Clone, O> {
     n: usize,
     engines: Vec<Engine<Box<dyn Node<Msg = M, Output = O>>>>,
     plan: LinkPlan,

@@ -32,7 +32,6 @@ mod config;
 mod evidence;
 mod fsync;
 mod ids;
-mod inline_vec;
 mod phase;
 mod value;
 mod votebook;
@@ -41,7 +40,6 @@ pub use config::{Config, ConfigError};
 pub use evidence::{AuditClaim, Evidence};
 pub use fsync::FsyncPolicy;
 pub use ids::{NodeId, Slot, View};
-pub use inline_vec::InlineVec;
 pub use phase::Phase;
 pub use value::Value;
 pub use votebook::{VoteBook, VoteInfo};
