@@ -24,7 +24,7 @@ const KEY3: usize = 3;
 const LOCK: usize = 4;
 
 /// The view timer.
-pub const VIEW_TIMER: TimerId = TimerId(0);
+const VIEW_TIMER: TimerId = TimerId(0);
 
 /// IT-HS message.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -197,11 +197,6 @@ impl IthsNode {
             lock: None,
             decided: None,
         }
-    }
-
-    /// The decided value, if any.
-    pub fn decided(&self) -> Option<Value> {
-        self.decided
     }
 
     fn leader(&self, view: View) -> NodeId {

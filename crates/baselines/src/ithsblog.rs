@@ -17,9 +17,9 @@ const ACCEPT: usize = 1;
 const LOCK: usize = 2;
 
 /// The view timer.
-pub const VIEW_TIMER: TimerId = TimerId(0);
+const VIEW_TIMER: TimerId = TimerId(0);
 /// The non-responsive leader wait: fires `Δ` after entering a view.
-pub const WAIT_TIMER: TimerId = TimerId(1);
+const WAIT_TIMER: TimerId = TimerId(1);
 
 /// Blog-IT-HS message.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -159,11 +159,6 @@ impl BlogNode {
             lock: None,
             decided: None,
         }
-    }
-
-    /// The decided value, if any.
-    pub fn decided(&self) -> Option<Value> {
-        self.decided
     }
 
     fn leader(&self, view: View) -> NodeId {

@@ -21,7 +21,7 @@ const PREPARE: usize = 0;
 const COMMIT: usize = 1;
 
 /// The view timer.
-pub const VIEW_TIMER: TimerId = TimerId(0);
+const VIEW_TIMER: TimerId = TimerId(0);
 
 /// One prepare vote inside a certificate.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -255,11 +255,6 @@ impl PbftNode {
             cert: Vec::new(),
             decided: None,
         }
-    }
-
-    /// The decided value, if any.
-    pub fn decided(&self) -> Option<Value> {
-        self.decided
     }
 
     fn leader(&self, view: View) -> NodeId {

@@ -71,11 +71,6 @@ impl RepeatedTetra {
         }
     }
 
-    /// The instance currently being decided.
-    pub fn instance(&self) -> u64 {
-        self.instance
-    }
-
     /// Forwards one input to the inner node, translating its effects:
     /// messages get instance-tagged, a decision rolls over to the next
     /// instance.

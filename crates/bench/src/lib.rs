@@ -10,6 +10,7 @@
 // `GlobalAlloc`, which requires `unsafe` and carries a scoped allow.
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
 mod alloc_count;
 

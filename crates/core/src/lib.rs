@@ -48,6 +48,7 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
 mod msg;
 mod node;
@@ -56,6 +57,6 @@ mod records;
 pub mod rules;
 
 pub use msg::{Message, ProofData, SuggestData};
-pub use node::{TetraNode, VIEW_TIMER};
+pub use node::TetraNode;
 pub use params::Params;
 pub use records::{PeerRecord, Registers, ViewChanges, ViewVerdict, VoteRegisters};

@@ -128,7 +128,8 @@ pub enum Message {
 
 impl Message {
     /// The view this message belongs to.
-    pub fn view(&self) -> View {
+    #[cfg(test)]
+    pub(crate) fn view(&self) -> View {
         match self {
             Message::Proposal { view, .. }
             | Message::Vote { view, .. }

@@ -9,7 +9,7 @@ use crate::records::{Registers, ViewChanges, ViewVerdict};
 use crate::rules::{leader_determine_safe, node_determine_safe};
 
 /// The single protocol timer: the per-view timeout of `9Δ`.
-pub const VIEW_TIMER: TimerId = TimerId(0);
+const VIEW_TIMER: TimerId = TimerId(0);
 
 /// A well-behaved Basic TetraBFT node.
 ///
@@ -64,26 +64,6 @@ impl TetraNode {
             scratch_suggests: Vec::new(),
             scratch_proofs: Vec::new(),
         }
-    }
-
-    /// The node's current view.
-    pub fn view(&self) -> View {
-        self.view
-    }
-
-    /// The decided value, if this node has decided.
-    pub fn decided(&self) -> Option<Value> {
-        self.decided
-    }
-
-    /// The node's input value.
-    pub fn input(&self) -> Value {
-        self.input
-    }
-
-    /// The persistent vote book (for storage measurements and tests).
-    pub fn book(&self) -> &VoteBook {
-        &self.book
     }
 
     /// Equivocation evidence this node harvested from received traffic —

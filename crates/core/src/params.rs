@@ -9,10 +9,11 @@ use tetrabft_types::FsyncPolicy;
 /// view-entry skew across well-behaved nodes, `6Δ` for suggest/proof,
 /// proposal, and the four vote phases, plus one Δ of safety margin.
 ///
-/// The multi-shot extension adds three *batching* knobs consumed by the
-/// leader's mempool: how many transactions a block may carry, how many the
-/// pool admits before pushing back, and how large one transaction may be.
-/// Their defaults match the historical hard-coded behavior.
+/// The multi-shot extension adds two *batching* knobs consumed by the
+/// leader's mempool: how many transactions a block may carry and how many
+/// the pool admits before pushing back. Their defaults match the historical
+/// hard-coded behavior. One transaction may be at most
+/// [`Params::DEFAULT_MAX_TX_BYTES`] bytes long.
 ///
 /// # Examples
 ///
@@ -33,23 +34,23 @@ pub struct Params {
     timeout_factor: u64,
     max_block_txs: usize,
     mempool_capacity: usize,
-    max_tx_bytes: usize,
     fsync: FsyncPolicy,
     idle_pacing: u64,
 }
 
 impl Params {
     /// Multiplier fixed by the paper's timeout analysis (Section 3.2).
-    pub const TIMEOUT_FACTOR: u64 = 9;
+    pub(crate) const TIMEOUT_FACTOR: u64 = 9;
 
     /// Default cap on transactions per block.
     pub const DEFAULT_MAX_BLOCK_TXS: usize = 64;
 
     /// Default mempool admission bound (submissions beyond it are refused
     /// with a typed backpressure error).
-    pub const DEFAULT_MEMPOOL_CAPACITY: usize = 8_192;
+    pub(crate) const DEFAULT_MEMPOOL_CAPACITY: usize = 8_192;
 
-    /// Default per-transaction size cap in bytes.
+    /// Per-transaction size cap in bytes: the mempool refuses a longer
+    /// transaction with `SubmitError::TooLarge`.
     pub const DEFAULT_MAX_TX_BYTES: usize = 4 * 1024;
 
     /// Creates parameters for a known post-GST delivery bound `delta` (Δ),
@@ -66,7 +67,6 @@ impl Params {
             timeout_factor: Self::TIMEOUT_FACTOR,
             max_block_txs: Self::DEFAULT_MAX_BLOCK_TXS,
             mempool_capacity: Self::DEFAULT_MEMPOOL_CAPACITY,
-            max_tx_bytes: Self::DEFAULT_MAX_TX_BYTES,
             fsync: FsyncPolicy::default(),
             idle_pacing: 0,
         }
@@ -108,18 +108,6 @@ impl Params {
     pub fn with_mempool_capacity(mut self, capacity: usize) -> Self {
         assert!(capacity > 0, "mempool must admit at least one tx");
         self.mempool_capacity = capacity;
-        self
-    }
-
-    /// Sets the per-transaction size cap in bytes.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `max == 0`.
-    #[must_use]
-    pub fn with_max_tx_bytes(mut self, max: usize) -> Self {
-        assert!(max > 0, "tx size cap must be positive");
-        self.max_tx_bytes = max;
         self
     }
 
@@ -190,12 +178,6 @@ impl Params {
     pub fn mempool_capacity(&self) -> usize {
         self.mempool_capacity
     }
-
-    /// Per-transaction size cap in bytes.
-    #[inline]
-    pub fn max_tx_bytes(&self) -> usize {
-        self.max_tx_bytes
-    }
 }
 
 #[cfg(test)]
@@ -229,9 +211,8 @@ mod tests {
         let p = Params::new(5);
         assert_eq!(p.max_block_txs(), Params::DEFAULT_MAX_BLOCK_TXS);
         assert_eq!(p.mempool_capacity(), Params::DEFAULT_MEMPOOL_CAPACITY);
-        assert_eq!(p.max_tx_bytes(), Params::DEFAULT_MAX_TX_BYTES);
-        let q = p.with_max_block_txs(7).with_mempool_capacity(11).with_max_tx_bytes(13);
-        assert_eq!((q.max_block_txs(), q.mempool_capacity(), q.max_tx_bytes()), (7, 11, 13));
+        let q = p.with_max_block_txs(7).with_mempool_capacity(11);
+        assert_eq!((q.max_block_txs(), q.mempool_capacity()), (7, 11));
         assert_eq!(q.delta(), 5, "timing knobs are untouched");
     }
 

@@ -149,7 +149,7 @@ impl<const K: usize> VoteRegisters<K> {
     /// Number of peers whose latest `phase` vote is for `value` in any
     /// view: the count that confirms [`VoteRegisters::quorum_value_any`]'s
     /// candidate.
-    pub fn count_value(&self, phase: usize, value: Value) -> usize {
+    pub(crate) fn count_value(&self, phase: usize, value: Value) -> usize {
         self.iter_phase(phase).filter(|(_, v)| v.value == value).count()
     }
 }
@@ -306,7 +306,7 @@ impl Registers {
     }
 
     /// Equivocation evidence harvested while recording, in detection order.
-    pub fn evidence(&self) -> &[Evidence] {
+    pub(crate) fn evidence(&self) -> &[Evidence] {
         &self.evidence
     }
 

@@ -165,33 +165,9 @@ impl<N: Node> Engine<N> {
 
     /// Number of currently armed timers (the size of the generation
     /// table — bounded by the protocol's live timers, not its history).
-    pub fn armed_timers(&self) -> usize {
+    #[cfg(test)]
+    fn armed_timers(&self) -> usize {
         self.generations.len()
-    }
-
-    /// This node's id.
-    #[inline]
-    pub fn me(&self) -> NodeId {
-        self.me
-    }
-
-    /// Number of nodes in the system.
-    #[inline]
-    pub fn n(&self) -> usize {
-        self.n
-    }
-
-    /// The wrapped node.
-    #[inline]
-    pub fn node(&self) -> &N {
-        &self.node
-    }
-
-    /// Mutable access to the wrapped node (test inspection, submissions
-    /// made on the node directly).
-    #[inline]
-    pub fn node_mut(&mut self) -> &mut N {
-        &mut self.node
     }
 
     /// Boots the node (deliver exactly once, before any other event) and

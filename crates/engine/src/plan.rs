@@ -78,7 +78,7 @@ impl EdgeSpec {
 
     /// Samples one message: `None` if dropped, otherwise the total one-way
     /// delay (base + jitter) in milliseconds.
-    pub fn sample(&self, rng: &mut StdRng) -> Option<u64> {
+    pub(crate) fn sample(&self, rng: &mut StdRng) -> Option<u64> {
         if lost(self.drop_ppm, rng) {
             return None;
         }
@@ -87,7 +87,7 @@ impl EdgeSpec {
     }
 
     /// Worst-case one-way delay (base + full jitter).
-    pub fn max_delay_ms(&self) -> u64 {
+    pub(crate) fn max_delay_ms(&self) -> u64 {
         self.delay_ms + self.jitter_ms
     }
 }
@@ -403,7 +403,7 @@ impl LinkPlan {
     }
 
     /// Overrides one directed edge.
-    pub fn edge(mut self, from: NodeId, to: NodeId, spec: EdgeSpec) -> Self {
+    pub(crate) fn edge(mut self, from: NodeId, to: NodeId, spec: EdgeSpec) -> Self {
         self.edges.insert((from.0, to.0), spec);
         self
     }

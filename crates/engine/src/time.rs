@@ -27,8 +27,8 @@ impl Time {
     pub const ZERO: Time = Time(0);
 
     /// Saturating difference `self − earlier`.
-    #[inline]
-    pub fn since(self, earlier: Time) -> u64 {
+    #[cfg(test)]
+    fn since(self, earlier: Time) -> u64 {
         self.0.saturating_sub(earlier.0)
     }
 }

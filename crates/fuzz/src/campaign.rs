@@ -1,6 +1,6 @@
 //! Seeded campaign runner.
 //!
-//! A campaign maps each seed to one [`Scenario`] via [`sample_scenario`]
+//! A campaign maps each seed to one [`Scenario`] via `sample_scenario`
 //! (deterministically — same seed and config, same scenario, byte for
 //! byte), runs it, and on violation shrinks it and cross-audits safety
 //! hits against the bounded model. The whole [`CampaignReport`] is a pure
@@ -167,7 +167,7 @@ fn sample_targets(rng: &mut StdRng, n: usize, me: u16) -> Vec<NodeId> {
 }
 
 /// Deterministically expands one seed into a full adversarial scenario.
-pub fn sample_scenario(seed: u64, cfg: &CampaignCfg) -> Scenario {
+pub(crate) fn sample_scenario(seed: u64, cfg: &CampaignCfg) -> Scenario {
     let mut rng = StdRng::seed_from_u64(seed ^ SEED_SALT);
     let n_min = cfg.n_min.max(1);
     let n_max = cfg.n_max.max(n_min);

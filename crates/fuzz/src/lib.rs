@@ -48,6 +48,7 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
 mod actors;
 mod audit;
@@ -59,6 +60,6 @@ mod shrink;
 mod strategies;
 
 pub use audit::{cross_audit, McAudit};
-pub use campaign::{run_campaign, sample_scenario, CampaignCfg, CampaignReport, SeedOutcome};
+pub use campaign::{run_campaign, CampaignCfg, CampaignReport, SeedOutcome};
 pub use scenario::{Attack, FaultSpec, HonestVote, Mode, RunReport, Scenario, Verdict};
 pub use shrink::shrink;

@@ -230,12 +230,12 @@ impl Scenario {
     /// # Panics
     ///
     /// Panics if `n == 0`.
-    pub fn cfg(&self) -> Config {
+    pub(crate) fn cfg(&self) -> Config {
         Config::new(self.n).expect("scenario needs at least one node")
     }
 
     /// Fault budget `f = ⌊(n−1)/3⌋` the protocol tolerates at this `n`.
-    pub fn tolerated(&self) -> usize {
+    pub(crate) fn tolerated(&self) -> usize {
         self.cfg().f()
     }
 
@@ -245,14 +245,14 @@ impl Scenario {
     }
 
     /// IDs of faulty nodes, ascending.
-    pub fn faulty_ids(&self) -> Vec<NodeId> {
+    pub(crate) fn faulty_ids(&self) -> Vec<NodeId> {
         let mut ids: Vec<NodeId> = self.faults.iter().map(|f| f.node).collect();
         ids.sort_unstable();
         ids
     }
 
     /// IDs of honest nodes, ascending.
-    pub fn honest_ids(&self) -> Vec<NodeId> {
+    pub(crate) fn honest_ids(&self) -> Vec<NodeId> {
         let faulty = self.faulty_ids();
         (0..self.n as u16).map(NodeId).filter(|id| !faulty.contains(id)).collect()
     }
@@ -271,7 +271,7 @@ impl Scenario {
     /// A horizon that comfortably covers `views` view-changes after the last
     /// window ends — a heal, or the end of a hold, when its frames arrive —
     /// given this plan's worst-case link delay.
-    pub fn recommended_horizon(&self) -> u64 {
+    pub(crate) fn recommended_horizon(&self) -> u64 {
         let heal = self.plan.partitions().iter().map(|w| w.end_ms).max().unwrap_or(0);
         let delay = self.plan.max_delay_ms(self.n).max(1);
         let views = self.n as u64 + 3;

@@ -98,7 +98,7 @@ impl Transaction for Transfer {
 /// use tetrabft_ledger::{transfer_admission, AccountId, Transfer};
 /// use tetrabft_multishot::{Mempool, SubmitError, Tx};
 ///
-/// let mut pool = Mempool::new(16, 64).with_admission(transfer_admission);
+/// let mut pool = Mempool::new(16).with_admission(transfer_admission);
 /// let ok = Transfer { from: AccountId(1), to: AccountId(2), amount: 5, nonce: 0 };
 /// pool.submit(Tx::typed(&ok))?;
 /// assert!(matches!(

@@ -23,14 +23,14 @@
 use crate::model::{ModelCfg, State, VoteTable, MAX_ROUNDS};
 
 /// Fixed width of a [`PackedState`] in 64-bit words (512 bits).
-pub const MAX_WORDS: usize = 8;
+pub(crate) const MAX_WORDS: usize = 8;
 
 /// Maximum honest-node count the packed codec supports (stack-array bound).
-pub const MAX_HONEST: usize = 16;
+pub(crate) const MAX_HONEST: usize = 16;
 
-/// A fixed-width bit-packed state. Only the low [`Codec::words_used`]
-/// words are meaningful; the rest are zero, so derived equality and
-/// ordering are exact.
+/// A fixed-width bit-packed state of eight words. Only as many low words
+/// as its [`Codec`] packs are meaningful; the rest are zero, so derived
+/// equality and ordering are exact.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct PackedState {
     words: [u64; MAX_WORDS],
@@ -38,17 +38,17 @@ pub struct PackedState {
 
 impl PackedState {
     /// The zeroed (invalid) packed state, used as a scratch buffer.
-    pub fn zero() -> PackedState {
+    pub(crate) fn zero() -> PackedState {
         PackedState { words: [0; MAX_WORDS] }
     }
 
     /// The raw words.
-    pub fn words(&self) -> &[u64; MAX_WORDS] {
+    pub(crate) fn words(&self) -> &[u64; MAX_WORDS] {
         &self.words
     }
 
     /// Rebuilds a packed state from its first `stride` raw words.
-    pub fn from_words(words: &[u64]) -> PackedState {
+    pub(crate) fn from_words(words: &[u64]) -> PackedState {
         let mut out = PackedState::zero();
         out.words[..words.len()].copy_from_slice(words);
         out
@@ -56,7 +56,7 @@ impl PackedState {
 }
 
 /// 64-bit fingerprint of the first `stride` words (SplitMix64 chaining).
-pub fn fingerprint(words: &[u64]) -> u64 {
+pub(crate) fn fingerprint(words: &[u64]) -> u64 {
     let mut h: u64 = 0x9E37_79B9_7F4A_7C15;
     for &w in words {
         let mut z = h ^ w;
@@ -145,7 +145,7 @@ impl Codec {
     ///
     /// If the bounds don't fit the packed representation: `values` must be
     /// `1..=7` (3 bits per slot), `rounds ≤ MAX_ROUNDS`, and there must be
-    /// `1..=MAX_HONEST` honest nodes fitting [`MAX_WORDS`] words.
+    /// 1 to 16 honest nodes fitting eight 64-bit words.
     pub fn new(cfg: &ModelCfg, value_symmetry: bool) -> Codec {
         assert!((1..=7).contains(&cfg.values), "packed codec supports 1..=7 values");
         assert!(
@@ -173,13 +173,8 @@ impl Codec {
         Codec { cfg: *cfg, bits, node_bits, words: total_bits.div_ceil(64) as usize, perms }
     }
 
-    /// The model bounds this codec packs.
-    pub fn cfg(&self) -> &ModelCfg {
-        &self.cfg
-    }
-
     /// Words of a [`PackedState`] actually used (the store's entry stride).
-    pub fn words_used(&self) -> usize {
+    pub(crate) fn words_used(&self) -> usize {
         self.words
     }
 
@@ -280,7 +275,7 @@ impl Codec {
     }
 
     /// Fingerprint of a packed state over the words this codec uses.
-    pub fn fingerprint(&self, packed: &PackedState) -> u64 {
+    pub(crate) fn fingerprint(&self, packed: &PackedState) -> u64 {
         fingerprint(&packed.words()[..self.words])
     }
 }

@@ -12,8 +12,7 @@
 //! ```
 //!
 //! Segment files live in a per-queue directory under the system temp dir
-//! (or an explicit override) and are deleted as they are consumed and on
-//! drop.
+//! and are deleted as they are consumed and on drop.
 
 use std::collections::VecDeque;
 use std::fs;
@@ -26,7 +25,7 @@ static QUEUE_SEQ: AtomicU64 = AtomicU64::new(0);
 /// A FIFO of fixed-stride `u64` records that spills to temp files once its
 /// in-RAM buffers are full.
 #[derive(Debug)]
-pub struct SpillQueue {
+pub(crate) struct SpillQueue {
     stride: usize,
     /// Max states held in each of the head and tail buffers.
     mem_states: usize,
@@ -43,8 +42,8 @@ pub struct SpillQueue {
 impl SpillQueue {
     /// Creates a queue of `stride`-word records keeping at most
     /// `mem_states` records per in-RAM buffer; overflow spills beneath
-    /// `dir` (the system temp dir when `None`).
-    pub fn new(stride: usize, mem_states: usize, dir: Option<PathBuf>) -> SpillQueue {
+    /// the system temp dir.
+    pub(crate) fn new(stride: usize, mem_states: usize) -> SpillQueue {
         let unique = format!(
             "tetrabft-mc-{}-{}",
             std::process::id(),
@@ -56,7 +55,7 @@ impl SpillQueue {
             head: VecDeque::new(),
             tail: Vec::new(),
             segments: VecDeque::new(),
-            dir: dir.unwrap_or_else(std::env::temp_dir).join(unique),
+            dir: std::env::temp_dir().join(unique),
             dir_created: false,
             seq: 0,
             len: 0,
@@ -65,22 +64,23 @@ impl SpillQueue {
     }
 
     /// Records queued.
-    pub fn len(&self) -> usize {
+    #[cfg(test)]
+    fn len(&self) -> usize {
         self.len
     }
 
     /// Whether the queue is empty.
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.len == 0
     }
 
     /// Total records ever written to disk (spill volume statistic).
-    pub fn spilled(&self) -> u64 {
+    pub(crate) fn spilled(&self) -> u64 {
         self.spilled
     }
 
     /// Appends one record (`words.len()` must equal the stride).
-    pub fn push(&mut self, words: &[u64]) {
+    pub(crate) fn push(&mut self, words: &[u64]) {
         debug_assert_eq!(words.len(), self.stride);
         // Fast path: nothing has spilled and the head has room — keep the
         // record in RAM. Once anything is queued behind the head (segments
@@ -99,7 +99,7 @@ impl SpillQueue {
     }
 
     /// Pops the oldest record into `out` (stride words); `false` if empty.
-    pub fn pop(&mut self, out: &mut [u64]) -> bool {
+    pub(crate) fn pop(&mut self, out: &mut [u64]) -> bool {
         debug_assert_eq!(out.len(), self.stride);
         if self.head.is_empty() && !self.refill() {
             return false;
@@ -162,7 +162,7 @@ mod tests {
 
     #[test]
     fn fifo_without_spill() {
-        let mut q = SpillQueue::new(2, 100, None);
+        let mut q = SpillQueue::new(2, 100);
         for i in 0..50u64 {
             q.push(&[i + 1, i * 2]);
         }
@@ -179,7 +179,7 @@ mod tests {
     #[test]
     fn fifo_across_disk_segments() {
         // Tiny RAM cap: 4 records per buffer forces many segments.
-        let mut q = SpillQueue::new(3, 4, None);
+        let mut q = SpillQueue::new(3, 4);
         let n = 1000u64;
         for i in 0..n {
             q.push(&[i + 1, i, i * 3]);
@@ -200,7 +200,7 @@ mod tests {
 
     #[test]
     fn interleaved_push_pop_stays_fifo() {
-        let mut q = SpillQueue::new(1, 8, None);
+        let mut q = SpillQueue::new(1, 8);
         let mut next_push = 0u64;
         let mut next_pop = 0u64;
         let mut out = [0u64; 1];
@@ -227,7 +227,7 @@ mod tests {
     fn unbounded_mem_cap_never_overflows_or_spills() {
         // Regression: `mem_states * stride` overflowed (debug panic) for
         // the natural "never spill" setting with multi-word strides.
-        let mut q = SpillQueue::new(3, usize::MAX, None);
+        let mut q = SpillQueue::new(3, usize::MAX);
         for i in 0..100u64 {
             q.push(&[i + 1, i, i]);
         }
@@ -241,7 +241,7 @@ mod tests {
 
     #[test]
     fn drop_cleans_unconsumed_segments() {
-        let mut q = SpillQueue::new(1, 2, None);
+        let mut q = SpillQueue::new(1, 2);
         for i in 0..100 {
             q.push(&[i + 1]);
         }

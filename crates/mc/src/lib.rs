@@ -14,7 +14,7 @@
 //!    over-approximation of all message behaviour visible to well-behaved
 //!    nodes in an unauthenticated system (and strictly stronger than
 //!    enumerating adversary states). The explorer is built to scale:
-//!    states are bit-packed fingerprints ([`encode`]) canonicalized under
+//!    states are bit-packed fingerprints ([`Codec`]) canonicalized under
 //!    honest-node *and* value symmetry, the seen-set is a sharded
 //!    collision-checked open-addressing table, the frontier spills to disk
 //!    instead of exhausting RAM, expansion parallelizes across threads
@@ -42,9 +42,10 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
 mod bfs;
-pub mod encode;
+mod encode;
 mod frontier;
 pub mod invariants;
 mod model;
@@ -55,8 +56,6 @@ mod trace;
 
 pub use bfs::LegacyExplorer;
 pub use encode::{Codec, PackedState};
-pub use frontier::SpillQueue;
 pub use model::{ModelAction, ModelCfg, State, Vote, MAX_ROUNDS};
 pub use parallel::{ExploreStats, Explorer};
 pub use report::{Report, Trace, TraceStep};
-pub use store::{Outcome, Store};

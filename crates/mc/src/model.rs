@@ -42,7 +42,7 @@ impl ModelCfg {
 
     /// Minimum number of *honest* claimants needed alongside the `f`
     /// Byzantine members to form a blocking set of `f + 1`.
-    pub fn honest_blocking(&self) -> usize {
+    pub(crate) fn honest_blocking(&self) -> usize {
         1
     }
 }
@@ -150,13 +150,13 @@ impl State {
 
     /// `Accepted(v, r, phase)`: a quorum voted `(r, phase, v)`; the `f`
     /// angelic members always help, so `n − 2f` honest votes suffice.
-    pub fn accepted(&self, cfg: &ModelCfg, value: u8, round: u8, phase: u8) -> bool {
+    pub(crate) fn accepted(&self, cfg: &ModelCfg, value: u8, round: u8, phase: u8) -> bool {
         let honest = self.votes.iter().filter(|t| t.get(round, phase) == Some(value)).count();
         honest >= cfg.honest_quorum()
     }
 
     /// `ClaimsSafeAt(v, r, r2, q, phase)` from the TLA+ spec, for honest `q`.
-    pub fn claims_safe_at(&self, q: usize, value: u8, r: u8, r2: u8, phase: u8) -> bool {
+    pub(crate) fn claims_safe_at(&self, q: usize, value: u8, r: u8, r2: u8, phase: u8) -> bool {
         if r2 == 0 {
             return true;
         }
@@ -180,7 +180,7 @@ impl State {
     /// satisfy the per-member conditions (the `f` Byzantine members can
     /// always be chosen to satisfy anything), and the blocking set needs
     /// only one honest claimant for the same reason.
-    pub fn shows_safe_at(
+    pub(crate) fn shows_safe_at(
         &self,
         cfg: &ModelCfg,
         value: u8,

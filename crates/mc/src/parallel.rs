@@ -23,7 +23,6 @@
 //! counterexample's *steps* may differ across multi-threaded runs — its
 //! length (shortest) and final decided values never do.
 
-use std::path::PathBuf;
 use std::sync::Mutex;
 
 use crate::encode::{Codec, PackedState, MAX_HONEST, MAX_WORDS};
@@ -77,7 +76,6 @@ pub struct Explorer {
     value_symmetry: bool,
     initial: Option<State>,
     frontier_mem: usize,
-    spill_dir: Option<PathBuf>,
 }
 
 impl Explorer {
@@ -91,7 +89,6 @@ impl Explorer {
             value_symmetry: true,
             initial: None,
             frontier_mem: 1 << 18,
-            spill_dir: None,
         }
     }
 
@@ -146,12 +143,6 @@ impl Explorer {
         self
     }
 
-    /// Directory for frontier spill segments (default: system temp dir).
-    pub fn spill_dir(mut self, dir: PathBuf) -> Self {
-        self.spill_dir = Some(dir);
-        self
-    }
-
     /// Explores up to `max_states` distinct states (modulo honest-node and
     /// value symmetry) from the initial state.
     pub fn run(&self, max_states: usize) -> Report {
@@ -174,11 +165,7 @@ impl Explorer {
         assert_eq!(initial.round.len(), self.cfg.honest());
 
         let new_queues = || -> Vec<Mutex<SpillQueue>> {
-            (0..k)
-                .map(|_| {
-                    Mutex::new(SpillQueue::new(stride, self.frontier_mem, self.spill_dir.clone()))
-                })
-                .collect()
+            (0..k).map(|_| Mutex::new(SpillQueue::new(stride, self.frontier_mem))).collect()
         };
         let mut current = new_queues();
         let mut next = new_queues();

@@ -19,7 +19,7 @@ use crate::model::ModelAction;
 
 /// Result of a [`Store::try_insert`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Outcome {
+pub(crate) enum Outcome {
     /// The state was not in the store and was inserted.
     Fresh,
     /// The state was already present.
@@ -127,7 +127,7 @@ impl Shard {
 }
 
 /// The sharded seen-set (and, with tracing, predecessor table).
-pub struct Store {
+pub(crate) struct Store {
     shards: Vec<Mutex<Shard>>,
     shard_mask: u64,
     stride: usize,
@@ -142,7 +142,7 @@ impl Store {
     /// inserts beyond `budget` states. `shards` is rounded up to a power
     /// of two. With `trace`, each entry also records its parent state and
     /// the action that discovered it.
-    pub fn new(stride: usize, shards: usize, budget: usize, trace: bool) -> Store {
+    pub(crate) fn new(stride: usize, shards: usize, budget: usize, trace: bool) -> Store {
         let shards = shards.max(1).next_power_of_two();
         Store {
             shards: (0..shards).map(|_| Mutex::new(Shard::new(256, stride, trace))).collect(),
@@ -155,15 +155,10 @@ impl Store {
         }
     }
 
-    /// Words per entry.
-    pub fn stride(&self) -> usize {
-        self.stride
-    }
-
     /// Inserts `packed` (with fingerprint `fp`), recording `parent` when
     /// tracing. Duplicates report [`Outcome::Seen`] regardless of budget;
     /// new states beyond the budget are counted and dropped.
-    pub fn try_insert(
+    pub(crate) fn try_insert(
         &self,
         packed: &PackedState,
         fp: u64,
@@ -213,7 +208,11 @@ impl Store {
 
     /// The parent state and discovering action recorded for `packed`, if
     /// tracing was on and `packed` is a stored non-root state.
-    pub fn parent(&self, packed: &PackedState, fp: u64) -> Option<(PackedState, ModelAction)> {
+    pub(crate) fn parent(
+        &self,
+        packed: &PackedState,
+        fp: u64,
+    ) -> Option<(PackedState, ModelAction)> {
         if !self.trace {
             return None;
         }
@@ -229,22 +228,17 @@ impl Store {
     }
 
     /// Distinct states stored.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.count.load(Ordering::Relaxed)
     }
 
-    /// Whether no state has been stored.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
     /// Discovery events refused at the budget.
-    pub fn dropped(&self) -> usize {
+    pub(crate) fn dropped(&self) -> usize {
         self.dropped.load(Ordering::Relaxed)
     }
 
     /// Bytes of table capacity currently allocated (keys + trace aux).
-    pub fn bytes(&self) -> usize {
+    pub(crate) fn bytes(&self) -> usize {
         self.shards
             .iter()
             .map(|s| {

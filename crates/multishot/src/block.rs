@@ -21,13 +21,13 @@ pub const GENESIS_HASH: BlockHash = BlockHash(1);
 impl BlockHash {
     /// The consensus [`Value`] this hash is voted on as.
     #[inline]
-    pub fn as_value(self) -> Value {
+    pub(crate) fn as_value(self) -> Value {
         Value::from_u64(self.0)
     }
 
     /// Reconstructs a hash from a consensus value.
     #[inline]
-    pub fn from_value(value: Value) -> Self {
+    pub(crate) fn from_value(value: Value) -> Self {
         BlockHash(value.as_u64())
     }
 }

@@ -65,7 +65,7 @@ pub(crate) struct Handoff {
 impl Handoff {
     pub(crate) fn new(params: &Params) -> Self {
         Handoff {
-            mempool: Mempool::new(params.mempool_capacity(), params.max_tx_bytes()),
+            mempool: Mempool::new(params.mempool_capacity()),
             owed: BTreeMap::new(),
             borrowed: BTreeMap::new(),
             cap: params.max_block_txs(),

@@ -21,6 +21,8 @@
 use std::collections::{HashMap, VecDeque};
 use std::fmt;
 
+use tetrabft::Params;
+
 use crate::txn::{Tx, TxCheck, TxId};
 
 /// Why a transaction submission was refused.
@@ -30,9 +32,10 @@ use crate::txn::{Tx, TxCheck, TxId};
 /// ```
 /// use tetrabft_multishot::{Mempool, SubmitError};
 ///
-/// let mut pool = Mempool::new(2, 8);
+/// let max = tetrabft::Params::DEFAULT_MAX_TX_BYTES;
+/// let mut pool = Mempool::new(2);
 /// assert_eq!(pool.submit(vec![]), Err(SubmitError::Empty));
-/// assert_eq!(pool.submit(vec![0; 9]), Err(SubmitError::TooLarge { size: 9, max: 8 }));
+/// assert_eq!(pool.submit(vec![0; max + 1]), Err(SubmitError::TooLarge { size: max + 1, max }));
 /// pool.submit(b"a".to_vec()).unwrap();
 /// assert_eq!(pool.submit(b"a".to_vec()), Err(SubmitError::Duplicate));
 /// pool.submit(b"b".to_vec()).unwrap();
@@ -102,7 +105,7 @@ impl std::error::Error for SubmitError {}
 /// ```
 /// use tetrabft_multishot::Mempool;
 ///
-/// let mut pool = Mempool::new(100, 32);
+/// let mut pool = Mempool::new(100);
 /// for k in 0..5u8 {
 ///     pool.submit(vec![k + 1]).unwrap();
 /// }
@@ -129,7 +132,6 @@ pub struct Mempool {
     // payload); the count keeps colliding digests correct through drains.
     queued: HashMap<TxId, u32>,
     capacity: usize,
-    max_tx_bytes: usize,
     /// The application's structural-admission veto, if installed.
     admission: Option<TxCheck>,
     /// What the queue's two ends gained and lost since the last
@@ -155,21 +157,19 @@ struct Queued {
 
 impl Mempool {
     /// Creates an empty pool admitting at most `capacity` transactions of
-    /// at most `max_tx_bytes` bytes each, with no application admission
-    /// hook.
+    /// at most [`Params::DEFAULT_MAX_TX_BYTES`] bytes each, with no
+    /// application admission hook.
     ///
     /// # Panics
     ///
-    /// Panics if `capacity == 0` or `max_tx_bytes == 0`.
-    pub fn new(capacity: usize, max_tx_bytes: usize) -> Self {
+    /// Panics if `capacity == 0`.
+    pub fn new(capacity: usize) -> Self {
         assert!(capacity > 0, "mempool must admit at least one tx");
-        assert!(max_tx_bytes > 0, "tx size cap must be positive");
         Mempool {
             queue: VecDeque::new(),
             next_seq: 0,
             queued: HashMap::new(),
             capacity,
-            max_tx_bytes,
             admission: None,
             requeued: 0,
             admitted: 0,
@@ -189,7 +189,7 @@ impl Mempool {
 
     /// In-place form of [`Mempool::with_admission`], for owners that embed
     /// the pool in a larger structure.
-    pub fn set_admission(&mut self, check: TxCheck) {
+    pub(crate) fn set_admission(&mut self, check: TxCheck) {
         self.admission = Some(check);
     }
 
@@ -235,12 +235,15 @@ impl Mempool {
     ///
     /// [`SubmitError::Empty`], [`SubmitError::TooLarge`], or the hook's
     /// [`SubmitError::Malformed`] / [`SubmitError::Rejected`].
-    pub fn vet(&self, tx: &Tx) -> Result<(), SubmitError> {
+    pub(crate) fn vet(&self, tx: &Tx) -> Result<(), SubmitError> {
         if tx.is_empty() {
             return Err(SubmitError::Empty);
         }
-        if tx.len() > self.max_tx_bytes {
-            return Err(SubmitError::TooLarge { size: tx.len(), max: self.max_tx_bytes });
+        if tx.len() > Params::DEFAULT_MAX_TX_BYTES {
+            return Err(SubmitError::TooLarge {
+                size: tx.len(),
+                max: Params::DEFAULT_MAX_TX_BYTES,
+            });
         }
         self.admission.map_or(Ok(()), |check| check(tx))
     }
@@ -323,7 +326,7 @@ impl Mempool {
 
     /// Iterates the queued payloads in FIFO order — what a durable node
     /// compacts its mempool journal down to.
-    pub fn iter(&self) -> impl Iterator<Item = &[u8]> {
+    pub(crate) fn iter(&self) -> impl Iterator<Item = &[u8]> {
         self.queue.iter().map(|q| q.tx.bytes())
     }
 
@@ -336,7 +339,7 @@ impl Mempool {
     /// survive a crash; transactions admitted *and* drained between two
     /// seals appear in neither (they are in a proposal, not in the queue).
     /// Meaningless while [`Mempool::reordered`] holds.
-    pub fn unsealed(
+    pub(crate) fn unsealed(
         &self,
     ) -> Option<(usize, impl ExactSizeIterator<Item = &[u8]>, impl ExactSizeIterator<Item = &[u8]>)>
     {
@@ -355,13 +358,13 @@ impl Mempool {
     /// transactions behind the queue's front (an older batch had come back
     /// before it): [`Mempool::unsealed`] cannot express that, so a durable
     /// node's next seal rewrites its journal from [`Mempool::iter`].
-    pub fn reordered(&self) -> bool {
+    pub(crate) fn reordered(&self) -> bool {
         self.reordered
     }
 
     /// Marks the queue as it stands now as sealed: [`Mempool::unsealed`]
     /// reports changes from here on.
-    pub fn seal(&mut self) {
+    pub(crate) fn seal(&mut self) {
         (self.requeued, self.admitted, self.drained, self.reordered) = (0, 0, 0, false);
     }
 
@@ -383,7 +386,7 @@ mod tests {
 
     #[test]
     fn fifo_across_batches() {
-        let mut pool = Mempool::new(1_000, 64);
+        let mut pool = Mempool::new(1_000);
         for k in 0..10u32 {
             pool.submit(k.to_be_bytes().to_vec()).unwrap();
         }
@@ -402,7 +405,7 @@ mod tests {
 
     #[test]
     fn capacity_backpressure_releases_after_drain() {
-        let mut pool = Mempool::new(3, 64);
+        let mut pool = Mempool::new(3);
         for k in 0..3u8 {
             pool.submit(vec![k + 1]).unwrap();
         }
@@ -414,7 +417,7 @@ mod tests {
 
     #[test]
     fn dedup_is_scoped_to_queued_txs() {
-        let mut pool = Mempool::new(10, 64);
+        let mut pool = Mempool::new(10);
         pool.submit(b"tx".to_vec()).unwrap();
         assert_eq!(pool.submit(b"tx".to_vec()), Err(SubmitError::Duplicate));
         assert_eq!(pool.next_batch(10).1.len(), 1);
@@ -423,7 +426,7 @@ mod tests {
 
     #[test]
     fn typed_and_raw_submissions_share_one_identity() {
-        let mut pool = Mempool::new(10, 64);
+        let mut pool = Mempool::new(10);
         pool.submit(Tx::typed(&Memo(b"pay"))).unwrap();
         // The same canonical bytes, raw this time: same TxId, refused.
         assert_eq!(pool.submit(b"pay".to_vec()), Err(SubmitError::Duplicate));
@@ -441,7 +444,7 @@ mod tests {
                 None => Err(SubmitError::Malformed { reason: "empty" }),
             }
         }
-        let mut pool = Mempool::new(10, 64).with_admission(only_even_first_byte);
+        let mut pool = Mempool::new(10).with_admission(only_even_first_byte);
         pool.submit(vec![2, 2]).unwrap();
         assert_eq!(
             pool.submit(vec![3, 3]),
@@ -457,7 +460,7 @@ mod tests {
 
     #[test]
     fn requeued_batch_regains_fifo_head_and_dedup() {
-        let mut pool = Mempool::new(3, 64);
+        let mut pool = Mempool::new(3);
         for k in 0..3u8 {
             pool.submit(vec![k + 1]).unwrap();
         }
@@ -491,7 +494,7 @@ mod tests {
         // returns when its slot commits, the older one first. A strict-nonce
         // ledger rejects the older payer if the younger batch overtakes it.
         for older_first in [true, false] {
-            let mut pool = Mempool::new(100, 64);
+            let mut pool = Mempool::new(100);
             for k in 1..=7u8 {
                 pool.submit(vec![k]).unwrap();
             }
@@ -520,7 +523,7 @@ mod tests {
 
     #[test]
     fn unsealed_change_replays_the_sealed_queue_into_the_live_one() {
-        let mut pool = Mempool::new(100_000, 64);
+        let mut pool = Mempool::new(100_000);
         assert!(pool.unsealed().is_none());
         // What a journal holds: the queue as of the last seal.
         let mut sealed: VecDeque<Vec<u8>> = VecDeque::new();
@@ -581,9 +584,13 @@ mod tests {
 
     #[test]
     fn degenerate_txs_rejected() {
-        let mut pool = Mempool::new(10, 4);
+        const MAX: usize = Params::DEFAULT_MAX_TX_BYTES;
+        let mut pool = Mempool::new(10);
         assert_eq!(pool.submit(Vec::new()), Err(SubmitError::Empty));
-        assert_eq!(pool.submit(vec![0; 5]), Err(SubmitError::TooLarge { size: 5, max: 4 }));
+        assert_eq!(
+            pool.submit(vec![0; MAX + 1]),
+            Err(SubmitError::TooLarge { size: MAX + 1, max: MAX })
+        );
         assert!(pool.is_empty(), "rejected txs never enter the pool");
     }
 

@@ -99,13 +99,13 @@ pub enum MsMessage {
 /// Most blocks one [`MsMessage::Blocks`] decode will accept; responders
 /// send at most half this (`CATCHUP_BATCH` in `catchup.rs`), so the headroom
 /// only rejects hostile encodings, never honest ones.
-pub const MAX_CATCHUP_BLOCKS: usize = 64;
+pub(crate) const MAX_CATCHUP_BLOCKS: usize = 64;
 
 /// Most transactions one [`MsMessage::Relay`] decode will accept: what a
 /// block's decode accepts. An honest lender sends at most `max_block_txs`
 /// and a borrower buffers at most that many per slot, so, like
 /// [`MAX_CATCHUP_BLOCKS`], the bound only refuses hostile encodings.
-pub const MAX_RELAY_TXS: usize = MAX_TXS;
+pub(crate) const MAX_RELAY_TXS: usize = MAX_TXS;
 
 impl MsMessage {
     /// Short human-readable kind, used by traces and the figure benches.

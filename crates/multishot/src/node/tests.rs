@@ -140,15 +140,32 @@ fn submitted_transaction_reaches_the_chain() {
 #[test]
 fn degenerate_and_overflow_submissions_are_refused() {
     use crate::mempool::SubmitError;
-    let params = Params::new(100).with_mempool_capacity(2).with_max_tx_bytes(8);
+    const MAX: usize = Params::DEFAULT_MAX_TX_BYTES;
+    let params = Params::new(100).with_mempool_capacity(2);
     let mut node = MultiShotNode::new(cfg(4), params, NodeId(0));
     assert_eq!(node.submit_tx(vec![]), Err(SubmitError::Empty));
-    assert_eq!(node.submit_tx(vec![0; 9]), Err(SubmitError::TooLarge { size: 9, max: 8 }));
+    assert_eq!(
+        node.submit_tx(vec![0; MAX + 1]),
+        Err(SubmitError::TooLarge { size: MAX + 1, max: MAX })
+    );
     node.submit_tx(b"a".to_vec()).unwrap();
     assert_eq!(node.submit_tx(b"a".to_vec()), Err(SubmitError::Duplicate));
     node.submit_tx(b"b".to_vec()).unwrap();
     assert_eq!(node.submit_tx(b"c".to_vec()), Err(SubmitError::Full { capacity: 2 }));
     assert_eq!(node.mempool_len(), 2);
+}
+
+#[test]
+fn a_transaction_of_the_cap_is_admitted_and_one_byte_longer_refused() {
+    use crate::mempool::SubmitError;
+    const MAX: usize = Params::DEFAULT_MAX_TX_BYTES;
+    let mut node = MultiShotNode::new(cfg(4), Params::new(100), NodeId(0));
+    node.submit_tx(vec![1; MAX]).unwrap();
+    assert_eq!(
+        node.submit_tx(vec![2; MAX + 1]),
+        Err(SubmitError::TooLarge { size: MAX + 1, max: MAX })
+    );
+    assert_eq!(node.mempool_len(), 1);
 }
 
 #[test]
@@ -330,7 +347,8 @@ fn what_is_lent_is_owed_and_nothing_drains_past_a_loan_in_doubt() {
 #[test]
 fn a_borrower_trusts_nothing_and_keeps_nothing() {
     // Node 2 leads slots 2, 6 and 10; the window is slots 1..=8.
-    let params = Params::new(100).with_max_block_txs(4).with_max_tx_bytes(4);
+    let params = Params::new(100).with_max_block_txs(4);
+    let too_long = vec![b't'; Params::DEFAULT_MAX_TX_BYTES + 1];
     let mut node = MultiShotNode::new(cfg(4), params, NodeId(2));
     sent(&mut node, Input::Start);
     let offer = |node: &mut MultiShotNode, from: u16, msg: MsMessage| {
@@ -342,7 +360,7 @@ fn a_borrower_trusts_nothing_and_keeps_nothing() {
     assert_eq!(offer(&mut node, 0, relay(10, &[b"x"])), 0, "not beyond the window");
     assert_eq!(offer(&mut node, 0, relay(0, &[b"x"])), 0, "not for a finalized slot");
     // Each payload passes the checks a submission passes, or is left out.
-    assert_eq!(offer(&mut node, 0, relay(6, &[b"a", b"", b"toolong", b"b"])), 2);
+    assert_eq!(offer(&mut node, 0, relay(6, &[b"a", b"", &too_long, b"b"])), 2);
     // One block's worth per slot, whoever lends.
     assert_eq!(offer(&mut node, 1, relay(6, &[b"c", b"d", b"e"])), 4);
     assert_eq!(offer(&mut node, 3, relay(6, &[b"f"])), 4);

@@ -13,7 +13,7 @@ use crate::block::{Block, BlockHash, GENESIS_HASH};
 /// Pruning keeps the store O(window) — multi-shot TetraBFT's protocol state
 /// stays bounded; only the *application* (the output chain) grows.
 #[derive(Debug, Clone, Default)]
-pub struct BlockStore {
+pub(crate) struct BlockStore {
     blocks: HashMap<BlockHash, Block>,
 }
 
@@ -25,7 +25,7 @@ impl BlockStore {
     /// window's worth of blocks, so the search costs less than the digest.
     /// (The held clone keeps the allocation alive and shared, so the
     /// pointer cannot have been reused and the bytes cannot have changed.)
-    pub fn insert(&mut self, block: Block) -> BlockHash {
+    pub(crate) fn insert(&mut self, block: Block) -> BlockHash {
         let held = self.blocks.iter().find(|(_, b)| {
             Arc::ptr_eq(&b.txs, &block.txs) && b.slot == block.slot && b.parent == block.parent
         });
@@ -40,22 +40,22 @@ impl BlockStore {
     /// Inserts `block` under `hash`, its [`Block::hash`] as the caller
     /// already computed it (minting it, or vouching for it in catch-up):
     /// each block is hashed once per node. Idempotent.
-    pub fn insert_hashed(&mut self, hash: BlockHash, block: Block) {
+    pub(crate) fn insert_hashed(&mut self, hash: BlockHash, block: Block) {
         self.blocks.entry(hash).or_insert(block);
     }
 
     /// Looks up a block. The genesis hash is always known (slot 0).
-    pub fn get(&self, hash: BlockHash) -> Option<&Block> {
+    pub(crate) fn get(&self, hash: BlockHash) -> Option<&Block> {
         self.blocks.get(&hash)
     }
 
     /// `true` if the hash names the genesis block or a stored block.
-    pub fn contains(&self, hash: BlockHash) -> bool {
+    pub(crate) fn contains(&self, hash: BlockHash) -> bool {
         hash == GENESIS_HASH || self.blocks.contains_key(&hash)
     }
 
     /// The slot of `hash` (genesis is slot 0), if known.
-    pub fn slot_of(&self, hash: BlockHash) -> Option<Slot> {
+    pub(crate) fn slot_of(&self, hash: BlockHash) -> Option<Slot> {
         if hash == GENESIS_HASH {
             Some(Slot::GENESIS)
         } else {
@@ -67,7 +67,7 @@ impl BlockStore {
     ///
     /// Returns `None` when the walk leaves the store or would pass the
     /// genesis block.
-    pub fn ancestor(&self, hash: BlockHash, k: usize) -> Option<BlockHash> {
+    pub(crate) fn ancestor(&self, hash: BlockHash, k: usize) -> Option<BlockHash> {
         let mut current = hash;
         for _ in 0..k {
             if current == GENESIS_HASH {
@@ -80,7 +80,7 @@ impl BlockStore {
 
     /// Drops every block with a slot strictly below `floor` (genesis is
     /// implicit and never dropped).
-    pub fn prune_below(&mut self, floor: Slot) {
+    pub(crate) fn prune_below(&mut self, floor: Slot) {
         self.blocks.retain(|_, b| b.slot >= floor);
     }
 }

@@ -36,9 +36,8 @@ pub struct Cluster<O> {
 /// thread has exited and closed its listener (OS lag only).
 const REBIND_WINDOW: Duration = Duration::from_secs(5);
 
-/// Declarative cluster spec: node count or explicit [`Topology`], a
-/// [`LinkPlan`] for fault injection / WAN conditioning, and the
-/// deterministic seed feeding every edge's conditioner.
+/// Declarative cluster spec: node count or explicit [`Topology`] and a
+/// [`LinkPlan`] for fault injection / WAN conditioning.
 ///
 /// # Examples
 ///
@@ -66,13 +65,12 @@ pub struct ClusterBuilder {
     n: usize,
     topology: Option<Topology>,
     plan: LinkPlan,
-    seed: u64,
 }
 
 impl ClusterBuilder {
     /// Starts a spec for `n` nodes on OS-assigned localhost ports.
     pub fn new(n: usize) -> Self {
-        ClusterBuilder { n, topology: None, plan: LinkPlan::ideal(), seed: 0 }
+        ClusterBuilder { n, topology: None, plan: LinkPlan::ideal() }
     }
 
     /// Places nodes at explicit addresses instead of ephemeral localhost
@@ -90,12 +88,6 @@ impl ClusterBuilder {
         self
     }
 
-    /// Seeds the per-edge conditioning RNGs (default 0).
-    pub fn seed(mut self, seed: u64) -> Self {
-        self.seed = seed;
-        self
-    }
-
     /// Binds every node's listener and starts each with `start`.
     fn build<O>(
         self,
@@ -105,7 +97,7 @@ impl ClusterBuilder {
             Some(t) => (t.bind_all()?, t),
             None => Topology::bind_ephemeral(self.n)?,
         };
-        let links = LinkSetup::new(self.plan, topology.len(), self.seed);
+        let links = LinkSetup::new(self.plan, topology.len());
         let (tx, outputs) = mpsc::channel();
         let wiring = Wiring { topology, outputs: tx, links };
         let handles = (0..listeners.len() as u16)

@@ -204,13 +204,12 @@ pub(crate) struct LinkSetup {
     pub epoch: Instant,
     pub metrics: Arc<NetMetrics>,
     pub cuts: Arc<HashMap<(u16, u16), Arc<AtomicBool>>>,
-    pub seed: u64,
 }
 
 impl LinkSetup {
     /// A cluster's setup: the given plan, fresh metrics, and cut flags for
     /// every directed edge of an `n`-node mesh.
-    pub(crate) fn new(plan: LinkPlan, n: usize, seed: u64) -> Self {
+    pub(crate) fn new(plan: LinkPlan, n: usize) -> Self {
         let mut cuts = HashMap::new();
         for a in 0..n as u16 {
             for b in 0..n as u16 {
@@ -224,7 +223,6 @@ impl LinkSetup {
             epoch: Instant::now(),
             metrics: Arc::new(NetMetrics::new(n)),
             cuts: Arc::new(cuts),
-            seed,
         }
     }
 
@@ -237,7 +235,7 @@ impl LinkSetup {
     }
 
     pub(crate) fn conditioner(&self, from: NodeId, to: NodeId) -> EdgeConditioner {
-        EdgeConditioner::new(Arc::clone(&self.plan), from, to, self.epoch, self.seed)
+        EdgeConditioner::new(Arc::clone(&self.plan), from, to, self.epoch)
     }
 }
 
@@ -255,17 +253,11 @@ pub(crate) struct EdgeConditioner {
 }
 
 impl EdgeConditioner {
-    pub(crate) fn new(
-        plan: Arc<LinkPlan>,
-        from: NodeId,
-        to: NodeId,
-        epoch: Instant,
-        seed: u64,
-    ) -> Self {
-        // One deterministic stream per directed edge, derived from the
-        // cluster seed — runs are reproducible modulo wall-clock jitter.
+    pub(crate) fn new(plan: Arc<LinkPlan>, from: NodeId, to: NodeId, epoch: Instant) -> Self {
+        // One deterministic stream per directed edge, seeded by the edge —
+        // runs are reproducible modulo wall-clock jitter.
         let edge = (u64::from(from.0) << 16) | u64::from(to.0);
-        let rng = StdRng::seed_from_u64(seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ edge);
+        let rng = StdRng::seed_from_u64(edge);
         EdgeConditioner { plan, edge: (from, to), epoch, rng, last_due: epoch }
     }
 
@@ -353,14 +345,13 @@ mod tests {
     #[test]
     fn lossy_edges_drop_deterministically_per_seed() {
         let plan = Arc::new(LinkPlan::uniform(EdgeSpec::delay(1).with_drop(0.5)));
-        let count = |seed| {
-            let mut c =
-                EdgeConditioner::new(plan.clone(), NodeId(0), NodeId(1), Instant::now(), seed);
+        let count = || {
+            let mut c = EdgeConditioner::new(plan.clone(), NodeId(0), NodeId(1), Instant::now());
             let now = Instant::now();
             (0..200).filter(|_| c.admit(now).is_none()).count()
         };
-        assert_eq!(count(9), count(9));
-        assert!((50..150).contains(&count(9)));
+        assert_eq!(count(), count());
+        assert!((50..150).contains(&count()));
     }
 
     /// One plan with a hold window and a lose window on edge 0 → 1: the
@@ -395,6 +386,6 @@ mod tests {
     }
 
     fn plan_conditioner(plan: &LinkPlan) -> EdgeConditioner {
-        EdgeConditioner::new(Arc::new(plan.clone()), NodeId(0), NodeId(1), Instant::now(), 0)
+        EdgeConditioner::new(Arc::new(plan.clone()), NodeId(0), NodeId(1), Instant::now())
     }
 }

@@ -142,10 +142,8 @@ impl<R> Reactor<R> {
                     cut: cfg.links.cut_flag(cfg.me, peer),
                     metrics: Arc::clone(&cfg.links.metrics),
                 };
-                // An independent jitter stream per directed edge, offset from
-                // the conditioner's seed derivation so the two never correlate.
-                let jitter_seed = cfg.links.seed.wrapping_mul(0xA076_1D64_78BD_642F)
-                    ^ ((u64::from(cfg.me.0) << 16) | u64::from(peer.0));
+                // One jitter stream per directed edge, seeded by the edge.
+                let jitter_seed = (u64::from(cfg.me.0) << 16) | u64::from(peer.0);
                 Some(Link::new(link_cfg, 1 + i, jitter_seed))
             })
             .collect();

@@ -232,7 +232,7 @@ impl Topology {
     /// # Errors
     ///
     /// [`NetError::Bind`] on the first unavailable address.
-    pub fn bind_all(&self) -> Result<Vec<TcpListener>, NetError> {
+    pub(crate) fn bind_all(&self) -> Result<Vec<TcpListener>, NetError> {
         (0..self.addrs.len() as u16).map(|i| self.bind(NodeId(i))).collect()
     }
 

@@ -121,11 +121,6 @@ impl<N: Node> FilteredNode<N> {
     pub fn sending(inner: N, keep: impl FnMut(&N::Msg) -> bool + 'static) -> Self {
         FilteredNode { inner, silenced: Vec::new(), keep: Box::new(keep), buf: ActionBuf::new() }
     }
-
-    /// The wrapped node.
-    pub fn inner(&self) -> &N {
-        &self.inner
-    }
 }
 
 impl<N: Node> Node for FilteredNode<N> {

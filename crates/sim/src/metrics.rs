@@ -135,7 +135,8 @@ impl Metrics {
     }
 
     /// Counters for one node.
-    pub fn node(&self, id: NodeId) -> &NodeMetrics {
+    #[cfg(test)]
+    pub(crate) fn node(&self, id: NodeId) -> &NodeMetrics {
         &self.per_node[id.index()]
     }
 

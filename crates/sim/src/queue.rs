@@ -45,27 +45,27 @@ pub(crate) struct EventQueue<M> {
 }
 
 impl<M> EventQueue<M> {
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         EventQueue { heap: BinaryHeap::new(), next_seq: 0 }
     }
 
-    pub fn push(&mut self, at: Time, kind: EventKind<M>) {
+    pub(crate) fn push(&mut self, at: Time, kind: EventKind<M>) {
         let seq = self.next_seq;
         self.next_seq += 1;
         self.heap.push(Event { at, seq, kind });
     }
 
-    pub fn pop(&mut self) -> Option<Event<M>> {
+    pub(crate) fn pop(&mut self) -> Option<Event<M>> {
         self.heap.pop()
     }
 
-    pub fn peek_time(&self) -> Option<Time> {
+    pub(crate) fn peek_time(&self) -> Option<Time> {
         self.heap.peek().map(|e| e.at)
     }
 
     /// Time and target node of the next event — what batched stepping uses
     /// to decide whether the following event extends the current batch.
-    pub fn peek_target(&self) -> Option<(Time, NodeId)> {
+    pub(crate) fn peek_target(&self) -> Option<(Time, NodeId)> {
         self.heap.peek().map(|e| {
             let node = match &e.kind {
                 EventKind::Deliver { to, .. } => *to,

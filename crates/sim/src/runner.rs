@@ -253,11 +253,6 @@ impl<M: WireSize + Clone, O> Sim<M, O> {
         self.now
     }
 
-    /// Number of nodes.
-    pub fn n(&self) -> usize {
-        self.n
-    }
-
     /// All outputs produced so far, in emission order.
     pub fn outputs(&self) -> &[OutputRecord<O>] {
         &self.outputs
@@ -271,12 +266,6 @@ impl<M: WireSize + Clone, O> Sim<M, O> {
     /// The recorded trace, if tracing was enabled.
     pub fn trace(&self) -> Option<&[TraceEvent<M>]> {
         self.trace.as_deref()
-    }
-
-    /// Mutable access to a node, for test inspection with downcasting done
-    /// by the caller's concrete factory (prefer outputs/metrics in tests).
-    pub fn node_mut(&mut self, id: NodeId) -> &mut dyn Node<Msg = M, Output = O> {
-        &mut **self.engines[id.index()].node_mut()
     }
 
     /// Processes one *batch* of queued events: the earliest event plus

@@ -43,14 +43,3 @@ pub enum TraceEvent<M> {
         to: NodeId,
     },
 }
-
-impl<M> TraceEvent<M> {
-    /// The time the event occurred.
-    pub fn at(&self) -> Time {
-        match self {
-            TraceEvent::Sent { at, .. }
-            | TraceEvent::Delivered { at, .. }
-            | TraceEvent::Dropped { at, .. } => *at,
-        }
-    }
-}

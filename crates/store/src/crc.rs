@@ -40,12 +40,22 @@ static TABLES: [[u32; 256]; 8] = build_tables();
 ///
 /// # Examples
 ///
+/// Every frame `[len][payload][crc32]` that [`crate::record::scan`] accepts
+/// carries this checksum, big-endian, so the standard check values show
+/// through it: the empty input sums to 0 and `123456789` to `0xCBF4_3926`.
+///
 /// ```
-/// use tetrabft_store::crc32;
-/// assert_eq!(crc32(b""), 0);
-/// assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
+/// use tetrabft_store::record::scan;
+/// let empty = [0u8, 0, 0, 0, 0];
+/// assert_eq!(scan(&empty), (vec![&b""[..]], 5));
+/// let mut frame = vec![9u8];
+/// frame.extend_from_slice(b"123456789");
+/// frame.extend_from_slice(&0xCBF4_3926u32.to_be_bytes());
+/// assert_eq!(scan(&frame), (vec![&b"123456789"[..]], 14));
+/// *frame.last_mut().unwrap() ^= 1;
+/// assert_eq!(scan(&frame), (vec![], 0));
 /// ```
-pub fn crc32(data: &[u8]) -> u32 {
+pub(crate) fn crc32(data: &[u8]) -> u32 {
     let t = &TABLES;
     let mut crc = !0u32;
     let mut words = data.chunks_exact(8);

@@ -5,18 +5,18 @@
 //! registers per live slot to stay safe across views. This crate writes
 //! exactly that — and nothing unbounded — to disk:
 //!
-//! * a **write-ahead vote log** ([`Wal`] under [`NodeStore`]): one
-//!   CRC-framed record per vote-book change, compacted in place so the
-//!   file is bounded by `live slots + `[`COMPACT_SLACK`]` records
-//!   *forever*, however long the chain grows;
+//! * a **write-ahead vote log** under [`NodeStore`]: one CRC-framed
+//!   record per vote-book change, compacted in place so the file is
+//!   bounded by the live slots plus a fixed slack of 64 records *forever*,
+//!   however long the chain grows;
 //! * an **append-only finalized-chain log**: slot, hash, and raw block
 //!   bytes per finalized block — linear in the chain, never rewritten,
 //!   indexed at open so restarted peers can be served catch-up ranges
 //!   straight from disk;
 //! * an **append-only mempool journal** — one record per seal: what it
 //!   admitted, drained off the front and put back at the front — replayed
-//!   into the same FIFO order at open and compacted once it holds
-//!   [`MEMPOOL_COMPACT_SLACK`] drained entries beside the live queue, so
+//!   into the same FIFO order at open and compacted once it holds 8,192
+//!   drained entries beside the live queue, so
 //!   admitted transactions survive the crash of the node that admitted
 //!   them;
 //! * an **incarnation counter**, bumped per open and exchanged in the TCP
@@ -60,15 +60,14 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
 mod crc;
 mod node_store;
 pub mod record;
 mod wal;
 
-pub use crc::crc32;
-pub use node_store::{NodeStore, SlotVotes, COMPACT_SLACK, MEMPOOL_COMPACT_SLACK};
-pub use wal::Wal;
+pub use node_store::{NodeStore, SlotVotes};
 
 /// Why a store operation failed.
 #[derive(Debug)]

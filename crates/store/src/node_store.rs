@@ -3,7 +3,7 @@
 
 use std::collections::{BTreeMap, VecDeque};
 use std::fs;
-use std::path::{Path, PathBuf};
+use std::path::Path;
 
 use tetrabft_types::{FsyncPolicy, Slot, View, VoteBook, VoteInfo};
 use tetrabft_wire::{varint_len, Reader, Wire, Writer};
@@ -17,13 +17,13 @@ use crate::StoreError;
 /// record per live slot once it holds this many records beyond that
 /// minimum. The bound makes the *file* constant-size: at most
 /// `live slots + COMPACT_SLACK` records ever exist on disk.
-pub const COMPACT_SLACK: u64 = 64;
+const COMPACT_SLACK: u64 = 64;
 
 /// Compaction slack for the mempool journal, in transactions: the file is
 /// rewritten down to the live queue once this many of the entries it holds
 /// have been drained, so at most `live + MEMPOOL_COMPACT_SLACK` entries
 /// ever exist on disk and a rewrite is paid once per that many drains.
-pub const MEMPOOL_COMPACT_SLACK: u64 = 8192;
+const MEMPOOL_COMPACT_SLACK: u64 = 8192;
 
 const META_MAGIC: &[u8; 8] = b"TBFTMETA";
 const VOTE_VERSION: u8 = 1;
@@ -60,8 +60,7 @@ struct ChainEntry {
 /// * `mempool.wal` — append-only journal of the mempool queue: one record
 ///   per seal (what that seal admitted, drained off the front and put back
 ///   at the front), replayed into the same FIFO order on restart and
-///   compacted to the live queue once it outgrows it by
-///   [`MEMPOOL_COMPACT_SLACK`] entries;
+///   compacted to the live queue once it outgrows it by 8,192 entries;
 /// * `meta` — the incarnation counter, incremented on every open, which
 ///   the TCP handshake exchanges so peers drop frames buffered for a
 ///   previous incarnation.
@@ -70,7 +69,6 @@ struct ChainEntry {
 /// truncated on open; a record is either fully restored or not at all.
 #[derive(Debug)]
 pub struct NodeStore {
-    dir: PathBuf,
     incarnation: u64,
     votes: Wal,
     chain: Wal,
@@ -152,7 +150,6 @@ impl NodeStore {
         latest_votes.retain(|slot, _| *slot > last_finalized);
 
         Ok(NodeStore {
-            dir,
             incarnation,
             votes,
             chain,
@@ -173,12 +170,6 @@ impl NodeStore {
     #[inline]
     pub fn incarnation(&self) -> u64 {
         self.incarnation
-    }
-
-    /// The store's root directory.
-    #[inline]
-    pub fn dir(&self) -> &Path {
-        &self.dir
     }
 
     // ---- live-slot vote state -------------------------------------------
@@ -324,12 +315,12 @@ impl NodeStore {
     /// Appends one seal's change to the mempool queue, in the form a
     /// restart replays: drop `drained` transactions off the front, put
     /// `requeued` back at the front (keeping their order), add `admitted`
-    /// at the back. The record goes through the journal's [`Wal::append`],
-    /// so it is synced as the [`FsyncPolicy`] says, like a vote record.
+    /// at the back. The record is appended to the journal and synced as the
+    /// [`FsyncPolicy`] says, like a vote record.
     ///
     /// `live` is the whole queue as it stands after the change. It is read
     /// only when the journal is compacted ([`NodeStore::save_mempool`]):
-    /// once [`MEMPOOL_COMPACT_SLACK`] of the file's entries are drained
+    /// once 8,192 of the file's entries are drained
     /// ones, or when this one record would not fit a frame.
     pub fn journal_mempool<'a, R, A, L>(
         &mut self,
@@ -553,6 +544,7 @@ fn decode_chain_header(payload: &[u8]) -> Result<(u64, u64), StoreError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::path::PathBuf;
     use tetrabft_types::Phase;
 
     fn temp_dir(tag: &str) -> PathBuf {

@@ -13,7 +13,7 @@ use crate::crc::crc32;
 /// Upper bound on one record's payload; a length prefix beyond it is
 /// treated as tail corruption rather than honored (a torn varint can
 /// otherwise ask for gigabytes).
-pub const MAX_RECORD_BYTES: u64 = 1 << 24;
+pub(crate) const MAX_RECORD_BYTES: u64 = 1 << 24;
 
 /// Appends to `w` the frame of the `len`-byte payload `encode` writes —
 /// the scratch-reuse entry point: the payload is encoded in place behind
@@ -35,12 +35,13 @@ pub(crate) fn frame_with(w: &mut Writer, len: usize, encode: impl FnOnce(&mut Wr
 }
 
 /// Appends the framed encoding of `payload` to `w`.
-pub fn frame_into_writer(w: &mut Writer, payload: &[u8]) {
+pub(crate) fn frame_into_writer(w: &mut Writer, payload: &[u8]) {
     frame_with(w, payload.len(), |w| w.put_slice(payload));
 }
 
 /// The framed encoding of `payload` as a fresh buffer.
-pub fn frame(payload: &[u8]) -> Vec<u8> {
+#[cfg(test)]
+pub(crate) fn frame(payload: &[u8]) -> Vec<u8> {
     let mut w = Writer::with_capacity(payload.len() + 14);
     frame_into_writer(&mut w, payload);
     w.into_bytes()

@@ -18,27 +18,36 @@ use crate::StoreError;
 ///
 /// # Examples
 ///
+/// [`crate::NodeStore`] keeps its vote book in one: what it appends
+/// survives a reopen, and a torn tail is cut back to the last whole record.
+///
 /// ```
-/// use tetrabft_store::Wal;
-/// use tetrabft_types::FsyncPolicy;
+/// use tetrabft_store::{record::scan, NodeStore};
+/// use tetrabft_types::{FsyncPolicy, Phase, Slot, Value, View, VoteBook};
 /// let dir = std::env::temp_dir().join(format!("tetrabft-wal-doc-{}", std::process::id()));
-/// std::fs::create_dir_all(&dir)?;
-/// let path = dir.join("demo.wal");
-/// # let _ = std::fs::remove_file(&path);
-/// let mut wal = Wal::open(&path, FsyncPolicy::Always, |_| unreachable!("a fresh log"))?;
-/// wal.append(b"record")?;
-/// drop(wal);
-/// let mut restored = Vec::new();
-/// Wal::open(&path, FsyncPolicy::Always, |record| {
-///     restored.push(record.to_vec());
-///     Ok(())
-/// })?;
-/// assert_eq!(restored, vec![b"record".to_vec()]);
-/// # std::fs::remove_file(&path)?;
+/// # let _ = std::fs::remove_dir_all(&dir);
+/// let mut book = VoteBook::new();
+/// book.record(Phase::VOTE1, View(0), Value::from_u64(7));
+/// let mut store = NodeStore::open(&dir, FsyncPolicy::Always)?;
+/// store.record_votes(Slot(1), View(0), Slot(0), &book)?;
+/// drop(store);
+/// let path = dir.join("votes.wal");
+/// let bytes = std::fs::read(&path)?;
+/// let (records, valid) = scan(&bytes);
+/// assert!(!records.is_empty());
+/// assert_eq!(valid, bytes.len());
+/// let mut torn = bytes.clone();
+/// torn.extend_from_slice(&[0x05, b'h', b'a']);
+/// std::fs::write(&path, &torn)?;
+/// let store = NodeStore::open(&dir, FsyncPolicy::Always)?;
+/// assert_eq!(std::fs::read(&path)?, bytes);
+/// assert_eq!(store.restored_votes()[&1].view, View(0));
+/// # drop(store);
+/// # std::fs::remove_dir_all(&dir)?;
 /// # Ok::<(), tetrabft_store::StoreError>(())
 /// ```
 #[derive(Debug)]
-pub struct Wal {
+pub(crate) struct Wal {
     path: PathBuf,
     file: File,
     /// Length of the valid (scanned or appended) prefix.
@@ -58,7 +67,7 @@ impl Wal {
     /// survived the scan, in append order, by reference into the one read
     /// of the file: a caller that needs only a record's header copies
     /// nothing. The first error `restore` returns fails the open.
-    pub fn open(
+    pub(crate) fn open(
         path: impl AsRef<Path>,
         policy: FsyncPolicy,
         mut restore: impl FnMut(&[u8]) -> Result<(), StoreError>,
@@ -92,7 +101,7 @@ impl Wal {
     }
 
     /// Appends one record, returning the file offset its frame starts at.
-    pub fn append(&mut self, payload: &[u8]) -> Result<u64, StoreError> {
+    pub(crate) fn append(&mut self, payload: &[u8]) -> Result<u64, StoreError> {
         self.append_with(payload.len(), |w| w.put_slice(payload))
     }
 
@@ -128,7 +137,7 @@ impl Wal {
 
     /// Forces everything appended so far to stable media (no-op when
     /// nothing is pending).
-    pub fn sync(&mut self) -> Result<(), StoreError> {
+    pub(crate) fn sync(&mut self) -> Result<(), StoreError> {
         if self.pending > 0 {
             self.file.sync_data()?;
             self.pending = 0;
@@ -138,7 +147,7 @@ impl Wal {
 
     /// Reads back the record whose frame starts at `offset` (as returned
     /// by [`Wal::append`]), re-verifying its CRC.
-    pub fn read_at(&self, offset: u64) -> Result<Vec<u8>, StoreError> {
+    pub(crate) fn read_at(&self, offset: u64) -> Result<Vec<u8>, StoreError> {
         if offset >= self.len {
             return Err(StoreError::Corrupt("record offset beyond valid prefix"));
         }
@@ -168,7 +177,7 @@ impl Wal {
     /// renamed over the log, so a crash leaves either the old or the new
     /// log — never a hybrid; the rename is synced before anything can be
     /// appended to the new log.
-    pub fn rewrite<I, B>(&mut self, records: I) -> Result<(), StoreError>
+    pub(crate) fn rewrite<I, B>(&mut self, records: I) -> Result<(), StoreError>
     where
         I: IntoIterator<Item = B>,
         B: AsRef<[u8]>,
@@ -200,28 +209,22 @@ impl Wal {
 
     /// Byte length of the valid log.
     #[inline]
-    pub fn len_bytes(&self) -> u64 {
+    pub(crate) fn len_bytes(&self) -> u64 {
         self.len
     }
 
     /// Number of records in the log.
     #[inline]
-    pub fn records(&self) -> u64 {
+    pub(crate) fn records(&self) -> u64 {
         self.records
     }
 
     /// Records appended since the last sync: what a power loss could
     /// still take. Bounded by the [`FsyncPolicy`]'s batch size; under
     /// `Never` it only grows.
-    #[inline]
-    pub fn unsynced(&self) -> u32 {
+    #[cfg(test)]
+    pub(crate) fn unsynced(&self) -> u32 {
         self.pending
-    }
-
-    /// The log's path.
-    #[inline]
-    pub fn path(&self) -> &Path {
-        &self.path
     }
 }
 

@@ -64,8 +64,8 @@ impl View {
     }
 
     /// The predecessor view, or `None` for view zero.
-    #[inline]
-    pub fn prev(self) -> Option<View> {
+    #[cfg(test)]
+    fn prev(self) -> Option<View> {
         self.0.checked_sub(1).map(View)
     }
 

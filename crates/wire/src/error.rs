@@ -41,8 +41,7 @@ pub enum WireError {
         /// Name of the integer type being decoded.
         target: &'static str,
     },
-    /// A frame payload exceeded [`MAX_FRAME_LEN`](crate::frame::MAX_FRAME_LEN)
-    /// at encode time.
+    /// A frame payload exceeded the 16-MiB frame limit at encode time.
     FrameTooLarge {
         /// The payload length.
         len: usize,

@@ -24,13 +24,13 @@ use crate::writer::{push_varint, varint_len};
 use crate::{Reader, WireError};
 
 /// Maximum accepted frame payload (16 MiB); larger prefixes are hostile.
-pub const MAX_FRAME_LEN: usize = 16 * 1024 * 1024;
+pub(crate) const MAX_FRAME_LEN: usize = 16 * 1024 * 1024;
 
 /// Wraps `payload` in a varint-length-prefixed frame.
 ///
 /// # Errors
 ///
-/// [`WireError::FrameTooLarge`] if `payload` exceeds [`MAX_FRAME_LEN`];
+/// [`WireError::FrameTooLarge`] if `payload` exceeds the 16-MiB frame limit;
 /// protocol messages are always orders of magnitude smaller, so hitting
 /// this means the caller built something unsendable — the send path drops
 /// the message instead of tearing the node down.
@@ -48,7 +48,7 @@ pub fn encode_frame(payload: &[u8]) -> Result<Vec<u8>, WireError> {
 ///
 /// # Errors
 ///
-/// [`WireError::FrameTooLarge`] if `payload` exceeds [`MAX_FRAME_LEN`];
+/// [`WireError::FrameTooLarge`] if `payload` exceeds the 16-MiB frame limit;
 /// `out` is left untouched in that case.
 pub fn encode_frame_into(payload: &[u8], out: &mut Vec<u8>) -> Result<(), WireError> {
     if payload.len() > MAX_FRAME_LEN {
@@ -100,7 +100,7 @@ impl FrameDecoder {
     /// # Errors
     ///
     /// * [`WireError::LengthOverflow`] — a frame declares a payload larger
-    ///   than [`MAX_FRAME_LEN`];
+    ///   than the 16-MiB frame limit;
     /// * [`WireError::VarintOverlong`] / [`WireError::VarintOverflow`] — a
     ///   hostile length prefix (padded or wider than 64 bits).
     ///
@@ -132,7 +132,8 @@ impl FrameDecoder {
     }
 
     /// Number of buffered, not-yet-decoded bytes.
-    pub fn buffered(&self) -> usize {
+    #[cfg(test)]
+    fn buffered(&self) -> usize {
         self.buf.len() - self.start
     }
 }

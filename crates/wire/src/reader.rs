@@ -56,7 +56,7 @@ impl<'a> Reader<'a> {
     ///
     /// [`WireError::UnexpectedEof`] if fewer than two bytes remain.
     #[inline]
-    pub fn get_u16(&mut self) -> Result<u16, WireError> {
+    pub(crate) fn get_u16(&mut self) -> Result<u16, WireError> {
         let b = self.take(2)?;
         Ok(u16::from_be_bytes([b[0], b[1]]))
     }

@@ -67,7 +67,7 @@ impl Writer {
 
     /// Appends a big-endian `u16`.
     #[inline]
-    pub fn put_u16(&mut self, v: u16) {
+    pub(crate) fn put_u16(&mut self, v: u16) {
         self.buf.extend_from_slice(&v.to_be_bytes());
     }
 

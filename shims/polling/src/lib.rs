@@ -34,6 +34,7 @@
 //! ```
 
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 #![deny(unsafe_op_in_unsafe_fn)]
 
 use std::io::{self, Read, Write};

@@ -13,16 +13,16 @@ use std::os::raw::{c_int, c_uint, c_void};
 
 // ---- epoll -----------------------------------------------------------
 
-pub const EPOLL_CTL_ADD: c_int = 1;
-pub const EPOLL_CTL_DEL: c_int = 2;
-pub const EPOLL_CTL_MOD: c_int = 3;
+pub(crate) const EPOLL_CTL_ADD: c_int = 1;
+pub(crate) const EPOLL_CTL_DEL: c_int = 2;
+pub(crate) const EPOLL_CTL_MOD: c_int = 3;
 
-pub const EPOLLIN: u32 = 0x001;
-pub const EPOLLOUT: u32 = 0x004;
-pub const EPOLLERR: u32 = 0x008;
-pub const EPOLLHUP: u32 = 0x010;
-pub const EPOLLRDHUP: u32 = 0x2000;
-pub const EPOLLONESHOT: u32 = 1 << 30;
+pub(crate) const EPOLLIN: u32 = 0x001;
+pub(crate) const EPOLLOUT: u32 = 0x004;
+pub(crate) const EPOLLERR: u32 = 0x008;
+pub(crate) const EPOLLHUP: u32 = 0x010;
+pub(crate) const EPOLLRDHUP: u32 = 0x2000;
+pub(crate) const EPOLLONESHOT: u32 = 1 << 30;
 
 const EPOLL_CLOEXEC: c_int = 0o2000000;
 
@@ -32,7 +32,7 @@ const EPOLL_CLOEXEC: c_int = 0o2000000;
 #[cfg_attr(target_arch = "x86_64", repr(C, packed))]
 #[cfg_attr(not(target_arch = "x86_64"), repr(C))]
 #[derive(Clone, Copy)]
-pub struct EpollEvent {
+pub(crate) struct EpollEvent {
     pub events: u32,
     pub data: u64,
 }
@@ -44,7 +44,7 @@ extern "C" {
 }
 
 /// Creates a close-on-exec epoll instance.
-pub fn epoll_create() -> io::Result<OwnedFd> {
+pub(crate) fn epoll_create() -> io::Result<OwnedFd> {
     let fd = unsafe { epoll_create1(EPOLL_CLOEXEC) };
     if fd < 0 {
         return Err(io::Error::last_os_error());
@@ -55,7 +55,7 @@ pub fn epoll_create() -> io::Result<OwnedFd> {
 }
 
 /// One `epoll_ctl` call; `event` may be `None` only for `EPOLL_CTL_DEL`.
-pub fn epoll_control(
+pub(crate) fn epoll_control(
     epfd: RawFd,
     op: c_int,
     fd: RawFd,
@@ -71,7 +71,11 @@ pub fn epoll_control(
 
 /// One `epoll_wait` call into `buf`; `timeout` in milliseconds, `-1` for
 /// infinite. Returns the number of ready entries.
-pub fn epoll_wait_raw(epfd: RawFd, buf: &mut [EpollEvent], timeout: c_int) -> io::Result<usize> {
+pub(crate) fn epoll_wait_raw(
+    epfd: RawFd,
+    buf: &mut [EpollEvent],
+    timeout: c_int,
+) -> io::Result<usize> {
     let rc = unsafe { epoll_wait(epfd, buf.as_mut_ptr(), buf.len() as c_int, timeout) };
     if rc < 0 {
         return Err(io::Error::last_os_error());

@@ -24,6 +24,7 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
 use std::marker::PhantomData;
 use std::ops::{Range, RangeInclusive};
@@ -115,7 +116,8 @@ pub mod test_runner {
 
         /// Disables failure persistence — for properties that fail by
         /// design (e.g. harness self-tests) and must not write files.
-        pub fn no_persist(mut self) -> Self {
+        #[cfg(test)]
+        pub(crate) fn no_persist(mut self) -> Self {
             self.persist = false;
             self
         }
@@ -155,7 +157,7 @@ pub mod regressions {
 
     /// Parses persisted rng states for `test_name` from an explicit
     /// directory (the unit-testable core of [`load`]).
-    pub fn load_from(dir: &Path, test_name: &str) -> Vec<u64> {
+    pub(crate) fn load_from(dir: &Path, test_name: &str) -> Vec<u64> {
         let Ok(text) = fs::read_to_string(file_path(dir)) else {
             return Vec::new();
         };
@@ -188,7 +190,7 @@ pub mod regressions {
     /// Appends `state` for `test_name` under an explicit directory unless
     /// an identical entry already exists. I/O errors are swallowed:
     /// persistence must never turn a red test into a different red test.
-    pub fn save_to(dir: &Path, test_name: &str, state: u64) {
+    pub(crate) fn save_to(dir: &Path, test_name: &str, state: u64) {
         if load_from(dir, test_name).contains(&state) {
             return;
         }

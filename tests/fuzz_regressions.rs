@@ -219,3 +219,34 @@ fn fuzz_seed_245_liveness() {
     let report = scenario.run();
     assert_eq!(report.verdict, Verdict::Ok, "got {}", report.verdict);
 }
+
+/// Auto-generated by tetrabft-fuzz (seed 0x58d, shrunken).
+///
+/// The second seed of 0x245's shape, printed by the 2,048-seed chain-only
+/// sweep `TETRABFT_FUZZ_SEEDS=2048 TETRABFT_FUZZ_CHAIN_PERCENT=100 cargo run
+/// --release --example adversary_fuzz`: node 1 of five is silent toward
+/// node 3 only, and node 3 is cut off from the other four between 785 and
+/// 1,161 ms on a skewed plan with three slow edges into or out of it. Node 3
+/// never finalizes a block in 10.9 s. Only omission faults are involved.
+/// Pinned failing first, like 0x245.
+#[test]
+#[ignore = "ROADMAP item 1 (d)"]
+fn fuzz_seed_58d_liveness() {
+    let scenario = Scenario {
+        n: 5,
+        delta_ms: 94,
+        seed: 0x58d,
+        horizon_ms: 10937,
+        mode: Mode::Chain,
+        faults: vec![FaultSpec {
+            node: NodeId(1),
+            attacks: vec![Attack::SilenceToward(vec![NodeId(3)])],
+        }],
+        plan: "default(delay=5,jitter=10); edge(0->3,delay=65,jitter=19); edge(1->4,delay=18,jitter=14); edge(3->2,delay=50,jitter=13); edge(3->4,delay=80,jitter=13); edge(4->1,delay=76,jitter=18); part(785..1161:3)"
+            .parse()
+            .unwrap(),
+    };
+    assert!(scenario.liveness_armed(), "lossless and within f = 1 arms liveness");
+    let report = scenario.run();
+    assert_eq!(report.verdict, Verdict::Ok, "got {}", report.verdict);
+}
