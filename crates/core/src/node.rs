@@ -66,13 +66,6 @@ impl TetraNode {
         }
     }
 
-    /// Equivocation evidence this node harvested from received traffic —
-    /// peers that claimed one `(view, phase)` register twice with different
-    /// values (see `Registers::evidence`).
-    pub fn evidence(&self) -> &[tetrabft_types::Evidence] {
-        self.regs.evidence()
-    }
-
     /// Bytes of persistent storage — constant, per the Table 1 claim.
     pub fn persistent_bytes(&self) -> usize {
         // Vote book + current view + highest view-change sent + decided.

@@ -6,35 +6,14 @@
 //! vote per phase ([`VoteRegisters`]), the highest view-change request
 //! ([`ViewChanges`]) and, in TetraBFT, one proposal, suggest and proof
 //! ([`Registers`]): O(n) memory, as the Table 1 storage column requires.
+//! Nothing else is kept: a message a later one overwrites is gone, so the
+//! registers audit no one. Equivocation evidence comes from the
+//! simulator's omniscient wire recorder (`tetrabft_sim::Metrics::evidence`),
+//! which sees every claim a sender puts on the wire.
 
-use tetrabft_types::{AuditClaim, Config, Evidence, NodeId, Phase, Value, View, VoteInfo};
+use tetrabft_types::{Config, NodeId, Value, View, VoteInfo};
 
 use crate::msg::{Message, ProofData, SuggestData};
-
-/// Most evidence records a register file retains. One record is enough to
-/// convict a node, so the cap only bounds memory against evidence spam;
-/// dedup is per `(node, view, phase)` register.
-const EVIDENCE_CAP: usize = 64;
-
-/// Records `(from, view, phase)` as evidence if `held` claims the same view
-/// for a different value than `value`.
-fn convict(
-    evidence: &mut Vec<Evidence>,
-    from: NodeId,
-    held: Option<VoteInfo>,
-    (view, phase, value): (View, Option<Phase>, Value),
-) {
-    let claim = |view, value| AuditClaim { slot: None, view, phase, value };
-    let Some(held) = held else { return };
-    let Some(ev) = Evidence::from_claims(from, claim(held.view, held.value), claim(view, value))
-    else {
-        return;
-    };
-    let dup = evidence.iter().any(|e| e.node == from && e.view == view && e.phase == phase);
-    if !dup && evidence.len() < EVIDENCE_CAP {
-        evidence.push(ev);
-    }
-}
 
 /// The one value that can hold a majority of `votes`: Boyer–Moore's
 /// pairing-off pass, O(len) and allocation-free. A value held by more than
@@ -262,8 +241,9 @@ fn upsert<T>(slot: &mut Option<(View, T)>, view: View, payload: T) {
 }
 
 /// TetraBFT's register file: the four vote phases in [`VoteRegisters`],
-/// and one [`PeerRecord`] per peer. View-change requests are counted by
-/// [`ViewChanges`], not here.
+/// and one [`PeerRecord`] per peer, and nothing else: a conflicting
+/// same-view message is dropped, not recorded as evidence. View-change
+/// requests are counted by [`ViewChanges`], not here.
 ///
 /// # Examples
 ///
@@ -285,29 +265,12 @@ fn upsert<T>(slot: &mut Option<(View, T)>, view: View, payload: T) {
 pub struct Registers {
     peers: Vec<PeerRecord>,
     votes: VoteRegisters<4>,
-    /// Equivocation evidence harvested by [`Registers::record`]: a peer that
-    /// re-claims a same-view register with a *different* value convicts
-    /// itself (channels are authenticated), and the conflicting pair is
-    /// retained as an auditable record. Best-effort by design — the
-    /// registers keep only the latest view per slot, so conflicts against
-    /// already-overwritten views go undetected here (the simulator's
-    /// omniscient recorder catches those).
-    evidence: Vec<Evidence>,
 }
 
 impl Registers {
     /// Creates an empty register file for `cfg.n()` peers.
     pub fn new(cfg: &Config) -> Self {
-        Registers {
-            peers: vec![PeerRecord::default(); cfg.n()],
-            votes: VoteRegisters::new(cfg),
-            evidence: Vec::new(),
-        }
-    }
-
-    /// Equivocation evidence harvested while recording, in detection order.
-    pub(crate) fn evidence(&self) -> &[Evidence] {
-        &self.evidence
+        Registers { peers: vec![PeerRecord::default(); cfg.n()], votes: VoteRegisters::new(cfg) }
     }
 
     /// The record of one peer.
@@ -315,7 +278,7 @@ impl Registers {
         &self.peers[id.index()]
     }
 
-    /// The vote registers, indexed by [`Phase::index`].
+    /// The vote registers, indexed by [`Phase::index`](tetrabft_types::Phase::index).
     pub fn votes(&self) -> &VoteRegisters<4> {
         &self.votes
     }
@@ -328,15 +291,12 @@ impl Registers {
         let peer = &mut self.peers[from.index()];
         match msg {
             Message::Proposal { view, value } => {
-                convict(&mut self.evidence, from, peer.proposal, (*view, None, *value));
                 if peer.proposal.is_none_or(|held| *view > held.view) {
                     peer.proposal = Some(VoteInfo::new(*view, *value));
                 }
             }
             Message::Vote { phase, view, value } => {
-                let held = self.votes.get(from, phase.index());
-                convict(&mut self.evidence, from, held, (*view, Some(*phase), *value));
-                self.votes.record(from, phase.index(), *view, *value);
+                self.votes.record(from, phase.index(), *view, *value)
             }
             Message::Suggest { view, data } => upsert(&mut peer.suggest, *view, *data),
             Message::Proof { view, data } => upsert(&mut peer.proof, *view, *data),
@@ -667,30 +627,6 @@ mod tests {
         b.record(NodeId(1), 0, View(1), Value::from_u64(6));
         b.record(NodeId(0), 0, View(1), Value::from_u64(5));
         assert_eq!(a, b);
-    }
-
-    #[test]
-    fn equivocation_yields_named_evidence() {
-        let mut regs = Registers::new(&cfg());
-        regs.record(NodeId(3), &vote(Phase::VOTE1, 7, 1));
-        regs.record(NodeId(3), &vote(Phase::VOTE1, 7, 2));
-        regs.record(NodeId(3), &vote(Phase::VOTE1, 7, 3)); // same register: deduped
-        let ev = regs.evidence();
-        assert_eq!(ev.len(), 1);
-        assert_eq!(ev[0].node, NodeId(3));
-        assert_eq!(ev[0].view, View(7));
-        assert_eq!(ev[0].phase, Some(Phase::VOTE1));
-        assert_eq!((ev[0].first, ev[0].second), (Value::from_u64(1), Value::from_u64(2)));
-        assert!(ev[0].to_string().contains("node 3 voted both"), "{}", ev[0]);
-        // A proposer equivocating in one view is evidence too (phase None).
-        regs.record(NodeId(1), &Message::Proposal { view: View(2), value: Value::from_u64(8) });
-        regs.record(NodeId(1), &Message::Proposal { view: View(2), value: Value::from_u64(9) });
-        assert_eq!(regs.evidence().len(), 2);
-        assert!(regs.evidence()[1].phase.is_none());
-        // Honest re-votes across views never convict.
-        regs.record(NodeId(0), &vote(Phase::VOTE2, 1, 5));
-        regs.record(NodeId(0), &vote(Phase::VOTE2, 2, 6));
-        assert_eq!(regs.evidence().len(), 2);
     }
 
     #[test]

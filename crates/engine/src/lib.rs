@@ -14,7 +14,7 @@
 //!   [`LinkPlan`], [`EdgeSpec`], [`PartitionWindow`].
 //!
 //! `tetrabft-sim` plugs a deterministic virtual-time transport underneath
-//! (an event queue plus link policies), `tetrabft-net` a TCP transport
+//! (an event queue priced by the [`LinkPlan`]), `tetrabft-net` a TCP transport
 //! (sockets, a wall-clock timer heap, client frames). Neither
 //! re-implements dispatch or timer semantics, so a fix or feature here —
 //! batching, backpressure, new input classes — lands in both at once.

@@ -1,5 +1,5 @@
 //! Catch-up — not in the paper: how a node that fell out of the window
-//! learns the blocks finalized without it. Evidence that it is behind,
+//! learns the blocks finalized without it. Noticing that it is behind,
 //! serving a peer from the chain log, and which served block a blocking set
 //! vouches for; every method returns what to ask, send or commit, and
 //! [`crate::node`] does it (DESIGN.md §6, §7).

@@ -106,11 +106,11 @@ pub struct NetStats {
     /// Frames rewritten because a connection broke before their flush was
     /// confirmed (delivery across reconnects is at-least-once).
     pub frames_resent: u64,
-    /// Frames dropped by the link policy's loss rate.
+    /// Frames the [`LinkPlan`] dropped: edge loss or a lose window.
     pub frames_dropped: u64,
     /// Frames shed because a link's bounded resend buffer overflowed (a
     /// slow, down, or severed link outlasting 4096 queued frames); a shed
-    /// frame is lost like a policy drop and recovered via view change.
+    /// frame is lost like a plan drop and recovered via view change.
     pub frames_shed: u64,
     /// Buffered frames discarded because the handshake showed the peer
     /// restarted (its incarnation counter advanced): pre-crash frames

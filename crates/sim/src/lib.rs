@@ -77,7 +77,7 @@ mod runner;
 mod trace;
 
 pub use actors::{FilteredNode, FnNode, SilentNode};
-pub use metrics::{KindMetrics, Metrics, NodeMetrics};
+pub use metrics::{KindMetrics, Metrics};
 pub use runner::{OutputRecord, Sim, SimBuilder};
 // The node abstraction, the engine loop and the link-plan language live in
 // `tetrabft-engine`; the simulator re-exports them so protocol crates keep

@@ -13,17 +13,11 @@ const EVIDENCE_CAP: usize = 64;
 /// stand); honest traffic never gets near it.
 const CLAIMS_CAP: usize = 1 << 16;
 
-/// Per-node communication counters.
+/// Per-node send counters (loopback excluded).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct NodeMetrics {
-    /// Messages this node handed to the network (loopback excluded).
-    pub msgs_sent: u64,
-    /// Bytes this node handed to the network (loopback excluded).
-    pub bytes_sent: u64,
-    /// Messages delivered to this node (loopback excluded).
-    pub msgs_received: u64,
-    /// Bytes delivered to this node (loopback excluded).
-    pub bytes_received: u64,
+pub(crate) struct NodeMetrics {
+    pub(crate) msgs_sent: u64,
+    pub(crate) bytes_sent: u64,
 }
 
 /// Aggregated metrics for a simulation run.
@@ -39,7 +33,8 @@ pub struct Metrics {
     /// [`wire_kind`](tetrabft_engine::WireSize::wire_kind) — the per-phase
     /// view of the traffic (loopback excluded).
     by_kind: BTreeMap<&'static str, KindMetrics>,
-    /// Messages dropped by the link policy (pre-GST loss).
+    /// Messages the [`LinkPlan`](tetrabft_engine::LinkPlan) dropped: edge
+    /// loss or a lose window.
     pub msgs_dropped: u64,
     /// Total input events processed by all nodes.
     pub events_processed: u64,
@@ -128,12 +123,6 @@ impl Metrics {
         k.bytes += bytes as u64;
     }
 
-    pub(crate) fn on_deliver(&mut self, to: NodeId, bytes: usize) {
-        let m = &mut self.per_node[to.index()];
-        m.msgs_received += 1;
-        m.bytes_received += bytes as u64;
-    }
-
     /// Counters for one node.
     #[cfg(test)]
     pub(crate) fn node(&self, id: NodeId) -> &NodeMetrics {
@@ -177,10 +166,8 @@ mod tests {
         m.on_send(NodeId(0), "vote-1", 10);
         m.on_send(NodeId(0), "vote-1", 5);
         m.on_send(NodeId(2), "suggest", 100);
-        m.on_deliver(NodeId(1), 10);
         assert_eq!(m.node(NodeId(0)).msgs_sent, 2);
         assert_eq!(m.node(NodeId(0)).bytes_sent, 15);
-        assert_eq!(m.node(NodeId(1)).msgs_received, 1);
         assert_eq!(m.total_msgs_sent(), 3);
         assert_eq!(m.total_bytes_sent(), 115);
         assert_eq!(m.max_node_bytes_sent(), 100);
@@ -213,5 +200,17 @@ mod tests {
         let ev = m.evidence()[0];
         assert_eq!(ev.node, NodeId(0));
         assert_eq!((ev.first, ev.second), (Value::from_u64(5), Value::from_u64(7)));
+        // Node 1 re-voting in a later view claims a new register: no conflict.
+        m.on_claim(NodeId(1), claim(2, 9));
+        assert_eq!((m.equivocations(), m.evidence().len()), (2, 1));
+        // A proposer that proposes two values in one view convicts itself
+        // (phase `None`).
+        let proposal = |value| AuditClaim { phase: None, ..claim(3, value) };
+        m.on_claim(NodeId(2), proposal(8));
+        m.on_claim(NodeId(2), proposal(9));
+        assert_eq!(m.evidence().len(), 2);
+        let ev = m.evidence()[1];
+        assert_eq!((ev.node, ev.view, ev.phase), (NodeId(2), View(3), None));
+        assert_eq!((ev.first, ev.second), (Value::from_u64(8), Value::from_u64(9)));
     }
 }

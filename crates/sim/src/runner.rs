@@ -307,9 +307,6 @@ impl<M: WireSize + Clone, O> Sim<M, O> {
             };
             match event.kind {
                 EventKind::Deliver { to, from, msg } => {
-                    if from != to {
-                        transport.metrics.on_deliver(to, msg.wire_size());
-                    }
                     if let Some(trace) = transport.trace.as_deref_mut() {
                         trace.push(TraceEvent::Delivered { at, from, to, msg: msg.clone() });
                     }
@@ -483,7 +480,7 @@ mod tests {
 
     #[test]
     fn silent_node_does_nothing() {
-        let mut sim = SimBuilder::new(2).build_boxed(|id| {
+        let mut sim = SimBuilder::new(2).record_trace(true).build_boxed(|id| {
             if id == NodeId(0) {
                 Box::new(FnNode::<Msg, (), _>::new(|input, ctx| {
                     if matches!(input, Input::Start) {
@@ -497,7 +494,16 @@ mod tests {
         sim.run_until_quiet(100);
         assert!(sim.outputs().is_empty());
         assert_eq!(sim.metrics().node(NodeId(1)).msgs_sent, 0);
-        assert_eq!(sim.metrics().node(NodeId(1)).msgs_received, 1);
+        let to_silent: Vec<_> = sim
+            .trace()
+            .unwrap()
+            .iter()
+            .filter_map(|event| match event {
+                TraceEvent::Delivered { from, to: NodeId(1), msg, .. } => Some((*from, msg)),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(to_silent, [(NodeId(0), &Msg(9))], "the broadcast reached the silent node");
     }
 
     #[test]

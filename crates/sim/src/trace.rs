@@ -33,7 +33,8 @@ pub enum TraceEvent<M> {
         /// The message.
         msg: M,
     },
-    /// A message was dropped by the link policy.
+    /// The [`LinkPlan`](tetrabft_engine::LinkPlan) dropped a message: edge
+    /// loss or a lose window.
     Dropped {
         /// Send time.
         at: Time,

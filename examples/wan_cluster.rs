@@ -1,4 +1,4 @@
-//! WAN-conditioned blockchain cluster: topology and link policy come from
+//! WAN-conditioned blockchain cluster: topology and link plan come from
 //! the environment, and per-slot commit latencies are printed so the
 //! responsiveness claim can be eyeballed against the injected delay.
 //!

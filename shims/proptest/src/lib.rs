@@ -7,18 +7,19 @@
 //! * [`any`] for integers and `bool`, range strategies, tuple strategies,
 //!   [`Just`], [`collection::vec`], [`option::of`], and `prop_oneof!`;
 //! * the `proptest!` macro (with optional `#![proptest_config(..)]` header)
-//!   plus `prop_assert!`, `prop_assert_eq!`, `prop_assert_ne!`, and
-//!   `prop_assume!`.
+//!   plus `prop_assert!`, `prop_assert_eq!`, and `prop_assume!`.
 //!
 //! Semantics differ from real proptest in two deliberate ways: sampling is
 //! deterministic per test (seeded from the test's module path and name, so
-//! failures reproduce exactly), and shrinking is a **bounded greedy pass**
-//! rather than a full shrink tree — on failure the runner asks each
-//! strategy for smaller candidates ([`Strategy::shrink`]: integers halve
-//! toward their lower bound, vectors truncate and shrink elementwise,
-//! options drop to `None`, tuples shrink one component at a time), keeps
-//! any candidate that still fails, and stops after a fixed candidate
-//! budget — the panic reports both the original and the minimized inputs.
+//! a failure recurs at the same case on every run, and no
+//! `proptest-regressions/` file is read or written), and shrinking is a
+//! **bounded greedy pass** rather than a full shrink tree — on failure the
+//! runner asks each strategy for smaller candidates ([`Strategy::shrink`]:
+//! integers halve toward their lower bound, vectors truncate and shrink
+//! elementwise, options drop to `None`, tuples shrink one component at a
+//! time), keeps any candidate that still fails, and stops after a fixed
+//! candidate budget — the panic reports both the original and the
+//! minimized inputs.
 //! `prop_map` and `prop_oneof!` outputs do not shrink (a map cannot be
 //! inverted, a union does not know which arm produced the value).
 
@@ -59,19 +60,6 @@ impl TestRng {
             self.next_u64() % n
         }
     }
-
-    /// Raw generator state. Captured by `proptest!` before each case so a
-    /// failing case's exact inputs can be persisted and replayed; pair with
-    /// [`TestRng::from_state`].
-    pub fn state(&self) -> u64 {
-        self.state
-    }
-
-    /// Rebuilds a generator from a state previously captured with
-    /// [`TestRng::state`]; sampling continues bit-for-bit from there.
-    pub fn from_state(state: u64) -> Self {
-        TestRng { state }
-    }
 }
 
 /// Derives the per-test seed from the test's fully qualified name, so every
@@ -101,25 +89,12 @@ pub mod test_runner {
     pub struct Config {
         /// Successful (non-rejected) cases required.
         pub cases: u32,
-        /// Persist the rng state of failing cases to a
-        /// `proptest-regressions/` file in the consumer crate and replay
-        /// persisted states before fresh sampling on the next run.
-        pub persist: bool,
     }
 
     impl Config {
-        /// A config running `cases` cases (persistence on, as in real
-        /// proptest).
+        /// A config running `cases` cases.
         pub fn with_cases(cases: u32) -> Self {
-            Config { cases, persist: true }
-        }
-
-        /// Disables failure persistence — for properties that fail by
-        /// design (e.g. harness self-tests) and must not write files.
-        #[cfg(test)]
-        pub(crate) fn no_persist(mut self) -> Self {
-            self.persist = false;
-            self
+            Config { cases }
         }
     }
 
@@ -127,104 +102,8 @@ pub mod test_runner {
         fn default() -> Self {
             // Real proptest defaults to 256; the heavy simulator-driven
             // properties make a smaller default the right trade here.
-            Config { cases: 48, persist: true }
+            Config { cases: 48 }
         }
-    }
-}
-
-/// Failure-seed persistence, mirroring real proptest's
-/// `proptest-regressions/` files in a simplified single-file format.
-///
-/// Each line is `cc <module_path::test_name> <rng state>`; `#` lines are
-/// comments. `proptest!` captures the [`TestRng`] state immediately before
-/// each sample, appends it here when the case fails, and replays every
-/// persisted state for the test *before* fresh sampling on the next run —
-/// so a once-seen failure stays fatal until fixed. Commit the file to lock
-/// regressions in.
-pub mod regressions {
-    use std::fs;
-    use std::io::Write as _;
-    use std::path::{Path, PathBuf};
-
-    /// Directory created inside the consumer crate's manifest dir.
-    pub const DIR_NAME: &str = "proptest-regressions";
-    /// File inside [`DIR_NAME`] holding one failing seed per line.
-    pub const FILE_NAME: &str = "regressions.txt";
-
-    fn file_path(dir: &Path) -> PathBuf {
-        dir.join(FILE_NAME)
-    }
-
-    /// Parses persisted rng states for `test_name` from an explicit
-    /// directory (the unit-testable core of [`load`]).
-    pub(crate) fn load_from(dir: &Path, test_name: &str) -> Vec<u64> {
-        let Ok(text) = fs::read_to_string(file_path(dir)) else {
-            return Vec::new();
-        };
-        let mut out = Vec::new();
-        for line in text.lines() {
-            let line = line.trim();
-            if line.is_empty() || line.starts_with('#') {
-                continue;
-            }
-            let mut parts = line.split_whitespace();
-            if parts.next() != Some("cc") {
-                continue;
-            }
-            let (Some(name), Some(state)) = (parts.next(), parts.next()) else {
-                continue;
-            };
-            if name != test_name {
-                continue;
-            }
-            let digits = state.trim_start_matches("0x");
-            if let Ok(v) = u64::from_str_radix(digits, 16) {
-                if !out.contains(&v) {
-                    out.push(v);
-                }
-            }
-        }
-        out
-    }
-
-    /// Appends `state` for `test_name` under an explicit directory unless
-    /// an identical entry already exists. I/O errors are swallowed:
-    /// persistence must never turn a red test into a different red test.
-    pub(crate) fn save_to(dir: &Path, test_name: &str, state: u64) {
-        if load_from(dir, test_name).contains(&state) {
-            return;
-        }
-        if fs::create_dir_all(dir).is_err() {
-            return;
-        }
-        let path = file_path(dir);
-        let mut entry = String::new();
-        if !path.exists() {
-            entry.push_str(
-                "# Seeds of failing proptest cases (offline-shim format).\n\
-                 # Each line: cc <module_path::test_name> <rng state>\n\
-                 # Replayed before fresh sampling on the next run; commit this file\n\
-                 # to lock the regression in.\n",
-            );
-        }
-        entry.push_str(&format!("cc {test_name} {state:#018x}\n"));
-        let _ = fs::OpenOptions::new()
-            .create(true)
-            .append(true)
-            .open(&path)
-            .and_then(|mut f| f.write_all(entry.as_bytes()));
-    }
-
-    /// Macro entry point: loads persisted states for `test_name` from
-    /// `<manifest_dir>/proptest-regressions/`.
-    pub fn load(manifest_dir: &str, test_name: &str) -> Vec<u64> {
-        load_from(&Path::new(manifest_dir).join(DIR_NAME), test_name)
-    }
-
-    /// Macro entry point: persists a failing state for `test_name` under
-    /// `<manifest_dir>/proptest-regressions/`.
-    pub fn save(manifest_dir: &str, test_name: &str, state: u64) {
-        save_to(&Path::new(manifest_dir).join(DIR_NAME), test_name, state);
     }
 }
 
@@ -651,8 +530,8 @@ pub mod collection {
 pub mod prelude {
     pub use crate::test_runner::Config as ProptestConfig;
     pub use crate::{
-        any, prop_assert, prop_assert_eq, prop_assert_ne, prop_assume, prop_oneof, proptest,
-        Arbitrary, BoxedStrategy, Just, Strategy,
+        any, prop_assert, prop_assert_eq, prop_assume, prop_oneof, proptest, Arbitrary,
+        BoxedStrategy, Just, Strategy,
     };
 }
 
@@ -692,19 +571,6 @@ macro_rules! prop_assert_eq {
     ($left:expr, $right:expr, $($fmt:tt)+) => {{
         let (left, right) = (&$left, &$right);
         $crate::prop_assert!(*left == *right, $($fmt)+);
-    }};
-}
-
-/// `assert_ne!` that reports through the proptest harness.
-#[macro_export]
-macro_rules! prop_assert_ne {
-    ($left:expr, $right:expr $(,)?) => {{
-        let (left, right) = (&$left, &$right);
-        $crate::prop_assert!(
-            *left != *right,
-            "assertion failed: `(left != right)`\n  both: `{:?}`",
-            left
-        );
     }};
 }
 
@@ -761,57 +627,25 @@ macro_rules! __proptest_impl {
                 $body
                 ::std::result::Result::Ok(())
             });
-            let persist_root = env!("CARGO_MANIFEST_DIR");
-            let test_name = concat!(module_path!(), "::", stringify!($name));
             let mut accepted: u32 = 0;
             let mut attempts: u32 = 0;
-            // (failing inputs, failure message, seed provenance note)
+            // (failing inputs, failure message)
             let mut failing = ::std::option::Option::None;
-            // Persisted failures replay before any fresh sampling, so a
-            // once-seen regression stays fatal until actually fixed.
-            if config.persist {
-                for state in $crate::regressions::load(persist_root, test_name) {
-                    let mut replay = $crate::TestRng::from_state(state);
-                    let vals = $crate::Strategy::sample(&strat, &mut replay);
-                    if let ::std::result::Result::Err($crate::TestCaseError::Fail(msg)) =
-                        run(&vals)
-                    {
-                        failing = ::std::option::Option::Some((
-                            vals,
-                            msg,
-                            format!("replayed persisted seed {state:#018x}"),
-                        ));
-                        break;
-                    }
-                }
-            }
             // Give rejection-heavy properties (prop_assume!) room to find
             // enough accepted cases without looping forever.
             let max_attempts = config.cases.saturating_mul(16).max(64);
             while failing.is_none() && accepted < config.cases && attempts < max_attempts {
                 attempts += 1;
-                // Captured *before* sampling: this state replays the case.
-                let case_state = rng.state();
                 let vals = $crate::Strategy::sample(&strat, &mut rng);
                 match run(&vals) {
                     ::std::result::Result::Ok(()) => accepted += 1,
                     ::std::result::Result::Err($crate::TestCaseError::Reject) => {}
                     ::std::result::Result::Err($crate::TestCaseError::Fail(msg)) => {
-                        let note = if config.persist {
-                            $crate::regressions::save(persist_root, test_name, case_state);
-                            format!(
-                                "seed {case_state:#018x} persisted to {}/{} (replays first on the next run)",
-                                $crate::regressions::DIR_NAME,
-                                $crate::regressions::FILE_NAME
-                            )
-                        } else {
-                            ::std::string::String::from("seed persistence disabled for this property")
-                        };
-                        failing = ::std::option::Option::Some((vals, msg, note));
+                        failing = ::std::option::Option::Some((vals, msg));
                     }
                 }
             }
-            if let ::std::option::Option::Some((vals, msg, note)) = failing {
+            if let ::std::option::Option::Some((vals, msg)) = failing {
                 // Bounded greedy shrink: keep the first candidate that
                 // still fails, restart from it, give up once the candidate
                 // budget is spent or no candidate reproduces the failure.
@@ -840,13 +674,11 @@ macro_rules! __proptest_impl {
                 }
                 panic!(
                     "property `{}` failed at case {} (attempt {})\n\
-                     {}\n\
                      original input: {:?}\n\
                      minimal failing input: {:?}\n{}",
                     stringify!($name),
                     accepted,
                     attempts,
-                    note,
                     vals,
                     best,
                     best_msg
@@ -928,7 +760,7 @@ mod tests {
             prop_assume!(x != 13);
             prop_assert!(x < 100);
             prop_assert_eq!(pair.1, pair.1);
-            prop_assert_ne!(pair.1, 0);
+            prop_assert!(pair.1 != 0);
         }
     }
 
@@ -981,10 +813,9 @@ mod tests {
     }
 
     proptest! {
-        #![proptest_config(ProptestConfig::with_cases(8).no_persist())]
+        #![proptest_config(ProptestConfig::with_cases(8))]
         // No `#[test]`: this property exists to fail and is driven by
-        // `failing_property_reports_the_minimized_input` below. It fails by
-        // design, so persistence is off — it must not write files.
+        // `failing_property_reports_the_minimized_input` below.
         fn shrink_probe(x in 0u64..1000) {
             prop_assert!(x < 17, "x = {} reached the forbidden zone", x);
         }
@@ -992,55 +823,16 @@ mod tests {
 
     #[test]
     fn failing_property_reports_the_minimized_input() {
-        let payload = std::panic::catch_unwind(shrink_probe).expect_err("probe must fail");
-        let msg = payload.downcast_ref::<String>().expect("panic carries a String");
+        let report = || {
+            let payload = std::panic::catch_unwind(shrink_probe).expect_err("probe must fail");
+            payload.downcast_ref::<String>().expect("panic carries a String").clone()
+        };
+        let msg = report();
         assert!(
             msg.contains("minimal failing input: (17,)"),
             "greedy shrink must land exactly on the threshold:\n{msg}"
         );
         assert!(msg.contains("original input: ("), "the unshrunk case must also be reported");
-        assert!(
-            msg.contains("persistence disabled"),
-            "no_persist must be reported instead of writing files:\n{msg}"
-        );
-    }
-
-    #[test]
-    fn captured_state_replays_identical_samples() {
-        let mut rng = crate::rng_for("replay");
-        let strat = (0u64..1000, any::<bool>(), crate::collection::vec(0u8..9, 1..4));
-        for _ in 0..10 {
-            let state = rng.state();
-            let original = strat.sample(&mut rng);
-            let mut replay = crate::TestRng::from_state(state);
-            assert_eq!(strat.sample(&mut replay), original, "replay must be bit-for-bit");
-        }
-    }
-
-    #[test]
-    fn regressions_round_trip_dedup_and_isolation() {
-        let dir =
-            std::env::temp_dir().join(format!("tetrabft-proptest-shim-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        assert!(crate::regressions::load_from(&dir, "mod::prop_a").is_empty());
-
-        crate::regressions::save_to(&dir, "mod::prop_a", 0xdead_beef);
-        crate::regressions::save_to(&dir, "mod::prop_a", 0xdead_beef); // dup ignored
-        crate::regressions::save_to(&dir, "mod::prop_a", 0x1234);
-        crate::regressions::save_to(&dir, "mod::prop_b", 0xffff);
-
-        assert_eq!(
-            crate::regressions::load_from(&dir, "mod::prop_a"),
-            vec![0xdead_beef, 0x1234],
-            "states come back in insertion order, deduplicated"
-        );
-        assert_eq!(
-            crate::regressions::load_from(&dir, "mod::prop_b"),
-            vec![0xffff],
-            "per-test isolation"
-        );
-        let text = std::fs::read_to_string(dir.join(crate::regressions::FILE_NAME)).unwrap();
-        assert!(text.starts_with('#'), "file carries its format header:\n{text}");
-        let _ = std::fs::remove_dir_all(&dir);
+        assert_eq!(report(), msg, "the test's name fixes its cases: a rerun fails the same way");
     }
 }
