@@ -12,7 +12,7 @@
 
 use tetrabft_engine::{Context, Input, Node, TimerId, WireSize};
 use tetrabft_types::{Config, NodeId, Value, View, VoteInfo};
-use tetrabft_wire::{Reader, Wire, WireError, Writer};
+use tetrabft_wire::{Wire, Writer};
 
 use tetrabft::{Params, ViewChanges, ViewVerdict, VoteRegisters};
 
@@ -80,7 +80,8 @@ pub enum IthsMsg {
     },
 }
 
-impl Wire for IthsMsg {
+impl IthsMsg {
+    /// Appends the message's wire encoding to `w`.
     fn encode(&self, w: &mut Writer) {
         match self {
             IthsMsg::Propose { view, value } => {
@@ -120,34 +121,11 @@ impl Wire for IthsMsg {
             }
         }
     }
-
-    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        match r.get_u8()? {
-            1 => Ok(IthsMsg::Propose { view: View::decode(r)?, value: Value::decode(r)? }),
-            2 => Ok(IthsMsg::Echo { view: View::decode(r)?, value: Value::decode(r)? }),
-            3 => {
-                let level = r.get_u8()?;
-                if !(1..=3).contains(&level) {
-                    return Err(WireError::InvalidTag { what: "IthsMsg::Key", tag: level });
-                }
-                Ok(IthsMsg::Key { level, view: View::decode(r)?, value: Value::decode(r)? })
-            }
-            4 => Ok(IthsMsg::Lock { view: View::decode(r)?, value: Value::decode(r)? }),
-            5 => Ok(IthsMsg::Request { view: View::decode(r)? }),
-            6 => Ok(IthsMsg::Suggest {
-                view: View::decode(r)?,
-                key3: Option::decode(r)?,
-                lock: Option::decode(r)?,
-            }),
-            7 => Ok(IthsMsg::ViewChange { view: View::decode(r)? }),
-            tag => Err(WireError::InvalidTag { what: "IthsMsg", tag }),
-        }
-    }
 }
 
 impl WireSize for IthsMsg {
     fn wire_size(&self) -> usize {
-        self.wire_len()
+        crate::encoded_len(|w| self.encode(w))
     }
 }
 
@@ -439,25 +417,5 @@ mod tests {
         // Timeout fires at 90; vc(91) request(92) suggest(93) propose(94)
         // echo(95) k1(96) k2(97) k3(98) lock(99): decide at t = 90 + 9.
         assert_eq!(sim.outputs()[0].time, Time(99));
-    }
-
-    #[test]
-    fn messages_roundtrip() {
-        use tetrabft_wire::Wire;
-        for msg in [
-            IthsMsg::Propose { view: View(1), value: Value::from_u64(2) },
-            IthsMsg::Echo { view: View(1), value: Value::from_u64(2) },
-            IthsMsg::Key { level: 2, view: View(1), value: Value::from_u64(2) },
-            IthsMsg::Lock { view: View(1), value: Value::from_u64(2) },
-            IthsMsg::Request { view: View(3) },
-            IthsMsg::Suggest {
-                view: View(3),
-                key3: Some(VoteInfo::new(View(1), Value::from_u64(1))),
-                lock: None,
-            },
-            IthsMsg::ViewChange { view: View(4) },
-        ] {
-            assert_eq!(IthsMsg::from_bytes(&msg.to_bytes()).unwrap(), msg);
-        }
     }
 }

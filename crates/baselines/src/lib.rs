@@ -39,3 +39,12 @@ pub use iths::IthsNode;
 pub use ithsblog::BlogNode;
 pub use pbft::PbftNode;
 pub use repeated::RepeatedTetra;
+
+/// The byte count of what `encode` writes: how a baseline message is priced.
+/// The baselines run only under the simulator, which hands a node values,
+/// never bytes, so their messages have encoders for pricing and no decoders.
+fn encoded_len(encode: impl FnOnce(&mut tetrabft_wire::Writer)) -> usize {
+    let mut w = tetrabft_wire::Writer::new();
+    encode(&mut w);
+    w.len()
+}

@@ -13,7 +13,7 @@
 
 use tetrabft_engine::{Context, Input, Node, TimerId, WireSize};
 use tetrabft_types::{Config, NodeId, Value, View, VoteInfo};
-use tetrabft_wire::{Reader, Wire, WireError, Writer};
+use tetrabft_wire::{Wire, Writer};
 
 use tetrabft::{Params, ViewChanges, ViewVerdict, VoteRegisters};
 
@@ -34,18 +34,11 @@ pub struct PrepareRecord {
     pub value: Value,
 }
 
-impl Wire for PrepareRecord {
+impl PrepareRecord {
     fn encode(&self, w: &mut Writer) {
         self.node.encode(w);
         self.view.encode(w);
         self.value.encode(w);
-    }
-    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        Ok(PrepareRecord {
-            node: NodeId::decode(r)?,
-            view: View::decode(r)?,
-            value: Value::decode(r)?,
-        })
     }
 }
 
@@ -60,18 +53,20 @@ pub struct VcRecord {
     pub cert: Vec<PrepareRecord>,
 }
 
-impl Wire for VcRecord {
+impl VcRecord {
     fn encode(&self, w: &mut Writer) {
         self.node.encode(w);
         self.prepared.encode(w);
-        self.cert.encode(w);
+        put_list(w, &self.cert, PrepareRecord::encode);
     }
-    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        Ok(VcRecord {
-            node: NodeId::decode(r)?,
-            prepared: Option::decode(r)?,
-            cert: Vec::decode(r)?,
-        })
+}
+
+/// Writes `items` as the wire codec writes a `Vec`: a varint count, then
+/// each item.
+fn put_list<T>(w: &mut Writer, items: &[T], put: fn(&T, &mut Writer)) {
+    w.put_varint(items.len() as u64);
+    for item in items {
+        put(item, w);
     }
 }
 
@@ -130,7 +125,8 @@ pub enum PbftMsg {
     },
 }
 
-impl Wire for PbftMsg {
+impl PbftMsg {
+    /// Appends the message's wire encoding to `w`.
     fn encode(&self, w: &mut Writer) {
         match self {
             PbftMsg::PrePrepare { view, value } => {
@@ -156,13 +152,13 @@ impl Wire for PbftMsg {
                 w.put_u8(5);
                 view.encode(w);
                 prepared.encode(w);
-                cert.encode(w);
+                put_list(w, cert, PrepareRecord::encode);
             }
             PbftMsg::NewView { view, value, certs } => {
                 w.put_u8(6);
                 view.encode(w);
                 value.encode(w);
-                certs.encode(w);
+                put_list(w, certs, VcRecord::encode);
             }
             PbftMsg::Ack { view } => {
                 w.put_u8(7);
@@ -170,32 +166,11 @@ impl Wire for PbftMsg {
             }
         }
     }
-
-    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        match r.get_u8()? {
-            1 => Ok(PbftMsg::PrePrepare { view: View::decode(r)?, value: Value::decode(r)? }),
-            2 => Ok(PbftMsg::Prepare { view: View::decode(r)?, value: Value::decode(r)? }),
-            3 => Ok(PbftMsg::Commit { view: View::decode(r)?, value: Value::decode(r)? }),
-            4 => Ok(PbftMsg::Request { view: View::decode(r)? }),
-            5 => Ok(PbftMsg::ViewChange {
-                view: View::decode(r)?,
-                prepared: Option::decode(r)?,
-                cert: Vec::decode(r)?,
-            }),
-            6 => Ok(PbftMsg::NewView {
-                view: View::decode(r)?,
-                value: Value::decode(r)?,
-                certs: Vec::decode(r)?,
-            }),
-            7 => Ok(PbftMsg::Ack { view: View::decode(r)? }),
-            tag => Err(WireError::InvalidTag { what: "PbftMsg", tag }),
-        }
-    }
 }
 
 impl WireSize for PbftMsg {
     fn wire_size(&self) -> usize {
-        self.wire_len()
+        crate::encoded_len(|w| self.encode(w))
     }
 }
 
@@ -548,27 +523,5 @@ mod tests {
         // node + varint view + 8-byte value); the scaling is what matters.
         assert!(vc.wire_size() > n * 10, "view-change must be O(n)");
         assert!(nv.wire_size() > n * n * 10, "new-view must be O(n²)");
-    }
-
-    #[test]
-    fn messages_roundtrip() {
-        use tetrabft_wire::Wire;
-        let cert =
-            vec![PrepareRecord { node: NodeId(1), view: View(1), value: Value::from_u64(5) }];
-        for msg in [
-            PbftMsg::PrePrepare { view: View(1), value: Value::from_u64(2) },
-            PbftMsg::Prepare { view: View(1), value: Value::from_u64(2) },
-            PbftMsg::Commit { view: View(1), value: Value::from_u64(2) },
-            PbftMsg::Request { view: View(2) },
-            PbftMsg::ViewChange { view: View(2), prepared: None, cert: cert.clone() },
-            PbftMsg::NewView {
-                view: View(2),
-                value: Value::from_u64(2),
-                certs: vec![VcRecord { node: NodeId(0), prepared: None, cert }],
-            },
-            PbftMsg::Ack { view: View(2) },
-        ] {
-            assert_eq!(PbftMsg::from_bytes(&msg.to_bytes()).unwrap(), msg);
-        }
     }
 }

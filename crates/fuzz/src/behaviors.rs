@@ -68,7 +68,7 @@ fn nonzero(flip: u64) -> u64 {
 /// Afterwards it echoes every delivered vote per-recipient: verbatim to
 /// even peers, value-flipped to odd peers, feeding both sides in later
 /// views too. The per-recipient conflict is exactly what the omniscient
-/// wire recorder and honest registers convict as equivocation evidence.
+/// wire recorder (`tetrabft_sim::Metrics`) records as equivocation evidence.
 fn equivocator(flip: u64) -> Behavior<Message> {
     let flip = nonzero(flip);
     let base = 0xe0_0001u64;

@@ -27,8 +27,8 @@
 //! trace and fed to the model checker's `Explorer::with_initial`, replaying
 //! the finding as an mc counterexample trace.
 //!
-//! Accountability rides along end to end: the sim's omniscient recorder and
-//! the honest nodes' registers both emit typed
+//! Accountability rides along end to end: the sim's omniscient wire
+//! recorder ([`tetrabft_sim::Metrics`]) emits typed
 //! [`Evidence`](tetrabft_types::Evidence) records — "node 3 voted both v
 //! and v′ in view 7" — surfaced in every [`RunReport`] and campaign
 //! summary.

@@ -74,7 +74,7 @@ impl Metrics {
 
     /// Audits one wire claim from `from`: remembers the first value per
     /// register, convicts on a conflicting re-claim. The transport calls
-    /// this for every non-loopback send whose message has an
+    /// this for every copy of a send that leaves the node and has an
     /// [`audit_claim`](tetrabft_engine::WireSize::audit_claim).
     pub(crate) fn on_claim(&mut self, from: NodeId, claim: AuditClaim) {
         let key = (from.0, claim.slot.map(|s| s.0), claim.view.0, claim.phase.map(|p| p.as_u8()));

@@ -11,7 +11,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use tetrabft_engine::{Dest, EdgeSpec, Engine, LinkPlan, Node, Time, TimerId, Transport, WireSize};
-use tetrabft_types::NodeId;
+use tetrabft_types::{AuditClaim, NodeId};
 
 use crate::metrics::Metrics;
 use crate::queue::{EventKind, EventQueue};
@@ -140,8 +140,15 @@ struct SimTransport<'a, M, O> {
     outputs: &'a mut Vec<OutputRecord<O>>,
 }
 
+/// What the wire recorder charges each copy of one send — size, kind and
+/// audit claim — read once per send: a size or claim can cost a full encode
+/// (and a proposal's block hash).
+type Price = (usize, &'static str, Option<AuditClaim>);
+
 impl<M: WireSize + Clone, O> SimTransport<'_, M, O> {
-    fn route(&mut self, to: NodeId, msg: M) {
+    /// Routes one copy of a send. `price` is filled by the send's first
+    /// copy that leaves the node and reused by the rest.
+    fn route(&mut self, to: NodeId, msg: M, price: &mut Option<Price>) {
         let from = self.me;
         if from == to {
             // Loopback: instantaneous, free, and lossless.
@@ -151,9 +158,10 @@ impl<M: WireSize + Clone, O> SimTransport<'_, M, O> {
             self.queue.push(self.now, EventKind::Deliver { to, from, msg });
             return;
         }
-        let size = msg.wire_size();
-        self.metrics.on_send(from, msg.wire_kind(), size);
-        if let Some(claim) = msg.audit_claim() {
+        let (size, kind, claim) =
+            *price.get_or_insert_with(|| (msg.wire_size(), msg.wire_kind(), msg.audit_claim()));
+        self.metrics.on_send(from, kind, size);
+        if let Some(claim) = claim {
             self.metrics.on_claim(from, claim);
         }
         if let Some(trace) = self.trace.as_deref_mut() {
@@ -180,11 +188,12 @@ impl<M: WireSize + Clone, O> Transport<M, O> for SimTransport<'_, M, O> {
                 // batch, a TCP frame's bytes), so each clone is a
                 // refcount bump over one shared buffer — never a per-
                 // recipient copy of the payload itself.
+                let mut price = None;
                 for to in 0..self.n as u16 {
-                    self.route(NodeId(to), msg.clone());
+                    self.route(NodeId(to), msg.clone(), &mut price);
                 }
             }
-            Dest::Node(to) => self.route(to, msg),
+            Dest::Node(to) => self.route(to, msg, &mut None),
         }
     }
 
@@ -376,7 +385,10 @@ mod tests {
     use super::*;
     use crate::actors::{FnNode, SilentNode};
     use crate::PartitionWindow;
+    use std::cell::Cell;
+    use std::rc::Rc;
     use tetrabft_engine::Input;
+    use tetrabft_types::{Value, View};
 
     #[derive(Clone, Debug, PartialEq)]
     struct Msg(u64);
@@ -384,6 +396,38 @@ mod tests {
         fn wire_size(&self) -> usize {
             8
         }
+    }
+
+    #[test]
+    fn a_broadcast_is_priced_once_and_charged_per_copy() {
+        // Counts the calls to `wire_size` and to `audit_claim`.
+        #[derive(Clone)]
+        struct Counted(Rc<Cell<(u32, u32)>>);
+        impl WireSize for Counted {
+            fn wire_size(&self) -> usize {
+                self.0.set((self.0.get().0 + 1, self.0.get().1));
+                8
+            }
+            fn audit_claim(&self) -> Option<AuditClaim> {
+                self.0.set((self.0.get().0, self.0.get().1 + 1));
+                let value = Value::from_u64(1);
+                Some(AuditClaim { slot: None, view: View(0), phase: None, value })
+            }
+        }
+        let calls = Rc::new(Cell::new((0, 0)));
+        let probe = calls.clone();
+        let mut sim = SimBuilder::new(4).build(move |id| {
+            let probe = probe.clone();
+            FnNode::<Counted, (), _>::new(move |input, ctx| {
+                if matches!(input, Input::Start) && id == NodeId(0) {
+                    ctx.broadcast(Counted(probe.clone()));
+                }
+            })
+        });
+        sim.run_until_quiet(100);
+        assert_eq!(calls.get(), (1, 1), "one broadcast is sized and audited once");
+        // Each of the three copies that leave node 0 is still charged.
+        assert_eq!((sim.metrics().total_msgs_sent(), sim.metrics().total_bytes_sent()), (3, 24));
     }
 
     #[test]

@@ -130,12 +130,6 @@ impl NodeStore {
         debug_assert_eq!(offset, chain.len_bytes());
         chain.sync()?;
 
-        // Builds before the journal kept a whole-queue snapshot under this
-        // name. It is a different format: dropped, never parsed.
-        match fs::remove_file(dir.join("mempool.log")) {
-            Err(e) if e.kind() != std::io::ErrorKind::NotFound => return Err(e.into()),
-            _ => {}
-        }
         let mut queue = VecDeque::new();
         let mut mempool_dead = 0;
         let mempool = Wal::open(dir.join("mempool.wal"), policy, |seal| {
@@ -706,18 +700,6 @@ mod tests {
         let store = NodeStore::open(&dir, FsyncPolicy::Never).unwrap();
         let want: [&[u8]; 4] = [b"a", b"b", b"d", b"e"];
         assert_eq!(store.restored_mempool(), want);
-        fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn a_leftover_snapshot_from_an_older_build_is_removed_unread() {
-        let dir = temp_dir("legacy-snapshot");
-        fs::create_dir_all(&dir).unwrap();
-        // The old format framed one bare transaction per record.
-        fs::write(dir.join("mempool.log"), crate::record::frame(b"stale")).unwrap();
-        let store = NodeStore::open(&dir, FsyncPolicy::Never).unwrap();
-        assert!(store.restored_mempool().is_empty());
-        assert!(!dir.join("mempool.log").exists());
         fs::remove_dir_all(&dir).unwrap();
     }
 

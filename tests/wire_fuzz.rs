@@ -5,9 +5,6 @@
 use proptest::prelude::*;
 
 use tetrabft::{Message, ProofData, SuggestData};
-use tetrabft_baselines::iths::IthsMsg;
-use tetrabft_baselines::ithsblog::BlogMsg;
-use tetrabft_baselines::pbft::PbftMsg;
 use tetrabft_multishot::{Block, MsMessage};
 use tetrabft_types::{Phase, Slot, Value, View, VoteInfo};
 use tetrabft_wire::{Reader, Wire, Writer};
@@ -105,9 +102,6 @@ proptest! {
         // Any result is fine — panicking is not.
         let _ = Message::from_bytes(&bytes);
         let _ = MsMessage::from_bytes(&bytes);
-        let _ = IthsMsg::from_bytes(&bytes);
-        let _ = BlogMsg::from_bytes(&bytes);
-        let _ = PbftMsg::from_bytes(&bytes);
     }
 
     #[test]
