@@ -11,7 +11,7 @@
 //! A second measurement isolates where seal coalescing acts in deployment:
 //! the **mailbox drain** replays one node's recorded good-case traffic
 //! into a durable engine through the calls `tetrabft-net`'s runner makes
-//! ([`Engine::on_deliver_buffered`], then [`Engine::finish_batch`]),
+//! ([`Engine::feed`], then [`Engine::finish_batch`]),
 //! sealing after every event versus after every 64, the TCP runtime's
 //! drain bound. (The simulator's global queue interleaves targets, so
 //! consecutive same-node events are rare there; a per-node mailbox is
@@ -37,7 +37,8 @@ use tetrabft::Params;
 use tetrabft_bench::{print_table, CountingAlloc};
 use tetrabft_multishot::{BlockHash, Finalized, MsMessage, MultiShotNode};
 use tetrabft_sim::{
-    Context, Dest, Engine, Input, Node, SimBuilder, Time, TimerId, TraceEvent, Transport, WireSize,
+    Context, Dest, Engine, Event, Input, Node, SimBuilder, Time, TimerId, TraceEvent, Transport,
+    WireSize,
 };
 use tetrabft_types::{Config, FsyncPolicy, NodeId, Slot, View};
 
@@ -164,7 +165,7 @@ const MAILBOX_BATCH: usize = 64;
 
 /// Records every delivery into node 0's mailbox over a traced good-case
 /// run: the event stream the deployed runtime would drain for that node.
-fn recorded_mailbox(n: usize, horizon: u64) -> Vec<(Time, NodeId, MsMessage)> {
+fn recorded_mailbox(n: usize, horizon: u64) -> Vec<(Time, Event<MsMessage>)> {
     let cfg = Config::new(n).expect("valid n");
     let params = Params::new(1_000_000);
     let mut sim =
@@ -175,7 +176,7 @@ fn recorded_mailbox(n: usize, horizon: u64) -> Vec<(Time, NodeId, MsMessage)> {
         .iter()
         .filter_map(|ev| match ev {
             TraceEvent::Delivered { at, from, to, msg } if *to == NodeId(0) => {
-                Some((*at, *from, msg.clone()))
+                Some((*at, Event::Deliver { from: *from, msg: msg.clone() }))
             }
             _ => None,
         })
@@ -197,7 +198,7 @@ struct DrainSample {
 /// seal (a WAL write per dirtied slot); at [`MAILBOX_BATCH`] the same
 /// dispatches share one seal per chunk, so re-dirtied slots collapse to a
 /// single WAL record per batch.
-fn drain_mailbox(n: usize, events: &[(Time, NodeId, MsMessage)], batch: usize) -> DrainSample {
+fn drain_mailbox(n: usize, events: &[(Time, Event<MsMessage>)], batch: usize) -> DrainSample {
     let cfg = Config::new(n).expect("valid n");
     let params = Params::new(1_000_000).with_fsync(FsyncPolicy::Never);
     let root =
@@ -212,8 +213,8 @@ fn drain_mailbox(n: usize, events: &[(Time, NodeId, MsMessage)], batch: usize) -
     let wall = Instant::now();
     for chunk in events.chunks(batch) {
         let now = chunk.last().expect("chunks are non-empty").0;
-        for (_, from, msg) in chunk {
-            engine.on_deliver_buffered(*from, msg.clone(), now, &mut transport);
+        for (_, event) in chunk {
+            engine.feed(event.clone(), now, &mut transport);
         }
         engine.finish_batch(&mut transport);
     }
@@ -240,13 +241,11 @@ fn assert_steady_state_is_alloc_free() {
 
     // Votes from every peer for the live slot window: these exercise the
     // registers, the quorum checks, and the full drive loop.
-    let votes: Vec<(NodeId, MsMessage)> = (0..n as u16)
+    let votes: Vec<Event<MsMessage>> = (0..n as u16)
         .flat_map(|peer| {
-            (1..=4u64).map(move |slot| {
-                (
-                    NodeId(peer),
-                    MsMessage::Vote { slot: Slot(slot), view: View(0), hash: BlockHash(0xABCD) },
-                )
+            (1..=4u64).map(move |slot| Event::Deliver {
+                from: NodeId(peer),
+                msg: MsMessage::Vote { slot: Slot(slot), view: View(0), hash: BlockHash(0xABCD) },
             })
         })
         .collect();
@@ -254,16 +253,16 @@ fn assert_steady_state_is_alloc_free() {
     // Two warm passes: the first grows containers to steady state, the
     // second confirms the shapes have settled before the counted window.
     for round in 1..=2u64 {
-        for (from, msg) in &votes {
-            engine.on_deliver_buffered(*from, msg.clone(), Time(round), &mut transport);
+        for vote in &votes {
+            engine.feed(vote.clone(), Time(round), &mut transport);
             engine.finish_batch(&mut transport);
         }
     }
 
     let before = ALLOC.snapshot();
     for round in 0..100u64 {
-        for (from, msg) in &votes {
-            engine.on_deliver_buffered(*from, msg.clone(), Time(3 + round), &mut transport);
+        for vote in &votes {
+            engine.feed(vote.clone(), Time(3 + round), &mut transport);
             engine.finish_batch(&mut transport);
         }
     }
@@ -291,13 +290,13 @@ fn assert_effectful_dispatch_is_alloc_free() {
     let mut transport = DropTransport;
     engine.start(Time(0), &mut transport);
     // One warm delivery: the counted window starts from steady state.
-    engine.on_deliver_buffered(NodeId(1), Tick(0), Time(1), &mut transport);
+    engine.feed(Event::Deliver { from: NodeId(1), msg: Tick(0) }, Time(1), &mut transport);
     engine.finish_batch(&mut transport);
 
     let deliveries = 1_000u64;
     let before = ALLOC.snapshot();
     for t in 0..deliveries {
-        engine.on_deliver_buffered(NodeId(1), Tick(t), Time(2 + t), &mut transport);
+        engine.feed(Event::Deliver { from: NodeId(1), msg: Tick(t) }, Time(2 + t), &mut transport);
         engine.finish_batch(&mut transport);
     }
     let after = ALLOC.snapshot();

@@ -1,11 +1,10 @@
 //! A counting global allocator for the zero-alloc hot-path benches.
 //!
 //! Wraps [`std::alloc::System`] and keeps atomic tallies of allocation
-//! events, bytes requested, live bytes, and the live-byte peak. A bench
-//! registers one instance as its `#[global_allocator]`, snapshots the
-//! counters around a measured window, and asserts on the delta — turning
-//! "the steady state does not allocate" from a code-review claim into a
-//! hard pass/fail gate.
+//! events and bytes requested. A bench registers one instance as its
+//! `#[global_allocator]`, snapshots the counters around a measured window,
+//! and asserts on the delta — turning "the steady state does not allocate"
+//! from a code-review claim into a hard pass/fail gate.
 //!
 //! This is the only module in the workspace that needs `unsafe`
 //! (implementing [`GlobalAlloc`] requires it); everything it does with
@@ -38,10 +37,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 #[derive(Debug)]
 pub struct CountingAlloc {
     allocs: AtomicU64,
-    deallocs: AtomicU64,
     bytes: AtomicU64,
-    live: AtomicU64,
-    peak: AtomicU64,
 }
 
 /// A point-in-time copy of the counters; subtract two to price a window.
@@ -50,49 +46,27 @@ pub struct AllocSnapshot {
     /// Allocation events so far (`alloc`, `alloc_zeroed`, and every
     /// `realloc`, since a realloc may move the block).
     pub allocs: u64,
-    /// Deallocation events so far.
-    pub deallocs: u64,
     /// Total bytes ever requested from the allocator.
     pub bytes: u64,
-    /// Bytes currently live.
-    pub live: u64,
-    /// High-water mark of `live`.
-    pub peak: u64,
 }
 
 impl CountingAlloc {
     /// A fresh counter set (const: usable as a `static` initializer).
     pub const fn new() -> Self {
-        CountingAlloc {
-            allocs: AtomicU64::new(0),
-            deallocs: AtomicU64::new(0),
-            bytes: AtomicU64::new(0),
-            live: AtomicU64::new(0),
-            peak: AtomicU64::new(0),
-        }
+        CountingAlloc { allocs: AtomicU64::new(0), bytes: AtomicU64::new(0) }
     }
 
     /// Copies the current counters.
     pub fn snapshot(&self) -> AllocSnapshot {
         AllocSnapshot {
             allocs: self.allocs.load(Ordering::Relaxed),
-            deallocs: self.deallocs.load(Ordering::Relaxed),
             bytes: self.bytes.load(Ordering::Relaxed),
-            live: self.live.load(Ordering::Relaxed),
-            peak: self.peak.load(Ordering::Relaxed),
         }
     }
 
-    fn on_alloc(&self, size: u64) {
+    fn on_alloc(&self, size: usize) {
         self.allocs.fetch_add(1, Ordering::Relaxed);
-        self.bytes.fetch_add(size, Ordering::Relaxed);
-        let live = self.live.fetch_add(size, Ordering::Relaxed) + size;
-        self.peak.fetch_max(live, Ordering::Relaxed);
-    }
-
-    fn on_dealloc(&self, size: u64) {
-        self.deallocs.fetch_add(1, Ordering::Relaxed);
-        self.live.fetch_sub(size, Ordering::Relaxed);
+        self.bytes.fetch_add(size as u64, Ordering::Relaxed);
     }
 }
 
@@ -121,7 +95,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         let ptr = unsafe { System.alloc(layout) };
         if !ptr.is_null() {
-            self.on_alloc(layout.size() as u64);
+            self.on_alloc(layout.size());
         }
         ptr
     }
@@ -129,31 +103,20 @@ unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
         let ptr = unsafe { System.alloc_zeroed(layout) };
         if !ptr.is_null() {
-            self.on_alloc(layout.size() as u64);
+            self.on_alloc(layout.size());
         }
         ptr
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
         unsafe { System.dealloc(ptr, layout) };
-        self.on_dealloc(layout.size() as u64);
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         let new_ptr = unsafe { System.realloc(ptr, layout, new_size) };
         if !new_ptr.is_null() {
-            // A realloc is an allocation event (the block may move and
-            // grow); account the transition old → new against the tallies.
-            self.allocs.fetch_add(1, Ordering::Relaxed);
-            self.bytes.fetch_add(new_size as u64, Ordering::Relaxed);
-            let old = layout.size() as u64;
-            let new = new_size as u64;
-            let live = if new >= old {
-                self.live.fetch_add(new - old, Ordering::Relaxed) + (new - old)
-            } else {
-                self.live.fetch_sub(old - new, Ordering::Relaxed) - (old - new)
-            };
-            self.peak.fetch_max(live, Ordering::Relaxed);
+            // A realloc is an allocation event: the block may move and grow.
+            self.on_alloc(new_size);
         }
         new_ptr
     }
@@ -173,15 +136,15 @@ mod tests {
             let p = counter.alloc(layout);
             assert!(!p.is_null());
             let s = counter.snapshot();
-            assert_eq!((s.allocs, s.bytes, s.live, s.peak), (1, 64, 64, 64));
+            assert_eq!((s.allocs, s.bytes), (1, 64));
             counter.dealloc(p, layout);
         }
         let s = counter.snapshot();
-        assert_eq!((s.allocs, s.deallocs, s.live, s.peak), (1, 1, 0, 64));
+        assert_eq!((s.allocs, s.bytes), (1, 64), "a free counts nothing");
     }
 
     #[test]
-    fn realloc_counts_as_allocation_and_moves_live() {
+    fn realloc_counts_as_an_allocation() {
         let counter = CountingAlloc::new();
         let layout = Layout::from_size_align(32, 8).unwrap();
         unsafe {
@@ -189,12 +152,9 @@ mod tests {
             let p2 = counter.realloc(p, layout, 128);
             assert!(!p2.is_null());
             let s = counter.snapshot();
-            assert_eq!(s.allocs, 2);
-            assert_eq!(s.live, 128);
-            assert_eq!(s.peak, 128);
+            assert_eq!((s.allocs, s.bytes), (2, 32 + 128));
             counter.dealloc(p2, Layout::from_size_align(128, 8).unwrap());
         }
-        assert_eq!(counter.snapshot().live, 0);
     }
 
     #[test]

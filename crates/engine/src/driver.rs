@@ -4,9 +4,10 @@
 //! (`tetrabft-net`) used to hand-roll the same three pieces of machinery:
 //! timer generations (a re-armed timer must orphan its queued firing),
 //! [`Action`] dispatch, and the persist-then-flush seal that closes a batch
-//! of [`Node`] inputs. [`Engine`] owns all three once; runtimes shrink
-//! to [`Transport`] implementations that only know how to move bytes,
-//! schedule wakeups, and surface outputs.
+//! of [`Node`] inputs, with the bookkeeping of whether a batch ran anything
+//! to seal. [`Engine`] owns all three once, behind one input door
+//! ([`Engine::feed`]); runtimes shrink to [`Transport`] implementations
+//! that only know how to move bytes, schedule wakeups, and surface outputs.
 
 use std::collections::HashMap;
 
@@ -14,6 +15,32 @@ use tetrabft_types::NodeId;
 
 use crate::node::{Action, ActionBuf, Context, Dest, Input, Node, TimerId};
 use crate::time::Time;
+
+/// One input a runtime feeds an [`Engine`] ([`Engine::feed`]) — everything
+/// that reaches a node after [`Engine::start`] except client requests
+/// ([`Engine::submit`]).
+#[derive(Debug, Clone)]
+pub enum Event<M> {
+    /// A message arrived from `from` (loopback included).
+    Deliver {
+        /// The true sender of the message.
+        from: NodeId,
+        /// The message.
+        msg: M,
+    },
+    /// A timer armed through [`Transport::arm_timer`] came due.
+    Timer {
+        /// Which timer.
+        id: TimerId,
+        /// The generation the arming carried, echoed back unread.
+        generation: u64,
+    },
+    /// The transport saw `peer`'s stream end ([`Input::PeerDown`]).
+    PeerDown {
+        /// The peer whose connection ended.
+        peer: NodeId,
+    },
+}
 
 /// What an [`Engine`] asks its runtime to do.
 ///
@@ -26,16 +53,17 @@ pub trait Transport<M, O> {
     fn send(&mut self, dest: Dest, msg: M);
 
     /// Schedule timer `id` to fire `after` ticks from now, tagged with
-    /// `generation`. The runtime must echo the tag back through
-    /// [`Engine::on_timer_buffered`]; it never interprets it.
+    /// `generation`. The runtime must echo the tag back in an
+    /// [`Event::Timer`]; it never interprets it.
     fn arm_timer(&mut self, id: TimerId, generation: u64, after: u64);
 
     /// Surface a protocol output to the application.
     fn deliver_output(&mut self, out: O);
 
     /// Called exactly once per sealed batch of inputs — by
-    /// [`Engine::finish_batch`], and by [`Engine::start`] for the boot
-    /// input — after every action of the batch has been dispatched.
+    /// [`Engine::finish_batch`] when the batch ran the node, and by
+    /// [`Engine::start`] for the boot input — after every action of the
+    /// batch has been dispatched.
     /// Buffering transports hand their staged sends to the network here —
     /// one handoff per batch rather than one per message — so a broadcast
     /// plus its follow-ups leave together. The default is a no-op for
@@ -79,11 +107,11 @@ pub trait FrameRequest: Sized {
 ///
 /// The engine owns the node, its timer-generation table, and the
 /// translation of node [`Action`]s into [`Transport`] calls. A runtime
-/// boots it once ([`Engine::start`]), then drains whatever its sources
-/// have queued through [`Engine::on_deliver_buffered`] and
-/// [`Engine::on_timer_buffered`] — with the current time and a transport
-/// to act through — and closes every such batch, of one input or many,
-/// with [`Engine::finish_batch`]; client requests enter beside them
+/// boots it once ([`Engine::start`]), then feeds whatever its sources
+/// have queued, one [`Event`] at a time, through [`Engine::feed`] — with
+/// the current time and a transport to act through — and closes every such
+/// batch, of one event or many, with [`Engine::finish_batch`], which seals
+/// only a batch that ran the node; client requests enter beside them
 /// through [`Engine::submit`].
 ///
 /// # Timer generations
@@ -148,6 +176,8 @@ pub struct Engine<N: Node> {
     /// The node's effects, drained after every dispatch: its capacity is
     /// kept, so a warmed engine allocates nothing to buffer them.
     actions: ActionBuf<N::Msg, N::Output>,
+    /// Whether the node ran since the last seal.
+    ran: bool,
 }
 
 impl<N: Node> Engine<N> {
@@ -160,6 +190,7 @@ impl<N: Node> Engine<N> {
             generations: HashMap::new(),
             next_generation: 0,
             actions: ActionBuf::new(),
+            ran: false,
         }
     }
 
@@ -177,65 +208,51 @@ impl<N: Node> Engine<N> {
         self.finish_batch(transport);
     }
 
-    /// Feeds one peer message to the node, deferring the persist/flush
-    /// seal to [`Engine::finish_batch`]: a caller that drains several
-    /// queued inputs in one go pays one storage sync and one network
-    /// handoff per *batch* instead of per input.
+    /// Feeds one runtime [`Event`] to the node, unless it is a timer firing
+    /// whose generation is stale (the timer was replaced or cancelled after
+    /// the firing was queued). Returns whether the node ran.
     ///
-    /// Every sequence of `*_buffered` calls **must** be closed with
+    /// The persist/flush seal is deferred to [`Engine::finish_batch`]: a
+    /// runtime that drains several queued events in one go pays one storage
+    /// sync and one network handoff per *batch* instead of per event. Every
+    /// sequence of `feed` calls **must** be closed with
     /// [`Engine::finish_batch`] before the runtime goes back to waiting —
     /// otherwise staged sends sit unflushed and durable votes unpersisted.
-    pub fn on_deliver_buffered<T: Transport<N::Msg, N::Output>>(
+    pub fn feed<T: Transport<N::Msg, N::Output>>(
         &mut self,
-        from: NodeId,
-        msg: N::Msg,
-        now: Time,
-        transport: &mut T,
-    ) {
-        self.dispatch(Input::Deliver { from, msg }, now, transport);
-    }
-
-    /// Feeds one timer firing to the node, unless its generation is stale
-    /// (the timer was replaced or cancelled after this firing was queued);
-    /// the persist/flush seal is deferred to [`Engine::finish_batch`].
-    /// Returns whether the node ran — a batch in which nothing ran needs
-    /// no seal.
-    pub fn on_timer_buffered<T: Transport<N::Msg, N::Output>>(
-        &mut self,
-        id: TimerId,
-        generation: u64,
+        event: Event<N::Msg>,
         now: Time,
         transport: &mut T,
     ) -> bool {
-        // Consume the arming: the handler may re-arm with a fresh,
-        // never-reused generation, so removal cannot resurrect any queued
-        // firing.
-        if self.generations.get(&id) != Some(&generation) {
-            return false;
-        }
-        self.generations.remove(&id);
-        self.dispatch(Input::Timer { id }, now, transport);
+        let input = match event {
+            Event::Deliver { from, msg } => Input::Deliver { from, msg },
+            Event::PeerDown { peer } => Input::PeerDown { peer },
+            Event::Timer { id, generation } => {
+                // Consume the arming: the handler may re-arm with a fresh,
+                // never-reused generation, so removal cannot resurrect any
+                // queued firing.
+                if self.generations.get(&id) != Some(&generation) {
+                    return false;
+                }
+                self.generations.remove(&id);
+                Input::Timer { id }
+            }
+        };
+        self.dispatch(input, now, transport);
         true
     }
 
-    /// Feeds one [`Input::PeerDown`] hint to the node, like a delivery: the
-    /// persist/flush seal is deferred to [`Engine::finish_batch`].
-    pub fn on_peer_down_buffered<T: Transport<N::Msg, N::Output>>(
-        &mut self,
-        peer: NodeId,
-        now: Time,
-        transport: &mut T,
-    ) {
-        self.dispatch(Input::PeerDown { peer }, now, transport);
-    }
-
-    /// Seals a batch of `*_buffered` dispatches: persists the node once,
-    /// then flushes the transport once. The write-ahead ordering holds for
-    /// the whole batch — everything the batch's inputs changed is durable
-    /// before any message they produced leaves the process.
+    /// Seals a batch of [`Engine::feed`] calls: if any of them ran the
+    /// node, persists the node once, then flushes the transport once. The
+    /// write-ahead ordering holds for the whole batch — everything the
+    /// batch's inputs changed is durable before any message they produced
+    /// leaves the process. A batch that ran nothing (only stale timer
+    /// firings, or only [`Engine::submit`]s) is not sealed.
     pub fn finish_batch<T: Transport<N::Msg, N::Output>>(&mut self, transport: &mut T) {
-        self.node.persist();
-        transport.flush();
+        if std::mem::take(&mut self.ran) {
+            self.node.persist();
+            transport.flush();
+        }
     }
 
     /// Runs the node on one input and interprets its actions, without the
@@ -268,6 +285,7 @@ impl<N: Node> Engine<N> {
             }
         }
         self.actions = actions;
+        self.ran = true;
     }
 }
 
@@ -290,6 +308,14 @@ mod tests {
         fn wire_size(&self) -> usize {
             8
         }
+    }
+
+    fn deliver(k: u64) -> Event<Msg> {
+        Event::Deliver { from: NodeId(0), msg: Msg(k) }
+    }
+
+    fn fire(id: u64, generation: u64) -> Event<Msg> {
+        Event::Timer { id: TimerId(id), generation }
     }
 
     /// A node that re-arms timer 1 on start and echoes timer firings.
@@ -344,14 +370,15 @@ mod tests {
         // (gen 3, then cancelled — its entry is dropped, not bumped).
         assert_eq!(t.armed, vec![(TimerId(1), 1, 10), (TimerId(1), 2, 3), (TimerId(2), 3, 5)]);
         // The replaced arming is stale; the replacement fires.
-        assert!(!engine.on_timer_buffered(TimerId(1), 1, Time(10), &mut t));
-        assert!(engine.on_timer_buffered(TimerId(1), 2, Time(3), &mut t));
+        assert!(!engine.feed(fire(1, 1), Time(10), &mut t));
+        assert!(engine.feed(fire(1, 2), Time(3), &mut t));
         // The cancelled timer's queued firing is stale too.
-        assert!(!engine.on_timer_buffered(TimerId(2), 3, Time(5), &mut t));
+        assert!(!engine.feed(fire(2, 3), Time(5), &mut t));
         assert_eq!(t.outputs, vec![1]);
         // A consumed firing cannot replay.
-        assert!(!engine.on_timer_buffered(TimerId(1), 2, Time(3), &mut t));
+        assert!(!engine.feed(fire(1, 2), Time(3), &mut t));
         engine.finish_batch(&mut t);
+        assert_eq!(t.flushes, 2, "start sealed itself; the batch sealed once");
     }
 
     #[test]
@@ -375,13 +402,13 @@ mod tests {
         let mut engine = Engine::new(Churn, NodeId(0), 1);
         let mut t = Recorder::default();
         for k in 0..10_000 {
-            engine.on_deliver_buffered(NodeId(0), Msg(k), Time(k), &mut t);
+            engine.feed(deliver(k), Time(k), &mut t);
             engine.finish_batch(&mut t);
         }
         assert!(engine.armed_timers() <= 2, "got {}", engine.armed_timers());
         // And firing the survivors empties the table entirely.
         for (id, generation, _) in t.armed.clone().iter().rev().take(2) {
-            engine.on_timer_buffered(*id, *generation, Time(10_000), &mut t);
+            engine.feed(fire(id.0, *generation), Time(10_000), &mut t);
         }
         engine.finish_batch(&mut t);
         assert_eq!(engine.armed_timers(), 0);
@@ -391,7 +418,7 @@ mod tests {
     fn deliveries_reach_the_node_and_outputs_the_transport() {
         let mut engine = Engine::new(TimerNode, NodeId(0), 1);
         let mut t = Recorder::default();
-        engine.on_deliver_buffered(NodeId(0), Msg(42), Time(1), &mut t);
+        engine.feed(deliver(42), Time(1), &mut t);
         engine.finish_batch(&mut t);
         assert_eq!(t.outputs, vec![42]);
     }
@@ -427,9 +454,9 @@ mod tests {
     fn buffered_dispatches_seal_once_per_batch() {
         let mut engine = Engine::new(TimerNode, NodeId(0), 1);
         let mut t = Recorder::default();
-        engine.on_deliver_buffered(NodeId(0), Msg(1), Time(1), &mut t);
-        engine.on_deliver_buffered(NodeId(0), Msg(2), Time(1), &mut t);
-        engine.on_deliver_buffered(NodeId(0), Msg(3), Time(1), &mut t);
+        engine.feed(deliver(1), Time(1), &mut t);
+        engine.feed(deliver(2), Time(1), &mut t);
+        engine.feed(deliver(3), Time(1), &mut t);
         assert_eq!(t.flushes, 0, "nothing seals until finish_batch");
         assert_eq!(t.outputs, vec![1, 2, 3], "actions still dispatch eagerly");
         engine.finish_batch(&mut t);
@@ -437,16 +464,24 @@ mod tests {
     }
 
     #[test]
-    fn buffered_timer_filtering_matches_single_step() {
-        let mut engine = Engine::new(TimerNode, NodeId(0), 1);
+    fn a_batch_seals_only_if_an_input_ran() {
+        let mut engine = Engine::new(OneSlot { held: None }, NodeId(0), 1);
         let mut t = Recorder::default();
         engine.start(Time(0), &mut t);
-        assert!(!engine.on_timer_buffered(TimerId(1), 1, Time(10), &mut t), "replaced arming");
-        assert!(engine.on_timer_buffered(TimerId(1), 2, Time(3), &mut t));
-        assert!(!engine.on_timer_buffered(TimerId(2), 3, Time(5), &mut t), "cancelled");
+        assert_eq!(t.flushes, 1, "the boot input is a batch of its own");
+        // Nothing armed these timers, so both firings are stale.
+        assert!(!engine.feed(fire(1, 1), Time(1), &mut t));
+        assert!(!engine.feed(fire(2, 2), Time(1), &mut t));
         engine.finish_batch(&mut t);
-        assert_eq!(t.outputs, vec![1]);
-        assert_eq!(t.flushes, 2, "start sealed itself; the batch sealed once");
+        assert_eq!(t.flushes, 1, "a batch of stale timers is not sealed");
+        assert_eq!(engine.submit(7), Ok(()));
+        engine.finish_batch(&mut t);
+        assert_eq!(t.flushes, 1, "a batch of submissions is not sealed");
+        assert!(!engine.feed(fire(1, 1), Time(2), &mut t));
+        assert!(engine.feed(deliver(1), Time(2), &mut t));
+        engine.finish_batch(&mut t);
+        engine.finish_batch(&mut t);
+        assert_eq!(t.flushes, 2, "one delivery seals its batch exactly once");
     }
 
     #[test]

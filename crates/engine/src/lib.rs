@@ -6,10 +6,12 @@
 //!
 //! * the node abstraction itself — [`Node`], [`Input`], [`Action`],
 //!   [`Context`], [`TimerId`], [`WireSize`], virtual [`Time`];
-//! * the [`Engine`] loop — buffered entry points for deliveries and timer
-//!   firings sealed (persist, then flush) once per batch, client
-//!   submissions via [`Submitter`], timer-generation bookkeeping, and the
-//!   dispatch of node [`Action`]s into a runtime-provided [`Transport`];
+//! * the [`Engine`] loop — one door, [`Engine::feed`], through which every
+//!   runtime [`Event`] (delivery, timer firing, peer-down hint) reaches the
+//!   node, a persist-then-flush seal per batch that the engine skips when
+//!   nothing in the batch ran, client submissions via [`Submitter`],
+//!   timer-generation bookkeeping, and the dispatch of node [`Action`]s
+//!   into a runtime-provided [`Transport`];
 //! * the scenario language both runtimes condition their links by —
 //!   [`LinkPlan`], [`EdgeSpec`], [`PartitionWindow`].
 //!
@@ -32,7 +34,7 @@ mod node;
 mod plan;
 mod time;
 
-pub use driver::{Engine, FrameRequest, Submitter, Transport};
+pub use driver::{Engine, Event, FrameRequest, Submitter, Transport};
 pub use node::{Action, ActionBuf, Context, Dest, Input, Node, TimerId, WireSize};
 pub use plan::{EdgeSpec, LinkPlan, PartitionWindow, PlanParseError};
 pub use time::{Time, NEVER};

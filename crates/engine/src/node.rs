@@ -98,8 +98,10 @@ pub trait Node {
     /// Flushes durable state to stable storage.
     ///
     /// The [`Engine`](crate::Engine) calls this exactly once per *batch* of
-    /// inputs ([`Engine::finish_batch`](crate::Engine::finish_batch); the
-    /// boot input is a batch of its own) — after every action has been
+    /// inputs that ran the node
+    /// ([`Engine::finish_batch`](crate::Engine::finish_batch); the boot
+    /// input is a batch of its own, and a batch of only stale timer firings
+    /// or client submissions is not sealed) — after every action has been
     /// handed to the transport but *before*
     /// [`Transport::flush`](crate::Transport::flush). A buffering transport
     /// (like the TCP runtime, which stages sends until flush) thereby gives

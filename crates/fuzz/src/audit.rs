@@ -2,8 +2,8 @@
 //!
 //! A safety violation found by the simulator is a concrete execution; the
 //! bounded model in `tetrabft-mc` is an abstraction of the same voting
-//! rules. [`cross_audit`] bridges them: it reconstructs the honest nodes'
-//! vote registers from the sim trace, forges the equivalent bounded-model
+//! rules. [`cross_audit`] bridges them: it reads the honest nodes' vote
+//! registers from the sim's wire recorder, forges the equivalent bounded-model
 //! [`State`] with [`State::from_votes`], and asks
 //! [`Explorer::with_initial`] whether the abstraction also reaches (or
 //! already exhibits) an agreement violation from that state — yielding an
@@ -56,7 +56,7 @@ pub fn cross_audit(scenario: &Scenario, run: &RunReport) -> Option<McAudit> {
     let nodes = honest.len() + byzantine;
 
     // Value table: decided values first (so the conflicting pair is always
-    // representable), then wire votes in trace order, capped at the model's
+    // representable), then wire votes in register order, capped at the model's
     // seven values.
     let mut values: Vec<u64> = Vec::new();
     let intern = |v: u64, values: &mut Vec<u64>| -> Option<u8> {
@@ -75,18 +75,18 @@ pub fn cross_audit(scenario: &Scenario, run: &RunReport) -> Option<McAudit> {
 
     let mut votes: Vec<(usize, u8, u8, u8)> = Vec::new();
     let mut max_round: u8 = 0;
-    for hv in &run.honest_votes {
-        let Some(node) = honest.iter().position(|h| h.0 == hv.node) else {
+    for (node, claim) in &run.honest_votes {
+        let (Some(node), Some(phase)) = (honest.iter().position(|h| h == node), claim.phase) else {
             continue;
         };
-        if hv.view >= tetrabft_mc::MAX_ROUNDS as u64 {
+        if claim.view.0 >= tetrabft_mc::MAX_ROUNDS as u64 {
             continue;
         }
-        let Some(value) = intern(hv.value, &mut values) else {
+        let Some(value) = intern(claim.value.as_u64(), &mut values) else {
             continue;
         };
-        let round = hv.view as u8;
-        votes.push((node, round, hv.phase, value));
+        let round = claim.view.0 as u8;
+        votes.push((node, round, phase.as_u8(), value));
         max_round = max_round.max(round);
     }
 
@@ -104,8 +104,8 @@ pub fn cross_audit(scenario: &Scenario, run: &RunReport) -> Option<McAudit> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::scenario::{Attack, FaultSpec, HonestVote};
-    use tetrabft_types::NodeId;
+    use crate::scenario::{Attack, FaultSpec};
+    use tetrabft_types::{AuditClaim, NodeId, Phase, Value, View};
 
     fn over_budget_scenario() -> Scenario {
         Scenario {
@@ -141,18 +141,19 @@ mod tests {
         // Two honest nodes, two Byzantine: model quorum is 4 − 2·2 = 0, so a
         // forged split vote must reproduce as a model violation too.
         let scn = over_budget_scenario();
+        let vote4 = |node, value| {
+            let value = Value::from_u64(value);
+            (
+                NodeId(node),
+                AuditClaim { slot: None, view: View(0), phase: Some(Phase::VOTE4), value },
+            )
+        };
         let run = RunReport {
             verdict: Verdict::Safety("forged".into()),
             evidence: vec![],
             equivocations: 2,
-            decided: vec![
-                (NodeId(2), tetrabft_types::Value::from_u64(0xa)),
-                (NodeId(3), tetrabft_types::Value::from_u64(0xb)),
-            ],
-            honest_votes: vec![
-                HonestVote { node: 2, view: 0, phase: 4, value: 0xa },
-                HonestVote { node: 3, view: 0, phase: 4, value: 0xb },
-            ],
+            decided: vec![(NodeId(2), Value::from_u64(0xa)), (NodeId(3), Value::from_u64(0xb))],
+            honest_votes: vec![vote4(2, 0xa), vote4(3, 0xb)],
             finalized: vec![],
         };
         let audit = cross_audit(&scn, &run).expect("auditable");

@@ -23,8 +23,8 @@
 //! halving the horizon — while the same oracle class still fails, and
 //! [`Scenario::to_rust_source`] renders the minimum as a replayable
 //! deterministic test. A safety hit is additionally cross-audited by
-//! [`cross_audit`]: the honest nodes' votes are reconstructed from the sim
-//! trace and fed to the model checker's `Explorer::with_initial`, replaying
+//! [`cross_audit`]: the honest nodes' first votes are read from the sim's
+//! wire recorder and fed to the model checker's `Explorer::with_initial`, replaying
 //! the finding as an mc counterexample trace.
 //!
 //! Accountability rides along end to end: the sim's omniscient wire
@@ -61,5 +61,5 @@ mod strategies;
 
 pub use audit::{cross_audit, McAudit};
 pub use campaign::{run_campaign, CampaignCfg, CampaignReport, SeedOutcome};
-pub use scenario::{Attack, FaultSpec, HonestVote, Mode, RunReport, Scenario, Verdict};
+pub use scenario::{Attack, FaultSpec, Mode, RunReport, Scenario, Verdict};
 pub use shrink::shrink;

@@ -11,8 +11,8 @@ use std::fmt;
 
 use tetrabft::{Message, Params, TetraNode};
 use tetrabft_multishot::{Finalized, MsMessage, MultiShotNode};
-use tetrabft_sim::{FilteredNode, LinkPlan, Node, SilentNode, Sim, SimBuilder, Time, TraceEvent};
-use tetrabft_types::{Config, Evidence, NodeId, Value};
+use tetrabft_sim::{FilteredNode, LinkPlan, Node, SilentNode, SimBuilder, Time};
+use tetrabft_types::{AuditClaim, Config, Evidence, NodeId, Value};
 
 use crate::actors::{Behavior, ByzantineActor};
 use crate::behaviors::{self, Crashing};
@@ -193,20 +193,6 @@ impl fmt::Display for Verdict {
     }
 }
 
-/// One honest vote observed on the wire, in compact form for the
-/// model-checker cross-audit.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct HonestVote {
-    /// Voting node.
-    pub node: u16,
-    /// View voted in.
-    pub view: u64,
-    /// Phase 1..=4.
-    pub phase: u8,
-    /// Value voted for.
-    pub value: u64,
-}
-
 /// Everything a single scenario run produced.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RunReport {
@@ -218,8 +204,9 @@ pub struct RunReport {
     pub equivocations: u64,
     /// Single-shot decisions per honest node (empty in chain mode).
     pub decided: Vec<(NodeId, Value)>,
-    /// First vote per honest `(node, view, phase)` register, from the trace.
-    pub honest_votes: Vec<HonestVote>,
+    /// First vote per honest `(node, view, phase)` register, read from the
+    /// wire recorder ([`Metrics::claims`](tetrabft_sim::Metrics::claims)).
+    pub honest_votes: Vec<(NodeId, AuditClaim)>,
     /// Finalized-block count per honest node (empty in single mode).
     pub finalized: Vec<(NodeId, u64)>,
 }
@@ -328,7 +315,6 @@ impl Scenario {
         let mut sim = SimBuilder::new(self.n)
             .seed(self.seed)
             .plan(&self.plan)
-            .record_trace(true)
             .build_boxed(|id| self.make_single(cfg, params, id));
         sim.run_until(Time(self.horizon_ms));
 
@@ -339,9 +325,14 @@ impl Scenario {
                 decided.push((rec.node, rec.output));
             }
         }
-        let honest_votes = harvest_votes(&sim, &honest);
-        let evidence = sim.metrics().evidence().to_vec();
-        let equivocations = sim.metrics().equivocations();
+        let metrics = sim.metrics();
+        // A vote claims its phase; a proposal claims none.
+        let honest_votes = metrics
+            .claims()
+            .filter(|(node, claim)| honest.contains(node) && claim.phase.is_some())
+            .collect();
+        let evidence = metrics.evidence().to_vec();
+        let equivocations = metrics.equivocations();
 
         let mut verdict = Verdict::Ok;
         for (i, (node_a, val_a)) in decided.iter().enumerate() {
@@ -551,34 +542,6 @@ where
     }
 }
 
-/// First vote per honest `(node, view, phase)` register seen on the wire.
-fn harvest_votes(sim: &Sim<Message, Value>, honest: &[NodeId]) -> Vec<HonestVote> {
-    let mut votes: Vec<HonestVote> = Vec::new();
-    let Some(trace) = sim.trace() else {
-        return votes;
-    };
-    for event in trace {
-        let TraceEvent::Sent { from, msg, .. } = event else {
-            continue;
-        };
-        if !honest.contains(from) {
-            continue;
-        }
-        let Message::Vote { phase, view, value } = msg else {
-            continue;
-        };
-        let vote =
-            HonestVote { node: from.0, view: view.0, phase: phase.as_u8(), value: value.as_u64() };
-        if !votes
-            .iter()
-            .any(|v| v.node == vote.node && v.view == vote.view && v.phase == vote.phase)
-        {
-            votes.push(vote);
-        }
-    }
-    votes
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -696,7 +659,7 @@ mod tests {
             "evidence must name an equivocator: {:?}",
             report.evidence
         );
-        assert!(!report.honest_votes.is_empty(), "trace must carry honest votes for the audit");
+        assert!(!report.honest_votes.is_empty(), "the recorder holds votes for the audit");
     }
 
     #[test]

@@ -125,11 +125,9 @@ pub struct Mempool {
     /// returns are merged by theirs.
     queue: VecDeque<Queued>,
     next_seq: u64,
-    // Multiset of queued TxIds. For *typed* transactions the id is the
-    // identity — a hit refuses immediately, no byte re-compare. For
-    // raw (opaque) submissions a hit is confirmed byte-exactly against the
-    // queue (a pure digest collision must not refuse an honest opaque
-    // payload); the count keeps colliding digests correct through drains.
+    // Multiset of queued TxIds. A hit is confirmed byte-exactly against the
+    // queue (a 64-bit digest collision must not refuse an honest payload);
+    // the count keeps colliding digests correct through drains.
     queued: HashMap<TxId, u32>,
     capacity: usize,
     /// The application's structural-admission veto, if installed.
@@ -208,13 +206,10 @@ impl Mempool {
     pub fn submit(&mut self, tx: impl Into<Tx>) -> Result<(), SubmitError> {
         let tx = tx.into();
         self.vet(&tx)?;
-        if self.queued.get(&tx.id()).is_some_and(|c| *c > 0) {
-            // Typed ids are identity; only an opaque raw payload needs the
-            // byte-exact confirmation (a colliding digest must not refuse
-            // it).
-            if !tx.is_raw() || self.queue.iter().any(|q| q.tx.bytes() == tx.bytes()) {
-                return Err(SubmitError::Duplicate);
-            }
+        if self.queued.get(&tx.id()).is_some_and(|c| *c > 0)
+            && self.queue.iter().any(|q| q.tx.bytes() == tx.bytes())
+        {
+            return Err(SubmitError::Duplicate);
         }
         if self.queue.len() >= self.capacity {
             return Err(SubmitError::Full { capacity: self.capacity });

@@ -94,13 +94,12 @@ pub trait Transaction {
 /// let typed = Tx::typed(&Memo("pay"));
 /// let raw = Tx::from(b"pay".to_vec());
 /// assert_eq!(typed.id(), raw.id(), "same canonical bytes, same identity");
-/// assert!(raw.is_raw() && !typed.is_raw());
+/// assert_eq!(typed, raw, "and the same envelope");
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Tx {
     id: TxId,
     bytes: Vec<u8>,
-    raw: bool,
 }
 
 impl Tx {
@@ -108,13 +107,13 @@ impl Tx {
     pub fn typed<T: Transaction>(tx: &T) -> Self {
         let bytes = tx.canonical_bytes();
         let id = TxId::of(&bytes);
-        Tx { id, bytes, raw: false }
+        Tx { id, bytes }
     }
 
     /// Wraps an opaque payload: the bytes are their own canonical encoding.
     pub fn raw(bytes: Vec<u8>) -> Self {
         let id = TxId::of(&bytes);
-        Tx { id, bytes, raw: true }
+        Tx { id, bytes }
     }
 
     /// The transaction's identity.
@@ -144,14 +143,6 @@ impl Tx {
     #[inline]
     pub(crate) fn is_empty(&self) -> bool {
         self.bytes.is_empty()
-    }
-
-    /// `true` if this envelope wraps opaque bytes ([`Tx::raw`]) rather
-    /// than a typed [`Transaction`] — dedup then confirms digest hits
-    /// byte-exactly instead of trusting the id.
-    #[inline]
-    pub fn is_raw(&self) -> bool {
-        self.raw
     }
 }
 
@@ -220,9 +211,7 @@ pub(crate) mod tests {
     #[test]
     fn conversions_cover_legacy_and_typed_callers() {
         let from_vec: Tx = b"legacy".to_vec().into();
-        assert!(from_vec.is_raw());
         let from_typed: Tx = (&Memo(b"legacy")).into();
-        assert!(!from_typed.is_raw());
         assert_eq!(from_vec.id(), from_typed.id());
     }
 

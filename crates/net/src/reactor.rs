@@ -41,12 +41,13 @@ use std::time::{Duration, Instant};
 
 use polling::{Event as PollEvent, Events, Poller};
 
+use tetrabft_engine::Event;
 use tetrabft_types::NodeId;
 use tetrabft_wire::frame::FrameDecoder;
 use tetrabft_wire::{Wire, WireError};
 
 use crate::link::LinkSetup;
-use crate::runner::Event;
+use crate::runner::Queued;
 use crate::supervisor::{Link, LinkConfig};
 use crate::topology::Topology;
 
@@ -181,7 +182,7 @@ impl<R> Reactor<R> {
     pub(crate) fn supervise<M>(
         &mut self,
         now: Instant,
-        inputs: &mut VecDeque<Event<M, R>>,
+        inputs: &mut VecDeque<Queued<M, R>>,
     ) -> Duration {
         let mut wait = POLL;
         for link in self.links.iter_mut().flatten() {
@@ -198,7 +199,7 @@ impl<R> Reactor<R> {
             } else if self.links[peer].as_ref().is_some_and(|link| link.dial_failed_since(seen)) {
                 *slot = None;
                 self.cfg.links.metrics.peer_downs.fetch_add(1, Ordering::Relaxed);
-                inputs.push_back(Event::PeerDown(NodeId(peer as u16)));
+                inputs.push_back(Queued::Event(Event::PeerDown { peer: NodeId(peer as u16) }));
             }
         }
         wait
@@ -213,7 +214,7 @@ impl<R> Reactor<R> {
     /// Serves every socket the last [`Reactor::wait`] found ready: accepts,
     /// link progress, and inbound reads, whose decoded peer frames and client
     /// requests join `inputs`.
-    pub(crate) fn read<M: Wire>(&mut self, now: Instant, inputs: &mut VecDeque<Event<M, R>>) {
+    pub(crate) fn read<M: Wire>(&mut self, now: Instant, inputs: &mut VecDeque<Queued<M, R>>) {
         let n = self.links.len();
         let mut closing = Vec::new();
         for ev in self.poll_events.iter() {
@@ -432,7 +433,7 @@ fn advance_inbound<R>(cfg: &ReactorConfig<R>, conn: &mut Inbound, read_buf: &mut
 fn next_input<M, R>(
     cfg: &ReactorConfig<R>,
     conn: &mut Inbound,
-    inputs: &mut VecDeque<Event<M, R>>,
+    inputs: &mut VecDeque<Queued<M, R>>,
 ) -> Result<bool, WireError>
 where
     M: Wire,
@@ -445,7 +446,7 @@ where
         // the (authenticated) channel alive.
         Some(peer) => {
             if let Ok(msg) = M::from_bytes(frame) {
-                inputs.push_back(Event::Deliver { from: peer, msg });
+                inputs.push_back(Queued::Event(Event::Deliver { from: peer, msg }));
             }
         }
         // A frame that fails the request codec is dropped like any other
@@ -453,7 +454,7 @@ where
         None => {
             let decode = cfg.codec.expect("client connections require a codec");
             if let Some(req) = decode(frame) {
-                inputs.push_back(Event::Submit(req));
+                inputs.push_back(Queued::Submit(req));
             }
         }
     }

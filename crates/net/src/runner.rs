@@ -15,10 +15,12 @@
 //!    timer, pending stream-end hint, or the 25-ms poll tick;
 //! 2. read every ready socket: decoded peer frames, client requests and
 //!    stream-end hints join the input queue;
-//! 3. dispatch the due timers, that queue and loopback deliveries through
-//!    the engine's `*_buffered` entry points, sealing with `finish_batch`
-//!    (persist, then flush) after every `MAX_BATCH` inputs and at the end
-//!    of the pass;
+//! 3. feed the due timers, that queue and loopback deliveries to the engine
+//!    one [`Event`] at a time through [`Engine::feed`] (client requests go
+//!    to [`Engine::submit`]), closing a batch with
+//!    [`Engine::finish_batch`] after every `MAX_BATCH` inputs and at the
+//!    end of the pass — the engine seals (persist, then flush) only a
+//!    batch in which the node ran;
 //! 4. each seal's [`Transport::flush`] hands each peer's frames, framed
 //!    once, straight to its link, which writes what is due at once.
 
@@ -33,7 +35,9 @@ use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
 use polling::Poller;
-use tetrabft_engine::{Dest, Engine, FrameRequest, Node, Submitter, Time, TimerId, Transport};
+use tetrabft_engine::{
+    Dest, Engine, Event, FrameRequest, Node, Submitter, Time, TimerId, Transport,
+};
 use tetrabft_types::NodeId;
 use tetrabft_wire::frame::encode_frame_into;
 use tetrabft_wire::{Wire, Writer};
@@ -42,13 +46,12 @@ use crate::link::LinkSetup;
 use crate::reactor::{Reactor, ReactorConfig, SubmitCodec};
 use crate::topology::{NetError, Topology};
 
-/// One input waiting in the node's queue for the engine.
-pub(crate) enum Event<M, R> {
-    Deliver { from: NodeId, msg: M },
+/// One input waiting in the node's queue: an event for [`Engine::feed`]
+/// (a peer-down hint means the peer's newest inbound stream ended and its
+/// address refuses a dial), or a client request for [`Engine::submit`].
+pub(crate) enum Queued<M, R> {
+    Event(Event<M>),
     Submit(R),
-    // The peer's newest inbound stream ended and its address refuses a dial.
-    PeerDown(NodeId),
-    Timer(TimerId, u64),
 }
 
 /// An armed timer in the node's local deadline heap.
@@ -96,7 +99,7 @@ impl Drop for NodeHandle {
 struct TcpTransport<M, R, O> {
     me: NodeId,
     reactor: Reactor<R>,
-    inputs: VecDeque<Event<M, R>>,
+    inputs: VecDeque<Queued<M, R>>,
     timers: BinaryHeap<Reverse<Arming>>,
     outputs: mpsc::Sender<(NodeId, O)>,
     /// Scratch encoder reused across sends: payload bytes land here, then
@@ -136,10 +139,10 @@ impl<M: Wire, R, O> Transport<M, O> for TcpTransport<M, R, O> {
                 }
                 // Loopback, like the simulator: instantaneous (and exempt
                 // from the frame limit — it never touches a socket).
-                self.inputs.push_back(Event::Deliver { from: self.me, msg });
+                self.inputs.push_back(Queued::Event(Event::Deliver { from: self.me, msg }));
             }
             Dest::Node(to) if to == self.me => {
-                self.inputs.push_back(Event::Deliver { from: self.me, msg });
+                self.inputs.push_back(Queued::Event(Event::Deliver { from: self.me, msg }));
             }
             Dest::Node(to) => {
                 if to.index() < n {
@@ -282,39 +285,26 @@ where
             let wall = Instant::now();
             while io.timers.peek().is_some_and(|Reverse((due, _, _))| *due <= wall) {
                 let Reverse((_, generation, id)) = io.timers.pop().expect("peeked entry exists");
-                io.inputs.push_back(Event::Timer(id, generation));
+                io.inputs.push_back(Queued::Event(Event::Timer { id, generation }));
             }
             io.reactor.read(wall, &mut io.inputs);
 
             // Loopback deliveries join the back of the queue and are
-            // dispatched in the same pass.
-            let (mut batched, mut unsealed) = (0, false);
-            while let Some(event) = io.inputs.pop_front() {
-                unsealed |= match event {
-                    Event::Deliver { from, msg } => {
-                        engine.on_deliver_buffered(from, msg, now(), &mut io);
-                        true
+            // dispatched in the same pass. Stale (replaced or cancelled)
+            // firings die in the engine's generation filter, and the engine
+            // seals a batch only if something in it ran.
+            let mut batched = 0;
+            while let Some(queued) = io.inputs.pop_front() {
+                match queued {
+                    Queued::Event(event) => {
+                        engine.feed(event, now(), &mut io);
                     }
-                    Event::PeerDown(peer) => {
-                        engine.on_peer_down_buffered(peer, now(), &mut io);
-                        true
-                    }
-                    // Stale (replaced or cancelled) firings die in the
-                    // engine's generation filter.
-                    Event::Timer(id, generation) => {
-                        engine.on_timer_buffered(id, generation, now(), &mut io)
-                    }
-                    Event::Submit(req) => {
-                        admit(&mut engine, req);
-                        false
-                    }
-                };
+                    Queued::Submit(req) => admit(&mut engine, req),
+                }
                 batched += 1;
                 if batched == MAX_BATCH || io.inputs.is_empty() {
-                    if unsealed {
-                        engine.finish_batch(&mut io);
-                    }
-                    (batched, unsealed) = (0, false);
+                    engine.finish_batch(&mut io);
+                    batched = 0;
                 }
             }
         }

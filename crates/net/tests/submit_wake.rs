@@ -3,7 +3,10 @@
 //! on a client connection must be admitted at once — not at the next 25-ms
 //! poll tick.
 //!
-//! Its own binary: the assertion is a wall-clock bound.
+//! Its own binary: the assertions are wall-clock bounds. They bound the
+//! median frame and the worst one separately, so one scheduler hiccup on a
+//! busy host fails neither, while frames that wait for the tick push the
+//! median far past its bound.
 
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
@@ -12,8 +15,11 @@ use tetrabft_engine::{Context, FrameRequest, Input, Node, Submitter, WireSize};
 use tetrabft_net::ClusterBuilder;
 use tetrabft_wire::{Reader, Wire, WireError, Writer};
 
-/// How late an admission may be stamped after `submit` returns.
-const BOUND: Duration = Duration::from_millis(5);
+/// How late the median admission may be stamped after `submit` returns.
+const MEDIAN_BOUND: Duration = Duration::from_millis(5);
+
+/// The idle node's poll tick: no frame may wait this long.
+const POLL_TICK: Duration = Duration::from_millis(25);
 
 #[derive(Debug, Clone, Copy)]
 struct Nothing;
@@ -81,9 +87,13 @@ fn a_client_frame_wakes_an_idle_node_at_once() {
 
     let stamps = accepted.lock().unwrap().clone();
     assert_eq!(stamps.len(), returned.len(), "every frame is admitted");
+    let mut lateness = Vec::new();
     for ((seq, stamp), (i, back)) in stamps.iter().zip(&returned) {
         assert_eq!(seq, i, "frames are admitted in order");
-        let late = stamp.saturating_duration_since(*back);
-        assert!(late <= BOUND, "frame {i} was admitted {late:?} after submit returned");
+        lateness.push(stamp.saturating_duration_since(*back));
     }
+    lateness.sort();
+    let (median, worst) = (lateness[lateness.len() / 2], lateness[lateness.len() - 1]);
+    assert!(median <= MEDIAN_BOUND, "the median frame was admitted {median:?} after submit");
+    assert!(worst < POLL_TICK, "a frame waited {worst:?}, a whole poll tick");
 }

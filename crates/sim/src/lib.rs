@@ -83,7 +83,7 @@ pub use runner::{OutputRecord, Sim, SimBuilder};
 // `tetrabft-engine`; the simulator re-exports them so protocol crates keep
 // a single import path.
 pub use tetrabft_engine::{
-    Action, ActionBuf, Context, Dest, EdgeSpec, Engine, FrameRequest, Input, LinkPlan, Node,
+    Action, ActionBuf, Context, Dest, EdgeSpec, Engine, Event, FrameRequest, Input, LinkPlan, Node,
     PartitionWindow, PlanParseError, Submitter, Time, TimerId, Transport, WireSize, NEVER,
 };
 pub use trace::TraceEvent;

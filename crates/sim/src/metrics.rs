@@ -2,7 +2,7 @@
 
 use std::collections::BTreeMap;
 
-use tetrabft_types::{AuditClaim, Evidence, NodeId, Value};
+use tetrabft_types::{AuditClaim, Evidence, NodeId, Phase, Slot, Value, View};
 
 /// Most equivocation-evidence records the recorder retains (dedup is per
 /// register, so this only bounds memory against many-register attacks).
@@ -101,6 +101,16 @@ impl Metrics {
         }
     }
 
+    /// The first claim each `(node, slot, view, phase)` register made on the
+    /// wire, in register order: by node, then slot, view and phase (a
+    /// proposal claims no phase and sorts before the votes of its view).
+    pub fn claims(&self) -> impl Iterator<Item = (NodeId, AuditClaim)> + '_ {
+        self.claims.iter().map(|(&(node, slot, view, phase), &value)| {
+            let (slot, view, phase) = (slot.map(Slot), View(view), phase.and_then(Phase::from_u8));
+            (NodeId(node), AuditClaim { slot, view, phase, value })
+        })
+    }
+
     /// Equivocation evidence the omniscient recorder collected, in detection
     /// order: each record names a sender that claimed one write-once
     /// register with two different values.
@@ -193,6 +203,8 @@ mod tests {
         m.on_claim(NodeId(1), claim(1, 6)); // different node, same register
         assert!(m.evidence().is_empty());
         assert_eq!(m.equivocations(), 0);
+        let firsts: Vec<_> = m.claims().collect();
+        assert_eq!(firsts, [(NodeId(0), claim(1, 5)), (NodeId(1), claim(1, 6))]);
         m.on_claim(NodeId(0), claim(1, 7)); // conflict
         m.on_claim(NodeId(0), claim(1, 8)); // repeat offence, same register
         assert_eq!(m.equivocations(), 2);

@@ -5,42 +5,38 @@ use std::collections::BinaryHeap;
 
 use tetrabft_types::NodeId;
 
-use tetrabft_engine::Time;
-use tetrabft_engine::TimerId;
+use tetrabft_engine::{Event, Time};
 
-pub(crate) enum EventKind<M> {
-    Deliver { to: NodeId, from: NodeId, msg: M },
-    Timer { node: NodeId, id: TimerId, generation: u64 },
-}
-
-pub(crate) struct Event<M> {
+/// One queued engine event, for `node`, due at `at`.
+pub(crate) struct Entry<M> {
     pub at: Time,
     pub seq: u64,
-    pub kind: EventKind<M>,
+    pub node: NodeId,
+    pub event: Event<M>,
 }
 
-impl<M> PartialEq for Event<M> {
+impl<M> PartialEq for Entry<M> {
     fn eq(&self, other: &Self) -> bool {
         self.at == other.at && self.seq == other.seq
     }
 }
-impl<M> Eq for Event<M> {}
+impl<M> Eq for Entry<M> {}
 
-impl<M> Ord for Event<M> {
+impl<M> Ord for Entry<M> {
     fn cmp(&self, other: &Self) -> Ordering {
         // BinaryHeap is a max-heap; invert so the earliest (then the
         // first-enqueued) event pops first. Determinism depends on `seq`.
         other.at.cmp(&self.at).then_with(|| other.seq.cmp(&self.seq))
     }
 }
-impl<M> PartialOrd for Event<M> {
+impl<M> PartialOrd for Entry<M> {
     fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
         Some(self.cmp(other))
     }
 }
 
 pub(crate) struct EventQueue<M> {
-    heap: BinaryHeap<Event<M>>,
+    heap: BinaryHeap<Entry<M>>,
     next_seq: u64,
 }
 
@@ -49,13 +45,13 @@ impl<M> EventQueue<M> {
         EventQueue { heap: BinaryHeap::new(), next_seq: 0 }
     }
 
-    pub(crate) fn push(&mut self, at: Time, kind: EventKind<M>) {
+    pub(crate) fn push(&mut self, at: Time, node: NodeId, event: Event<M>) {
         let seq = self.next_seq;
         self.next_seq += 1;
-        self.heap.push(Event { at, seq, kind });
+        self.heap.push(Entry { at, seq, node, event });
     }
 
-    pub(crate) fn pop(&mut self) -> Option<Event<M>> {
+    pub(crate) fn pop(&mut self) -> Option<Entry<M>> {
         self.heap.pop()
     }
 
@@ -66,29 +62,25 @@ impl<M> EventQueue<M> {
     /// Time and target node of the next event — what batched stepping uses
     /// to decide whether the following event extends the current batch.
     pub(crate) fn peek_target(&self) -> Option<(Time, NodeId)> {
-        self.heap.peek().map(|e| {
-            let node = match &e.kind {
-                EventKind::Deliver { to, .. } => *to,
-                EventKind::Timer { node, .. } => *node,
-            };
-            (e.at, node)
-        })
+        self.heap.peek().map(|e| (e.at, e.node))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use tetrabft_engine::TimerId;
 
     #[test]
     fn pops_in_time_then_fifo_order() {
         let mut q = EventQueue::new();
-        q.push(Time(5), EventKind::Deliver { to: NodeId(0), from: NodeId(1), msg: "late" });
-        q.push(Time(1), EventKind::Deliver { to: NodeId(0), from: NodeId(1), msg: "a" });
-        q.push(Time(1), EventKind::Deliver { to: NodeId(0), from: NodeId(1), msg: "b" });
+        let deliver = |msg| Event::Deliver { from: NodeId(1), msg };
+        q.push(Time(5), NodeId(0), deliver("late"));
+        q.push(Time(1), NodeId(0), deliver("a"));
+        q.push(Time(1), NodeId(0), deliver("b"));
         let order: Vec<&str> = std::iter::from_fn(|| q.pop())
-            .map(|e| match e.kind {
-                EventKind::Deliver { msg, .. } => msg,
+            .map(|e| match e.event {
+                Event::Deliver { msg, .. } => msg,
                 _ => unreachable!(),
             })
             .collect();
@@ -99,8 +91,8 @@ mod tests {
     fn peek_time_sees_earliest() {
         let mut q: EventQueue<()> = EventQueue::new();
         assert_eq!(q.peek_time(), None);
-        q.push(Time(9), EventKind::Timer { node: NodeId(0), id: TimerId(0), generation: 0 });
-        q.push(Time(2), EventKind::Timer { node: NodeId(0), id: TimerId(1), generation: 0 });
+        q.push(Time(9), NodeId(0), Event::Timer { id: TimerId(0), generation: 0 });
+        q.push(Time(2), NodeId(0), Event::Timer { id: TimerId(1), generation: 0 });
         assert_eq!(q.peek_time(), Some(Time(2)));
         assert_eq!(q.heap.len(), 2);
     }

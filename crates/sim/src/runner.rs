@@ -2,19 +2,21 @@
 //! underneath the shared [`tetrabft_engine::Engine`] loop.
 //!
 //! The simulator owns no protocol-driving logic — timer generations,
-//! action dispatch, and the persist/flush seal live in
-//! `tetrabft-engine`. What remains here is purely the *environment*: a
-//! global virtual-time event queue, a seeded [`LinkPlan`], metrics, and
-//! traces.
+//! action dispatch, and the persist/flush seal (and whether a batch needs
+//! one) live in `tetrabft-engine`. What remains here is purely the
+//! *environment*: a global virtual-time event queue, a seeded
+//! [`LinkPlan`], metrics, and traces.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use tetrabft_engine::{Dest, EdgeSpec, Engine, LinkPlan, Node, Time, TimerId, Transport, WireSize};
+use tetrabft_engine::{
+    Dest, EdgeSpec, Engine, Event, LinkPlan, Node, Time, TimerId, Transport, WireSize,
+};
 use tetrabft_types::{AuditClaim, NodeId};
 
 use crate::metrics::Metrics;
-use crate::queue::{EventKind, EventQueue};
+use crate::queue::EventQueue;
 use crate::trace::TraceEvent;
 
 /// A protocol output captured by the harness.
@@ -117,7 +119,6 @@ impl SimBuilder {
             outputs: Vec::new(),
             metrics: Metrics::new(n),
             trace: self.record_trace.then(Vec::new),
-            started: false,
         };
         sim.start();
         sim
@@ -155,7 +156,7 @@ impl<M: WireSize + Clone, O> SimTransport<'_, M, O> {
             if let Some(trace) = self.trace.as_deref_mut() {
                 trace.push(TraceEvent::Sent { at: self.now, from, to, msg: msg.clone() });
             }
-            self.queue.push(self.now, EventKind::Deliver { to, from, msg });
+            self.queue.push(self.now, to, Event::Deliver { from, msg });
             return;
         }
         let (size, kind, claim) =
@@ -168,7 +169,7 @@ impl<M: WireSize + Clone, O> SimTransport<'_, M, O> {
             trace.push(TraceEvent::Sent { at: self.now, from, to, msg: msg.clone() });
         }
         match self.plan.route_at(from, to, self.now.0, self.rng) {
-            Some(at) => self.queue.push(Time(at), EventKind::Deliver { to, from, msg }),
+            Some(at) => self.queue.push(Time(at), to, Event::Deliver { from, msg }),
             None => {
                 self.metrics.msgs_dropped += 1;
                 if let Some(trace) = self.trace.as_deref_mut() {
@@ -198,7 +199,7 @@ impl<M: WireSize + Clone, O> Transport<M, O> for SimTransport<'_, M, O> {
     }
 
     fn arm_timer(&mut self, id: TimerId, generation: u64, after: u64) {
-        self.queue.push(self.now + after, EventKind::Timer { node: self.me, id, generation });
+        self.queue.push(self.now + after, self.me, Event::Timer { id, generation });
     }
 
     fn deliver_output(&mut self, out: O) {
@@ -222,7 +223,6 @@ pub struct Sim<M: WireSize + Clone, O> {
     outputs: Vec<OutputRecord<O>>,
     metrics: Metrics,
     trace: Option<Vec<TraceEvent<M>>>,
-    started: bool,
 }
 
 /// Splits a `Sim`'s fields into the dispatching node's engine plus a
@@ -247,9 +247,8 @@ macro_rules! engine_and_transport {
 }
 
 impl<M: WireSize + Clone, O> Sim<M, O> {
+    /// Boots every node; the builder calls this once.
     fn start(&mut self) {
-        assert!(!self.started);
-        self.started = true;
         for i in 0..self.n {
             self.metrics.events_processed += 1;
             let (engine, mut transport) = engine_and_transport!(self, NodeId(i as u16));
@@ -279,64 +278,44 @@ impl<M: WireSize + Clone, O> Sim<M, O> {
 
     /// Processes one *batch* of queued events: the earliest event plus
     /// every consecutively queued event for the same node at the same
-    /// virtual time, driven through the engine's `*_buffered` entry points
-    /// and sealed (persist + flush) once at the end. Returns `false` when
-    /// the queue is empty.
+    /// virtual time, each fed through [`Engine::feed`], then closed with
+    /// [`Engine::finish_batch`] (which seals — persist + flush — only if
+    /// the node ran). Returns `false` when the queue is empty.
     ///
     /// A batch only ever takes the event that would be popped next anyway,
     /// so events are processed in exactly queue order — the batch decides
     /// only where the seals fall. `tests/batched_stepping.rs` pins whole
     /// runs against recordings made with a seal after every event.
     pub fn step(&mut self) -> bool {
-        let Some(event) = self.queue.pop() else { return false };
-        debug_assert!(event.at >= self.now, "time must be monotone");
-        self.now = event.at;
-        let at = event.at;
-        let target = match &event.kind {
-            EventKind::Deliver { to, .. } => *to,
-            EventKind::Timer { node, .. } => *node,
-        };
+        let Some(mut entry) = self.queue.pop() else { return false };
+        debug_assert!(entry.at >= self.now, "time must be monotone");
+        let (at, target) = (entry.at, entry.node);
+        self.now = at;
         let (engine, mut transport) = engine_and_transport!(self, target);
-        let mut dispatched = false;
-        let mut next = Some(event);
         loop {
-            let event = match next.take() {
-                Some(event) => event,
-                // An event dispatched above may have pushed follow-ups (a
-                // loopback delivery lands at `at` for `target`); peeking
-                // after each dispatch keeps the pop order exactly the
-                // queue's, extending the batch only while the globally
-                // next event stays on this node at this instant.
-                None => match transport.queue.peek_target() {
-                    Some((t, node)) if t == at && node == target => {
-                        transport.queue.pop().expect("peeked event must pop")
-                    }
-                    _ => break,
-                },
-            };
-            match event.kind {
-                EventKind::Deliver { to, from, msg } => {
-                    if let Some(trace) = transport.trace.as_deref_mut() {
-                        trace.push(TraceEvent::Delivered { at, from, to, msg: msg.clone() });
-                    }
-                    transport.metrics.events_processed += 1;
-                    engine.on_deliver_buffered(from, msg, at, &mut transport);
-                    dispatched = true;
+            if let (Some(trace), Event::Deliver { from, msg }) =
+                (transport.trace.as_deref_mut(), &entry.event)
+            {
+                trace.push(TraceEvent::Delivered { at, from: *from, to: target, msg: msg.clone() });
+            }
+            // Stale timer firings die in the engine's generation filter; at
+            // most one queued firing can carry the current generation, so
+            // no removal is needed.
+            if engine.feed(entry.event, at, &mut transport) {
+                transport.metrics.events_processed += 1;
+            }
+            // The event may have pushed follow-ups (a loopback delivery
+            // lands at `at` for `target`); peeking after each one keeps the
+            // pop order exactly the queue's, extending the batch only while
+            // the globally next event stays on this node at this instant.
+            match transport.queue.peek_target() {
+                Some(next) if next == (at, target) => {
+                    entry = transport.queue.pop().expect("peeked event must pop");
                 }
-                EventKind::Timer { id, generation, .. } => {
-                    // The engine filters stale generations; at most one
-                    // queued event can carry the current one, so no
-                    // removal is needed.
-                    if engine.on_timer_buffered(id, generation, at, &mut transport) {
-                        transport.metrics.events_processed += 1;
-                        dispatched = true;
-                    }
-                }
+                _ => break,
             }
         }
-        if dispatched {
-            engine.finish_batch(&mut transport);
-        }
+        engine.finish_batch(&mut transport);
         true
     }
 
