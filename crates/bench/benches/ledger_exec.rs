@@ -34,10 +34,12 @@ fn smoke() -> bool {
 /// The retained baseline: account state in a plain `HashMap`, with the
 /// per-block commitment recomputed by rescanning every account in sorted
 /// order — what a ledger without a persistent hashed structure must do.
-/// The trie ledger keeps each child's digest in its parent branch instead:
-/// a block's writes go in place (or, under a live snapshot, into a copy of
-/// each shared branch on their paths, made once), and when the block ends
-/// each slot they touched is re-digested once, children first.
+/// It hashes with the trie's own word step (DESIGN.md §9), one step per
+/// 64-bit word, so the two differ in what they hash, not in how. The trie
+/// keeps each child's digest in its parent branch instead: a block's writes
+/// go in place (or, under a live snapshot, into a copy of each shared
+/// branch on their paths, made once), and when the block ends each slot
+/// they touched is re-digested once, children first.
 struct RescanLedger {
     accounts: HashMap<u64, (u64, u64)>, // id -> (balance, nonce)
     root: u64,
@@ -71,20 +73,12 @@ impl RescanLedger {
         // The full-rescan commitment: sort every account, hash the lot.
         let mut entries: Vec<_> = self.accounts.iter().map(|(id, a)| (*id, *a)).collect();
         entries.sort_unstable_by_key(|(id, _)| *id);
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        let mut mix = |v: u64| {
-            for b in v.to_be_bytes() {
-                h = (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
-            }
-        };
-        mix(self.root);
-        mix(slot);
-        for (id, (bal, nonce)) in entries {
-            mix(id);
-            mix(bal);
-            mix(nonce);
-        }
-        self.root = h;
+        let accounts = entries.into_iter().flat_map(|(id, (balance, nonce))| [id, balance, nonce]);
+        let words = [self.root, slot].into_iter().chain(accounts);
+        self.root = words.fold(0xa076_1d64_78bd_642f, |h, w| {
+            let p = u128::from(h ^ w) * 0xe703_7ed1_a0b4_28db;
+            p as u64 ^ (p >> 64) as u64 ^ h
+        });
         applied
     }
 }
@@ -132,17 +126,16 @@ fn valid_blocks(ids: Ids, accounts: u64, blocks: usize, per_block: usize) -> Vec
                     let k = (b * per_block + i) as u64 % accounts;
                     let nonce = nonces[k as usize];
                     nonces[k as usize] += 1;
-                    Transfer {
-                        from: AccountId((ids.of)(k)),
-                        to: AccountId((ids.of)((k + hop) % accounts)),
-                        amount: 1,
-                        nonce,
-                    }
-                    .canonical_bytes()
+                    pay((ids.of)(k), (ids.of)((k + hop) % accounts), 1, nonce)
                 })
                 .collect()
         })
         .collect()
+}
+
+/// Canonical bytes of one transfer.
+fn pay(from: u64, to: u64, amount: u64, nonce: u64) -> Vec<u8> {
+    Transfer { from: AccountId(from), to: AccountId(to), amount, nonce }.canonical_bytes()
 }
 
 /// Executes `blocks` as slots `first_slot..`, asserting every transfer
@@ -347,7 +340,8 @@ fn main() {
     // 262,144-account trie, so a replica's paths have left the cache by
     // the time its next block comes. The one-ledger sweep over the account
     // count shows where the trie stops fitting in cache: below that,
-    // execution reads ahead nothing (`state.rs`, `READ_AHEAD_MIN_ACCOUNTS`).
+    // execution reads ahead nothing (`READ_AHEAD_MIN_ACCOUNTS`; DESIGN.md
+    // §9 keeps this sweep run with the read-ahead off and on).
     let exec_per_block = 180;
     let (exec_blocks, exec_shapes): (usize, &[(u64, usize)]) = if smoke() {
         (40, &[(1_024, 1), (4_096, 1), (4_096, 4)])
@@ -432,7 +426,8 @@ fn main() {
     if !smoke() {
         // In-place writes and one rehash per touched branch per block:
         // the trie's commitment beats the full rescan outright at both
-        // sizes, not only where the account set dwarfs the write set.
+        // sizes, not only where the account set dwarfs the write set. At
+        // 4,096 accounts it read 0.98–1.42× in seven runs (ROADMAP item 8).
         for (&size, (trie_t, rescan_t)) in sizes.iter().zip(&costs) {
             assert!(
                 trie_t < rescan_t,
@@ -452,40 +447,19 @@ fn main() {
         let mut txs = Vec::with_capacity(per_block);
         for i in 0..per_block {
             let from = ((b * per_block + i) as u64 % accounts) + 1;
-            let to = (from % accounts) + 1;
-            if i % 2 == 0 {
-                let nonce = nonces[(from - 1) as usize];
-                nonces[(from - 1) as usize] += 1;
-                txs.push(
-                    Transfer { from: AccountId(from), to: AccountId(to), amount: 1, nonce }
-                        .canonical_bytes(),
-                );
-            } else {
-                match i % 6 {
-                    1 => {
-                        // Bad nonce: a replay once the account has moved, a
-                        // far-future gap while it is still fresh — wrong
-                        // either way.
-                        let cur = nonces[(from - 1) as usize];
-                        let nonce = if cur > 0 { cur - 1 } else { cur + 1_000_000 };
-                        txs.push(
-                            Transfer { from: AccountId(from), to: AccountId(to), amount: 1, nonce }
-                                .canonical_bytes(),
-                        );
-                    }
-                    3 => txs.push(
-                        // Overdraft: more than the whole supply.
-                        Transfer {
-                            from: AccountId(from),
-                            to: AccountId(to),
-                            amount: u64::MAX,
-                            nonce: nonces[(from - 1) as usize],
-                        }
-                        .canonical_bytes(),
-                    ),
-                    _ => txs.push(b"not a transfer".to_vec()), // malformed
+            let (to, nonce) = ((from % accounts) + 1, &mut nonces[(from - 1) as usize]);
+            txs.push(match i % 6 {
+                0 | 2 | 4 => {
+                    *nonce += 1;
+                    pay(from, to, 1, *nonce - 1)
                 }
-            }
+                // Bad nonce: a replay once the account has moved, a
+                // far-future gap while it is still fresh — wrong either way.
+                1 => pay(from, to, 1, if *nonce > 0 { *nonce - 1 } else { 1_000_000 }),
+                // Overdraft: more than the whole supply.
+                3 => pay(from, to, u64::MAX, *nonce),
+                _ => b"not a transfer".to_vec(), // malformed
+            });
         }
         mixed.push(txs);
     }

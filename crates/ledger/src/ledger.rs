@@ -118,16 +118,11 @@ impl Ledger {
     pub fn new(genesis: impl IntoIterator<Item = (AccountId, u64)>) -> Self {
         let mut entries: Vec<(AccountId, Account)> =
             genesis.into_iter().map(|(id, balance)| (id, Account::with_balance(balance))).collect();
-        // A stable sort keeps a repeated id's entries in their given order,
-        // and the dedup keeps the last one's account in the first's place.
+        // Reversed, then stably sorted: a repeated id's last entry comes
+        // first among its copies, and the dedup keeps it.
+        entries.reverse();
         entries.sort_by_key(|&(id, _)| id);
-        entries.dedup_by(|later, kept| {
-            let repeated = later.0 == kept.0;
-            if repeated {
-                *kept = *later;
-            }
-            repeated
-        });
+        entries.dedup_by_key(|&mut (id, _)| id);
         let accounts = AccountMap::from_sorted(&entries);
         let root = StateRoot::genesis(&accounts);
         Ledger { accounts, height: 0, root }

@@ -18,6 +18,11 @@
 //! [`AccountMap::root_hash`] is O(1) to read and, because the trie's shape
 //! is a pure function of the key set, canonical: two maps holding the same
 //! accounts hash identically regardless of insertion order or batching.
+//!
+//! Every digest is a chain of [`step`]s, one per 64-bit word, from a domain
+//! tag: a leaf's words are its key, balance and nonce; a branch's, each
+//! present child's digest xor its nibble, in nibble order; a chained root's,
+//! the previous root, the slot and the accounts' digest (DESIGN.md §9).
 
 use std::sync::Arc;
 use std::{fmt, mem};
@@ -33,40 +38,29 @@ pub(crate) const READ_AHEAD_KEYS: usize = 64;
 
 /// Maps smaller than this skip the read-ahead: their trie stays near the
 /// core between blocks, and walking it twice only costs. It sits at the
-/// break-even of `ledger_exec`'s size sweep (one ledger, hashed ids, 180
-/// transfers a block), run with this constant at 0 and at `usize::MAX`,
-/// ns per transfer, off → on (median of 10 alternating full runs per side;
-/// 2-vCPU Xeon VM, 4 MiB L2 per core):
-///
-/// | accounts | 16,384 | 65,536 | 262,144 | 1,048,576 |
-/// |---|---|---|---|---|
-/// | off → on | 699 → 769 | 1,018 → 933 | 1,652 → 1,381 | 2,168 → 1,746 |
-///
-/// The read-ahead lost in 7 of 10 rounds at 16,384 accounts and won all
-/// 10 at 65,536; the constant is their geometric midpoint. The benchmark's
-/// four replicas of 262,144 accounts each gain more than one alone (1,955
-/// → 1,571): they evict one another between blocks.
+/// break-even of `ledger_exec`'s size sweep (DESIGN.md §9 has the table).
 const READ_AHEAD_MIN_ACCOUNTS: usize = 32_768;
 
-/// FNV-1a step, the repository's digest primitive.
+/// The state every digest starts from, before its domain tag.
+const SEED: u64 = 0xa076_1d64_78bd_642f;
+/// The odd multiplier of every [`step`]. Both constants are wyhash's.
+const MUL: u64 = 0xe703_7ed1_a0b4_28db;
+
+/// The ledger's digest primitive, one step per 64-bit word: the state xor
+/// the word, times [`MUL`] as a 128-bit product, the product's halves xored
+/// together (wyhash's `mum`), and the state xored back in — so a word that
+/// cancels the state, zeroing the product, still leaves the state.
 #[inline]
-fn fnv(h: u64, byte: u8) -> u64 {
-    (h ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3)
+const fn step(h: u64, w: u64) -> u64 {
+    let p = (h ^ w) as u128 * MUL as u128;
+    p as u64 ^ (p >> 64) as u64 ^ h
 }
 
-#[inline]
-fn fnv_u64(mut h: u64, v: u64) -> u64 {
-    for b in v.to_be_bytes() {
-        h = fnv(h, b);
-    }
-    h
-}
-
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-/// Domain tags keep a leaf digest from colliding with a branch digest over
-/// the same bytes.
-const TAG_LEAF: u8 = 1;
-const TAG_BRANCH: u8 = 2;
+/// The state after each domain tag, the first word of every digest: a
+/// leaf, a branch and a chained root over the same words digest apart.
+const LEAF: u64 = step(SEED, 1);
+const BRANCH: u64 = step(SEED, 2);
+const CHAIN: u64 = step(SEED, 3);
 
 /// Nibble of `key` at trie depth `depth` (most-significant first, so the
 /// trie iterates in ascending key order).
@@ -76,10 +70,7 @@ fn nibble(key: u64, depth: usize) -> usize {
 }
 
 fn leaf_hash(key: u64, account: Account) -> u64 {
-    let mut h = fnv(FNV_OFFSET, TAG_LEAF);
-    h = fnv_u64(h, key);
-    h = fnv_u64(h, account.balance);
-    fnv_u64(h, account.nonce)
+    [key, account.balance, account.nonce].into_iter().fold(LEAF, step)
 }
 
 /// One child position of a branch, or the map's root.
@@ -124,15 +115,14 @@ impl Branch {
         &mut self.slots[i]
     }
 
-    /// The branch digest: `TAG_BRANCH`, then the nibble and digest of each
-    /// present child in nibble order.
+    /// The branch digest: one step per present child in nibble order, its
+    /// digest xor its nibble the word, from the branch tag.
     fn fold(&self) -> u64 {
-        let mut h = fnv(FNV_OFFSET, TAG_BRANCH);
+        let mut h = BRANCH;
         let mut present = self.present;
         while present != 0 {
             let i = present.trailing_zeros() as usize;
-            h = fnv(h, i as u8);
-            h = fnv_u64(h, self.digests[i]);
+            h = step(h, self.digests[i] ^ i as u64);
             present &= present - 1;
         }
         h
@@ -153,11 +143,11 @@ impl Branch {
 
 impl Slot {
     /// The digest of the subtree in this slot, re-digesting a branch's
-    /// dirty slots first. The empty slot hashes to the bare offset basis,
-    /// distinct from any tagged digest; only the empty map's root has it.
+    /// dirty slots first. The empty slot hashes to 0, which no tagged
+    /// digest is but by chance; only the empty map's root has it.
     fn settle(&mut self) -> u64 {
         match self {
-            Slot::Empty => FNV_OFFSET,
+            Slot::Empty => 0,
             Slot::Leaf { key, account } => leaf_hash(*key, *account),
             // A dirty slot had a write come through, so its branch is
             // already unshared and this `make_mut` copies nothing.
@@ -217,7 +207,7 @@ impl Slot {
     /// digested once.
     fn build(entries: &[(AccountId, Account)], depth: usize) -> (Slot, u64) {
         match *entries {
-            [] => (Slot::Empty, FNV_OFFSET),
+            [] => (Slot::Empty, 0),
             [(AccountId(key), account)] => (Slot::Leaf { key, account }, leaf_hash(key, account)),
             _ => {
                 let mut branch = Branch::default();
@@ -269,18 +259,12 @@ impl Slot {
 /// other.insert(AccountId(1), Account::with_balance(100));
 /// assert_eq!(live.root_hash(), other.root_hash());
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct AccountMap {
     root: Slot,
     /// The root slot's digest, brought up to date when a batch ends.
     root_digest: u64,
     len: usize,
-}
-
-impl Default for AccountMap {
-    fn default() -> Self {
-        AccountMap { root: Slot::Empty, root_digest: FNV_OFFSET, len: 0 }
-    }
 }
 
 impl AccountMap {
@@ -503,23 +487,17 @@ impl Drop for AccountBatch<'_> {
 pub struct StateRoot(pub u64);
 
 impl StateRoot {
-    /// The pre-execution root (height 0, no blocks applied); folds the
-    /// genesis account digest so two chains with different initial
+    /// The pre-execution root (height 0, no blocks applied): slot 0
+    /// chained over a zero root, so two chains with different initial
     /// allocations never share roots.
     pub fn genesis(accounts: &AccountMap) -> Self {
-        let mut h = fnv(FNV_OFFSET, TAG_BRANCH);
-        h = fnv_u64(h, 0);
-        h = fnv_u64(h, accounts.root_hash());
-        StateRoot(h)
+        StateRoot::chain(StateRoot(0), 0, accounts.root_hash())
     }
 
     /// The root after executing the block at `slot` on top of `prev`,
     /// leaving the accounts at `accounts_root`.
     pub fn chain(prev: StateRoot, slot: u64, accounts_root: u64) -> Self {
-        let mut h = fnv_u64(FNV_OFFSET, prev.0);
-        h = fnv_u64(h, slot);
-        h = fnv_u64(h, accounts_root);
-        StateRoot(h)
+        StateRoot([prev.0, slot, accounts_root].into_iter().fold(CHAIN, step))
     }
 }
 
@@ -531,6 +509,8 @@ impl fmt::Display for StateRoot {
 
 #[cfg(test)]
 mod tests {
+    use std::collections::{HashMap, HashSet};
+
     use super::*;
 
     fn acct(balance: u64, nonce: u64) -> Account {
@@ -633,6 +613,14 @@ mod tests {
         let empty = AccountMap::new();
         assert_ne!(a.root_hash(), empty.root_hash());
         assert_eq!(empty.root_hash(), AccountMap::new().root_hash());
+        // Every single bit of a leaf's key, balance and nonce.
+        let (key, account) = (0x0123_4567_89AB_CDEF, acct(1_000, 7));
+        let leaf = leaf_hash(key, account);
+        for flip in (0..64).map(|bit| 1u64 << bit) {
+            assert_ne!(leaf_hash(key ^ flip, account), leaf, "key ^ {flip:#x}");
+            assert_ne!(leaf_hash(key, acct(1_000 ^ flip, 7)), leaf, "balance ^ {flip:#x}");
+            assert_ne!(leaf_hash(key, acct(1_000, 7 ^ flip)), leaf, "nonce ^ {flip:#x}");
+        }
     }
 
     #[test]
@@ -755,5 +743,56 @@ mod tests {
         let a2 = StateRoot::chain(a1, 2, 500);
         let b2 = StateRoot::chain(b1, 2, 500);
         assert_ne!(a2, b2, "one divergent block poisons every later root");
+    }
+
+    #[test]
+    fn a_child_moved_to_another_nibble_moves_the_branch_digest() {
+        let digest = leaf_hash(5, acct(1, 0));
+        let mut folds = HashSet::new();
+        for (i, j) in (0..16).flat_map(|i| (0..16).map(move |j| (i, j))).filter(|(i, j)| i != j) {
+            let mut branch = Branch { present: 1 << i | 1 << j, ..Branch::default() };
+            (branch.digests[i], branch.digests[j]) = (digest, 0);
+            assert!(folds.insert(branch.fold()), "children at {i} and {j}");
+        }
+    }
+
+    #[test]
+    fn swapping_the_domain_tags_moves_the_digest() {
+        let words = [0x0123_4567_89AB_CDEF, 1_000, 7];
+        let tagged = [LEAF, BRANCH, CHAIN].map(|tag| words.into_iter().fold(tag, step));
+        assert_eq!(tagged[0], leaf_hash(words[0], acct(words[1], words[2])));
+        assert_eq!(tagged[2], StateRoot::chain(StateRoot(words[0]), 1_000, 7).0);
+        let branch = Branch { present: 1, digests: [words[0]; 16], ..Branch::default() };
+        assert_eq!(branch.fold(), step(BRANCH, words[0]));
+        assert!(tagged[0] != tagged[1] && tagged[1] != tagged[2] && tagged[0] != tagged[2]);
+    }
+
+    #[test]
+    fn a_word_equal_to_the_state_does_not_erase_it() {
+        // `h ^ w == 0` zeroes the product; the state folded back in keeps
+        // the output a function of `h`.
+        let states = [0, 1, SEED, MUL, LEAF, BRANCH, CHAIN, u64::MAX];
+        let outputs: HashSet<u64> = states.map(|h| step(h, h)).into();
+        assert_eq!(outputs.len(), states.len());
+    }
+
+    #[test]
+    fn ten_thousand_small_maps_do_not_collide() {
+        // Up to six accounts each, with ids, balances and nonces from small
+        // ranges, so many maps differ in one field by one.
+        let mut x: u64 = 46;
+        let mut draw = |n: u64| {
+            x = x.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1_442_695_040_888_963_407);
+            (x >> 33) % n
+        };
+        let mut seen = HashMap::new();
+        for _ in 0..10_000 {
+            let mut map = AccountMap::new();
+            for _ in 0..=draw(6) {
+                map.insert(AccountId(draw(64)), acct(draw(8), draw(3)));
+            }
+            let entries = seen.entry(map.root_hash()).or_insert_with(|| map.entries());
+            assert_eq!(*entries, map.entries(), "two maps share {:#x}", map.root_hash());
+        }
     }
 }

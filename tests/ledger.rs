@@ -1,9 +1,10 @@
 //! The ledger on consensus, end to end: conservation and rejection
 //! invariants under arbitrary traffic (proptests), the account trie's
 //! in-place writes against a `BTreeMap` model, chunked read-ahead execution
-//! against a plain one-batch reference, byte-identical state
-//! roots across independently-executing replicas in both runtimes (sim
-//! n=4, TCP cluster), and forged divergence surfacing as a typed
+//! against a plain one-batch reference, every digest and chained root
+//! against DESIGN.md §9's definition evaluated from scratch, byte-identical
+//! state roots across independently-executing replicas in both runtimes
+//! (sim n=4, TCP cluster), and forged divergence surfacing as a typed
 //! `StateRootMismatch` naming the offending block.
 
 use std::collections::{BTreeMap, HashSet};
@@ -90,12 +91,41 @@ impl Reported {
 
     fn expected_of(model: &BTreeMap<u64, Account>) -> Self {
         let entries: Vec<_> = model.iter().map(|(k, a)| (AccountId(*k), *a)).collect();
-        let mut rebuilt = AccountMap::new();
-        for (id, account) in &entries {
-            rebuilt.insert(*id, *account);
-        }
-        Reported { len: model.len(), entries, root_hash: rebuilt.root_hash() }
+        Reported { len: model.len(), root_hash: defined_digest(&entries, 0), entries }
     }
+}
+
+// ---- the digest from its definition (DESIGN.md §9) -----------------------
+
+/// The word step, copied: the state xor the word, times an odd constant as
+/// a 128-bit product, the product's halves xored, the state xored back in.
+fn step(h: u64, w: u64) -> u64 {
+    let p = u128::from(h ^ w) * 0xe703_7ed1_a0b4_28db;
+    p as u64 ^ (p >> 64) as u64 ^ h
+}
+
+/// The state before every domain tag.
+const SEED: u64 = 0xa076_1d64_78bd_642f;
+
+/// The digest of `entries` (sorted by id, all sharing their first `depth`
+/// nibbles) with no trie: a lone entry is a leaf, more are split by their
+/// next nibble, and each part is one word of its branch.
+fn defined_digest(entries: &[(AccountId, Account)], depth: u32) -> u64 {
+    let nibble = |(id, _): &(AccountId, Account)| (id.0 >> (60 - 4 * depth)) & 0xF;
+    match entries {
+        [] => 0,
+        [(id, a)] => [id.0, a.balance, a.nonce].into_iter().fold(step(SEED, 1), step),
+        _ => entries.chunk_by(|a, b| nibble(a) == nibble(b)).fold(step(SEED, 2), |h, part| {
+            step(h, defined_digest(part, depth + 1) ^ nibble(&part[0]))
+        }),
+    }
+}
+
+/// The chained root over `map`'s entries, sorted here.
+fn defined_chain(prev: u64, slot: u64, map: &AccountMap) -> StateRoot {
+    let mut entries = map.entries();
+    entries.sort_by_key(|&(id, _)| id);
+    StateRoot([prev, slot, defined_digest(&entries, 0)].into_iter().fold(step(SEED, 3), step))
 }
 
 proptest! {
@@ -107,7 +137,7 @@ proptest! {
     /// touched branch rehashes when its batch ends), and a batch must read
     /// its own writes. Random interleavings of single inserts, multi-write
     /// batches with repeated keys, snapshots and snapshot drops, checked
-    /// against a `BTreeMap`.
+    /// against a `BTreeMap` and hashed by the definition.
     #[test]
     fn in_place_writes_match_a_btreemap_model(
         ops in proptest::collection::vec(map_op_strategy(), 1..40),
@@ -247,8 +277,8 @@ proptest! {
 
 /// The execution rules once more, through the public map API alone: one
 /// `AccountMap::batch` per block, each transfer decoded, checked and written
-/// through `AccountBatch::{get, insert}` as it comes, the root chained with
-/// `StateRoot::chain`. Nothing is read ahead and nothing is chunked.
+/// through `AccountBatch::{get, insert}` as it comes, the root chained by
+/// the definition (`defined_chain`). Nothing is read ahead or chunked.
 struct Reference {
     accounts: AccountMap,
     height: u64,
@@ -257,7 +287,7 @@ struct Reference {
 
 impl Reference {
     fn new(accounts: AccountMap) -> Self {
-        let root = StateRoot::genesis(&accounts);
+        let root = defined_chain(0, 0, &accounts);
         Reference { accounts, height: 0, root }
     }
 
@@ -272,7 +302,7 @@ impl Reference {
         }
         drop(batch);
         self.height += 1;
-        self.root = StateRoot::chain(self.root, self.height, self.accounts.root_hash());
+        self.root = defined_chain(self.root.0, self.height, &self.accounts);
         BlockReceipt { slot: self.height, applied, rejected, root: self.root }
     }
 
