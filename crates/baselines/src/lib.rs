@@ -2,19 +2,19 @@
 //! scratch so that the paper's comparison can be *measured* rather than
 //! quoted:
 //!
-//! * [`iths`] — **Information-Theoretic HotStuff** (Abraham & Stern 2020):
+//! * [`IthsNode`] — **Information-Theoretic HotStuff** (Abraham & Stern 2020):
 //!   responsive, constant storage, O(n²) communication, good-case latency
 //!   **6** message delays (propose, echo, key-1, key-2, key-3, lock), **9**
 //!   with a view change;
-//! * [`ithsblog`] — the **blog version of IT-HS**: *non-responsive*,
+//! * [`BlogNode`] — the **blog version of IT-HS**: *non-responsive*,
 //!   good-case latency **4** (propose, echo, accept, lock), **5** with a
 //!   view change — but a new leader must wait a full Δ before proposing,
 //!   which experiment E5 exposes;
-//! * [`pbft`] — a **bounded-storage PBFT**-style protocol: good-case
+//! * [`PbftNode`] — a **bounded-storage PBFT**-style protocol: good-case
 //!   latency **3** (pre-prepare, prepare, commit), **7** with a view change
 //!   (request, view-change, ack, new-view) — whose certificate-carrying
 //!   view change costs O(n³) total bits, the scaling experiment E6 measures;
-//! * [`repeated`] — **sequentially repeated single-shot TetraBFT**, the
+//! * [`RepeatedTetra`] — **sequentially repeated single-shot TetraBFT**, the
 //!   baseline for the ×5 pipelining throughput claim (experiment E7).
 //!
 //! These are latency- and communication-faithful reimplementations (the
@@ -30,15 +30,15 @@
 #![warn(missing_docs)]
 #![warn(unreachable_pub)]
 
-pub mod iths;
-pub mod ithsblog;
-pub mod pbft;
-pub mod repeated;
+mod iths;
+mod ithsblog;
+mod pbft;
+mod repeated;
 
-pub use iths::IthsNode;
-pub use ithsblog::BlogNode;
-pub use pbft::PbftNode;
-pub use repeated::RepeatedTetra;
+pub use iths::{IthsMsg, IthsNode};
+pub use ithsblog::{BlogMsg, BlogNode};
+pub use pbft::{PbftMsg, PbftNode, PrepareRecord, VcRecord};
+pub use repeated::{RepeatedTetra, SeqMsg};
 
 /// The byte count of what `encode` writes: how a baseline message is priced.
 /// The baselines run only under the simulator, which hands a node values,

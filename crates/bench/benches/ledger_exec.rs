@@ -22,7 +22,7 @@ use tetrabft_bench::{print_table, CountingAlloc};
 use tetrabft_ledger::{transfer_admission, AccountId, AccountMap, Ledger, LedgerReplica, Transfer};
 use tetrabft_multishot::{MultiShotNode, Transaction};
 use tetrabft_sim::{SimBuilder, Time};
-use tetrabft_types::{Config, NodeId};
+use tetrabft_types::{step, tagged, Config, NodeId};
 
 #[global_allocator]
 static ALLOC: CountingAlloc = CountingAlloc::new();
@@ -34,8 +34,8 @@ fn smoke() -> bool {
 /// The retained baseline: account state in a plain `HashMap`, with the
 /// per-block commitment recomputed by rescanning every account in sorted
 /// order — what a ledger without a persistent hashed structure must do.
-/// It hashes with the trie's own word step (DESIGN.md §9), one step per
-/// 64-bit word, so the two differ in what they hash, not in how. The trie
+/// It hashes with the trie's own word step ([`step`], DESIGN.md §9) from
+/// the chained root's tag, so the two differ in what they hash, not in how. The trie
 /// keeps each child's digest in its parent branch instead: a block's writes
 /// go in place (or, under a live snapshot, into a copy of each shared
 /// branch on their paths, made once), and when the block ends each slot
@@ -75,10 +75,7 @@ impl RescanLedger {
         entries.sort_unstable_by_key(|(id, _)| *id);
         let accounts = entries.into_iter().flat_map(|(id, (balance, nonce))| [id, balance, nonce]);
         let words = [self.root, slot].into_iter().chain(accounts);
-        self.root = words.fold(0xa076_1d64_78bd_642f, |h, w| {
-            let p = u128::from(h ^ w) * 0xe703_7ed1_a0b4_28db;
-            p as u64 ^ (p >> 64) as u64 ^ h
-        });
+        self.root = words.fold(tagged(3), step);
         applied
     }
 }

@@ -158,7 +158,7 @@ pub fn view_change_delays(protocol: Protocol, n: usize, delta: u64) -> u64 {
 /// certificate-carrying view-changes from all nodes plus the O(n²) new-view
 /// bundle. Returns the communication measurement.
 pub fn pbft_loaded_view_change(n: usize, delta: u64) -> Measurement {
-    use tetrabft_baselines::pbft::PbftMsg;
+    use tetrabft_baselines::PbftMsg;
     let cfg = Config::new(n).expect("valid n");
     let params = Params::new(delta);
     let sim = SimBuilder::new(n).build(move |id| {

@@ -1,7 +1,7 @@
 //! The transfer transaction: canonical wire form, typed submission, and
 //! the structural admission check.
 
-use tetrabft_multishot::{SubmitError, Transaction, Tx};
+use tetrabft_multishot::{SubmitError, Transaction};
 use tetrabft_wire::{Reader, Wire, WireError, Writer};
 
 use crate::account::AccountId;
@@ -107,8 +107,8 @@ impl Transaction for Transfer {
 /// ));
 /// # Ok::<(), SubmitError>(())
 /// ```
-pub fn transfer_admission(tx: &Tx) -> Result<(), SubmitError> {
-    let t = Transfer::from_bytes(tx.bytes())
+pub fn transfer_admission(bytes: &[u8]) -> Result<(), SubmitError> {
+    let t = Transfer::from_bytes(bytes)
         .map_err(|_| SubmitError::Malformed { reason: "not a canonical transfer encoding" })?;
     if t.amount == 0 {
         return Err(SubmitError::Rejected { reason: "zero-amount transfer" });
@@ -154,21 +154,18 @@ mod tests {
 
     #[test]
     fn admission_vetoes_exactly_the_static_failures() {
-        let ok = Tx::typed(&t(1, 2, 5, 0));
-        assert_eq!(transfer_admission(&ok), Ok(()));
+        let check = |t: Transfer| transfer_admission(&t.canonical_bytes());
+        assert_eq!(check(t(1, 2, 5, 0)), Ok(()));
         // Future nonce and overdraft-sized amounts are stateful: admitted
         // here, rejected at execution.
-        assert_eq!(transfer_admission(&Tx::typed(&t(1, 2, u64::MAX, 999))), Ok(()));
+        assert_eq!(check(t(1, 2, u64::MAX, 999)), Ok(()));
+        assert!(matches!(transfer_admission(b"garbage"), Err(SubmitError::Malformed { .. })));
         assert!(matches!(
-            transfer_admission(&Tx::raw(b"garbage".to_vec())),
-            Err(SubmitError::Malformed { .. })
-        ));
-        assert!(matches!(
-            transfer_admission(&Tx::typed(&t(1, 2, 0, 0))),
+            check(t(1, 2, 0, 0)),
             Err(SubmitError::Rejected { reason: "zero-amount transfer" })
         ));
         assert!(matches!(
-            transfer_admission(&Tx::typed(&t(1, 1, 5, 0))),
+            check(t(1, 1, 5, 0)),
             Err(SubmitError::Rejected { reason: "self-paying transfer" })
         ));
     }

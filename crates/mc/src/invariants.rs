@@ -54,7 +54,7 @@ fn none_other_choosable_at(cfg: &ModelCfg, state: &State, round: u8, value: u8) 
 }
 
 /// `SafeAt(r, v)`: no other value can gather a phase-4 quorum below `r`.
-pub fn safe_at(cfg: &ModelCfg, state: &State, round: u8, value: u8) -> bool {
+fn safe_at(cfg: &ModelCfg, state: &State, round: u8, value: u8) -> bool {
     (0..round).all(|c| none_other_choosable_at(cfg, state, c, value))
 }
 

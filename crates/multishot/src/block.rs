@@ -1,12 +1,15 @@
-//! Blocks, hash pointers, and the genesis block.
+//! Blocks, hash pointers, and the genesis block. A block's hash folds its
+//! header and its transactions' ids with [`tetrabft_types::step`].
 
-use std::cell::RefCell;
 use std::sync::Arc;
 
-use tetrabft_types::{Slot, Value};
+use tetrabft_types::{step, tagged, Slot, Value};
 use tetrabft_wire::{varint_len, Reader, Wire, WireError, Writer};
 
-/// A block digest: the 64-bit FNV-1a hash of the block's encoding.
+use crate::txn::TxId;
+
+/// A block digest: slot, parent, transaction count and each transaction's
+/// [`TxId`], folded from domain tag 5 (see [`Block::hash`]).
 ///
 /// Deliberately **not** cryptographic — TetraBFT is an unauthenticated
 /// protocol and never relies on unforgeability; the hash pointer is only a
@@ -73,40 +76,20 @@ pub struct Block {
     pub txs: Arc<Vec<Vec<u8>>>,
 }
 
-thread_local! {
-    /// Scratch encoder for [`Block::hash`]: hashing re-encodes the block,
-    /// and the store hashes every block it has not seen, so a
-    /// heap-allocated `Writer` per call would be one of the hottest
-    /// allocation sites in the pipeline.
-    static HASH_SCRATCH: RefCell<Writer> = RefCell::new(Writer::new());
-}
-
-#[cfg(test)]
-thread_local! {
-    /// How many times this thread ran [`Block::hash`]: the digest is paid
-    /// per payload byte, and a node owes each block exactly one.
-    pub(crate) static HASHES: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
-}
-
 impl Block {
     /// Creates a block.
     pub fn new(slot: Slot, parent: BlockHash, txs: Vec<Vec<u8>>) -> Self {
         Block { slot, parent, txs: Arc::new(txs) }
     }
 
-    /// The block's digest (FNV-1a over its wire encoding, never 0 or the
-    /// genesis hash). Encodes into a thread-local scratch buffer, so
-    /// steady-state calls do not allocate.
+    /// The block's digest, never 0 or the genesis hash: the words slot,
+    /// parent and transaction count, then each transaction's [`TxId`], from
+    /// domain tag 5. The transactions' chains are independent: the core
+    /// overlaps them.
     pub fn hash(&self) -> BlockHash {
-        #[cfg(test)]
-        HASHES.with(|count| count.set(count.get() + 1));
-        let h = HASH_SCRATCH.with(|scratch| {
-            let mut w = scratch.borrow_mut();
-            w.clear();
-            self.encode(&mut w);
-            // The FNV-1a digest a transaction's identity is, too.
-            crate::txn::TxId::of(w.as_bytes()).0
-        });
+        let head = [self.slot.0, self.parent.0, self.txs.len() as u64];
+        let h = head.into_iter().fold(const { tagged(5) }, step);
+        let h = self.txs.iter().fold(h, |h, tx| step(h, TxId::of(tx).0));
         // Reserve 0 (the "fresh block" sentinel in Rule 1) and 1 (genesis).
         BlockHash(h.max(2))
     }
@@ -178,11 +161,15 @@ mod tests {
 
     #[test]
     fn hash_is_deterministic_and_content_sensitive() {
-        let a = Block::new(Slot(1), GENESIS_HASH, vec![b"x".to_vec()]);
-        let b = Block::new(Slot(1), GENESIS_HASH, vec![b"x".to_vec()]);
-        let c = Block::new(Slot(1), GENESIS_HASH, vec![b"y".to_vec()]);
-        assert_eq!(a.hash(), b.hash());
-        assert_ne!(a.hash(), c.hash());
+        let hash = |txs: &[&[u8]]| {
+            Block::new(Slot(1), GENESIS_HASH, txs.iter().map(|tx| tx.to_vec()).collect()).hash()
+        };
+        let a = hash(&[b"x", b"yz"]);
+        assert_eq!(a, hash(&[b"x", b"yz"]));
+        // Swapped; one fewer, one more; two merged; none.
+        for other in [&[&b"yz"[..], b"x"][..], &[b"x"], &[b"x", b"yz", b""], &[b"xyz"], &[]] {
+            assert_ne!(a, hash(other), "{other:?}");
+        }
     }
 
     #[test]
@@ -196,9 +183,9 @@ mod tests {
 
     #[test]
     fn hash_reserved_values() {
-        // Structural guarantee: hashes avoid the sentinel values.
-        let b = Block::new(Slot(3), GENESIS_HASH, vec![b"tx".to_vec()]);
-        assert!(b.hash().0 > 1);
+        // 0 is Rule 1's "fresh block" sentinel, 1 the genesis hash.
+        let mut hashes = (0..10_000).map(|s| Block::new(Slot(s), GENESIS_HASH, vec![]).hash());
+        assert!(hashes.all(|h| h.0 > 1));
     }
 
     #[test]

@@ -13,7 +13,6 @@ use tetrabft_types::{NodeId, Slot, Value};
 use crate::block::{Block, BlockHash};
 use crate::mempool::Mempool;
 use crate::store::BlockStore;
-use crate::txn::Tx;
 
 /// What one peer lent this node for one slot: the payloads that passed the
 /// borrower's checks, and who vouches for the chain they belong on.
@@ -74,25 +73,18 @@ impl Handoff {
 
     /// Buffers what `from` lends this node for `slot` (one the caller knows
     /// it may still borrow for). The borrower trusts nothing: each payload
-    /// passes the checks a client submission passes; the buffer never
-    /// outgrows one block.
+    /// passes the checks a client submission passes, on its bytes, so a
+    /// loan costs no digest; the buffer never outgrows one block.
     pub(crate) fn borrow(&mut self, from: NodeId, slot: Slot, txs: Arc<Vec<Vec<u8>>>) {
         let held = self.borrowed.get(&slot).into_iter().flatten().map(|loan| loan.txs.len());
         let room = self.cap.saturating_sub(held.sum());
         if room == 0 {
             return;
         }
-        let mut loan = Vec::new();
         // Shared only under `Sim`, where the lender holds the same buffer.
-        for bytes in Arc::unwrap_or_clone(txs) {
-            let tx = Tx::raw(bytes);
-            if self.mempool.vet(&tx).is_ok() {
-                loan.push(tx.into_bytes());
-                if loan.len() == room {
-                    break;
-                }
-            }
-        }
+        let vetted =
+            Arc::unwrap_or_clone(txs).into_iter().filter(|tx| self.mempool.vet(tx).is_ok());
+        let loan: Vec<_> = vetted.take(room).collect();
         if !loan.is_empty() {
             self.borrowed.entry(slot).or_default().push(Loan { lender: from, txs: loan });
         }

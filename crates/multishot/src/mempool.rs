@@ -1,11 +1,10 @@
 //! The bounded transaction mempool feeding leader batch assembly.
 //!
-//! The pool replaces the unbounded `VecDeque` the node used to carry:
-//! admission validates transactions (non-empty, under the size cap, past
-//! the application's [`TxCheck`] hook when one is installed), deduplicates
-//! on the typed [`TxId`] digest against everything still queued, and
-//! refuses submissions past a fixed capacity — the typed [`SubmitError`]
-//! is the backpressure signal clients react to.
+//! Admission validates a transaction's bytes (non-empty, under the size
+//! cap, past the application's [`TxCheck`] hook when one is installed),
+//! deduplicates on the typed [`TxId`] digest against everything still
+//! queued, and refuses submissions past a fixed capacity — the typed
+//! [`SubmitError`] is the backpressure signal clients react to.
 //!
 //! Drain order is strictly FIFO by *admission sequence*: every admitted
 //! transaction is numbered, a drained batch carries its numbers with it,
@@ -205,7 +204,7 @@ impl Mempool {
     /// [`SubmitError::Full`] is the backpressure signal at capacity.
     pub fn submit(&mut self, tx: impl Into<Tx>) -> Result<(), SubmitError> {
         let tx = tx.into();
-        self.vet(&tx)?;
+        self.vet(tx.bytes())?;
         if self.queued.get(&tx.id()).is_some_and(|c| *c > 0)
             && self.queue.iter().any(|q| q.tx.bytes() == tx.bytes())
         {
@@ -230,15 +229,13 @@ impl Mempool {
     ///
     /// [`SubmitError::Empty`], [`SubmitError::TooLarge`], or the hook's
     /// [`SubmitError::Malformed`] / [`SubmitError::Rejected`].
-    pub(crate) fn vet(&self, tx: &Tx) -> Result<(), SubmitError> {
+    pub(crate) fn vet(&self, tx: &[u8]) -> Result<(), SubmitError> {
         if tx.is_empty() {
             return Err(SubmitError::Empty);
         }
-        if tx.len() > Params::DEFAULT_MAX_TX_BYTES {
-            return Err(SubmitError::TooLarge {
-                size: tx.len(),
-                max: Params::DEFAULT_MAX_TX_BYTES,
-            });
+        let max = Params::DEFAULT_MAX_TX_BYTES;
+        if tx.len() > max {
+            return Err(SubmitError::TooLarge { size: tx.len(), max });
         }
         self.admission.map_or(Ok(()), |check| check(tx))
     }
@@ -432,8 +429,8 @@ mod tests {
 
     #[test]
     fn admission_hook_vetoes_at_the_door() {
-        fn only_even_first_byte(tx: &Tx) -> Result<(), SubmitError> {
-            match tx.bytes().first() {
+        fn only_even_first_byte(tx: &[u8]) -> Result<(), SubmitError> {
+            match tx.first() {
                 Some(b) if b % 2 == 0 => Ok(()),
                 Some(_) => Err(SubmitError::Rejected { reason: "odd first byte" }),
                 None => Err(SubmitError::Malformed { reason: "empty" }),

@@ -201,10 +201,11 @@ fn sent(node: &mut MultiShotNode, input: Input<MsMessage>) -> Vec<MsMessage> {
         .collect()
 }
 
-/// Runs `node` on one input by hand; returns how many times it ran
-/// [`Block::hash`] doing so, and the messages it sent.
+/// Runs `node` on one input by hand; returns how many payloads it digested
+/// doing so (each [`Block::hash`] digests each of its transactions once),
+/// and the messages it sent.
 fn hashed(node: &mut MultiShotNode, input: Input<MsMessage>) -> (u64, Vec<MsMessage>) {
-    let count = || crate::block::HASHES.with(std::cell::Cell::get);
+    let count = || crate::txn::HASHES.with(std::cell::Cell::get);
     let before = count();
     let out = sent(node, input);
     (count() - before, out)
@@ -352,7 +353,8 @@ fn a_borrower_trusts_nothing_and_keeps_nothing() {
     let mut node = MultiShotNode::new(cfg(4), params, NodeId(2));
     sent(&mut node, Input::Start);
     let offer = |node: &mut MultiShotNode, from: u16, msg: MsMessage| {
-        sent(node, Input::Deliver { from: NodeId(from), msg });
+        let (digests, _) = hashed(node, Input::Deliver { from: NodeId(from), msg });
+        assert_eq!(digests, 0, "a loan is vetted by its bytes, never digested");
         node.handoff.borrowed.values().flatten().map(|loan| loan.txs.len()).sum::<usize>()
     };
     assert_eq!(offer(&mut node, 2, relay(6, &[b"me"])), 0, "not from itself");

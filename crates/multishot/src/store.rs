@@ -151,9 +151,9 @@ mod tests {
         let b = Block::new(Slot(1), GENESIS_HASH, vec![b"t".to_vec()]);
         let hash = b.hash();
         store.insert_hashed(hash, b.clone());
-        let before = crate::block::HASHES.with(|count| count.get());
+        let before = crate::txn::HASHES.with(|count| count.get());
         assert_eq!(store.insert(b.clone()), hash);
-        assert_eq!(crate::block::HASHES.with(|count| count.get()), before, "found, not hashed");
+        assert_eq!(crate::txn::HASHES.with(|count| count.get()), before, "found, not hashed");
         // The same payload at another slot or on another parent is another
         // block; an equal payload in another allocation is hashed.
         let moved = Block { slot: Slot(2), ..b.clone() };
@@ -161,9 +161,9 @@ mod tests {
         assert_eq!(store.insert(moved.clone()), moved.hash());
         assert_eq!(store.insert(reparented.clone()), reparented.hash());
         let copied = Block::new(Slot(1), GENESIS_HASH, vec![b"t".to_vec()]);
-        let before = crate::block::HASHES.with(|count| count.get());
+        let before = crate::txn::HASHES.with(|count| count.get());
         assert_eq!(store.insert(copied), hash);
-        assert_eq!(crate::block::HASHES.with(|count| count.get()), before + 1);
+        assert_eq!(crate::txn::HASHES.with(|count| count.get()), before + 1);
         assert_eq!(store.blocks.len(), 3);
     }
 }

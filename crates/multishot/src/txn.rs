@@ -2,22 +2,23 @@
 //! byte blobs.
 //!
 //! A [`Transaction`] is anything with a *canonical* wire encoding and a
-//! [`TxId`] derived from it. The chain itself still carries opaque bytes —
-//! blocks and the wire format are unchanged — but admission now works on a
-//! typed envelope ([`Tx`]) that knows its digest, so the mempool
-//! deduplicates on identity instead of re-hashing and byte-comparing
-//! payloads, and an application (e.g. `tetrabft-ledger`) can veto
-//! structurally-invalid transactions at the door via an admission hook.
-//! An opaque payload enters as [`Tx::raw`] (or the `From<Vec<u8>>`
-//! conversion, which is the same thing): the bytes are their own canonical
-//! encoding — what every TCP client frame is.
+//! [`TxId`] derived from it: the word-step digest of those bytes, which a
+//! block's hash folds once per transaction. The chain carries opaque bytes,
+//! but admission works on a typed envelope ([`Tx`]) that knows its digest,
+//! so the mempool deduplicates on identity instead of re-hashing and
+//! byte-comparing payloads, and an application (e.g. `tetrabft-ledger`) can
+//! veto structurally-invalid bytes at the door via an admission hook
+//! ([`TxCheck`]). An opaque payload enters as [`Tx::raw`] (or the
+//! `From<Vec<u8>>` conversion, which is the same thing): the bytes are
+//! their own canonical encoding — what every TCP client frame is.
 
 use std::fmt;
 
+use tetrabft_types::{fold_bytes, tagged};
 use tetrabft_wire::Writer;
 
-/// A transaction's identity: the 64-bit FNV-1a digest of its canonical
-/// encoding.
+/// A transaction's identity: its canonical encoding folded from domain tag
+/// 4 by [`tetrabft_types::fold_bytes`].
 ///
 /// Two transactions with the same canonical bytes have the same id by
 /// construction, whether they were submitted typed or as raw bytes — so
@@ -26,15 +27,18 @@ use tetrabft_wire::Writer;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct TxId(pub u64);
 
+#[cfg(test)]
+thread_local! {
+    /// Payloads this thread digested, alone or inside a block's hash.
+    pub(crate) static HASHES: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+}
+
 impl TxId {
-    /// Digests `bytes` (FNV-1a, 64-bit).
+    /// Digests `bytes`.
     pub fn of(bytes: &[u8]) -> Self {
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        for b in bytes {
-            h ^= u64::from(*b);
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-        TxId(h)
+        #[cfg(test)]
+        HASHES.with(|count| count.set(count.get() + 1));
+        TxId(fold_bytes(const { tagged(4) }, bytes))
     }
 }
 
@@ -105,15 +109,12 @@ pub struct Tx {
 impl Tx {
     /// Wraps a typed transaction: encodes canonically, digests once.
     pub fn typed<T: Transaction>(tx: &T) -> Self {
-        let bytes = tx.canonical_bytes();
-        let id = TxId::of(&bytes);
-        Tx { id, bytes }
+        Tx::raw(tx.canonical_bytes())
     }
 
     /// Wraps an opaque payload: the bytes are their own canonical encoding.
     pub fn raw(bytes: Vec<u8>) -> Self {
-        let id = TxId::of(&bytes);
-        Tx { id, bytes }
+        Tx { id: TxId::of(&bytes), bytes }
     }
 
     /// The transaction's identity.
@@ -131,18 +132,6 @@ impl Tx {
     /// Unwraps the payload.
     pub(crate) fn into_bytes(self) -> Vec<u8> {
         self.bytes
-    }
-
-    /// Payload size in bytes.
-    #[inline]
-    pub(crate) fn len(&self) -> usize {
-        self.bytes.len()
-    }
-
-    /// `true` for an empty payload.
-    #[inline]
-    pub(crate) fn is_empty(&self) -> bool {
-        self.bytes.is_empty()
     }
 }
 
@@ -169,7 +158,8 @@ impl<T: Transaction> From<&T> for Tx {
     }
 }
 
-/// An admission hook: the application's veto at the mempool door.
+/// An admission hook: the application's veto at the mempool door, over a
+/// payload's canonical bytes.
 ///
 /// Runs after the size/emptiness checks and before dedup/capacity; a
 /// returned error refuses the submission with that typed reason. Stateless
@@ -177,7 +167,7 @@ impl<T: Transaction> From<&T> for Tx {
 /// what is *statically* checkable — canonical decode, structural validity —
 /// while stateful rules (nonces, balances) are enforced deterministically
 /// at execution by the application replica.
-pub type TxCheck = fn(&Tx) -> Result<(), crate::SubmitError>;
+pub type TxCheck = fn(&[u8]) -> Result<(), crate::SubmitError>;
 
 #[cfg(test)]
 pub(crate) mod tests {

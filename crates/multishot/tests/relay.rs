@@ -12,7 +12,7 @@ use std::ops::{Range, RangeInclusive};
 use std::path::PathBuf;
 
 use tetrabft::Params;
-use tetrabft_multishot::{Finalized, MsMessage, MultiShotNode, TxId};
+use tetrabft_multishot::{Finalized, MsMessage, MultiShotNode};
 use tetrabft_sim::{
     Context, EdgeSpec, Input, LinkPlan, Node, OutputRecord, PartitionWindow, SilentNode, Sim,
     SimBuilder, Time, TimerId, TraceEvent,
@@ -353,58 +353,17 @@ fn a_dead_leader_costs_one_timeout() {
     // Node 3 leads every fourth slot, in step and voting, until it is
     // killed at tick 500: for good, then (durable) back from its WAL at
     // tick 1,500. Δ = 30, so a timed-out slot costs 9Δ = 270 ticks.
-    let cfg = Config::new(4).unwrap();
     for (back_at, kill) in dead_leader_runs() {
         let away = kill..back_at.unwrap_or(u64::MAX / 2);
         let sim = crash("dead-leader", kill, back_at, false);
-        let chain: Vec<_> = sim.outputs().iter().filter(|o| o.node == OBSERVER).collect();
         // One stall of 9Δ, the paper's; after it a slot of the dead node
         // costs a view change at network speed, not another timer.
-        let gaps = chain.windows(2).map(|pair| (pair[0].time.0, pair[1].time.0 - pair[0].time.0));
+        let gaps = gaps(&sim).into_iter().map(|(at, gap)| (at - gap, gap));
         let stalls: Vec<_> = gaps.clone().filter(|(_, gap)| *gap >= 270).collect();
         assert!(matches!(stalls[..], [(500..=600, 270..=330)]), "one 9Δ stall, got {stalls:?}");
         let worst = gaps.filter(|(at, _)| *at > stalls[0].0 && *at < away.end).map(|g| g.1).max();
         assert!(worst.unwrap() <= 8 * DELTA, "a later slot of the dead node cost {worst:?} ticks");
-        // Who proposed, and in which view, the block each slot committed.
-        let mut proposed = HashMap::new();
-        let mut view_changes = Vec::new();
-        let mut votes_again = None;
-        for event in sim.trace().unwrap() {
-            match event {
-                TraceEvent::Sent { at, from, msg: MsMessage::Proposal { view, block }, .. } => {
-                    proposed.entry(block.hash()).or_insert((at.0, (*from, *view)));
-                }
-                TraceEvent::Sent { at, msg: MsMessage::ViewChange { .. }, .. } => {
-                    view_changes.push(at.0);
-                }
-                TraceEvent::Sent { at, from, msg: MsMessage::Vote { .. }, .. }
-                    if *from == DEAD && at.0 >= away.end =>
-                {
-                    votes_again.get_or_insert(at.0);
-                }
-                _ => {}
-            }
-        }
-        let mut turns_back = 0;
-        for fin in &chain {
-            let slot = fin.output.slot;
-            if MultiShotNode::leader_of(&cfg, slot, View::ZERO) != DEAD {
-                continue;
-            }
-            let (at, by) = proposed[&fin.output.hash];
-            if votes_again.is_some_and(|again| at > again + 4 * DELTA) {
-                assert_eq!(by, (DEAD, View::ZERO), "{slot}: back in step, it leads its turn");
-                turns_back += 1;
-            } else if at > stalls[0].0 + 270 && at < away.end {
-                let heir = MultiShotNode::leader_of(&cfg, slot, View(1));
-                assert_eq!(by, (heir, View(1)), "{slot}: commits under its view-1 leader");
-            }
-        }
-        if let Some(at) = votes_again {
-            assert!(turns_back > 20, "the restarted node must lead again, led {turns_back}");
-            let late = view_changes.iter().filter(|sent| **sent > at + 4 * DELTA).count();
-            assert_eq!(late, 0, "a round after it votes again nobody asks for a view change");
-        }
+        dead_leaders_slots(&sim, stalls[0].0 + 270, away.end);
     }
 }
 
@@ -429,7 +388,6 @@ fn a_hinted_dead_leader_costs_no_timeout() {
     // The same crash, seen by a transport that reports it: every peer is
     // told one hop after the kill that node 3's stream ended. The kill
     // falls on every tick of one round; no finalization waits for a timer.
-    let cfg = Config::new(4).unwrap();
     for (back_at, kill) in hinted_leader_runs() {
         let away = kill..back_at.unwrap_or(u64::MAX / 2);
         let sim = crash("hinted-leader", kill, back_at, true);
@@ -437,44 +395,53 @@ fn a_hinted_dead_leader_costs_no_timeout() {
         let worst = gaps.iter().filter(|(at, _)| *at > 400).map(|g| g.1).max().unwrap();
         assert!(worst <= 5 * DELTA, "kill at {kill}, back {back_at:?}: a gap of {worst} ticks");
         assert!(gaps.last().unwrap().0 > 2_950, "kill at {kill}: the chain must stay live");
-        let mut proposed = HashMap::new();
-        let mut votes_again = None;
-        for event in sim.trace().unwrap() {
-            match event {
-                TraceEvent::Sent { at, from, msg: MsMessage::Proposal { view, block }, .. } => {
-                    proposed.entry(block.hash()).or_insert((at.0, (*from, *view)));
-                }
-                TraceEvent::Sent { at, from, msg: MsMessage::Vote { .. }, .. }
-                    if *from == DEAD && at.0 >= away.end =>
-                {
-                    votes_again.get_or_insert(at.0);
-                }
-                _ => {}
-            }
-        }
-        let (mut heirs, mut turns_back) = (0, 0);
-        for fin in sim.outputs().iter().filter(|o| o.node == OBSERVER) {
-            let slot = fin.output.slot;
-            if MultiShotNode::leader_of(&cfg, slot, View::ZERO) != DEAD {
-                continue;
-            }
-            let (at, by) = proposed[&fin.output.hash];
-            if votes_again.is_some_and(|again| at > again + 4 * DELTA) {
-                assert_eq!(by, (DEAD, View::ZERO), "{slot}: back in step, it leads its turn");
-                turns_back += 1;
-            } else if at > kill && at < away.end {
-                let heir = MultiShotNode::leader_of(&cfg, slot, View(1));
-                assert_eq!(by, (heir, View(1)), "{slot}: commits under its view-1 leader");
-                heirs += 1;
-            }
-        }
+        let heirs = dead_leaders_slots(&sim, kill, away.end);
         assert!(heirs > 15, "kill at {kill}: the dead node's slots must commit, {heirs} did");
-        if let Some(at) = votes_again {
-            assert!(turns_back > 20, "the restarted node must lead again, led {turns_back}");
-            let late = view_changes_sent(&sim).into_iter().filter(|sent| *sent > at + 4 * DELTA);
-            assert_eq!(late.count(), 0, "a round after it votes again nobody asks for a view");
+    }
+}
+
+/// Checks who proposed each of node 3's slots the observer committed: the
+/// view-1 leader between `after` and `back`, node 3 a round after it votes
+/// again (then nobody asks for a view change). Returns the view-1 count.
+fn dead_leaders_slots(sim: &ChainSim, after: u64, back: u64) -> usize {
+    let cfg = Config::new(4).unwrap();
+    let mut proposed = HashMap::new();
+    let mut votes_again = None;
+    for event in sim.trace().unwrap() {
+        match event {
+            TraceEvent::Sent { at, from, msg: MsMessage::Proposal { view, block }, .. } => {
+                proposed.entry(block.hash()).or_insert((at.0, (*from, *view)));
+            }
+            TraceEvent::Sent { at, from, msg: MsMessage::Vote { .. }, .. }
+                if *from == DEAD && at.0 >= back =>
+            {
+                votes_again.get_or_insert(at.0);
+            }
+            _ => {}
         }
     }
+    let (mut heirs, mut turns_back) = (0, 0);
+    for fin in sim.outputs().iter().filter(|o| o.node == OBSERVER) {
+        let slot = fin.output.slot;
+        if MultiShotNode::leader_of(&cfg, slot, View::ZERO) != DEAD {
+            continue;
+        }
+        let (at, by) = proposed[&fin.output.hash];
+        if votes_again.is_some_and(|again| at > again + 4 * DELTA) {
+            assert_eq!(by, (DEAD, View::ZERO), "{slot}: back in step, it leads its turn");
+            turns_back += 1;
+        } else if at > after && at < back {
+            let heir = MultiShotNode::leader_of(&cfg, slot, View(1));
+            assert_eq!(by, (heir, View(1)), "{slot}: commits under its view-1 leader");
+            heirs += 1;
+        }
+    }
+    if let Some(at) = votes_again {
+        assert!(turns_back > 20, "the restarted node must lead again, led {turns_back}");
+        let late = view_changes_sent(sim).into_iter().filter(|sent| *sent > at + 4 * DELTA);
+        assert_eq!(late.count(), 0, "a round after it votes again nobody asks for a view change");
+    }
+    heirs
 }
 
 /// ROADMAP item 1 (b)'s repro: `a_hinted_dead_leader_costs_no_timeout`'s
@@ -741,13 +708,19 @@ fn digest(sim: &ChainSim) -> u64 {
         events_processed: sim.metrics().events_processed,
         final_time: sim.now(),
     };
-    TxId::of(format!("{record:?}").as_bytes()).0
+    fnv1a(&format!("{record:?}"))
 }
 
 /// The digest of a scenario: of the digests of its runs, in order.
 fn scenario_digest(runs: impl Iterator<Item = ChainSim>) -> u64 {
     let digests: Vec<u64> = runs.map(|sim| digest(&sim)).collect();
-    TxId::of(format!("{digests:?}").as_bytes()).0
+    fnv1a(&format!("{digests:?}"))
+}
+
+/// FNV-1a, the runs' fingerprint: not one of the chain's digests.
+fn fnv1a(text: &str) -> u64 {
+    let prime = 0x0000_0100_0000_01b3;
+    text.bytes().fold(0xcbf2_9ce4_8422_2325, |h, b| (h ^ u64::from(b)).wrapping_mul(prime))
 }
 
 /// The view-change driver's traffic, pinned: every run of the four
@@ -756,31 +729,31 @@ fn scenario_digest(runs: impl Iterator<Item = ChainSim>) -> u64 {
 /// withdrawal — and three held-link seeds that wedge, down to the last
 /// message, tick and byte. The tests above check those departures by
 /// counts; these digests say the driver did not change at all. A change
-/// that moves the driver's traffic on purpose re-captures them and says
-/// why.
+/// that moves the driver's traffic, or the block digest its messages
+/// carry, on purpose re-captures them and says why.
 #[test]
 fn the_view_change_drivers_traffic_is_pinned() {
     let dead = dead_leader_runs().map(|(back, kill)| crash("pin-dead", kill, back, false));
-    assert_eq!(scenario_digest(dead), 0xef98_411e_71ac_b68c, "a_dead_leader_costs_one_timeout");
+    assert_eq!(scenario_digest(dead), 0xd898_6981_ae90_26aa, "a_dead_leader_costs_one_timeout");
     let hinted = hinted_leader_runs().map(|(back, kill)| crash("pin-hinted", kill, back, true));
     assert_eq!(
         scenario_digest(hinted),
-        0xd903_a78b_7eef_e0bb,
+        0x62d0_bce6_f671_addb,
         "a_hinted_dead_leader_costs_no_timeout"
     );
     let false_hints = false_hint_runs().map(|(told, at)| false_hint(told, at));
     assert_eq!(
         scenario_digest(false_hints),
-        0x4b58_042e_2bc9_a7cc,
+        0xac0e_9213_7043_b80f,
         "a_false_hint_costs_a_view_change_not_a_timeout"
     );
     assert_eq!(
         digest(&flapping()),
-        0x1ca8_b42a_4dc8_2df6,
+        0x3c05_7165_23b7_06ad,
         "a_flapping_peer_costs_view_changes_and_never_a_timeout"
     );
     for (seed, pinned) in
-        [(68, 0x40b7_80a8_cdbe_333c), (76, 0x037c_a274_659c_e7ce), (123, 0x083c_7fbf_5628_2b4c)]
+        [(68, 0x34c9_2ca6_e1fd_d75d), (76, 0x9fa3_8fae_0b6f_3de6), (123, 0x75ea_df1a_fdac_6651)]
     {
         let sim = held_links(seed, 1..=30, 150 + (37 * seed) % 300);
         assert_eq!(digest(&sim), pinned, "held_links seed {seed}");

@@ -10,7 +10,8 @@
 //! * the constant-size persistent [`VoteBook`] of Section 3.1 (highest
 //!   vote-1..4 plus the second-highest vote-1/vote-2 carrying a different
 //!   value);
-//! * the vote [`Phase`] newtype used throughout.
+//! * the vote [`Phase`] newtype used throughout;
+//! * the one digest primitive, [`step`], that every hash in the tree folds.
 //!
 //! # Examples
 //!
@@ -30,6 +31,7 @@
 #![warn(unreachable_pub)]
 
 mod config;
+mod digest;
 mod evidence;
 mod fsync;
 mod ids;
@@ -38,6 +40,7 @@ mod value;
 mod votebook;
 
 pub use config::{Config, ConfigError};
+pub use digest::{fold_bytes, step, tagged};
 pub use evidence::{AuditClaim, Evidence};
 pub use fsync::FsyncPolicy;
 pub use ids::{NodeId, Slot, View};

@@ -162,7 +162,9 @@ where
         bytes_sent: sim.metrics().total_bytes_sent(),
         msgs_sent: sim.metrics().total_msgs_sent(),
     };
-    TxId::of(format!("{run:?}").as_bytes()).0
+    let prime = 0x0000_0100_0000_01b3;
+    let text = format!("{run:?}");
+    text.bytes().fold(0xcbf2_9ce4_8422_2325, |h, b| (h ^ u64::from(b)).wrapping_mul(prime))
 }
 
 /// TetraBFT's, IT-HS's, blog IT-HS's and PBFT's traffic: a run that changes

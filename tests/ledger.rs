@@ -14,6 +14,7 @@ use proptest::prelude::*;
 use proptest::TestCaseError;
 use tetrabft_suite::ledger::{AccountBatch, AccountMap, BlockReceipt, ExecError};
 use tetrabft_suite::prelude::*;
+use tetrabft_suite::types::{step, tagged};
 use tetrabft_suite::wire::Wire;
 
 /// Canonical bytes of one transfer.
@@ -95,17 +96,7 @@ impl Reported {
     }
 }
 
-// ---- the digest from its definition (DESIGN.md §9) -----------------------
-
-/// The word step, copied: the state xor the word, times an odd constant as
-/// a 128-bit product, the product's halves xored, the state xored back in.
-fn step(h: u64, w: u64) -> u64 {
-    let p = u128::from(h ^ w) * 0xe703_7ed1_a0b4_28db;
-    p as u64 ^ (p >> 64) as u64 ^ h
-}
-
-/// The state before every domain tag.
-const SEED: u64 = 0xa076_1d64_78bd_642f;
+// ---- the digest from its definition (DESIGN.md §9), on the shared step ---
 
 /// The digest of `entries` (sorted by id, all sharing their first `depth`
 /// nibbles) with no trie: a lone entry is a leaf, more are split by their
@@ -114,10 +105,10 @@ fn defined_digest(entries: &[(AccountId, Account)], depth: u32) -> u64 {
     let nibble = |(id, _): &(AccountId, Account)| (id.0 >> (60 - 4 * depth)) & 0xF;
     match entries {
         [] => 0,
-        [(id, a)] => [id.0, a.balance, a.nonce].into_iter().fold(step(SEED, 1), step),
-        _ => entries.chunk_by(|a, b| nibble(a) == nibble(b)).fold(step(SEED, 2), |h, part| {
-            step(h, defined_digest(part, depth + 1) ^ nibble(&part[0]))
-        }),
+        [(id, a)] => [id.0, a.balance, a.nonce].into_iter().fold(tagged(1), step),
+        _ => entries
+            .chunk_by(|a, b| nibble(a) == nibble(b))
+            .fold(tagged(2), |h, part| step(h, defined_digest(part, depth + 1) ^ nibble(&part[0]))),
     }
 }
 
@@ -125,7 +116,7 @@ fn defined_digest(entries: &[(AccountId, Account)], depth: u32) -> u64 {
 fn defined_chain(prev: u64, slot: u64, map: &AccountMap) -> StateRoot {
     let mut entries = map.entries();
     entries.sort_by_key(|&(id, _)| id);
-    StateRoot([prev, slot, defined_digest(&entries, 0)].into_iter().fold(step(SEED, 3), step))
+    StateRoot([prev, slot, defined_digest(&entries, 0)].into_iter().fold(tagged(3), step))
 }
 
 proptest! {
